@@ -9,10 +9,11 @@ runs the very same worker serially in-process. Wall-clock timings are
 collected alongside but kept strictly out of the deterministic payload
 (time is the one thing a parallel run is allowed to change).
 
-On top of that substrate sits the resilient mode — the paper's
-checkpoint/restart discipline applied to the harness itself. With an
-:class:`ExecutorPolicy` (or a journal, or an injected fault plan) the
-executor additionally guarantees:
+Every run takes the one resilient path — the paper's checkpoint/restart
+discipline applied to the harness itself. A call without an
+:class:`ExecutorPolicy` is its zero-retry, no-timeout case (a worker's
+own exception then reaches the caller as itself); with a policy (and
+optionally a journal or an injected fault plan) the executor guarantees:
 
 - **per-cell wall-clock timeouts** — a hung worker is detected by the
   parent, its pool is killed and rebuilt, and the cell is retried;
@@ -35,13 +36,17 @@ artifact is byte-identical across any ``jobs`` count **and** across
 clean vs. retried vs. killed-and-resumed runs — quarantine messages
 deliberately contain no PIDs, times, or host state.
 
-:func:`run_campaign` instantiates the substrate for
-:class:`~repro.campaign.spec.ScenarioSpec` cells: each worker builds a
-simulation from its spec (``Simulation.from_spec``), runs it, and
+:func:`run_spec_cells` instantiates the substrate for
+:class:`~repro.campaign.spec.ScenarioSpec` cells — the shape both
+harnesses ship: one journal adapter (key = label, hash =
+``spec.content_hash()``), one quarantine rule, one journal lifetime.
+:func:`run_campaign` runs it with the campaign worker: each worker
+builds a simulation from its spec (``spec.build()``), runs it, and
 returns a plain-data :class:`CellOutcome` — stats dict, final
 environment, completion time, and (when the spec says ``observe``) the
 cell's full JSONL observability event log, captured per-worker and
-merged deterministically by cell key.
+merged deterministically by cell key. The chaos sweep runs it with its
+verdict worker.
 """
 
 from __future__ import annotations
@@ -56,8 +61,9 @@ from concurrent.futures import (
     ProcessPoolExecutor,
     wait,
 )
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import partial
+from typing import Callable, NamedTuple
 
 from repro.errors import ExecutorQuarantineError, ReproError, SimulationError
 from repro.campaign.faults import (
@@ -70,26 +76,16 @@ from repro.campaign.journal import CampaignJournal
 from repro.campaign.spec import ScenarioSpec
 
 
-def _timed_call(worker, payload):
-    """Run *worker* on *payload*: ``(result, elapsed_s, worker_pid)``.
-
-    The pid identifies which process executed the cell — diagnostic
-    only (it feeds the rollup's ``diagnostics.workers`` map), never
-    part of any deterministic artifact.
-    """
-    start = time.perf_counter()
-    result = worker(payload)
-    return result, time.perf_counter() - start, os.getpid()
-
-
 def _attempt_call(worker, fault, attempt, in_process, payload):
     """Worker shim: fire any due injected fault, then run the worker.
 
     The fault fires *outside* the worker callable, so cell-level error
     capture (e.g. ``_campaign_cell``'s) never swallows an injected
     executor fault — they model the process dying, not the cell
-    failing. Returns ``(result, elapsed_s, worker_pid)`` like
-    :func:`_timed_call`.
+    failing. Returns ``(result, elapsed_s, worker_pid)``; the pid
+    identifies which process executed the cell — diagnostic only (it
+    feeds the rollup's ``diagnostics.workers`` map), never part of any
+    deterministic artifact.
     """
     start = time.perf_counter()
     if fault is not None and fault.fires(attempt):
@@ -145,7 +141,7 @@ class ExecutorPolicy:
 
 @dataclass
 class ExecutorStats:
-    """Resilience counters of one resilient ``run_cells`` invocation.
+    """Resilience counters of one ``run_cells`` invocation.
 
     Diagnostic only — never part of the deterministic artifact. The
     counters mirror the executor's fault handling: pool rebuilds,
@@ -162,14 +158,7 @@ class ExecutorStats:
 
     def as_dict(self) -> dict[str, int]:
         """JSON-ready counter map."""
-        return {
-            "worker_restarts": self.worker_restarts,
-            "retries": self.retries,
-            "timeouts": self.timeouts,
-            "quarantines": self.quarantines,
-            "resume_hits": self.resume_hits,
-            "journal_torn_entries": self.journal_torn_entries,
-        }
+        return asdict(self)
 
     def publish(self, registry) -> None:
         """Surface the counters as ``executor.*`` metrics on *registry*."""
@@ -207,8 +196,24 @@ def _default_fail(key, _payload, message, error):
     ) from error
 
 
+def _propagate(key, payload, message, error):
+    """Fallback of a policy-less call: the worker's own exception."""
+    if error is not None:
+        raise error
+    _default_fail(key, payload, message, error)
+
+
+class JournalCodec(NamedTuple):
+    """How :func:`run_cells` maps a cell onto a journal record."""
+
+    key: Callable        # (key, payload) -> journal key string
+    cell_hash: Callable  # (key, payload) -> content hash string
+    encode: Callable     # result -> JSON-ready dict
+    decode: Callable     # JSON dict -> result
+
+
 class _Cell:
-    """Mutable in-flight state of one cell in the resilient runner."""
+    """Mutable in-flight state of one cell in the pool runner."""
 
     __slots__ = ("key", "payload", "attempt", "ready_at", "isolated")
 
@@ -220,10 +225,10 @@ class _Cell:
         self.isolated = False
 
 
-def _run_serial_resilient(
+def _run_serial(
     cells, worker, policy, fault_plan, stats, emit, fail, notify
 ):
-    """Resilient in-process execution (no preemption, same semantics).
+    """In-process execution (no preemption, same semantics as the pool).
 
     Injected crash/hang sentinels are mapped onto the exact quarantine
     texts the pool path produces, keeping artifacts byte-identical
@@ -264,10 +269,10 @@ def _run_serial_resilient(
             attempt += 1
 
 
-def _run_pool_resilient(
+def _run_pool(
     cells, worker, workers, policy, fault_plan, stats, emit, fail, notify
 ):
-    """Resilient process-pool execution with bounded in-flight cells.
+    """Process-pool execution with bounded in-flight cells.
 
     At most *workers* cells are in flight, so a pool death has a
     bounded blast radius. Interrupted bystanders are re-run *in
@@ -429,10 +434,7 @@ def run_cells(
     *,
     policy: ExecutorPolicy | None = None,
     journal: CampaignJournal | None = None,
-    journal_key=None,
-    cell_hash=None,
-    encode=None,
-    decode=None,
+    codec: JournalCodec | None = None,
     quarantine=None,
     fault_plan: ExecutorFaultPlan | None = None,
     stats: ExecutorStats | None = None,
@@ -465,20 +467,19 @@ def run_cells(
       quarantined cells have no pid).
 
     *worker* must be a picklable (module-level) callable. Keys must be
-    unique; any hashable, picklable key works. With none of the
-    keyword-only resilience knobs set, worker exceptions propagate to
-    the caller exactly as they always did.
+    unique; any hashable, picklable key works.
 
-    Resilient mode engages when *policy*, *journal*, or *fault_plan* is
-    given (see the module doc for semantics):
+    The resilience knobs (see the module doc for semantics):
 
-    - *policy* bounds per-cell wall-clock time and retry budget;
-    - *journal* (with *journal_key*, *cell_hash*, *encode*, *decode*)
-      serves already-finished cells from disk and durably appends each
-      newly finalised one;
+    - *policy* bounds per-cell wall-clock time and retry budget.
+      Without one a cell gets a single attempt and no deadline, and —
+      unless *quarantine* is given — a worker exception propagates to
+      the caller as itself;
+    - *journal* (with *codec*) serves already-finished cells from disk
+      and durably appends each newly finalised one;
     - *quarantine* is ``(key, payload, message, error) -> result``, the
       factory for a budget-exhausted cell's structured error result;
-      without it, quarantine raises
+      without it, quarantine under a *policy* raises
       :class:`~repro.errors.ExecutorQuarantineError`;
     - *fault_plan* injects deterministic executor faults (tests/CI);
     - *stats* (an :class:`ExecutorStats`) accumulates the resilience
@@ -491,7 +492,20 @@ def run_cells(
         raise SimulationError(
             f"campaign cells must have unique keys; duplicated: {dupes}"
         )
+    if journal is not None and codec is None:
+        raise SimulationError("run_cells with a journal needs a codec")
     jobs = resolve_jobs(jobs)
+    fail = quarantine
+    if fail is None:
+        fail = _propagate if policy is None else _default_fail
+    if policy is None:
+        policy = ExecutorPolicy(max_retries=0)
+    stats = stats if stats is not None else ExecutorStats()
+
+    collected: dict = {}
+    timings: dict = {}
+    journal_ids: dict = {}  # key -> (journal key, content hash)
+    todo: list[tuple] = []
 
     def notify(kind, cell=None, **fields):
         if progress is None:
@@ -506,99 +520,35 @@ def run_cells(
             fields=fields,
         ))
 
-    def record_cell(key, result, elapsed, pid, attempt) -> None:
+    def emit(key, result, elapsed, pid=None, attempt=1) -> None:
+        collected[key] = result
+        timings[key] = elapsed
+        if journal is not None:
+            journal.record(*journal_ids[key], codec.encode(result))
         if pid is not None and workers is not None:
             workers[key] = pid
+        ok = bool(getattr(result, "ok", True))
         if tracker is not None:
             end = time.perf_counter()
             tracker.record(
                 "cell.attempt", end - elapsed, end,
                 cell=str(key), attempt=attempt,
             )
-            tracker.record(
-                "cell", end - elapsed, end,
-                cell=str(key), ok=bool(getattr(result, "ok", True)),
-            )
-        notify(
-            "cell-done", cell=key, ok=bool(getattr(result, "ok", True)),
-        )
+            tracker.record("cell", end - elapsed, end, cell=str(key), ok=ok)
+        notify("cell-done", cell=key, ok=ok)
 
-    def merged(collected, timings) -> tuple[dict, dict]:
-        if tracker is not None:
-            start = time.perf_counter()
-            results = {key: collected[key] for key in keys}
-            ordered = {key: timings[key] for key in keys}
-            tracker.record(
-                "campaign.merge", start, time.perf_counter(),
-                cells=len(keys),
-            )
-        else:
-            results = {key: collected[key] for key in keys}
-            ordered = {key: timings[key] for key in keys}
-        notify(
-            "end",
-            failed=sum(
-                1 for r in results.values() if not getattr(r, "ok", True)
-            ),
-            quarantined=0 if stats is None else stats.quarantines,
-        )
-        return results, ordered
-
-    resilient = (
-        policy is not None or journal is not None or fault_plan is not None
-    )
-    if not resilient:
-        collected: dict = {}
-        timings: dict = {}
-        notify("start", jobs=jobs)
-        if jobs == 1 or len(items) <= 1:
-            for key, payload in items:
-                collected[key], timings[key], pid = _timed_call(
-                    worker, payload
-                )
-                record_cell(key, collected[key], timings[key], pid, 1)
-        else:
-            with ProcessPoolExecutor(
-                max_workers=min(jobs, len(items))
-            ) as pool:
-                pending = {
-                    pool.submit(partial(_timed_call, worker), payload): key
-                    for key, payload in items
-                }
-                while pending:
-                    done, _ = wait(pending, return_when=FIRST_COMPLETED)
-                    for future in done:
-                        key = pending.pop(future)
-                        collected[key], timings[key], pid = future.result()
-                        record_cell(key, collected[key], timings[key], pid, 1)
-        return merged(collected, timings)
-
-    if journal is not None and (
-        journal_key is None or cell_hash is None
-        or encode is None or decode is None
-    ):
-        raise SimulationError(
-            "run_cells with a journal needs journal_key, cell_hash, "
-            "encode, and decode"
-        )
-    policy = policy if policy is not None else ExecutorPolicy()
-    stats = stats if stats is not None else ExecutorStats()
-    fail = quarantine if quarantine is not None else _default_fail
-
-    collected = {}
-    timings = {}
-    hashes: dict = {}
-    todo: list[tuple] = []
     notify("start", jobs=jobs)
     if journal is not None:
         journal.load()
         stats.journal_torn_entries += journal.torn_entries
     for key, payload in items:
         if journal is not None:
-            hashes[key] = cell_hash(key, payload)
-            entry = journal.get(journal_key(key), hashes[key])
+            journal_ids[key] = (
+                codec.key(key, payload), codec.cell_hash(key, payload)
+            )
+            entry = journal.get(*journal_ids[key])
             if entry is not None:
-                collected[key] = decode(entry)
+                collected[key] = codec.decode(entry)
                 timings[key] = 0.0
                 stats.resume_hits += 1
                 notify(
@@ -608,26 +558,31 @@ def run_cells(
                 continue
         todo.append((key, payload))
 
-    def emit(key, result, elapsed, pid=None, attempt=1) -> None:
-        collected[key] = result
-        timings[key] = elapsed
-        if journal is not None:
-            journal.record(journal_key(key), hashes[key], encode(result))
-        record_cell(key, result, elapsed, pid, attempt)
-
     if todo:
-        pool_size = min(jobs, len(todo))
         if jobs == 1:
-            _run_serial_resilient(
+            _run_serial(
                 todo, worker, policy, fault_plan, stats, emit, fail, notify
             )
         else:
-            _run_pool_resilient(
+            _run_pool(
                 [_Cell(key, payload) for key, payload in todo],
-                worker, pool_size, policy, fault_plan, stats, emit, fail,
-                notify,
+                worker, min(jobs, len(todo)), policy, fault_plan, stats,
+                emit, fail, notify,
             )
-    return merged(collected, timings)
+
+    start = time.perf_counter()
+    results = {key: collected[key] for key in keys}
+    ordered = {key: timings[key] for key in keys}
+    if tracker is not None:
+        tracker.record(
+            "campaign.merge", start, time.perf_counter(), cells=len(keys)
+        )
+    notify(
+        "end",
+        failed=sum(1 for r in results.values() if not getattr(r, "ok", True)),
+        quarantined=stats.quarantines,
+    )
+    return results, ordered
 
 
 @dataclass(frozen=True)
@@ -656,6 +611,18 @@ class CellOutcome:
         """Whether the cell ran to completion without an engine error."""
         return self.error is None and bool(
             self.stats and self.stats.get("completed")
+        )
+
+    @classmethod
+    def failure(
+        cls, spec: ScenarioSpec, message: str, events_jsonl: str | None = None
+    ) -> "CellOutcome":
+        """The structured error outcome of *spec* (also its quarantine)."""
+        return cls(
+            label=spec.label,
+            spec_hash=spec.content_hash(),
+            error=message,
+            events_jsonl=events_jsonl,
         )
 
     def to_json_dict(self) -> dict:
@@ -705,8 +672,8 @@ class CampaignResult:
     """Merged outcome of one campaign run.
 
     ``cells`` preserves the submitted spec order; ``timings`` (seconds
-    per cell), ``jobs``, and ``executor`` (resilience counters, when
-    the resilient executor ran) are diagnostics, deliberately excluded
+    per cell), ``jobs``, and ``executor`` (the executor's resilience
+    counters) are diagnostics, deliberately excluded
     from :meth:`to_json` so the serialised campaign result is
     byte-identical for any worker count and across clean, retried, and
     killed-and-resumed runs.
@@ -805,20 +772,15 @@ def _campaign_cell(spec: ScenarioSpec) -> CellOutcome:
                 if sim is not None
                 else obs.jsonl()
             )
-        return CellOutcome(
-            label=spec.label,
-            spec_hash=spec.content_hash(),
-            error=f"{type(error).__name__}: {error}",
-            events_jsonl=events,
+        return CellOutcome.failure(
+            spec, f"{type(error).__name__}: {error}", events
         )
     except Exception as error:
         # A RecursionError, MemoryError, or plain bug in one cell must
         # not abort a whole serial campaign: capture it as a structured
         # outcome, distinguishable from engine errors by its prefix.
-        return CellOutcome(
-            label=spec.label,
-            spec_hash=spec.content_hash(),
-            error=f"unexpected: {type(error).__name__}: {error}",
+        return CellOutcome.failure(
+            spec, f"unexpected: {type(error).__name__}: {error}"
         )
     return CellOutcome(
         label=spec.label,
@@ -834,26 +796,49 @@ def _campaign_cell(spec: ScenarioSpec) -> CellOutcome:
     )
 
 
-def _campaign_journal_key(key) -> str:
-    """Journal key of a campaign cell: its label."""
-    return str(key)
+def run_spec_cells(
+    items: list[tuple],
+    worker,
+    outcome_type,
+    jobs: int | None = 1,
+    *,
+    journal_path=None,
+    **options,
+) -> tuple[dict, dict]:
+    """:func:`run_cells` for ``(key, ScenarioSpec)`` cells.
 
-
-def _campaign_cell_hash(_key, spec: ScenarioSpec) -> str:
-    """Content hash of a campaign cell: the spec's identity."""
-    return spec.content_hash()
-
-
-def _encode_outcome(outcome: CellOutcome) -> dict:
-    """Journal encoder for a campaign cell outcome."""
-    return outcome.to_json_dict()
-
-
-def _quarantined_outcome(key, spec: ScenarioSpec, message, _error):
-    """Quarantine factory: a structured error outcome for a dead cell."""
-    return CellOutcome(
-        label=key, spec_hash=spec.content_hash(), error=message
+    The one adapter the campaign and chaos harnesses share. A cell is
+    journalled under its spec's label and content hash, so an edited
+    spec re-executes; *outcome_type* (:class:`CellOutcome`, the chaos
+    verdict) supplies the rest — ``to_json_dict`` / ``from_json_dict``
+    for the journal and ``failure(spec, message)`` for a quarantined
+    cell. The journal at *journal_path* is opened (created or resumed)
+    for the run and closed after it. *options* are :func:`run_cells`'s
+    remaining keywords.
+    """
+    journal = (
+        CampaignJournal(journal_path) if journal_path is not None else None
     )
+    try:
+        return run_cells(
+            items,
+            worker,
+            jobs,
+            journal=journal,
+            codec=JournalCodec(
+                key=lambda _key, spec: spec.label,
+                cell_hash=lambda _key, spec: spec.content_hash(),
+                encode=lambda outcome: outcome.to_json_dict(),
+                decode=outcome_type.from_json_dict,
+            ),
+            quarantine=lambda _key, spec, message, _error: (
+                outcome_type.failure(spec, message)
+            ),
+            **options,
+        )
+    finally:
+        if journal is not None:
+            journal.close()
 
 
 def run_campaign(
@@ -871,13 +856,14 @@ def run_campaign(
 
     The hard invariant: the returned :class:`CampaignResult`'s
     deterministic artifact (:meth:`CampaignResult.to_json`) is
-    byte-identical for any *jobs* value — and, in resilient mode, also
-    across clean, retried, and killed-and-resumed runs.
+    byte-identical for any *jobs* value and across clean, retried, and
+    killed-and-resumed runs.
 
-    *policy* enables per-cell timeouts, bounded retry, and quarantine;
-    *journal_path* makes progress durable (and resumable — a journal
-    that already exists serves its finished cells); *fault_plan*
-    injects deterministic executor faults; *registry* (a
+    *policy* sets per-cell timeouts and the retry budget before
+    quarantine (none: one attempt, no deadline); *journal_path* makes
+    progress durable (and resumable — a journal that already exists
+    serves its finished cells); *fault_plan* injects deterministic
+    executor faults; *registry* (a
     :class:`~repro.obs.metrics.MetricsRegistry`) receives the
     ``executor.*`` resilience counters; *progress* streams structured
     :class:`~repro.obs.progress.ProgressEvent` records as cells
@@ -885,47 +871,21 @@ def run_campaign(
     records the cell-lifecycle wall-clock spans. The worker pid of
     every executed cell lands in :attr:`CampaignResult.workers`.
     """
-    items = [(spec.label, spec) for spec in specs]
-    workers: dict[str, int] = {}
-    resilient = (
-        policy is not None
-        or journal_path is not None
-        or fault_plan is not None
-    )
-    if not resilient:
-        results, timings = run_cells(
-            items, _campaign_cell, jobs=jobs,
-            progress=progress, tracker=tracker, workers=workers,
-        )
-        return CampaignResult(
-            cells=results, timings=timings, jobs=resolve_jobs(jobs),
-            workers=workers,
-        )
     stats = ExecutorStats()
-    journal = (
-        CampaignJournal(journal_path) if journal_path is not None else None
+    workers: dict[str, int] = {}
+    results, timings = run_spec_cells(
+        [(spec.label, spec) for spec in specs],
+        _campaign_cell,
+        CellOutcome,
+        jobs,
+        policy=policy,
+        journal_path=journal_path,
+        fault_plan=fault_plan,
+        stats=stats,
+        progress=progress,
+        tracker=tracker,
+        workers=workers,
     )
-    try:
-        results, timings = run_cells(
-            items,
-            _campaign_cell,
-            jobs=jobs,
-            policy=policy,
-            journal=journal,
-            journal_key=_campaign_journal_key,
-            cell_hash=_campaign_cell_hash,
-            encode=_encode_outcome,
-            decode=CellOutcome.from_json_dict,
-            quarantine=_quarantined_outcome,
-            fault_plan=fault_plan,
-            stats=stats,
-            progress=progress,
-            tracker=tracker,
-            workers=workers,
-        )
-    finally:
-        if journal is not None:
-            journal.close()
     if registry is not None:
         stats.publish(registry)
     return CampaignResult(

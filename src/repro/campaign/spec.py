@@ -17,12 +17,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, is_dataclass
 
 from repro.errors import SimulationError
 from repro.lang import ast_nodes as ast
 from repro.lang.printer import to_source
-from repro.runtime.engine import RuntimeCosts, Simulation
+from repro.runtime.engine import RunConfig, RuntimeCosts, Simulation
 from repro.runtime.failures import FaultPlan
 from repro.runtime.transport import TransportConfig
 
@@ -33,8 +33,16 @@ SPEC_VERSION = 1
 
 
 @dataclass(frozen=True)
-class ScenarioSpec:
+class ScenarioSpec(RunConfig):
     """A picklable, JSON-round-trippable description of one run.
+
+    The run knobs (``seed``, ``storage_replicas``, ``retain_k``,
+    ``backend``, ``checkpoint_mode``, …) are the inherited fields of
+    :class:`~repro.runtime.engine.RunConfig`, documented and validated
+    there; all of them except the engine-internal ``scheduler`` are
+    part of the JSON form and of :meth:`content_hash` (so cached
+    results record, e.g., which backend produced them). The scenario
+    itself adds:
 
     Attributes:
         label: The cell key — unique within a campaign; used to order
@@ -47,30 +55,10 @@ class ScenarioSpec:
             :func:`repro.protocols.make_protocol`); ``"none"`` runs
             without a protocol.
         period: Checkpoint period for timer-driven protocols.
-        seed: Simulator seed (inputs, latencies).
-        base_latency: Mean one-way message latency.
-        storage_replicas: Stable-storage replication factor.
-        max_storage_retries: Per-write retry budget of the store.
-        record_compute_events: Whether compute effects enter the trace.
-        max_steps: Engine step budget.
         fault_plan: Crashes plus storage/network/recovery faults, or
             ``None``.
-        transport: Reliable-transport tunables, or ``None`` for stock.
-        costs: Per-effect time charges, or ``None`` for the defaults.
         observe: Whether the executor attaches an observability bus to
             this cell and returns its JSONL event log.
-        retain_k: Bounded-storage retention (max checkpoints per rank),
-            or ``None`` for unbounded storage.
-        backend: Process-execution backend — ``"compiled"`` (closure
-            compiler, the default) or ``"reference"`` (tree-walking
-            interpreter). Both produce identical traces and artifacts;
-            the field still enters :meth:`content_hash` so cached
-            results record which executable form produced them.
-        checkpoint_mode: Checkpoint content policy — ``"full"``,
-            ``"pruned"`` (liveness-pruned snapshots), ``"delta"``
-            (delta-encoded payloads), or ``"pruned+delta"``. Every mode
-            recovers to byte-identical application state; only stored
-            payload bytes differ.
     """
 
     label: str
@@ -79,35 +67,17 @@ class ScenarioSpec:
     params: dict[str, int] = field(default_factory=dict)
     protocol: str = "appl-driven"
     period: float = 10.0
-    seed: int = 0
-    base_latency: float = 0.5
-    storage_replicas: int = 1
-    max_storage_retries: int = 3
-    record_compute_events: bool = False
-    max_steps: int = 2_000_000
     fault_plan: FaultPlan | None = None
-    transport: TransportConfig | None = None
-    costs: RuntimeCosts | None = None
     observe: bool = False
-    retain_k: int | None = None
-    backend: str = "compiled"
-    checkpoint_mode: str = "full"
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if not self.label:
             raise SimulationError("a scenario spec needs a non-empty label")
-        if self.fault_plan is not None and not isinstance(
-            self.fault_plan, FaultPlan
-        ):
-            # A FailurePlan would silently drop storage/network faults
-            # on JSON round-trip; normalise up front.
+        if self.fault_plan is not None:
+            # A bare FailurePlan would not survive the JSON round-trip.
             object.__setattr__(
-                self,
-                "fault_plan",
-                FaultPlan(
-                    crashes=list(self.fault_plan.crashes),
-                    max_failures=self.fault_plan.max_failures,
-                ),
+                self, "fault_plan", FaultPlan.of(self.fault_plan)
             )
 
     @classmethod
@@ -121,47 +91,18 @@ class ScenarioSpec:
 
     def to_json_dict(self) -> dict:
         """The spec as plain JSON data (inverse of :meth:`from_json_dict`)."""
-        payload: dict = {
-            "version": SPEC_VERSION,
-            "label": self.label,
-            "program": self.program,
-            "n_processes": self.n_processes,
-            "params": dict(self.params),
-            "protocol": self.protocol,
-            "period": self.period,
-            "seed": self.seed,
-            "base_latency": self.base_latency,
-            "storage_replicas": self.storage_replicas,
-            "max_storage_retries": self.max_storage_retries,
-            "record_compute_events": self.record_compute_events,
-            "max_steps": self.max_steps,
-            "observe": self.observe,
-            "retain_k": self.retain_k,
-            "backend": self.backend,
-            "checkpoint_mode": self.checkpoint_mode,
-            "fault_plan": (
-                None if self.fault_plan is None
-                else self.fault_plan.to_json_dict()
-            ),
-            "transport": (
-                None if self.transport is None else asdict(self.transport)
-            ),
-            "costs": None if self.costs is None else asdict(self.costs),
+        return {"version": SPEC_VERSION} | {
+            name: _jsonable(getattr(self, name)) for name in _JSON_FIELDS
         }
-        return payload
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ScenarioSpec":
-        """Rebuild a spec from :meth:`to_json_dict`'s schema."""
-        known = {
-            "version", "label", "program", "n_processes", "params",
-            "protocol", "period", "seed", "base_latency",
-            "storage_replicas", "max_storage_retries",
-            "record_compute_events", "max_steps", "observe", "retain_k",
-            "backend", "checkpoint_mode", "fault_plan", "transport",
-            "costs",
-        }
-        unknown = sorted(set(data) - known)
+        """Rebuild a spec from :meth:`to_json_dict`'s schema.
+
+        Absent keys take the dataclass defaults, so campaign files
+        written before a field existed still load.
+        """
+        unknown = sorted(set(data) - _JSON_FIELDS.keys() - {"version"})
         if unknown:
             raise SimulationError(
                 f"bad scenario spec: unknown key(s) {unknown}"
@@ -173,44 +114,11 @@ class ScenarioSpec:
                 f"(this build reads version {SPEC_VERSION})"
             )
         try:
-            fault_plan = data.get("fault_plan")
-            transport = data.get("transport")
-            costs = data.get("costs")
-            return cls(
-                label=data["label"],
-                program=data["program"],
-                n_processes=int(data.get("n_processes", 4)),
-                params={
-                    str(k): int(v)
-                    for k, v in (data.get("params") or {}).items()
-                },
-                protocol=data.get("protocol", "appl-driven"),
-                period=float(data.get("period", 10.0)),
-                seed=int(data.get("seed", 0)),
-                base_latency=float(data.get("base_latency", 0.5)),
-                storage_replicas=int(data.get("storage_replicas", 1)),
-                max_storage_retries=int(data.get("max_storage_retries", 3)),
-                record_compute_events=bool(
-                    data.get("record_compute_events", False)
-                ),
-                max_steps=int(data.get("max_steps", 2_000_000)),
-                observe=bool(data.get("observe", False)),
-                retain_k=(
-                    None if data.get("retain_k") is None
-                    else int(data["retain_k"])
-                ),
-                backend=str(data.get("backend", "compiled")),
-                checkpoint_mode=str(data.get("checkpoint_mode", "full")),
-                fault_plan=(
-                    None if fault_plan is None
-                    else FaultPlan.from_json_dict(fault_plan)
-                ),
-                transport=(
-                    None if transport is None
-                    else TransportConfig(**transport)
-                ),
-                costs=None if costs is None else RuntimeCosts(**costs),
-            )
+            return cls(**{
+                name: decode(data[name])
+                for name, decode in _JSON_FIELDS.items()
+                if name in data
+            })
         except (KeyError, TypeError, ValueError) as exc:
             raise SimulationError(
                 f"bad scenario spec: {exc!r}"
@@ -234,6 +142,48 @@ class ScenarioSpec:
     def build(self, observer=None) -> Simulation:
         """Construct the engine for this spec (see ``Simulation.from_spec``)."""
         return Simulation.from_spec(self, observer=observer)
+
+
+def _optional(decode):
+    return lambda value: None if value is None else decode(value)
+
+
+#: The JSON form, one entry per serialised field in key order (which
+#: campaign files are byte-pinned to): field name -> decoder of its
+#: JSON value. ``scheduler`` is deliberately absent — the spec
+#: describes the experiment, not the engine internals.
+_JSON_FIELDS = {
+    "label": str,
+    "program": str,
+    "n_processes": int,
+    "params": lambda data: {str(k): int(v) for k, v in (data or {}).items()},
+    "protocol": str,
+    "period": float,
+    "seed": int,
+    "base_latency": float,
+    "storage_replicas": int,
+    "max_storage_retries": int,
+    "record_compute_events": bool,
+    "max_steps": int,
+    "observe": bool,
+    "retain_k": _optional(int),
+    "backend": str,
+    "checkpoint_mode": str,
+    "fault_plan": _optional(FaultPlan.from_json_dict),
+    "transport": _optional(lambda data: TransportConfig(**data)),
+    "costs": _optional(lambda data: RuntimeCosts(**data)),
+}
+
+
+def _jsonable(value):
+    """A field value as plain JSON data."""
+    if isinstance(value, FaultPlan):
+        return value.to_json_dict()
+    if is_dataclass(value):
+        return asdict(value)
+    if isinstance(value, dict):
+        return dict(value)
+    return value
 
 
 def load_campaign(text: str) -> list[ScenarioSpec]:

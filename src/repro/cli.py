@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 from repro.errors import ReproError
@@ -37,6 +37,9 @@ from repro.lang import ast_nodes as ast
 from repro.lang.parser import parse
 from repro.lang.printer import to_source
 from repro.lang.programs import load_program, program_names
+from repro.protocols import make_protocol, protocol_names
+from repro.runtime.engine import CHECKPOINT_MODES, SCHEDULERS, RunConfig
+from repro.runtime.interpreter import BACKENDS
 
 
 def _load(spec: str) -> ast.Program:
@@ -314,63 +317,97 @@ def _load_fault_plan(path: str, crashes, faults, recovery_faults=()):
     )
 
 
-def _check_plan_ranks(plan, n_processes: int) -> None:
-    """Fail fast (clean error, no traceback) on out-of-range ranks.
+#: The run knobs the CLI exposes: :class:`RunConfig` field ->
+#: (metavar or choices, help). Defaults come from the dataclass.
+_RUN_FLAGS: dict[str, tuple] = {
+    "seed": ("SEED", "simulator seed (inputs, latencies)"),
+    "storage_replicas": ("N", "replicate stable storage N-way with "
+                              "majority-quorum reads"),
+    "retain_k": ("K", "bounded-storage retention: keep at most K "
+                      "checkpoints per rank, GC-protecting the recovery "
+                      "line and its degraded fallbacks"),
+    "scheduler": (SCHEDULERS, "engine scheduler: the indexed priority "
+                              "queue or the original linear scan; runs "
+                              "are byte-identical for both"),
+    "backend": (BACKENDS, "process-execution backend: the closure "
+                          "compiler or the tree-walking interpreter; "
+                          "runs are byte-identical for both"),
+    "checkpoint_mode": (CHECKPOINT_MODES,
+                        "checkpoint content policy: full snapshots, "
+                        "liveness-pruned snapshots, delta-encoded "
+                        "payloads, or both; recovery is byte-identical "
+                        "for all, only stored payload bytes differ"),
+}
 
-    Every rank mentioned by a crash, storage fault, or network fault
-    must exist in the simulated system; a plan written for a bigger run
-    silently doing nothing is the failure mode this guards against.
+
+def _add_run_flags(
+    parser: argparse.ArgumentParser,
+    *names: str,
+    override: bool = False,
+    flags: dict[str, str] | None = None,
+) -> None:
+    """Add the *names* fields of :class:`RunConfig` as flags.
+
+    Values land in the namespace under the field name. *flags* renames
+    a flag; the *override* form defaults every flag to ``None`` ("keep
+    each cell's own value").
     """
-    from repro.errors import SimulationError
-
-    for crash in plan.crashes:
-        if crash.rank >= n_processes:
-            raise SimulationError(
-                f"crash at t={crash.time} targets rank {crash.rank} but "
-                f"the simulation has only {n_processes} processes (-n)"
-            )
-    for fault in plan.storage_faults:
-        if fault.rank >= n_processes:
-            raise SimulationError(
-                f"storage fault at t={fault.time} targets rank "
-                f"{fault.rank} but the simulation has only "
-                f"{n_processes} processes (-n)"
-            )
-    for fault in plan.network_faults:
-        if fault.src >= n_processes or fault.dst >= n_processes:
-            raise SimulationError(
-                f"network fault at t={fault.time} targets channel "
-                f"{fault.src}->{fault.dst} but the simulation has only "
-                f"{n_processes} processes (-n)"
-            )
-    for fault in plan.recovery_faults:
-        if fault.rank >= n_processes:
-            raise SimulationError(
-                f"recovery fault in recovery {fault.recovery} targets "
-                f"rank {fault.rank} but the simulation has only "
-                f"{n_processes} processes (-n)"
-            )
+    defaults = {f.name: f.default for f in fields(RunConfig)}
+    for name in names:
+        shape, text = _RUN_FLAGS[name]
+        flag = (flags or {}).get(name, "--" + name.replace("_", "-"))
+        if isinstance(shape, tuple):
+            kind = {"choices": shape}
+        else:
+            kind = {"type": int, "metavar": shape}
+        if override:
+            text += " (overrides every cell's own value; default: keep it)"
+        parser.add_argument(
+            flag, dest=name, help=text,
+            default=None if override else defaults[name], **kind,
+        )
 
 
-#: CLI protocol choices (the canonical registry lives in
-#: :mod:`repro.protocols`; the name list is duplicated here only so
-#: ``build_parser`` stays import-light).
-_PROTOCOL_NAMES = (
-    "none", "appl-driven", "sas", "cl", "uncoordinated", "cic",
-    "msg-logging",
-)
-
-#: CLI checkpoint-content choices (canonical tuple:
-#: :data:`repro.runtime.engine.CHECKPOINT_MODES`; duplicated here for
-#: the same import-light reason as the protocol names — pinned against
-#: drift by a test).
-CHECKPOINT_MODES = ("full", "pruned", "delta", "pruned+delta")
+def _run_knobs(args: argparse.Namespace, *names: str) -> dict:
+    """The *names* run knobs of *args* that were given a value."""
+    return {
+        name: getattr(args, name) for name in names
+        if getattr(args, name) is not None
+    }
 
 
-def _make_protocol(name: str, period: float):
-    from repro.protocols import make_protocol
+def _add_executor_flags(
+    parser: argparse.ArgumentParser, jobs: int
+) -> None:
+    """Add ``--jobs/--resume/--timeout/--retries`` (*jobs* = default)."""
+    parser.add_argument("-j", "--jobs", type=int, default=jobs, metavar="N",
+                        help="worker processes (0 = all cores; default "
+                             f"{jobs}); results are byte-identical for "
+                             "any N")
+    parser.add_argument("--resume", metavar="JOURNAL",
+                        help="fsync'd JSONL journal of finished cells "
+                             "keyed by label and content hash; an "
+                             "existing journal is resumed (finished "
+                             "cells are skipped), a missing one is "
+                             "created — a SIGKILL'd run restarts where "
+                             "it stopped and its artifact stays "
+                             "byte-identical to a clean run")
+    parser.add_argument("--timeout", type=float, default=None, metavar="S",
+                        help="per-cell wall-clock budget in seconds "
+                             "(enforced with --jobs >= 2); over-budget "
+                             "cells are killed, retried, and finally "
+                             "quarantined")
+    parser.add_argument("--retries", type=int, default=2, metavar="N",
+                        help="executor re-attempts per cell before it "
+                             "is quarantined into a structured error "
+                             "outcome (default 2)")
 
-    return make_protocol(name, period=period)
+
+_SIMULATE_KNOBS = ("seed", "storage_replicas", "retain_k", "scheduler",
+                   "backend", "checkpoint_mode")
+_CHAOS_KNOBS = ("seed", "retain_k", "scheduler", "backend",
+                "checkpoint_mode")
+_CAMPAIGN_KNOBS = ("backend", "checkpoint_mode")
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -380,8 +417,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     plan = _load_fault_plan(
         args.fault_plan, args.crash, args.fault, args.recovery_fault
     )
-    _check_plan_ranks(plan, args.n)
-    protocol = _make_protocol(args.protocol, args.period)
     obs = None
     if args.trace_out or args.metrics_out:
         from repro.obs import Observability
@@ -391,15 +426,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         program,
         args.n,
         params={"steps": args.steps} if args.steps else None,
-        protocol=protocol,
+        protocol=make_protocol(args.protocol, args.period),
         failure_plan=plan,
-        seed=args.seed,
-        storage_replicas=args.storage_replicas,
         observer=obs.bus if obs is not None else None,
-        scheduler=args.scheduler,
-        backend=args.backend,
-        checkpoint_mode=args.checkpoint_mode,
-        retain_k=args.retain_k,
+        **_run_knobs(args, *_SIMULATE_KNOBS),
     )
     result = sim.run()
     stats = result.stats
@@ -660,57 +690,32 @@ def _cmd_metrics_diff(args: argparse.Namespace) -> int:
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
+    from repro.campaign import (
+        ExecutorPolicy,
+        ExecutorStats,
+        draw_executor_faults,
+    )
     from repro.runtime.chaos import CHAOS_PROTOCOLS, ChaosConfig, chaos_sweep
     from repro.runtime.transport import TransportConfig
 
     transport = TransportConfig(dedup=False) if args.broken_transport else None
     config = ChaosConfig(
-        sim_seed=args.sim_seed,
-        scheduler=args.scheduler,
-        backend=args.backend,
-        checkpoint_mode=args.checkpoint_mode,
         recovery_fault_probability=args.recovery_faults,
-        retain_k=args.retain_k,
+        **_run_knobs(args, *_CHAOS_KNOBS),
     )
     protocols = tuple(args.protocol) if args.protocol else CHAOS_PROTOCOLS
-    executor_stats = None
-    resilient_kwargs: dict = {}
-    if (
-        args.resume
-        or args.timeout is not None
-        or args.retries is not None
-        or args.executor_faults > 0
-    ):
-        from repro.campaign import (
-            ExecutorPolicy,
-            ExecutorStats,
-            draw_executor_faults,
-        )
-
-        executor_stats = ExecutorStats()
-        fault_plan = None
-        if args.executor_faults > 0:
-            keys = [
+    fault_plan = None
+    if args.executor_faults > 0:
+        fault_plan = draw_executor_faults(
+            [
                 (protocol, seed)
                 for protocol in protocols
                 for seed in range(args.seeds)
-            ]
-            fault_plan = draw_executor_faults(
-                keys,
-                args.executor_fault_seed,
-                probability=args.executor_faults,
-            )
-        resilient_kwargs = {
-            "policy": ExecutorPolicy(
-                timeout=args.timeout,
-                max_retries=(
-                    args.retries if args.retries is not None else 2
-                ),
-            ),
-            "journal_path": args.resume,
-            "executor_fault_plan": fault_plan,
-            "executor_stats": executor_stats,
-        }
+            ],
+            args.executor_fault_seed,
+            probability=args.executor_faults,
+        )
+    executor_stats = ExecutorStats()
     outcomes = chaos_sweep(
         range(args.seeds),
         protocols=protocols,
@@ -718,7 +723,10 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         transport_config=transport,
         artifacts_dir=args.artifacts,
         jobs=args.jobs,
-        **resilient_kwargs,
+        policy=ExecutorPolicy(timeout=args.timeout, max_retries=args.retries),
+        journal_path=args.resume,
+        executor_fault_plan=fault_plan,
+        executor_stats=executor_stats,
     )
     failures = 0
     unrecoverable = 0
@@ -730,7 +738,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     if unrecoverable:
         summary += f", {unrecoverable} clean unrecoverable verdict(s)"
     print(summary)
-    if executor_stats is not None:
+    if any(executor_stats.as_dict().values()):
         print(f"resilience: {executor_stats.describe()}")
     if args.metrics_out:
         from repro.campaign.executor import resolve_jobs
@@ -769,13 +777,8 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         return 2
     else:
         specs = load_campaign(Path(args.campaign).read_text())
-    if args.backend is not None:
-        specs = [replace(spec, backend=args.backend) for spec in specs]
-    if args.checkpoint_mode is not None:
-        specs = [
-            replace(spec, checkpoint_mode=args.checkpoint_mode)
-            for spec in specs
-        ]
+    overrides = _run_knobs(args, *_CAMPAIGN_KNOBS)
+    specs = [replace(spec, **overrides) for spec in specs]
     fault_plan = None
     if args.inject_fault:
         fault_plan = ExecutorFaultPlan(
@@ -819,8 +822,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     failures = len(result.failures)
     print(f"{len(result.cells)} cell(s), {failures} failure(s), "
           f"jobs={result.jobs}")
-    if result.executor is not None:
-        print(f"resilience: {result.executor.describe()}")
+    print(f"resilience: {result.executor.describe()}")
     if args.results_json:
         payload = result.to_json()
         if args.results_json == "-":
@@ -906,7 +908,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_program_argument(simulate)
     simulate.add_argument("-n", type=int, default=4, help="process count")
     simulate.add_argument("--steps", type=int, default=5)
-    simulate.add_argument("--seed", type=int, default=0)
     simulate.add_argument("--crash", type=_parse_crash, action="append",
                           default=[], metavar="TIME:RANK")
     simulate.add_argument("--fault", type=_parse_fault, action="append",
@@ -924,36 +925,12 @@ def build_parser() -> argparse.ArgumentParser:
                                "recovery operation (kind: "
                                "crash-in-recovery, restore-read-fail, "
                                "control-lost)")
-    simulate.add_argument("--retain-k", type=int, default=None, metavar="K",
-                          help="bounded-storage retention: keep at most K "
-                               "checkpoints per rank, GC-protecting the "
-                               "recovery line and its degraded fallbacks")
     simulate.add_argument("--fault-plan", metavar="PATH",
                           help="JSON file with crashes, storage_faults, "
                                "network_faults, and recovery_faults")
-    simulate.add_argument("--storage-replicas", type=int, default=1,
-                          metavar="N",
-                          help="replicate stable storage N-way with "
-                               "majority-quorum reads")
-    simulate.add_argument("--protocol", choices=sorted(_PROTOCOL_NAMES),
+    simulate.add_argument("--protocol", choices=protocol_names(),
                           default="appl-driven")
-    simulate.add_argument("--scheduler", choices=("indexed", "reference"),
-                          default="indexed",
-                          help="engine scheduler: the indexed priority "
-                               "queue or the original linear scan; runs "
-                               "are byte-identical for both")
-    simulate.add_argument("--backend", choices=("compiled", "reference"),
-                          default="compiled",
-                          help="process-execution backend: the closure "
-                               "compiler or the tree-walking "
-                               "interpreter; runs are byte-identical "
-                               "for both")
-    simulate.add_argument("--checkpoint-mode", choices=CHECKPOINT_MODES,
-                          default="full",
-                          help="checkpoint content policy: full "
-                               "snapshots, liveness-pruned snapshots, "
-                               "delta-encoded payloads, or both; "
-                               "recovery is byte-identical for all")
+    _add_run_flags(simulate, *_SIMULATE_KNOBS)
     simulate.add_argument("--period", type=float, default=10.0,
                           help="checkpoint period for timer protocols")
     simulate.add_argument("--spacetime", action="store_true",
@@ -1074,29 +1051,13 @@ def build_parser() -> argparse.ArgumentParser:
                        help="number of schedule seeds per protocol")
     chaos.add_argument("--protocol", action="append", metavar="NAME",
                        help="protocol(s) to sweep (default: the chaos set)")
-    chaos.add_argument("--sim-seed", type=int, default=0,
-                       help="simulator seed of the workload")
-    chaos.add_argument("--scheduler", choices=("indexed", "reference"),
-                       default="indexed",
-                       help="engine scheduler; verdicts are "
-                            "byte-identical for both")
-    chaos.add_argument("--backend", choices=("compiled", "reference"),
-                       default="compiled",
-                       help="process-execution backend; verdicts and "
-                            "artifacts are byte-identical for both")
-    chaos.add_argument("--checkpoint-mode", choices=CHECKPOINT_MODES,
-                       default="full",
-                       help="checkpoint content policy; verdicts are "
-                            "byte-identical for every mode")
+    _add_run_flags(chaos, *_CHAOS_KNOBS, flags={"seed": "--sim-seed"})
     chaos.add_argument("--recovery-faults", type=float, default=0.0,
                        metavar="P",
                        help="per-slot probability of drawing a "
                             "recovery-time fault (nested crash, "
                             "restore-read failure, lost control traffic) "
                             "alongside each crash")
-    chaos.add_argument("--retain-k", type=int, default=None, metavar="K",
-                       help="run every schedule under bounded-storage "
-                            "retention (at most K checkpoints per rank)")
     chaos.add_argument("--artifacts", metavar="DIR",
                        help="on failure (or a clean unrecoverable "
                             "verdict), write flight-recorder dump, "
@@ -1104,25 +1065,7 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--broken-transport", action="store_true",
                        help="disable duplicate suppression (test hook that "
                             "forces failures, exercising the artifact dump)")
-    chaos.add_argument("-j", "--jobs", type=int, default=1, metavar="N",
-                       help="worker processes for the sweep (0 = all "
-                            "cores); verdicts are byte-identical for "
-                            "any N")
-    chaos.add_argument("--resume", metavar="JOURNAL",
-                       help="fsync'd JSONL journal of finished cells; "
-                            "an existing journal is resumed (finished "
-                            "cells are skipped), a missing one is "
-                            "created — a killed sweep restarts where "
-                            "it stopped")
-    chaos.add_argument("--timeout", type=float, default=None, metavar="S",
-                       help="per-cell wall-clock budget in seconds "
-                            "(enforced with --jobs >= 2); over-budget "
-                            "cells are killed, retried, and finally "
-                            "quarantined")
-    chaos.add_argument("--retries", type=int, default=None, metavar="N",
-                       help="executor re-attempts per cell before "
-                            "quarantine (default 2 when resilient "
-                            "mode is active)")
+    _add_executor_flags(chaos, jobs=1)
     chaos.add_argument("--executor-faults", type=float, default=0.0,
                        metavar="P",
                        help="per-cell probability of injecting a "
@@ -1145,31 +1088,10 @@ def build_parser() -> argparse.ArgumentParser:
                           help="path to a campaign JSON file "
                                '({"cells": [...]} of scenario specs), '
                                "or @quick for the built-in demo matrix")
-    campaign.add_argument("-j", "--jobs", type=int, default=0, metavar="N",
-                          help="worker processes (0 = all cores, the "
-                               "default); results are byte-identical "
-                               "for any N")
+    _add_executor_flags(campaign, jobs=0)
     campaign.add_argument("--results-json", metavar="PATH",
                           help="write the deterministic campaign result "
                                "as JSON ('-' for stdout)")
-    campaign.add_argument("--resume", metavar="JOURNAL",
-                          help="fsync'd JSONL journal of finished cells "
-                               "keyed by label and content hash; an "
-                               "existing journal is resumed (finished "
-                               "cells are skipped), a missing one is "
-                               "created — a SIGKILL'd campaign restarts "
-                               "where it stopped and its artifact stays "
-                               "byte-identical to a clean run")
-    campaign.add_argument("--timeout", type=float, default=None,
-                          metavar="S",
-                          help="per-cell wall-clock budget in seconds "
-                               "(enforced with --jobs >= 2); over-budget "
-                               "cells are killed, retried, and finally "
-                               "quarantined")
-    campaign.add_argument("--retries", type=int, default=2, metavar="N",
-                          help="executor re-attempts per cell before it "
-                               "is quarantined into a structured error "
-                               "outcome (default 2)")
     campaign.add_argument("--inject-fault", action="append", default=[],
                           metavar="LABEL:KIND[:UNTIL]",
                           help="inject a deterministic executor fault "
@@ -1190,20 +1112,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="write the executor's cell-lifecycle "
                                "spans as Chrome trace-event JSON "
                                "(wall-clock; diagnostic only)")
-    campaign.add_argument("--backend", choices=("compiled", "reference"),
-                          default=None,
-                          help="override every cell's execution backend "
-                               "(default: honour each spec's own "
-                               "backend field); results are "
-                               "byte-identical for both, modulo the "
-                               "spec_hash recorded per cell")
-    campaign.add_argument("--checkpoint-mode", choices=CHECKPOINT_MODES,
-                          default=None,
-                          help="override every cell's checkpoint "
-                               "content policy (default: honour each "
-                               "spec's own checkpoint_mode field); "
-                               "results differ only in stored payload "
-                               "bytes and the recorded spec_hash")
+    _add_run_flags(campaign, *_CAMPAIGN_KNOBS, override=True)
     campaign.set_defaults(func=_cmd_campaign)
 
     optimal = commands.add_parser(

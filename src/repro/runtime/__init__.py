@@ -29,6 +29,7 @@ from repro.runtime.effects import (
 )
 from repro.runtime.engine import (
     RecoverySupervisor,
+    RunConfig,
     RuntimeCosts,
     Simulation,
     SimulationResult,
@@ -94,6 +95,7 @@ __all__ = [
     "ReliableTransport",
     "ReplicatedCheckpointStore",
     "RetentionPolicy",
+    "RunConfig",
     "RuntimeCosts",
     "SendEffect",
     "Simulation",

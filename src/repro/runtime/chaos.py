@@ -23,12 +23,12 @@ failure persists — which is only sound because replay is deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from repro.errors import ReproError, SimulationError, StorageError
-from repro.runtime.engine import Simulation, SimulationResult, SupervisorConfig
+from repro.runtime.engine import RunConfig, SimulationResult, SupervisorConfig
 from repro.runtime.failures import (
     ONE_SHOT_NETWORK_KINDS,
     CrashEvent,
@@ -44,15 +44,16 @@ from repro.runtime.transport import TransportConfig
 CHAOS_PROTOCOLS = ("appl-driven", "uncoordinated", "msg-logging")
 
 
-def _make_protocol(name: str):
-    from repro.protocols import make_protocol
-
-    return make_protocol(name, period=6.0)
-
-
 @dataclass(frozen=True)
-class ChaosConfig:
-    """Knobs of the chaos draw and of the simulated workload.
+class ChaosConfig(RunConfig):
+    """Knobs of the chaos draw and size of the simulated workload.
+
+    The engine knobs every replay runs under (``retain_k`` retention
+    pressure, ``scheduler``, ``backend``, ``checkpoint_mode``, … —
+    verdicts are byte-identical across the last three) are the
+    inherited :class:`~repro.runtime.engine.RunConfig` fields. ``seed``
+    there is the *simulator* seed (inputs, latencies), not the schedule
+    seed, so one workload meets many schedules.
 
     Attributes:
         n_processes: System size of each run.
@@ -70,20 +71,6 @@ class ChaosConfig:
             draws none **and skips the extra rng draws entirely**, so
             legacy schedules stay byte-identical.
         max_recovery_faults: Recovery-fault slots per schedule.
-        retain_k: Bounded-storage retention pressure: keep at most this
-            many checkpoints per rank (``None`` = unbounded, the
-            legacy behaviour).
-        sim_seed: Simulator seed (inputs, latencies) — *not* the
-            schedule seed, so one workload meets many schedules.
-        scheduler: Engine scheduler (``"indexed"`` or ``"reference"``);
-            verdicts and artifacts are byte-identical for both.
-        backend: Execution backend (``"compiled"`` or ``"reference"``);
-            like the scheduler, verdicts and artifacts are
-            byte-identical for both.
-        checkpoint_mode: Checkpoint content policy (``"full"``,
-            ``"pruned"``, ``"delta"``, ``"pruned+delta"``). Recovery
-            must be byte-identical across modes, so the only observable
-            difference under chaos is stored payload bytes.
     """
 
     n_processes: int = 3
@@ -96,11 +83,6 @@ class ChaosConfig:
     crash_probability: float = 0.5
     recovery_fault_probability: float = 0.0
     max_recovery_faults: int = 2
-    retain_k: int | None = None
-    sim_seed: int = 0
-    scheduler: str = "indexed"
-    backend: str = "compiled"
-    checkpoint_mode: str = "full"
 
 
 def draw_schedule(seed: int, config: ChaosConfig = ChaosConfig()) -> FaultPlan:
@@ -207,6 +189,20 @@ class ChaosOutcome:
     unrecoverable: bool = False
     retention_ok: bool = True
 
+    @classmethod
+    def failure(cls, spec, message: str) -> "ChaosOutcome":
+        """The failing verdict of a cell that never produced a result."""
+        plan = spec.fault_plan
+        return cls(
+            ok=False,
+            reason=message,
+            completed=False,
+            recovery_lines_ok=False,
+            state_ok=False,
+            faults=len(plan.network_faults),
+            crashes=len(plan.effective()),
+        )
+
     def describe(self) -> str:
         """One-line human-readable verdict."""
         status = "ok" if self.ok else f"FAIL ({self.reason})"
@@ -219,32 +215,12 @@ class ChaosOutcome:
 
     def to_json_dict(self) -> dict:
         """JSON-ready form (journalled by ``repro chaos --resume``)."""
-        return {
-            "ok": self.ok,
-            "reason": self.reason,
-            "completed": self.completed,
-            "recovery_lines_ok": self.recovery_lines_ok,
-            "state_ok": self.state_ok,
-            "faults": self.faults,
-            "crashes": self.crashes,
-            "unrecoverable": self.unrecoverable,
-            "retention_ok": self.retention_ok,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ChaosOutcome":
         """Rebuild a verdict from :meth:`to_json_dict`'s schema."""
-        return cls(
-            ok=bool(data["ok"]),
-            reason=str(data["reason"]),
-            completed=bool(data["completed"]),
-            recovery_lines_ok=bool(data["recovery_lines_ok"]),
-            state_ok=bool(data["state_ok"]),
-            faults=int(data["faults"]),
-            crashes=int(data["crashes"]),
-            unrecoverable=bool(data.get("unrecoverable", False)),
-            retention_ok=bool(data.get("retention_ok", True)),
-        )
+        return cls(**data)
 
 
 def storage_recovery_lines_consistent(
@@ -290,7 +266,7 @@ def retention_invariant_holds(
     result: SimulationResult,
     n_processes: int,
     retain_k: int | None,
-    checkpoint_mode: str = "full",
+    checkpoint_mode: str,
 ) -> bool:
     """Whether retention GC preserved recoverability and its bound.
 
@@ -325,31 +301,41 @@ def retention_invariant_holds(
     return True
 
 
-_BASELINES: dict[tuple[str, int, int, int], dict] = {}
+_BASELINES: dict[tuple[str, str], dict] = {}
 
 
-def _workload():
-    from repro.lang.programs import ring_pipeline
+def _chaos_spec(
+    label: str,
+    plan: FaultPlan,
+    protocol: str,
+    config: ChaosConfig,
+    transport_config: TransportConfig | None,
+):
+    """The schedule *plan* against *protocol* as a campaign cell."""
+    from repro.campaign.spec import ScenarioSpec
+    from repro.lang.programs import program_source
 
-    return ring_pipeline()
+    knobs = config.run_knobs()
+    if transport_config is not None:
+        knobs["transport"] = transport_config
+    return ScenarioSpec(
+        label=label,
+        program=program_source("ring_pipeline"),
+        n_processes=config.n_processes,
+        params={"steps": config.steps},
+        protocol=protocol,
+        period=6.0,
+        fault_plan=plan,
+        **knobs,
+    )
 
 
-def _baseline_env(protocol: str, config: ChaosConfig) -> dict:
-    """Final environment of the fault-free run (cached per workload)."""
-    key = (protocol, config.n_processes, config.steps, config.sim_seed,
-           config.scheduler, config.backend, config.checkpoint_mode)
+def _baseline_env(spec) -> dict:
+    """Final environment of *spec*'s fault-free run (cached per workload)."""
+    baseline = replace(spec, fault_plan=None)
+    key = (baseline.content_hash(), baseline.scheduler)
     if key not in _BASELINES:
-        result = Simulation(
-            _workload(),
-            config.n_processes,
-            params={"steps": config.steps},
-            protocol=_make_protocol(protocol),
-            seed=config.sim_seed,
-            scheduler=config.scheduler,
-            backend=config.backend,
-            checkpoint_mode=config.checkpoint_mode,
-        ).run()
-        _BASELINES[key] = result.final_env
+        _BASELINES[key] = baseline.build().run().final_env
     return _BASELINES[key]
 
 
@@ -368,45 +354,32 @@ def run_schedule(
     :class:`~repro.obs.bus.EventBus` threaded into the replay so a
     failing schedule can be re-run under full causal tracing.
     """
+    return _judge(
+        _chaos_spec(protocol, plan, protocol, config, transport_config),
+        observer,
+    )
+
+
+def _judge(spec, observer=None) -> ChaosOutcome:
+    """Run one chaos cell (also the sweep's executor worker)."""
+    plan = spec.fault_plan
     faults = len(plan.network_faults)
     crashes = len(plan.effective())
-    baseline = _baseline_env(protocol, config)
-    sim = Simulation(
-        _workload(),
-        config.n_processes,
-        params={"steps": config.steps},
-        protocol=_make_protocol(protocol),
-        failure_plan=plan,
-        seed=config.sim_seed,
-        transport_config=transport_config,
-        observer=observer,
-        scheduler=config.scheduler,
-        backend=config.backend,
-        checkpoint_mode=config.checkpoint_mode,
-        retain_k=config.retain_k,
-    )
+    baseline = _baseline_env(spec)
+    sim = spec.build(observer=observer)
     try:
         result = sim.run()
     except ReproError as error:
-        return ChaosOutcome(
-            ok=False,
-            reason=f"{type(error).__name__}: {error}",
-            completed=False,
-            recovery_lines_ok=False,
-            state_ok=False,
-            faults=faults,
-            crashes=crashes,
-        )
+        return ChaosOutcome.failure(spec, f"{type(error).__name__}: {error}")
     completed = bool(result.stats.completed)
     unrecoverable = result.verdict == "unrecoverable"
     lines_ok = (
-        storage_recovery_lines_consistent(result, config.n_processes)
+        storage_recovery_lines_consistent(result, spec.n_processes)
         if getattr(sim.protocol, "induces_recovery_lines", True)
         else True
     )
     retention_ok = retention_invariant_holds(
-        result, config.n_processes, config.retain_k,
-        checkpoint_mode=config.checkpoint_mode,
+        result, spec.n_processes, spec.retain_k, spec.checkpoint_mode
     )
     state_ok = result.final_env == baseline
     if unrecoverable:
@@ -439,62 +412,6 @@ def run_schedule(
     )
 
 
-def _chaos_cell(payload) -> ChaosOutcome:
-    """Campaign-executor worker: replay one (plan, protocol) cell."""
-    plan, protocol, config, transport_config = payload
-    return run_schedule(
-        plan, protocol=protocol, config=config,
-        transport_config=transport_config,
-    )
-
-
-def _chaos_journal_key(key) -> str:
-    """Journal key of one sweep cell: ``protocol/seedN``."""
-    protocol, seed = key
-    return f"{protocol}/seed{seed}"
-
-
-def _chaos_cell_hash(_key, payload) -> str:
-    """Content hash of one sweep cell (plan × protocol × config)."""
-    import hashlib
-    import json
-    from dataclasses import asdict
-
-    plan, protocol, config, transport_config = payload
-    material = json.dumps(
-        {
-            "plan": plan.to_json_dict(),
-            "protocol": protocol,
-            "config": asdict(config),
-            "transport": (
-                None if transport_config is None else asdict(transport_config)
-            ),
-        },
-        sort_keys=True,
-        separators=(",", ":"),
-    )
-    return hashlib.sha256(material.encode()).hexdigest()
-
-
-def _encode_chaos_outcome(outcome: ChaosOutcome) -> dict:
-    """Journal encoder for a sweep verdict."""
-    return outcome.to_json_dict()
-
-
-def _quarantined_chaos_outcome(_key, payload, message, _error):
-    """Quarantine factory: a structured failing verdict for a dead cell."""
-    plan = payload[0]
-    return ChaosOutcome(
-        ok=False,
-        reason=message,
-        completed=False,
-        recovery_lines_ok=False,
-        state_ok=False,
-        faults=len(plan.network_faults),
-        crashes=len(plan.effective()),
-    )
-
-
 def chaos_sweep(
     seeds: range,
     protocols: tuple[str, ...] = CHAOS_PROTOCOLS,
@@ -523,59 +440,38 @@ def chaos_sweep(
     after the sweep, in cell order, so parallel runs produce the same
     files as serial ones.
 
-    The sweep runs on the resilient executor when *policy* (an
-    :class:`~repro.campaign.executor.ExecutorPolicy`), *journal_path*
-    (enabling ``repro chaos --resume``: finished cells are served from
-    the journal), or *executor_fault_plan* (the deterministic
-    crash/hang/raise injector, keyed by ``(protocol, seed)``) is set;
-    a cell whose worker dies past its retry budget yields a structured
-    failing :class:`ChaosOutcome` instead of an unhandled
+    *policy* (an :class:`~repro.campaign.executor.ExecutorPolicy`)
+    sets the per-cell timeout and retry budget (none: one attempt, no
+    deadline); *journal_path* enables ``repro chaos --resume``
+    (finished cells are served from the journal);
+    *executor_fault_plan* is the deterministic crash/hang/raise
+    injector, keyed by ``(protocol, seed)``. A cell whose worker dies
+    past its retry budget yields a structured failing
+    :class:`ChaosOutcome` instead of an unhandled
     ``BrokenProcessPool``. *executor_stats* (an
     :class:`~repro.campaign.executor.ExecutorStats`) accumulates the
     resilience counters in place.
     """
-    from repro.campaign.executor import run_cells
-    from repro.campaign.journal import CampaignJournal
+    from repro.campaign.executor import run_spec_cells
 
-    plans = {
-        (protocol, seed): draw_schedule(seed, config)
+    cells = {
+        (protocol, seed): _chaos_spec(
+            f"{protocol}/seed{seed}", draw_schedule(seed, config),
+            protocol, config, transport_config,
+        )
         for protocol in protocols
         for seed in seeds
     }
-    items = [
-        (key, (plan, key[0], config, transport_config))
-        for key, plan in plans.items()
-    ]
-    resilient = (
-        policy is not None
-        or journal_path is not None
-        or executor_fault_plan is not None
+    outcomes, _timings = run_spec_cells(
+        list(cells.items()),
+        _judge,
+        ChaosOutcome,
+        jobs,
+        policy=policy,
+        journal_path=journal_path,
+        fault_plan=executor_fault_plan,
+        stats=executor_stats,
     )
-    if not resilient:
-        outcomes, _timings = run_cells(items, _chaos_cell, jobs=jobs)
-    else:
-        journal = (
-            CampaignJournal(journal_path)
-            if journal_path is not None else None
-        )
-        try:
-            outcomes, _timings = run_cells(
-                items,
-                _chaos_cell,
-                jobs=jobs,
-                policy=policy,
-                journal=journal,
-                journal_key=_chaos_journal_key,
-                cell_hash=_chaos_cell_hash,
-                encode=_encode_chaos_outcome,
-                decode=ChaosOutcome.from_json_dict,
-                quarantine=_quarantined_chaos_outcome,
-                fault_plan=executor_fault_plan,
-                stats=executor_stats,
-            )
-        finally:
-            if journal is not None:
-                journal.close()
     if artifacts_dir is not None:
         for (protocol, seed), outcome in outcomes.items():
             # Clean UNRECOVERABLE verdicts are ok but still archived:
@@ -583,7 +479,7 @@ def chaos_sweep(
             # and replayable.
             if not outcome.ok or outcome.unrecoverable:
                 dump_failure_artifacts(
-                    plans[(protocol, seed)],
+                    cells[(protocol, seed)].fault_plan,
                     protocol=protocol,
                     config=config,
                     out_dir=artifacts_dir,

@@ -17,7 +17,7 @@ yields a causally consistent interleaving: an item executed at time
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from repro.causality.records import EventKind
 from repro.causality.vector_clock import VectorClock
@@ -44,15 +44,18 @@ from repro.runtime.effects import (
 )
 from repro.runtime.failures import (
     FailurePlan,
-    FaultKind,
-    NetworkFaultEvent,
+    FaultPlan,
     RecoveryFaultEvent,
     RecoveryFaultKind,
     StorageFaultEvent,
 )
 from repro.runtime.hooks import ControlMessage, NullProtocol, ProtocolHooks
 from repro.runtime.inputs import InputProvider
-from repro.runtime.interpreter import ProcessInterpreter, make_backend
+from repro.runtime.interpreter import (
+    BACKENDS,
+    ProcessInterpreter,
+    make_backend,
+)
 from repro.runtime.network import Message, Network
 from repro.runtime.encoding import delta_encodable
 from repro.runtime.storage import (
@@ -89,6 +92,82 @@ class RuntimeCosts:
     recovery_overhead: float = 2.0         # the paper's R
     control_latency: float = 0.05          # transit time of a control message
     storage_retry_backoff: float = 0.25    # base of the exponential backoff
+
+
+#: Recognised engine schedulers, default first: the indexed priority
+#: queue and the original linear scan kept as its differential oracle.
+SCHEDULERS = ("indexed", "reference")
+
+
+@dataclass(frozen=True, kw_only=True)
+class RunConfig:
+    """The plain-data knobs of one run, declared once.
+
+    This is the only place a run knob is declared, defaulted and
+    validated: :class:`Simulation` builds one from its keyword
+    arguments, :class:`~repro.campaign.spec.ScenarioSpec` and
+    :class:`~repro.runtime.chaos.ChaosConfig` inherit its fields, and
+    the CLI derives its run-knob flags from them — so an invalid value
+    fails with the same error wherever it enters.
+
+    Attributes:
+        seed: Simulator seed (inputs, latencies).
+        base_latency: Mean one-way message latency.
+        storage_replicas: Stable-storage replication factor.
+        max_storage_retries: Per-write retry budget of the store.
+        record_compute_events: Whether compute effects enter the trace.
+        max_steps: Engine step budget.
+        transport: Reliable-transport tunables, or ``None`` for stock.
+        costs: Per-effect time charges, or ``None`` for the defaults.
+        retain_k: Bounded-storage retention (max checkpoints per rank),
+            or ``None`` for unbounded storage.
+        backend: Process-execution backend — ``"compiled"`` (closure
+            compiler) or ``"reference"`` (tree-walking interpreter).
+            Both produce identical traces and artifacts.
+        checkpoint_mode: Checkpoint content policy — ``"full"``,
+            ``"pruned"`` (liveness-pruned snapshots), ``"delta"``
+            (delta-encoded payloads), or ``"pruned+delta"``. Every mode
+            recovers to byte-identical application state; only stored
+            payload bytes differ.
+        scheduler: Engine scheduler — ``"indexed"`` or ``"reference"``;
+            runs are byte-identical for both. An engine internal: it is
+            not part of a scenario's JSON form or content hash.
+    """
+
+    seed: int = 0
+    base_latency: float = 0.5
+    storage_replicas: int = 1
+    max_storage_retries: int = 3
+    record_compute_events: bool = False
+    max_steps: int = 2_000_000
+    transport: TransportConfig | None = None
+    costs: RuntimeCosts | None = None
+    retain_k: int | None = None
+    backend: str = "compiled"
+    checkpoint_mode: str = "full"
+    scheduler: str = "indexed"
+
+    def __post_init__(self) -> None:
+        for name, choices in (
+            ("scheduler", SCHEDULERS),
+            ("checkpoint_mode", CHECKPOINT_MODES),
+            ("backend", BACKENDS),
+        ):
+            value = getattr(self, name)
+            if value not in choices:
+                raise SimulationError(
+                    f"unknown {name} {value!r} "
+                    f"(expected one of {', '.join(choices)})"
+                )
+        if self.storage_replicas < 1:
+            raise SimulationError(
+                "need at least one storage replica, "
+                f"got {self.storage_replicas}"
+            )
+
+    def run_knobs(self) -> dict:
+        """This object's :class:`RunConfig` fields as keyword arguments."""
+        return {f.name: getattr(self, f.name) for f in fields(RunConfig)}
 
 
 @dataclass(frozen=True)
@@ -423,46 +502,36 @@ class Simulation:
         program: ast.Program,
         n_processes: int,
         params: dict[str, int] | None = None,
-        costs: RuntimeCosts = RuntimeCosts(),
         protocol: ProtocolHooks | None = None,
         failure_plan: FailurePlan | None = None,
-        seed: int = 0,
-        base_latency: float = 0.5,
-        record_compute_events: bool = False,
-        max_steps: int = 2_000_000,
-        storage_replicas: int = 1,
-        max_storage_retries: int = 3,
-        transport_config: TransportConfig | None = None,
         observer=None,
-        scheduler: str = "indexed",
         recovery: SupervisorConfig | None = None,
-        retain_k: int | None = None,
-        backend: str = "compiled",
-        checkpoint_mode: str = "full",
+        *,
+        transport_config: TransportConfig | None = None,
+        **knobs,
     ) -> None:
+        """Configure a run; ``**knobs`` are :class:`RunConfig` fields.
+
+        ``transport_config`` is the constructor's spelling of
+        :attr:`RunConfig.transport`. An unknown knob raises
+        ``TypeError``, an invalid value :class:`SimulationError`.
+        """
+        config = RunConfig(transport=transport_config, **knobs)
         if n_processes < 1:
             raise SimulationError(f"need at least one process, got {n_processes}")
-        if scheduler not in ("indexed", "reference"):
-            raise SimulationError(
-                f"unknown scheduler {scheduler!r} "
-                "(expected 'indexed' or 'reference')"
-            )
-        if checkpoint_mode not in CHECKPOINT_MODES:
-            raise SimulationError(
-                f"unknown checkpoint_mode {checkpoint_mode!r} "
-                f"(expected one of {', '.join(CHECKPOINT_MODES)})"
-            )
-        self._scheduler = scheduler
-        self.checkpoint_mode = checkpoint_mode
+        plan = FaultPlan.of(failure_plan)
+        plan.check_targets(n_processes, config.storage_replicas)
+        self._scheduler = config.scheduler
+        self.checkpoint_mode = config.checkpoint_mode
         # Content minimisation knobs: "pruned" zeroes provably-dead env
         # slots at app checkpoints; "delta" stores only what changed
         # since the rank's previous published checkpoint.
-        self._prune_snapshots = "pruned" in checkpoint_mode
-        self._delta_payloads = "delta" in checkpoint_mode
-        # Raises on an unknown backend; for "compiled" this is also
-        # where the program is lowered, once, shared by every rank.
-        process_factory = make_backend(program, n_processes, backend)
-        self.backend = backend
+        self._prune_snapshots = "pruned" in config.checkpoint_mode
+        self._delta_payloads = "delta" in config.checkpoint_mode
+        # For "compiled" this is where the program is lowered, once,
+        # shared by every rank.
+        process_factory = make_backend(program, n_processes, config.backend)
+        self.backend = config.backend
         self._dead_sets: dict[int, frozenset[str]] = {}
         if self._prune_snapshots:
             # Imported here: the attributes package pulls in the CFG
@@ -483,13 +552,9 @@ class Simulation:
             compiled = getattr(process_factory, "compiled", None)
             if compiled is not None:
                 compiled.configure_pruning(self._dead_sets)
-        if storage_replicas < 1:
-            raise SimulationError(
-                f"need at least one storage replica, got {storage_replicas}"
-            )
         self.program = program
         self.n = n_processes
-        self.costs = costs
+        self.costs = config.costs or RuntimeCosts()
         self.protocol = protocol if protocol is not None else NullProtocol()
         # The base on_effect hook is a no-op; detecting that once lets
         # the per-effect loop skip the call entirely for every shipped
@@ -507,40 +572,32 @@ class Simulation:
             type(self.protocol).on_app_message
             is not ProtocolHooks.on_app_message
         )
-        plan = failure_plan or FailurePlan.none()
-        network_faults: list[NetworkFaultEvent] = list(
-            getattr(plan, "network_faults", []) or []
-        )
-        for net_fault in network_faults:
-            if net_fault.src >= n_processes or net_fault.dst >= n_processes:
-                raise SimulationError(
-                    f"network fault targets channel {net_fault.src}->"
-                    f"{net_fault.dst} but the simulation has only "
-                    f"{n_processes} processes"
-                )
         self.obs = observer
         self.network = Network(
             n_processes,
-            base_latency=base_latency,
-            seed=seed,
-            fault_injector=NetworkFaultInjector(network_faults),
-            transport_config=transport_config,
+            base_latency=config.base_latency,
+            seed=config.seed,
+            fault_injector=NetworkFaultInjector(plan.network_faults),
+            transport_config=config.transport,
             observer=observer,
         )
-        if storage_replicas == 1:
-            self.storage = CheckpointStore(max_retries=max_storage_retries)
+        if config.storage_replicas == 1:
+            self.storage = CheckpointStore(
+                max_retries=config.max_storage_retries
+            )
         else:
             self.storage = ReplicatedCheckpointStore(
-                replicas=storage_replicas, max_retries=max_storage_retries
+                replicas=config.storage_replicas,
+                max_retries=config.max_storage_retries,
             )
         self.storage.obs = observer
         self.trace = ExecutionTrace(
             n_processes=n_processes, observer=observer
         )
         self.stats = SimulationStats()
-        self.record_compute_events = record_compute_events
-        self._max_steps = max_steps
-        self._inputs = InputProvider(seed=seed)
+        self.record_compute_events = config.record_compute_events
+        self._max_steps = config.max_steps
+        self._inputs = InputProvider(seed=config.seed)
         self._clocks = [VectorClock.zero(n_processes) for _ in range(n_processes)]
         if observer is not None:
             observer.bind_clocks(self._clocks)
@@ -549,30 +606,11 @@ class Simulation:
         self._timers: list[tuple[float, int, int, str]] = []
         self._timer_seq = 0
         self._crashes = list(plan.effective())
-        storage_faults: list[StorageFaultEvent] = list(
-            getattr(plan, "storage_faults", []) or []
-        )
-        for fault in storage_faults:
-            if fault.rank >= n_processes:
-                raise SimulationError(
-                    f"storage fault targets rank {fault.rank} but the "
-                    f"simulation has only {n_processes} processes"
-                )
-            if fault.replica >= storage_replicas:
-                raise SimulationError(
-                    f"storage fault targets replica {fault.replica} but "
-                    f"storage has only {storage_replicas} replica(s)"
-                )
         # Bit rot fires through the event loop; write faults arm and
-        # wait for a matching checkpoint write.
-        self._rot_events = sorted(
-            (f for f in storage_faults if f.kind is FaultKind.BIT_ROT),
-            key=lambda f: (f.time, f.rank),
-        )
-        self._write_faults = sorted(
-            (f for f in storage_faults if f.kind is not FaultKind.BIT_ROT),
-            key=lambda f: (f.time, f.rank),
-        )
+        # wait for a matching checkpoint write. Both come sorted by
+        # (time, rank).
+        self._rot_events = plan.rot_events()
+        self._write_faults = plan.write_faults()
         # Per-rank pointer to the most recent *published* checkpoint —
         # the delta encoder's chain parent. Reset on restore, so chains
         # always rebase onto the surviving timeline.
@@ -587,25 +625,16 @@ class Simulation:
                 if isinstance(n, ast.Checkpoint)
             )
         }
-        recovery_faults: list[RecoveryFaultEvent] = list(
-            getattr(plan, "recovery_faults", []) or []
-        )
-        for rec_fault in recovery_faults:
-            if rec_fault.rank >= n_processes:
-                raise SimulationError(
-                    f"recovery fault targets rank {rec_fault.rank} but the "
-                    f"simulation has only {n_processes} processes"
-                )
         self.supervisor = RecoverySupervisor(
-            self, recovery or SupervisorConfig(), recovery_faults
+            self, recovery or SupervisorConfig(), list(plan.recovery_faults)
         )
-        if retain_k is None:
+        if config.retain_k is None:
             self._retention = None
         else:
             # Protect every degraded-fallback candidate the supervisor
             # could escalate to (one number deeper per retry).
             self._retention = RetentionPolicy(
-                retain_k,
+                config.retain_k,
                 protect_depth=max(1, self.supervisor.config.max_attempts - 1),
             )
         self.procs = [
@@ -630,7 +659,9 @@ class Simulation:
         if observer is not None and getattr(
             observer, "wants_backend_events", False
         ):
-            observer.emit("engine", "backend", None, 0.0, backend=backend)
+            observer.emit(
+                "engine", "backend", None, 0.0, backend=config.backend
+            )
             compiled = getattr(process_factory, "compiled", None)
             if compiled is not None:
                 observer.emit(
@@ -662,35 +693,28 @@ class Simulation:
     def from_spec(cls, spec, observer=None) -> "Simulation":
         """Build a simulation from a declarative scenario description.
 
-        *spec* is a :class:`~repro.campaign.spec.ScenarioSpec` (or any
-        object with the same attributes): program **source text**,
-        protocol name, and plain-data knobs. Because everything in the
-        spec is picklable and JSON-round-trippable, a spec — unlike a
-        constructed ``Simulation`` — can be shipped to another process,
-        which is how the campaign executor fans cells out to workers.
+        *spec* is a :class:`~repro.campaign.spec.ScenarioSpec`: program
+        **source text**, protocol name, fault plan, and — being a
+        :class:`RunConfig` itself — the run knobs, handed over whole
+        (:meth:`RunConfig.run_knobs`).
+        Because everything in the spec is picklable and
+        JSON-round-trippable, a spec — unlike a constructed
+        ``Simulation`` — can be shipped to another process, which is
+        how the campaign executor fans cells out to workers.
         """
         from repro.lang.parser import parse
         from repro.protocols import make_protocol
 
+        knobs = spec.run_knobs()
         return cls(
             parse(spec.program),
             spec.n_processes,
             params=dict(spec.params) if spec.params else None,
-            costs=spec.costs if spec.costs is not None else RuntimeCosts(),
             protocol=make_protocol(spec.protocol, spec.period),
             failure_plan=spec.fault_plan,
-            seed=spec.seed,
-            base_latency=spec.base_latency,
-            record_compute_events=spec.record_compute_events,
-            max_steps=spec.max_steps,
-            storage_replicas=spec.storage_replicas,
-            max_storage_retries=spec.max_storage_retries,
-            transport_config=spec.transport,
             observer=observer,
-            scheduler=getattr(spec, "scheduler", "indexed"),
-            retain_k=getattr(spec, "retain_k", None),
-            backend=getattr(spec, "backend", "compiled"),
-            checkpoint_mode=getattr(spec, "checkpoint_mode", "full"),
+            transport_config=knobs.pop("transport"),
+            **knobs,
         )
 
     @property

@@ -339,6 +339,55 @@ class FaultPlan(FailurePlan):
         normalised.sort(key=lambda f: (f.time, f.rank))
         self.storage_faults = normalised
 
+    @classmethod
+    def of(cls, plan: FailurePlan | None) -> "FaultPlan":
+        """*plan* as a :class:`FaultPlan` (``None`` = failure-free).
+
+        A bare :class:`FailurePlan` carries crashes only.
+        """
+        if isinstance(plan, cls):
+            return plan
+        if plan is None:
+            return cls()
+        return cls(crashes=list(plan.crashes), max_failures=plan.max_failures)
+
+    def check_targets(self, n_processes: int, storage_replicas: int) -> None:
+        """Reject events aimed at a rank or replica the run does not have.
+
+        The engine constructor calls this, so a plan written for a
+        bigger system fails cleanly wherever it enters instead of doing
+        nothing (or indexing out of range mid-run).
+        """
+        ranks = [(f"crash at t={c.time}", c.rank) for c in self.crashes]
+        ranks += [
+            (f"storage fault at t={f.time}", f.rank)
+            for f in self.storage_faults
+        ]
+        ranks += [
+            (f"recovery fault in recovery {f.recovery}", f.rank)
+            for f in self.recovery_faults
+        ]
+        for what, rank in ranks:
+            if rank >= n_processes:
+                raise SimulationError(
+                    f"{what} targets rank {rank} but the simulation has "
+                    f"only {n_processes} processes"
+                )
+        for fault in self.network_faults:
+            if fault.src >= n_processes or fault.dst >= n_processes:
+                raise SimulationError(
+                    f"network fault at t={fault.time} targets channel "
+                    f"{fault.src}->{fault.dst} but the simulation has only "
+                    f"{n_processes} processes"
+                )
+        for fault in self.storage_faults:
+            if fault.replica >= storage_replicas:
+                raise SimulationError(
+                    f"storage fault at t={fault.time} targets replica "
+                    f"{fault.replica} but storage has only "
+                    f"{storage_replicas} replica(s)"
+                )
+
     def write_faults(self) -> list[StorageFaultEvent]:
         """The write-targeting faults (armed, consumed by writes)."""
         return [f for f in self.storage_faults if f.kind is not FaultKind.BIT_ROT]

@@ -394,14 +394,16 @@ ProcessFactory = Callable[
 
 
 def make_backend(
-    program: ast.Program, n_processes: int, backend: str = "compiled"
+    program: ast.Program, n_processes: int, backend: str
 ) -> ProcessFactory:
     """Build a per-rank process factory for the chosen *backend*.
 
     ``"compiled"`` lowers *program* once (shared across ranks) and binds
     closures per rank; ``"reference"`` constructs the tree-walking
     :class:`ProcessInterpreter`. Both factories expose the identical
-    ``step``/``deliver``/``snapshot``/``restore`` surface.
+    ``step``/``deliver``/``snapshot``/``restore`` surface. *backend* is
+    one of :data:`BACKENDS` (validated by
+    :class:`~repro.runtime.engine.RunConfig`).
     """
     if backend == "compiled":
         # Imported here: lang.compile imports this module for the
@@ -417,14 +419,10 @@ def make_backend(
         # span, tests) can reach the shared lowering.
         make_compiled.compiled = compiled
         return make_compiled
-    if backend == "reference":
 
-        def make_reference(rank, params=None, inputs=None):
-            return ProcessInterpreter(
-                program, rank, n_processes, params=params, inputs=inputs
-            )
+    def make_reference(rank, params=None, inputs=None):
+        return ProcessInterpreter(
+            program, rank, n_processes, params=params, inputs=inputs
+        )
 
-        return make_reference
-    raise SimulationError(
-        f"unknown backend {backend!r} (expected 'compiled' or 'reference')"
-    )
+    return make_reference

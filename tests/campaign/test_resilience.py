@@ -11,6 +11,7 @@ import pytest
 from repro.campaign.executor import (
     ExecutorPolicy,
     ExecutorStats,
+    JournalCodec,
     run_cells,
     run_campaign,
 )
@@ -44,14 +45,13 @@ def _quarantine_dict(key, _payload, message, _error):
     return {"key": key, "error": message}
 
 
-def _journal_key(key):
-    """Journal key for plain-int test cells."""
-    return str(key)
-
-
-def _cell_hash(_key, payload):
-    """Content hash for plain-int test cells: the payload itself."""
-    return f"payload={payload}"
+#: Journal codec for plain-int test cells: the payload is its own hash.
+INT_CODEC = JournalCodec(
+    key=lambda key, _payload: str(key),
+    cell_hash=lambda _key, payload: f"payload={payload}",
+    encode=lambda result: {"v": result},
+    decode=lambda data: data["v"],
+)
 
 
 def _run(items, jobs, **kwargs):
@@ -59,6 +59,7 @@ def _run(items, jobs, **kwargs):
     stats = ExecutorStats()
     kwargs.setdefault("policy", FAST)
     kwargs.setdefault("quarantine", _quarantine_dict)
+    kwargs.setdefault("codec", INT_CODEC)
     results, timings = run_cells(
         items, _double, jobs=jobs, stats=stats, **kwargs
     )
@@ -262,61 +263,45 @@ class TestJournalResume:
     def test_resume_serves_finished_cells(self, tmp_path):
         path = tmp_path / "journal.jsonl"
         items = [(n, n) for n in range(5)]
-        kwargs = dict(
-            journal_key=_journal_key, cell_hash=_cell_hash,
-            encode=lambda r: {"v": r}, decode=lambda d: d["v"],
-        )
         with CampaignJournal(path) as journal:
-            first, _, stats1 = _run(items, 1, journal=journal, **kwargs)
+            first, _, stats1 = _run(items, 1, journal=journal)
         assert stats1.resume_hits == 0
         with CampaignJournal(path) as journal:
-            second, timings, stats2 = _run(items, 1, journal=journal, **kwargs)
+            second, timings, stats2 = _run(items, 1, journal=journal)
         assert second == first
         assert stats2.resume_hits == 5
         assert all(t == 0.0 for t in timings.values())
 
     def test_partial_journal_runs_only_the_rest(self, tmp_path):
         path = tmp_path / "journal.jsonl"
-        kwargs = dict(
-            journal_key=_journal_key, cell_hash=_cell_hash,
-            encode=lambda r: {"v": r}, decode=lambda d: d["v"],
-        )
         with CampaignJournal(path) as journal:
-            _run([(0, 0), (1, 1)], 1, journal=journal, **kwargs)
+            _run([(0, 0), (1, 1)], 1, journal=journal)
         with CampaignJournal(path) as journal:
             results, _, stats = _run(
-                [(0, 0), (1, 1), (2, 2)], 1, journal=journal, **kwargs
+                [(0, 0), (1, 1), (2, 2)], 1, journal=journal
             )
         assert results == {0: 0, 1: 2, 2: 4}
         assert stats.resume_hits == 2
 
     def test_hash_mismatch_forces_reexecution(self, tmp_path):
         path = tmp_path / "journal.jsonl"
-        kwargs = dict(
-            journal_key=_journal_key, cell_hash=_cell_hash,
-            encode=lambda r: {"v": r}, decode=lambda d: d["v"],
-        )
         with CampaignJournal(path) as journal:
-            _run([(0, 1)], 1, journal=journal, **kwargs)
+            _run([(0, 1)], 1, journal=journal)
         # Same key, different payload → different content hash.
         with CampaignJournal(path) as journal:
-            results, _, stats = _run([(0, 7)], 1, journal=journal, **kwargs)
+            results, _, stats = _run([(0, 7)], 1, journal=journal)
         assert results == {0: 14}
         assert stats.resume_hits == 0
 
     def test_torn_tail_counted_and_resume_still_correct(self, tmp_path):
         path = tmp_path / "journal.jsonl"
-        kwargs = dict(
-            journal_key=_journal_key, cell_hash=_cell_hash,
-            encode=lambda r: {"v": r}, decode=lambda d: d["v"],
-        )
         with CampaignJournal(path) as journal:
-            _run([(0, 0), (1, 1)], 1, journal=journal, **kwargs)
+            _run([(0, 0), (1, 1)], 1, journal=journal)
         with open(path, "ab") as fh:
             fh.write(b'{"kind": "cell", "key": "2"')  # SIGKILL mid-append
         with CampaignJournal(path) as journal:
             results, _, stats = _run(
-                [(0, 0), (1, 1), (2, 2)], 1, journal=journal, **kwargs
+                [(0, 0), (1, 1), (2, 2)], 1, journal=journal
             )
         assert results == {0: 0, 1: 2, 2: 4}
         assert stats.resume_hits == 2

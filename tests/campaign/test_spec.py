@@ -1,5 +1,6 @@
 """ScenarioSpec: serialisation, hashing, and the spec-driven factory."""
 
+import dataclasses
 import json
 
 import pytest
@@ -12,13 +13,17 @@ from repro.campaign.spec import (
 )
 from repro.errors import SimulationError
 from repro.lang.programs import load_program, program_source
-from repro.protocols import make_protocol, protocol_names
-from repro.runtime.engine import Simulation
+from repro.protocols import make_protocol
+from repro.runtime.engine import RunConfig, RuntimeCosts, Simulation
 from repro.runtime.failures import (
     CrashEvent,
+    FaultKind,
     FaultPlan,
     NetworkFaultEvent,
     NetworkFaultKind,
+    RecoveryFaultEvent,
+    RecoveryFaultKind,
+    StorageFaultEvent,
 )
 from repro.runtime.transport import TransportConfig
 
@@ -127,6 +132,128 @@ class TestContentHash:
         assert ScenarioSpec.from_json_dict(data).checkpoint_mode == "full"
 
 
+class TestGoldenIdentity:
+    """Literals recorded at the commit before ``RunConfig`` existed.
+
+    ``content_hash`` keys journals and caches and ``to_json_dict``'s key
+    order is the text of every campaign file, so neither may move.
+    """
+
+    QUICK_HASHES = {
+        "ring_pipeline/appl-driven":
+            "aa64cb968ef39b9e61411b1844353d09f70c8398be12a5bbaa0d04d9ff6b6439",
+        "ring_pipeline/uncoordinated":
+            "841dc1e015e51bd1d43faecfa8ab70dab138bb04aedd530bb15f1e62a1881e33",
+        "pingpong/appl-driven":
+            "12214d38bbf1134e5575947030addc24b197b1d7ebc21c86b0332a87929546b1",
+        "pingpong/uncoordinated":
+            "69b2c4be39a42aa0c1636296f9e3efb2b8270435af830b8999dda425ce910930",
+        "token_ring/appl-driven":
+            "3cdb41412cc25aa905b88567e92a91c00c192394baae60fba38e94967455e228",
+        "token_ring/uncoordinated":
+            "ded1c720bb4324d39726a0aabc89ec33ff32803af54eec07a5ca278e45163c43",
+    }
+
+    @staticmethod
+    def populated() -> ScenarioSpec:
+        return ScenarioSpec(
+            label="golden",
+            program=program_source("ring_pipeline"),
+            n_processes=3,
+            params={"steps": 6},
+            protocol="uncoordinated",
+            period=6.0,
+            seed=7,
+            base_latency=0.4,
+            storage_replicas=3,
+            max_storage_retries=2,
+            record_compute_events=True,
+            max_steps=100_000,
+            fault_plan=FaultPlan(
+                crashes=[CrashEvent(time=9.0, rank=1)],
+                max_failures=2,
+                storage_faults=[StorageFaultEvent(
+                    time=5.0, rank=0, kind=FaultKind.BIT_ROT,
+                    number=2, replica=1,
+                )],
+                network_faults=[NetworkFaultEvent(
+                    time=3.0, kind=NetworkFaultKind.DELAY,
+                    src=0, dst=1, delay=0.5,
+                )],
+                recovery_faults=[RecoveryFaultEvent(
+                    recovery=0, rank=2,
+                    kind=RecoveryFaultKind.READ_FAULT, attempts=2,
+                )],
+            ),
+            transport=TransportConfig(rto_factor=4.0, dedup=False),
+            costs=RuntimeCosts(checkpoint_overhead=1.5, recovery_overhead=2.5),
+            observe=True,
+            retain_k=4,
+            backend="reference",
+            checkpoint_mode="pruned+delta",
+        )
+
+    def test_quick_campaign_hashes(self):
+        assert {
+            spec.label: spec.content_hash() for spec in quick_campaign()
+        } == self.QUICK_HASHES
+
+    def test_fully_populated_spec(self):
+        spec = self.populated()
+        assert spec.content_hash() == (
+            "05519cd8ef94a2cb8802b3ac15e95400f62588393123cdd15b5d5786269e0270"
+        )
+        assert list(spec.to_json_dict()) == [
+            "version", "label", "program", "n_processes", "params",
+            "protocol", "period", "seed", "base_latency",
+            "storage_replicas", "max_storage_retries",
+            "record_compute_events", "max_steps", "observe", "retain_k",
+            "backend", "checkpoint_mode", "fault_plan", "transport", "costs",
+        ]
+        assert ScenarioSpec.from_json_dict(spec.to_json_dict()) == spec
+
+    def test_only_scheduler_stays_out_of_the_json_form(self):
+        names = {f.name for f in dataclasses.fields(ScenarioSpec)}
+        assert names - set(self.populated().to_json_dict()) == {"scheduler"}
+        spec = quick_campaign()[0]
+        other = dataclasses.replace(spec, scheduler="reference")
+        assert other.content_hash() == spec.content_hash()
+        assert other.build()._scheduler == "reference"
+
+
+BAD_KNOBS = [
+    ({"scheduler": "quantum"}, "unknown scheduler 'quantum'"),
+    ({"backend": "jit"}, "unknown backend 'jit'"),
+    ({"checkpoint_mode": "tiny"}, "unknown checkpoint_mode 'tiny'"),
+    ({"storage_replicas": 0}, "need at least one storage replica, got 0"),
+]
+
+
+class TestOneValidationSite:
+    @pytest.mark.parametrize("bad, text", BAD_KNOBS, ids=lambda v: str(v))
+    def test_bad_knob_fails_identically_everywhere(self, bad, text):
+        def spec_build():
+            ScenarioSpec(
+                label="x", program=program_source("pingpong"), **bad
+            ).build()
+
+        messages = []
+        for enter in (
+            lambda: RunConfig(**bad),
+            lambda: Simulation(load_program("pingpong"), 2, **bad),
+            spec_build,
+        ):
+            with pytest.raises(SimulationError) as excinfo:
+                enter()
+            messages.append(str(excinfo.value))
+        assert len(set(messages)) == 1
+        assert messages[0].startswith(text)
+
+    def test_unknown_knob_is_a_type_error(self):
+        with pytest.raises(TypeError, match="frobnicate"):
+            Simulation(load_program("pingpong"), 2, frobnicate=1)
+
+
 class TestSpecFactory:
     def test_from_spec_matches_direct_construction(self):
         spec = ScenarioSpec(
@@ -165,19 +292,6 @@ class TestSpecFactory:
 
 
 class TestProtocolRegistry:
-    def test_cli_names_match_registry(self):
-        from repro.cli import _PROTOCOL_NAMES
-
-        assert set(_PROTOCOL_NAMES) == set(protocol_names())
-
-    def test_cli_checkpoint_modes_match_engine(self):
-        # cli.py duplicates the tuple to stay import-light; this is the
-        # drift pin its comment promises.
-        from repro.cli import CHECKPOINT_MODES as cli_modes
-        from repro.runtime.engine import CHECKPOINT_MODES as engine_modes
-
-        assert cli_modes == engine_modes
-
     def test_none_returns_no_protocol(self):
         assert make_protocol("none") is None
 

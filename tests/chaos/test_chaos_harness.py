@@ -134,7 +134,7 @@ class TestByteIdenticalReplay:
                 params={"steps": CONFIG.steps},
                 protocol=ApplicationDrivenProtocol(),
                 failure_plan=plan,
-                seed=CONFIG.sim_seed,
+                seed=CONFIG.seed,
             ).run()
 
         first, second = run(), run()
@@ -155,7 +155,7 @@ class TestByteIdenticalReplay:
             params={"steps": CONFIG.steps},
             protocol=ApplicationDrivenProtocol(),
             failure_plan=plan,
-            seed=CONFIG.sim_seed,
+            seed=CONFIG.seed,
         ).run()
         assert result.stats.frames_sent > 0
         assert result.stats.ack_frames > 0

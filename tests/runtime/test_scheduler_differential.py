@@ -126,11 +126,10 @@ class TestCampaignMatrix:
     )
     def test_cell_artifacts_identical(self, spec):
         observed = dataclasses.replace(spec, observe=True)
-        reference = dataclasses.replace(spec, observe=True)
-        # ScenarioSpec deliberately has no scheduler field (its content
-        # hash describes the experiment, not the engine internals);
-        # ``Simulation.from_spec`` honours an out-of-band attribute.
-        object.__setattr__(reference, "scheduler", "reference")
+        # ``scheduler`` is a RunConfig field outside the spec's JSON
+        # form and content hash (the hash describes the experiment, not
+        # the engine internals), so both cells record the same hash.
+        reference = dataclasses.replace(observed, scheduler="reference")
         cell_indexed = _campaign_cell(observed)
         cell_reference = _campaign_cell(reference)
         assert cell_indexed.error is None

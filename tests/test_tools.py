@@ -1,18 +1,34 @@
-"""Tests for the results-regeneration tool."""
+"""Tests for the results-regeneration tool and the benchmark's layer table."""
 
+import importlib
 import importlib.util
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
-def load_tool():
-    spec = importlib.util.spec_from_file_location(
-        "regenerate_results", REPO_ROOT / "tools" / "regenerate_results.py"
-    )
+def load_by_path(name: str, path: Path):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def load_tool():
+    return load_by_path(
+        "regenerate_results", REPO_ROOT / "tools" / "regenerate_results.py"
+    )
+
+
+class TestBenchLayerTable:
+    def test_every_entry_point_resolves(self):
+        # A moved entry point does not fail the benchmark: its per-layer
+        # metrics silently read null. Fail here instead.
+        layers = load_by_path("bench_layers", REPO_ROOT / "bench" / "layers.py")
+        for name, target in layers.ENTRY_POINTS.items():
+            module_name, _, attribute = target.partition(":")
+            module = importlib.import_module(module_name)
+            assert hasattr(module, attribute), f"{name}: {target} has moved"
 
 
 class TestRegenerateResults:
