@@ -20,14 +20,17 @@ records two things per case:
 ``identical`` asserts the two modes produced byte-identical behaviour
 — same trace (vector clocks included), same statistics modulo the
 byte-accounting counters, same final environments, same verdict —
-under a failure plan that forces an actual recovery. A payload "win"
+under a failure plan that forces an actual recovery, and that each
+mode's reported byte count (a sum of structural ``payload_bytes``)
+equals the summed length of the encoded wire payloads. A payload "win"
 that changed what recovery restores would be a correctness bug, not
 an optimization.
 
 Result artifact: ``results/BENCH_checkpoint.json`` (see
 :mod:`repro.bench.record`; ``tools/perf_smoke.py`` additionally pins
-``minimized <= full`` payload bytes per case, an absolute,
-machine-independent bound).
+the byte counts to the committed ones, ``minimized <= full`` per case
+and the >= 2x reduction of ``stencil_halo_n8`` — exact,
+machine-independent bounds).
 """
 
 from __future__ import annotations
@@ -118,6 +121,10 @@ def _surviving_entries(sim) -> list:
     ]
 
 
+def _encoded_bytes(entries: list) -> int:
+    return sum(len(stored_payload(checkpoint)) for checkpoint in entries)
+
+
 def _commit_wall_s(entries: list, repeats: int) -> float:
     """Best-of-N seconds to serialise + CRC every entry's wire payload."""
     best = float("inf")
@@ -143,11 +150,17 @@ def checkpoint_payload_report(repeats: int = 5) -> BenchReport:
         base = case.make_program()
         sim_full, result_full = _run(base, case, "full")
         sim_min, result_min = _run(base, case, MINIMIZED_MODE)
-        identical = _fingerprint(result_full) == _fingerprint(result_min)
         full_entries = _surviving_entries(sim_full)
         min_entries = _surviving_entries(sim_min)
         full_bytes = sum(c.payload_bytes for c in full_entries)
         min_bytes = sum(c.payload_bytes for c in min_entries)
+        # The reported byte counts are structural sizes; a row is only
+        # valid if they equal what the encoder actually produces.
+        identical = (
+            _fingerprint(result_full) == _fingerprint(result_min)
+            and full_bytes == _encoded_bytes(full_entries)
+            and min_bytes == _encoded_bytes(min_entries)
+        )
         cases.append(
             BenchCase(
                 name=case.name,

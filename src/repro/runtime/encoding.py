@@ -1,11 +1,13 @@
 """Canonical binary encoding of checkpoint content.
 
 One stable serialisation shared by every consumer of checkpoint bytes —
-write-time checksums, replication quorums, torn-write staging, byte
-accounting, and the delta encoder — replacing the earlier ``repr()``
-hack, which was neither self-describing nor type-faithful (``repr``
-cannot distinguish re-parsable equal values, and its output was never
-decodable).
+write-time checksums, replication quorums, torn-write staging, and the
+delta encoder — replacing the earlier ``repr()`` hack, which was
+neither self-describing nor type-faithful (``repr`` cannot distinguish
+re-parsable equal values, and its output was never decodable). Byte
+accounting does not consume bytes: :func:`encoded_size` and
+:func:`checkpoint_sizes` give the exact length of the canonical form
+structurally, so a fault-free run never builds it.
 
 The format is a minimal tag–length–value scheme over the closed value
 universe checkpoints actually contain (ints, bools, floats, strings,
@@ -31,6 +33,9 @@ Two record shapes exist on the wire:
 from __future__ import annotations
 
 import struct
+from bisect import bisect_left
+from itertools import compress
+from operator import attrgetter, ne
 
 from repro.errors import StorageError
 
@@ -55,7 +60,7 @@ def _encode_into(out: bytearray, value) -> None:
     if cls is int:
         out.append(0x49)  # 'I'
         length = (value.bit_length() + 8) // 8
-        out.append(length)
+        _varint(out, length)
         out += value.to_bytes(length, "big", signed=True)
     elif cls is str:
         out.append(0x53)  # 'S'
@@ -104,8 +109,7 @@ def _decode_from(data: bytes, pos: int) -> tuple[object, int]:
     tag = data[pos]
     pos += 1
     if tag == 0x49:
-        length = data[pos]
-        pos += 1
+        length, pos = _decode_varint(data, pos)
         return int.from_bytes(data[pos : pos + length], "big", signed=True), \
             pos + length
     if tag == 0x53:
@@ -137,9 +141,52 @@ def decode_record(data: bytes):
     return record
 
 
+def _varint_size(value: int) -> int:
+    return 1 if value < 0x80 else (value.bit_length() + 6) // 7
+
+
+def encoded_size(value) -> int:
+    """Exactly ``len(encode_record(value))``, without building bytes.
+
+    Mirrors :func:`_encode_into` case for case (the equality is pinned
+    by a Hypothesis property), so byte accounting never needs the
+    canonical bytes themselves — only checksums and torn-write staging
+    do.
+    """
+    cls = value.__class__
+    if cls is int:
+        prefix = body = (value.bit_length() + 8) // 8
+    elif cls is str:
+        prefix = body = (
+            len(value) if value.isascii() else len(value.encode("utf-8"))
+        )
+    elif cls is tuple:
+        prefix = len(value)
+        body = 0
+        for item in value:
+            body += encoded_size(item)
+    elif cls is bool:
+        return 2
+    elif cls is float:
+        return 9
+    elif value is None:
+        return 1
+    else:
+        raise StorageError(
+            f"value of type {cls.__name__} is not checkpoint-encodable"
+        )
+    # Tag byte, varint length (or item count), content.
+    return (2 if prefix < 0x80 else 1 + _varint_size(prefix)) + body
+
+
 # ----------------------------------------------------------------------
 # Record builders
 # ----------------------------------------------------------------------
+
+
+#: The wire fields of one control-stack frame (``FrameState`` or any
+#: frame-like object), as one C-level getter.
+_frame_fields = attrgetter("kind", "index", "remaining", "trip")
 
 
 def checkpoint_record(checkpoint) -> tuple:
@@ -163,9 +210,7 @@ def checkpoint_record(checkpoint) -> tuple:
         checkpoint.rank,
         checkpoint.number,
         tuple(snapshot.env.items()),
-        tuple(
-            (f.kind, f.index, f.remaining, f.trip) for f in snapshot.frames
-        ),
+        tuple(map(_frame_fields, snapshot.frames)),
         snapshot.checkpoint_count,
         tuple(sorted(snapshot.input_counters.items())),
         snapshot.pending_recv,
@@ -203,20 +248,27 @@ def delta_encodable(checkpoint, parent) -> bool:
     return True
 
 
+_MISSING = object()
+
+
 def _changed(new: dict, old: dict) -> tuple:
     """``(key, value)`` pairs of *new* absent-or-different in *old*.
 
     Comparison is type-strict (``True`` vs ``1`` counts as a change) so
     reconstruction is byte-identical, not merely ``==``.
     """
-    missing = object()
     get = old.get
     changes = []
     for key, value in new.items():
-        previous = get(key, missing)
+        previous = get(key, _MISSING)
         if previous.__class__ is not value.__class__ or previous != value:
             changes.append((key, value))
     return tuple(changes)
+
+
+def _changed_indices(clock: tuple, parent_clock: tuple) -> list[int]:
+    """Ascending indices whose component differs (equal widths), in C."""
+    return list(compress(range(len(clock)), map(ne, parent_clock, clock)))
 
 
 def delta_record(checkpoint, parent) -> tuple:
@@ -226,21 +278,16 @@ def delta_record(checkpoint, parent) -> tuple:
     """
     snap = checkpoint.snapshot
     psnap = parent.snapshot
-    parent_clock = parent.clock.components
-    clock_changes = tuple(
-        (index, value)
-        for index, value in enumerate(checkpoint.clock.components)
-        if parent_clock[index] != value
-    )
+    clock = checkpoint.clock.components
+    changed = _changed_indices(clock, parent.clock.components)
+    clock_changes = tuple(zip(changed, map(clock.__getitem__, changed)))
     return (
         "delta",
         checkpoint.rank,
         checkpoint.number,
         parent.number,
         _changed(snap.env, psnap.env),
-        tuple(
-            (f.kind, f.index, f.remaining, f.trip) for f in snap.frames
-        ),
+        tuple(map(_frame_fields, snap.frames)),
         snap.checkpoint_count,
         _changed(snap.input_counters, psnap.input_counters),
         snap.pending_recv,
@@ -249,6 +296,122 @@ def delta_record(checkpoint, parent) -> tuple:
         _changed(checkpoint.channel_cursors, parent.channel_cursors),
         checkpoint.stmt_label,
         checkpoint.tag,
+    )
+
+
+# ----------------------------------------------------------------------
+# Structural checkpoint sizes
+# ----------------------------------------------------------------------
+
+
+def _map_sizes(new: dict, old: dict | None) -> tuple[int, int]:
+    """Sizes of ``tuple(new.items())`` and of ``_changed(new, old)``.
+
+    Every ``(key, value)`` pair is priced once; the changed subset is
+    selected by :func:`_changed`'s type-strict rule. Order does not
+    affect size, so the sorted maps need no sort here.
+    """
+    sizes = [
+        2 + encoded_size(key) + encoded_size(value)
+        for key, value in new.items()
+    ]
+    whole = 1 + _varint_size(len(sizes)) + sum(sizes)
+    if old is None:
+        return whole, 0
+    get = old.get
+    changed = [
+        size
+        for size, (key, value) in zip(sizes, new.items())
+        if (previous := get(key, _MISSING)).__class__ is not value.__class__
+        or previous != value
+    ]
+    return whole, 1 + _varint_size(len(changed)) + sum(changed)
+
+
+def _clock_sizes(clock: tuple, parent_clock: tuple | None) -> tuple[int, int]:
+    """Sizes of the clock tuple and of its ``(index, value)`` changes.
+
+    The common clock — every component an ``int`` in 0..127, three
+    bytes on the wire — is recognised and diffed without a Python-level
+    step per component; anything else is summed through
+    :func:`encoded_size`, so the result is exact for every clock.
+    """
+    n = len(clock)
+    try:
+        # bytes() takes exactly the integers 0..255 and isascii() bounds
+        # them below 128; the type set rules out bool (two bytes).
+        small = (
+            n <= 0x8000
+            and bytes(clock).isascii()
+            and set(map(type, clock)) <= {int}
+        )
+    except (TypeError, ValueError):
+        small = False
+    whole = 1 + _varint_size(n) + (
+        3 * n if small else sum(map(encoded_size, clock))
+    )
+    if parent_clock is None:
+        return whole, 0
+    indices = _changed_indices(clock, parent_clock)
+    count = len(indices)
+    if small:
+        # Pair header + 3-byte value + 3-byte index, and one byte more
+        # for each index past 127 (n <= 0x8000 keeps them two-byte).
+        changes = 8 * count + count - bisect_left(indices, 0x80)
+    else:
+        changes = (
+            2 * count
+            + sum(map(encoded_size, indices))
+            + sum(map(encoded_size, map(clock.__getitem__, indices)))
+        )
+    return whole, 1 + _varint_size(count) + changes
+
+
+def checkpoint_sizes(checkpoint, parent=None) -> tuple[int, int | None]:
+    """``(full_size, delta_size)`` of *checkpoint*, in one pass, no bytes.
+
+    ``full_size`` is ``len(encode_record(checkpoint_record(checkpoint)))``
+    and ``delta_size`` is ``len(encode_record(delta_record(checkpoint,
+    parent)))`` (``None`` without a *parent*; only meaningful after
+    :func:`delta_encodable`). The two records share eight fields
+    verbatim; only the four maps differ, whole vs changed subset.
+    """
+    snap = checkpoint.snapshot
+    shared = encoded_size(tuple(map(_frame_fields, snap.frames)))
+    for field in (
+        checkpoint.rank,
+        checkpoint.number,
+        snap.checkpoint_count,
+        snap.pending_recv,
+        checkpoint.time,
+        checkpoint.stmt_label,
+        checkpoint.tag,
+    ):
+        shared += encoded_size(field)
+    if parent is None:
+        env = inputs = clock = cursors = None
+    else:
+        env = parent.snapshot.env
+        inputs = parent.snapshot.input_counters
+        clock = parent.clock.components
+        cursors = parent.channel_cursors
+    env_whole, env_changed = _map_sizes(snap.env, env)
+    inputs_whole, inputs_changed = _map_sizes(snap.input_counters, inputs)
+    clock_whole, clock_changed = _clock_sizes(
+        checkpoint.clock.components, clock
+    )
+    cursors_whole, cursors_changed = _map_sizes(
+        checkpoint.channel_cursors, cursors
+    )
+    # Record header (2) + kind string: "full" is 6 bytes, "delta" 7.
+    full = (
+        8 + shared + env_whole + inputs_whole + clock_whole + cursors_whole
+    )
+    if parent is None:
+        return full, None
+    return full, (
+        9 + encoded_size(parent.number) + shared
+        + env_changed + inputs_changed + clock_changed + cursors_changed
     )
 
 

@@ -57,7 +57,7 @@ from repro.runtime.interpreter import (
     make_backend,
 )
 from repro.runtime.network import Message, Network
-from repro.runtime.encoding import delta_encodable
+from repro.runtime.encoding import checkpoint_sizes, delta_encodable
 from repro.runtime.storage import (
     DELTA_CHAIN_CAP,
     CheckpointStore,
@@ -1575,7 +1575,8 @@ class Simulation:
         # are the third per-effect frozen-dataclass allocation on the
         # hot path, and the generated __init__ costs ~3x this.
         stored = StoredCheckpoint.__new__(StoredCheckpoint)
-        stored.__dict__.update(
+        fields = stored.__dict__
+        fields.update(
             rank=rank,
             number=proc.interp.checkpoint_count,
             snapshot=snapshot,
@@ -1588,29 +1589,15 @@ class Simulation:
             ),
             tag=tag,
             blocked_effect=proc.blocked_effect,
-            payload_kind="full",
-            parent=None,
-            delta_depth=0,
         )
-        if self._delta_payloads:
-            parent = self._last_stored.get(rank)
-            if (
-                parent is not None
-                and parent.delta_depth < DELTA_CHAIN_CAP
-                and delta_encodable(stored, parent)
-            ):
-                stored.__dict__.update(
-                    payload_kind="delta",
-                    parent=parent,
-                    delta_depth=parent.delta_depth + 1,
-                )
-                # A delta must pay off: keep whichever wire form is
-                # smaller, so per-entry payload <= full always holds.
-                if stored.payload_bytes >= stored.full_bytes:
-                    stored.__dict__.pop("_payload_bytes", None)
-                    stored.__dict__.update(
-                        payload_kind="full", parent=None, delta_depth=0
-                    )
+        parent = (
+            self._delta_parent(stored) if self._delta_payloads else None
+        )
+        fields.update(
+            payload_kind="full" if parent is None else "delta",
+            parent=parent,
+            delta_depth=0 if parent is None else parent.delta_depth + 1,
+        )
         fault = self._take_write_fault(rank, time, stored.number)
         receipt = self.storage.store(stored, fault=fault)
         if receipt.retries:
@@ -1643,6 +1630,31 @@ class Simulation:
                     self.stats.gc_collected += collected
                     self.stats.gc_reclaimed_bytes += reclaimed
         return stored
+
+    def _delta_parent(
+        self, stored: StoredCheckpoint
+    ) -> StoredCheckpoint | None:
+        """The entry *stored* should chain to as a delta (None: store full).
+
+        Decided from structural sizes, before the entry is finalised. A
+        delta must pay off: the smaller wire form wins, so per-entry
+        payload <= full always holds. The sizes seed the entry's lazy
+        caches, so accounting never derives them again.
+        """
+        parent = self._last_stored.get(stored.rank)
+        if (
+            parent is None
+            or parent.delta_depth >= DELTA_CHAIN_CAP
+            or not delta_encodable(stored, parent)
+        ):
+            return None
+        full_size, delta_size = checkpoint_sizes(stored, parent)
+        sizes = stored.__dict__
+        sizes["_full_bytes"] = full_size
+        if delta_size >= full_size:
+            return None
+        sizes["_payload_bytes"] = delta_size
+        return parent
 
     def _take_write_fault(
         self, rank: int, now: float, number: int

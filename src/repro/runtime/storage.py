@@ -25,6 +25,7 @@ from repro.errors import StorageError, TransientStorageError
 from repro.runtime.encoding import (
     apply_delta,
     checkpoint_record,
+    checkpoint_sizes,
     delta_record,
     encode_record,
 )
@@ -90,37 +91,38 @@ class StoredCheckpoint:
 
     @property
     def full_bytes(self) -> int:
-        """Measured size of the complete canonical encoding.
+        """Structural size of the complete canonical encoding.
 
-        Lazily computed and cached (direct ``__dict__`` write — the
-        dataclass is frozen but the cache is not part of its identity),
-        so fault-free full-mode runs only pay for encoding when byte
-        accounting is actually read.
+        Pinned equal to the encoder's output (``len`` of
+        :func:`checkpoint_payload`) by test, but computed by
+        :func:`~repro.runtime.encoding.checkpoint_sizes` without
+        building bytes. Lazily cached (direct ``__dict__`` write — the
+        dataclass is frozen but the cache is not part of its identity,
+        and ``dataclasses.replace`` copies start cold); the engine
+        seeds it when its full-vs-delta decision already sized the
+        entry.
         """
         cached = self.__dict__.get("_full_bytes")
         if cached is None:
-            cached = len(encode_record(checkpoint_record(self)))
+            cached = checkpoint_sizes(self)[0]
             self.__dict__["_full_bytes"] = cached
         return cached
 
     @property
     def payload_bytes(self) -> int:
-        """Measured size of the durable wire form actually stored.
+        """Structural size of the durable wire form actually stored.
 
         Equals :attr:`full_bytes` for full entries; for delta entries,
-        the size of the delta record against :attr:`parent`.
+        the size of the delta record against :attr:`parent` (pinned
+        equal to ``len`` of :func:`stored_payload`).
         """
         if self.payload_kind != "delta":
             return self.full_bytes
         cached = self.__dict__.get("_payload_bytes")
         if cached is None:
-            cached = len(encode_record(delta_record(self, self.parent)))
-            self.__dict__["_payload_bytes"] = cached
+            full, cached = checkpoint_sizes(self, self.parent)
+            self.__dict__.update(_full_bytes=full, _payload_bytes=cached)
         return cached
-
-    # Historical name for the incremental figure, kept because the
-    # accounting API predates the real delta encoder.
-    delta_bytes = payload_bytes
 
     @property
     def delta_ancestors(self) -> tuple["StoredCheckpoint", ...]:
@@ -239,13 +241,14 @@ class StableStorage:
     def total_bytes(self, incremental: bool = False) -> int:
         """Cumulative checkpoint volume, full-content or as-stored.
 
-        Both figures are *measured* (canonical-encoding sizes, the same
-        bytes checksums and torn-write staging operate on — one source
-        of truth). ``incremental=True`` sums the durable wire forms
-        (delta entries count their delta payload — the related-work
-        feature the paper cites as [20]); ``incremental=False`` sums
-        what the same history would cost stored entirely as full
-        checkpoints. The two coincide unless delta encoding is on.
+        Both figures are structural sizes, pinned equal to the
+        encoder's output (the bytes checksums and torn-write staging
+        operate on) without materialising it. ``incremental=True``
+        sums the durable wire forms (delta entries count their delta
+        payload — the related-work feature the paper cites as [20]);
+        ``incremental=False`` sums what the same history would cost
+        stored entirely as full checkpoints. The two coincide unless
+        delta encoding is on.
         """
         return sum(
             (c.payload_bytes if incremental else c.full_bytes)
@@ -301,11 +304,11 @@ def checkpoint_payload(checkpoint: StoredCheckpoint) -> bytes:
 
     The canonical-encoding bytes of :func:`checkpoint_record` — the
     single serialisation shared by checksums, replication, torn-write
-    staging, byte accounting, and the delta encoder (see
-    :mod:`repro.runtime.encoding`). For a delta entry this is the
-    *reconstructed* content: byte-identical to chaining
-    :func:`apply_delta` up from the nearest full ancestor, which is
-    why one checksum definition covers both payload kinds.
+    staging and the delta encoder (see :mod:`repro.runtime.encoding`;
+    byte accounting uses its structural size, not the bytes). For a
+    delta entry this is the *reconstructed* content: byte-identical to
+    chaining :func:`apply_delta` up from the nearest full ancestor,
+    which is why one checksum definition covers both payload kinds.
     """
     return encode_record(checkpoint_record(checkpoint))
 
@@ -511,7 +514,7 @@ class CheckpointStore(StableStorage):
 
         Guarded here rather than in :meth:`_emit` so the fault-free
         no-observer path never evaluates ``payload_bytes`` (which would
-        force an encoding on every hot-path store).
+        size every entry on the hot-path store instead of lazily).
         """
         if self.obs is not None:
             self._emit(

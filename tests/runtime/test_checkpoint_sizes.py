@@ -1,22 +1,44 @@
-"""Checkpoint size accounting over the measured canonical encoding.
+"""Checkpoint size accounting: structural sizes, pinned to the encoder.
 
 Every byte figure in the system — per-entry ``full_bytes`` and
 ``payload_bytes``, store-wide ``total_bytes``, the ``stored_bytes``
-statistic, the ``snapshot_bytes`` gauge — is the length of the same
-canonical encoding that checksums and torn-write staging operate on.
-These tests pin that single-source-of-truth property and the
-full-vs-incremental semantics under every checkpoint mode.
+statistic, the ``snapshot_bytes`` gauge — is a structural size, pinned
+equal to the encoder's output (the canonical bytes checksums and
+torn-write staging operate on) but computed without building it. These
+tests pin that equality under every checkpoint mode, the
+full-vs-incremental semantics, that the engine's size-based
+full-vs-delta decision is the one encoded lengths would make, and that
+a fault-free run never asks for the bytes.
 """
 
+from dataclasses import replace
+from functools import lru_cache
+from itertools import product
+
+import pytest
+
+import repro.runtime.encoding
 from repro.lang.parser import parse
 from repro.lang.programs import jacobi, stencil_halo
 from repro.obs import Observability
 from repro.protocols import ApplicationDrivenProtocol
 from repro.runtime import FailurePlan, Simulation
-from repro.runtime.storage import DELTA_CHAIN_CAP, stored_payload
+from repro.runtime.engine import CHECKPOINT_MODES
+from repro.runtime.encoding import (
+    checkpoint_record,
+    delta_encodable,
+    delta_record,
+    encode_record,
+)
+from repro.runtime.storage import (
+    DELTA_CHAIN_CAP,
+    checkpoint_payload,
+    stored_payload,
+)
 
 
-def run(program, n, mode, steps=6, failure_plan=None, observer=None):
+def run(program, n, mode, steps=6, failure_plan=None, observer=None,
+        retain_k=None):
     return Simulation(
         program,
         n,
@@ -25,6 +47,7 @@ def run(program, n, mode, steps=6, failure_plan=None, observer=None):
         failure_plan=failure_plan or FailurePlan.none(),
         checkpoint_mode=mode,
         observer=observer,
+        retain_k=retain_k,
     ).run()
 
 
@@ -36,31 +59,149 @@ def entries(result):
     ]
 
 
+#: Four modes x two kernels x (no crash, one mid-run crash of rank 1).
+SIZE_CASES = tuple(
+    product(CHECKPOINT_MODES, (jacobi, stencil_halo), (False, True))
+)
+
+
+@lru_cache(maxsize=None)
+def size_case(mode, make_program, crash):
+    result = run(
+        make_program(), 4, mode, steps=8,
+        failure_plan=FailurePlan.single(9.0, 1) if crash else None,
+    )
+    assert result.stats.failures == int(crash)
+    return result
+
+
 class TestMeasuredSizes:
     def test_payload_bytes_is_wire_length(self):
-        result = run(jacobi(), 4, "pruned+delta")
-        for checkpoint in entries(result):
-            assert checkpoint.payload_bytes == len(stored_payload(checkpoint))
+        for case in SIZE_CASES:
+            result = size_case(*case)
+            survivors = entries(result)
+            for checkpoint in survivors:
+                # Both as the engine left the entry (sizes seeded by its
+                # full-vs-delta decision) and as a cold copy.
+                for entry in (checkpoint, replace(checkpoint)):
+                    assert entry.full_bytes == len(
+                        checkpoint_payload(entry)
+                    ), case
+                    assert entry.payload_bytes == len(
+                        stored_payload(entry)
+                    ), case
+            assert result.stats.stored_bytes == sum(
+                len(stored_payload(c)) for c in survivors
+            ), case
 
     def test_full_mode_payload_equals_full(self):
-        result = run(jacobi(), 4, "full")
-        for checkpoint in entries(result):
-            assert checkpoint.payload_kind == "full"
-            assert checkpoint.payload_bytes == checkpoint.full_bytes
-        assert result.storage.total_bytes() == result.storage.total_bytes(
-            incremental=True
-        )
+        for case in SIZE_CASES:
+            if "delta" in case[0]:
+                continue
+            result = size_case(*case)
+            for checkpoint in entries(result):
+                assert checkpoint.payload_kind == "full"
+                assert checkpoint.payload_bytes == checkpoint.full_bytes
+            assert result.storage.total_bytes() == (
+                result.storage.total_bytes(incremental=True)
+            )
 
     def test_every_checkpoint_carries_sizes(self):
-        result = run(jacobi(), 4, "delta")
-        for checkpoint in entries(result):
-            assert checkpoint.full_bytes > 0
-            assert 0 < checkpoint.payload_bytes <= checkpoint.full_bytes
+        for case in SIZE_CASES:
+            for checkpoint in entries(size_case(*case)):
+                assert checkpoint.full_bytes > 0
+                assert (
+                    0 < checkpoint.payload_bytes <= checkpoint.full_bytes
+                ), case
 
-    def test_delta_bytes_is_payload_bytes_alias(self):
-        result = run(jacobi(), 4, "delta")
-        checkpoint = entries(result)[0]
-        assert checkpoint.delta_bytes == checkpoint.payload_bytes
+
+def decisions_from_encoded_lengths(history):
+    """The wire form of each entry, decided the way the engine used to.
+
+    The oracle: take the rank's previously published entry as the
+    candidate parent (rollback truncates the history to the restored
+    entry, so that is the predecessor in the surviving history), and
+    store a delta iff the chain is below the cap, the pair is
+    delta-encodable and the *encoded* delta is strictly shorter than
+    the *encoded* full record.
+    """
+    decided = []
+    depth_of = {}
+    previous = None
+    for checkpoint in history:
+        decision = ("full", None, 0)
+        if (
+            previous is not None
+            and depth_of[id(previous)] < DELTA_CHAIN_CAP
+            and delta_encodable(checkpoint, previous)
+        ):
+            delta = len(encode_record(delta_record(checkpoint, previous)))
+            full = len(encode_record(checkpoint_record(checkpoint)))
+            if delta < full:
+                decision = (
+                    "delta", previous.number, depth_of[id(previous)] + 1
+                )
+        decided.append(decision)
+        depth_of[id(checkpoint)] = decision[2]
+        previous = checkpoint
+    return decided
+
+
+class TestDecisionEquivalence:
+    @pytest.mark.parametrize("mode", ["delta", "pruned+delta"])
+    @pytest.mark.parametrize("make_program", [jacobi, stencil_halo])
+    def test_sizes_decide_what_encoded_lengths_decided(
+        self, mode, make_program
+    ):
+        result = size_case(mode, make_program, True)
+        kinds = set()
+        for rank in range(4):
+            history = result.storage.history(rank)
+            actual = [
+                (
+                    c.payload_kind,
+                    None if c.parent is None else c.parent.number,
+                    c.delta_depth,
+                )
+                for c in history
+            ]
+            assert actual == decisions_from_encoded_lengths(history)
+            kinds.update(c.payload_kind for c in history)
+        assert kinds == {"full", "delta"}
+
+
+class TestNoBytesOnTheFaultFreePath:
+    #: ``stats.stored_bytes`` of stencil_halo n=4 steps=8 retain_k=4,
+    #: recorded at the commit before sizes became structural.
+    STORED_BYTES = {
+        "full": 9921, "pruned": 8340, "delta": 9873, "pruned+delta": 4560,
+    }
+
+    @pytest.mark.parametrize("mode", CHECKPOINT_MODES)
+    def test_fault_free_run_never_encodes(self, mode, monkeypatch):
+        def no_bytes(record):
+            raise AssertionError("fault-free run asked for canonical bytes")
+
+        # storage.py binds the name at import; patch both bindings.
+        monkeypatch.setattr(
+            repro.runtime.encoding, "encode_record", no_bytes
+        )
+        monkeypatch.setattr(
+            repro.runtime.storage, "encode_record", no_bytes
+        )
+        obs = Observability()
+        result = run(
+            stencil_halo(), 4, mode, steps=8, observer=obs.bus, retain_k=4
+        )
+        assert result.verdict == "completed"
+        assert result.stats.stored_bytes == self.STORED_BYTES[mode]
+        # The commit/gc events and the reclaimed-bytes counter were
+        # exercised, still without bytes.
+        assert result.stats.gc_collected > 0
+        assert result.stats.gc_reclaimed_bytes > 0
+        assert obs.metrics.histogram("snapshot_bytes_dist").as_dict()[
+            "count"
+        ] > 0
 
 
 class TestSizeSemantics:

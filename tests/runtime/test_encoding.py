@@ -13,13 +13,18 @@ from hypothesis import strategies as st
 
 from repro.causality.vector_clock import VectorClock
 from repro.errors import StorageError
+from repro.lang.parser import parse
+from repro.protocols import ApplicationDrivenProtocol
+from repro.runtime import Simulation
 from repro.runtime.encoding import (
     apply_delta,
     checkpoint_record,
+    checkpoint_sizes,
     decode_record,
     delta_encodable,
     delta_record,
     encode_record,
+    encoded_size,
 )
 from repro.runtime.interpreter import ProcessSnapshot
 from repro.runtime.storage import StoredCheckpoint
@@ -34,6 +39,30 @@ scalars = st.one_of(
 )
 values = st.recursive(
     scalars, lambda inner: st.tuples(inner, inner), max_leaves=6
+)
+
+#: Exponents where an integer's byte length, or the varint holding that
+#: length, changes width (127 length bytes = 1015 magnitude bits).
+BOUNDARY_BITS = (7, 8, 15, 1015, 1016, 2039, 2040, 4096)
+boundary_ints = st.builds(
+    lambda bits, sign, offset: sign * (2**bits + offset),
+    st.sampled_from(BOUNDARY_BITS),
+    st.sampled_from((1, -1)),
+    st.integers(min_value=-1, max_value=1),
+)
+#: ``values`` widened to every length-prefix boundary the sizer mirrors:
+#: long integers, strings of >= 128 UTF-8 bytes (ASCII and not), tuples
+#: of >= 128 items, and bools inside integer tuples.
+sized_values = st.one_of(
+    values,
+    boundary_ints,
+    st.text(min_size=128, max_size=200),
+    st.text(st.characters(max_codepoint=127), min_size=128, max_size=200),
+    st.lists(scalars, min_size=128, max_size=140).map(tuple),
+    st.lists(
+        st.one_of(st.booleans(), st.integers(0, 1), boundary_ints),
+        max_size=8,
+    ).map(tuple),
 )
 
 
@@ -110,6 +139,78 @@ class TestRoundTrip:
     def test_unencodable_type_rejected(self):
         with pytest.raises(StorageError):
             encode_record([1, 2])
+
+    @pytest.mark.parametrize("bits", BOUNDARY_BITS)
+    def test_power_of_two_integers_round_trip(self, bits):
+        # The integer's byte length is itself a varint, so magnitudes
+        # past 1015 bits (length >= 128) and 2040 bits (length >= 256)
+        # encode instead of overflowing a single length byte.
+        for value in (2**bits, -(2**bits)):
+            assert decode_record(encode_record(value)) == value
+
+    def test_big_integer_variable_does_not_crash_byte_accounting(self):
+        # Twelve squarings of 3 need ~6500 bits; a one-byte length
+        # field ended this run with a bare ValueError from total_bytes.
+        source = (
+            "program big():\n    x = 3\n"
+            + "    x = x * x\n" * 12
+            + "    checkpoint\n"
+        )
+        for mode in ("full", "pruned+delta"):
+            result = Simulation(
+                parse(source), 2,
+                protocol=ApplicationDrivenProtocol(),
+                checkpoint_mode=mode,
+            ).run()
+            assert result.verdict == "completed"
+            assert result.stats.stored_bytes > 0
+
+
+class TestStructuralSize:
+    @given(value=sized_values)
+    @settings(max_examples=300, deadline=None)
+    def test_size_equals_encoded_length(self, value):
+        assert encoded_size(value) == len(encode_record(value))
+
+    def test_bool_is_not_sized_as_int(self):
+        assert encoded_size((True, 1)) == len(encode_record((True, 1)))
+        assert encoded_size(True) != encoded_size(1)
+
+    def test_unencodable_type_rejected(self):
+        with pytest.raises(StorageError):
+            encoded_size(([1, 2],))
+
+    @pytest.mark.parametrize(
+        "clock, parent_clock",
+        [
+            ((1, 0), (0, 0)),
+            ((127,) * 130, (126,) * 130),  # indices past 127
+            ((128, 3), (127, 3)),  # two-byte component
+            ((2**70, -1, 5), (2**70, 0, 4)),  # off the fast path
+            ((True, 1), (1, 1)),  # bool component, == its parent
+        ],
+    )
+    def test_checkpoint_sizes_equal_both_record_lengths(
+        self, clock, parent_clock
+    ):
+        cursors = {(0, 1, "p2p"): (3, 2)}
+        parent = make_checkpoint(
+            {"x": 1, "y": "é" * 70}, clock=parent_clock, cursors=cursors,
+            inputs={"in": 1},
+        )
+        child = make_checkpoint(
+            {"x": True, "y": "é" * 70, "z": 2**2040}, number=2,
+            clock=clock, cursors={**cursors, (1, 0, "p2p"): (1, 1)},
+            inputs={"in": 2},
+        )
+        assert delta_encodable(child, parent)
+        assert checkpoint_sizes(child, parent) == (
+            len(encode_record(checkpoint_record(child))),
+            len(encode_record(delta_record(child, parent))),
+        )
+        assert checkpoint_sizes(child) == (
+            len(encode_record(checkpoint_record(child))), None
+        )
 
 
 class TestDeltaAlgebra:

@@ -26,8 +26,9 @@ is a diagnosis, not a boolean.
 
 Two absolute (machine-independent) checks ride along: every required
 engine case must keep the compiled backend at least as fast as the
-reference stack, and every checkpoint-payload case must keep the
-minimized wire bytes at or below the full-content bytes.
+reference stack, and every checkpoint-payload case must reproduce the
+committed byte counts exactly, keep the minimized wire bytes at or
+below the full-content bytes, and meet its documented reduction floor.
 
 Run from the repository root::
 
@@ -84,34 +85,67 @@ def check_compiled_floor(report) -> list[str]:
     return problems
 
 
-def check_payload_floor(report) -> list[str]:
-    """Assert minimized checkpoint payloads never exceed full payloads.
+#: Payload cases with a documented minimum byte reduction
+#: (``docs/architecture.md``, *Checkpoint content*).
+REQUIRED_PAYLOAD_REDUCTION = {"stencil_halo_n8": 2.0}
 
-    The byte counts are exact (canonical encoder output, not timings),
-    so this bound is absolute: ``pruned+delta`` content that grew past
-    the full snapshot means the minimization itself regressed, no
-    matter what the committed baseline ratios say. ``identical`` is
-    also pinned here so an invalid row fails even when the baseline
-    diff is noisy.
+
+def check_payload_floor(report, baseline_path: Path) -> list[str]:
+    """Pin the checkpoint payload byte counts, exactly.
+
+    The byte counts are exact (sizes of the canonical encoding, not
+    timings), so every bound here is absolute: the fresh counts must
+    *equal* the committed ones (any drift is a wire-format or sizer
+    change and needs a regenerated baseline), ``pruned+delta`` content
+    must never exceed the full snapshot, and the documented reduction
+    floors must hold. ``identical`` is also pinned here so an invalid
+    row fails even when the baseline diff is noisy.
     """
-    problems = []
-    for case in report.cases:
-        full = case.extra.get("full_payload_bytes")
-        minimized = case.extra.get("minimized_payload_bytes")
+    committed = {}
+    if baseline_path.exists():  # check_report names a missing baseline
+        committed = {
+            case["name"]: case
+            for case in json.loads(baseline_path.read_text())["cases"]
+        }
+    fresh = {case.name: case for case in report.cases}
+    problems = [
+        f"{report.benchmark}/{name}: case missing from the fresh report"
+        for name in REQUIRED_PAYLOAD_REDUCTION.keys() - fresh.keys()
+    ]
+    for name, case in fresh.items():
+        where = f"{report.benchmark}/{name}"
+        sizes = {
+            key: case.extra.get(key)
+            for key in ("full_payload_bytes", "minimized_payload_bytes")
+        }
+        full, minimized = sizes.values()
         if full is None or minimized is None:
             problems.append(
-                f"{report.benchmark}/{case.name}: missing payload byte "
-                "counts in the fresh report"
+                f"{where}: missing payload byte counts in the fresh report"
             )
-        elif minimized > full:
+            continue
+        for key, size in sizes.items():
+            before = committed.get(name, {}).get(key)
+            if size != before:
+                problems.append(
+                    f"{where}: {key} is {size}, committed {before} — "
+                    "wire format or sizer changed"
+                )
+        if minimized > full:
             problems.append(
-                f"{report.benchmark}/{case.name}: minimized payload "
-                f"({minimized}B) exceeds full payload ({full}B)"
+                f"{where}: minimized payload ({minimized}B) exceeds full "
+                f"payload ({full}B)"
+            )
+        floor = REQUIRED_PAYLOAD_REDUCTION.get(name, 0.0)
+        if full < floor * minimized:
+            problems.append(
+                f"{where}: payload reduction {full / minimized:.3f}x is "
+                f"below the documented {floor}x"
             )
         if not case.identical:
             problems.append(
-                f"{report.benchmark}/{case.name}: content modes "
-                "diverged — minimization changed behaviour"
+                f"{where}: content modes diverged, or reported sizes "
+                "differ from the encoded payloads"
             )
     return problems
 
@@ -190,7 +224,9 @@ def main(argv: list[str] | None = None) -> int:
     problems += check_report(
         checkpoint, baseline_dir / "BENCH_checkpoint.json"
     )
-    problems += check_payload_floor(checkpoint)
+    problems += check_payload_floor(
+        checkpoint, baseline_dir / "BENCH_checkpoint.json"
+    )
     transform = transform_hotpath_report()
     print()
     print(format_transform_hotpath(transform))
