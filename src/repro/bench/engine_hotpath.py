@@ -8,9 +8,9 @@ scheduler driving the closure-compiled backend
 (``backend="compiled"``) — asserts the runs are identical down to the
 trace (vector clocks included), and records best-of-N wall times. The
 reference side walks AST nodes per statement and scans every process
-per step; the optimized side executes pre-bound closures over slotted
-frames under an event-heap scheduler, so the gap compounds across both
-layers.
+per step; the optimized side executes one shared closure table over
+slotted frames under an event-heap scheduler, so the gap compounds
+across both layers.
 
 The garbage collector is disabled around each timed region (standard
 microbenchmark practice, applied to both sides): collection pauses
@@ -102,10 +102,10 @@ def engine_hotpath_report(repeats: int = 4) -> BenchReport:
 
     The program AST is built once per case and cloned per run so both
     stacks execute byte-identical inputs (node ids come from a
-    process-global counter; parsing twice would differ). The optimized
-    side is warmed once before timing so one-time compilation cost
-    stays out of the measured region — mirroring real use, where a
-    campaign compiles once and simulates many times.
+    process-global counter; parsing twice would differ). Only
+    ``sim.run()`` is timed: lowering and per-rank binding happen in
+    ``Simulation(...)``, which every campaign cell pays — that cost is
+    measured by ``bench/``'s ``runtime.engine.construct_s``, not here.
     """
     cases: list[BenchCase] = []
     for case in ENGINE_CASES:

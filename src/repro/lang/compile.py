@@ -1,22 +1,29 @@
-"""Compile MiniMP ASTs to pre-bound closure programs.
+"""Compile MiniMP ASTs to one shared closure program per ``(program, n)``.
 
 The reference :class:`~repro.runtime.interpreter.ProcessInterpreter`
 walks AST nodes on every step: each statement pays an ``isinstance``
 dispatch chain, each expression node a recursive ``_eval`` call, and
 each snapshot a frame-by-frame copy of the control stack. This module
 lowers a validated program once into a flat *register program* — a list
-of pre-bound Python closures indexed by a program counter — and executes
-that instead:
+of Python closures indexed by a program counter — that every rank
+executes. The system model is SPMD (one text, ``n`` processes that
+differ only through ``myrank``), so the table is built once per
+``(program, n)`` and each closure takes the process as its argument
+(``code[pc](proc)``); binding a rank allocates its state and nothing
+else:
 
 - **Slotted frames.** Variables live in a flat register list indexed by
   a per-program symbol table instead of a dict environment. A separate
   first-binding order list reproduces the reference interpreter's dict
   insertion order exactly, so ``env`` (and every JSON artifact derived
   from it) is byte-identical.
-- **Pre-resolved builtins and endpoints.** Builtin functions are looked
-  up at bind time; ``myrank``/``nprocs`` are constant-folded per rank,
-  so rank arithmetic (neighbour computation, root tests) disappears at
-  bind time and statically-known effects are allocated once and reused.
+- **Three-valued expressions.** Every expression lowers to a
+  *constant*, a *rank-pure* value (built only from ``myrank``,
+  ``nprocs``, constants and pure builtins: one rank-indexed vector on
+  the program) or a *dynamic* closure. Neighbour endpoints and
+  ``myrank % 2 == 0`` branch targets are vector lookups, and effects
+  that depend on nothing but the rank are allocated at most once per
+  rank and reused; rank-independent effects are shared by all ranks.
 - **Flattened control flow.** ``if``/``while``/``for`` become jump
   targets; loop bookkeeping is a small stack of counters, not frames.
 - **Snapshot templates.** Every effectful instruction carries the exact
@@ -33,14 +40,18 @@ references), same error messages at the same execution points, same
 evaluation order (``input()`` streams included), same snapshots — which
 is enforced by ``tests/runtime/test_backend_differential.py``.
 
-Bind-time errors never replace run-time errors: folding is attempted
-opportunistically and abandoned on any failure (division by zero,
-out-of-range constant endpoint, unknown builtin), leaving a closure
-that raises the reference interpreter's exact error when — and only
-when — the statement actually executes.
+Lowering-time errors never replace run-time errors: folding is
+attempted opportunistically, and an operand whose fold fails for *any*
+rank (division by zero, unknown builtin) is demoted to a dynamic
+closure that raises the reference interpreter's exact error when — and
+only when — that rank actually executes the statement. Endpoint ranges
+are checked at the same point for the same reason.
 """
 
 from __future__ import annotations
+
+import operator
+from itertools import repeat
 
 from repro.errors import SimulationError
 from repro.lang import ast_nodes as ast
@@ -61,7 +72,8 @@ from repro.runtime.interpreter import FrameState, ProcessSnapshot
 #: compiled-program behaviour; cache keys (``campaign/cache.py``)
 #: incorporate it so stale transforms can't be served across compiler
 #: changes. 2: per-checkpoint register masks for pruned snapshots.
-COMPILER_VERSION = 2
+#: 3: one instruction table per (program, n), rank-pure operand vectors.
+COMPILER_VERSION = 3
 
 #: Register value marking a never-bound variable slot.
 _UNBOUND = object()
@@ -71,6 +83,29 @@ _UNBOUND = object()
 _NO_STAGE = object()
 
 _EMPTY_TMPL: tuple = ()
+
+# What a lowered expression is: (_CONST, value), (_RANK, vector indexed
+# by rank) or (_DYN, closure taking the process).
+_CONST, _RANK, _DYN = "const", "rank", "dyn"
+
+#: The pure function behind every binary operator (division by zero
+#: raises ``ZeroDivisionError``: a failed fold, never a wrong value).
+_BINOPS = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": operator.floordiv,
+    "//": operator.floordiv,
+    "%": operator.mod,
+    "==": lambda left, right: int(left == right),
+    "!=": lambda left, right: int(left != right),
+    "<": lambda left, right: int(left < right),
+    "<=": lambda left, right: int(left <= right),
+    ">": lambda left, right: int(left > right),
+    ">=": lambda left, right: int(left >= right),
+    "and": lambda left, right: right if left != 0 else 0,
+    "or": lambda left, right: left if left != 0 else right,
+}
 
 
 def _tmpl_key(tmpl: tuple) -> tuple:
@@ -103,19 +138,52 @@ def _frames_key(frames: tuple) -> tuple:
     return tuple(parts)
 
 
-_EFFECT_STMTS = (
-    ast.Assign, ast.Pass, ast.Compute, ast.Send, ast.Recv, ast.Bcast,
-    ast.Checkpoint,
-)
+def _raiser(message: str):
+    """A closure (of any arity) that raises *message* when executed."""
+
+    def raise_error(*_args):
+        raise SimulationError(message)
+
+    return raise_error
+
+
+def _thunk(kind: str, payload):
+    """A lowered expression as a callable taking the process."""
+    if kind is _DYN:
+        return payload
+    if kind is _RANK:
+        return lambda proc: payload[proc.rank]
+    return lambda proc: payload
+
+
+def _fold(pure, parts: list):
+    """Fold *pure* over lowered operands, if that is provably safe.
+
+    A constant when every operand is one, a rank-indexed vector when
+    the rest are rank-pure, ``None`` when an operand is dynamic or the
+    fold raises for any rank — the expression then evaluates (and
+    fails) at run time, exactly where the reference interpreter would.
+    """
+    kinds = {kind for kind, _ in parts}
+    if _DYN in kinds:
+        return None
+    try:
+        if _RANK not in kinds:
+            return _CONST, pure(*[payload for _, payload in parts])
+        return _RANK, list(map(pure, *[
+            payload if kind is _RANK else repeat(payload)
+            for kind, payload in parts
+        ]))
+    except Exception:  # a builtin may raise anything (arity, min())
+        return None
 
 
 class CompiledProgram:
-    """The rank-independent lowering of one program.
+    """The lowering of one program for ``n`` processes.
 
-    Holds the flat instruction descriptors (with jump targets resolved
-    and jump chains threaded away), the symbol table, the per-effect
-    snapshot templates, and the restore table. :meth:`bind` specialises
-    it into a :class:`CompiledProcess` for one rank.
+    Holds the executable instruction table ``code`` (shared by every
+    rank), the symbol table, the per-effect snapshot templates, and the
+    restore table. :meth:`bind` allocates one rank's state over it.
     """
 
     def __init__(self, program: ast.Program, n_processes: int) -> None:
@@ -137,6 +205,8 @@ class CompiledProgram:
         # Static frame key -> (resume pc, template).
         self._restore: dict[tuple, tuple[int, tuple]] = {}
         self.init_tmpl = (("block", program.body, 0),)
+        # The value of ``myrank``, as a rank-pure vector.
+        self._ranks = list(range(n_processes))
 
         for node in ast.walk(program):
             node_type = type(node)
@@ -154,6 +224,9 @@ class CompiledProgram:
             self.entry_pc, self.init_tmpl
         )
         self._restore[()] = (-1, _EMPTY_TMPL)
+        # code[pc](proc) returns the next pc (an int: control flow) or
+        # the (resume pc, effect, snapshot template) of one statement.
+        self.code = [self._instruction(desc) for desc in self._descs]
         # Checkpoint statement node_id -> register slots provably dead
         # there (installed by configure_pruning; empty = prune nothing).
         self.checkpoint_dead_slots: dict[int, frozenset[int]] = {}
@@ -205,7 +278,7 @@ snapshot_pruned` zeroes by slot without per-capture name lookups.
             "restore_keys": len(self._restore),
         }
 
-    # -- lowering --------------------------------------------------------------
+    # -- control-flow lowering ---------------------------------------------------
 
     def _emit(self, desc: list) -> int:
         self._descs.append(desc)
@@ -289,6 +362,347 @@ snapshot_pruned` zeroes by slot without per-capture name lookups.
             elif kind == "fenter":
                 desc[2] = self._thread(pc + 1)
 
+    # -- expression lowering ------------------------------------------------------
+    #
+    # _lower_expr returns (kind, payload). Folding is opportunistic:
+    # anything that cannot be proven to evaluate without error on every
+    # rank (or that has input() side effects) stays a closure, so
+    # run-time errors fire exactly where the reference interpreter's
+    # would.
+
+    def _lower_expr(self, expr):
+        expr_type = type(expr)
+        if expr_type is ast.Const:
+            return _CONST, expr.value
+        if expr_type is ast.MyRank:
+            return _RANK, self._ranks
+        if expr_type is ast.NProcs:
+            return _CONST, self.nprocs
+        if expr_type is ast.Name:
+            slot, ident, line = self.symtab[expr.ident], expr.ident, expr.line
+
+            def read_name(proc):
+                value = proc._regs[slot]
+                if value is _UNBOUND:
+                    raise SimulationError(
+                        f"P{proc.rank}: unbound variable {ident!r} "
+                        f"at line {line}"
+                    )
+                return value
+
+            return _DYN, read_name
+        if expr_type is ast.InputData:
+            label = expr.label
+            return _DYN, lambda proc: proc.inputs.value(label, proc.rank)
+        if expr_type is ast.UnaryOp:
+            # The reference interpreter treats every non-"-" unary op as
+            # logical not; mirror that exactly.
+            pure = operator.neg if expr.op == "-" \
+                else lambda value: int(not value)
+            part = self._lower_expr(expr.operand)
+            folded = _fold(pure, [part])
+            if folded is not None:
+                return folded
+            operand = _thunk(*part)
+            return _DYN, lambda proc: pure(operand(proc))
+        if expr_type is ast.Call:
+            return self._lower_call(expr)
+        if expr_type is ast.BinOp:
+            return self._lower_binop(expr)
+        # Unknown expression node: the reference raises only when the
+        # expression is actually evaluated.
+        return _DYN, _raiser(f"unknown expression {expr!r}")
+
+    def _lower_call(self, expr: ast.Call):
+        parts = [self._lower_expr(arg) for arg in expr.args]
+        func = BUILTINS.get(expr.func)
+        if func is not None:
+            folded = _fold(lambda *args: int(func(*args)), parts)
+            if folded is not None:
+                return folded
+        thunks = [_thunk(*part) for part in parts]
+        if func is None:
+            # Unknown builtin: args still evaluate first (input() side
+            # effects), then call_builtin raises the reference error.
+            name = expr.func
+            return _DYN, lambda proc: call_builtin(
+                name, [thunk(proc) for thunk in thunks]
+            )
+        if len(thunks) == 1:
+            arg0 = thunks[0]
+            return _DYN, lambda proc: int(func(arg0(proc)))
+        if len(thunks) == 2:
+            arg0, arg1 = thunks
+            return _DYN, lambda proc: int(func(arg0(proc), arg1(proc)))
+        return _DYN, lambda proc: int(
+            func(*[thunk(proc) for thunk in thunks])
+        )
+
+    def _lower_binop(self, expr: ast.BinOp):
+        op = expr.op
+        left = self._lower_expr(expr.left)
+        if left[0] is _CONST and op in ("and", "or"):
+            # Constant left: the expression either IS the right side or
+            # never evaluates it.
+            if op == "and":
+                return self._lower_expr(expr.right) if left[1] != 0 \
+                    else (_CONST, 0)
+            return left if left[1] != 0 else self._lower_expr(expr.right)
+        right = self._lower_expr(expr.right)
+        # An unknown operator raises like the reference: after both
+        # operands were evaluated.
+        pure = _BINOPS.get(op) or _raiser(f"unknown operator {op!r}")
+        folded = _fold(pure, [left, right])
+        if folded is not None:
+            return folded
+        left_fn, right_fn = _thunk(*left), _thunk(*right)
+        if op == "and":
+            return _DYN, lambda proc: \
+                right_fn(proc) if left_fn(proc) != 0 else 0
+        if op == "or":
+
+            def lazy_or(proc):
+                value = left_fn(proc)
+                return value if value != 0 else right_fn(proc)
+
+            return _DYN, lazy_or
+        if op in ("/", "//", "%"):
+            what = "modulo" if op == "%" else "division"
+            line = expr.line
+
+            def checked(proc):
+                dividend, divisor = left_fn(proc), right_fn(proc)
+                if divisor == 0:
+                    raise SimulationError(
+                        f"P{proc.rank}: {what} by zero at line {line}"
+                    )
+                return pure(dividend, divisor)
+
+            return _DYN, checked
+        return _DYN, lambda proc: pure(left_fn(proc), right_fn(proc))
+
+    # -- instruction lowering ------------------------------------------------------
+
+    def _instruction(self, desc: list):
+        """The closure executing one resolved descriptor."""
+        kind = desc[0]
+        if kind == "eff":
+            return self._lower_effect(desc[1], desc[2], desc[3])
+        if kind == "branch":
+            part = self._lower_expr(desc[1])
+            then_pc, else_pc = desc[2], desc[3]
+            # A constant or rank-pure condition folds to its target pc.
+            target = _fold(
+                lambda value: then_pc if value != 0 else else_pc, [part]
+            )
+            if target is not None:
+                return _thunk(*target)
+            cond = part[1]
+            return lambda proc: then_pc if cond(proc) != 0 else else_pc
+        if kind == "jump":
+            # Unreachable after threading; a guard, not a hot path.
+            return _raiser("jump instruction executed")
+        if kind == "wenter":
+            next_pc = desc[1]
+
+            def while_enter(proc):
+                proc._loops.append([0])
+                return next_pc
+
+            return while_enter
+        if kind == "whead":
+            cond = _thunk(*self._lower_expr(desc[1].cond))
+            body_pc, exit_pc = desc[2], desc[3]
+
+            def while_head(proc):
+                if cond(proc) != 0:
+                    proc._loops[-1][0] += 1
+                    return body_pc
+                proc._loops.pop()
+                return exit_pc
+
+            return while_head
+        if kind == "fenter":
+            count = _thunk(*self._lower_expr(desc[1].count))
+            next_pc = desc[2]
+
+            def for_enter(proc):
+                value = count(proc)
+                proc._loops.append([value if value > 0 else 0, 0])
+                return next_pc
+
+            return for_enter
+        if kind == "fhead":
+            slot = self.symtab[desc[1].var]
+            body_pc, exit_pc = desc[2], desc[3]
+
+            def for_head(proc):
+                top = proc._loops[-1]
+                remaining = top[0]
+                if remaining > 0:
+                    trip = top[1]
+                    regs = proc._regs
+                    if regs[slot] is _UNBOUND:
+                        proc._order.append(slot)
+                    regs[slot] = trip
+                    top[0] = remaining - 1
+                    top[1] = trip + 1
+                    return body_pc
+                proc._loops.pop()
+                return exit_pc
+
+            return for_head
+        raise SimulationError(f"unknown instruction {kind!r}")
+
+    def _per_rank(self, make, static: bool):
+        """*make(proc)*, evaluated at most once per rank when *static*.
+
+        A result that depends on nothing but the rank is memoised in a
+        rank-indexed vector on the program, filled when a rank first
+        executes the statement — so *make*'s range error still fires
+        at that execution point and a rank that never gets there
+        allocates nothing.
+        """
+        if not static:
+            return make
+        memo = [None] * self.nprocs
+
+        def cached(proc):
+            result = memo[proc.rank]
+            if result is None:
+                result = memo[proc.rank] = make(proc)
+            return result
+
+        return cached
+
+    def _endpoint(self, expr, line: int):
+        """``(is_static, closure)`` for a send/recv/bcast endpoint.
+
+        The closure evaluates the endpoint and range-checks it the way
+        the reference does — when the statement executes.
+        """
+        kind, payload = self._lower_expr(expr)
+        value, nprocs = _thunk(kind, payload), self.nprocs
+
+        def endpoint(proc):
+            rank = value(proc)
+            if not 0 <= rank < nprocs:
+                raise SimulationError(
+                    f"P{proc.rank}: endpoint rank {rank} out of range "
+                    f"[0, {nprocs}) at line {line}"
+                )
+            return rank
+
+        return kind is not _DYN, endpoint
+
+    def _lower_effect(self, stmt, tmpl: tuple, cont: int):
+        stmt_type = type(stmt)
+        if stmt_type is ast.Assign:
+            slot = self.symtab[stmt.target]
+            value = _thunk(*self._lower_expr(stmt.value))
+            done = (cont, LocalEffect(description=stmt.target), tmpl)
+
+            def assign(proc):
+                result = value(proc)
+                regs = proc._regs
+                if regs[slot] is _UNBOUND:
+                    proc._order.append(slot)
+                regs[slot] = result
+                return done
+
+            return assign
+        if stmt_type is ast.Pass:
+            done = (cont, LocalEffect(description="pass"), tmpl)
+            return lambda proc: done
+        if stmt_type is ast.Compute:
+            kind, cost = self._lower_expr(stmt.cost)
+            if kind is _CONST:
+                done = (cont, ComputeEffect(cost=float(cost)), tmpl)
+                return lambda proc: done
+            cost = _thunk(kind, cost)
+            return self._per_rank(
+                lambda proc: (
+                    cont, ComputeEffect(cost=float(cost(proc))), tmpl
+                ),
+                kind is _RANK,
+            )
+        if stmt_type is ast.Send:
+            # Evaluate the destination, range-check it, THEN evaluate
+            # the value — the reference order, observable via input().
+            dest_static, dest = self._endpoint(stmt.dest, stmt.line)
+            value_kind, value = self._lower_expr(stmt.value)
+            value = _thunk(value_kind, value)
+            return self._per_rank(
+                lambda proc: (
+                    cont,
+                    SendEffect(dest=dest(proc), value=value(proc), stmt=stmt),
+                    tmpl,
+                ),
+                dest_static and value_kind is not _DYN,
+            )
+        if stmt_type is ast.Recv:
+            source_static, source = self._endpoint(stmt.source, stmt.line)
+            target = stmt.target
+            pending = (self.symtab[target], target)
+            done_for = self._per_rank(
+                lambda proc: (
+                    cont,
+                    RecvEffect(source=source(proc), target=target, stmt=stmt),
+                    tmpl,
+                ),
+                source_static,
+            )
+
+            def recv(proc):
+                done = done_for(proc)
+                proc._pending = pending
+                return done
+
+            return recv
+        if stmt_type is ast.Bcast:
+            return self._lower_bcast(stmt, tmpl, cont)
+        if stmt_type is ast.Checkpoint:
+            done = (cont, CheckpointEffect(stmt=stmt), tmpl)
+
+            def checkpoint(proc):
+                proc.checkpoint_count += 1
+                return done
+
+            return checkpoint
+        return _raiser(f"unknown statement {stmt!r}")
+
+    def _lower_bcast(self, stmt: ast.Bcast, tmpl: tuple, cont: int):
+        root_static, root = self._endpoint(stmt.root, stmt.line)
+        value = _thunk(*self._lower_expr(stmt.value))
+        target = stmt.target
+        slot = self.symtab[target]
+        pending = (slot, target)
+        # A non-root rank's effect depends on the root alone.
+        leaves = [None] * self.nprocs if root_static else None
+
+        def bcast(proc):
+            origin = root(proc)
+            if origin == proc.rank:
+                result = value(proc)
+                regs = proc._regs
+                if regs[slot] is _UNBOUND:
+                    proc._order.append(slot)
+                regs[slot] = result
+                return (cont, BcastSendEffect(value=result, stmt=stmt), tmpl)
+            proc._pending = pending
+            done = None if leaves is None else leaves[proc.rank]
+            if done is None:
+                done = (
+                    cont,
+                    BcastRecvEffect(root=origin, target=target, stmt=stmt),
+                    tmpl,
+                )
+                if leaves is not None:
+                    leaves[proc.rank] = done
+            return done
+
+        return bcast
+
     # -- binding ---------------------------------------------------------------
 
     def bind(
@@ -297,7 +711,12 @@ snapshot_pruned` zeroes by slot without per-capture name lookups.
         params: dict[str, int] | None = None,
         inputs: InputProvider | None = None,
     ) -> "CompiledProcess":
-        """Specialise this program for one rank."""
+        """Allocate one rank's state over the shared instruction table."""
+        if params and not params.keys() <= self.symtab.keys():
+            # A parameter the program never mentions still belongs to
+            # ``env``: the first rank to bind registers its slot.
+            for name in params:
+                self.ensure_slot(name)
         return CompiledProcess(self, rank, params=params, inputs=inputs)
 
 
@@ -307,14 +726,22 @@ def compile_program(program: ast.Program, n_processes: int) -> CompiledProgram:
 
 
 class CompiledProcess:
-    """One rank's pre-bound closure program.
+    """One rank's state over a :class:`CompiledProgram`.
 
     Drop-in replacement for
     :class:`~repro.runtime.interpreter.ProcessInterpreter`: same driving
     protocol (``step``/``deliver``), same snapshot/restore contract,
     same attribute surface (``env``, ``checkpoint_count``, ``finished``,
-    ``awaiting_delivery``), bit-identical behaviour.
+    ``awaiting_delivery``), bit-identical behaviour. It owns a register
+    file, the first-binding order and a loop stack; the code it runs
+    belongs to the program and takes this object as its argument.
     """
+
+    __slots__ = (
+        "compiled", "program", "rank", "nprocs", "inputs",
+        "checkpoint_count", "_regs", "_order", "_loops", "_pending",
+        "_staged", "_pc", "_tmpl", "_code",
+    )
 
     def __init__(
         self,
@@ -334,10 +761,6 @@ class CompiledProcess:
         self.nprocs = nprocs
         self.inputs = inputs if inputs is not None else InputProvider()
         self.checkpoint_count = 0
-        for name in (params or {}):
-            compiled.ensure_slot(name)
-        self._names = compiled.names
-        self._symtab = compiled.symtab
         self._regs: list = [_UNBOUND] * len(compiled.names)
         self._order: list[int] = []
         for name, value in (params or {}).items():
@@ -349,14 +772,14 @@ class CompiledProcess:
         self._staged = _NO_STAGE
         self._pc = compiled.entry_pc
         self._tmpl = compiled.init_tmpl
-        self._code = self._build_code()
+        self._code = compiled.code
 
     # -- state queries --------------------------------------------------------
 
     @property
     def env(self) -> dict[str, int]:
         """The variable environment, in reference insertion order."""
-        names = self._names
+        names = self.compiled.names
         regs = self._regs
         return {names[slot]: regs[slot] for slot in self._order}
 
@@ -401,19 +824,16 @@ class CompiledProcess:
                 frames.append(
                     FrameState("for", None, 0, entry[1], remaining, trip)
                 )
-        pending = self._pending
-        names = self._names
-        regs = self._regs
         # Built through __dict__ (see the engine's trace events): one
         # snapshot per checkpoint, and the generated frozen __init__
         # costs ~3x this path.
         snap = ProcessSnapshot.__new__(ProcessSnapshot)
         snap.__dict__.update(
-            env={names[slot]: regs[slot] for slot in self._order},
+            env=self.env,
             frames=tuple(frames),
             checkpoint_count=self.checkpoint_count,
             input_counters=self.inputs.snapshot(self.rank),
-            pending_recv=None if pending is None else pending[1],
+            pending_recv=self.pending_recv,
         )
         return snap
 
@@ -435,7 +855,7 @@ class CompiledProcess:
         mask = self.compiled.checkpoint_dead_slots.get(stmt_id)
         snap = self.snapshot()
         if mask:
-            names = self._names
+            names = self.compiled.names
             regs = self._regs
             snap.__dict__["env"] = {
                 names[slot]: (0 if slot in mask else regs[slot])
@@ -457,7 +877,7 @@ class CompiledProcess:
             regs[slot] = _UNBOUND
         order = self._order
         order.clear()
-        symtab = self._symtab
+        symtab = self.compiled.symtab
         for name, value in snap.env.items():
             slot = symtab.get(name)
             if slot is None:
@@ -475,7 +895,7 @@ class CompiledProcess:
             elif frame.kind == "for":
                 loops.append([frame.remaining, frame.trip])
         self.checkpoint_count = snap.checkpoint_count
-        self.inputs.restore(self.rank, dict(snap.input_counters))
+        self.inputs.restore(self.rank, snap.input_counters)
         name = snap.pending_recv
         self._pending = None if name is None else (symtab[name], name)
         self._staged = _NO_STAGE
@@ -507,7 +927,7 @@ class CompiledProcess:
             return None
         code = self._code
         while True:
-            result = code[pc]()
+            result = code[pc](self)
             if result.__class__ is int:
                 pc = result
                 if pc < 0:
@@ -538,7 +958,7 @@ class CompiledProcess:
             return False
         code = self._code
         while True:
-            result = code[pc]()
+            result = code[pc](self)
             if result.__class__ is int:
                 pc = result
                 if pc < 0:
@@ -567,558 +987,3 @@ class CompiledProcess:
             self._order.append(slot)
         regs[slot] = value
         self._pending = None
-
-    # -- expression compilation -------------------------------------------------
-    #
-    # _compile_expr returns (is_const, value_or_closure). Folding is
-    # opportunistic: anything that cannot be proven to evaluate without
-    # error (or that has input() side effects) stays a closure, so
-    # run-time errors fire exactly where the reference interpreter's
-    # would.
-
-    def _thunk(self, const: bool, value):
-        """A zero-argument callable for a compiled expression."""
-        if not const:
-            return value
-        return lambda: value
-
-    def _compile_expr(self, expr):
-        expr_type = type(expr)
-        if expr_type is ast.Const:
-            return True, expr.value
-        if expr_type is ast.MyRank:
-            return True, self.rank
-        if expr_type is ast.NProcs:
-            return True, self.nprocs
-        if expr_type is ast.Name:
-            slot = self.compiled.ensure_slot(expr.ident)
-            if slot >= len(self._regs):
-                self._regs.extend(
-                    [_UNBOUND] * (len(self.compiled.names) - len(self._regs))
-                )
-            regs = self._regs
-            rank, ident, line = self.rank, expr.ident, expr.line
-
-            def read_name():
-                value = regs[slot]
-                if value is _UNBOUND:
-                    raise SimulationError(
-                        f"P{rank}: unbound variable {ident!r} at line {line}"
-                    )
-                return value
-
-            return False, read_name
-        if expr_type is ast.InputData:
-            inputs, label, rank = self.inputs, expr.label, self.rank
-            return False, lambda: inputs.value(label, rank)
-        if expr_type is ast.UnaryOp:
-            const, operand = self._compile_expr(expr.operand)
-            if expr.op == "-":
-                if const:
-                    return True, -operand
-                return False, lambda: -operand()
-            # The reference interpreter treats every non-"-" unary op as
-            # logical not; mirror that exactly.
-            if const:
-                return True, int(not operand)
-            return False, lambda: int(not operand())
-        if expr_type is ast.Call:
-            return self._compile_call(expr)
-        if expr_type is ast.BinOp:
-            return self._compile_binop(expr)
-        # Unknown expression node: the reference raises only when the
-        # expression is actually evaluated.
-        message = f"unknown expression {expr!r}"
-
-        def unknown_expr():
-            raise SimulationError(message)
-
-        return False, unknown_expr
-
-    def _compile_call(self, expr: ast.Call):
-        parts = [self._compile_expr(arg) for arg in expr.args]
-        func = BUILTINS.get(expr.func)
-        if func is not None and all(const for const, _ in parts):
-            try:
-                return True, int(func(*[value for _, value in parts]))
-            except Exception:
-                pass  # fold failed: evaluate (and fail) at run time
-        thunks = [self._thunk(const, value) for const, value in parts]
-        if func is None:
-            # Unknown builtin: args still evaluate first (input() side
-            # effects), then call_builtin raises the reference error.
-            name = expr.func
-
-            def unknown_builtin():
-                return call_builtin(name, [thunk() for thunk in thunks])
-
-            return False, unknown_builtin
-        if len(thunks) == 1:
-            arg0 = thunks[0]
-            return False, lambda: int(func(arg0()))
-        if len(thunks) == 2:
-            arg0, arg1 = thunks
-            return False, lambda: int(func(arg0(), arg1()))
-        return False, lambda: int(func(*[thunk() for thunk in thunks]))
-
-    def _compile_binop(self, expr: ast.BinOp):
-        op = expr.op
-        left_const, left = self._compile_expr(expr.left)
-        if op == "and":
-            if left_const:
-                # Constant truthy left: the expression IS the right
-                # side; constant falsy left: right never evaluates.
-                return self._compile_expr(expr.right) if left != 0 \
-                    else (True, 0)
-            right = self._thunk(*self._compile_expr(expr.right))
-            return False, lambda: right() if left() != 0 else 0
-        if op == "or":
-            if left_const:
-                return (True, left) if left != 0 \
-                    else self._compile_expr(expr.right)
-            right = self._thunk(*self._compile_expr(expr.right))
-
-            def lazy_or():
-                value = left()
-                return value if value != 0 else right()
-
-            return False, lazy_or
-        right_const, right = self._compile_expr(expr.right)
-        if left_const and right_const:
-            try:
-                return True, self._fold_binop(op, left, right, expr.line)
-            except SimulationError:
-                pass  # e.g. constant division by zero: raise at run time
-        left_fn = self._thunk(left_const, left)
-        right_fn = self._thunk(right_const, right)
-        if op == "+":
-            return False, lambda: left_fn() + right_fn()
-        if op == "-":
-            return False, lambda: left_fn() - right_fn()
-        if op == "*":
-            return False, lambda: left_fn() * right_fn()
-        if op in ("/", "//"):
-            rank, line = self.rank, expr.line
-
-            def divide():
-                divisor = right_fn()
-                if divisor == 0:
-                    raise SimulationError(
-                        f"P{rank}: division by zero at line {line}"
-                    )
-                return left_fn() // divisor
-
-            return False, divide
-        if op == "%":
-            rank, line = self.rank, expr.line
-
-            def modulo():
-                divisor = right_fn()
-                if divisor == 0:
-                    raise SimulationError(
-                        f"P{rank}: modulo by zero at line {line}"
-                    )
-                return left_fn() % divisor
-
-            return False, modulo
-        if op == "==":
-            return False, lambda: int(left_fn() == right_fn())
-        if op == "!=":
-            return False, lambda: int(left_fn() != right_fn())
-        if op == "<":
-            return False, lambda: int(left_fn() < right_fn())
-        if op == "<=":
-            return False, lambda: int(left_fn() <= right_fn())
-        if op == ">":
-            return False, lambda: int(left_fn() > right_fn())
-        if op == ">=":
-            return False, lambda: int(left_fn() >= right_fn())
-        message = f"unknown operator {op!r}"
-
-        def unknown_op():
-            raise SimulationError(message)
-
-        return False, unknown_op
-
-    def _fold_binop(self, op: str, left: int, right: int, line: int) -> int:
-        if op == "+":
-            return left + right
-        if op == "-":
-            return left - right
-        if op == "*":
-            return left * right
-        if op in ("/", "//"):
-            if right == 0:
-                raise SimulationError(
-                    f"P{self.rank}: division by zero at line {line}"
-                )
-            return left // right
-        if op == "%":
-            if right == 0:
-                raise SimulationError(
-                    f"P{self.rank}: modulo by zero at line {line}"
-                )
-            return left % right
-        if op == "==":
-            return int(left == right)
-        if op == "!=":
-            return int(left != right)
-        if op == "<":
-            return int(left < right)
-        if op == "<=":
-            return int(left <= right)
-        if op == ">":
-            return int(left > right)
-        if op == ">=":
-            return int(left >= right)
-        raise SimulationError(f"unknown operator {op!r}")
-
-    # -- instruction binding ----------------------------------------------------
-
-    def _raiser(self, message: str):
-        def raise_error():
-            raise SimulationError(message)
-
-        return raise_error
-
-    def _endpoint_error(self, value: int, line: int) -> str:
-        return (
-            f"P{self.rank}: endpoint rank {value} out of range "
-            f"[0, {self.nprocs}) at line {line}"
-        )
-
-    def _build_code(self) -> list:
-        code = []
-        for desc in self.compiled._descs:
-            kind = desc[0]
-            if kind == "eff":
-                code.append(self._bind_effect(desc[1], desc[2], desc[3]))
-            elif kind == "branch":
-                const, cond = self._compile_expr(desc[1])
-                then_pc, else_pc = desc[2], desc[3]
-                if const:
-                    target = then_pc if cond != 0 else else_pc
-                    code.append(lambda target=target: target)
-                else:
-                    code.append(
-                        lambda cond=cond, t=then_pc, e=else_pc:
-                            t if cond() != 0 else e
-                    )
-            elif kind == "jump":
-                # Unreachable after threading; a guard, not a hot path.
-                code.append(self._raiser("jump instruction executed"))
-            elif kind == "wenter":
-                loops, next_pc = self._loops, desc[1]
-
-                def while_enter(loops=loops, next_pc=next_pc):
-                    loops.append([0])
-                    return next_pc
-
-                code.append(while_enter)
-            elif kind == "whead":
-                code.append(self._bind_while_head(desc[1], desc[2], desc[3]))
-            elif kind == "fenter":
-                const, count = self._compile_expr(desc[1].count)
-                loops, next_pc = self._loops, desc[2]
-                if const:
-                    initial = count if count > 0 else 0
-
-                    def for_enter_const(
-                        loops=loops, initial=initial, next_pc=next_pc
-                    ):
-                        loops.append([initial, 0])
-                        return next_pc
-
-                    code.append(for_enter_const)
-                else:
-
-                    def for_enter(
-                        loops=loops, count=count, next_pc=next_pc
-                    ):
-                        value = count()
-                        loops.append([value if value > 0 else 0, 0])
-                        return next_pc
-
-                    code.append(for_enter)
-            elif kind == "fhead":
-                code.append(self._bind_for_head(desc[1], desc[2], desc[3]))
-            else:
-                raise SimulationError(f"unknown instruction {kind!r}")
-        return code
-
-    def _bind_while_head(self, stmt: ast.While, body_pc: int, exit_pc: int):
-        const, cond = self._compile_expr(stmt.cond)
-        loops = self._loops
-        if const:
-            if cond != 0:
-
-                def spin(loops=loops, body_pc=body_pc):
-                    loops[-1][0] += 1
-                    return body_pc
-
-                return spin
-
-            def exit_loop(loops=loops, exit_pc=exit_pc):
-                loops.pop()
-                return exit_pc
-
-            return exit_loop
-
-        def while_head(
-            loops=loops, cond=cond, body_pc=body_pc, exit_pc=exit_pc
-        ):
-            if cond() != 0:
-                loops[-1][0] += 1
-                return body_pc
-            loops.pop()
-            return exit_pc
-
-        return while_head
-
-    def _bind_for_head(self, stmt: ast.For, body_pc: int, exit_pc: int):
-        slot = self.compiled.ensure_slot(stmt.var)
-        loops, regs, order = self._loops, self._regs, self._order
-
-        def for_head(
-            loops=loops, regs=regs, order=order, slot=slot,
-            body_pc=body_pc, exit_pc=exit_pc,
-        ):
-            top = loops[-1]
-            remaining = top[0]
-            if remaining > 0:
-                trip = top[1]
-                if regs[slot] is _UNBOUND:
-                    order.append(slot)
-                regs[slot] = trip
-                top[0] = remaining - 1
-                top[1] = trip + 1
-                return body_pc
-            loops.pop()
-            return exit_pc
-
-        return for_head
-
-    def _bind_effect(self, stmt, tmpl: tuple, cont: int):
-        stmt_type = type(stmt)
-        regs, order = self._regs, self._order
-        if stmt_type is ast.Assign:
-            slot = self.compiled.ensure_slot(stmt.target)
-            const, value = self._compile_expr(stmt.value)
-            done = (cont, LocalEffect(description=stmt.target), tmpl)
-            if const:
-
-                def assign_const(
-                    regs=regs, order=order, slot=slot, value=value, done=done
-                ):
-                    if regs[slot] is _UNBOUND:
-                        order.append(slot)
-                    regs[slot] = value
-                    return done
-
-                return assign_const
-
-            def assign(
-                regs=regs, order=order, slot=slot, value=value, done=done
-            ):
-                result = value()
-                if regs[slot] is _UNBOUND:
-                    order.append(slot)
-                regs[slot] = result
-                return done
-
-            return assign
-        if stmt_type is ast.Pass:
-            done = (cont, LocalEffect(description="pass"), tmpl)
-            return lambda done=done: done
-        if stmt_type is ast.Compute:
-            const, cost = self._compile_expr(stmt.cost)
-            if const:
-                done = (cont, ComputeEffect(cost=float(cost)), tmpl)
-                return lambda done=done: done
-            return lambda cost=cost, cont=cont, tmpl=tmpl: (
-                cont, ComputeEffect(cost=float(cost())), tmpl
-            )
-        if stmt_type is ast.Send:
-            return self._bind_send(stmt, tmpl, cont)
-        if stmt_type is ast.Recv:
-            return self._bind_recv(stmt, tmpl, cont)
-        if stmt_type is ast.Bcast:
-            return self._bind_bcast(stmt, tmpl, cont)
-        if stmt_type is ast.Checkpoint:
-            done = (cont, CheckpointEffect(stmt=stmt), tmpl)
-
-            def checkpoint(proc=self, done=done):
-                proc.checkpoint_count += 1
-                return done
-
-            return checkpoint
-        return self._raiser(f"unknown statement {stmt!r}")
-
-    def _bind_send(self, stmt: ast.Send, tmpl: tuple, cont: int):
-        dest_const, dest = self._compile_expr(stmt.dest)
-        if dest_const and not 0 <= dest < self.nprocs:
-            return self._raiser(self._endpoint_error(dest, stmt.line))
-        value_const, value = self._compile_expr(stmt.value)
-        if dest_const:
-            if value_const:
-                done = (
-                    cont,
-                    SendEffect(dest=dest, value=value, stmt=stmt),
-                    tmpl,
-                )
-                return lambda done=done: done
-            return lambda dest=dest, value=value, stmt=stmt, \
-                cont=cont, tmpl=tmpl: (
-                    cont,
-                    SendEffect(dest=dest, value=value(), stmt=stmt),
-                    tmpl,
-                )
-        # Dynamic destination: evaluate, range-check, THEN evaluate the
-        # value — the reference order, observable through input().
-        value_fn = self._thunk(value_const, value)
-        nprocs, rank, line = self.nprocs, self.rank, stmt.line
-
-        def send(
-            dest=dest, value_fn=value_fn, stmt=stmt, cont=cont, tmpl=tmpl,
-            nprocs=nprocs, rank=rank, line=line,
-        ):
-            target = dest()
-            if not 0 <= target < nprocs:
-                raise SimulationError(
-                    f"P{rank}: endpoint rank {target} out of range "
-                    f"[0, {nprocs}) at line {line}"
-                )
-            return (
-                cont,
-                SendEffect(dest=target, value=value_fn(), stmt=stmt),
-                tmpl,
-            )
-
-        return send
-
-    def _bind_recv(self, stmt: ast.Recv, tmpl: tuple, cont: int):
-        source_const, source = self._compile_expr(stmt.source)
-        if source_const and not 0 <= source < self.nprocs:
-            return self._raiser(self._endpoint_error(source, stmt.line))
-        slot = self.compiled.ensure_slot(stmt.target)
-        pending = (slot, stmt.target)
-        if source_const:
-            done = (
-                cont,
-                RecvEffect(source=source, target=stmt.target, stmt=stmt),
-                tmpl,
-            )
-
-            def recv_const(proc=self, pending=pending, done=done):
-                proc._pending = pending
-                return done
-
-            return recv_const
-        nprocs, rank, line = self.nprocs, self.rank, stmt.line
-
-        def recv(
-            proc=self, source=source, pending=pending, stmt=stmt,
-            cont=cont, tmpl=tmpl, nprocs=nprocs, rank=rank, line=line,
-        ):
-            origin = source()
-            if not 0 <= origin < nprocs:
-                raise SimulationError(
-                    f"P{rank}: endpoint rank {origin} out of range "
-                    f"[0, {nprocs}) at line {line}"
-                )
-            proc._pending = pending
-            return (
-                cont,
-                RecvEffect(source=origin, target=stmt.target, stmt=stmt),
-                tmpl,
-            )
-
-        return recv
-
-    def _bind_bcast(self, stmt: ast.Bcast, tmpl: tuple, cont: int):
-        root_const, root = self._compile_expr(stmt.root)
-        if root_const and not 0 <= root < self.nprocs:
-            return self._raiser(self._endpoint_error(root, stmt.line))
-        slot = self.compiled.ensure_slot(stmt.target)
-        regs, order = self._regs, self._order
-        pending = (slot, stmt.target)
-        if root_const:
-            if root == self.rank:
-                value_const, value = self._compile_expr(stmt.value)
-                if value_const:
-                    done = (
-                        cont,
-                        BcastSendEffect(value=value, stmt=stmt),
-                        tmpl,
-                    )
-
-                    def bcast_root_const(
-                        regs=regs, order=order, slot=slot, value=value,
-                        done=done,
-                    ):
-                        if regs[slot] is _UNBOUND:
-                            order.append(slot)
-                        regs[slot] = value
-                        return done
-
-                    return bcast_root_const
-
-                def bcast_root(
-                    regs=regs, order=order, slot=slot, value=value,
-                    stmt=stmt, cont=cont, tmpl=tmpl,
-                ):
-                    result = value()
-                    if regs[slot] is _UNBOUND:
-                        order.append(slot)
-                    regs[slot] = result
-                    return (
-                        cont,
-                        BcastSendEffect(value=result, stmt=stmt),
-                        tmpl,
-                    )
-
-                return bcast_root
-            done = (
-                cont,
-                BcastRecvEffect(root=root, target=stmt.target, stmt=stmt),
-                tmpl,
-            )
-
-            def bcast_leaf(proc=self, pending=pending, done=done):
-                proc._pending = pending
-                return done
-
-            return bcast_leaf
-        value_const, value = self._compile_expr(stmt.value)
-        value_fn = self._thunk(value_const, value)
-        nprocs, rank, line = self.nprocs, self.rank, stmt.line
-
-        def bcast(
-            proc=self, root=root, value_fn=value_fn, regs=regs, order=order,
-            slot=slot, pending=pending, stmt=stmt, cont=cont, tmpl=tmpl,
-            nprocs=nprocs, rank=rank, line=line,
-        ):
-            origin = root()
-            if not 0 <= origin < nprocs:
-                raise SimulationError(
-                    f"P{rank}: endpoint rank {origin} out of range "
-                    f"[0, {nprocs}) at line {line}"
-                )
-            if origin == rank:
-                result = value_fn()
-                if regs[slot] is _UNBOUND:
-                    order.append(slot)
-                regs[slot] = result
-                return (
-                    cont,
-                    BcastSendEffect(value=result, stmt=stmt),
-                    tmpl,
-                )
-            proc._pending = pending
-            return (
-                cont,
-                BcastRecvEffect(root=origin, target=stmt.target, stmt=stmt),
-                tmpl,
-            )
-
-        return bcast

@@ -530,7 +530,9 @@ class Simulation:
         self._delta_payloads = "delta" in config.checkpoint_mode
         # For "compiled" this is where the program is lowered, once,
         # shared by every rank.
-        process_factory = make_backend(program, n_processes, config.backend)
+        process_factory, compiled = make_backend(
+            program, n_processes, config.backend
+        )
         self.backend = config.backend
         self._dead_sets: dict[int, frozenset[str]] = {}
         if self._prune_snapshots:
@@ -549,7 +551,6 @@ class Simulation:
             # The compiled backend keeps register masks on the shared
             # lowered program; the reference backend is configured
             # per-interpreter once ``self.procs`` exists below.
-            compiled = getattr(process_factory, "compiled", None)
             if compiled is not None:
                 compiled.configure_pruning(self._dead_sets)
         self.program = program
@@ -646,7 +647,7 @@ class Simulation:
         ]
         for proc in self.procs:
             proc.fast_local = getattr(proc.interp, "step_local", None)
-        if self._dead_sets and getattr(process_factory, "compiled", None) is None:
+        if self._dead_sets and compiled is None:
             # Reference backend: each interpreter holds its own copy of
             # the shared dead-set table (the compiled backend was
             # configured once on the shared program above).
@@ -662,7 +663,6 @@ class Simulation:
             observer.emit(
                 "engine", "backend", None, 0.0, backend=config.backend
             )
-            compiled = getattr(process_factory, "compiled", None)
             if compiled is not None:
                 observer.emit(
                     "span", "compile.lower", None, 0.0,

@@ -30,29 +30,26 @@ class InputProvider:
     interpreter state, so a restored process replays the same values it
     saw before the rollback only if the caller also restores the
     counters — :meth:`snapshot`/:meth:`restore` support exactly that.
+    Counters are keyed by rank first, so capturing or rewinding one
+    rank never visits another rank's labels.
     """
 
     seed: int = 0
-    _counters: dict[tuple[str, int], int] = field(default_factory=dict)
+    _counters: dict[int, dict[str, int]] = field(default_factory=dict)
 
     def value(self, label: str, rank: int) -> int:
         """Next input value for (label, rank); bounded to [0, 2^31)."""
-        key = (label, rank)
-        occurrence = self._counters.get(key, 0)
-        self._counters[key] = occurrence + 1
+        counters = self._counters.get(rank)
+        if counters is None:
+            counters = self._counters[rank] = {}
+        occurrence = counters.get(label, 0)
+        counters[label] = occurrence + 1
         return _mix(self.seed, hash(label) & _MASK, rank, occurrence)
 
     def snapshot(self, rank: int) -> dict[str, int]:
         """The occurrence counters of *rank* (for checkpointing)."""
-        return {
-            label: count
-            for (label, r), count in self._counters.items()
-            if r == rank
-        }
+        return dict(self._counters.get(rank, ()))
 
     def restore(self, rank: int, counters: dict[str, int]) -> None:
         """Reset *rank*'s counters to a snapshot (for rollback)."""
-        for key in [k for k in self._counters if k[1] == rank]:
-            del self._counters[key]
-        for label, count in counters.items():
-            self._counters[(label, rank)] = count
+        self._counters[rank] = dict(counters)

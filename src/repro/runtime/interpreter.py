@@ -17,8 +17,8 @@ This module is also the **backend seam**: :func:`make_backend` returns a
 per-rank process factory for either execution backend —
 
 - ``"compiled"`` (default): the closure/register machine from
-  :mod:`repro.lang.compile`, which lowers the program once and binds it
-  per rank;
+  :mod:`repro.lang.compile`, which lowers the program once per
+  ``(program, n)`` into one instruction table every rank executes;
 - ``"reference"``: this tree-walking interpreter, retained as a
   differential oracle (the same pattern PR 5 used for the scheduler).
 
@@ -30,7 +30,7 @@ enforces it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from repro.errors import SimulationError
 from repro.lang import ast_nodes as ast
@@ -46,6 +46,9 @@ from repro.runtime.effects import (
     SendEffect,
 )
 from repro.runtime.inputs import InputProvider
+
+if TYPE_CHECKING:
+    from repro.lang.compile import CompiledProgram
 
 
 @dataclass
@@ -395,12 +398,16 @@ ProcessFactory = Callable[
 
 def make_backend(
     program: ast.Program, n_processes: int, backend: str
-) -> ProcessFactory:
-    """Build a per-rank process factory for the chosen *backend*.
+) -> tuple[ProcessFactory, CompiledProgram | None]:
+    """Build the per-rank process factory of the chosen *backend*.
 
-    ``"compiled"`` lowers *program* once (shared across ranks) and binds
-    closures per rank; ``"reference"`` constructs the tree-walking
-    :class:`ProcessInterpreter`. Both factories expose the identical
+    Returns ``(factory, lowered)``. ``"compiled"`` lowers *program* once
+    into the instruction table all ranks share — *lowered*, the
+    :class:`~repro.lang.compile.CompiledProgram`, which callers reach
+    for pruning masks and lowering diagnostics — and its factory only
+    allocates a rank's registers over it; ``"reference"`` constructs the
+    tree-walking :class:`ProcessInterpreter` and has no lowered form
+    (``None``). Both factories expose the identical
     ``step``/``deliver``/``snapshot``/``restore`` surface. *backend* is
     one of :data:`BACKENDS` (validated by
     :class:`~repro.runtime.engine.RunConfig`).
@@ -411,18 +418,11 @@ def make_backend(
         from repro.lang.compile import compile_program
 
         compiled = compile_program(program, n_processes)
-
-        def make_compiled(rank, params=None, inputs=None):
-            return compiled.bind(rank, params=params, inputs=inputs)
-
-        # Exposed so callers (the engine's opt-in ``compile.lower``
-        # span, tests) can reach the shared lowering.
-        make_compiled.compiled = compiled
-        return make_compiled
+        return compiled.bind, compiled
 
     def make_reference(rank, params=None, inputs=None):
         return ProcessInterpreter(
             program, rank, n_processes, params=params, inputs=inputs
         )
 
-    return make_reference
+    return make_reference, None

@@ -1,0 +1,70 @@
+"""Allocation guard: binding a rank costs its state, not the program.
+
+The lowered program owns the one instruction table; ``bind(rank)``
+allocates a register file, a binding-order list and a loop stack. These
+tests count GC-tracked objects with the collector off — counts, not
+seconds, so they cannot flake — and pin that the per-rank cost neither
+depends on program length nor creeps back towards one closure per
+instruction per rank.
+"""
+
+import gc
+
+import pytest
+
+from repro.lang.compile import compile_program
+from repro.lang.parser import parse
+from repro.lang.programs import default_params, load_program
+from repro.runtime import Simulation
+from repro.runtime.inputs import InputProvider
+
+
+def tracked_objects_allocated_by(action) -> int:
+    """GC-tracked objects alive after *action()* that were not before."""
+    gc.collect()
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        result = action()
+        after = len(gc.get_objects())
+    finally:
+        gc.enable()
+    del result
+    return after - before
+
+
+def straight_line_program(statements: int):
+    body = "\n".join(
+        f"    v{i} = combine(v{max(i - 1, 0)}, myrank + {i})"
+        for i in range(1, statements)
+    )
+    return parse(f"program t():\n    v0 = init(myrank)\n{body}\n")
+
+
+class TestBindAllocatesStateOnly:
+    @pytest.mark.parametrize("rank", (0, 5))
+    def test_bind_cost_is_small_and_independent_of_length(self, rank):
+        inputs = InputProvider()
+        counts = []
+        for statements in (4, 40):
+            compiled = compile_program(straight_line_program(statements), 8)
+            counts.append(tracked_objects_allocated_by(
+                lambda: compiled.bind(rank, {"steps": 3}, inputs)
+            ))
+        assert counts[0] == counts[1]
+        assert counts[0] <= 8
+
+    def test_bound_process_holds_no_code_of_its_own(self):
+        compiled = compile_program(straight_line_program(4), 2)
+        first, second = compiled.bind(0), compiled.bind(1)
+        assert first._code is second._code is compiled.code
+        assert not hasattr(first, "__dict__")
+
+
+def test_simulation_construction_is_light_per_rank():
+    program = load_program("stencil_halo")
+    n = 192
+    allocated = tracked_objects_allocated_by(
+        lambda: Simulation(program, n, params=default_params("stencil_halo"))
+    )
+    assert allocated / n <= 200

@@ -6,7 +6,9 @@ final state, completion time, normalised JSONL event logs, campaign
 cell artifacts, chaos verdicts) must be byte-identical to the
 tree-walking interpreter it replaced. These tests drive both backends
 through a workload x protocol x failure-plan grid, the @quick campaign
-matrix, and the full 210-schedule chaos sweep, and compare everything.
+matrix, and the full 210-schedule chaos sweep, and compare everything;
+a table of failing programs, driven rank by rank without an engine,
+pins that errors keep their text and their execution point.
 
 The one sanctioned divergence surface is the campaign cell's
 ``spec_hash``: the backend is part of a spec's content hash (a cached
@@ -24,10 +26,14 @@ from repro.campaign import quick_campaign
 from repro.campaign.executor import _campaign_cell
 from repro.errors import RecoveryError
 from repro.lang import ast_nodes as ast
+from repro.lang.compile import compile_program
+from repro.lang.parser import parse
 from repro.protocols import make_protocol
 from repro.runtime import FailurePlan, RuntimeCosts, Simulation
 from repro.runtime.chaos import CHAOS_PROTOCOLS, ChaosConfig, chaos_sweep
 from repro.runtime.failures import CrashEvent, exponential_fault_plan
+from repro.runtime.inputs import InputProvider
+from repro.runtime.interpreter import ProcessInterpreter
 
 
 def run_fingerprint(result, jsonl=None):
@@ -157,6 +163,86 @@ class TestChaosSweep:
         assert list(compiled) == list(reference)
         assert compiled == reference
         assert all(outcome.ok for outcome in compiled.values())
+
+
+def drive_process(proc):
+    """One process to completion or to its first exception.
+
+    Returns the effect stream with the ``env`` after every step, the
+    final ``env`` and the exception (type and text) that ended the
+    drive, if any. Receives are answered from a fixed value stream.
+    """
+    history, failure = [], None
+    for step in range(200):
+        try:
+            effect = proc.step()
+        except Exception as error:  # compared, not handled
+            failure = (type(error).__name__, str(error))
+            break
+        history.append((effect, getattr(effect, "stmt", None), dict(proc.env)))
+        if effect is None:
+            break
+        if proc.awaiting_delivery:
+            proc.deliver(1_000 + step)
+    return history, dict(proc.env), failure
+
+
+#: name -> (program body, the ranks of 3 it fails on). Rank-pure
+#: operands that fail, or are out of range, on some ranks only: lowering
+#: must not move, reword or swallow the error, nor invent one behind a
+#: guard.
+FAILING_PROGRAMS = {
+    "division-by-rank": ("y = 8 // (myrank - 1)", {1}),
+    "modulo-by-rank": ("y = 8 % (myrank - 1)", {1}),
+    "unguarded-send": (
+        "x = input(a)\nsend(myrank + 1, input(b))\nz = input(a)", {2}
+    ),
+    "recv-below-zero": ("x = recv(myrank - 1)\ny = x", {0}),
+    "bcast-root-out-of-range": ("x = bcast(myrank + 2, 5)\ny = x", {1, 2}),
+    "guarded-send": (
+        "if myrank + 1 < nprocs:\n    send(myrank + 1, 3)\nx = 1", set()
+    ),
+    "for-negative-count": (
+        "for i in range(myrank - 1):\n    x = i\ny = 1", set()
+    ),
+    "and-short-circuit": ("y = (myrank > 0) and (4 // myrank)", set()),
+    "or-short-circuit": ("y = (myrank == 0) or (4 // myrank)", set()),
+    "unknown-builtin": (
+        "x = input(a)\ny = nosuch(input(a), myrank)\nz = 1", {0, 1, 2}
+    ),
+    # Operand order: the dividend is evaluated (and fails) first.
+    "division-input-order": (
+        "y = (input(a) + 1) // (input(a) + 1)\nz = input(a)", set()
+    ),
+    "division-unbound-order": ("y = p // q", {0, 1, 2}),
+}
+
+
+class TestErrorParity:
+    """Failing programs: same effects, same ``env``, same error text."""
+
+    @pytest.mark.parametrize("name", FAILING_PROGRAMS)
+    def test_every_rank_fails_identically(self, name):
+        body, expected_failing = FAILING_PROGRAMS[name]
+        indented = "\n".join("    " + line for line in body.splitlines())
+        program = parse(f"program t():\n{indented}\n")
+        nprocs = 3
+        compiled = compile_program(program, nprocs)
+        failing = set()
+        for rank in range(nprocs):
+            reference = drive_process(ProcessInterpreter(
+                program, rank, nprocs, inputs=InputProvider(seed=5)
+            ))
+            lowered = drive_process(
+                compiled.bind(rank, inputs=InputProvider(seed=5))
+            )
+            assert lowered == reference
+            # Effects carry the *shared* AST statement, not a copy.
+            for (_, got, _), (_, want, _) in zip(lowered[0], reference[0]):
+                assert got is want
+            if reference[2] is not None:
+                failing.add(rank)
+        assert failing == expected_failing
 
 
 class TestBackendArgument:

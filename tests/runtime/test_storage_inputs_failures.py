@@ -5,7 +5,7 @@ import pytest
 from repro.causality.vector_clock import VectorClock
 from repro.errors import SimulationError, StorageError
 from repro.runtime.failures import CrashEvent, FailurePlan, exponential_failures
-from repro.runtime.inputs import InputProvider
+from repro.runtime.inputs import _MASK, InputProvider, _mix
 from repro.runtime.interpreter import ProcessSnapshot
 from repro.runtime.storage import StableStorage, StoredCheckpoint
 
@@ -131,6 +131,60 @@ class TestInputProvider:
         next_for_1 = provider.value("x", 1)
         provider.restore(0, snap)
         assert provider.value("x", 1) != next_for_1  # rank 1 stream moved on
+
+    def test_cycle_matches_flat_keyed_oracle(self):
+        """Values and snapshot dict order equal those of one flat
+        ``(label, rank)`` counter map, through snapshot/restore/replay."""
+
+        class FlatOracle:
+            def __init__(self, seed):
+                self.seed, self.counters = seed, {}
+
+            def value(self, label, rank):
+                occurrence = self.counters.get((label, rank), 0)
+                self.counters[(label, rank)] = occurrence + 1
+                return _mix(self.seed, hash(label) & _MASK, rank, occurrence)
+
+            def snapshot(self, rank):
+                return {
+                    label: count
+                    for (label, r), count in self.counters.items()
+                    if r == rank
+                }
+
+            def restore(self, rank, counters):
+                for key in [k for k in self.counters if k[1] == rank]:
+                    del self.counters[key]
+                for label, count in counters.items():
+                    self.counters[(label, rank)] = count
+
+        def drive(provider):
+            seen = []
+
+            def draw(*pairs):
+                seen.extend(provider.value(label, rank) for label, rank in pairs)
+
+            def capture(rank):
+                snap = provider.snapshot(rank)
+                seen.append(list(snap.items()))
+                return snap
+
+            draw(("b", 1), ("a", 0), ("b", 0), ("a", 1), ("b", 0))
+            early = capture(0)
+            draw(("c", 0), ("a", 0), ("c", 1))
+            capture(0)
+            provider.restore(0, early)  # rollback: "c" disappears
+            capture(0)
+            draw(("c", 0), ("a", 0), ("b", 0))  # replay, new label order
+            capture(0)
+            capture(1)  # untouched by rank 0's rollback
+            capture(2)  # a rank that never drew
+            provider.restore(1, {"z": 4, "a": 0})
+            draw(("a", 1), ("z", 1))
+            capture(1)
+            return seen
+
+        assert drive(InputProvider(seed=9)) == drive(FlatOracle(seed=9))
 
 
 class TestFailurePlans:
