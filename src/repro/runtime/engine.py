@@ -17,6 +17,7 @@ yields a causally consistent interleaving: an item executed at time
 from __future__ import annotations
 
 import heapq
+import weakref
 from dataclasses import dataclass, field, fields
 
 from repro.causality.records import EventKind
@@ -344,7 +345,9 @@ class RecoverySupervisor:
         config: SupervisorConfig,
         recovery_faults: list[RecoveryFaultEvent],
     ) -> None:
-        self.sim = sim
+        # Weak: the simulation owns its supervisor, and a strong link
+        # back would leave every finished run to the cyclic collector.
+        self._sim = weakref.ref(sim)
         self.config = config
         self._by_recovery: dict[int, list[RecoveryFaultEvent]] = {}
         for fault in recovery_faults:
@@ -357,6 +360,11 @@ class RecoverySupervisor:
         self._pending: RecoveryFaultEvent | None = None
         # Deterministic id sequence for recovery.attempt span events.
         self._span_seq = 0
+
+    @property
+    def sim(self) -> "Simulation":
+        """The simulation this supervisor drives recoveries for."""
+        return self._sim()
 
     def _emit_attempt_span(
         self, rank: int, start: float, end: float, attempt: int, outcome: str
@@ -555,6 +563,7 @@ class Simulation:
                 compiled.configure_pruning(self._dead_sets)
         self.program = program
         self.n = n_processes
+        self._ranks = range(n_processes)
         self.costs = config.costs or RuntimeCosts()
         self.protocol = protocol if protocol is not None else NullProtocol()
         # The base on_effect hook is a no-op; detecting that once lets
@@ -682,7 +691,7 @@ class Simulation:
         self._pending_entry: tuple | None = None
         self._n_done = 0
         if self._scheduler == "indexed":
-            self.network.on_enqueue = self._on_message_enqueued
+            self.network.on_enqueue = self._arrival_notifier()
         # Checkpoint 0: the initial state of every process, so recovery
         # can always fall back to a (trivially consistent) cut.
         for proc in self.procs:
@@ -942,11 +951,8 @@ class Simulation:
         corruption; reaching here with a bad checksum is a protocol
         bug, and restoring silently would resurrect rotten state.
         """
-        verify = getattr(self.storage, "verify", None)
-        if verify is None:
-            return
         for checkpoint in checkpoints:
-            if not verify(checkpoint):
+            if not self.storage.verify(checkpoint):
                 raise RecoveryError(
                     f"refusing to restore corrupt checkpoint "
                     f"{checkpoint.number} of rank {checkpoint.rank} "
@@ -1088,9 +1094,7 @@ class Simulation:
         except UnrecoverableError:
             unrecoverable = True
         self.stats.completed = self._n_done == self.n
-        self.stats.corrupt_checkpoints = getattr(
-            self.storage, "corruption_detected", 0
-        )
+        self.stats.corrupt_checkpoints = self.storage.corruption_detected
         transport = self.network.transport.stats
         self.stats.frames_sent = transport.frames_sent
         self.stats.retransmits = transport.retransmits
@@ -1305,11 +1309,22 @@ class Simulation:
                     ),
                 )
 
-    def _on_message_enqueued(self, message: Message) -> None:
-        """Network arrival notification: wake the channel's waiter."""
-        rank = self._waiters.pop(message.channel, None)
-        if rank is not None:
-            self._reschedule(rank)
+    def _arrival_notifier(self):
+        """Network arrival notification: wake the channel's waiter.
+
+        A closure over the waiter table and a weak reference rather
+        than a bound method, so the network (which this simulation
+        owns) holds no strong link back to it.
+        """
+        waiters = self._waiters
+        sim = weakref.ref(self)
+
+        def on_enqueue(message: Message) -> None:
+            rank = waiters.pop(message.channel, None)
+            if rank is not None:
+                sim()._reschedule(rank)
+
+        return on_enqueue
 
     def _resync(self) -> None:
         """Rebuild the scheduling index from the engine's plain state.
@@ -1624,7 +1639,7 @@ class Simulation:
             )
             if self._retention is not None:
                 collected, reclaimed = self._retention.collect(
-                    self.storage, list(range(self.n))
+                    self.storage, self._ranks
                 )
                 if collected:
                     self.stats.gc_collected += collected

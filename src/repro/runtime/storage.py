@@ -18,6 +18,7 @@ integrity queries by majority quorum.
 from __future__ import annotations
 
 import zlib
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from repro.causality.vector_clock import VectorClock
@@ -137,14 +138,48 @@ class StoredCheckpoint:
 
 @dataclass
 class StableStorage:
-    """Per-process checkpoint lists, in checkpoint order."""
+    """Per-process checkpoint lists, in checkpoint order.
+
+    Besides the histories the store tracks, per rank, a *revision*
+    (bumped whenever the history gains or loses an entry) and the
+    largest stored number, so consumers that cache a derived view
+    (:class:`RetentionPolicy`) can tell in O(1) whether it went stale
+    and :meth:`max_common_number` never rescans the entries.
+    """
 
     _checkpoints: dict[int, list[StoredCheckpoint]] = field(default_factory=dict)
+    _revisions: dict[int, int] = field(default_factory=dict)
+    _max_numbers: dict[int, int] = field(default_factory=dict)
 
     def store(self, checkpoint: StoredCheckpoint) -> None:
         """Append *checkpoint* to its process's history."""
-        history = self._checkpoints.setdefault(checkpoint.rank, [])
+        rank = checkpoint.rank
+        history = self._checkpoints.setdefault(rank, [])
         history.append(checkpoint)
+        self._revisions[rank] = self._revisions.get(rank, 0) + 1
+        if checkpoint.number > self._max_numbers.get(rank, -1):
+            self._max_numbers[rank] = checkpoint.number
+
+    def _locate(
+        self, checkpoint: StoredCheckpoint
+    ) -> tuple[list[StoredCheckpoint], int]:
+        """The owner's history and *checkpoint*'s position (by identity)."""
+        history = self._checkpoints.get(checkpoint.rank, [])
+        for position, stored in enumerate(history):
+            if stored is checkpoint:
+                return history, position
+        raise StorageError(
+            "checkpoint is not in storage",
+            rank=checkpoint.rank,
+            number=checkpoint.number,
+        )
+
+    def _left(self, rank: int, entries) -> None:
+        """Bookkeeping once *entries* have been removed from *rank*."""
+        self._revisions[rank] = self._revisions.get(rank, 0) + 1
+        self._max_numbers[rank] = max(
+            (c.number for c in self._checkpoints[rank]), default=-1
+        )
 
     def history(self, rank: int) -> list[StoredCheckpoint]:
         """All stored checkpoints of *rank*, oldest first."""
@@ -177,13 +212,10 @@ class StableStorage:
                 return checkpoint
         return None
 
-    def max_common_number(self, ranks: list[int]) -> int:
+    def max_common_number(self, ranks: Sequence[int]) -> int:
         """The largest ``i`` every rank has reached (0 = initial state)."""
-        numbers = []
-        for rank in ranks:
-            history = self._checkpoints.get(rank, [])
-            numbers.append(max((c.number for c in history), default=-1))
-        return min(numbers, default=-1)
+        largest = self._max_numbers.get
+        return min([largest(rank, -1) for rank in ranks], default=-1)
 
     def truncate_to(self, checkpoint: StoredCheckpoint) -> int:
         """Drop every checkpoint of the owner stored after *checkpoint*.
@@ -193,24 +225,21 @@ class StableStorage:
         cut mixing mutually exclusive timelines. Returns the number of
         dropped entries.
         """
-        history = self._checkpoints.get(checkpoint.rank, [])
-        for position, stored in enumerate(history):
-            if stored is checkpoint:
-                dropped = len(history) - position - 1
-                del history[position + 1 :]
-                return dropped
-        raise StorageError(
-            "checkpoint is not in storage",
-            rank=checkpoint.rank,
-            number=checkpoint.number,
-        )
+        history, position = self._locate(checkpoint)
+        dropped = history[position + 1 :]
+        if dropped:
+            del history[position + 1 :]
+            self._left(checkpoint.rank, dropped)
+        return len(dropped)
 
     def drop_prefix(self, rank: int, keep_from: int) -> int:
         """Drop the oldest *keep_from* checkpoints of *rank* (GC helper)."""
         history = self._checkpoints.get(rank, [])
-        keep_from = max(0, min(keep_from, len(history)))
-        del history[:keep_from]
-        return keep_from
+        dropped = history[: max(0, keep_from)]
+        if dropped:
+            del history[: len(dropped)]
+            self._left(rank, dropped)
+        return len(dropped)
 
     def discard(self, checkpoint: StoredCheckpoint) -> None:
         """Remove one *checkpoint* from its owner's history (GC victim).
@@ -219,16 +248,9 @@ class StableStorage:
         is what spacing-based retention needs. Matches by identity, like
         :meth:`truncate_to`.
         """
-        history = self._checkpoints.get(checkpoint.rank, [])
-        for position, stored in enumerate(history):
-            if stored is checkpoint:
-                del history[position]
-                return
-        raise StorageError(
-            "checkpoint is not in storage",
-            rank=checkpoint.rank,
-            number=checkpoint.number,
-        )
+        history, position = self._locate(checkpoint)
+        del history[position]
+        self._left(checkpoint.rank, (checkpoint,))
 
     def count(self, rank: int) -> int:
         """Number of checkpoints stored for *rank*."""
@@ -257,7 +279,7 @@ class StableStorage:
         )
 
 
-def prune_below_common(storage: "StableStorage", ranks: list[int]) -> int:
+def prune_below_common(storage: "StableStorage", ranks: Sequence[int]) -> int:
     """Garbage-collect checkpoints made obsolete by straight-cut recovery.
 
     With the application-driven protocol, recovery always restores the
@@ -342,12 +364,6 @@ def checkpoint_checksum(checkpoint: StoredCheckpoint) -> int:
     return zlib.crc32(checkpoint_payload(checkpoint))
 
 
-#: Placeholder integrity record for an untorn, unrotted write: the
-#: stored checksum trivially matches the (immutable) content, so the
-#: actual CRC is computed only if rot later targets the entry.
-_LAZY_CHECKSUM = object()
-
-
 @dataclass(frozen=True)
 class StoreReceipt:
     """Outcome of one two-phase checkpoint write.
@@ -397,13 +413,23 @@ class CheckpointStore(StableStorage):
         # Optional observability bus (set by the engine); all storage
         # events are published on it when present.
         self.obs = None
-        # Published checksums, keyed by checkpoint object identity
-        # (``_LAZY_CHECKSUM`` until rot forces materialisation). An
-        # entry is (re)written on every publish, so identity reuse after
-        # truncation cannot produce a stale verdict for a live entry.
-        self._checksums: dict[int, object] = {}
-        # Distinct corrupt checkpoints seen by read paths.
+        # Materialised checksums, keyed by checkpoint object identity.
+        # An untorn, unrotted write has no record: its checksum matches
+        # the (immutable) content by construction, so the CRC is only
+        # computed if rot later targets the entry. ``_touched`` is the
+        # set of entries with a record on *any* replica (mirrors share
+        # it): everything outside it is intact without a look-up. All
+        # three drop an entry when it leaves the store (``_left``), so
+        # a recycled ``id`` can never inherit a verdict.
+        self._checksums: dict[int, int] = {}
+        self._touched: set[int] = set()
+        # Bumped by every successful ``corrupt`` on any replica: with
+        # the per-rank history revisions, what can flip a verdict.
+        self._integrity_revision = 0
+        # Corrupt checkpoints read paths have caught (one count and one
+        # ``corrupt-detected`` event per stored entry).
         self._detected: set[int] = set()
+        self.corruption_detected = 0
         # Armed restore-read faults: remaining transient failures per
         # rank. Each fault-aware read of an armed rank consumes one and
         # raises; the supervisor's retry then reads through cleanly.
@@ -412,13 +438,6 @@ class CheckpointStore(StableStorage):
         # Retention GC accounting (bumped by RetentionPolicy.collect).
         self.gc_collected = 0
         self.gc_reclaimed_bytes = 0
-
-    # -- counters --------------------------------------------------------------
-
-    @property
-    def corruption_detected(self) -> int:
-        """Distinct corrupt checkpoints read paths have caught so far."""
-        return len(self._detected)
 
     # -- restore-read faults ---------------------------------------------------
 
@@ -463,7 +482,7 @@ class CheckpointStore(StableStorage):
             # Fault-free fast path (the common case by far): publish
             # with a lazily materialised checksum and hand back the
             # shared immutable OK receipt.
-            self._publish(checkpoint, _LAZY_CHECKSUM)
+            self._publish(checkpoint)
             self._emit_commit(checkpoint, retries=0)
             return _OK_RECEIPT
         kind = fault.kind
@@ -505,7 +524,7 @@ class CheckpointStore(StableStorage):
         # is known-good by construction and its serialisation can be
         # deferred until rot actually targets this entry — fault-free
         # runs never pay for it.
-        self._publish(checkpoint, _LAZY_CHECKSUM)
+        self._publish(checkpoint)
         self._emit_commit(checkpoint, retries=retries)
         return StoreReceipt(published=True, retries=retries, fault=fault)
 
@@ -535,9 +554,22 @@ class CheckpointStore(StableStorage):
                 number=checkpoint.number, **fields,
             )
 
-    def _publish(self, checkpoint: StoredCheckpoint, checksum: int) -> None:
+    def _publish(
+        self, checkpoint: StoredCheckpoint, checksum: int | None = None
+    ) -> None:
+        """Append to the history; *checksum* ``None`` defers the CRC."""
         super().store(checkpoint)
-        self._checksums[id(checkpoint)] = checksum
+        if checksum is not None:
+            self._checksums[id(checkpoint)] = checksum
+            self._touched.add(id(checkpoint))
+
+    def _left(self, rank: int, entries) -> None:
+        super()._left(rank, entries)
+        for checkpoint in entries:
+            key = id(checkpoint)
+            self._checksums.pop(key, None)
+            self._touched.discard(key)
+            self._detected.discard(key)
 
     # -- integrity -------------------------------------------------------------
 
@@ -571,26 +603,23 @@ class CheckpointStore(StableStorage):
             return False
         key = id(target)
         stored = self._checksums.get(key)
-        if stored is not None:
-            if stored is _LAZY_CHECKSUM:
-                # Materialise the deferred write-time checksum now,
-                # from the still-uncorrupted content, then flip it.
-                stored = checkpoint_checksum(target)
-            self._checksums[key] = stored ^ 0x5A5A5A5A
+        if stored is None:
+            # Materialise the deferred write-time checksum now, from
+            # the still-uncorrupted content, then flip it.
+            stored = checkpoint_checksum(target)
+        self._checksums[key] = stored ^ 0x5A5A5A5A
+        self._touched.add(key)
+        self._integrity_revision += 1
         return True
 
     def _intact_entry(self, checkpoint: StoredCheckpoint) -> bool:
         """Whether one entry's own stored checksum matches its content.
 
-        Checkpoints this store never published (e.g. synthetic test
-        fixtures) have no integrity record and are treated as intact.
+        No record means published untorn and never rotted (or never
+        published here — a synthetic fixture): intact by construction.
         """
         stored = self._checksums.get(id(checkpoint))
-        if stored is None or stored is _LAZY_CHECKSUM:
-            # Never published here (synthetic fixture) or published
-            # untorn and never rotted — intact by construction.
-            return True
-        return stored == checkpoint_checksum(checkpoint)
+        return stored is None or stored == checkpoint_checksum(checkpoint)
 
     def verify(self, checkpoint: StoredCheckpoint) -> bool:
         """Whether *checkpoint* is restorable from durable content.
@@ -599,13 +628,18 @@ class CheckpointStore(StableStorage):
         entry additionally needs every transitive ancestor intact —
         reconstruction chains through them, so rot anywhere on the
         chain makes the descendant unrestorable (read paths then
-        degrade to an older entry whose chain is whole).
+        degrade to an older entry whose chain is whole). Only links in
+        the touched set are actually checked — with none touched, the
+        answer is immediate.
         """
-        if not self._intact_entry(checkpoint):
-            return False
-        for ancestor in checkpoint.delta_ancestors:
-            if not self._intact_entry(ancestor):
+        touched = self._touched
+        if not touched:
+            return True
+        link = checkpoint
+        while link is not None:
+            if id(link) in touched and not self._intact_entry(link):
                 return False
+            link = link.parent
         return True
 
     def _note_corrupt(self, checkpoint: StoredCheckpoint) -> None:
@@ -613,8 +647,9 @@ class CheckpointStore(StableStorage):
             # First detection of this rotten checkpoint; stamped at the
             # checkpoint's write time (rot itself is silent — detection
             # happens at whatever later read reached it).
+            self._detected.add(id(checkpoint))
+            self.corruption_detected += 1
             self._emit("corrupt-detected", checkpoint)
-        self._detected.add(id(checkpoint))
 
     # -- fault-aware reads -----------------------------------------------------
 
@@ -694,13 +729,17 @@ class ReplicatedCheckpointStore(CheckpointStore):
             CheckpointStore(max_retries=max_retries)
             for _ in range(replicas - 1)
         ]
+        for mirror in self._mirrors:
+            mirror._touched = self._touched
 
     @property
     def quorum(self) -> int:
         """Copies that must be intact for a read to succeed."""
         return self.replicas // 2 + 1
 
-    def _publish(self, checkpoint: StoredCheckpoint, checksum: int) -> None:
+    def _publish(
+        self, checkpoint: StoredCheckpoint, checksum: int | None = None
+    ) -> None:
         super()._publish(checkpoint, checksum)
         for mirror in self._mirrors:
             mirror._publish(checkpoint, checksum)
@@ -715,7 +754,10 @@ class ReplicatedCheckpointStore(CheckpointStore):
                 f"replica out of range [0, {self.replicas})",
                 rank=rank, number=number, replica=replica,
             )
-        return self._mirrors[replica - 1].corrupt(rank, number=number)
+        rotted = self._mirrors[replica - 1].corrupt(rank, number=number)
+        if rotted:
+            self._integrity_revision += 1
+        return rotted
 
     def _intact_entry(self, checkpoint: StoredCheckpoint) -> bool:
         """Quorum read: an entry is intact iff a majority of copies are.
@@ -725,6 +767,8 @@ class ReplicatedCheckpointStore(CheckpointStore):
         and a minority of rotten replicas anywhere on a delta chain is
         still survivable.
         """
+        if id(checkpoint) not in self._touched:
+            return True
         copies = [CheckpointStore._intact_entry(self, checkpoint)]
         copies.extend(
             mirror._intact_entry(checkpoint) for mirror in self._mirrors
@@ -770,12 +814,23 @@ class RetentionPolicy:
     collected. Protection is computed with :meth:`CheckpointStore.verify`
     (never a fault-aware read path), so GC cannot consume armed
     restore-read faults or perturb corruption accounting.
+
+    Collection is change-driven: a rank left over budget because every
+    entry is protected is *settled*, and is looked at again only once
+    its history, the common number or any integrity verdict has moved
+    (the store's revisions say so in O(1)) — nothing else can unprotect
+    an entry. A commit therefore costs work on the ranks it affected,
+    not a re-derivation of every rank's protected set.
     """
 
     retain_k: int
     protect_depth: int = 3
 
     def __post_init__(self) -> None:
+        # The store the settled stamps describe, and per settled rank
+        # its ``(history revision, common number, integrity revision)``.
+        self._storage: CheckpointStore | None = None
+        self._settled: dict[int, tuple[int, int, int]] = {}
         if self.retain_k < 2:
             raise StorageError(
                 f"retain_k must be >= 2 (need the newest checkpoint plus "
@@ -787,7 +842,7 @@ class RetentionPolicy:
             )
 
     def collect(
-        self, storage: StableStorage, ranks: list[int]
+        self, storage: CheckpointStore, ranks: Sequence[int]
     ) -> tuple[int, int]:
         """Evict down to ``retain_k`` per rank; ``(collected, bytes)``.
 
@@ -797,102 +852,109 @@ class RetentionPolicy:
         so occupancy may transiently exceed ``retain_k`` rather than
         break recoverability.
         """
-        verify = getattr(storage, "verify", None)
+        if storage is not self._storage:
+            self._storage, self._settled = storage, {}
         collected = 0
         reclaimed = 0
-        common = storage.max_common_number(list(ranks))
+        common = storage.max_common_number(ranks)
+        integrity = storage._integrity_revision
         for rank in ranks:
-            while storage.count(rank) > self.retain_k:
-                history = storage.history(rank)
-                victim = self._pick_victim(history, verify, common)
+            history = storage._checkpoints.get(rank, ())
+            if len(history) <= self.retain_k or self._settled.get(rank) == (
+                storage._revisions[rank], common, integrity
+            ):
+                continue
+            kept, rotten = self._protected(storage, history, common)
+            protected = kept | _chain_ancestors(history)
+            while len(history) > self.retain_k:
+                victim = _next_victim(history, protected, rotten)
                 if victim is None:
+                    self._settled[rank] = (
+                        storage._revisions[rank], common, integrity
+                    )
                     break
                 storage.discard(victim)
+                # Evicting an unprotected entry changes no verdict and
+                # none of the kept roles; only a delta victim's chain
+                # may unlock (tails go first, then their parents).
+                if victim.parent is not None:
+                    protected = kept | _chain_ancestors(history)
                 collected += 1
                 # Reclaimed space is the durable wire form the entry
                 # actually occupied (its delta payload, if encoded so).
                 reclaimed += victim.payload_bytes
-                emit = getattr(storage, "_emit", None)
-                if emit is not None:
-                    emit("gc", victim, bytes=victim.payload_bytes)
-        if isinstance(storage, CheckpointStore):
-            storage.gc_collected += collected
-            storage.gc_reclaimed_bytes += reclaimed
+                storage._emit("gc", victim, bytes=victim.payload_bytes)
+        storage.gc_collected += collected
+        storage.gc_reclaimed_bytes += reclaimed
         return collected, reclaimed
 
-    def _pick_victim(
+    def _protected(
         self,
+        storage: CheckpointStore,
         history: list[StoredCheckpoint],
-        verify,
         common: int,
-    ) -> StoredCheckpoint | None:
-        protected = self._protected_ids(history, verify, common)
-        candidates = [
-            (position, checkpoint)
-            for position, checkpoint in enumerate(history)
-            if id(checkpoint) not in protected
-        ]
-        if not candidates:
-            return None
-        if verify is not None:
-            for _, checkpoint in candidates:
-                if not verify(checkpoint):
-                    return checkpoint
-        # Greedy spacing: evict the entry merging the smallest time gap
-        # between its neighbours (oldest wins ties — deterministic).
-        best = None
-        best_gap = None
-        for position, checkpoint in candidates:
-            before = history[position - 1].time if position > 0 \
-                else checkpoint.time
-            after = history[position + 1].time \
-                if position + 1 < len(history) else checkpoint.time
-            gap = after - before
-            if best_gap is None or gap < best_gap:
-                best, best_gap = checkpoint, gap
-        return best
+    ) -> tuple[set[int], set[int]]:
+        """``(kept, rotten)`` identities for one rank's history.
 
-    def _protected_ids(
-        self,
-        history: list[StoredCheckpoint],
-        verify,
-        common: int,
-    ) -> set[int]:
-        """Identities GC must never touch for this rank's history."""
-        protected: set[int] = set()
-        if not history:
-            return protected
-
-        def intact(checkpoint: StoredCheckpoint) -> bool:
-            return verify is None or verify(checkpoint)
-
+        *rotten* are the entries that fail :meth:`~CheckpointStore.
+        verify`; *kept* the ones GC must never touch for the role they
+        play. Neither changes while unprotected entries are evicted.
+        """
+        rotten = {id(c) for c in history if not storage.verify(c)}
+        intact = [c for c in history if id(c) not in rotten]
         # The newest entry: the forward-progress frontier.
-        protected.add(id(history[-1]))
-        # The deepest and latest intact entries: the recovery floor and
-        # the preferred restore target of single-rank protocols.
-        for checkpoint in history:
-            if intact(checkpoint):
-                protected.add(id(checkpoint))
-                break
-        for checkpoint in reversed(history):
-            if intact(checkpoint):
-                protected.add(id(checkpoint))
-                break
-        # The straight-cut candidates: the most recent intact instance
-        # of every number the degraded fallback might target.
-        if common >= 0:
-            floor = max(0, common - self.protect_depth)
-            for number in range(floor, common + 1):
-                for checkpoint in reversed(history):
-                    if checkpoint.number == number and intact(checkpoint):
-                        protected.add(id(checkpoint))
-                        break
-        # Delta-chain ancestors: evicting a parent would strand every
-        # descendant's reconstruction, so the transitive parents of
-        # *every* stored entry are off-limits. Chain tails therefore go
-        # first, unlocking their parents on later collect iterations;
-        # DELTA_CHAIN_CAP bounds how much occupancy this can pin.
-        for checkpoint in history:
-            for ancestor in checkpoint.delta_ancestors:
-                protected.add(id(ancestor))
-        return protected
+        kept = {id(history[-1])}
+        if intact:
+            # The deepest and latest intact entries: the recovery floor
+            # and the preferred restore target of single-rank protocols.
+            kept.update((id(intact[0]), id(intact[-1])))
+            # The straight-cut candidates: the most recent intact
+            # instance of every number the degraded fallback might
+            # target (a later instance overwrites an earlier one).
+            floor = common - self.protect_depth
+            kept.update({
+                c.number: id(c) for c in intact
+                if floor <= c.number <= common
+            }.values())
+        return kept, rotten
+
+
+def _chain_ancestors(history: list[StoredCheckpoint]) -> set[int]:
+    """Identities of every transitive delta parent of a stored entry.
+
+    Evicting a parent would strand every descendant's reconstruction,
+    so these are off-limits to GC; :data:`DELTA_CHAIN_CAP` bounds how
+    much occupancy they can pin.
+    """
+    return {
+        id(ancestor)
+        for checkpoint in history if checkpoint.parent is not None
+        for ancestor in checkpoint.delta_ancestors
+    }
+
+
+def _next_victim(
+    history: list[StoredCheckpoint], protected: set[int], rotten: set[int]
+) -> StoredCheckpoint | None:
+    """The unprotected entry to evict next, or ``None`` if there is none.
+
+    The oldest unprotected rotten entry if any; otherwise the entry
+    merging the smallest time gap between its neighbours (oldest wins
+    ties — deterministic).
+    """
+    best = None
+    best_gap = None
+    last = len(history) - 1
+    for position, checkpoint in enumerate(history):
+        if id(checkpoint) in protected:
+            continue
+        if id(checkpoint) in rotten:
+            return checkpoint
+        before = history[position - 1].time if position > 0 \
+            else checkpoint.time
+        after = history[position + 1].time if position < last \
+            else checkpoint.time
+        gap = after - before
+        if best_gap is None or gap < best_gap:
+            best, best_gap = checkpoint, gap
+    return best
