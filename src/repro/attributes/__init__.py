@@ -1,6 +1,6 @@
 """Rank-attribute analysis (paper §3.2).
 
-The matching algorithm (Algorithm 3.1) needs three ingredients, all
+The matching algorithm (Algorithm 3.1) needs four ingredients, all
 provided here:
 
 - **ID-dependence dataflow** (:mod:`repro.attributes.dataflow`): which
@@ -9,6 +9,9 @@ provided here:
 - **Abstract evaluation** (:mod:`repro.attributes.expressions`): partial
   evaluation of endpoint and condition expressions as functions of
   ``(rank, nprocs)``, with *unknown* for irregular values.
+- **Rank reachability** (:mod:`repro.attributes.domain`): which ranks
+  can reach each send/recv node — a forward dataflow over the
+  once-through DAG, exact without enumerating a path.
 - **Contradiction checking** (:mod:`repro.attributes.contradiction`):
   whether a send's destination attribute and a receive's source
   attribute can simultaneously hold, decided by exhaustive evaluation
@@ -17,7 +20,7 @@ provided here:
   rank) and stands in for the paper's unspecified dataflow technique.
 """
 
-from repro.attributes.contradiction import Universe, endpoints_compatible
+from repro.attributes.contradiction import Universe, tables_compatible
 from repro.attributes.dataflow import (
     ConditionClass,
     VariableClasses,
@@ -25,19 +28,17 @@ from repro.attributes.dataflow import (
     classify_variables,
     single_assignments,
 )
-from repro.attributes.domain import NodeContext, PathConstraint, node_contexts
+from repro.attributes.domain import node_tables
 from repro.attributes.expressions import abstract_eval
 
 __all__ = [
     "ConditionClass",
-    "NodeContext",
-    "PathConstraint",
     "Universe",
     "VariableClasses",
     "abstract_eval",
     "classify_condition",
     "classify_variables",
-    "endpoints_compatible",
-    "node_contexts",
+    "node_tables",
     "single_assignments",
+    "tables_compatible",
 ]

@@ -7,8 +7,8 @@ over a finite *universe* of system sizes: the pair is compatible iff
 there exist a size ``n`` and ranks ``p`` (sender) and ``q`` (receiver)
 such that
 
-- the sender's path constraints admit ``p`` and the receiver's admit
-  ``q``,
+- ``p`` can reach the send node and ``q`` the receive node (see
+  :mod:`repro.attributes.domain`),
 - the send's destination evaluates to ``q`` (or is unknown), and
 - the receive's source evaluates to ``p`` (or is unknown).
 
@@ -23,8 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.attributes.domain import NodeContext
-from repro.lang import ast_nodes as ast
+from repro.attributes.domain import NodeTable
 
 
 @dataclass(frozen=True)
@@ -47,42 +46,22 @@ class MatchWitness:
     receiver: int
 
 
-class ContextTable:
-    """Precomputed admissibility/endpoint table of one node context.
-
-    Evaluating path constraints and endpoint expressions is the hot
-    path of Algorithm 3.1 (each context participates in many pair
-    checks), so we evaluate each context once per universe size and
-    rank, and pair checks become pure table lookups.
-    """
-
-    def __init__(
-        self,
-        ctx: NodeContext,
-        defs: dict[str, ast.Expr] | None,
-        universe: Universe = Universe(),
-    ) -> None:
-        self.ctx = ctx
-        # per n: list of (rank, endpoint value or None) for admissible ranks
-        self.rows: dict[int, list[tuple[int, int | None]]] = {}
-        for nprocs in universe.sizes:
-            entries = []
-            for rank in range(nprocs):
-                if ctx.admits_rank(rank, nprocs, defs):
-                    entries.append((rank, ctx.endpoint_value(rank, nprocs, defs)))
-            self.rows[nprocs] = entries
-
-
 def tables_compatible(
-    send_table: ContextTable, recv_table: ContextTable
+    send_rows: NodeTable, recv_rows: NodeTable
 ) -> MatchWitness | None:
-    """Table-based compatibility check (see :func:`endpoints_compatible`)."""
-    for nprocs, send_rows in send_table.rows.items():
-        recv_rows = recv_table.rows.get(nprocs, [])
-        if not recv_rows:
+    """Check a send/receive node pair for compatibility.
+
+    Returns the first witness (smallest size, then sender) if some
+    system size and rank pair realises the communication, else ``None``
+    (the attributes contradict). A pure join of the two nodes'
+    precomputed tables (:func:`~repro.attributes.domain.node_tables`).
+    """
+    for nprocs, senders in send_rows.items():
+        receivers = recv_rows.get(nprocs)
+        if not receivers:
             continue
-        by_receiver = {rank: source for rank, source in recv_rows}
-        for sender, dest in send_rows:
+        by_receiver = dict(receivers)
+        for sender, dest in senders:
             if dest is not None:
                 if dest not in by_receiver:
                     continue
@@ -92,7 +71,7 @@ def tables_compatible(
                         nprocs=nprocs, sender=sender, receiver=dest
                     )
             else:
-                for receiver, source in recv_rows:
+                for receiver, source in receivers:
                     if source is None or source == sender:
                         return MatchWitness(
                             nprocs=nprocs, sender=sender, receiver=receiver
@@ -100,26 +79,13 @@ def tables_compatible(
     return None
 
 
-def endpoints_compatible(
-    send_ctx: NodeContext,
-    recv_ctx: NodeContext,
-    defs: dict[str, ast.Expr] | None,
-    universe: Universe = Universe(),
-) -> MatchWitness | None:
-    """Check a send/receive context pair for compatibility.
-
-    Returns a witness if some system size and rank pair realises the
-    communication, else ``None`` (the attributes contradict).
-    """
-    return tables_compatible(
-        ContextTable(send_ctx, defs, universe),
-        ContextTable(recv_ctx, defs, universe),
-    )
-
-
 @dataclass
 class CompatibilityReport:
-    """Diagnostic record of every pair considered during matching."""
+    """Diagnostic record of every pair considered during matching.
+
+    One entry per (send node, receive node) pair: each pair is decided
+    once, on the union of the ranks its two nodes admit.
+    """
 
     considered: list[tuple[int, int]] = field(default_factory=list)
     matched: list[tuple[int, int, MatchWitness]] = field(default_factory=list)

@@ -43,55 +43,41 @@ class VariableClasses:
     irregular: frozenset[str]
 
 
-def _expr_names(expr: ast.Expr) -> frozenset[str]:
-    return frozenset(
-        node.ident for node in ast.walk(expr) if isinstance(node, ast.Name)
-    )
-
-
-def _mentions_rank(expr: ast.Expr) -> bool:
-    return any(isinstance(node, ast.MyRank) for node in ast.walk(expr))
-
-
-def _mentions_input(expr: ast.Expr) -> bool:
-    return any(isinstance(node, ast.InputData) for node in ast.walk(expr))
+def _mentions(expr: ast.Expr) -> tuple[frozenset[str], bool, bool]:
+    """One walk of *expr*: ``(names, mentions myrank, mentions input)``."""
+    names: set[str] = set()
+    rank = irregular = False
+    for node in ast.walk(expr):
+        if isinstance(node, ast.Name):
+            names.add(node.ident)
+        elif isinstance(node, ast.MyRank):
+            rank = True
+        elif isinstance(node, ast.InputData):
+            irregular = True
+    return frozenset(names), rank, irregular
 
 
 def classify_variables(program: ast.Program) -> VariableClasses:
     """Fixpoint classification of every assigned variable in *program*."""
-    assigns: list[tuple[str, ast.Expr | None, str]] = []
+    assigns: list[tuple[str, tuple[frozenset[str], bool, bool]]] = []
+    irregular: set[str] = set()
     for node in ast.walk(program):
         if isinstance(node, ast.Assign):
-            assigns.append((node.target, node.value, "assign"))
-        elif isinstance(node, ast.Recv):
-            assigns.append((node.target, None, "recv"))
-        elif isinstance(node, ast.Bcast):
-            assigns.append((node.target, None, "recv"))
-        elif isinstance(node, ast.For):
-            assigns.append((node.var, None, "counter"))
+            assigns.append((node.target, _mentions(node.value)))
+        elif isinstance(node, (ast.Recv, ast.Bcast)):
+            irregular.add(node.target)
 
     rank_dep: set[str] = set()
-    irregular: set[str] = set()
     changed = True
     while changed:
         changed = False
-        for target, value, origin in assigns:
-            if origin == "recv":
-                if target not in irregular:
-                    irregular.add(target)
-                    changed = True
-                continue
-            if origin == "counter":
-                continue
-            names = _expr_names(value)
-            if _mentions_rank(value) or names & rank_dep:
-                if target not in rank_dep:
-                    rank_dep.add(target)
-                    changed = True
-            if _mentions_input(value) or names & irregular:
-                if target not in irregular:
-                    irregular.add(target)
-                    changed = True
+        for target, (names, rank, from_input) in assigns:
+            if (rank or names & rank_dep) and target not in rank_dep:
+                rank_dep.add(target)
+                changed = True
+            if (from_input or names & irregular) and target not in irregular:
+                irregular.add(target)
+                changed = True
     return VariableClasses(
         rank_dependent=frozenset(rank_dep), irregular=frozenset(irregular)
     )
@@ -106,10 +92,10 @@ def classify_condition(
     data cannot be used as a reliable rank attribute, so it is treated
     as irregular (unconstrained) — the conservative choice for matching.
     """
-    names = _expr_names(expr)
-    if _mentions_input(expr) or names & classes.irregular:
+    names, rank, from_input = _mentions(expr)
+    if from_input or names & classes.irregular:
         return ConditionClass.IRREGULAR
-    if _mentions_rank(expr) or names & classes.rank_dependent:
+    if rank or names & classes.rank_dependent:
         return ConditionClass.ID_DEPENDENT
     return ConditionClass.NEUTRAL
 

@@ -1,18 +1,28 @@
-"""Path attributes for CFG nodes.
+"""Rank reachability: which processes can execute each CFG node.
 
-The paper (§3.2): "every control path in the CFG from [a] branch node is
-characterized by an *attribute* that is driven from the condition
-expression". We represent a path's attribute at a node as the sequence
-of *ID-dependent* branch decisions taken along the path prefix — each a
-:class:`PathConstraint` (condition expression + polarity). A
-:class:`NodeContext` bundles a send/recv node occurrence on one path
-with its constraints and its endpoint expression, ready for
-contradiction checking.
+The paper (§3.2) characterises "every control path in the CFG from [a]
+branch node" by an *attribute* driven from the branch's condition, and
+Algorithm 3.1 matches a send with a receive when some path to each
+gives attributes that do not contradict. The two paths are chosen
+independently, so all the algorithm uses of a node is the *union over
+its paths* of the ranks each path admits — and that union is a forward
+may-analysis on the once-through DAG, one integer bitmask (bit ``r`` =
+rank ``r``) per node and system size::
+
+    reach(entry) = all ranks
+    reach(v)     = OR over edges u→v of  reach(u) AND guard(u→v)
+
+``guard`` is "ranks for which the condition is not known to take the
+other arm" on the ``true``/``false`` edges of an ID-dependent branch
+and all ranks everywhere else. Every transfer function is an
+intersection with a constant and the join is union, so the framework
+is distributive and the fixed point *equals* the meet over all paths:
+exact, with no path ever enumerated. Guards sit on edges, not node
+pairs, so the parallel ``true``/``false`` edges of a branch whose arms
+are both empty keep their own polarity.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from repro.attributes.dataflow import (
     ConditionClass,
@@ -22,130 +32,66 @@ from repro.attributes.dataflow import (
 from repro.attributes.expressions import abstract_eval
 from repro.cfg.graph import CFG
 from repro.cfg.nodes import CFGNode, NodeKind
+from repro.cfg.paths import once_through
 from repro.lang import ast_nodes as ast
 
-
-@dataclass(frozen=True)
-class PathConstraint:
-    """One ID-dependent branch decision along a path.
-
-    ``polarity`` is True when the path took the branch's "true" edge.
-    """
-
-    condition: ast.Expr
-    polarity: bool
-
-    def holds(
-        self, rank: int, nprocs: int, defs: dict[str, ast.Expr] | None
-    ) -> bool | None:
-        """Whether this constraint holds for *rank*.
-
-        ``None`` when the condition is statically unknown for this rank
-        (then the constraint does not restrict the match).
-        """
-        value = abstract_eval(self.condition, rank, nprocs, defs)
-        if value is None:
-            return None
-        return bool(value) == self.polarity
+#: Per system size, the ``(rank, endpoint value or None)`` rows of the
+#: ranks that can reach one send/recv node.
+NodeTable = dict[int, list[tuple[int, int | None]]]
 
 
-@dataclass(frozen=True)
-class NodeContext:
-    """A send/recv node occurrence on one enumerated path.
-
-    Attributes:
-        node_id: The CFG node.
-        kind: ``NodeKind.SEND`` or ``NodeKind.RECV``.
-        endpoint: The destination (for sends) or source (for receives)
-            expression.
-        constraints: ID-dependent branch decisions guarding the node on
-            this path.
-        path_index: Which enumerated path this context came from.
-    """
-
-    node_id: int
-    kind: NodeKind
-    endpoint: ast.Expr
-    constraints: tuple[PathConstraint, ...]
-    path_index: int
-
-    def admits_rank(
-        self, rank: int, nprocs: int, defs: dict[str, ast.Expr] | None
-    ) -> bool:
-        """True iff a process with *rank* can reach this node occurrence."""
-        for constraint in self.constraints:
-            if constraint.holds(rank, nprocs, defs) is False:
-                return False
-        return True
-
-    def endpoint_value(
-        self, rank: int, nprocs: int, defs: dict[str, ast.Expr] | None
-    ) -> int | None:
-        """The endpoint's concrete value for *rank*, or None if unknown."""
-        return abstract_eval(self.endpoint, rank, nprocs, defs)
-
-
-def _edge_label(cfg: CFG, src: int, dst: int) -> str:
-    for edge in cfg.out_edges(src):
-        if edge.dst == dst:
-            return edge.label
-    # Synthetic once-through edges (loop tail -> loop exit target) carry
-    # no branch decision.
-    return ""
-
-
-def _endpoint_of(node: CFGNode) -> ast.Expr:
-    stmt = node.stmt
-    if isinstance(stmt, ast.Send):
-        return stmt.dest
-    if isinstance(stmt, ast.Recv):
-        return stmt.source
-    if isinstance(stmt, ast.Bcast):
-        return stmt.root
-    raise TypeError(f"node {node!r} has no endpoint expression")
-
-
-def node_contexts(
+def node_tables(
     cfg: CFG,
-    paths: list[tuple[int, ...]],
+    endpoints: dict[int, ast.Expr],
     classes: VariableClasses,
-) -> list[NodeContext]:
-    """Compute the per-path contexts of every send/recv node.
+    defs: dict[str, ast.Expr] | None,
+    sizes: tuple[int, ...],
+) -> dict[int, NodeTable]:
+    """Admitted ranks × endpoint value of each send/recv in *endpoints*
+    (node id → destination or source expression).
 
-    For each enumerated path and each send/recv occurrence on it, the
-    context captures the ID-dependent branch decisions of the path
-    prefix. Non-ID-dependent branches are skipped per the paper
-    ("without loss of generality, we assume that all the branch nodes
-    are ID-dependent"); irregular conditions are also skipped because
-    they cannot constrain ranks.
+    Each ID-dependent condition is evaluated once per ``(size, rank)``
+    and each endpoint once per admitted ``(size, rank)``, whatever the
+    number of paths. Non-ID-dependent branches guard nothing, per the
+    paper ("without loss of generality, we assume that all the branch
+    nodes are ID-dependent"); irregular conditions cannot constrain
+    ranks.
     """
-    contexts: list[NodeContext] = []
-    for path_index, path in enumerate(paths):
-        constraints: list[PathConstraint] = []
-        for position, node_id in enumerate(path):
-            node = cfg.node(node_id)
-            if node.kind in (NodeKind.SEND, NodeKind.RECV):
-                contexts.append(
-                    NodeContext(
-                        node_id=node_id,
-                        kind=node.kind,
-                        endpoint=_endpoint_of(node),
-                        constraints=tuple(constraints),
-                        path_index=path_index,
-                    )
-                )
-            if node.kind is NodeKind.BRANCH and position + 1 < len(path):
-                cond = _branch_condition(node)
-                if cond is None:
-                    continue
-                if classify_condition(cond, classes) is not ConditionClass.ID_DEPENDENT:
-                    continue
-                label = _edge_label(cfg, node_id, path[position + 1])
-                if label == "true":
-                    constraints.append(PathConstraint(cond, True))
-                elif label == "false":
-                    constraints.append(PathConstraint(cond, False))
-    return contexts
+    dag = once_through(cfg)
+    guarded = [
+        (node.node_id, cond)
+        for node in cfg.nodes_of_kind(NodeKind.BRANCH)
+        if (cond := _branch_condition(node)) is not None
+        and classify_condition(cond, classes) is ConditionClass.ID_DEPENDENT
+    ]
+    tables: dict[int, NodeTable] = {node_id: {} for node_id in endpoints}
+    for nprocs in sizes:
+        guards = {}
+        for node_id, cond in guarded:
+            taken = skipped = 0
+            for rank in range(nprocs):
+                value = abstract_eval(cond, rank, nprocs, defs)
+                if value is None or value:
+                    taken |= 1 << rank
+                if not value:
+                    skipped |= 1 << rank
+            guards[node_id] = {"true": taken, "false": skipped}
+        reach = dict.fromkeys(dag.edges, 0)
+        reach[cfg.entry_id] = (1 << nprocs) - 1
+        for node_id in dag.order:
+            mask = reach[node_id]
+            if not mask:
+                continue
+            guard = guards.get(node_id, {})
+            for edge in dag.edges[node_id]:
+                reach[edge.dst] |= mask & guard.get(edge.label, mask)
+        for node_id, endpoint in endpoints.items():
+            tables[node_id][nprocs] = [
+                (rank, abstract_eval(endpoint, rank, nprocs, defs))
+                for rank in range(nprocs)
+                if reach[node_id] >> rank & 1
+            ]
+    return tables
 
 
 def _branch_condition(node: CFGNode) -> ast.Expr | None:

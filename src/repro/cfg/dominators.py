@@ -20,8 +20,13 @@ def compute_dominators(cfg: CFG) -> dict[int, frozenset[int]]:
     Every node dominates itself; the entry node dominates every node
     reachable from it. Unreachable nodes (which the builder never
     produces) would be reported as dominated by everything, so we guard
-    by restricting to reachable nodes.
+    by restricting to reachable nodes. Computed once per graph (see
+    :meth:`~repro.cfg.graph.CFG.derived`); treat the result as read-only.
     """
+    return cfg.derived("dominators", _dominators)
+
+
+def _dominators(cfg: CFG) -> dict[int, frozenset[int]]:
     if cfg.entry_id is None:
         raise CFGError("CFG has no entry node")
     reachable = _reachable(cfg, cfg.entry_id)

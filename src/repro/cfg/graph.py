@@ -41,6 +41,7 @@ class CFG:
         self._succ: dict[int, list[Edge]] = {}
         self._pred: dict[int, list[Edge]] = {}
         self._next_id = 0
+        self._derived: dict[str, object] = {}
         self.entry_id: int | None = None
         self.exit_id: int | None = None
 
@@ -55,6 +56,7 @@ class CFG:
         collective: bool = False,
     ) -> CFGNode:
         """Create and register a new node; returns it."""
+        self._derived.clear()
         node = CFGNode(
             node_id=self._next_id,
             kind=kind,
@@ -81,10 +83,24 @@ class CFG:
         """Add a directed edge ``src -> dst``."""
         if src not in self._nodes or dst not in self._nodes:
             raise CFGError(f"edge endpoints must exist: {src} -> {dst}")
+        self._derived.clear()
         edge = Edge(src, dst, label)
         self._succ[src].append(edge)
         self._pred[dst].append(edge)
         return edge
+
+    def derived(self, key: str, compute):
+        """``compute(self)``, memoised under *key* until the graph changes.
+
+        Holds the facts every analysis re-derives from the finished
+        graph (dominators, the once-through DAG). The value is shared
+        between callers, which must not mutate it.
+        """
+        try:
+            return self._derived[key]
+        except KeyError:
+            value = self._derived[key] = compute(self)
+            return value
 
     # -- queries --------------------------------------------------------------
 

@@ -14,29 +14,24 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 
-from repro.cfg.graph import CFG
+from repro.cfg.dominators import natural_loops
+from repro.cfg.graph import CFG, Edge
 from repro.cfg.nodes import NodeKind
 from repro.errors import CFGError
 
-#: Safety cap on explicit path enumeration. The Condition 1 decision
-#: procedure no longer enumerates paths (see :func:`index_checkpoints`),
-#: so the cap only guards witness/reporting paths and Phase II context
-#: enumeration; it was raised accordingly and passing ``limit=`` to the
-#: checkpoint decision entry points is deprecated.
+#: Safety cap on explicit path enumeration. Neither decision procedure
+#: enumerates paths any more — Condition 1 uses :func:`index_checkpoints`
+#: and Phase II a rank-reachability dataflow over :func:`once_through`
+#: — so the cap bounds nothing ``transform`` accepts: it guards only
+#: witness/report paths and Phase III's ``_rebalance``, which reads
+#: :func:`enumerate_checkpoints` to pick a surplus checkpoint. Passing
+#: ``limit=`` to the checkpoint decision entry points is deprecated.
 DEFAULT_PATH_LIMIT = 100_000
 
 
 def reachable_from(cfg: CFG, start: int) -> frozenset[int]:
     """All node ids reachable from *start* (inclusive) via control edges."""
-    seen = {start}
-    stack = [start]
-    while stack:
-        current = stack.pop()
-        for nxt in cfg.successors(current):
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return frozenset(seen)
+    return frozenset(_closure(start, cfg.successors))
 
 
 def find_path(cfg: CFG, src: int, dst: int) -> list[int] | None:
@@ -58,8 +53,24 @@ def find_path(cfg: CFG, src: int, dst: int) -> list[int] | None:
     return None
 
 
-def once_through_successors(cfg: CFG) -> dict[int, list[int]]:
-    """Successor map of the *once-through* DAG of *cfg*.
+@dataclass(frozen=True)
+class OnceThrough:
+    """The *once-through* DAG of a CFG, with the orders analyses need.
+
+    Attributes:
+        edges: Out-edges per node. Control edges keep their labels;
+            the synthetic loop-tail → loop-exit edges carry ``""``.
+        order: The nodes reachable from the entry, topologically sorted.
+        live: The nodes on at least one complete entry→exit path.
+    """
+
+    edges: dict[int, tuple[Edge, ...]]
+    order: tuple[int, ...]
+    live: frozenset[int]
+
+
+def once_through(cfg: CFG) -> OnceThrough:
+    """The once-through DAG of *cfg*, derived once per graph.
 
     The paper enumerates checkpoints "along every path from entry to
     exit", where a path traverses each loop body exactly once (a
@@ -69,30 +80,94 @@ def once_through_successors(cfg: CFG) -> dict[int, list[int]]:
 
     - each backward edge ``tail -> header`` is removed and replaced by
       edges ``tail -> s`` for every loop-exit successor ``s`` of the
-      header, and
+      header (looking through an exit that is itself the backward edge
+      of an enclosing loop — a loop ending in a loop), and
     - the header's own loop-exit edges are removed, so the only way past
       a loop header is through its body.
     """
-    from repro.cfg.dominators import natural_loops
+    return cfg.derived("once_through", _once_through)
 
-    loops = natural_loops(cfg)
-    succ: dict[int, list[int]] = {
-        node.node_id: list(cfg.successors(node.node_id)) for node in cfg.nodes()
+
+def _once_through(cfg: CFG) -> OnceThrough:
+    if cfg.entry_id is None or cfg.exit_id is None:
+        raise CFGError("CFG must have entry and exit nodes")
+    edges: dict[int, list[Edge]] = {
+        node.node_id: cfg.out_edges(node.node_id) for node in cfg.nodes()
     }
     # Collect, per loop header, the union of its loops' bodies (a header
     # with several back edges has several natural loops; merge them).
+    loops = natural_loops(cfg)
     header_body: dict[int, set[int]] = {}
-    header_tails: dict[int, list[int]] = {}
     for edge, body in loops.items():
         header_body.setdefault(edge.dst, set()).update(body)
-        header_tails.setdefault(edge.dst, []).append(edge.src)
+
+    def leave(header: int) -> list[int]:
+        # Where control goes once the loop is done. An exit edge that is
+        # an enclosing loop's backward edge (a loop ending in a loop)
+        # leaves that loop too: its body has been traversed once.
+        return [
+            target
+            for e in cfg.out_edges(header)
+            if e.dst not in header_body[header]
+            for target in (leave(e.dst) if e in loops else [e.dst])
+        ]
+
     for header, body in header_body.items():
-        exit_targets = [s for s in cfg.successors(header) if s not in body]
-        succ[header] = [s for s in cfg.successors(header) if s in body]
-        for tail in header_tails[header]:
-            succ[tail] = [s for s in succ[tail] if s != header]
-            succ[tail].extend(exit_targets)
-    return succ
+        edges[header] = [e for e in cfg.out_edges(header) if e.dst in body]
+    for tail, header in loops:
+        edges[tail] = [e for e in edges[tail] if e.dst != header]
+        # An inner loop's header leaves through that loop's own tails.
+        if tail == header or tail not in header_body:
+            edges[tail].extend(Edge(tail, target) for target in leave(header))
+
+    # Kahn topological order over the part reachable from the entry.
+    reachable = _closure(cfg.entry_id, lambda n: (e.dst for e in edges[n]))
+    pred: dict[int, list[int]] = {node_id: [] for node_id in reachable}
+    for node_id in reachable:
+        for edge in edges[node_id]:
+            pred[edge.dst].append(node_id)
+    indegree = {node_id: len(pred[node_id]) for node_id in reachable}
+    frontier = [n for n, d in indegree.items() if d == 0]
+    order: list[int] = []
+    while frontier:
+        current = frontier.pop()
+        order.append(current)
+        for edge in edges[current]:
+            indegree[edge.dst] -= 1
+            if indegree[edge.dst] == 0:
+                frontier.append(edge.dst)
+    if len(order) != len(reachable):
+        # Never a graph the builder produces: its loops are natural loops.
+        raise CFGError("a cycle survives the removal of backward edges")
+    live = (
+        _closure(cfg.exit_id, pred.__getitem__)
+        if cfg.exit_id in reachable
+        else set()
+    )
+    return OnceThrough(
+        edges={node_id: tuple(out) for node_id, out in edges.items()},
+        order=tuple(order),
+        live=frozenset(live),
+    )
+
+
+def _closure(start: int, neighbours) -> set[int]:
+    seen = {start}
+    stack = [start]
+    while stack:
+        for nxt in neighbours(stack.pop()):
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    return seen
+
+
+def once_through_successors(cfg: CFG) -> dict[int, list[int]]:
+    """Successor map of the once-through DAG (see :func:`once_through`)."""
+    return {
+        node_id: [edge.dst for edge in out]
+        for node_id, out in once_through(cfg).edges.items()
+    }
 
 
 def acyclic_paths(
@@ -105,8 +180,6 @@ def acyclic_paths(
     exceeds *limit* (a guard against combinatorial explosion on deeply
     branching programs).
     """
-    if cfg.entry_id is None or cfg.exit_id is None:
-        raise CFGError("CFG must have entry and exit nodes")
     succ = once_through_successors(cfg)
     paths: list[tuple[int, ...]] = []
     stack: list[tuple[int, tuple[int, ...]]] = [(cfg.entry_id, (cfg.entry_id,))]
@@ -118,10 +191,6 @@ def acyclic_paths(
                 raise CFGError(f"more than {limit} entry-exit paths")
             continue
         for nxt in succ[current]:
-            if nxt in path:
-                # Defensive: the once-through DAG should be acyclic, but
-                # guard against pathological graphs.
-                continue
             stack.append((nxt, path + (nxt,)))
     return paths
 
@@ -244,89 +313,24 @@ def index_checkpoints(cfg: CFG) -> CheckpointIndexing:
     DAG every entry→``v`` prefix extends to a complete path through any
     ``v``→exit suffix.
     """
-    if cfg.entry_id is None or cfg.exit_id is None:
-        raise CFGError("CFG must have entry and exit nodes")
-    succ = once_through_successors(cfg)
-
-    # Restrict to nodes reachable from the entry.
-    reachable: set[int] = {cfg.entry_id}
-    stack = [cfg.entry_id]
-    while stack:
-        current = stack.pop()
-        for nxt in succ[current]:
-            if nxt not in reachable:
-                reachable.add(nxt)
-                stack.append(nxt)
-
-    # Nodes that reach the exit (reverse reachability).
-    pred: dict[int, list[int]] = {node_id: [] for node_id in reachable}
-    for node_id in reachable:
-        for nxt in succ[node_id]:
-            if nxt in reachable:
-                pred[nxt].append(node_id)
-    reaches_exit: set[int] = set()
-    if cfg.exit_id in reachable:
-        reaches_exit.add(cfg.exit_id)
-        stack = [cfg.exit_id]
-        while stack:
-            current = stack.pop()
-            for prv in pred[current]:
-                if prv not in reaches_exit:
-                    reaches_exit.add(prv)
-                    stack.append(prv)
-
-    # Kahn topological order over the reachable once-through subgraph.
-    indegree = {node_id: 0 for node_id in reachable}
-    for node_id in reachable:
-        for nxt in succ[node_id]:
-            if nxt in reachable:
-                indegree[nxt] += 1
-    frontier = [n for n, d in indegree.items() if d == 0]
-    order: list[int] = []
-    while frontier:
-        current = frontier.pop()
-        order.append(current)
-        for nxt in succ[current]:
-            if nxt in reachable:
-                indegree[nxt] -= 1
-                if indegree[nxt] == 0:
-                    frontier.append(nxt)
-    if len(order) != len(reachable):
-        # Pathological: the once-through graph has a residual cycle.
-        # Fall back to the explicit enumeration, which skips repeated
-        # nodes defensively, so both procedures agree by construction.
-        enumeration = enumerate_checkpoints(cfg)
-        return CheckpointIndexing(
-            columns=enumeration.columns,
-            path_counts=tuple(
-                sorted({len(seq) for seq in enumeration.per_path})
-            ),
-            balanced=enumeration.balanced,
-        )
-
-    is_checkpoint = {
-        node_id: cfg.node(node_id).kind is NodeKind.CHECKPOINT
-        for node_id in reachable
-    }
-    mask: dict[int, int] = {node_id: 0 for node_id in reachable}
+    dag = once_through(cfg)
+    checkpoints = {node.node_id for node in cfg.checkpoint_nodes()}
+    mask: dict[int, int] = dict.fromkeys(dag.order, 0)
     mask[cfg.entry_id] = 1
-    for node_id in order:
+    for node_id in dag.order:
         incoming = mask[node_id]
         if not incoming:
             continue
-        outgoing = incoming << 1 if is_checkpoint[node_id] else incoming
-        for nxt in succ[node_id]:
-            if nxt in reachable:
-                mask[nxt] |= outgoing
+        outgoing = incoming << 1 if node_id in checkpoints else incoming
+        for edge in dag.edges[node_id]:
+            mask[edge.dst] |= outgoing
 
     exit_mask = mask.get(cfg.exit_id, 0)
     path_counts = tuple(_bit_positions(exit_mask))
     balanced = len(path_counts) <= 1
     depth = path_counts[0] if path_counts else 0
     columns_builder: list[set[int]] = [set() for _ in range(depth)]
-    for node_id in reachable:
-        if not is_checkpoint[node_id] or node_id not in reaches_exit:
-            continue
+    for node_id in checkpoints & dag.live:
         node_mask = mask[node_id]
         for i in range(depth):
             if node_mask >> i & 1:

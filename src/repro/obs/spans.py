@@ -19,7 +19,7 @@ Instrumented sites (see ``docs/metrics.md`` for the full catalogue):
 
 ========================== ==========================================
 ``phase1.insertion``        Phase I checkpoint insertion
-``phase2.matching``         Phase II send/recv matching (extended CFG)
+``phase2.matching``         Phase II matching, once, nested in Phase III
 ``phase3.placement``        Phase III checkpoint motion to Condition 1
 ``phase4.verification``     Phase IV final Condition 1 check
 ``cache.lookup``            transform-cache probe (``outcome`` field)

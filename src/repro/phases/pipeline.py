@@ -14,7 +14,6 @@ from repro.attributes.contradiction import Universe
 from repro.lang import ast_nodes as ast
 from repro.obs.spans import NULL_TRACKER
 from repro.phases.insertion import CostModel, InsertionPlan, insert_checkpoints
-from repro.phases.matching import build_extended_cfg
 from repro.phases.placement import PlacementResult, ensure_recovery_lines
 from repro.phases.verification import VerificationResult, check_condition1
 
@@ -61,9 +60,10 @@ def transform(
 
     *tracker* is an optional :class:`~repro.obs.spans.SpanTracker`;
     when given, each phase runs inside a span (``phase1.insertion``,
-    ``phase2.matching``, ``phase3.placement``, ``phase4.verification``)
-    plus a ``cache.lookup`` span with an ``outcome`` field, so
-    ``repro trace chrome`` shows where transform time goes.
+    ``phase3.placement`` with the single ``phase2.matching`` run nested
+    in it, ``phase4.verification``) plus a ``cache.lookup`` span with
+    an ``outcome`` field, so ``repro trace chrome`` shows where
+    transform time goes.
     """
     tracker = tracker if tracker is not None else NULL_TRACKER
     key: str | None = None
@@ -84,14 +84,16 @@ def transform(
         current = insertion.program
     with tracker.span("phase3.placement"):
         placement = ensure_recovery_lines(
-            current, loop_optimization=loop_optimization, universe=universe
+            current,
+            loop_optimization=loop_optimization,
+            universe=universe,
+            tracker=tracker,
         )
-    # verify_program inlined so Phases II and IV time separately.
-    with tracker.span("phase2.matching"):
-        ext = build_extended_cfg(placement.program)
+    # The full check (Phase III stops at the first violation), on the
+    # extended CFG Phase III ended with: Phase II ran once, inside it.
     with tracker.span("phase4.verification"):
         verification = check_condition1(
-            ext, include_back_edge_paths=not loop_optimization
+            placement.extended, include_back_edge_paths=not loop_optimization
         )
     verification.raise_if_failed()
     result = TransformResult(

@@ -33,12 +33,19 @@ from dataclasses import dataclass, field
 
 from repro.attributes.contradiction import Universe
 from repro.attributes.liveness import checkpoint_liveness
+from repro.cfg.builder import build_cfg
 from repro.cfg.dominators import compute_dominators
 from repro.cfg.graph import ExtendedCFG
 from repro.cfg.nodes import NodeKind
+from repro.cfg.paths import enumerate_checkpoints
 from repro.errors import PlacementError
 from repro.lang import ast_nodes as ast
-from repro.phases.matching import build_extended_cfg
+from repro.obs.spans import NULL_TRACKER
+from repro.phases.matching import (
+    attach_message_edges,
+    build_extended_cfg,
+    statement_edges,
+)
 from repro.phases.verification import (
     OrderingConstraint,
     VerificationResult,
@@ -65,6 +72,8 @@ class PlacementResult:
             never mutated).
         moves: Every motion performed, in order.
         verification: The final Condition 1 check (always ``ok``).
+        extended: The extended CFG of ``program`` that check ran on
+            (``None`` on a result rebuilt from the transform cache).
         ordering_constraints: Loop-optimisation artifacts (empty in
             conservative mode).
         checkpoint_live: Checkpoint statement ``node_id`` → variables
@@ -77,6 +86,7 @@ class PlacementResult:
     program: ast.Program
     moves: tuple[Move, ...] = ()
     verification: VerificationResult | None = None
+    extended: ExtendedCFG | None = None
     ordering_constraints: tuple[OrderingConstraint, ...] = ()
     checkpoint_live: dict[int, frozenset[str]] = field(default_factory=dict)
     checkpoint_dead: dict[int, frozenset[str]] = field(default_factory=dict)
@@ -113,8 +123,14 @@ def ensure_recovery_lines(
     loop_optimization: bool = False,
     universe: Universe = Universe(),
     max_moves: int | None = None,
+    tracker=NULL_TRACKER,
 ) -> PlacementResult:
     """Run Algorithm 3.2 on a copy of *program* until Condition 1 holds.
+
+    Phase II runs once (inside a ``phase2.matching`` span of
+    *tracker*): moving checkpoints changes nothing it reads, so every
+    later iteration replays its statement-level message edges onto the
+    fresh CFG.
 
     Raises :class:`~repro.errors.PlacementError` if no legal placement
     is found within the move budget (default ``50 + 20 *`` number of
@@ -125,10 +141,17 @@ def ensure_recovery_lines(
     budget = max_moves if max_moves is not None else 50 + 20 * n_checkpoints
     include_back = not loop_optimization
     moves: list[Move] = []
+    edges = None
 
     for _ in range(budget + 1):
         _merge_adjacent_checkpoints(working)
-        ext = build_extended_cfg(working, universe=universe)
+        cfg = build_cfg(working)
+        if edges is None:
+            with tracker.span("phase2.matching"):
+                ext = build_extended_cfg(working, cfg, universe)
+            edges = statement_edges(ext)
+        else:
+            ext = attach_message_edges(cfg, edges)
         result = check_condition1(
             ext, include_back_edge_paths=include_back, first_only=True
         )
@@ -144,6 +167,7 @@ def ensure_recovery_lines(
                 program=working,
                 moves=tuple(moves),
                 verification=result,
+                extended=ext,
                 ordering_constraints=constraints,
                 checkpoint_live=dict(liveness.live_out),
                 checkpoint_dead=dict(liveness.dead),
@@ -220,8 +244,6 @@ def _hoist_one_level(
 
 def _rebalance(program: ast.Program, ext: ExtendedCFG) -> Move:
     """Hoist one surplus checkpoint toward its branch's common dominator."""
-    from repro.cfg.paths import enumerate_checkpoints
-
     enum = enumerate_checkpoints(ext.cfg)
     min_count = min(len(seq) for seq in enum.per_path)
     for seq in enum.per_path:
@@ -239,16 +261,13 @@ def _move_back(
 ) -> Move:
     """Step 2 of Algorithm 3.2: move ``C_i^B`` before a dominator on γ."""
     target_stmt = _checkpoint_stmt(ext, violation.dst)
-    dom = compute_dominators(ext.cfg)
-    path_nodes = set(violation.path)
+    dominators = compute_dominators(ext.cfg)[violation.dst]
     # Dominators of C_i^B that lie on γ, ordered entry-most first; we
     # try the latest (closest to C_i^B) first for minimal motion.
     candidates = [
         node_id
         for node_id in violation.path
-        if node_id != violation.dst
-        and node_id in dom.get(violation.dst, frozenset())
-        and node_id in path_nodes
+        if node_id != violation.dst and node_id in dominators
     ]
     index = _StmtIndex.build(program)
     for anchor_id in reversed(candidates):

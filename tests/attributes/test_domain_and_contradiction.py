@@ -1,67 +1,86 @@
-"""Path-attribute and contradiction-checking tests."""
+"""Rank-reachability tables and contradiction-checking tests."""
 
 import pytest
 
 from repro.attributes.contradiction import (
     CompatibilityReport,
     Universe,
-    endpoints_compatible,
+    tables_compatible,
 )
 from repro.attributes.dataflow import classify_variables, single_assignments
-from repro.attributes.domain import node_contexts
+from repro.attributes.domain import node_tables
 from repro.cfg import build_cfg
-from repro.cfg.nodes import NodeKind
-from repro.cfg.paths import acyclic_paths
 from repro.lang.parser import parse
 from repro.lang.programs import jacobi, ring_pipeline
 
 
-def contexts_for(program):
+def tables_for(program):
+    """``(send tables, recv tables)`` of *program*, in node order."""
     cfg = build_cfg(program)
-    classes = classify_variables(program)
-    paths = acyclic_paths(cfg)
-    return cfg, node_contexts(cfg, paths, classes), single_assignments(program)
+    sends = {n.node_id: n.stmt.dest for n in cfg.send_nodes()}
+    recvs = {n.node_id: n.stmt.source for n in cfg.recv_nodes()}
+    tables = node_tables(
+        cfg,
+        sends | recvs,
+        classify_variables(program),
+        single_assignments(program),
+        Universe().sizes,
+    )
+    return [tables[i] for i in sends], [tables[i] for i in recvs]
 
 
-class TestNodeContexts:
-    def test_every_send_recv_has_context(self):
-        cfg, contexts, _ = contexts_for(jacobi())
-        ids = {c.node_id for c in contexts}
-        for node in cfg.send_nodes() + cfg.recv_nodes():
-            assert node.node_id in ids
+def admits(table, rank, nprocs):
+    return rank in dict(table[nprocs])
 
-    def test_parity_constraint_recorded(self):
-        _, contexts, defs = contexts_for(jacobi())
-        sends = [c for c in contexts if c.kind is NodeKind.SEND]
-        even_send = next(
-            c for c in sends if c.admits_rank(0, 4, defs)
-        )
-        assert not even_send.admits_rank(1, 4, defs)
+
+class TestNodeTables:
+    def test_every_send_recv_has_a_table_per_size(self):
+        sends, recvs = tables_for(jacobi())
+        assert len(sends) == len(recvs) == 2
+        for table in sends + recvs:
+            assert tuple(table) == Universe().sizes
+
+    def test_parity_guard_recorded(self):
+        sends, _ = tables_for(jacobi())
+        even_send = next(t for t in sends if admits(t, 0, 4))
+        assert not admits(even_send, 1, 4)
 
     def test_endpoint_value_evaluates(self):
-        _, contexts, defs = contexts_for(jacobi())
-        sends = [c for c in contexts if c.kind is NodeKind.SEND]
-        even_send = next(c for c in sends if c.admits_rank(0, 4, defs))
-        assert even_send.endpoint_value(0, 4, defs) == 1
-        assert even_send.endpoint_value(2, 4, defs) == 3
+        sends, _ = tables_for(jacobi())
+        even_send = next(t for t in sends if admits(t, 0, 4))
+        assert even_send[4] == [(0, 1), (2, 3)]
 
-    def test_neutral_loop_condition_not_a_constraint(self):
-        _, contexts, defs = contexts_for(jacobi())
-        # The while-loop condition (i < steps) must not restrict ranks.
-        for ctx in contexts:
-            for constraint in ctx.constraints:
-                # every recorded constraint must be rank-decidable
-                assert constraint.holds(0, 4, defs) is not None or True
+    def test_neutral_loop_condition_is_not_a_guard(self):
+        # The while-loop condition (i < steps) must not restrict ranks:
+        # between them the two arms admit every rank of every size.
+        sends, _ = tables_for(jacobi())
+        for nprocs in Universe().sizes:
+            ranks = {rank for table in sends for rank, _ in table[nprocs]}
+            assert ranks == set(range(nprocs))
 
     def test_rank_zero_branch(self):
-        _, contexts, defs = contexts_for(ring_pipeline())
-        recvs = [c for c in contexts if c.kind is NodeKind.RECV]
-        rank0_recv = [c for c in recvs if c.admits_rank(0, 4, defs)]
-        others = [c for c in recvs if c.admits_rank(2, 4, defs)]
+        _, recvs = tables_for(ring_pipeline())
+        rank0_recv = [t for t in recvs if admits(t, 0, 4)]
+        others = [t for t in recvs if admits(t, 2, 4)]
         assert rank0_recv and others
-        assert {c.node_id for c in rank0_recv}.isdisjoint(
-            {c.node_id for c in others}
+        assert all(t not in others for t in rank0_recv)
+
+    def test_sequential_guards_union_over_paths(self):
+        program = parse(
+            "program t():\n"
+            "    if myrank % 3 == 0:\n"
+            "        x = 1\n"
+            "    else:\n"
+            "        x = 2\n"
+            "    if myrank % 2 == 0:\n"
+            "        send(myrank + 1, x)\n"
+            "    else:\n"
+            "        y = recv(myrank - 1)\n"
         )
+        (send,), (recv,) = tables_for(program)
+        # Both arms of the first diamond rejoin: its guard drops out.
+        assert [rank for rank, _ in send[6]] == [0, 2, 4]
+        assert [rank for rank, _ in recv[6]] == [1, 3, 5]
 
 
 class TestUniverse:
@@ -77,25 +96,21 @@ class TestUniverse:
 
 class TestEndpointCompatibility:
     def test_jacobi_even_send_matches_odd_recv(self):
-        _, contexts, defs = contexts_for(jacobi())
-        sends = [c for c in contexts if c.kind is NodeKind.SEND]
-        recvs = [c for c in contexts if c.kind is NodeKind.RECV]
-        even_send = next(c for c in sends if c.admits_rank(0, 4, defs))
-        odd_recv = next(c for c in recvs if c.admits_rank(1, 4, defs))
-        witness = endpoints_compatible(even_send, odd_recv, defs)
+        sends, recvs = tables_for(jacobi())
+        even_send = next(t for t in sends if admits(t, 0, 4))
+        odd_recv = next(t for t in recvs if admits(t, 1, 4))
+        witness = tables_compatible(even_send, odd_recv)
         assert witness is not None
         assert witness.sender % 2 == 0
         assert witness.receiver == witness.sender + 1
 
     def test_parity_contradiction_rejected(self):
-        _, contexts, defs = contexts_for(jacobi())
-        sends = [c for c in contexts if c.kind is NodeKind.SEND]
-        recvs = [c for c in contexts if c.kind is NodeKind.RECV]
-        even_send = next(c for c in sends if c.admits_rank(0, 4, defs))
-        even_recv = next(c for c in recvs if c.admits_rank(0, 4, defs))
+        sends, recvs = tables_for(jacobi())
+        even_send = next(t for t in sends if admits(t, 0, 4))
+        even_recv = next(t for t in recvs if admits(t, 0, 4))
         # even sends to myrank+1 (odd); even receives from myrank+1 (odd
         # source) — the sender cannot be even. Contradiction.
-        assert endpoints_compatible(even_send, even_recv, defs) is None
+        assert tables_compatible(even_send, even_recv) is None
 
     def test_irregular_endpoint_matches_liberally(self):
         program = parse(
@@ -105,10 +120,8 @@ class TestEndpointCompatibility:
             "    else:\n"
             "        y = recv(0)\n"
         )
-        _, contexts, defs = contexts_for(program)
-        send = next(c for c in contexts if c.kind is NodeKind.SEND)
-        recv = next(c for c in contexts if c.kind is NodeKind.RECV)
-        assert endpoints_compatible(send, recv, defs) is not None
+        (send,), (recv,) = tables_for(program)
+        assert tables_compatible(send, recv) is not None
 
     def test_constant_endpoints_must_agree(self):
         program = parse(
@@ -118,26 +131,22 @@ class TestEndpointCompatibility:
             "    else:\n"
             "        y = recv(2)\n"
         )
-        _, contexts, defs = contexts_for(program)
-        send = next(c for c in contexts if c.kind is NodeKind.SEND)
-        recv = next(c for c in contexts if c.kind is NodeKind.RECV)
+        (send,), (recv,) = tables_for(program)
         # send targets rank 1, but the recv names source rank 2 while
         # only non-zero ranks execute it; source 2 != sender 0.
-        assert endpoints_compatible(send, recv, defs) is None
+        assert tables_compatible(send, recv) is None
 
     def test_witness_is_concrete_and_valid(self):
-        _, contexts, defs = contexts_for(ring_pipeline())
-        sends = [c for c in contexts if c.kind is NodeKind.SEND]
-        recvs = [c for c in contexts if c.kind is NodeKind.RECV]
+        sends, recvs = tables_for(ring_pipeline())
         for send in sends:
             for recv in recvs:
-                witness = endpoints_compatible(send, recv, defs)
+                witness = tables_compatible(send, recv)
                 if witness is None:
                     continue
                 assert 0 <= witness.sender < witness.nprocs
                 assert 0 <= witness.receiver < witness.nprocs
-                assert send.admits_rank(witness.sender, witness.nprocs, defs)
-                assert recv.admits_rank(witness.receiver, witness.nprocs, defs)
+                assert admits(send, witness.sender, witness.nprocs)
+                assert admits(recv, witness.receiver, witness.nprocs)
 
 
 class TestCompatibilityReport:
