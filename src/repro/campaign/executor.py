@@ -596,6 +596,11 @@ class CellOutcome:
     cell carries an ``executor:``-prefixed error; a cell that died on
     an unexpected (non-:class:`~repro.errors.ReproError`) exception
     carries an ``unexpected:``-prefixed one.
+
+    ``metrics`` is a side channel outside the artifact (not in JSON, the
+    journal, ``==`` or ``repr``; it crosses workers by pickle): the dict
+    of the registry an observed run fed live, which spares
+    :func:`~repro.obs.rollup.cell_metrics` decoding ``events_jsonl``.
     """
 
     label: str
@@ -605,6 +610,7 @@ class CellOutcome:
     final_env: dict[int, dict[str, int]] | None = None
     completion_time: float | None = None
     events_jsonl: str | None = None
+    metrics: dict | None = field(default=None, compare=False, repr=False)
 
     @property
     def ok(self) -> bool:
@@ -615,7 +621,8 @@ class CellOutcome:
 
     @classmethod
     def failure(
-        cls, spec: ScenarioSpec, message: str, events_jsonl: str | None = None
+        cls, spec: ScenarioSpec, message: str, events_jsonl: str | None = None,
+        metrics: dict | None = None,
     ) -> "CellOutcome":
         """The structured error outcome of *spec* (also its quarantine)."""
         return cls(
@@ -623,6 +630,7 @@ class CellOutcome:
             spec_hash=spec.content_hash(),
             error=message,
             events_jsonl=events_jsonl,
+            metrics=metrics,
         )
 
     def to_json_dict(self) -> dict:
@@ -725,30 +733,25 @@ def _normalized_jsonl(obs, program) -> str:
     cell's own program makes the log a pure function of the spec, which
     is what the executor's byte-identity invariant demands.
     """
-    from dataclasses import replace
-
     from repro.lang.ast_nodes import walk
-    from repro.obs import events_to_jsonl
+    from repro.obs.export import payloads_to_jsonl
 
     stmt_ids = {
         node.node_id: index
         for index, node in enumerate(walk(program), start=1)
     }
-    events = [
-        replace(
-            event,
-            fields={
-                **event.fields,
-                "stmt_id": stmt_ids.get(
-                    event.fields["stmt_id"], event.fields["stmt_id"]
-                ),
-            },
-        )
-        if "stmt_id" in event.fields
-        else event
-        for event in obs.events
-    ]
-    return events_to_jsonl(events)
+
+    def payloads():
+        for event in obs.events:
+            payload = event.to_dict()
+            if "stmt_id" in event.fields:
+                stmt_id = event.fields["stmt_id"]
+                payload["fields"] = {
+                    **event.fields, "stmt_id": stmt_ids.get(stmt_id, stmt_id),
+                }
+            yield payload
+
+    return payloads_to_jsonl(payloads())
 
 
 def _campaign_cell(spec: ScenarioSpec) -> CellOutcome:
@@ -757,6 +760,7 @@ def _campaign_cell(spec: ScenarioSpec) -> CellOutcome:
     observer = None
     if spec.observe:
         from repro.obs import Observability
+        from repro.obs.rollup import fold_stats
 
         obs = Observability()
         observer = obs.bus
@@ -765,15 +769,16 @@ def _campaign_cell(spec: ScenarioSpec) -> CellOutcome:
         sim = spec.build(observer=observer)
         result = sim.run()
     except ReproError as error:
-        events = None
+        events = metrics = None
         if obs is not None:
             events = (
                 _normalized_jsonl(obs, sim.program)
                 if sim is not None
                 else obs.jsonl()
             )
+            metrics = fold_stats(obs.metrics, None, True)
         return CellOutcome.failure(
-            spec, f"{type(error).__name__}: {error}", events
+            spec, f"{type(error).__name__}: {error}", events, metrics
         )
     except Exception as error:
         # A RecursionError, MemoryError, or plain bug in one cell must
@@ -782,16 +787,20 @@ def _campaign_cell(spec: ScenarioSpec) -> CellOutcome:
         return CellOutcome.failure(
             spec, f"unexpected: {type(error).__name__}: {error}"
         )
+    stats = result.stats.as_dict()
     return CellOutcome(
         label=spec.label,
         spec_hash=spec.content_hash(),
-        stats=result.stats.as_dict(),
+        stats=stats,
         final_env={
             rank: dict(env) for rank, env in sorted(result.final_env.items())
         },
         completion_time=result.completion_time,
         events_jsonl=(
             _normalized_jsonl(obs, sim.program) if obs is not None else None
+        ),
+        metrics=(
+            fold_stats(obs.metrics, stats, False) if obs is not None else None
         ),
     )
 

@@ -43,6 +43,11 @@ EVENT_LOG_SCHEMA_VERSION = 2
 #: Versions :func:`read_event_log` accepts (1 = legacy headerless logs).
 SUPPORTED_SCHEMA_VERSIONS = frozenset({1, 2})
 
+#: The one compact, key-sorted encoder behind every log line: the bytes
+#: of ``json.dumps(..., sort_keys=True, separators=(",", ":"))`` without
+#: building an encoder per call.
+encode_line = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
 
 class SchemaVersionError(SimulationError):
     """An event log announced a schema this build cannot interpret.
@@ -64,14 +69,10 @@ class SchemaVersionError(SimulationError):
 
 def event_log_header() -> str:
     """The JSONL header line (compact, sorted keys, no newline)."""
-    return json.dumps(
-        {
-            "format": "repro-obs-jsonl",
-            "log_schema_version": EVENT_LOG_SCHEMA_VERSION,
-        },
-        sort_keys=True,
-        separators=(",", ":"),
-    )
+    return encode_line({
+        "format": "repro-obs-jsonl",
+        "log_schema_version": EVENT_LOG_SCHEMA_VERSION,
+    })
 
 
 def events_to_jsonl(events: Iterable[ObsEvent]) -> str:
@@ -81,11 +82,13 @@ def events_to_jsonl(events: Iterable[ObsEvent]) -> str:
     function of the event stream — the determinism contract the test
     suite checks byte-for-byte.
     """
+    return payloads_to_jsonl(event.to_dict() for event in events)
+
+
+def payloads_to_jsonl(payloads: Iterable[dict[str, Any]]) -> str:
+    """:func:`events_to_jsonl` over ``ObsEvent.to_dict`` payloads."""
     lines = [event_log_header()]
-    lines += [
-        json.dumps(event.to_dict(), sort_keys=True, separators=(",", ":"))
-        for event in events
-    ]
+    lines += map(encode_line, payloads)
     return "\n".join(lines) + "\n"
 
 
@@ -106,8 +109,8 @@ def read_event_log(source: str | Path) -> list[ObsEvent]:
     """
     if isinstance(source, Path):
         text = source.read_text()
-    elif "\n" in source or source.lstrip().startswith("{"):
-        text = source
+    elif "\n" in source or source.lstrip()[:1] in ("", "{"):
+        text = source  # log text; blank text is an empty log, not a path
     else:
         text = Path(source).read_text()
     events = []

@@ -224,12 +224,15 @@ class MetricsCollector:
             self.registry.counter("unrecoverable_total").inc()
             return
         if event.name == "checkpoint" and event.rank is not None:
+            # float(): a live event may carry an int time, a replayed
+            # one never does — the registries must not differ by that.
+            now = float(event.time)
             previous = self._last_checkpoint_time.get(event.rank)
             if previous is not None:
                 self.registry.histogram("checkpoint_latency").observe(
-                    event.time - previous
+                    now - previous
                 )
-            self._last_checkpoint_time[event.rank] = event.time
+            self._last_checkpoint_time[event.rank] = now
             number = event.fields.get("checkpoint_number")
             if number is not None:
                 self._checkpoint_numbers[event.rank] = number

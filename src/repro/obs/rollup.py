@@ -111,19 +111,12 @@ def merge_registries(
     return {name: merged[name] for name in sorted(merged)}
 
 
-def cell_metrics(outcome) -> dict[str, dict]:
-    """Deterministic metrics of one campaign cell outcome.
-
-    Folds the cell's :class:`~repro.runtime.engine.SimulationStats`
-    into ``stats.*`` counters and, when the cell recorded an
-    observability event log, replays it through a
-    :class:`~repro.obs.metrics.MetricsCollector` for the full derived
-    set (checkpoint latency, retransmit rate, rollback depth, ...).
-    Everything here is a pure function of the cell's deterministic
-    artifact, which is what makes the rollup jobs-invariant.
-    """
-    registry = MetricsRegistry()
-    stats = outcome.stats or {}
+def fold_stats(
+    registry: MetricsRegistry, stats: dict | None, errored: bool
+) -> dict[str, dict]:
+    """Fold a cell's stats dict (as ``stats.*``) and its error flag into
+    *registry*; returns the registry's dict form — one cell's metrics."""
+    stats = stats or {}
     for name in sorted(stats):
         value = stats[name]
         if isinstance(value, bool):
@@ -132,15 +125,37 @@ def cell_metrics(outcome) -> dict[str, dict]:
             registry.counter(f"stats.{name}").inc(value)
         elif isinstance(value, float):
             registry.gauge(f"stats.{name}").set(value)
-    if getattr(outcome, "error", None) is not None:
+    if errored:
         registry.counter("cells_errored").inc()
+    return registry.as_dict()
+
+
+def cell_metrics(outcome) -> dict[str, dict]:
+    """Deterministic metrics of one campaign cell outcome.
+
+    The cell's :class:`~repro.runtime.engine.SimulationStats` as
+    ``stats.*`` counters plus, for an observed cell, the derived set of
+    a :class:`~repro.obs.metrics.MetricsCollector` (checkpoint latency,
+    retransmit rate, rollback depth, ...). An outcome fresh from its
+    worker carries the registry its run fed live (``outcome.metrics``),
+    returned as is; one that arrived as JSON (journal, results file)
+    replays its event log through a second collector — the definition,
+    and a pure function of the cell's deterministic artifact, which is
+    what makes the rollup jobs-invariant.
+    """
+    live = getattr(outcome, "metrics", None)
+    if live is not None:
+        return live
+    registry = MetricsRegistry()
     if outcome.events_jsonl:
         from repro.obs.export import read_event_log
 
         collector = MetricsCollector(registry)
         for event in read_event_log(outcome.events_jsonl):
             collector.on_event(event)
-    return registry.as_dict()
+    return fold_stats(
+        registry, outcome.stats, getattr(outcome, "error", None) is not None
+    )
 
 
 def _cell_tags(key: str) -> dict[str, str]:

@@ -415,6 +415,10 @@ class RecoverySupervisor:
             start = now
             try:
                 sim.protocol.on_failure(sim, rank, now)
+                # A retried error's traceback holds this frame and its
+                # callers' (whose locals are the whole simulation):
+                # keeping it past success would leave a cycle to gen-2.
+                cause = None
                 self._emit_attempt_span(rank, start, now, attempt, "ok")
                 return
             except (

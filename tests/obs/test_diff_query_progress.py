@@ -294,6 +294,12 @@ class TestSchemaVersion:
         legacy = json.dumps(self.EVENTS[0].to_dict())
         assert read_event_log(legacy) == self.EVENTS
 
+    @pytest.mark.parametrize("text", ["", " ", "\n", "  \n\n"])
+    def test_blank_text_is_an_empty_log(self, text):
+        # Regression: "" has no newline and no "{", so the str-or-path
+        # sniffing took it for a path and raised IsADirectoryError('.').
+        assert read_event_log(text) == []
+
     def test_unknown_version_rejected_with_structure(self, tmp_path):
         lines = events_to_jsonl(self.EVENTS).splitlines()
         header = json.loads(lines[0])

@@ -23,7 +23,12 @@ from repro.causality.vector_clock import VectorClock
 from repro.lang.programs import ring_pipeline, token_ring
 from repro.protocols import ApplicationDrivenProtocol, make_protocol
 from repro.runtime import FaultPlan, Simulation
-from repro.runtime.failures import FaultKind, StorageFaultEvent
+from repro.runtime.failures import (
+    FaultKind,
+    RecoveryFaultEvent,
+    RecoveryFaultKind,
+    StorageFaultEvent,
+)
 from repro.runtime.interpreter import ProcessSnapshot
 from repro.runtime.storage import (
     DELTA_CHAIN_CAP,
@@ -474,22 +479,44 @@ def test_rot_on_a_recycled_identity_is_detected():
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("scheduler", ("indexed", "reference"))
-def test_finished_fault_free_simulation_is_freed_by_refcount(scheduler):
-    """No reference cycle through a fault-free ``Simulation``: dropping
-    the last reference frees it, nothing is left for the collector."""
+def _assert_freed_by_refcount(retries=0, **knobs):
+    """Run ``token_ring`` n=16 under *knobs* (taking *retries* recovery
+    retries on the way), drop it, and expect nothing left to collect."""
     program = token_ring()
     gc.collect()
     gc.disable()
     try:
         sim = Simulation(
             program, 16, params={"steps": 4},
-            protocol=make_protocol("appl-driven", 6.0),
-            scheduler=scheduler,
+            protocol=make_protocol("appl-driven", 6.0), **knobs,
         )
         result = sim.run()
         assert result.verdict == "completed"
+        assert result.stats.recovery_retries == retries
         del sim, result
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("scheduler", ("indexed", "reference"))
+def test_finished_fault_free_simulation_is_freed_by_refcount(scheduler):
+    """No reference cycle through a fault-free ``Simulation``: dropping
+    the last reference frees it, nothing is left for the collector."""
+    _assert_freed_by_refcount(scheduler=scheduler)
+
+
+@pytest.mark.parametrize(
+    "kind", (RecoveryFaultKind.CRASH, RecoveryFaultKind.CONTROL_LOST)
+)
+def test_finished_retried_recovery_is_freed_by_refcount(kind):
+    """Nor through one whose recovery was retried: the supervisor drops
+    the retried error once an attempt succeeds — its traceback holds
+    the frames of ``recover`` and its callers, whose locals are the
+    simulation — so such a run is freed by refcount too."""
+    _assert_freed_by_refcount(retries=2, failure_plan=FaultPlan(
+        crashes=[(12.0, 3)],
+        recovery_faults=[
+            RecoveryFaultEvent(recovery=0, rank=3, kind=kind, attempts=2),
+        ],
+    ))

@@ -11,7 +11,12 @@ end against the real CLI:
    finished, then SIGKILL the whole process group mid-flight;
 3. re-run the same command to completion (the resume pass);
 4. assert the resumed artifact is **byte-identical** to the clean one
-   and that the resume pass actually skipped journalled cells.
+   and that the resume pass actually skipped journalled cells;
+5. assert the two runs' metric rollups (``--metrics-out``) have
+   identical ``aggregate`` and ``per_cell`` sections. The cells are
+   observed, so the clean run rolls up from the registries its cells
+   fed live; in the resumed run the journal-served cells replay their
+   event logs and the rest arrive live from ``--jobs 2`` workers.
 
 Exit code 0 on success, 1 on any violated expectation. Used by CI and
 by ``tests/integration/test_kill_resume.py``.
@@ -50,17 +55,23 @@ def _campaign_file(path: Path, steps: int, seeds: int) -> int:
                 protocol="appl-driven",
                 period=6.0,
                 seed=seed,
+                observe=True,
             ))
     path.write_text(dump_campaign(specs))
     return len(specs)
 
 
-def _cli(campaign: Path, out: Path, jobs: int, journal: Path | None):
+def _cli(
+    campaign: Path, out: Path, jobs: int, journal: Path | None,
+    metrics: Path | None = None,
+):
     """The ``repro campaign`` argv for one run."""
     argv = [
         sys.executable, "-m", "repro", "campaign", str(campaign),
         "--jobs", str(jobs), "--results-json", str(out),
     ]
+    if metrics is not None:
+        argv += ["--metrics-out", str(metrics)]
     if journal is not None:
         argv += ["--resume", str(journal)]
     return argv
@@ -91,6 +102,15 @@ def _journal_cells(journal: Path) -> int:
     return count
 
 
+def _rollup_sections(path: Path) -> str:
+    """The deterministic sections of a ``--metrics-out`` file."""
+    rollup = json.loads(path.read_text())
+    return json.dumps(
+        {"aggregate": rollup["aggregate"], "per_cell": rollup["per_cell"]},
+        sort_keys=True,
+    )
+
+
 def main(argv: list[str] | None = None) -> int:
     """Run the kill-and-resume smoke; return the process exit code."""
     parser = argparse.ArgumentParser(description=__doc__)
@@ -113,11 +133,17 @@ def main(argv: list[str] | None = None) -> int:
         journal = work / "journal.jsonl"
         clean_json = work / "clean.json"
         resumed_json = work / "resumed.json"
+        clean_metrics = work / "clean_metrics.json"
+        resumed_metrics = work / "resumed_metrics.json"
         cells = _campaign_file(campaign, args.steps, args.seeds)
         print(f"# campaign of {cells} cells at steps={args.steps}")
 
         clean = subprocess.run(
-            _cli(campaign, clean_json, jobs=1, journal=None), env=_env(),
+            _cli(
+                campaign, clean_json, jobs=1, journal=None,
+                metrics=clean_metrics,
+            ),
+            env=_env(),
             stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
         )
         if clean.returncode != 0:
@@ -158,7 +184,10 @@ def main(argv: list[str] | None = None) -> int:
                   f"kill threshold; resume pass still exercised")
 
         resume = subprocess.run(
-            _cli(campaign, resumed_json, jobs=2, journal=journal),
+            _cli(
+                campaign, resumed_json, jobs=2, journal=journal,
+                metrics=resumed_metrics,
+            ),
             env=_env(), stdout=subprocess.PIPE,
             stderr=subprocess.STDOUT, text=True,
         )
@@ -173,8 +202,16 @@ def main(argv: list[str] | None = None) -> int:
         if clean_json.read_bytes() != resumed_json.read_bytes():
             print("FAIL: resumed artifact differs from clean jobs=1 run")
             return 1
+        clean_rollup = _rollup_sections(clean_metrics)
+        if '"events_total"' not in clean_rollup:
+            print("FAIL: rollup holds no event-derived metrics")
+            return 1
+        if clean_rollup != _rollup_sections(resumed_metrics):
+            print("FAIL: resumed rollup differs from clean jobs=1 run")
+            return 1
         print(f"OK: resumed artifact byte-identical to clean run "
-              f"({done} cell(s) served from the journal)")
+              f"({done} cell(s) served from the journal); rollup "
+              f"aggregate + per_cell identical")
     return 0
 
 
