@@ -16,13 +16,37 @@ class VectorClock:
     """An immutable vector clock over a fixed number of processes."""
 
     components: tuple[int, ...]
+    #: What is known of :attr:`small` (``None``: not worked out yet). A
+    #: class default, not a field: equality and hashing ignore it.
+    _small = None
 
     @classmethod
     def zero(cls, n_processes: int) -> "VectorClock":
         """The all-zero clock for *n_processes* processes."""
         if n_processes < 1:
             raise ValueError(f"need at least one process, got {n_processes}")
-        return cls(components=(0,) * n_processes)
+        return _make((0,) * n_processes, True)
+
+    @property
+    def small(self) -> bool:
+        """Whether every component is an ``int`` in 0..127.
+
+        The checkpoint sizer's question before it treats the clock as a
+        byte string. ``zero`` knows the answer and ``tick`` / ``merge``
+        / ``receive`` pass a yes on while their new components stay
+        below 128; any other clock is scanned, once.
+        """
+        small = self._small
+        if small is None:
+            parts = self.components
+            try:
+                # bytes() takes exactly the integers 0..255, isascii()
+                # bounds them below 128, the type set rules out bool.
+                small = bytes(parts).isascii() and set(map(type, parts)) <= {int}
+            except (TypeError, ValueError):
+                small = False
+            self.__dict__["_small"] = small
+        return small
 
     def __len__(self) -> int:
         return len(self.components)
@@ -34,7 +58,7 @@ class VectorClock:
         """Increment *process*'s own component (a local event)."""
         parts = list(self.components)
         parts[process] += 1
-        return _make(tuple(parts))
+        return _make(tuple(parts), self._small and parts[process] < 128)
 
     def merge(self, other: "VectorClock") -> "VectorClock":
         """Component-wise maximum (applied on message receipt)."""
@@ -54,7 +78,7 @@ class VectorClock:
             return self
         if merged == theirs:
             return other
-        return _make(merged)
+        return _make(merged, self._small and other._small)
 
     def receive(self, other: "VectorClock", rank: int) -> "VectorClock":
         """``tick(rank)`` followed by ``merge(other)``, fused in one pass.
@@ -74,7 +98,9 @@ class VectorClock:
         ticked = mine[rank] + 1
         if ticked > parts[rank]:
             parts[rank] = ticked
-        return _make(tuple(parts))
+        return _make(
+            tuple(parts), self._small and other._small and parts[rank] < 128
+        )
 
     def happened_before(self, other: "VectorClock") -> bool:
         """True iff ``self -> other`` in the happened-before order:
@@ -91,8 +117,10 @@ class VectorClock:
         return not self.happened_before(other) and not other.happened_before(self)
 
 
-def _make(components: tuple) -> VectorClock:
+def _make(components: tuple, small=None) -> VectorClock:
     """Build a clock without the frozen-dataclass ``__init__``.
+
+    A true *small* records that :attr:`VectorClock.small` is known to hold.
 
     ``tick``/``receive`` run two to three times per traced event; the
     generated frozen ``__init__`` (``object.__setattr__``) costs ~3x a
@@ -101,4 +129,6 @@ def _make(components: tuple) -> VectorClock:
     """
     clock = VectorClock.__new__(VectorClock)
     clock.__dict__["components"] = components
+    if small:
+        clock.__dict__["_small"] = True
     return clock

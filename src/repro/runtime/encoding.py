@@ -33,9 +33,8 @@ Two record shapes exist on the wire:
 from __future__ import annotations
 
 import struct
-from bisect import bisect_left
-from itertools import compress
-from operator import attrgetter, ne
+from itertools import chain, compress
+from operator import attrgetter, eq, ne
 
 from repro.errors import StorageError
 
@@ -151,32 +150,41 @@ def encoded_size(value) -> int:
     Mirrors :func:`_encode_into` case for case (the equality is pinned
     by a Hypothesis property), so byte accounting never needs the
     canonical bytes themselves — only checksums and torn-write staging
-    do.
+    do. One loop prices a tuple's items in place and recurses only for
+    a nested tuple; a scalar is priced as its own single item.
     """
-    cls = value.__class__
-    if cls is int:
-        prefix = body = (value.bit_length() + 8) // 8
-    elif cls is str:
-        prefix = body = (
-            len(value) if value.isascii() else len(value.encode("utf-8"))
-        )
-    elif cls is tuple:
-        prefix = len(value)
-        body = 0
-        for item in value:
-            body += encoded_size(item)
-    elif cls is bool:
-        return 2
-    elif cls is float:
-        return 9
-    elif value is None:
-        return 1
+    if value.__class__ is tuple:
+        total = 2 if len(value) < 0x80 else 1 + _varint_size(len(value))
     else:
-        raise StorageError(
-            f"value of type {cls.__name__} is not checkpoint-encodable"
-        )
-    # Tag byte, varint length (or item count), content.
-    return (2 if prefix < 0x80 else 1 + _varint_size(prefix)) + body
+        value = (value,)
+        total = 0
+    for item in value:
+        cls = item.__class__
+        if cls is int:
+            length = (item.bit_length() + 8) // 8
+        elif cls is str:
+            length = (
+                len(item) if item.isascii() else len(item.encode("utf-8"))
+            )
+        elif cls is tuple:
+            total += encoded_size(item)
+            continue
+        elif cls is bool:
+            total += 2
+            continue
+        elif cls is float:
+            total += 9
+            continue
+        elif item is None:
+            total += 1
+            continue
+        else:
+            raise StorageError(
+                f"value of type {cls.__name__} is not checkpoint-encodable"
+            )
+        # Tag byte, varint length, content.
+        total += (2 if length < 0x80 else 1 + _varint_size(length)) + length
+    return total
 
 
 # ----------------------------------------------------------------------
@@ -220,32 +228,6 @@ def checkpoint_record(checkpoint) -> tuple:
         checkpoint.stmt_label,
         checkpoint.tag,
     )
-
-
-def delta_encodable(checkpoint, parent) -> bool:
-    """Whether *checkpoint* can be stored as a delta against *parent*.
-
-    The delta scheme requires the parent's environment slots to be a
-    *prefix* of the child's (forward execution only appends or updates
-    slots; the engine re-bases its parent pointer on every rollback, so
-    this holds by construction — checked anyway, because storing an
-    undecodable delta would be a silent-corruption bug), matching clock
-    widths, and no disappearing cursor/input keys.
-    """
-    if parent.rank != checkpoint.rank:
-        return False
-    snap = checkpoint.snapshot
-    psnap = parent.snapshot
-    parent_names = list(psnap.env)
-    if list(snap.env)[: len(parent_names)] != parent_names:
-        return False
-    if len(parent.clock.components) != len(checkpoint.clock.components):
-        return False
-    if not set(psnap.input_counters) <= set(snap.input_counters):
-        return False
-    if not set(parent.channel_cursors) <= set(checkpoint.channel_cursors):
-        return False
-    return True
 
 
 _MISSING = object()
@@ -303,116 +285,193 @@ def delta_record(checkpoint, parent) -> tuple:
 # Structural checkpoint sizes
 # ----------------------------------------------------------------------
 
+_NO_MAP: dict = {}
+_STALE = object()
 
-def _map_sizes(new: dict, old: dict | None) -> tuple[int, int]:
-    """Sizes of ``tuple(new.items())`` and of ``_changed(new, old)``.
 
-    Every ``(key, value)`` pair is priced once; the changed subset is
-    selected by :func:`_changed`'s type-strict rule. Order does not
-    affect size, so the sorted maps need no sort here.
+class SizeLedger:
+    """Structural sizes of checkpoints, each priced from the one before.
+
+    The ledger mirrors one checkpoint (:attr:`entry`): per map — env
+    slots, input counters, channel cursors — the running sum of its
+    ``(key, value)`` pair sizes, and a small clock as one big integer.
+    :meth:`price` compares a checkpoint with that entry and sends only
+    the changed pairs (the new value in, the old one out) through
+    :func:`encoded_size`, which gives the full record's size (the
+    sums), the delta record's (the changed pairs) and whether a key
+    disappeared, in one pass per map.
+    Handed a parent other than the mirrored entry — first commit,
+    restore, re-base, a write that never landed — it rebuilds the
+    mirror from that parent, so nothing ever has to reset a ledger.
+    *key_sizes* memoises pair-header-plus-key sizes; the ledgers of one
+    simulation share it.
     """
-    sizes = [
-        2 + encoded_size(key) + encoded_size(value)
-        for key, value in new.items()
-    ]
-    whole = 1 + _varint_size(len(sizes)) + sum(sizes)
-    if old is None:
-        return whole, 0
-    get = old.get
-    changed = [
-        size
-        for size, (key, value) in zip(sizes, new.items())
-        if (previous := get(key, _MISSING)).__class__ is not value.__class__
-        or previous != value
-    ]
-    return whole, 1 + _varint_size(len(changed)) + sum(changed)
 
+    __slots__ = ("entry", "_key_sizes", "_bodies", "_clock_bits")
 
-def _clock_sizes(clock: tuple, parent_clock: tuple | None) -> tuple[int, int]:
-    """Sizes of the clock tuple and of its ``(index, value)`` changes.
+    def __init__(self, key_sizes: dict | None = None) -> None:
+        self.entry = None
+        self._key_sizes = {} if key_sizes is None else key_sizes
+        self._bodies = [0, 0, 0]
+        self._clock_bits: int | None = None
 
-    The common clock — every component an ``int`` in 0..127, three
-    bytes on the wire — is recognised and diffed without a Python-level
-    step per component; anything else is summed through
-    :func:`encoded_size`, so the result is exact for every clock.
-    """
-    n = len(clock)
-    try:
-        # bytes() takes exactly the integers 0..255 and isascii() bounds
-        # them below 128; the type set rules out bool (two bytes).
-        small = (
-            n <= 0x8000
-            and bytes(clock).isascii()
-            and set(map(type, clock)) <= {int}
+    def price(
+        self, checkpoint, parent=None, delta: bool = True
+    ) -> tuple[int, int | None]:
+        """``(full_size, delta_size)`` of *checkpoint*, without bytes.
+
+        Exactly ``len(encode_record(checkpoint_record(checkpoint)))``
+        and ``len(encode_record(delta_record(checkpoint, parent)))``;
+        the latter is ``None`` when there is no such record (no
+        *parent*, or a pair :func:`delta_encodable` refuses) or no use
+        for it (*delta* false: the clocks are then not diffed).
+        Afterwards the ledger mirrors *checkpoint*.
+        """
+        if self.entry is not parent:
+            self.__init__(self._key_sizes)
+            if parent is not None:
+                self.price(parent, None, delta)
+        # A pass that raises (an unencodable value) leaves the sums
+        # half-updated: match no parent until one has completed.
+        self.entry = _STALE
+        snap = checkpoint.snapshot
+        env = snap.env
+        if parent is None:
+            old_env = old_inputs = old_cursors = _NO_MAP
+        else:
+            old_env = parent.snapshot.env
+            old_inputs = parent.snapshot.input_counters
+            old_cursors = parent.channel_cursors
+        env_whole, env_changed = self._map(0, env, old_env)
+        inputs_whole, inputs_changed = self._map(
+            1, snap.input_counters, old_inputs
         )
-    except (TypeError, ValueError):
-        small = False
-    whole = 1 + _varint_size(n) + (
-        3 * n if small else sum(map(encoded_size, clock))
-    )
-    if parent_clock is None:
-        return whole, 0
-    indices = _changed_indices(clock, parent_clock)
-    count = len(indices)
-    if small:
-        # Pair header + 3-byte value + 3-byte index, and one byte more
-        # for each index past 127 (n <= 0x8000 keeps them two-byte).
-        changes = 8 * count + count - bisect_left(indices, 0x80)
-    else:
-        changes = (
-            2 * count
-            + sum(map(encoded_size, indices))
-            + sum(map(encoded_size, map(clock.__getitem__, indices)))
+        cursors_whole, cursors_changed = self._map(
+            2, checkpoint.channel_cursors, old_cursors
         )
-    return whole, 1 + _varint_size(count) + changes
+        # A small clock (every component an int in 0..127) is three
+        # bytes a component and is mirrored as one big integer;
+        # n <= 0x8000 keeps every index at most two bytes long.
+        clock = checkpoint.clock
+        parts = clock.components
+        n = len(parts)
+        small = n <= 0x8000 and clock.small
+        old_bits = self._clock_bits
+        self._clock_bits = bits = (
+            int.from_bytes(bytes(parts), "big") if small and delta else None
+        )
+        # The eight fields both records carry verbatim, priced as one
+        # flat tuple: its own header comes off, those of the frames
+        # tuple and of its four-field items go on.
+        frames = snap.frames
+        flat = (
+            checkpoint.rank, checkpoint.number, snap.checkpoint_count,
+            snap.pending_recv, checkpoint.time, checkpoint.stmt_label,
+            checkpoint.tag, *chain.from_iterable(map(_frame_fields, frames)),
+        )
+        shared = (
+            encoded_size(flat) - _varint_size(len(flat))
+            + _varint_size(len(frames)) + 2 * len(frames)
+        )
+        self.entry = checkpoint
+        # Record header (2) + kind string: "full" is 6 bytes, "delta" 7.
+        full = (
+            8 + shared + env_whole + inputs_whole + cursors_whole
+            + 1 + _varint_size(n)
+            + (3 * n if small else sum(map(encoded_size, parts)))
+        )
+        if (
+            not delta
+            or parent is None
+            or env_changed is None
+            or inputs_changed is None
+            or cursors_changed is None
+            or len(parent.clock.components) != n
+            or parent.rank != checkpoint.rank
+            # No slot disappeared, so this is the prefix-order check.
+            or not all(map(eq, old_env, env))
+        ):
+            return full, None
+        if small and old_bits is not None:
+            # Small clocks differ where their XOR has a non-zero byte:
+            # pair header + 3-byte value + 3-byte index each, and one
+            # byte more for each index past 127.
+            same = (bits ^ old_bits).to_bytes(n, "big")
+            count = n - same.count(0)
+            clock_changed = 8 * count + (
+                n - 128 - same.count(0, 128) if n > 128 else 0
+            )
+        else:
+            indices = _changed_indices(parts, parent.clock.components)
+            count = len(indices)
+            clock_changed = 2 * count + sum(map(encoded_size, indices)) + sum(
+                map(encoded_size, map(parts.__getitem__, indices))
+            )
+        return full, (
+            9 + encoded_size(parent.number) + shared
+            + env_changed + inputs_changed + cursors_changed
+            + 1 + _varint_size(count) + clock_changed
+        )
+
+    def _map(self, slot: int, new: dict, old: dict) -> tuple[int, int | None]:
+        """Sizes of ``tuple(new.items())`` and of ``_changed(new, old)``.
+
+        *old* is the mirrored map; the second size is ``None`` when a
+        key of it is gone from *new*. Order does not affect size, so
+        the sorted maps need no sort here.
+        """
+        if not (new or old):
+            return 2, 2
+        key_sizes = self._key_sizes
+        body = self._bodies[slot]
+        get = old.get
+        changed = count = added = 0
+        for key, value in new.items():
+            previous = get(key, _MISSING)
+            if previous.__class__ is not value.__class__ or previous != value:
+                head = key_sizes.get(key)
+                if head is None:
+                    head = key_sizes[key] = 2 + encoded_size(key)
+                size = encoded_size(value)
+                if previous is _MISSING:
+                    added += 1
+                    body += head + size
+                else:
+                    body += size - encoded_size(previous)
+                changed += head + size
+                count += 1
+        if len(new) == len(old) + added:
+            changed += 2 if count < 0x80 else 1 + _varint_size(count)
+        else:
+            for key in old.keys() - new.keys():
+                body -= key_sizes[key] + encoded_size(old[key])
+            changed = None
+        self._bodies[slot] = body
+        count = len(new)
+        return (2 if count < 0x80 else 1 + _varint_size(count)) + body, changed
 
 
 def checkpoint_sizes(checkpoint, parent=None) -> tuple[int, int | None]:
-    """``(full_size, delta_size)`` of *checkpoint*, in one pass, no bytes.
+    """:meth:`SizeLedger.price` over a fresh ledger: exact, and cold.
 
-    ``full_size`` is ``len(encode_record(checkpoint_record(checkpoint)))``
-    and ``delta_size`` is ``len(encode_record(delta_record(checkpoint,
-    parent)))`` (``None`` without a *parent*; only meaningful after
-    :func:`delta_encodable`). The two records share eight fields
-    verbatim; only the four maps differ, whole vs changed subset.
+    The lazy path of :attr:`StoredCheckpoint.full_bytes` /
+    ``payload_bytes`` and the reference the engine's ledgers are pinned
+    against.
     """
-    snap = checkpoint.snapshot
-    shared = encoded_size(tuple(map(_frame_fields, snap.frames)))
-    for field in (
-        checkpoint.rank,
-        checkpoint.number,
-        snap.checkpoint_count,
-        snap.pending_recv,
-        checkpoint.time,
-        checkpoint.stmt_label,
-        checkpoint.tag,
-    ):
-        shared += encoded_size(field)
-    if parent is None:
-        env = inputs = clock = cursors = None
-    else:
-        env = parent.snapshot.env
-        inputs = parent.snapshot.input_counters
-        clock = parent.clock.components
-        cursors = parent.channel_cursors
-    env_whole, env_changed = _map_sizes(snap.env, env)
-    inputs_whole, inputs_changed = _map_sizes(snap.input_counters, inputs)
-    clock_whole, clock_changed = _clock_sizes(
-        checkpoint.clock.components, clock
-    )
-    cursors_whole, cursors_changed = _map_sizes(
-        checkpoint.channel_cursors, cursors
-    )
-    # Record header (2) + kind string: "full" is 6 bytes, "delta" 7.
-    full = (
-        8 + shared + env_whole + inputs_whole + clock_whole + cursors_whole
-    )
-    if parent is None:
-        return full, None
-    return full, (
-        9 + encoded_size(parent.number) + shared
-        + env_changed + inputs_changed + clock_changed + cursors_changed
-    )
+    return SizeLedger().price(checkpoint, parent)
+
+
+def delta_encodable(checkpoint, parent) -> bool:
+    """Whether *checkpoint* can be stored as a delta against *parent*.
+
+    The delta scheme requires the parent's environment slots to be a
+    *prefix* of the child's (forward execution only appends or updates
+    slots; the engine re-bases its parent pointer on every rollback, so
+    this holds by construction — checked anyway, because storing an
+    undecodable delta would be a silent-corruption bug), matching clock
+    widths, and no disappearing cursor/input keys.
+    """
+    return checkpoint_sizes(checkpoint, parent)[1] is not None
 
 
 def apply_delta(parent_record: tuple, delta: tuple) -> tuple:
@@ -428,7 +487,7 @@ def apply_delta(parent_record: tuple, delta: tuple) -> tuple:
     (
         _kind, rank, number, parent_number, env_changes, frames,
         checkpoint_count, input_changes, pending_recv, clock_changes,
-        time, cursor_changes, stmt_id, tag,
+        time, cursor_changes, stmt_label, tag,
     ) = delta
     if parent_record[2] != parent_number or parent_record[1] != rank:
         raise StorageError(
@@ -459,6 +518,6 @@ def apply_delta(parent_record: tuple, delta: tuple) -> tuple:
         tuple(clock),
         time,
         tuple(sorted(cursors.items())),
-        stmt_id,
+        stmt_label,
         tag,
     )

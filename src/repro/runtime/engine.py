@@ -58,7 +58,7 @@ from repro.runtime.interpreter import (
     make_backend,
 )
 from repro.runtime.network import Message, Network
-from repro.runtime.encoding import checkpoint_sizes, delta_encodable
+from repro.runtime.encoding import SizeLedger
 from repro.runtime.storage import (
     DELTA_CHAIN_CAP,
     CheckpointStore,
@@ -394,9 +394,7 @@ class RecoverySupervisor:
         queue: list[RecoveryFaultEvent] = []
         for fault in self._by_recovery.get(index, []):
             if fault.kind is RecoveryFaultKind.READ_FAULT:
-                arm = getattr(sim.storage, "arm_read_faults", None)
-                if arm is not None:
-                    arm(fault.rank, fault.attempts)
+                sim.storage.arm_read_faults(fault.rank, fault.attempts)
             else:
                 # Validation sorted faults with crash-in-recovery ahead
                 # of control-lost, so nested crashes disrupt first.
@@ -629,6 +627,10 @@ class Simulation:
         # the delta encoder's chain parent. Reset on restore, so chains
         # always rebase onto the surviving timeline.
         self._last_stored: dict[int, StoredCheckpoint] = {}
+        # One size ledger per rank, mirroring that entry (checked by
+        # identity at every commit), with one key-size memo between them.
+        memo: dict = {}
+        self._size_ledgers = [SizeLedger(memo) for _ in range(n_processes)]
         # Document-order ordinal per checkpoint statement: the stable
         # identifier the wire encoding carries in place of the
         # process-global AST node id (see StoredCheckpoint.stmt_label).
@@ -1114,9 +1116,7 @@ class Simulation:
         # payload, so this agrees with the per-commit snapshot_bytes
         # metrics. Identical to the full-content sum outside delta mode.
         self.stats.stored_bytes = self.storage.total_bytes(incremental=True)
-        self.stats.recovery_read_faults = getattr(
-            self.storage, "read_faults_injected", 0
-        )
+        self.stats.recovery_read_faults = self.storage.read_faults_injected
         completion_time = max((p.clock for p in self.procs), default=0.0)
         if self.obs is not None:
             self.obs.emit(
@@ -1609,10 +1609,22 @@ class Simulation:
             tag=tag,
             blocked_effect=proc.blocked_effect,
         )
-        parent = (
-            self._delta_parent(stored) if self._delta_payloads else None
+        # Structural sizes, priced from the rank's last published entry,
+        # seed the entry's lazy caches. A delta must pay off (so payload
+        # <= full holds for every entry) and chain below the cap.
+        parent = self._last_stored.get(rank)
+        full_size, delta_size = self._size_ledgers[rank].price(
+            stored, parent, self._delta_payloads
         )
+        if (
+            delta_size is None
+            or delta_size >= full_size
+            or parent.delta_depth >= DELTA_CHAIN_CAP
+        ):
+            parent = None
         fields.update(
+            _full_bytes=full_size,
+            _payload_bytes=None if parent is None else delta_size,
             payload_kind="full" if parent is None else "delta",
             parent=parent,
             delta_depth=0 if parent is None else parent.delta_depth + 1,
@@ -1649,31 +1661,6 @@ class Simulation:
                     self.stats.gc_collected += collected
                     self.stats.gc_reclaimed_bytes += reclaimed
         return stored
-
-    def _delta_parent(
-        self, stored: StoredCheckpoint
-    ) -> StoredCheckpoint | None:
-        """The entry *stored* should chain to as a delta (None: store full).
-
-        Decided from structural sizes, before the entry is finalised. A
-        delta must pay off: the smaller wire form wins, so per-entry
-        payload <= full always holds. The sizes seed the entry's lazy
-        caches, so accounting never derives them again.
-        """
-        parent = self._last_stored.get(stored.rank)
-        if (
-            parent is None
-            or parent.delta_depth >= DELTA_CHAIN_CAP
-            or not delta_encodable(stored, parent)
-        ):
-            return None
-        full_size, delta_size = checkpoint_sizes(stored, parent)
-        sizes = stored.__dict__
-        sizes["_full_bytes"] = full_size
-        if delta_size >= full_size:
-            return None
-        sizes["_payload_bytes"] = delta_size
-        return parent
 
     def _take_write_fault(
         self, rank: int, now: float, number: int

@@ -1,0 +1,364 @@
+"""The per-rank size ledger: exact on every step, and never a whole pass.
+
+``SizeLedger.price`` must return what the encoder would — the length of
+the full record and of the delta record against the parent it is handed
+(``None`` where no delta exists) — whatever came before: a long chain of
+commits, a restore to an older entry, a write that never landed, a
+failed pass. The oracle is the encoder itself plus the list-and-set
+statement of the delta-encodability rule the ledger replaced. A clock's
+``small`` fact must be sound along every ``zero/tick/merge/receive``
+chain, and a fault-free engine run must price only what changed.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import repro.runtime.encoding
+from repro.causality.vector_clock import VectorClock
+from repro.errors import StorageError
+from repro.lang.programs import stencil_halo
+from repro.protocols import ApplicationDrivenProtocol
+from repro.runtime import Simulation
+from repro.runtime.encoding import (
+    SizeLedger,
+    _changed,
+    checkpoint_record,
+    checkpoint_sizes,
+    delta_encodable,
+    delta_record,
+    encode_record,
+)
+from repro.runtime.engine import CHECKPOINT_MODES
+from repro.runtime.interpreter import FrameState, ProcessSnapshot
+from repro.runtime.storage import StoredCheckpoint
+
+
+def encodable_oracle(checkpoint, parent) -> bool:
+    """The delta-encodability rule, as lists and sets (the old code)."""
+    if parent.rank != checkpoint.rank:
+        return False
+    snap, psnap = checkpoint.snapshot, parent.snapshot
+    parent_names = list(psnap.env)
+    if list(snap.env)[: len(parent_names)] != parent_names:
+        return False
+    if len(parent.clock.components) != len(checkpoint.clock.components):
+        return False
+    if not set(psnap.input_counters) <= set(snap.input_counters):
+        return False
+    return set(parent.channel_cursors) <= set(checkpoint.channel_cursors)
+
+
+def encoded_sizes(checkpoint, parent):
+    """``(full, delta)`` by building both records and measuring them."""
+    full = len(encode_record(checkpoint_record(checkpoint)))
+    if parent is None or not encodable_oracle(checkpoint, parent):
+        return full, None
+    return full, len(encode_record(delta_record(checkpoint, parent)))
+
+
+# Keys keep their production types (names, labels, ``(src, dst, lane)``):
+# a dict cannot tell ``1`` from ``True`` as a key, so neither can a delta.
+names = st.sampled_from(["x", "y", "i", "left", "é" * 70, "n" * 130])
+labels = st.sampled_from(["in", "seed", "x"])
+channels = st.tuples(
+    st.integers(0, 200), st.integers(0, 3), st.sampled_from(["p2p", "ctl"])
+)
+values = st.one_of(
+    st.integers(-3, 3),
+    st.booleans(),
+    st.sampled_from([127, 128, 2**2040, -(2**15), 1.0, 0.5, None, "s", ""]),
+    st.tuples(st.integers(0, 300), st.booleans()),
+)
+components = st.one_of(
+    st.integers(0, 127),
+    st.integers(0, 127),
+    st.sampled_from([128, 255, 256, 2**70, -1, True, False]),
+)
+frames = st.lists(
+    st.builds(
+        FrameState,
+        kind=st.sampled_from(["block", "while", "for"]),
+        index=st.one_of(st.integers(0, 300), st.booleans()),
+        remaining=st.integers(-1, 2**16),
+        trip=st.integers(0, 130),
+    ),
+    max_size=3,
+).map(tuple)
+
+
+@st.composite
+def edited(draw, base: dict, keys):
+    """*base* with slots left alone, changed, appended and removed."""
+    result = {}
+    for key, value in base.items():
+        action = draw(st.sampled_from("kkkcr"))
+        if action == "k":
+            result[key] = value
+        elif action == "c":
+            # Includes the type-only change (1 -> True) and no change.
+            result[key] = draw(st.one_of(values, st.just(value == 1)))
+    for key in draw(st.lists(keys, max_size=2)):
+        result.setdefault(key, draw(values))
+    if draw(st.integers(0, 9)) == 0:
+        result = dict(reversed(result.items()))
+    return result
+
+
+@st.composite
+def next_clock(draw, base: tuple):
+    parts = list(base)
+    # The last index as often as all others: past 127 on a wide clock.
+    positions = st.one_of(st.integers(0, len(parts) - 1), st.just(-1))
+    for index in draw(st.lists(positions, max_size=4)):
+        parts[index] = draw(components)
+    if draw(st.integers(0, 11)) == 0:
+        parts = parts[: draw(st.integers(1, len(parts)))]
+    return VectorClock(components=tuple(parts))
+
+
+def make(rank, number, env, inputs, cursors, clock, frame_stack, pending, time):
+    return StoredCheckpoint(
+        rank=rank,
+        number=number,
+        snapshot=ProcessSnapshot(
+            env=env,
+            frames=frame_stack,
+            checkpoint_count=number,
+            input_counters=inputs,
+            pending_recv=pending,
+        ),
+        clock=clock,
+        time=time,
+        channel_cursors=cursors,
+        stmt_label=None if number % 3 == 0 else number % 2,
+        tag="initial" if number == 0 else "app",
+    )
+
+
+@st.composite
+def successor(draw, base, number):
+    return make(
+        # A foreign rank now and then: never delta-encodable.
+        base.rank if draw(st.integers(0, 15)) else base.rank + 1,
+        number,
+        draw(edited(base.snapshot.env, names)),
+        draw(edited(base.snapshot.input_counters, labels)),
+        draw(edited(base.channel_cursors, channels)),
+        draw(next_clock(base.clock.components)),
+        draw(frames),
+        draw(st.sampled_from([None, "x", "left"])),
+        draw(st.sampled_from([0, 1.5, 2**40, 3.25])),
+    )
+
+
+class TestLedgerMatchesTheEncoder:
+    @given(data=st.data(), width=st.sampled_from([1, 3, 140]))
+    @settings(max_examples=60, deadline=None)
+    def test_every_step_of_a_commit_sequence(self, data, width):
+        memo = {}
+        ledger, twin = SizeLedger(memo), SizeLedger(memo)
+        published = [
+            make(
+                0, 0, data.draw(edited({}, names)), {}, {},
+                VectorClock.zero(width).tick(0), (), None, 0,
+            )
+        ]
+        assert ledger.price(published[0]) == encoded_sizes(
+            published[0], None
+        )
+        for number in range(1, data.draw(st.integers(1, 6)) + 1):
+            # The parent the engine would hand over: the latest
+            # published entry, an older one after a restore, or none.
+            choice = data.draw(st.sampled_from("llllon"))
+            if choice == "o":
+                del published[data.draw(st.integers(1, len(published))):]
+            parent = None if choice == "n" else published[-1]
+            child = data.draw(successor(published[-1], number))
+            expected = encoded_sizes(child, parent)
+            assert ledger.price(child, parent) == expected
+            # The public exact function and the predicate agree, and a
+            # second ledger on the same memo prices a foreign history,
+            # asked for the delta size only now and then.
+            assert checkpoint_sizes(child, parent) == expected
+            wanted = data.draw(st.booleans())
+            assert twin.price(child, parent, wanted) == (
+                expected if wanted else (expected[0], None)
+            )
+            if parent is not None:
+                assert delta_encodable(child, parent) == (
+                    expected[1] is not None
+                )
+            # A write that never landed leaves the old parent in place.
+            if data.draw(st.integers(0, 4)):
+                published.append(child)
+
+    def test_many_frames_cross_the_count_varint(self):
+        stack = tuple(
+            FrameState("for", index=i, remaining=2**i, trip=i)
+            for i in range(130)
+        )
+        clock = VectorClock.zero(2)
+        parent = make(0, 1, {"x": 1}, {}, {}, clock, stack[:3], None, 1.0)
+        child = make(0, 2, {"x": 2}, {}, {}, clock.tick(0), stack, "x", 2.0)
+        assert checkpoint_sizes(child, parent) == encoded_sizes(child, parent)
+
+    def test_small_clocks_count_their_indices_past_127(self):
+        base = VectorClock.zero(200)
+        parent = make(0, 1, {}, {}, {}, base, (), None, 1.0)
+        child = make(
+            0, 2, {}, {}, {}, base.tick(5).tick(150).tick(199).tick(5), (),
+            None, 2.0,
+        )
+        assert child.clock.__dict__["_small"] is True
+        assert checkpoint_sizes(child, parent) == encoded_sizes(child, parent)
+
+    def test_indices_past_two_bytes_leave_the_fast_path(self):
+        wide = VectorClock.zero(0x8001)
+        assert wide.small
+        parts = list(wide.components)
+        parts[5] = parts[200] = parts[0x8000] = 9
+        parent = make(0, 1, {}, {}, {}, wide, (), None, 1.0)
+        child = make(
+            0, 2, {}, {}, {}, VectorClock(components=tuple(parts)), (),
+            None, 2.0,
+        )
+        assert checkpoint_sizes(child, parent) == encoded_sizes(child, parent)
+
+    def test_failed_pass_is_not_trusted(self):
+        clock = VectorClock.zero(2)
+        first = make(0, 1, {"x": 1}, {}, {}, clock, (), None, 1.0)
+        broken = make(
+            0, 2, {"x": 2**40}, {}, {(0, 1, "p2p"): [1]}, clock, (), None, 2.0
+        )
+        second = make(0, 2, {"x": 7}, {}, {}, clock, (), None, 2.0)
+        ledger = SizeLedger()
+        ledger.price(first)
+        with pytest.raises(StorageError):
+            ledger.price(broken, first)
+        # The env sum had moved on before the cursors raised; the next
+        # pass rebuilds it from the parent instead of trusting it.
+        assert ledger.price(second, first) == encoded_sizes(second, first)
+
+
+class TestSmallClockFact:
+    @staticmethod
+    def holds(clock):
+        return all(
+            type(part) is int and 0 <= part < 128 for part in clock.components
+        )
+
+    @given(
+        width=st.integers(1, 5),
+        seeds=st.lists(st.lists(components, min_size=5, max_size=5), max_size=2),
+        steps=st.lists(
+            st.tuples(
+                st.sampled_from(["tick", "merge", "receive"]),
+                st.integers(0, 4), st.integers(0, 7), st.integers(0, 7),
+            ),
+            max_size=160,
+        ),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_small_implies_every_component_is_a_small_int(
+        self, width, seeds, steps
+    ):
+        pool = [VectorClock.zero(width)] + [
+            VectorClock(components=tuple(seed[:width])) for seed in seeds
+        ]
+        for op, rank, left, right in steps:
+            a, b = pool[left % len(pool)], pool[right % len(pool)]
+            if op == "tick":
+                result = a.tick(rank % width)
+            elif op == "merge":
+                result = a.merge(b)
+            else:
+                result = a.receive(b, rank % width)
+            pool.append(result)
+            # Whether propagated or scanned, the fact is exact here …
+            assert result.small == self.holds(result)
+        # … and what was propagated without a scan is at least sound.
+        for clock in pool:
+            if clock.__dict__.get("_small"):
+                assert self.holds(clock)
+
+    def test_engine_clocks_know_it_without_a_scan(self):
+        clock = VectorClock.zero(3)
+        for _ in range(127):
+            assert clock.__dict__["_small"] is True
+            clock = clock.tick(1).receive(clock, 0).merge(clock.tick(2))
+        clock = VectorClock.zero(3)
+        for _ in range(128):
+            clock = clock.tick(1)
+        assert "_small" not in clock.__dict__ and not clock.small
+
+    def test_equality_and_hash_ignore_the_fact(self):
+        known, scanned = VectorClock.zero(2), VectorClock(components=(0, 0))
+        assert known == scanned and hash(known) == hash(scanned)
+        assert scanned.small and known == scanned
+
+
+class TestCommitPricesOnlyWhatChanged:
+    def run_counting(self, monkeypatch, mode):
+        calls = []
+        real = repro.runtime.encoding.encoded_size
+
+        def counting(value):
+            calls.append(value)
+            return real(value)
+
+        monkeypatch.setattr(repro.runtime.encoding, "encoded_size", counting)
+        result = Simulation(
+            stencil_halo(), 8, params={"steps": 6},
+            protocol=ApplicationDrivenProtocol(), checkpoint_mode=mode,
+        ).run()
+        monkeypatch.undo()
+        assert result.verdict == "completed"
+        return result, len(calls)
+
+    def test_pricing_calls_are_bounded_by_the_changes(self, monkeypatch):
+        result, calls = self.run_counting(monkeypatch, "pruned+delta")
+        commits = changed = pairs = 0
+        keys = set()
+        for rank in range(8):
+            previous = None
+            for entry in result.storage.history(rank):
+                maps = (
+                    (entry.snapshot.env, "env"),
+                    (entry.snapshot.input_counters, "input_counters"),
+                    (entry.channel_cursors, None),
+                )
+                for new, field in maps:
+                    if previous is None:
+                        old = {}
+                    elif field is None:
+                        old = previous.channel_cursors
+                    else:
+                        old = getattr(previous.snapshot, field)
+                    changed += len(_changed(new, old))
+                    pairs += len(new)
+                    keys.update(new)
+                commits += 1
+                previous = entry
+        # Per commit: one call for the shared fields, one for the parent's
+        # number; per changed pair its new value and the one it replaces;
+        # per distinct key, once per simulation, the key. Clocks (n = 8,
+        # small) cost no call at all.
+        assert commits > 40 and 0 < changed < pairs
+        assert calls <= 2 * changed + 2 * commits + len(keys)
+        # A whole pass would price every pair's key and value, and the
+        # eight clock components, at every commit.
+        assert calls < (2 * pairs + 8 * commits) / 2
+
+    @pytest.mark.parametrize("mode", CHECKPOINT_MODES)
+    def test_every_mode_sizes_its_entries_at_commit(self, monkeypatch, mode):
+        result, _ = self.run_counting(monkeypatch, mode)
+
+        def no_sizing(value):
+            raise AssertionError("accounting re-derived a size")
+
+        monkeypatch.setattr(repro.runtime.encoding, "encoded_size", no_sizing)
+        assert result.storage.total_bytes() >= result.stats.stored_bytes > 0
+        for rank in range(8):
+            for entry in result.storage.history(rank):
+                assert entry.payload_bytes <= entry.full_bytes
