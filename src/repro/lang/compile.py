@@ -803,6 +803,10 @@ class CompiledProcess:
 
     def snapshot(self) -> ProcessSnapshot:
         """Capture current state (legal even while blocked at a recv)."""
+        return self._snapshot(self.env)
+
+    def _snapshot(self, env: dict[str, int]) -> ProcessSnapshot:
+        """The snapshot of the current state that stores *env*."""
         frames = []
         loops = self._loops
         loop_index = 0
@@ -829,7 +833,7 @@ class CompiledProcess:
         # costs ~3x this path.
         snap = ProcessSnapshot.__new__(ProcessSnapshot)
         snap.__dict__.update(
-            env=self.env,
+            env=env,
             frames=tuple(frames),
             checkpoint_count=self.checkpoint_count,
             input_counters=self.inputs.snapshot(self.rank),
@@ -853,15 +857,14 @@ class CompiledProcess:
         installed for this statement.
         """
         mask = self.compiled.checkpoint_dead_slots.get(stmt_id)
-        snap = self.snapshot()
-        if mask:
-            names = self.compiled.names
-            regs = self._regs
-            snap.__dict__["env"] = {
-                names[slot]: (0 if slot in mask else regs[slot])
-                for slot in self._order
-            }
-        return snap
+        if not mask:
+            return self.snapshot()
+        names = self.compiled.names
+        regs = self._regs
+        return self._snapshot({
+            names[slot]: (0 if slot in mask else regs[slot])
+            for slot in self._order
+        })
 
     def restore(self, snap: ProcessSnapshot) -> None:
         """Rewind to *snap* (rollback or restart after a failure)."""

@@ -294,7 +294,7 @@ class SizeLedger:
 
     The ledger mirrors one checkpoint (:attr:`entry`): per map — env
     slots, input counters, channel cursors — the running sum of its
-    ``(key, value)`` pair sizes, and a small clock as one big integer.
+    ``(key, value)`` pair sizes. A small clock is diffed as one integer.
     :meth:`price` compares a checkpoint with that entry and sends only
     the changed pairs (the new value in, the old one out) through
     :func:`encoded_size`, which gives the full record's size (the
@@ -307,13 +307,12 @@ class SizeLedger:
     simulation share it.
     """
 
-    __slots__ = ("entry", "_key_sizes", "_bodies", "_clock_bits")
+    __slots__ = ("entry", "_key_sizes", "_bodies")
 
     def __init__(self, key_sizes: dict | None = None) -> None:
         self.entry = None
         self._key_sizes = {} if key_sizes is None else key_sizes
         self._bodies = [0, 0, 0]
-        self._clock_bits: int | None = None
 
     def price(
         self, checkpoint, parent=None, delta: bool = True
@@ -350,16 +349,12 @@ class SizeLedger:
             2, checkpoint.channel_cursors, old_cursors
         )
         # A small clock (every component an int in 0..127) is three
-        # bytes a component and is mirrored as one big integer;
+        # bytes a component and is diffed in its packed form;
         # n <= 0x8000 keeps every index at most two bytes long.
         clock = checkpoint.clock
-        parts = clock.components
-        n = len(parts)
-        small = n <= 0x8000 and clock.small
-        old_bits = self._clock_bits
-        self._clock_bits = bits = (
-            int.from_bytes(bytes(parts), "big") if small and delta else None
-        )
+        n = len(clock)
+        bits = clock.packed if n <= 0x8000 else None
+        small = bits is not None
         # The eight fields both records carry verbatim, priced as one
         # flat tuple: its own header comes off, those of the frames
         # tuple and of its four-field items go on.
@@ -378,7 +373,7 @@ class SizeLedger:
         full = (
             8 + shared + env_whole + inputs_whole + cursors_whole
             + 1 + _varint_size(n)
-            + (3 * n if small else sum(map(encoded_size, parts)))
+            + (3 * n if small else sum(map(encoded_size, clock.components)))
         )
         if (
             not delta
@@ -386,13 +381,14 @@ class SizeLedger:
             or env_changed is None
             or inputs_changed is None
             or cursors_changed is None
-            or len(parent.clock.components) != n
+            or len(parent.clock) != n
             or parent.rank != checkpoint.rank
             # No slot disappeared, so this is the prefix-order check.
             or not all(map(eq, old_env, env))
         ):
             return full, None
-        if small and old_bits is not None:
+        old_bits = parent.clock.packed if small else None
+        if old_bits is not None:
             # Small clocks differ where their XOR has a non-zero byte:
             # pair header + 3-byte value + 3-byte index each, and one
             # byte more for each index past 127.
@@ -402,6 +398,7 @@ class SizeLedger:
                 n - 128 - same.count(0, 128) if n > 128 else 0
             )
         else:
+            parts = clock.components
             indices = _changed_indices(parts, parent.clock.components)
             count = len(indices)
             clock_changed = 2 * count + sum(map(encoded_size, indices)) + sum(

@@ -315,6 +315,9 @@ class _Proc:
     # interp object lives for the whole simulation (recovery restores
     # state in place), so the bound method can never go stale.
     fast_local: object = None
+    # What a statement executed ahead of the rank's turn raised; it
+    # surfaces when the rank is dispatched (see Simulation._run_ahead).
+    held_error: Exception | None = None
 
 
 class RecoverySupervisor:
@@ -584,6 +587,13 @@ class Simulation:
             type(self.protocol).on_app_message
             is not ProtocolHooks.on_app_message
         )
+        # A protocol that reacts to neither control messages nor timers
+        # cannot act on a rank between that rank's own effects, which is
+        # what lets the run loop execute local statements ahead of time.
+        self._coordination_free = (
+            type(self.protocol).on_control is ProtocolHooks.on_control
+            and type(self.protocol).on_timer is ProtocolHooks.on_timer
+        )
         self.obs = observer
         self.network = Network(
             n_processes,
@@ -850,30 +860,7 @@ class Simulation:
             proc = self.procs[rank]
             self.stats.lost_work += max(0.0, proc.clock - checkpoint.time)
             self.storage.truncate_to(checkpoint)
-            proc.interp.restore(checkpoint.snapshot)
-            proc.clock = restart
-            proc.paused = False
-            self._last_stored[rank] = checkpoint
-            self._clocks[rank] = checkpoint.clock
-            if checkpoint.snapshot.pending_recv is not None:
-                proc.status = _Status.BLOCKED
-                proc.blocked_effect = checkpoint.blocked_effect
-                if proc.blocked_effect is None:
-                    raise RecoveryError(
-                        f"rank {rank} snapshot is mid-receive but the "
-                        "checkpoint stored no blocked effect"
-                    )
-            else:
-                proc.status = _Status.READY
-                proc.blocked_effect = None
-            self._tick(rank)
-            self.trace.append(
-                EventKind.RESTART,
-                rank,
-                restart,
-                self._clocks[rank],
-                checkpoint_number=checkpoint.number,
-            )
+            self._restart_proc(proc, checkpoint, restart)
         self.stats.rollbacks += 1
         self._n_done = sum(
             1 for p in self.procs if p.status is _Status.DONE
@@ -915,9 +902,27 @@ class Simulation:
         self.network.replay_for_rank(
             rank, checkpoint.channel_cursors, restart
         )
+        self._restart_proc(proc, checkpoint, restart)
+        self.stats.rollbacks += 1
+        self._n_done = sum(
+            1 for p in self.procs if p.status is _Status.DONE
+        )
+        self._reschedule(rank)
+        if self.obs is not None:
+            self.obs.emit(
+                "engine", "single-restart", rank, restart,
+                checkpoint_number=checkpoint.number,
+            )
+
+    def _restart_proc(
+        self, proc: _Proc, checkpoint: StoredCheckpoint, restart: float
+    ) -> None:
+        """Put *proc* back at *checkpoint*, to resume at time *restart*."""
+        rank = proc.rank
         proc.interp.restore(checkpoint.snapshot)
         proc.clock = restart
         proc.paused = False
+        proc.held_error = None
         self._last_stored[rank] = checkpoint
         self._clocks[rank] = checkpoint.clock
         if checkpoint.snapshot.pending_recv is not None:
@@ -939,16 +944,6 @@ class Simulation:
             self._clocks[rank],
             checkpoint_number=checkpoint.number,
         )
-        self.stats.rollbacks += 1
-        self._n_done = sum(
-            1 for p in self.procs if p.status is _Status.DONE
-        )
-        self._reschedule(rank)
-        if self.obs is not None:
-            self.obs.emit(
-                "engine", "single-restart", rank, restart,
-                checkpoint_number=checkpoint.number,
-            )
 
     def _refuse_corrupt(self, checkpoints) -> None:
         """A corrupt checkpoint must never be restored — fail loudly.
@@ -1001,10 +996,7 @@ class Simulation:
                     break
                 stats.steps += 1
                 if stats.steps > max_steps:
-                    raise SimulationError(
-                        f"step budget exceeded ({self._max_steps}); "
-                        "likely a livelock or a runaway failure plan"
-                    )
+                    raise self._over_budget()
                 item = next_item()
                 if item is None:
                     if self._n_done == self.n:
@@ -1067,13 +1059,17 @@ class Simulation:
                                         or (top[1] == 3 and top[2] <= rank)
                                     )
                                 ):
+                                    if (
+                                        fast_local is not None
+                                        and self._coordination_free
+                                        and not self._control_queue
+                                        and not self._timers
+                                    ):
+                                        self._run_ahead(proc, limit, bound)
                                     break
                             stats.steps += 1
                             if stats.steps > max_steps:
-                                raise SimulationError(
-                                    f"step budget exceeded ({self._max_steps}); "
-                                    "likely a livelock or a runaway failure plan"
-                                )
+                                raise self._over_budget()
                             if fast_local is not None and fast_local():
                                 proc.clock = clock + local_cost
                                 continue
@@ -1141,6 +1137,46 @@ class Simulation:
             verdict=verdict,
         )
 
+    def _over_budget(self) -> SimulationError:
+        return SimulationError(
+            f"step budget exceeded ({self._max_steps}); "
+            "likely a livelock or a runaway failure plan"
+        )
+
+    def _run_ahead(self, proc: _Proc, limit: float, bound: float) -> None:
+        """Run *proc*'s pure-local statements ahead of the scheduler minimum.
+
+        Legal only under a coordination-free protocol with no control
+        message or timer outstanding: nothing can then read or change
+        this rank's state before its own next send, receive, checkpoint
+        or compute, so its local statements up to that point may run now
+        instead of taking one heap round trip each. The run stops where
+        the strict-minimum loop would have stopped the rank too — past
+        *limit* (``max_time``), at *bound* (the next crash or bit-rot
+        time) — or at the first statement that is not pure-local, whose
+        staged effect is dispatched from the heap at ``(clock, 3, rank)``
+        like any other, so every visible action keeps its order. A
+        statement that raises is held back to that same turn: ranks
+        with earlier turns must get to fail first.
+        """
+        step_local = proc.fast_local
+        stats = self.stats
+        cost = self.costs.local_statement
+        max_steps = self._max_steps
+        clock = proc.clock
+        while clock <= limit and clock < bound:
+            try:
+                if not step_local():
+                    break
+            except Exception as error:  # re-raised by _execute_process
+                proc.held_error = error
+                break
+            clock += cost
+            stats.steps += 1
+            if stats.steps > max_steps:
+                raise self._over_budget()
+        proc.clock = clock
+
     # -- scheduling --------------------------------------------------------------
     #
     # Two interchangeable schedulers produce byte-identical runs:
@@ -1159,11 +1195,6 @@ class Simulation:
     # The tiebreaks replicate the scan's first-considered-wins order
     # exactly: control messages by send order, timers by creation order,
     # processes by rank; classes at equal times resolve by priority.
-
-    def _next_item(self) -> tuple[float, int, object] | None:
-        if self._scheduler == "reference":
-            return self._next_item_reference()
-        return self._next_item_indexed()
 
     def _next_item_reference(self) -> tuple[float, int, object] | None:
         self._pending_entry = None
@@ -1205,7 +1236,7 @@ class Simulation:
         heappop = heapq.heappop
         proc_version = self._proc_version
         while True:
-            # Inline _pop_valid: pop until a live entry surfaces.
+            # Pop until a live entry surfaces (lazy invalidation).
             entry = None
             while heap:
                 candidate = heappop(heap)
@@ -1240,18 +1271,6 @@ class Simulation:
             # wakeup can never alter simulation outcomes.
             self._resync()
             resynced = True
-
-    def _pop_valid(self) -> tuple | None:
-        """Pop heap entries until a live one surfaces (lazy invalidation)."""
-        heap = self._heap
-        while heap:
-            entry = heapq.heappop(heap)
-            if entry[4] == "proc":
-                rank = entry[2]
-                if entry[6] != self._proc_version[rank]:
-                    continue
-            return entry
-        return None
 
     def _unpop_last(self) -> None:
         """Undo the pop behind the last `_next_item` (max_time cutoff)."""
@@ -1360,10 +1379,6 @@ class Simulation:
             return self.network.peek(effect.source, proc.rank, "p2p")
         if cls is BcastRecvEffect:
             return self.network.peek(effect.root, proc.rank, "coll")
-        if isinstance(effect, RecvEffect):
-            return self.network.peek(effect.source, proc.rank, "p2p")
-        if isinstance(effect, BcastRecvEffect):
-            return self.network.peek(effect.root, proc.rank, "coll")
         raise SimulationError(f"blocked process without a recv effect: {proc.rank}")
 
     # -- execution ---------------------------------------------------------------
@@ -1372,6 +1387,9 @@ class Simulation:
         if proc.status is _Status.BLOCKED:
             self._complete_receive(proc)
             return
+        if proc.held_error is not None:
+            error, proc.held_error = proc.held_error, None
+            raise error
         effect = proc.interp.step()
         if effect is None:
             proc.status = _Status.DONE
@@ -1385,8 +1403,7 @@ class Simulation:
         # Exact-type dispatch, ordered by observed frequency: effects are
         # closed-world frozen dataclasses, so an identity check on the
         # class beats an isinstance() chain on the hottest path in the
-        # engine. Subclasses (if anyone ever makes one) fall through to
-        # the isinstance-based slow path below.
+        # engine.
         costs = self.costs
         cls = effect.__class__
         if cls is LocalEffect:
@@ -1438,60 +1455,6 @@ class Simulation:
                     stmt_id=effect.stmt.node_id,
                 )
             return
-        self._perform_slow(proc, effect)
-
-    def _perform_slow(self, proc: _Proc, effect: Effect) -> None:
-        """isinstance-based fallback for effect subclasses."""
-        costs = self.costs
-        if isinstance(effect, LocalEffect):
-            proc.clock += costs.local_statement
-            return
-        if isinstance(effect, ComputeEffect):
-            proc.clock += effect.cost * costs.compute_unit
-            if self.record_compute_events:
-                self._tick(proc.rank)
-                self.trace.append(
-                    EventKind.COMPUTE, proc.rank, proc.clock, self._clocks[proc.rank]
-                )
-            return
-        if isinstance(effect, SendEffect):
-            proc.clock += costs.send_overhead
-            self._send_app_message(
-                proc, effect.dest, effect.value, "p2p",
-                stmt_id=effect.stmt.node_id,
-            )
-            return
-        if isinstance(effect, BcastSendEffect):
-            for dst in range(self.n):
-                if dst == proc.rank:
-                    continue
-                proc.clock += costs.send_overhead
-                self._send_app_message(
-                    proc, dst, effect.value, "coll",
-                    stmt_id=effect.stmt.node_id,
-                )
-            return
-        if isinstance(effect, (RecvEffect, BcastRecvEffect)):
-            proc.status = _Status.BLOCKED
-            proc.blocked_effect = effect
-            head = self._awaited_message(proc)
-            if head is not None and head.arrival_time <= proc.clock:
-                self._complete_receive(proc)
-            return
-        if isinstance(effect, CheckpointEffect):
-            proc.clock += costs.checkpoint_overhead
-            stored = self._store_checkpoint(
-                proc,
-                stmt_id=effect.stmt.node_id,
-                tag="app",
-                time=proc.clock,
-            )
-            self.stats.checkpoints += 1
-            if stored is not None:
-                self.protocol.on_checkpoint(
-                    self, proc.rank, proc.interp.checkpoint_count
-                )
-            return
         raise SimulationError(f"unknown effect {effect!r}")
 
     def _send_app_message(
@@ -1523,9 +1486,9 @@ class Simulation:
     def _complete_receive(self, proc: _Proc) -> None:
         effect = proc.blocked_effect
         cls = effect.__class__
-        if cls is RecvEffect or isinstance(effect, RecvEffect):
+        if cls is RecvEffect:
             src, lane = effect.source, "p2p"
-        elif cls is BcastRecvEffect or isinstance(effect, BcastRecvEffect):
+        elif cls is BcastRecvEffect:
             src, lane = effect.root, "coll"
         else:
             raise SimulationError(f"corrupt blocked effect on rank {proc.rank}")

@@ -35,7 +35,14 @@ class ControlMessage:
 
 
 class ProtocolHooks:
-    """Base class: every hook is a no-op. Subclass and override."""
+    """Base class: every hook is a no-op. Subclass and override.
+
+    A hook called for one rank may act on that rank; to act on another
+    it sends a control message or sets a timer, as a real process would
+    have to. The engine relies on this: under a protocol whose class
+    overrides neither :meth:`on_control` nor :meth:`on_timer` it lets a
+    rank execute its local statements ahead of the other ranks.
+    """
 
     name = "null"
 

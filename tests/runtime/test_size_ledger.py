@@ -210,7 +210,7 @@ class TestLedgerMatchesTheEncoder:
             0, 2, {}, {}, {}, base.tick(5).tick(150).tick(199).tick(5), (),
             None, 2.0,
         )
-        assert child.clock.__dict__["_small"] is True
+        assert child.clock.small
         assert checkpoint_sizes(child, parent) == encoded_sizes(child, parent)
 
     def test_indices_past_two_bytes_leave_the_fast_path(self):
@@ -275,22 +275,23 @@ class TestSmallClockFact:
             else:
                 result = a.receive(b, rank % width)
             pool.append(result)
-            # Whether propagated or scanned, the fact is exact here …
+            # Whether the clock was built packed or is scanned now,
+            # the fact is exact, and the packed form is its components.
             assert result.small == self.holds(result)
-        # … and what was propagated without a scan is at least sound.
-        for clock in pool:
-            if clock.__dict__.get("_small"):
-                assert self.holds(clock)
+            if result.small:
+                assert result.packed == int.from_bytes(
+                    bytes(result.components), "big"
+                )
+            else:
+                assert result.packed is None
 
-    def test_engine_clocks_know_it_without_a_scan(self):
+    def test_engine_clocks_stay_small_up_to_127(self):
         clock = VectorClock.zero(3)
         for _ in range(127):
-            assert clock.__dict__["_small"] is True
+            assert clock.small
             clock = clock.tick(1).receive(clock, 0).merge(clock.tick(2))
-        clock = VectorClock.zero(3)
-        for _ in range(128):
-            clock = clock.tick(1)
-        assert "_small" not in clock.__dict__ and not clock.small
+        assert clock.small and max(clock.components) == 127
+        assert not clock.tick(1).small and not clock.receive(clock, 0).small
 
     def test_equality_and_hash_ignore_the_fact(self):
         known, scanned = VectorClock.zero(2), VectorClock(components=(0, 0))
