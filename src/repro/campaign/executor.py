@@ -734,24 +734,12 @@ def _normalized_jsonl(obs, program) -> str:
     is what the executor's byte-identity invariant demands.
     """
     from repro.lang.ast_nodes import walk
-    from repro.obs.export import payloads_to_jsonl
+    from repro.obs.export import events_to_jsonl
 
-    stmt_ids = {
+    return events_to_jsonl(obs.events, {
         node.node_id: index
         for index, node in enumerate(walk(program), start=1)
-    }
-
-    def payloads():
-        for event in obs.events:
-            payload = event.to_dict()
-            if "stmt_id" in event.fields:
-                stmt_id = event.fields["stmt_id"]
-                payload["fields"] = {
-                    **event.fields, "stmt_id": stmt_ids.get(stmt_id, stmt_id),
-                }
-            yield payload
-
-    return payloads_to_jsonl(payloads())
+    })
 
 
 def _campaign_cell(spec: ScenarioSpec) -> CellOutcome:

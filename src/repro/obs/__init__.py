@@ -88,8 +88,10 @@ class Observability:
         self.events: list[ObsEvent] = []
         if keep_events:
             self.bus.subscribe(self.events.append)
-        self.recorder = FlightRecorder(capacity=capacity)
-        self.recorder.attach(self.bus)
+            self.recorder = FlightRecorder(capacity, log=self.events)
+        else:
+            self.recorder = FlightRecorder(capacity)
+            self.recorder.attach(self.bus)
         self.metrics = MetricsRegistry()
         self.collector = MetricsCollector(self.metrics)
         self.collector.attach(self.bus)

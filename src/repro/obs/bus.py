@@ -64,7 +64,14 @@ class EventBus:
         if clock is None and rank is not None and self._clocks is not None:
             if 0 <= rank < len(self._clocks):
                 clock = self._clocks[rank].components
-        event = ObsEvent(
+        return self._publish(category, name, rank, time, clock, fields)
+
+    def _publish(self, category, name, rank, time, clock, fields) -> ObsEvent:
+        # Build the frozen event through __dict__ directly, as
+        # ExecutionTrace.append does: the generated frozen __init__
+        # (object.__setattr__ per field) costs ~3x this path.
+        event = ObsEvent.__new__(ObsEvent)
+        event.__dict__.update(
             seq=self._seq,
             category=category,
             name=name,
@@ -96,11 +103,11 @@ class EventBus:
             fields["checkpoint_number"] = trace_event.checkpoint_number
         if trace_event.stmt_id is not None:
             fields["stmt_id"] = trace_event.stmt_id
-        return self.emit(
+        return self._publish(
             "engine",
-            trace_event.kind.value,
+            trace_event.kind._value_,  # .value is a Python-level descriptor
             trace_event.process,
             trace_event.time,
-            clock=trace_event.clock.components,
-            **fields,
+            trace_event.clock.components,
+            fields,
         )

@@ -23,8 +23,10 @@ schema. Version 2 added ``span``-category events.
 from __future__ import annotations
 
 import json
+from functools import lru_cache
+from operator import itemgetter
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any, Iterable, Mapping
 
 from repro.causality.records import EventKind, TraceEvent
 from repro.causality.vector_clock import VectorClock
@@ -75,20 +77,127 @@ def event_log_header() -> str:
     })
 
 
-def events_to_jsonl(events: Iterable[ObsEvent]) -> str:
+_INF = float("inf")
+_NONE = type(None)
+#: ``encode_line(value)`` for a ``str``. This memo and :func:`_plan`'s
+#: are process-level, bounded, and pure functions of their keys.
+_text = lru_cache(maxsize=4096)(encode_line)
+
+
+@lru_cache(maxsize=4096)
+def _plan(key: tuple, n_fields: int) -> tuple | None:
+    """How to write the events of one shape, or ``None`` for the long way.
+
+    *key* is ``(category, name, *field names, *types)``, the types being
+    those of ``[clock text, rank, seq, time, *field values]``. A shape
+    whose names are all ``str`` and whose values are all plain ``int`` /
+    ``float`` / ``str`` / ``None`` gets: the ``%``-template of its line
+    (:data:`encode_line`'s own output for a payload with a marker at
+    each value, so key order and escaping are its), the getter that
+    picks the template's arguments out of that value list, and the
+    positions of the strings to escape, of the floats to check for
+    finiteness, and of a ``stmt_id``.
+    """
+    texts, types = key[:2 + n_fields], key[2 + n_fields:]
+    names = texts[2:]
+    stmt_at = 4 + names.index("stmt_id") if "stmt_id" in names else 0
+    plan = None
+    if (
+        {*map(type, texts)} == {str}
+        and "\0" not in "".join(texts)  # the marker below
+        and {int, float, str, _NONE}.issuperset(types)
+        and (not stmt_at or types[stmt_at] is int)
+    ):
+        by_name = sorted(range(n_fields), key=names.__getitem__)
+        order = [0, *(4 + i for i in by_name), 1, 2, 3]
+        picked = [at for at in order if types[at] is not _NONE]
+        if len(picked) > 1:  # fewer, and the getter returns no tuple
+            clock, rank, seq, time, *values = (
+                None if kind is _NONE else "\0" for kind in types
+            )
+            payload = ObsEvent(
+                seq, key[0], key[1], rank, time, None,
+                dict(zip(names, values)),
+            ).to_dict() | {"clock": clock}
+            plan = (
+                encode_line(payload).replace("%", "%%").replace(
+                    encode_line("\0"), "%s"
+                ),
+                itemgetter(*picked),
+                tuple(at for at in order[1:] if types[at] is str),
+                tuple(at for at in order if types[at] is float),
+                stmt_at,
+            )
+    return plan
+
+
+def _clock_text(clock) -> str | bool | None:
+    """JSON text of an all-``int`` tuple clock, ``None`` of none.
+
+    Any other clock gives ``False``: a ``bool`` among an event's values
+    is something no plan takes, so the event is written the long way.
+    """
+    if clock is None:
+        return None
+    if type(clock) is tuple and {*map(type, clock)} <= {int}:
+        return "[" + ",".join(map(repr, clock)) + "]"
+    return False
+
+
+def _payload_line(event: ObsEvent, stmt_ids) -> str:
+    payload = event.to_dict()
+    if stmt_ids is not None and "stmt_id" in event.fields:
+        stmt_id = event.fields["stmt_id"]
+        payload["fields"] = {
+            **event.fields, "stmt_id": stmt_ids.get(stmt_id, stmt_id),
+        }
+    return encode_line(payload)
+
+
+def events_to_jsonl(
+    events: Iterable[ObsEvent], stmt_ids: Mapping[int, int] | None = None
+) -> str:
     """Serialise *events* as JSONL: header line + one event per line.
 
     Keys are sorted and separators fixed, so the bytes are a pure
     function of the event stream — the determinism contract the test
-    suite checks byte-for-byte.
+    suite checks byte-for-byte. Each line is, by definition,
+    ``encode_line(event.to_dict())``; an event of plain scalars and an
+    all-``int`` tuple clock is written through its shape's template
+    (:func:`_plan`) instead, to the same bytes. *stmt_ids*, when given,
+    replaces each ``stmt_id`` field it has an entry for (the campaign
+    executor's process-free statement numbering).
     """
-    return payloads_to_jsonl(event.to_dict() for event in events)
-
-
-def payloads_to_jsonl(payloads: Iterable[dict[str, Any]]) -> str:
-    """:func:`events_to_jsonl` over ``ObsEvent.to_dict`` payloads."""
+    if stmt_ids is not None and not {*map(type, stmt_ids.values())} <= {int}:
+        raise TypeError("stmt_ids must map to plain ints")
     lines = [event_log_header()]
-    lines += map(encode_line, payloads)
+    # A clock tuple is shared by every event its rank emits until the
+    # next tick: render each object once (held here, so its id is its).
+    clocks: dict[int, tuple] = {}
+    for event in events:
+        fields, clock = event.fields, event.clock
+        held = clocks.get(id(clock))
+        if held is None:
+            held = clocks[id(clock)] = (clock, _clock_text(clock))
+        values = [
+            held[1], event.rank, event.seq, event.time, *fields.values()
+        ]
+        key = (event.category, event.name, *fields, *map(type, values))
+        plan = _plan(key, len(fields))
+        if plan is not None:
+            template, pick, strings, floats, stmt_at = plan
+            if stmt_at and stmt_ids is not None:
+                stmt_id = values[stmt_at]
+                values[stmt_at] = stmt_ids.get(stmt_id, stmt_id)
+            for at in floats:
+                if not -_INF < values[at] < _INF:
+                    break
+            else:
+                for at in strings:
+                    values[at] = _text(values[at])
+                lines.append(template % pick(values))
+                continue
+        lines.append(_payload_line(event, stmt_ids))
     return "\n".join(lines) + "\n"
 
 
@@ -277,7 +386,7 @@ def summarize_events(events: list[ObsEvent]) -> str:
                 unstamped += 1
     lines = [
         f"events      : {len(events)}",
-        f"time span   : {events[0].time:.3f} .. "
+        f"time span   : {min(e.time for e in events):.3f} .. "
         f"{max(e.time for e in events):.3f}",
         f"ranks       : {sorted(per_rank)}",
         "vector clock: " + (

@@ -158,12 +158,19 @@ class MetricsRegistry:
 
 
 class MetricsCollector:
-    """Derives the standard metrics from the bus's event stream."""
+    """Derives the standard metrics from the bus's event stream.
+
+    A ``(category, name)`` kind is resolved once, at its first event,
+    into the two counters it bumps and its handler (``None`` for a kind
+    that is only counted). A handler holds the metric objects it updates
+    and creates each exactly when a per-event registry lookup would
+    have, so which names a registry holds — mid-run too — depends on the
+    events alone.
+    """
 
     def __init__(self, registry: MetricsRegistry) -> None:
         self.registry = registry
-        self._last_checkpoint_time: dict[int, float] = {}
-        self._checkpoint_numbers: dict[int, int] = {}
+        self._kinds: dict[tuple[str, str], tuple] = {}
 
     def attach(self, bus) -> None:
         """Subscribe this collector to *bus*."""
@@ -171,90 +178,136 @@ class MetricsCollector:
 
     def on_event(self, event: ObsEvent) -> None:
         """Fold one event into the registry."""
+        kind = self._kinds.get((event.category, event.name))
+        if kind is None:
+            kind = self._resolve(event.category, event.name)
+        total, counter, handler = kind
+        total.value += 1
+        counter.value += 1
+        if handler is not None:
+            handler(event)
+
+    def _resolve(self, category: str, name: str) -> tuple:
         reg = self.registry
-        reg.counter("events_total").inc()
-        reg.counter(f"{event.category}.{event.name}").inc()
-        if event.category == "engine":
-            self._on_engine(event)
-        elif event.category == "transport":
-            self._on_transport(event)
-        elif event.category == "protocol":
-            self._on_protocol(event)
-        elif event.category == "storage":
-            self._on_storage(event)
-        elif event.category == "span":
+        total = reg.counter("events_total")
+        counter = reg.counter(f"{category}.{name}")
+        if category == "span":
             # Simulated duration distribution per span name.
-            self.registry.histogram(f"span.{event.name}.sim_dur").observe(
-                float(event.fields.get("dur", 0.0))
-            )
+            handler = _observe(reg.histogram(f"span.{name}.sim_dur"), "dur")
+        else:
+            factory = _HANDLERS.get((category, name))
+            handler = factory(reg) if factory is not None else None
+        kind = self._kinds[category, name] = (total, counter, handler)
+        return kind
 
-    def _on_storage(self, event: ObsEvent) -> None:
-        if event.name == "commit":
-            retries = event.fields.get("retries", 0)
-            if retries:
-                self.registry.counter("storage_retries_total").inc(retries)
-            # Durable wire size of the payload just committed (delta
-            # entries report their delta record, not the full state):
-            # a gauge of the most recent value plus a distribution
-            # across the run.
-            size = float(event.fields.get("bytes", 0))
-            self.registry.gauge("snapshot_bytes").set(size)
-            self.registry.histogram("snapshot_bytes_dist").observe(size)
-        elif event.name == "gc":
-            self.registry.counter("gc_collected_total").inc()
-            self.registry.counter("gc_reclaimed_bytes_total").inc(
-                int(event.fields.get("bytes", 0))
-            )
-        elif event.name == "occupancy":
-            self.registry.gauge("storage_checkpoints").set(
-                float(event.fields.get("count", 0))
-            )
-            self.registry.gauge("storage_bytes").set(
-                float(event.fields.get("bytes", 0))
-            )
 
-    def _on_engine(self, event: ObsEvent) -> None:
-        if event.name == "recovery-retry":
-            self.registry.counter("recovery_retries_total").inc()
-            self.registry.histogram("recovery_backoff").observe(
-                float(event.fields.get("backoff", 0.0))
-            )
-            return
-        if event.name == "unrecoverable":
-            self.registry.counter("unrecoverable_total").inc()
-            return
-        if event.name == "checkpoint" and event.rank is not None:
-            # float(): a live event may carry an int time, a replayed
-            # one never does — the registries must not differ by that.
-            now = float(event.time)
-            previous = self._last_checkpoint_time.get(event.rank)
-            if previous is not None:
-                self.registry.histogram("checkpoint_latency").observe(
-                    now - previous
-                )
-            self._last_checkpoint_time[event.rank] = now
-            number = event.fields.get("checkpoint_number")
-            if number is not None:
-                self._checkpoint_numbers[event.rank] = number
-                numbers = self._checkpoint_numbers.values()
-                self.registry.gauge("recovery_line_lag").set(
-                    max(numbers) - min(numbers)
-                )
+def _observe(histogram: Histogram, field: str):
+    observe = histogram.observe
+    return lambda event: observe(float(event.fields.get(field, 0.0)))
 
-    def _on_transport(self, event: ObsEvent) -> None:
-        if event.name != "frame":
+
+def _on_commit(reg: MetricsRegistry):
+    # Durable wire size of the payload just committed (delta entries
+    # report their delta record, not the full state): a gauge of the
+    # most recent value plus a distribution across the run.
+    latest = reg.gauge("snapshot_bytes")
+    sizes = reg.histogram("snapshot_bytes_dist")
+
+    def handler(event):
+        retries = event.fields.get("retries", 0)
+        if retries:
+            reg.counter("storage_retries_total").inc(retries)
+        latest.value = size = float(event.fields.get("bytes", 0))
+        sizes.observe(size)
+    return handler
+
+
+def _on_gc(reg: MetricsRegistry):
+    collected = reg.counter("gc_collected_total")
+    reclaimed = reg.counter("gc_reclaimed_bytes_total")
+
+    def handler(event):
+        collected.value += 1
+        reclaimed.inc(int(event.fields.get("bytes", 0)))
+    return handler
+
+
+def _on_occupancy(reg: MetricsRegistry):
+    count, size = reg.gauge("storage_checkpoints"), reg.gauge("storage_bytes")
+
+    def handler(event):
+        count.value = float(event.fields.get("count", 0))
+        size.value = float(event.fields.get("bytes", 0))
+    return handler
+
+
+def _on_recovery_retry(reg: MetricsRegistry):
+    retries = reg.counter("recovery_retries_total")
+    backoff = _observe(reg.histogram("recovery_backoff"), "backoff")
+
+    def handler(event):
+        retries.value += 1
+        backoff(event)
+    return handler
+
+
+def _on_unrecoverable(reg: MetricsRegistry):
+    counter = reg.counter("unrecoverable_total")
+    return lambda event: counter.inc()
+
+
+def _on_checkpoint(reg: MetricsRegistry):
+    last_time: dict[int, float] = {}
+    numbers: dict[int, int] = {}
+    latency = lag = None
+
+    def handler(event):
+        nonlocal latency, lag
+        rank = event.rank
+        if rank is None:
             return
-        frames = self.registry.counter("frames_total")
-        frames.inc()
-        retx = self.registry.counter("retransmits_total")
+        # float(): a live event may carry an int time, a replayed
+        # one never does — the registries must not differ by that.
+        now = float(event.time)
+        previous = last_time.get(rank)
+        if previous is not None:
+            if latency is None:
+                latency = reg.histogram("checkpoint_latency")
+            latency.observe(now - previous)
+        last_time[rank] = now
+        number = event.fields.get("checkpoint_number")
+        if number is not None:
+            numbers[rank] = number
+            if lag is None:
+                lag = reg.gauge("recovery_line_lag")
+            lag.value = max(numbers.values()) - min(numbers.values())
+    return handler
+
+
+def _on_frame(reg: MetricsRegistry):
+    frames = reg.counter("frames_total")
+    retransmits = reg.counter("retransmits_total")
+    rate = reg.gauge("retransmit_rate")
+
+    def handler(event):
+        frames.value += 1
         if event.fields.get("attempt", 1) > 1:
-            retx.inc()
-        self.registry.gauge("retransmit_rate").set(
-            retx.value / frames.value
-        )
+            retransmits.value += 1
+        rate.value = retransmits.value / frames.value
+    return handler
 
-    def _on_protocol(self, event: ObsEvent) -> None:
-        if event.name == "recovery":
-            self.registry.histogram("rollback_depth").observe(
-                float(event.fields.get("depth", 0))
-            )
+
+#: Handler factory per kind; a kind not listed (and not a span) is only
+#: counted. Each takes the registry and returns ``handler(event)``.
+_HANDLERS = {
+    ("storage", "commit"): _on_commit,
+    ("storage", "gc"): _on_gc,
+    ("storage", "occupancy"): _on_occupancy,
+    ("engine", "recovery-retry"): _on_recovery_retry,
+    ("engine", "unrecoverable"): _on_unrecoverable,
+    ("engine", "checkpoint"): _on_checkpoint,
+    ("transport", "frame"): _on_frame,
+    ("protocol", "recovery"): lambda reg: _observe(
+        reg.histogram("rollback_depth"), "depth"
+    ),
+}

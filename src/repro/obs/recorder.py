@@ -2,10 +2,11 @@
 
 Long chaos sweeps emit far more events than anyone wants to archive;
 what diagnosis needs is the *recent causal history* leading up to a
-failure. The recorder keeps the last ``capacity`` events in a ring
-buffer and dumps them as JSONL on demand — the chaos harness writes
-this dump next to every ddmin-shrunk counterexample, so a failing
-schedule always ships with the event log that explains it.
+failure. The recorder keeps the last ``capacity`` events (in a ring
+buffer, or as the tail of a full log) and dumps them as JSONL on
+demand — the chaos harness writes this dump next to every ddmin-shrunk
+counterexample, so a failing schedule always ships with the event log
+that explains it.
 """
 
 from __future__ import annotations
@@ -17,14 +18,22 @@ from repro.obs.events import ObsEvent
 
 
 class FlightRecorder:
-    """Ring buffer of the most recent events on a bus."""
+    """The most recent ``capacity`` events: a ring, or a list's tail.
 
-    def __init__(self, capacity: int = 4096) -> None:
+    A recorder given the full event list somebody else already keeps
+    (*log*) reads its tail from that list and is not attached to the
+    bus; one without keeps a ring buffer of what :meth:`record` sees.
+    """
+
+    def __init__(
+        self, capacity: int = 4096, log: list[ObsEvent] | None = None
+    ) -> None:
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
-        self._events: deque[ObsEvent] = deque(maxlen=capacity)
-        self.dropped = 0
+        self._log = log
+        self._ring: deque[ObsEvent] = deque(maxlen=capacity)
+        self._recorded = 0
 
     def attach(self, bus) -> None:
         """Subscribe this recorder to *bus*."""
@@ -32,16 +41,25 @@ class FlightRecorder:
 
     def record(self, event: ObsEvent) -> None:
         """Append *event*, evicting the oldest at capacity."""
-        if len(self._events) == self.capacity:
-            self.dropped += 1
-        self._events.append(event)
+        self._recorded += 1
+        self._ring.append(event)
+
+    def _seen(self) -> int:
+        return self._recorded if self._log is None else len(self._log)
+
+    @property
+    def dropped(self) -> int:
+        """How many events have been evicted so far."""
+        return max(0, self._seen() - self.capacity)
 
     def events(self) -> list[ObsEvent]:
         """The retained events, oldest first."""
-        return list(self._events)
+        if self._log is None:
+            return list(self._ring)
+        return self._log[-self.capacity:]
 
     def __len__(self) -> int:
-        return len(self._events)
+        return min(self._seen(), self.capacity)
 
     def dump(self, path: str | Path) -> Path:
         """Write the retained events to *path* as JSONL; returns it."""

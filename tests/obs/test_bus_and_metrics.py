@@ -3,6 +3,7 @@
 import pytest
 
 from repro.causality.vector_clock import VectorClock
+from repro.lang.programs import ring_pipeline
 from repro.obs import (
     CATEGORIES,
     Counter,
@@ -13,7 +14,22 @@ from repro.obs import (
     MetricsCollector,
     MetricsRegistry,
     ObsEvent,
+    Observability,
+    filter_events,
+    summarize_events,
 )
+from repro.protocols import ApplicationDrivenProtocol
+from repro.runtime import FailurePlan, Simulation
+
+
+def crashed_run(observer):
+    """A ring with one crash: some 150 events on *observer*."""
+    return Simulation(
+        ring_pipeline(), 3, params={"steps": 8},
+        protocol=ApplicationDrivenProtocol(),
+        failure_plan=FailurePlan(crashes=[(12.0, 1)]), seed=0,
+        observer=observer,
+    ).run()
 
 
 class TestEventBus:
@@ -161,3 +177,83 @@ class TestFlightRecorder:
         assert len(lines) == 2  # schema-version header + one event
         assert '"log_schema_version"' in lines[0]
         assert '"cat":"engine"' in lines[1]
+
+    def test_list_backed_recorder_equals_the_subscribed_one(self, tmp_path):
+        # One bus feeds a full log and a subscribed recorder; a second
+        # recorder reads the log's tail. They must agree at every
+        # event, before the run outgrows the capacity and after.
+        capacity = 32
+        bus = EventBus()
+        log = []
+        bus.subscribe(log.append)
+        subscribed = FlightRecorder(capacity)
+        subscribed.attach(bus)
+        backed = FlightRecorder(capacity, log=log)
+
+        def compare(event):
+            assert backed.events() == subscribed.events()
+            assert len(backed) == len(subscribed) <= capacity
+            assert backed.dropped == subscribed.dropped
+
+        bus.subscribe(compare)
+        crashed_run(bus)
+        assert len(log) > 4 * capacity
+        assert backed.dropped == subscribed.dropped == len(log) - capacity
+        assert backed.events() == log[-capacity:]
+        assert backed.dump(tmp_path / "backed.jsonl").read_bytes() == (
+            subscribed.dump(tmp_path / "subscribed.jsonl").read_bytes()
+        )
+
+    @pytest.mark.parametrize("keep_events", (True, False))
+    def test_observability_recorder_holds_the_tail(self, keep_events):
+        obs = Observability(capacity=50, keep_events=keep_events)
+        seen = []
+        obs.bus.subscribe(seen.append)
+        crashed_run(obs.bus)
+        assert obs.events == (seen if keep_events else [])
+        assert obs.recorder.events() == seen[-50:]
+        assert len(obs.recorder) == 50
+        assert obs.recorder.dropped == len(seen) - 50
+        # The full log is the only copy: with it kept, nothing feeds a
+        # second ring.
+        subscribers = len(obs.bus._subscribers) - 1  # less ``seen``
+        assert subscribers == 2
+
+    def test_capacity_must_be_positive(self):
+        with pytest.raises(ValueError):
+            FlightRecorder(capacity=0, log=[])
+
+
+class TestSummary:
+    """``summarize_events`` on logs that do not start at their start."""
+
+    def test_time_span_starts_at_the_earliest_event(self):
+        events = [
+            ObsEvent(seq=seq, category="engine", name="send", rank=0,
+                     time=time, clock=(seq,))
+            for seq, time in enumerate((5.0, 3.0, 4.0))
+        ]
+        assert "time span   : 3.000 .. 5.000" in summarize_events(events)
+
+    def test_time_span_of_a_flight_recorder_tail(self):
+        # Bus order is not time order (ranks run ahead of one another),
+        # so a tail or a filtered log rarely opens with its minimum.
+        obs = Observability()
+        crashed_run(obs.bus)
+        tails = [
+            obs.events[start:] for start in range(1, len(obs.events))
+        ]
+        late = [
+            tail for tail in tails
+            if tail[0].time > min(event.time for event in tail)
+        ]
+        assert len(late) > len(tails) // 10
+        for tail in late[:: len(late) // 20] + [
+            filter_events(obs.events, ranks=[2])
+        ]:
+            first = min(event.time for event in tail)
+            last = max(event.time for event in tail)
+            assert (
+                f"time span   : {first:.3f} .. {last:.3f}\n"
+                in summarize_events(tail)
+            )
