@@ -6,10 +6,6 @@ dependency). Simulation-based experiments — the validation runs beyond
 the paper's analytic study — live in :mod:`repro.bench.workloads`.
 """
 
-from repro.bench.engine_hotpath import (
-    engine_hotpath_report,
-    format_engine_hotpath,
-)
 from repro.bench.figures import (
     figure8_table,
     figure9_table,
@@ -22,16 +18,6 @@ from repro.bench.obs_overhead import (
     format_obs_overhead,
     obs_overhead_report,
 )
-from repro.bench.record import (
-    BenchCase,
-    BenchReport,
-    load_report,
-    write_report,
-)
-from repro.bench.transform_hotpath import (
-    format_transform_hotpath,
-    transform_hotpath_report,
-)
 from repro.bench.workloads import (
     ProtocolRunSummary,
     WorkloadSpec,
@@ -40,24 +26,16 @@ from repro.bench.workloads import (
 )
 
 __all__ = [
-    "BenchCase",
-    "BenchReport",
     "ObsOverheadReport",
     "ProtocolRunSummary",
     "WorkloadSpec",
-    "engine_hotpath_report",
     "figure8_table",
     "figure9_table",
     "format_curves",
-    "format_engine_hotpath",
     "format_obs_overhead",
-    "format_transform_hotpath",
-    "load_report",
     "obs_overhead_report",
     "run_protocol_comparison",
     "shape_check_figure8",
     "shape_check_figure9",
     "standard_workloads",
-    "transform_hotpath_report",
-    "write_report",
 ]

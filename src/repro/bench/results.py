@@ -169,27 +169,6 @@ def campaign_scaling() -> tuple[str, str]:
     return "campaign_scaling.txt", format_campaign_scaling(report) + "\n"
 
 
-def bench_engine() -> tuple[str, str]:
-    """Machine-readable perf record: compiled vs reference stack."""
-    from repro.bench.engine_hotpath import engine_hotpath_report
-
-    return "BENCH_engine.json", engine_hotpath_report().to_json()
-
-
-def bench_checkpoint() -> tuple[str, str]:
-    """Machine-readable perf record: full vs minimized checkpoint payloads."""
-    from repro.bench.checkpoint_payload import checkpoint_payload_report
-
-    return "BENCH_checkpoint.json", checkpoint_payload_report().to_json()
-
-
-def bench_transform() -> tuple[str, str]:
-    """Machine-readable perf record: bitset Condition 1 and clone."""
-    from repro.bench.transform_hotpath import transform_hotpath_report
-
-    return "BENCH_transform.json", transform_hotpath_report().to_json()
-
-
 #: Registry of all generators, in regeneration order.
 RESULT_GENERATORS = {
     "figure8": figure8,
@@ -202,9 +181,6 @@ RESULT_GENERATORS = {
     "network_faults": network_faults,
     "obs_overhead": obs_overhead,
     "campaign_scaling": campaign_scaling,
-    "bench_engine": bench_engine,
-    "bench_checkpoint": bench_checkpoint,
-    "bench_transform": bench_transform,
 }
 
 

@@ -189,6 +189,26 @@ def _quarantine_message(attempts: int, reason: str) -> str:
     )
 
 
+def _charge(
+    key, payload, attempt, reason, error, policy, stats, emit, fail, notify
+) -> bool:
+    """Charge failed *attempt* of a cell; ``True`` once it is quarantined.
+
+    Within the budget this counts and announces a retry (the caller
+    schedules it); at the budget it quarantines the cell and emits the
+    outcome *fail* builds from the deterministic quarantine text.
+    """
+    if attempt >= policy.max_attempts:
+        stats.quarantines += 1
+        notify("quarantine", cell=key)
+        message = _quarantine_message(attempt, reason)
+        emit(key, fail(key, payload, message, error), 0.0, None, attempt)
+        return True
+    stats.retries += 1
+    notify("retry", cell=key, attempt=attempt + 1)
+    return False
+
+
 def _default_fail(key, _payload, message, error):
     """Quarantine fallback when the caller gave no factory: raise."""
     raise ExecutorQuarantineError(
@@ -256,15 +276,9 @@ def _run_serial(
             else:
                 emit(key, result, elapsed, pid, attempt)
                 break
-            if attempt >= policy.max_attempts:
-                stats.quarantines += 1
-                notify("quarantine", cell=key)
-                message = _quarantine_message(attempt, reason)
-                emit(key, fail(key, payload, message, error), 0.0, None,
-                     attempt)
+            if _charge(key, payload, attempt, reason, error, policy, stats,
+                       emit, fail, notify):
                 break
-            stats.retries += 1
-            notify("retry", cell=key, attempt=attempt + 1)
             time.sleep(policy.backoff(attempt))
             attempt += 1
 
@@ -330,16 +344,10 @@ def _run_pool(
             suspects.append(cell)
 
     def failed(cell: _Cell, reason: str, error=None, isolate=True) -> None:
-        if cell.attempt >= policy.max_attempts:
-            stats.quarantines += 1
-            notify("quarantine", cell=cell.key)
-            message = _quarantine_message(cell.attempt, reason)
-            emit(cell.key, fail(cell.key, cell.payload, message, error),
-                 0.0, None, cell.attempt)
+        if _charge(cell.key, cell.payload, cell.attempt, reason, error,
+                   policy, stats, emit, fail, notify):
             return
-        stats.retries += 1
         cell.attempt += 1
-        notify("retry", cell=cell.key, attempt=cell.attempt)
         cell.ready_at = time.monotonic() + policy.backoff(cell.attempt - 1)
         (suspects if isolate else pending).append(cell)
 

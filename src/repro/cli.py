@@ -698,11 +698,12 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     from repro.runtime.chaos import CHAOS_PROTOCOLS, ChaosConfig, chaos_sweep
     from repro.runtime.transport import TransportConfig
 
-    transport = TransportConfig(dedup=False) if args.broken_transport else None
     config = ChaosConfig(
         recovery_fault_probability=args.recovery_faults,
         **_run_knobs(args, *_CHAOS_KNOBS),
     )
+    if args.broken_transport:
+        config = replace(config, transport=TransportConfig(dedup=False))
     protocols = tuple(args.protocol) if args.protocol else CHAOS_PROTOCOLS
     fault_plan = None
     if args.executor_faults > 0:
@@ -720,7 +721,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         range(args.seeds),
         protocols=protocols,
         config=config,
-        transport_config=transport,
         artifacts_dir=args.artifacts,
         jobs=args.jobs,
         policy=ExecutorPolicy(timeout=args.timeout, max_retries=args.retries),
@@ -1017,19 +1017,19 @@ def build_parser() -> argparse.ArgumentParser:
     metrics_sub = metrics.add_subparsers(dest="metrics_command",
                                          required=True)
     metrics_diff = metrics_sub.add_parser(
-        "diff", help="compare two metrics/rollup/BENCH JSON files "
+        "diff", help="compare two metrics/rollup JSON files "
                      "with per-metric ratio thresholds"
     )
     metrics_diff.add_argument("before", help="baseline metrics JSON "
-                                             "(registry dump, campaign "
-                                             "rollup, or BENCH report)")
+                                             "(registry dump or campaign "
+                                             "rollup)")
     metrics_diff.add_argument("after", help="current metrics JSON of "
-                                            "any supported schema")
+                                            "either schema")
     metrics_diff.add_argument("--threshold", action="append", default=[],
                               metavar="PATTERN:min=X[,max=Y]",
                               help="ratio bound for metrics matching "
                                    "the fnmatch PATTERN, e.g. "
-                                   "'*.speedup:min=0.5' (repeatable; "
+                                   "'*retransmits:max=2' (repeatable; "
                                    "first match wins)")
     metrics_diff.add_argument("--default-min", type=float, default=None,
                               metavar="R",

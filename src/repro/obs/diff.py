@@ -1,26 +1,25 @@
 """A general metrics-diff engine: compare two metric JSON documents.
 
-``repro metrics diff`` (and, through it, ``tools/perf_smoke.py``)
-compares any two of the repository's metric artifacts:
+``repro metrics diff`` compares two of the repository's metric
+artifacts, each in one of two schemas:
 
 - a :class:`~repro.obs.metrics.MetricsRegistry` dump
   (``--metrics-out`` of ``repro simulate``),
 - a campaign/chaos rollup (``campaign_metrics.json``; the aggregate
-  section is what gets diffed),
-- a ``results/BENCH_*.json`` performance report.
+  section, itself a registry dump, is what gets diffed).
 
 Each document is first *flattened* to ``{dotted.name: float}``
 (:func:`flatten_metrics` sniffs the schema), then :func:`diff_metrics`
 walks the union of names and applies a ratio threshold per metric:
-``min_ratio`` guards higher-is-better values (a BENCH speedup may not
-fall below ``min_ratio`` × baseline), ``max_ratio`` guards
-lower-is-better ones (a retransmit count may not grow past
-``max_ratio`` × baseline). Thresholds attach by ``fnmatch`` pattern —
-first matching rule wins — so callers can say "``*.speedup`` must keep
-half its ratio, everything else is informational". The report names the
-**worst regression** explicitly: the failing metric with the most
-extreme ratio, with its before/after values, so a red CI line reads as
-a diagnosis rather than a boolean.
+``min_ratio`` guards higher-is-better values (a hit rate may not fall
+below ``min_ratio`` × baseline), ``max_ratio`` guards lower-is-better
+ones (a retransmit count may not grow past ``max_ratio`` × baseline).
+Thresholds attach by ``fnmatch`` pattern — first matching rule wins —
+so callers can say "``*.retransmits`` may not double, everything else
+is informational". The report names the **worst regression**
+explicitly: the failing metric with the most extreme ratio, with its
+before/after values, so a red CI line reads as a diagnosis rather than
+a boolean.
 """
 
 from __future__ import annotations
@@ -121,28 +120,13 @@ def _flatten_metric(name: str, metric: dict, out: dict[str, float]) -> None:
 def flatten_metrics(doc: dict[str, Any]) -> dict[str, float]:
     """Flatten a metrics document of any supported schema to scalars.
 
-    Recognises, in order: BENCH reports (``cases`` list → per-case
-    ``case.<name>.speedup`` / ``.ops_per_sec`` / ``.identical`` plus
-    ``min_speedup``), rollups (``aggregate`` section), and raw
-    registry dumps (name → typed metric). A flat ``{name: number}``
-    mapping passes through unchanged.
+    Recognises rollups (``aggregate`` section) and raw registry dumps
+    (name → typed metric). A flat ``{name: number}`` mapping passes
+    through unchanged.
     """
-    if "cases" in doc and isinstance(doc["cases"], list):
-        flat: dict[str, float] = {}
-        if "min_speedup" in doc:
-            flat["min_speedup"] = float(doc["min_speedup"])
-        for case in doc["cases"]:
-            prefix = f"case.{case['name']}"
-            flat[f"{prefix}.speedup"] = float(case["speedup"])
-            flat[f"{prefix}.identical"] = float(bool(case.get(
-                "identical", True
-            )))
-            if case.get("ops_per_sec") is not None:
-                flat[f"{prefix}.ops_per_sec"] = float(case["ops_per_sec"])
-        return flat
     if "aggregate" in doc and isinstance(doc["aggregate"], dict):
         doc = doc["aggregate"]
-    flat = {}
+    flat: dict[str, float] = {}
     for name in sorted(doc):
         value = doc[name]
         if isinstance(value, dict) and "type" in value:

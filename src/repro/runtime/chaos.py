@@ -38,7 +38,6 @@ from repro.runtime.failures import (
     RecoveryFaultEvent,
     RecoveryFaultKind,
 )
-from repro.runtime.transport import TransportConfig
 
 #: The protocols the chaos harness exercises by default.
 CHAOS_PROTOCOLS = ("appl-driven", "uncoordinated", "msg-logging")
@@ -305,19 +304,12 @@ _BASELINES: dict[tuple[str, str], dict] = {}
 
 
 def _chaos_spec(
-    label: str,
-    plan: FaultPlan,
-    protocol: str,
-    config: ChaosConfig,
-    transport_config: TransportConfig | None,
+    label: str, plan: FaultPlan, protocol: str, config: ChaosConfig
 ):
     """The schedule *plan* against *protocol* as a campaign cell."""
     from repro.campaign.spec import ScenarioSpec
     from repro.lang.programs import program_source
 
-    knobs = config.run_knobs()
-    if transport_config is not None:
-        knobs["transport"] = transport_config
     return ScenarioSpec(
         label=label,
         program=program_source("ring_pipeline"),
@@ -326,7 +318,7 @@ def _chaos_spec(
         protocol=protocol,
         period=6.0,
         fault_plan=plan,
-        **knobs,
+        **config.run_knobs(),
     )
 
 
@@ -343,21 +335,17 @@ def run_schedule(
     plan: FaultPlan,
     protocol: str = "appl-driven",
     config: ChaosConfig = ChaosConfig(),
-    transport_config: TransportConfig | None = None,
     observer=None,
 ) -> ChaosOutcome:
     """Replay one schedule against one protocol and judge the outcome.
 
-    ``transport_config`` is the test hook: passing a config with
-    ``dedup=False`` runs the deliberately-broken transport the harness
-    must be able to catch and shrink. ``observer`` is an optional
+    A *config* whose ``transport`` has ``dedup=False`` runs the
+    deliberately-broken transport the harness must be able to catch
+    and shrink. ``observer`` is an optional
     :class:`~repro.obs.bus.EventBus` threaded into the replay so a
     failing schedule can be re-run under full causal tracing.
     """
-    return _judge(
-        _chaos_spec(protocol, plan, protocol, config, transport_config),
-        observer,
-    )
+    return _judge(_chaos_spec(protocol, plan, protocol, config), observer)
 
 
 def _judge(spec, observer=None) -> ChaosOutcome:
@@ -416,7 +404,6 @@ def chaos_sweep(
     seeds: range,
     protocols: tuple[str, ...] = CHAOS_PROTOCOLS,
     config: ChaosConfig = ChaosConfig(),
-    transport_config: TransportConfig | None = None,
     artifacts_dir=None,
     jobs: int | None = 1,
     policy=None,
@@ -457,7 +444,7 @@ def chaos_sweep(
     cells = {
         (protocol, seed): _chaos_spec(
             f"{protocol}/seed{seed}", draw_schedule(seed, config),
-            protocol, config, transport_config,
+            protocol, config,
         )
         for protocol in protocols
         for seed in seeds
@@ -483,7 +470,6 @@ def chaos_sweep(
                     protocol=protocol,
                     config=config,
                     out_dir=artifacts_dir,
-                    transport_config=transport_config,
                     prefix=f"{protocol}-seed{seed}",
                 )
     return outcomes
@@ -494,7 +480,6 @@ def dump_failure_artifacts(
     protocol: str,
     config: ChaosConfig,
     out_dir,
-    transport_config: TransportConfig | None = None,
     prefix: str = "failure",
     shrink: bool = True,
     recorder_capacity: int = 4096,
@@ -527,8 +512,7 @@ def dump_failure_artifacts(
 
     obs = Observability(capacity=recorder_capacity, keep_events=False)
     outcome = run_schedule(
-        plan, protocol=protocol, config=config,
-        transport_config=transport_config, observer=obs.bus,
+        plan, protocol=protocol, config=config, observer=obs.bus
     )
     flight = out / f"{prefix}.flight.jsonl"
     obs.recorder.dump(flight)
@@ -546,8 +530,7 @@ def dump_failure_artifacts(
         if not outcome.ok:
             def still_fails(candidate: FaultPlan) -> bool:
                 return not run_schedule(
-                    candidate, protocol=protocol, config=config,
-                    transport_config=transport_config,
+                    candidate, protocol=protocol, config=config
                 ).ok
         else:
             # An ok-but-unrecoverable schedule shrinks against "still
@@ -555,8 +538,7 @@ def dump_failure_artifacts(
             # replayable terminal-recovery counterexample.
             def still_fails(candidate: FaultPlan) -> bool:
                 return run_schedule(
-                    candidate, protocol=protocol, config=config,
-                    transport_config=transport_config,
+                    candidate, protocol=protocol, config=config
                 ).unrecoverable
 
         minimal = shrink_schedule(

@@ -519,17 +519,14 @@ class Simulation:
         failure_plan: FailurePlan | None = None,
         observer=None,
         recovery: SupervisorConfig | None = None,
-        *,
-        transport_config: TransportConfig | None = None,
         **knobs,
     ) -> None:
         """Configure a run; ``**knobs`` are :class:`RunConfig` fields.
 
-        ``transport_config`` is the constructor's spelling of
-        :attr:`RunConfig.transport`. An unknown knob raises
-        ``TypeError``, an invalid value :class:`SimulationError`.
+        An unknown knob raises ``TypeError``, an invalid value
+        :class:`SimulationError`.
         """
-        config = RunConfig(transport=transport_config, **knobs)
+        config = RunConfig(**knobs)
         if n_processes < 1:
             raise SimulationError(f"need at least one process, got {n_processes}")
         plan = FaultPlan.of(failure_plan)
@@ -730,7 +727,6 @@ class Simulation:
         from repro.lang.parser import parse
         from repro.protocols import make_protocol
 
-        knobs = spec.run_knobs()
         return cls(
             parse(spec.program),
             spec.n_processes,
@@ -738,8 +734,7 @@ class Simulation:
             protocol=make_protocol(spec.protocol, spec.period),
             failure_plan=spec.fault_plan,
             observer=observer,
-            transport_config=knobs.pop("transport"),
-            **knobs,
+            **spec.run_knobs(),
         )
 
     @property
@@ -1189,8 +1184,8 @@ class Simulation:
     #   no entry at all — the network's arrival notification re-indexes
     #   them — so a step costs O(log n) instead of a scan of every
     #   process, control message, and timer.
-    # - "reference": the original linear scan, kept verbatim for
-    #   differential tests and the engine_hotpath benchmark.
+    # - "reference": the original linear scan, kept verbatim as the
+    #   oracle of the scheduler differential tests.
     #
     # The tiebreaks replicate the scan's first-considered-wins order
     # exactly: control messages by send order, timers by creation order,

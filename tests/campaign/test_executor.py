@@ -5,12 +5,16 @@ import pytest
 from repro.campaign.executor import (
     CampaignResult,
     CellOutcome,
+    ExecutorPolicy,
+    ExecutorStats,
+    _charge,
+    _default_fail,
     resolve_jobs,
     run_campaign,
     run_cells,
 )
 from repro.campaign.spec import ScenarioSpec, quick_campaign
-from repro.errors import SimulationError
+from repro.errors import ExecutorQuarantineError, SimulationError
 from repro.lang.programs import program_source
 from repro.runtime.chaos import ChaosConfig, chaos_sweep
 from repro.runtime.failures import CrashEvent, FaultPlan
@@ -183,6 +187,62 @@ class TestRunCampaign:
         rebuilt = CellOutcome.from_json_dict(outcome.to_json_dict())
         assert rebuilt == outcome
         assert rebuilt.to_json_dict() == outcome.to_json_dict()
+
+
+class TestCharge:
+    """The one retry/quarantine step both runners charge failures to."""
+
+    POLICY = ExecutorPolicy(max_retries=3)
+
+    def _charge(self, attempt, policy=POLICY, fail=None):
+        stats = ExecutorStats()
+        emitted, notes, failed = [], [], []
+        error = ValueError("boom")
+
+        def record_fail(key, payload, message, err):
+            failed.append((key, payload, message, err))
+            return "quarantined-outcome"
+
+        def notify(kind, **fields):
+            notes.append((kind, fields))
+
+        done = _charge(
+            "k", 7, attempt, "worker crashed", error, policy, stats,
+            lambda *args: emitted.append(args), fail or record_fail, notify,
+        )
+        return done, stats, emitted, notes, failed, error
+
+    @pytest.mark.parametrize("attempt", [1, 2, 3])
+    def test_within_budget_counts_a_retry(self, attempt):
+        done, stats, emitted, notes, failed, _ = self._charge(attempt)
+        assert not done
+        assert (stats.retries, stats.quarantines) == (1, 0)
+        assert notes == [("retry", {"cell": "k", "attempt": attempt + 1})]
+        assert emitted == [] and failed == []
+
+    @pytest.mark.parametrize("max_retries", [0, 3])
+    def test_at_budget_quarantines_with_fixed_text(self, max_retries):
+        policy = ExecutorPolicy(max_retries=max_retries)
+        attempt = policy.max_attempts
+        done, stats, emitted, notes, failed, error = self._charge(
+            attempt, policy
+        )
+        assert done
+        assert (stats.retries, stats.quarantines) == (0, 1)
+        assert notes == [("quarantine", {"cell": "k"})]
+        message = (
+            f"executor: quarantined after {attempt} attempt(s); "
+            "last failure: worker crashed"
+        )
+        assert failed == [("k", 7, message, error)]
+        assert emitted == [
+            ("k", "quarantined-outcome", 0.0, None, attempt)
+        ]
+
+    def test_default_fail_raises_chained_to_the_cause(self):
+        with pytest.raises(ExecutorQuarantineError, match="'k'") as info:
+            self._charge(self.POLICY.max_attempts, fail=_default_fail)
+        assert isinstance(info.value.__cause__, ValueError)
 
 
 class TestChaosSweepJobs:

@@ -8,7 +8,6 @@ enumeration survives for witness paths and differential testing.
 
 import pytest
 
-from repro.bench.transform_hotpath import branchy_program
 from repro.cfg import (
     CheckpointIndexing,
     build_cfg,
@@ -18,6 +17,8 @@ from repro.cfg import (
 )
 from repro.lang.parser import parse
 from repro.lang.programs import load_program, program_names
+
+from .branchy import branchy_program
 
 
 def assert_matches_enumeration(cfg):
@@ -36,6 +37,12 @@ class TestAgainstEnumeration:
     @pytest.mark.parametrize("name", program_names())
     def test_shipped_programs(self, name):
         assert_matches_enumeration(build_cfg(load_program(name)))
+
+    def test_branchy_program_shape(self):
+        enumeration = enumerate_checkpoints(build_cfg(branchy_program(5)))
+        assert enumeration.balanced
+        assert enumeration.depth == 5
+        assert len(enumeration.per_path) == 2**5
 
     @pytest.mark.parametrize("branches", (1, 3, 6, 10))
     def test_branchy_programs(self, branches):

@@ -11,6 +11,9 @@ dedup disabled) must be *caught* by the same harness and shrunk to a
 minimal counterexample.
 """
 
+import inspect
+from dataclasses import replace
+
 import pytest
 
 from repro.errors import SimulationError
@@ -20,6 +23,7 @@ from repro.runtime.chaos import (
     CHAOS_PROTOCOLS,
     ChaosConfig,
     ChaosOutcome,
+    _chaos_spec,
     chaos_sweep,
     draw_schedule,
     dump_failure_artifacts,
@@ -164,21 +168,16 @@ class TestByteIdenticalReplay:
 class TestBrokenTransportShrinking:
     """The harness must catch a sabotaged transport and minimize it."""
 
-    BROKEN = TransportConfig(dedup=False)
     QUIET = ChaosConfig(partition_probability=0.0, crash_probability=0.0)
+    BROKEN = replace(QUIET, transport=TransportConfig(dedup=False))
 
     def _fails(self, plan: FaultPlan) -> bool:
-        outcome = run_schedule(
-            plan, config=self.QUIET, transport_config=self.BROKEN
-        )
-        return not outcome.ok
+        return not run_schedule(plan, config=self.BROKEN).ok
 
     def test_dedup_disabled_is_caught(self):
         plan = draw_schedule(0, self.QUIET)
         assert run_schedule(plan, config=self.QUIET).ok
-        outcome = run_schedule(
-            plan, config=self.QUIET, transport_config=self.BROKEN
-        )
+        outcome = run_schedule(plan, config=self.BROKEN)
         assert not outcome.ok
         assert outcome.completed  # it finishes, but with divergent state
         assert not outcome.state_ok
@@ -216,6 +215,30 @@ class TestBrokenTransportShrinking:
         assert self._fails(plan)
         minimal = shrink_schedule(plan, self._fails)
         assert len(minimal.network_faults) >= 1
+
+
+class TestOneTransportKnob:
+    """``ChaosConfig.transport`` is the only way to pick the transport."""
+
+    @pytest.mark.parametrize("function", [
+        run_schedule, chaos_sweep, dump_failure_artifacts,
+        shrink_schedule, _chaos_spec,
+    ], ids=lambda function: function.__name__)
+    def test_no_side_channel_parameter(self, function):
+        assert "transport_config" not in inspect.signature(function).parameters
+
+    def test_cell_spec_runs_the_config_transport(self):
+        broken = TransportConfig(dedup=False)
+        plan = draw_schedule(0, CONFIG)
+        default = _chaos_spec("x", plan, "appl-driven", CONFIG)
+        sabotaged = _chaos_spec(
+            "x", plan, "appl-driven", replace(CONFIG, transport=broken)
+        )
+        assert default.transport == CONFIG.transport
+        assert sabotaged.transport == broken
+        # The transport is part of the cell's identity, so a journal
+        # never serves a healthy verdict for a broken-transport cell.
+        assert sabotaged.content_hash() != default.content_hash()
 
 
 class TestRecoveryFaultSweep:

@@ -7,6 +7,7 @@ Chrome trace), the schedule verbatim (replayable via the CLI's
 """
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -20,14 +21,14 @@ from repro.runtime.chaos import (
 )
 from repro.runtime.transport import TransportConfig
 
-BROKEN = TransportConfig(dedup=False)
+#: The default chaos workload over a transport with receiver dedup off.
+BROKEN = replace(ChaosConfig(), transport=TransportConfig(dedup=False))
 
 
-def _failing_seed(config: ChaosConfig) -> int:
+def _failing_seed() -> int:
     for seed in range(30):
-        plan = draw_schedule(seed, config)
-        if not run_schedule(plan, config=config,
-                            transport_config=BROKEN).ok:
+        plan = draw_schedule(seed, BROKEN)
+        if not run_schedule(plan, config=BROKEN).ok:
             return seed
     pytest.skip("no failing seed found with the broken transport")
 
@@ -36,12 +37,11 @@ class TestDumpFailureArtifacts:
     """The bundle a single failing schedule produces."""
 
     def test_bundle_contents(self, tmp_path):
-        config = ChaosConfig()
-        seed = _failing_seed(config)
-        plan = draw_schedule(seed, config)
+        seed = _failing_seed()
+        plan = draw_schedule(seed, BROKEN)
         paths = dump_failure_artifacts(
-            plan, protocol="appl-driven", config=config,
-            out_dir=tmp_path, transport_config=BROKEN, prefix="case",
+            plan, protocol="appl-driven", config=BROKEN,
+            out_dir=tmp_path, prefix="case",
             max_shrink_runs=40,
         )
         assert set(paths) == {
@@ -52,12 +52,11 @@ class TestDumpFailureArtifacts:
         assert "FAIL" in paths["outcome"].read_text()
 
     def test_flight_dump_is_stamped_and_chrome_convertible(self, tmp_path):
-        config = ChaosConfig()
-        seed = _failing_seed(config)
-        plan = draw_schedule(seed, config)
+        seed = _failing_seed()
+        plan = draw_schedule(seed, BROKEN)
         paths = dump_failure_artifacts(
-            plan, protocol="appl-driven", config=config,
-            out_dir=tmp_path, transport_config=BROKEN,
+            plan, protocol="appl-driven", config=BROKEN,
+            out_dir=tmp_path,
             shrink=False,
         )
         events = read_event_log(paths["flight_recorder"])
@@ -71,29 +70,25 @@ class TestDumpFailureArtifacts:
     def test_schedule_json_replays_to_the_same_verdict(self, tmp_path):
         from repro.cli import _load_fault_plan
 
-        config = ChaosConfig()
-        seed = _failing_seed(config)
-        plan = draw_schedule(seed, config)
+        seed = _failing_seed()
+        plan = draw_schedule(seed, BROKEN)
         paths = dump_failure_artifacts(
-            plan, protocol="appl-driven", config=config,
-            out_dir=tmp_path, transport_config=BROKEN, shrink=False,
+            plan, protocol="appl-driven", config=BROKEN,
+            out_dir=tmp_path, shrink=False,
         )
         data = json.loads(paths["schedule"].read_text())
         assert data == plan.to_json_dict()
         # The dumped schedule replays through the CLI's --fault-plan
         # loader to the same failing verdict.
         rebuilt = _load_fault_plan(str(paths["schedule"]), [], [])
-        assert not run_schedule(
-            rebuilt, config=config, transport_config=BROKEN
-        ).ok
+        assert not run_schedule(rebuilt, config=BROKEN).ok
 
     def test_shrunk_plan_still_fails_and_is_no_bigger(self, tmp_path):
-        config = ChaosConfig()
-        seed = _failing_seed(config)
-        plan = draw_schedule(seed, config)
+        seed = _failing_seed()
+        plan = draw_schedule(seed, BROKEN)
         paths = dump_failure_artifacts(
-            plan, protocol="appl-driven", config=config,
-            out_dir=tmp_path, transport_config=BROKEN,
+            plan, protocol="appl-driven", config=BROKEN,
+            out_dir=tmp_path,
             max_shrink_runs=40,
         )
         shrunk = json.loads(paths["shrunk"].read_text())
@@ -110,13 +105,11 @@ class TestChaosSweepAutoDump:
     """chaos_sweep dumps artifacts for failing cells automatically."""
 
     def test_failing_sweep_writes_artifacts(self, tmp_path):
-        config = ChaosConfig()
-        seed = _failing_seed(config)
+        seed = _failing_seed()
         outcomes = chaos_sweep(
             range(seed, seed + 1),
             protocols=("appl-driven",),
-            config=config,
-            transport_config=BROKEN,
+            config=BROKEN,
             artifacts_dir=tmp_path,
         )
         assert not outcomes[("appl-driven", seed)].ok

@@ -11,7 +11,6 @@ exponential and the unbalanced ones where straight cuts are undefined.
 
 import pytest
 
-from repro.bench.transform_hotpath import branchy_program
 from repro.lang.parser import parse
 from repro.lang.programs import load_program, program_names
 from repro.phases.matching import build_extended_cfg
@@ -19,6 +18,8 @@ from repro.phases.verification import (
     check_condition1,
     check_condition1_enumerated,
 )
+
+from ..cfg.branchy import branchy_program
 
 
 def verdict(result):

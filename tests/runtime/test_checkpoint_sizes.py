@@ -18,8 +18,9 @@ from itertools import product
 import pytest
 
 import repro.runtime.encoding
+from repro.lang import ast_nodes as ast
 from repro.lang.parser import parse
-from repro.lang.programs import jacobi, stencil_halo
+from repro.lang.programs import jacobi, stencil_1d, stencil_halo, token_ring
 from repro.obs import Observability
 from repro.protocols import ApplicationDrivenProtocol
 from repro.runtime import FailurePlan, Simulation
@@ -38,7 +39,7 @@ from repro.runtime.storage import (
 
 
 def run(program, n, mode, steps=6, failure_plan=None, observer=None,
-        retain_k=None):
+        retain_k=None, seed=0):
     return Simulation(
         program,
         n,
@@ -48,6 +49,7 @@ def run(program, n, mode, steps=6, failure_plan=None, observer=None,
         checkpoint_mode=mode,
         observer=observer,
         retain_k=retain_k,
+        seed=seed,
     ).run()
 
 
@@ -202,6 +204,74 @@ class TestNoBytesOnTheFaultFreePath:
         assert obs.metrics.histogram("snapshot_bytes_dist").as_dict()[
             "count"
         ] > 0
+
+
+class TestPayloadFloor:
+    """Minimized content against full content, byte-exact, through a crash.
+
+    Σ ``payload_bytes`` of the surviving history under ``full`` and
+    ``pruned+delta`` is pinned to committed literals (any drift is a
+    wire-format or sizer change), must equal the encoder's output, and
+    must buy nothing but bytes: both modes recover through the same
+    trace, clocks included, and end in the same state.
+    """
+
+    #: Statistics that count stored wire bytes, which the modes change.
+    BYTE_STATS = ("stored_bytes", "gc_reclaimed_bytes")
+
+    def fingerprint(self, result):
+        events = tuple(
+            (
+                e.seq, e.time, e.process, e.kind.value, e.stmt_id,
+                e.message_id, e.clock.components,
+            )
+            for e in result.trace.events
+        )
+        stats = result.stats.as_dict()
+        for key in self.BYTE_STATS:
+            del stats[key]
+        return (
+            events, stats, result.final_env, result.completion_time,
+            result.verdict,
+        )
+
+    # ``stencil_halo`` is scratch-heavy, so pruning and deltas must at
+    # least halve its payload; elsewhere minimized must not exceed full.
+    @pytest.mark.parametrize(
+        "make_program, n, steps, crash_time, full, minimized, floor",
+        [
+            pytest.param(stencil_halo, 8, 12, 29.5, 55706, 25760, 2.0,
+                         id="stencil_halo_n8"),
+            pytest.param(stencil_1d, 8, 8, 19.5, 16591, 16367, 1.0,
+                         id="stencil_1d_n8"),
+            pytest.param(token_ring, 48, 6, 39.5, 100992, 92136, 1.0,
+                         id="token_ring_n48"),
+        ],
+    )
+    def test_payload_bytes_pinned(
+        self, make_program, n, steps, crash_time, full, minimized, floor
+    ):
+        base = make_program()
+        totals = []
+        fingerprints = []
+        for mode in ("full", "pruned+delta"):
+            result = run(
+                ast.clone(base), n, mode, steps=steps,
+                failure_plan=FailurePlan.single(crash_time, 1), seed=3,
+            )
+            assert result.stats.failures == 1
+            survivors = [
+                checkpoint
+                for rank in range(n)
+                for checkpoint in result.storage.history(rank)
+            ]
+            total = sum(c.payload_bytes for c in survivors)
+            assert total == sum(len(stored_payload(c)) for c in survivors)
+            totals.append(total)
+            fingerprints.append(self.fingerprint(result))
+        assert totals == [full, minimized]
+        assert full >= floor * minimized
+        assert fingerprints[0] == fingerprints[1]
 
 
 class TestSizeSemantics:

@@ -17,6 +17,7 @@ from repro.bench.workloads import standard_workloads, strip_checkpoints
 from repro.campaign import quick_campaign
 from repro.campaign.executor import _campaign_cell
 from repro.lang import ast_nodes as ast
+from repro.lang.programs import stencil_1d, token_ring
 from repro.protocols import make_protocol
 from repro.runtime import FailurePlan, RuntimeCosts, Simulation
 from repro.runtime.chaos import CHAOS_PROTOCOLS, ChaosConfig, chaos_sweep
@@ -116,6 +117,39 @@ class TestWorkloadMatrix:
             assert run_fingerprint(resumed)[0] == run_fingerprint(full)[0]
             assert resumed.final_env == full.final_env
             assert resumed.completion_time == full.completion_time
+
+
+class TestCombinedStackAtScale:
+    """Both retained reference implementations against production at n=192.
+
+    The reference scan driving the tree-walking interpreter against the
+    indexed scheduler driving the compiled backend, vector clocks
+    included: at this width local run-ahead and wide packed clocks carry
+    most of the run.
+    """
+
+    @pytest.mark.parametrize(
+        "make_program, n_processes, steps",
+        [
+            pytest.param(token_ring, 192, 6, id="token_ring_n192"),
+            pytest.param(stencil_1d, 192, 12, id="stencil_1d_n192"),
+        ],
+    )
+    def test_byte_identical(self, make_program, n_processes, steps):
+        base = make_program()
+
+        def run(scheduler, backend):
+            return run_once(
+                base, n_processes, {"steps": steps}, "appl-driven",
+                FailurePlan.none(), scheduler, backend=backend,
+            )
+
+        production = run("indexed", "compiled")
+        reference = run("reference", "reference")
+        assert run_fingerprint(production) == run_fingerprint(reference)
+        assert [e.clock.components for e in production.trace.events] == [
+            e.clock.components for e in reference.trace.events
+        ]
 
 
 class TestCampaignMatrix:

@@ -1,8 +1,12 @@
-"""Tests for the results-regeneration tool and the benchmark's layer table."""
+"""Tests for the results-regeneration tool, the benchmark's layer table,
+and the CI workflow's references into the checkout."""
 
 import importlib
 import importlib.util
+import re
 from pathlib import Path
+
+import pytest
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -31,6 +35,58 @@ class TestBenchLayerTable:
             assert hasattr(module, attribute), f"{name}: {target} has moved"
 
 
+class TestCiWorkflow:
+    """CI steps name files and options that exist in this checkout."""
+
+    WORKFLOW = (REPO_ROOT / ".github" / "workflows" / "ci.yml").read_text()
+
+    def test_lint_targets_exist(self):
+        match = re.search(r"ruff check ((?:[\w./-]+ )+)--", self.WORKFLOW)
+        assert match, "no ruff step"
+        for target in match.group(1).split():
+            assert (REPO_ROOT / target).exists(), target
+
+    def test_scripts_run_by_ci_exist(self):
+        scripts = set(re.findall(r"python3? (?:base/)?([\w/]+\.py)",
+                                 self.WORKFLOW))
+        assert "bench/run.py" in scripts and "bench/compare.py" in scripts
+        for script in scripts:
+            assert (REPO_ROOT / script).is_file(), script
+
+    def test_perf_gate_options_parse(self):
+        run = load_by_path("bench_run", REPO_ROOT / "bench" / "run.py")
+        commands = re.findall(r"python3 (?:base/)?bench/run\.py (.+)",
+                              self.WORKFLOW)
+        assert len(commands) == 2, "base and head are benchmarked alike"
+        for command in commands:
+            args = run.parse_args(command.split())
+            assert (args.rounds, args.trace) == (5, 0)
+            assert args.workload is None  # every workload is compared
+
+
+#: Names of the retired ratio-microbenchmark stack, spelled in pieces so
+#: this file does not match its own search.
+RETIRED_NAMES = [
+    "perf" + "_smoke",
+    "engine" + "_hotpath",
+    "checkpoint_payload" + "_report",
+    "transform" + "_hotpath",
+    "repro.bench" + ".record",
+]
+
+
+@pytest.mark.parametrize("name", RETIRED_NAMES)
+def test_retired_perf_stack_is_not_referenced(name):
+    hits = []
+    for top in ("src", "tools", "tests", ".github", "examples"):
+        for path in sorted((REPO_ROOT / top).rglob("*")):
+            if path.suffix not in {".py", ".yml", ".md", ".toml"}:
+                continue
+            if name in path.read_text(errors="replace"):
+                hits.append(str(path.relative_to(REPO_ROOT)))
+    assert hits == []
+
+
 class TestRegenerateResults:
     def test_writes_all_artifacts(self, tmp_path, capsys):
         tool = load_tool()
@@ -47,9 +103,6 @@ class TestRegenerateResults:
             "network_faults.txt",
             "obs_overhead.txt",
             "campaign_scaling.txt",
-            "BENCH_engine.json",
-            "BENCH_checkpoint.json",
-            "BENCH_transform.json",
         }
 
     def test_reports_per_result_timings(self, tmp_path, capsys):
