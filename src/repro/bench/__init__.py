@@ -1,9 +1,10 @@
-"""Benchmark/figure harness.
+"""Figure and workload harness.
 
 Regenerates the data series behind the paper's evaluation figures and
 formats them as aligned ASCII tables (the repo has no plotting
 dependency). Simulation-based experiments — the validation runs beyond
 the paper's analytic study — live in :mod:`repro.bench.workloads`.
+Nothing here reads the wall clock; ``bench/`` measures performance.
 """
 
 from repro.bench.figures import (
@@ -13,11 +14,6 @@ from repro.bench.figures import (
     shape_check_figure8,
     shape_check_figure9,
 )
-from repro.bench.obs_overhead import (
-    ObsOverheadReport,
-    format_obs_overhead,
-    obs_overhead_report,
-)
 from repro.bench.workloads import (
     ProtocolRunSummary,
     WorkloadSpec,
@@ -26,14 +22,11 @@ from repro.bench.workloads import (
 )
 
 __all__ = [
-    "ObsOverheadReport",
     "ProtocolRunSummary",
     "WorkloadSpec",
     "figure8_table",
     "figure9_table",
     "format_curves",
-    "format_obs_overhead",
-    "obs_overhead_report",
     "run_protocol_comparison",
     "shape_check_figure8",
     "shape_check_figure9",

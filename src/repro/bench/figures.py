@@ -14,8 +14,9 @@ Figure 9 — overhead ratio vs. message setup time ``w_m``:
   (b) SaS and C-L increase monotonically;
   (c) C-L's slope exceeds SaS's.
 
-``shape_check_figure8/9`` verify these programmatically; the benchmark
-harness prints the tables and asserts the checks.
+``shape_check_figure8/9`` verify these programmatically; the tier-1
+tests assert them and ``tools/regenerate_results.py`` records the
+verdict under each table.
 """
 
 from __future__ import annotations

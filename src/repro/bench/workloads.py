@@ -4,7 +4,7 @@ The paper evaluates analytically; this module adds the missing
 empirical leg: run the *same* MiniMP workload under every protocol on
 the same seed and failure plan, and summarise overhead, coordination
 cost, and recovery behaviour per protocol. Used by the validation
-benches (V4/V5 in DESIGN.md) and the ``protocol_comparison`` example.
+tests (V4/V5 in DESIGN.md) and the ``protocol_comparison`` example.
 """
 
 from __future__ import annotations

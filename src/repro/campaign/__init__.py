@@ -33,9 +33,8 @@ the paper's checkpoint/restart discipline applied to the harness:
   -cell quarantine, and the deterministic crash/hang/raise worker
   shims that make all of it testable.
 
-The chaos harness (``repro chaos --jobs``), the benchmark regeneration
-tool (``tools/regenerate_results.py --jobs``), and the ``repro
-campaign`` CLI subcommand all run on this substrate.
+The chaos harness (``repro chaos --jobs``) and the ``repro campaign``
+CLI subcommand both run on this substrate.
 """
 
 from repro.campaign.cache import (

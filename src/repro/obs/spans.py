@@ -32,8 +32,7 @@ Instrumented sites (see ``docs/metrics.md`` for the full catalogue):
 The tracker is zero-cost when absent: every instrumented site holds
 ``tracker: SpanTracker | None`` and guards with a single ``is None``
 test (or receives :data:`NULL_TRACKER`, whose ``span`` context manager
-does nothing), mirroring the bus's ``observer=None`` contract. The
-``spans`` case in ``results/obs_overhead.txt`` benchmarks that claim.
+does nothing), mirroring the bus's ``observer=None`` contract.
 """
 
 from __future__ import annotations

@@ -83,6 +83,17 @@ class TestBreakEven:
         unprotected = expected_completion_without_checkpointing(work, lam)
         assert unprotected < protected
 
+    def test_payoff_grows_with_work(self):
+        lam = 256 * 1.23e-6
+        payoffs = [
+            expected_completion_without_checkpointing(hours * 3600.0, lam)
+            / expected_completion_with_checkpointing(
+                hours * 3600.0, lam, **PAPER
+            )
+            for hours in (1, 6, 24, 96)
+        ]
+        assert payoffs == sorted(payoffs) and payoffs[-1] > payoffs[0]
+
     def test_higher_failure_rate_lowers_crossover(self):
         low = break_even_work(1e-5, **PAPER)
         high = break_even_work(1e-3, **PAPER)

@@ -87,6 +87,11 @@ class TestVectorClockStamping:
         ranked = [e for e in obs.events if e.rank is not None]
         assert ranked
         assert all(e.clock is not None for e in ranked)
+        # Every runtime layer publishes, not just the engine.
+        assert obs.bus.events_emitted > 100
+        assert {e.category for e in obs.events} >= {
+            "engine", "transport", "storage", "protocol"
+        }
 
     def test_send_happens_before_matching_recv(self):
         from repro.causality.vector_clock import VectorClock

@@ -12,6 +12,7 @@ from repro.lang.programs import (
     jacobi_odd_even,
     master_worker,
     ring_pipeline,
+    stencil_1d,
 )
 from repro.phases.matching import build_extended_cfg, match_messages
 
@@ -50,6 +51,10 @@ class TestCompleteness:
         ext = build_extended_cfg(master_worker())
         for recv in ext.cfg.recv_nodes():
             assert ext.matches_for_recv(recv.node_id)
+        assert len(ext.message_edges) == 3
+
+    def test_stencil_neighbour_edges(self):
+        assert len(build_extended_cfg(stencil_1d()).message_edges) == 4
 
 
 class TestCollectives:
