@@ -489,7 +489,8 @@ def run_cells(
       factory for a budget-exhausted cell's structured error result;
       without it, quarantine under a *policy* raises
       :class:`~repro.errors.ExecutorQuarantineError`;
-    - *fault_plan* injects deterministic executor faults (tests/CI);
+    - *fault_plan* injects deterministic executor faults (the
+      ``--inject-fault`` and ``--executor-faults`` flags, and tests);
     - *stats* (an :class:`ExecutorStats`) accumulates the resilience
       counters in place.
     """

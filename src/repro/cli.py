@@ -333,10 +333,10 @@ _RUN_FLAGS: dict[str, tuple] = {
                           "compiler or the tree-walking interpreter; "
                           "runs are byte-identical for both"),
     "checkpoint_mode": (CHECKPOINT_MODES,
-                        "checkpoint content policy: full snapshots, "
-                        "liveness-pruned snapshots, delta-encoded "
-                        "payloads, or both; recovery is byte-identical "
-                        "for all, only stored payload bytes differ"),
+                        "checkpoint content policy: full snapshots, or "
+                        "liveness-pruned snapshots stored as deltas; "
+                        "recovery is byte-identical for both, only "
+                        "stored payload bytes differ"),
 }
 
 

@@ -246,15 +246,3 @@ def chaos_rollup(
 def rollup_to_json(rollup: dict[str, Any], indent: int | None = 2) -> str:
     """Serialise a rollup (sorted keys, newline-terminated)."""
     return json.dumps(rollup, indent=indent, sort_keys=True) + "\n"
-
-
-def aggregate_section_bytes(rollup: dict[str, Any]) -> str:
-    """The aggregate section alone, canonically serialised.
-
-    This is the byte string the CI smoke diffs across ``--jobs``
-    values — compact, sorted, a pure function of the deterministic
-    campaign artifact.
-    """
-    return json.dumps(
-        rollup["aggregate"], sort_keys=True, separators=(",", ":")
-    ) + "\n"

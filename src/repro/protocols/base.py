@@ -27,14 +27,6 @@ class CheckpointingProtocol(ProtocolHooks):
     """Base class with shared recovery helpers."""
 
     name = "abstract"
-    #: Whether the protocol guarantees that every straight cut ``R_i``
-    #: surviving on storage is a recovery line (Definition 2.1). Only
-    #: application-driven placement makes that claim by construction;
-    #: uncoordinated checkpointing may restore a dominoed non-straight
-    #: cut (desynchronising per-rank numbers), and log-based recovery
-    #: re-phases the restarted rank's timer — both legitimately leave
-    #: inconsistent straight cuts behind while staying recoverable.
-    induces_recovery_lines = True
 
     def deepest_intact_cut(
         self, sim: "Simulation"

@@ -274,23 +274,20 @@ def retention_invariant_holds(
     while evicting under pressure; (2) with ``retain_k`` set, per-rank
     occupancy stays within ``retain_k`` plus a slack for entries the
     safe-GC invariant refuses to evict (the protected degraded-fallback
-    candidates; in a delta mode additionally every kept entry's delta
-    ancestors, each chain at most :data:`~repro.runtime.storage.
+    candidates; with minimal content additionally every kept entry's
+    delta ancestors, each chain at most :data:`~repro.runtime.storage.
     DELTA_CHAIN_CAP` deep). Integrity is read via ``verify`` directly
     so the check cannot consume armed restore-read faults.
     """
     from repro.runtime.storage import DELTA_CHAIN_CAP
 
     storage = result.storage
-    verify = getattr(storage, "verify", None)
     for rank in range(n_processes):
-        history = storage.history(rank)
-        if not any(verify(c) if verify is not None else True
-                   for c in history):
+        if not any(storage.verify(c) for c in storage.history(rank)):
             return False
     if retain_k is not None:
         slack = SupervisorConfig().max_attempts + 2
-        if "delta" in checkpoint_mode:
+        if checkpoint_mode != "full":
             # Chain-protection can pin the ancestors of the oldest kept
             # entry and of each protected fallback candidate.
             slack += (slack + 1) * DELTA_CHAIN_CAP
@@ -362,9 +359,8 @@ def _judge(spec, observer=None) -> ChaosOutcome:
     completed = bool(result.stats.completed)
     unrecoverable = result.verdict == "unrecoverable"
     lines_ok = (
-        storage_recovery_lines_consistent(result, spec.n_processes)
-        if getattr(sim.protocol, "induces_recovery_lines", True)
-        else True
+        not sim.protocol.induces_recovery_lines
+        or storage_recovery_lines_consistent(result, spec.n_processes)
     )
     retention_ok = retention_invariant_holds(
         result, spec.n_processes, spec.retain_k, spec.checkpoint_mode

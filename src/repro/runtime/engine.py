@@ -70,11 +70,11 @@ from repro.runtime.storage import (
 from repro.runtime.trace import ExecutionTrace
 from repro.runtime.transport import NetworkFaultInjector, TransportConfig
 
-#: Recognised checkpoint-content modes, default first. "pruned" zeroes
-#: liveness-proven dead env slots at application checkpoints; "delta"
+#: Recognised checkpoint-content modes, default first. "pruned+delta"
+#: zeroes liveness-proven dead env slots at application checkpoints and
 #: stores per-rank change records against the previous published
-#: checkpoint; "pruned+delta" composes both.
-CHECKPOINT_MODES = ("full", "pruned", "delta", "pruned+delta")
+#: checkpoint.
+CHECKPOINT_MODES = ("full", "pruned+delta")
 
 
 @dataclass(frozen=True)
@@ -125,11 +125,11 @@ class RunConfig:
         backend: Process-execution backend — ``"compiled"`` (closure
             compiler) or ``"reference"`` (tree-walking interpreter).
             Both produce identical traces and artifacts.
-        checkpoint_mode: Checkpoint content policy — ``"full"``,
-            ``"pruned"`` (liveness-pruned snapshots), ``"delta"``
-            (delta-encoded payloads), or ``"pruned+delta"``. Every mode
-            recovers to byte-identical application state; only stored
-            payload bytes differ.
+        checkpoint_mode: Checkpoint content policy — ``"full"`` or
+            ``"pruned+delta"`` (liveness-pruned snapshots stored as
+            delta-encoded payloads). Both modes recover to
+            byte-identical application state; only stored payload bytes
+            differ.
         scheduler: Engine scheduler — ``"indexed"`` or ``"reference"``;
             runs are byte-identical for both. An engine internal: it is
             not part of a scenario's JSON form or content hash.
@@ -533,11 +533,10 @@ class Simulation:
         plan.check_targets(n_processes, config.storage_replicas)
         self._scheduler = config.scheduler
         self.checkpoint_mode = config.checkpoint_mode
-        # Content minimisation knobs: "pruned" zeroes provably-dead env
-        # slots at app checkpoints; "delta" stores only what changed
-        # since the rank's previous published checkpoint.
-        self._prune_snapshots = "pruned" in config.checkpoint_mode
-        self._delta_payloads = "delta" in config.checkpoint_mode
+        # Minimal content zeroes provably-dead env slots at app
+        # checkpoints and stores only what changed since the rank's
+        # previous published checkpoint.
+        self._minimal = config.checkpoint_mode != "full"
         # For "compiled" this is where the program is lowered, once,
         # shared by every rank.
         process_factory, compiled = make_backend(
@@ -545,7 +544,7 @@ class Simulation:
         )
         self.backend = config.backend
         self._dead_sets: dict[int, frozenset[str]] = {}
-        if self._prune_snapshots:
+        if self._minimal:
             # Imported here: the attributes package pulls in the CFG
             # machinery, which imports lang (and transitively this
             # module) — a top-level import would be circular.
@@ -1544,7 +1543,7 @@ class Simulation:
         # carry the statement the live sets were computed for. Protocol
         # and initial checkpoints (stmt_id None) always capture fully —
         # no static program point, no proof of deadness.
-        if self._prune_snapshots and stmt_id is not None:
+        if self._minimal and stmt_id is not None:
             snapshot = proc.interp.snapshot_pruned(stmt_id)
         else:
             snapshot = proc.interp.snapshot()
@@ -1572,7 +1571,7 @@ class Simulation:
         # <= full holds for every entry) and chain below the cap.
         parent = self._last_stored.get(rank)
         full_size, delta_size = self._size_ledgers[rank].price(
-            stored, parent, self._delta_payloads
+            stored, parent, self._minimal
         )
         if (
             delta_size is None

@@ -45,6 +45,14 @@ class ProtocolHooks:
     """
 
     name = "null"
+    #: Whether the protocol guarantees that every straight cut ``R_i``
+    #: surviving on storage is a recovery line (Definition 2.1). Only
+    #: application-driven placement makes that claim by construction;
+    #: uncoordinated checkpointing may restore a dominoed non-straight
+    #: cut (desynchronising per-rank numbers), and log-based recovery
+    #: re-phases the restarted rank's timer — both legitimately leave
+    #: inconsistent straight cuts behind while staying recoverable.
+    induces_recovery_lines = True
 
     def on_start(self, sim: "Simulation") -> None:
         """Called once before the first effect executes."""

@@ -225,6 +225,9 @@ BAD_KNOBS = [
     ({"scheduler": "quantum"}, "unknown scheduler 'quantum'"),
     ({"backend": "jit"}, "unknown backend 'jit'"),
     ({"checkpoint_mode": "tiny"}, "unknown checkpoint_mode 'tiny'"),
+    # The single-technique modes are gone: minimal content is one mode.
+    ({"checkpoint_mode": "delta"}, "unknown checkpoint_mode 'delta'"),
+    ({"checkpoint_mode": "pruned"}, "unknown checkpoint_mode 'pruned'"),
     ({"storage_replicas": 0}, "need at least one storage replica, got 0"),
 ]
 

@@ -1,0 +1,241 @@
+"""Command-line contracts: each flag reaches the engine, and the
+byte-identity contracts hold at the command line.
+
+Every case drives ``repro.cli.main`` in-process on inputs just big
+enough to show that a flag is wired through. The library differentials
+carry the scale cases: ``tests/runtime/test_scheduler_differential.py``,
+``tests/runtime/test_backend_differential.py`` and
+``tests/runtime/test_delta_recovery.py``.
+"""
+
+import itertools
+import json
+
+import pytest
+
+from repro.cli import main
+from repro.lang import ast_nodes
+from repro.obs.export import events_to_jsonl, read_event_log
+from repro.runtime.engine import Simulation
+
+#: Statistics that count stored wire bytes: the one thing the
+#: checkpoint mode is allowed to change.
+BYTE_STATS = ("stored_bytes", "gc_reclaimed_bytes")
+
+#: Run knob -> (default value, the other value).
+KNOBS = {
+    "scheduler": ("indexed", "reference"),
+    "backend": ("compiled", "reference"),
+    "checkpoint_mode": ("full", "pruned+delta"),
+}
+
+
+def flag(knob):
+    return "--" + knob.replace("_", "-")
+
+
+def cli(capsys, *argv):
+    """Run ``repro ARGV``; return (exit code, stdout, stderr)."""
+    code = main([str(arg) for arg in argv])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.fixture
+def engine_knobs(monkeypatch):
+    """The (scheduler, backend, checkpoint_mode) of every run, in order."""
+    seen = []
+    construct = Simulation.__init__
+
+    def recording(self, *args, **kwargs):
+        construct(self, *args, **kwargs)
+        seen.append({
+            "scheduler": self._scheduler,
+            "backend": self.backend,
+            "checkpoint_mode": self.checkpoint_mode,
+        })
+
+    monkeypatch.setattr(Simulation, "__init__", recording)
+    return seen
+
+
+def test_torn_write_and_bit_rot_degrade_recovery_two_lines(capsys):
+    code, out, _ = cli(
+        capsys, "simulate", "@ring_pipeline", "-n", 3, "--steps", 10,
+        "--crash", "19.5:1",
+        "--fault", "torn-write:0:0:6", "--fault", "bit-rot:19:2:7",
+    )
+    assert code == 0
+    assert "degraded recovery : 1 (max fallback depth: 2)" in out
+
+
+def test_event_log_is_canonical_and_a_codec_fixpoint(tmp_path, capsys):
+    # The log is written by template encoders, not json.dumps: on a
+    # real log it must survive its own reader and writer unchanged,
+    # and every line must be the canonical JSON of itself.
+    log = tmp_path / "events.jsonl"
+    code, _, _ = cli(
+        capsys, "simulate", "@ring_pipeline", "-n", 3, "--steps", 8,
+        "--crash", "12:1", "--trace-out", log,
+        "--metrics-out", tmp_path / "metrics.json",
+        "--stats-json", tmp_path / "stats.json",
+    )
+    assert code == 0
+    text = log.read_text()
+    assert text.count("\n") > 100
+    assert events_to_jsonl(read_event_log(text)) == text
+    for line in text.splitlines():
+        canonical = json.dumps(
+            json.loads(line), sort_keys=True, separators=(",", ":")
+        )
+        assert line == canonical
+
+
+class TestRunFlags:
+    """Both values of a run knob give the same run, and each value
+    reaches every engine the subcommand builds."""
+
+    @pytest.mark.parametrize("knob", KNOBS)
+    def test_simulate(
+        self, knob, tmp_path, capsys, engine_knobs, monkeypatch
+    ):
+        outputs = []
+        first_id = next(ast_nodes._NODE_IDS)
+        for value in KNOBS[knob]:
+            # Statement ids come from a process-global counter: number
+            # both parses alike, as two fresh processes would.
+            monkeypatch.setattr(
+                ast_nodes, "_NODE_IDS", itertools.count(first_id)
+            )
+            trace = tmp_path / f"trace-{value}.json"
+            stats = tmp_path / f"stats-{value}.json"
+            code, _, _ = cli(
+                capsys, "simulate", "@stencil_halo", "-n", 4,
+                "--steps", 8, "--crash", "9.5:1", flag(knob), value,
+                "--export-trace", trace, "--stats-json", stats,
+            )
+            assert code == 0
+            assert engine_knobs.pop()[knob] == value
+            outputs.append((trace.read_bytes(), json.loads(stats.read_text())))
+        (trace_a, stats_a), (trace_b, stats_b) = outputs
+        assert trace_a == trace_b
+        assert stats_a["rollbacks"] > 0
+        if knob == "checkpoint_mode":
+            assert stats_b["stored_bytes"] < stats_a["stored_bytes"]
+            for stats in (stats_a, stats_b):
+                for key in BYTE_STATS:
+                    del stats[key]
+        assert stats_a == stats_b
+
+    @pytest.mark.parametrize("knob", KNOBS)
+    def test_chaos(self, knob, capsys, engine_knobs):
+        outputs = []
+        for value in KNOBS[knob]:
+            code, out, _ = cli(capsys, "chaos", "--seeds", 2, flag(knob), value)
+            assert code == 0
+            assert {run[knob] for run in engine_knobs} == {value}
+            engine_knobs.clear()
+            outputs.append(out)
+        assert outputs[0] == outputs[1]
+        assert "6 cell(s), 0 failure(s)" in outputs[0]
+
+    # The scheduler is an engine internal, not part of a scenario, so
+    # ``campaign`` has no flag for it.
+    @pytest.mark.parametrize("knob", ("backend", "checkpoint_mode"))
+    def test_campaign(self, knob, tmp_path, capsys):
+        artifacts = []
+        for value in KNOBS[knob]:
+            path = tmp_path / f"campaign-{value}.json"
+            code, _, _ = cli(
+                capsys, "campaign", "@quick", "--jobs", 1, flag(knob), value,
+                "--results-json", path,
+            )
+            assert code == 0
+            artifacts.append(json.loads(path.read_text())["cells"])
+        assert len(artifacts[0]) == len(artifacts[1]) == 6
+        for a, b in zip(*artifacts):
+            # The knob is part of each spec's content hash.
+            assert a.pop("spec_hash") != b.pop("spec_hash"), a["label"]
+            if knob == "checkpoint_mode":
+                for cell in (a, b):
+                    for key in BYTE_STATS:
+                        del cell["stats"][key]
+            assert a == b, a["label"]
+
+
+class TestExecutorFaults:
+    def test_transient_campaign_fault_retries_to_the_clean_artifact(
+        self, tmp_path, capsys
+    ):
+        clean, faulted = tmp_path / "clean.json", tmp_path / "faulted.json"
+        assert cli(
+            capsys, "campaign", "@quick", "--jobs", 1, "--results-json", clean
+        )[0] == 0
+        code, out, _ = cli(
+            capsys, "campaign", "@quick", "--jobs", 1,
+            "--inject-fault", "pingpong/appl-driven:raise:1", "--retries", 2,
+            "--results-json", faulted,
+        )
+        assert code == 0
+        assert "retries=1 " in out
+        assert faulted.read_bytes() == clean.read_bytes()
+
+    def test_crashing_campaign_cell_is_quarantined(self, tmp_path, capsys):
+        results, metrics = tmp_path / "poison.json", tmp_path / "metrics.json"
+        poison = "ring_pipeline/appl-driven"
+        code, _, _ = cli(
+            capsys, "campaign", "@quick", "--jobs", 2,
+            "--inject-fault", f"{poison}:crash", "--timeout", 120,
+            "--retries", 1, "--results-json", results,
+            "--metrics-out", metrics,
+        )
+        assert code == 1
+        errors = {
+            cell["label"]: cell["error"]
+            for cell in json.loads(results.read_text())["cells"]
+        }
+        assert errors.pop(poison) == (
+            "executor: quarantined after 2 attempt(s); "
+            "last failure: worker crashed"
+        )
+        assert set(errors.values()) == {None}
+        executor = json.loads(metrics.read_text())["diagnostics"]["executor"]
+        assert executor["quarantines"] == 1
+
+    def test_chaos_survives_executor_faults_and_resumes(
+        self, tmp_path, capsys
+    ):
+        sweep = ("chaos", "--seeds", 6, "--protocol", "appl-driven",
+                 "--jobs", 1)
+        journal = tmp_path / "journal.jsonl"
+
+        def verdicts(out):
+            return [
+                line for line in out.splitlines()
+                if not line.startswith("resilience:")
+            ]
+
+        code, clean, _ = cli(capsys, *sweep)
+        assert code == 0
+        code, faulted, _ = cli(
+            capsys, *sweep, "--executor-faults", 0.5,
+            "--executor-fault-seed", 0, "--retries", 3, "--resume", journal,
+        )
+        assert code == 0
+        assert "resume-hits=0" in faulted and "retries=0 " not in faulted
+        assert verdicts(faulted) == verdicts(clean)
+        code, resumed, _ = cli(capsys, *sweep, "--resume", journal)
+        assert code == 0
+        assert "resume-hits=6" in resumed
+        assert verdicts(resumed) == verdicts(clean)
+
+
+def test_second_transform_is_served_from_the_cache(tmp_path, capsys):
+    cache = tmp_path / "cache"
+    for verdict in ("miss", "hit"):
+        code, out, err = cli(
+            capsys, "transform", "@jacobi_plain", "--cache", cache
+        )
+        assert code == 0
+        assert "checkpoint" in out
+        assert f"transform cache: {verdict}" in err

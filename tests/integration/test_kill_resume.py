@@ -1,10 +1,9 @@
 """End-to-end kill-and-resume: SIGKILL a campaign, resume, byte-diff.
 
-Drives ``tools/resume_smoke.py`` — the same script CI runs — which
-starts a real ``repro campaign --jobs 2 --resume`` subprocess, SIGKILLs
-its whole process group once the journal shows progress, re-runs it,
-and asserts the resumed artifact is byte-identical to a clean serial
-run.
+Drives ``tools/resume_smoke.py``, which starts a real ``repro campaign
+--jobs 2 --resume`` subprocess, SIGKILLs its whole process group once
+the journal shows progress, re-runs it, and asserts the resumed
+artifact is byte-identical to a clean serial run.
 """
 
 import importlib.util

@@ -61,7 +61,7 @@ def entries(result):
     ]
 
 
-#: Four modes x two kernels x (no crash, one mid-run crash of rank 1).
+#: Two modes x two kernels x (no crash, one mid-run crash of rank 1).
 SIZE_CASES = tuple(
     product(CHECKPOINT_MODES, (jacobi, stencil_halo), (False, True))
 )
@@ -98,7 +98,7 @@ class TestMeasuredSizes:
 
     def test_full_mode_payload_equals_full(self):
         for case in SIZE_CASES:
-            if "delta" in case[0]:
+            if case[0] != "full":
                 continue
             result = size_case(*case)
             for checkpoint in entries(result):
@@ -150,12 +150,9 @@ def decisions_from_encoded_lengths(history):
 
 
 class TestDecisionEquivalence:
-    @pytest.mark.parametrize("mode", ["delta", "pruned+delta"])
     @pytest.mark.parametrize("make_program", [jacobi, stencil_halo])
-    def test_sizes_decide_what_encoded_lengths_decided(
-        self, mode, make_program
-    ):
-        result = size_case(mode, make_program, True)
+    def test_sizes_decide_what_encoded_lengths_decided(self, make_program):
+        result = size_case("pruned+delta", make_program, True)
         kinds = set()
         for rank in range(4):
             history = result.storage.history(rank)
@@ -175,9 +172,7 @@ class TestDecisionEquivalence:
 class TestNoBytesOnTheFaultFreePath:
     #: ``stats.stored_bytes`` of stencil_halo n=4 steps=8 retain_k=4,
     #: recorded at the commit before sizes became structural.
-    STORED_BYTES = {
-        "full": 9921, "pruned": 8340, "delta": 9873, "pruned+delta": 4560,
-    }
+    STORED_BYTES = {"full": 9921, "pruned+delta": 4560}
 
     @pytest.mark.parametrize("mode", CHECKPOINT_MODES)
     def test_fault_free_run_never_encodes(self, mode, monkeypatch):
@@ -291,20 +286,20 @@ class TestSizeSemantics:
             "        checkpoint\n"
             "        i = i + 1\n"
         )
-        result = run(program, 2, "delta")
+        result = run(program, 2, "pruned+delta")
         full = result.storage.total_bytes()
         incremental = result.storage.total_bytes(incremental=True)
         assert 0 < incremental < 0.7 * full
 
     def test_pruning_shrinks_even_full_payloads(self):
         full = run(stencil_halo(), 4, "full")
-        pruned = run(stencil_halo(), 4, "pruned")
+        pruned = run(stencil_halo(), 4, "pruned+delta")
         assert (
             pruned.storage.total_bytes() < full.storage.total_bytes()
         ), "dead scratch variables should vanish from captured content"
 
     def test_delta_chain_depth_is_capped(self):
-        result = run(jacobi(), 4, "delta", steps=16)
+        result = run(jacobi(), 4, "pruned+delta", steps=16)
         for checkpoint in entries(result):
             assert checkpoint.delta_depth <= DELTA_CHAIN_CAP
             assert len(checkpoint.delta_ancestors) == checkpoint.delta_depth

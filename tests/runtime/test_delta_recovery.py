@@ -89,7 +89,7 @@ class TestAncestorBitRot:
     """
 
     def run_and_rot(self):
-        sim, result = run(ast.clone(JACOBI), 4, "delta", steps=10)
+        sim, result = run(ast.clone(JACOBI), 4, "pruned+delta", steps=10)
         assert result.verdict == "completed"
         storage = sim.storage
         victim = first_delta_entry(storage, 0)
@@ -124,7 +124,7 @@ class TestAncestorBitRot:
         assert id(fallback) not in poisoned
 
     def test_rot_on_an_interior_delta_spares_the_root(self):
-        sim, result = run(ast.clone(JACOBI), 4, "delta", steps=10)
+        sim, result = run(ast.clone(JACOBI), 4, "pruned+delta", steps=10)
         storage = sim.storage
         victim = first_delta_entry(storage, 0)
         assert storage.corrupt(0, number=victim.number)
@@ -209,7 +209,7 @@ class TestRecoveryReadFaults:
 
 
 class TestCrossModeIdentity:
-    """All four content modes x both backends: one behaviour."""
+    """Both content modes x both backends: one behaviour."""
 
     CASES = [
         ("stencil_halo-clean", STENCIL_HALO, 6, None),

@@ -36,9 +36,31 @@ class TestBenchLayerTable:
 
 
 class TestCiWorkflow:
-    """CI steps name files and options that exist in this checkout."""
+    """CI's shape, and the files and options its steps name."""
 
     WORKFLOW = (REPO_ROOT / ".github" / "workflows" / "ci.yml").read_text()
+
+    def job(self, name):
+        """The text of job *name*, up to the next job."""
+        match = re.search(
+            rf"^  {name}:\n(.*?)(?=^  \S|\Z)", self.WORKFLOW, re.M | re.S
+        )
+        assert match, f"no {name} job"
+        return match.group(1)
+
+    def test_tests_job_only_runs_pytest(self):
+        # Every check is a test pytest collects, so a local tier-1 run
+        # sees everything CI checks.
+        runs = re.findall(r"^\s+run: (.+)$", self.job("tests"), re.M)
+        assert [r for r in runs if not r.startswith("python -m pip ")] == [
+            "PYTHONPATH=src python -m pytest -x -q",
+            "python -m pytest bench/tests -q",
+        ]
+
+    def test_workflow_is_small_and_has_no_inline_programs(self):
+        assert "<<" not in self.WORKFLOW
+        assert "python -c" not in self.WORKFLOW
+        assert len(self.WORKFLOW.splitlines()) <= 150
 
     def test_lint_targets_exist(self):
         match = re.search(r"ruff check ((?:[\w./-]+ )+)--", self.WORKFLOW)

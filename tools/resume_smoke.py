@@ -18,8 +18,8 @@ end against the real CLI:
    fed live; in the resumed run the journal-served cells replay their
    event logs and the rest arrive live from ``--jobs 2`` workers.
 
-Exit code 0 on success, 1 on any violated expectation. Used by CI and
-by ``tests/integration/test_kill_resume.py``.
+Exit code 0 on success, 1 on any violated expectation. Tier-1 runs it
+through ``tests/integration/test_kill_resume.py``.
 """
 
 from __future__ import annotations
