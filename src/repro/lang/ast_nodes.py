@@ -228,49 +228,46 @@ class Program(_Node):
 # ---------------------------------------------------------------------------
 
 
+#: Each node class's direct children (expressions and blocks), in source
+#: order; leaf classes have no entry.
+_CHILDREN = {
+    Program: lambda n: (n.body,),
+    Block: lambda n: n.statements,
+    Assign: lambda n: (n.value,),
+    Send: lambda n: (n.dest, n.value),
+    Recv: lambda n: (n.source,),
+    Bcast: lambda n: (n.root, n.value),
+    Compute: lambda n: (n.cost,),
+    If: lambda n: (n.cond, n.then_block, n.else_block),
+    While: lambda n: (n.cond, n.body),
+    For: lambda n: (n.count, n.body),
+    BinOp: lambda n: (n.left, n.right),
+    UnaryOp: lambda n: (n.operand,),
+    Call: lambda n: n.args,
+}
+
+
 def children(node: _Node) -> Iterator[_Node]:
     """Yield the direct AST children of *node* (expressions and blocks)."""
-    if isinstance(node, Program):
-        yield node.body
-    elif isinstance(node, Block):
-        yield from node.statements
-    elif isinstance(node, Assign):
-        yield node.value
-    elif isinstance(node, Send):
-        yield node.dest
-        yield node.value
-    elif isinstance(node, Recv):
-        yield node.source
-    elif isinstance(node, Bcast):
-        yield node.root
-        yield node.value
-    elif isinstance(node, Compute):
-        yield node.cost
-    elif isinstance(node, If):
-        yield node.cond
-        yield node.then_block
-        yield node.else_block
-    elif isinstance(node, While):
-        yield node.cond
-        yield node.body
-    elif isinstance(node, For):
-        yield node.count
-        yield node.body
-    elif isinstance(node, BinOp):
-        yield node.left
-        yield node.right
-    elif isinstance(node, UnaryOp):
-        yield node.operand
-    elif isinstance(node, Call):
-        yield from node.args
-    # Const / Name / MyRank / NProcs / InputData / Checkpoint / Pass: leaves.
+    get = _CHILDREN.get(type(node))
+    return iter(get(node) if get is not None else ())
 
 
 def walk(node: _Node) -> Iterator[_Node]:
-    """Yield *node* and all its descendants in pre-order."""
-    yield node
-    for child in children(node):
-        yield from walk(child)
+    """Yield *node* and all its descendants in pre-order.
+
+    A node's children are read only when the walk resumes after yielding
+    it, so the consumer may rewrite a ``Block``'s statements as it sees
+    the block.
+    """
+    stack = [node]
+    pop, push, table = stack.pop, stack.extend, _CHILDREN
+    while stack:
+        node = pop()
+        yield node
+        get = table.get(type(node))
+        if get is not None:
+            push(reversed(get(node)))
 
 
 def count_statements(program: Program, kind: type | tuple[type, ...]) -> int:

@@ -1,4 +1,5 @@
-"""Recursive-descent parser for MiniMP.
+"""Parser for MiniMP: recursive descent for statements, precedence
+climbing for expressions.
 
 The grammar (statements end at NEWLINE; suites are INDENT ... DEDENT)::
 
@@ -27,6 +28,10 @@ The grammar (statements end at NEWLINE; suites are INDENT ... DEDENT)::
     atom       := NUMBER | "True" | "False" | "myrank" | "nprocs"
                 | "input" "(" NAME ")" | NAME ("(" args ")")?
                 | "(" expr ")"
+
+The parser reads the token list by index. An operator or keyword is
+recognised by its spelling alone, which the lexer keeps unique to one
+token kind.
 """
 
 from __future__ import annotations
@@ -35,280 +40,236 @@ from repro.errors import ParseError
 from repro.lang import ast_nodes as ast
 from repro.lang.tokens import Token, TokenKind, tokenize
 
-_COMPARISON_OPS = ("==", "!=", "<", "<=", ">", ">=")
-_ADD_OPS = ("+", "-")
-_MUL_OPS = ("*", "/", "//", "%")
+#: Binding level of each binary operator, one per grammar rule above
+#: (higher binds tighter). ``not`` takes level 3 and unary minus binds
+#: tighter than every binary operator.
+_BINARY = {
+    "or": 1, "and": 2,
+    "==": 4, "!=": 4, "<": 4, "<=": 4, ">": 4, ">=": 4,
+    "+": 5, "-": 5,
+    "*": 6, "/": 6, "//": 6, "%": 6,
+}
+_NOT = 3
+_COMPARISON = 4
+
+_NAME, _NUMBER, _KEYWORD = TokenKind.NAME, TokenKind.NUMBER, TokenKind.KEYWORD
 
 
 class _Parser:
-    """Stateful cursor over a token list."""
+    """Cursor over a token list."""
 
     def __init__(self, tokens: list[Token]) -> None:
         self._tokens = tokens
         self._pos = 0
 
-    # -- cursor helpers -----------------------------------------------------
-
-    @property
-    def current(self) -> Token:
-        return self._tokens[self._pos]
-
-    def _advance(self) -> Token:
-        token = self.current
-        if token.kind is not TokenKind.EOF:
-            self._pos += 1
-        return token
-
     def _error(self, message: str) -> ParseError:
-        token = self.current
+        token = self._tokens[self._pos]
         return ParseError(message, token.line, token.column)
 
-    def _check(self, kind: TokenKind, value: str | None = None) -> bool:
-        token = self.current
-        return token.kind is kind and (value is None or token.value == value)
-
-    def _match(self, kind: TokenKind, value: str | None = None) -> Token | None:
-        if self._check(kind, value):
-            return self._advance()
-        return None
-
-    def _expect(self, kind: TokenKind, value: str | None = None) -> Token:
-        token = self._match(kind, value)
-        if token is None:
-            expected = value if value is not None else kind.name
-            raise self._error(
-                f"expected {expected!r}, found {self.current.value!r}"
-            )
+    def _expect(self, spelling: str) -> Token:
+        """Consume the operator or keyword *spelling*."""
+        token = self._tokens[self._pos]
+        if token.value != spelling:
+            raise self._error(f"expected {spelling!r}, found {token.value!r}")
+        self._pos += 1
         return token
 
-    # -- grammar ------------------------------------------------------------
+    def _expect_kind(self, kind: TokenKind) -> Token:
+        """Consume a token of *kind* (a name or a layout token)."""
+        token = self._tokens[self._pos]
+        if token.kind is not kind:
+            raise self._error(f"expected {kind.name!r}, found {token.value!r}")
+        self._pos += 1
+        return token
+
+    # -- statements ---------------------------------------------------------
 
     def parse_program(self) -> ast.Program:
-        self._expect(TokenKind.KEYWORD, "program")
-        name = self._expect(TokenKind.NAME).value
-        self._expect(TokenKind.OP, "(")
-        self._expect(TokenKind.OP, ")")
-        self._expect(TokenKind.OP, ":")
+        self._expect("program")
+        name = self._expect_kind(_NAME).value
+        self._expect("(")
+        self._expect(")")
+        self._expect(":")
         body = self._parse_suite()
-        self._expect(TokenKind.EOF)
+        self._expect_kind(TokenKind.EOF)
         return ast.Program(name=name, body=body, line=1)
 
     def _parse_suite(self) -> ast.Block:
-        self._expect(TokenKind.NEWLINE)
-        indent = self._expect(TokenKind.INDENT)
+        self._expect_kind(TokenKind.NEWLINE)
+        indent = self._expect_kind(TokenKind.INDENT)
         statements: list[ast.Stmt] = []
-        while not self._check(TokenKind.DEDENT):
+        tokens = self._tokens
+        while tokens[self._pos].kind is not TokenKind.DEDENT:
             statements.append(self._parse_statement())
-        self._expect(TokenKind.DEDENT)
+        self._pos += 1
         return ast.Block(statements=statements, line=indent.line)
 
     def _parse_statement(self) -> ast.Stmt:
-        token = self.current
-        if token.kind is TokenKind.KEYWORD:
-            if token.value == "if":
-                return self._parse_if()
-            if token.value == "while":
-                return self._parse_while()
-            if token.value == "for":
-                return self._parse_for()
-            if token.value == "send":
-                return self._finish_simple(self._parse_send())
-            if token.value == "checkpoint":
-                self._advance()
-                return self._finish_simple(ast.Checkpoint(line=token.line))
-            if token.value == "compute":
-                return self._finish_simple(self._parse_compute())
-            if token.value == "pass":
-                self._advance()
-                return self._finish_simple(ast.Pass(line=token.line))
+        token = self._tokens[self._pos]
+        if token.kind is _NAME:
+            stmt = self._parse_assignment(token)
+        elif token.kind is not _KEYWORD:
+            raise self._error(f"unexpected token {token.value!r}")
+        elif token.value == "if":
+            return self._parse_if()
+        elif token.value == "while":
+            self._pos += 1
+            cond = self._expr()
+            self._expect(":")
+            return ast.While(cond=cond, body=self._parse_suite(), line=token.line)
+        elif token.value == "for":
+            return self._parse_for(token)
+        elif token.value == "send":
+            self._pos += 1
+            dest, value = self._call_args(2)
+            stmt = ast.Send(dest=dest, value=value, line=token.line)
+        elif token.value == "checkpoint":
+            self._pos += 1
+            stmt = ast.Checkpoint(line=token.line)
+        elif token.value == "compute":
+            self._pos += 1
+            (cost,) = self._call_args(1)
+            stmt = ast.Compute(cost=cost, line=token.line)
+        elif token.value == "pass":
+            self._pos += 1
+            stmt = ast.Pass(line=token.line)
+        else:
             raise self._error(f"unexpected keyword {token.value!r}")
-        if token.kind is TokenKind.NAME:
-            return self._finish_simple(self._parse_assignment())
-        raise self._error(f"unexpected token {token.value!r}")
-
-    def _finish_simple(self, stmt: ast.Stmt) -> ast.Stmt:
-        self._expect(TokenKind.NEWLINE)
+        self._expect_kind(TokenKind.NEWLINE)
         return stmt
 
-    def _parse_send(self) -> ast.Send:
-        token = self._expect(TokenKind.KEYWORD, "send")
-        self._expect(TokenKind.OP, "(")
-        dest = self._parse_expr()
-        self._expect(TokenKind.OP, ",")
-        value = self._parse_expr()
-        self._expect(TokenKind.OP, ")")
-        return ast.Send(dest=dest, value=value, line=token.line)
+    def _call_args(self, count: int) -> list[ast.Expr]:
+        """``"(" expr ("," expr)* ")"`` with exactly *count* expressions."""
+        self._expect("(")
+        args = [self._expr()]
+        while len(args) < count:
+            self._expect(",")
+            args.append(self._expr())
+        self._expect(")")
+        return args
 
-    def _parse_compute(self) -> ast.Compute:
-        token = self._expect(TokenKind.KEYWORD, "compute")
-        self._expect(TokenKind.OP, "(")
-        cost = self._parse_expr()
-        self._expect(TokenKind.OP, ")")
-        return ast.Compute(cost=cost, line=token.line)
-
-    def _parse_assignment(self) -> ast.Stmt:
-        target = self._expect(TokenKind.NAME)
-        self._expect(TokenKind.OP, "=")
-        if self._check(TokenKind.KEYWORD, "recv"):
-            self._advance()
-            self._expect(TokenKind.OP, "(")
-            source = self._parse_expr()
-            self._expect(TokenKind.OP, ")")
+    def _parse_assignment(self, target: Token) -> ast.Stmt:
+        self._pos += 1
+        self._expect("=")
+        keyword = self._tokens[self._pos].value
+        if keyword == "recv":
+            self._pos += 1
+            (source,) = self._call_args(1)
             return ast.Recv(target=target.value, source=source, line=target.line)
-        if self._check(TokenKind.KEYWORD, "bcast"):
-            self._advance()
-            self._expect(TokenKind.OP, "(")
-            root = self._parse_expr()
-            self._expect(TokenKind.OP, ",")
-            value = self._parse_expr()
-            self._expect(TokenKind.OP, ")")
+        if keyword == "bcast":
+            self._pos += 1
+            root, value = self._call_args(2)
             return ast.Bcast(
                 target=target.value, root=root, value=value, line=target.line
             )
-        value = self._parse_expr()
+        value = self._expr()
         return ast.Assign(target=target.value, value=value, line=target.line)
 
     def _parse_if(self) -> ast.If:
-        token = self._expect(TokenKind.KEYWORD, "if")
-        cond = self._parse_expr()
-        self._expect(TokenKind.OP, ":")
+        """An ``if`` or ``elif`` at the cursor; ``elif`` is a nested If."""
+        token = self._tokens[self._pos]
+        self._pos += 1
+        cond = self._expr()
+        self._expect(":")
         then_block = self._parse_suite()
         else_block = ast.Block(line=token.line)
-        if self._check(TokenKind.KEYWORD, "elif"):
-            # Desugar `elif` into a nested If inside the else block.
-            elif_token = self.current
-            # Rewrite the token in place so _parse_if sees a plain `if`.
-            self._tokens[self._pos] = Token(
-                TokenKind.KEYWORD, "if", elif_token.line, elif_token.column
-            )
+        follow = self._tokens[self._pos]
+        if follow.value == "elif":
             nested = self._parse_if()
-            else_block = ast.Block(statements=[nested], line=elif_token.line)
-        elif self._match(TokenKind.KEYWORD, "else"):
-            self._expect(TokenKind.OP, ":")
+            else_block = ast.Block(statements=[nested], line=follow.line)
+        elif follow.value == "else":
+            self._pos += 1
+            self._expect(":")
             else_block = self._parse_suite()
         return ast.If(
             cond=cond, then_block=then_block, else_block=else_block, line=token.line
         )
 
-    def _parse_while(self) -> ast.While:
-        token = self._expect(TokenKind.KEYWORD, "while")
-        cond = self._parse_expr()
-        self._expect(TokenKind.OP, ":")
-        body = self._parse_suite()
-        return ast.While(cond=cond, body=body, line=token.line)
-
-    def _parse_for(self) -> ast.For:
-        token = self._expect(TokenKind.KEYWORD, "for")
-        var = self._expect(TokenKind.NAME).value
-        self._expect(TokenKind.KEYWORD, "in")
-        self._expect(TokenKind.KEYWORD, "range")
-        self._expect(TokenKind.OP, "(")
-        count = self._parse_expr()
-        self._expect(TokenKind.OP, ")")
-        self._expect(TokenKind.OP, ":")
+    def _parse_for(self, token: Token) -> ast.For:
+        self._pos += 1
+        var = self._expect_kind(_NAME).value
+        self._expect("in")
+        self._expect("range")
+        (count,) = self._call_args(1)
+        self._expect(":")
         body = self._parse_suite()
         return ast.For(var=var, count=count, body=body, line=token.line)
 
-    # -- expressions ---------------------------------------------------------
+    # -- expressions --------------------------------------------------------
 
-    def _parse_expr(self) -> ast.Expr:
-        return self._parse_or()
-
-    def _parse_or(self) -> ast.Expr:
-        left = self._parse_and()
-        while self._check(TokenKind.KEYWORD, "or"):
-            token = self._advance()
-            right = self._parse_and()
-            left = ast.BinOp(op="or", left=left, right=right, line=token.line)
-        return left
-
-    def _parse_and(self) -> ast.Expr:
-        left = self._parse_not()
-        while self._check(TokenKind.KEYWORD, "and"):
-            token = self._advance()
-            right = self._parse_not()
-            left = ast.BinOp(op="and", left=left, right=right, line=token.line)
-        return left
-
-    def _parse_not(self) -> ast.Expr:
-        if self._check(TokenKind.KEYWORD, "not"):
-            token = self._advance()
-            operand = self._parse_not()
-            return ast.UnaryOp(op="not", operand=operand, line=token.line)
-        return self._parse_comparison()
-
-    def _parse_comparison(self) -> ast.Expr:
-        left = self._parse_arith()
-        if self.current.kind is TokenKind.OP and self.current.value in _COMPARISON_OPS:
-            token = self._advance()
-            right = self._parse_arith()
-            return ast.BinOp(op=token.value, left=left, right=right, line=token.line)
-        return left
-
-    def _parse_arith(self) -> ast.Expr:
-        left = self._parse_term()
-        while self.current.kind is TokenKind.OP and self.current.value in _ADD_OPS:
-            token = self._advance()
-            right = self._parse_term()
+    def _expr(self, min_level: int = 1) -> ast.Expr:
+        """An expression whose binary operators bind at *min_level* or
+        tighter; comparisons do not chain and never take a ``not``."""
+        tokens = self._tokens
+        token = tokens[self._pos]
+        if token.value == "not" and min_level <= _NOT:
+            self._pos += 1
+            operand = self._expr(_NOT)
+            left = ast.UnaryOp(op="not", operand=operand, line=token.line)
+            comparable = False
+        else:
+            left = self._unary()
+            comparable = True
+        while True:
+            token = tokens[self._pos]
+            level = _BINARY.get(token.value)
+            if level is None or level < min_level or (
+                level == _COMPARISON and not comparable
+            ):
+                return left
+            comparable = level > _COMPARISON
+            self._pos += 1
+            right = self._expr(level + 1)
             left = ast.BinOp(op=token.value, left=left, right=right, line=token.line)
-        return left
 
-    def _parse_term(self) -> ast.Expr:
-        left = self._parse_unary()
-        while self.current.kind is TokenKind.OP and self.current.value in _MUL_OPS:
-            token = self._advance()
-            right = self._parse_unary()
-            left = ast.BinOp(op=token.value, left=left, right=right, line=token.line)
-        return left
-
-    def _parse_unary(self) -> ast.Expr:
-        if self._check(TokenKind.OP, "-"):
-            token = self._advance()
-            operand = self._parse_unary()
-            return ast.UnaryOp(op="-", operand=operand, line=token.line)
-        return self._parse_atom()
-
-    def _parse_atom(self) -> ast.Expr:
-        token = self.current
-        if token.kind is TokenKind.NUMBER:
-            self._advance()
-            return ast.Const(value=int(token.value), line=token.line)
-        if token.kind is TokenKind.KEYWORD:
-            if token.value == "True":
-                self._advance()
-                return ast.Const(value=1, line=token.line)
-            if token.value == "False":
-                self._advance()
-                return ast.Const(value=0, line=token.line)
-            if token.value == "myrank":
-                self._advance()
-                return ast.MyRank(line=token.line)
-            if token.value == "nprocs":
-                self._advance()
-                return ast.NProcs(line=token.line)
-            if token.value == "input":
-                self._advance()
-                self._expect(TokenKind.OP, "(")
-                label = self._expect(TokenKind.NAME).value
-                self._expect(TokenKind.OP, ")")
-                return ast.InputData(label=label, line=token.line)
-            raise self._error(f"unexpected keyword {token.value!r} in expression")
-        if token.kind is TokenKind.NAME:
-            self._advance()
-            if self._match(TokenKind.OP, "("):
-                args: list[ast.Expr] = []
-                if not self._check(TokenKind.OP, ")"):
-                    args.append(self._parse_expr())
-                    while self._match(TokenKind.OP, ","):
-                        args.append(self._parse_expr())
-                self._expect(TokenKind.OP, ")")
-                return ast.Call(func=token.value, args=args, line=token.line)
-            return ast.Name(ident=token.value, line=token.line)
-        if self._match(TokenKind.OP, "("):
-            expr = self._parse_expr()
-            self._expect(TokenKind.OP, ")")
+    def _unary(self) -> ast.Expr:
+        """``"-" unary | atom``."""
+        tokens = self._tokens
+        pos = self._pos
+        token = tokens[pos]
+        kind, value = token.kind, token.value
+        if kind is _NAME:
+            self._pos = pos + 1
+            if tokens[pos + 1].value != "(":
+                return ast.Name(ident=value, line=token.line)
+            self._pos = pos + 2
+            args: list[ast.Expr] = []
+            if tokens[pos + 2].value != ")":
+                args.append(self._expr())
+                while tokens[self._pos].value == ",":
+                    self._pos += 1
+                    args.append(self._expr())
+            self._expect(")")
+            return ast.Call(func=value, args=args, line=token.line)
+        if kind is _NUMBER:
+            self._pos = pos + 1
+            return ast.Const(value=int(value), line=token.line)
+        if value == "-":
+            self._pos = pos + 1
+            return ast.UnaryOp(op="-", operand=self._unary(), line=token.line)
+        if value == "(":
+            self._pos = pos + 1
+            expr = self._expr()
+            self._expect(")")
             return expr
-        raise self._error(f"unexpected token {token.value!r} in expression")
+        if kind is not _KEYWORD:
+            raise self._error(f"unexpected token {value!r} in expression")
+        if value == "True" or value == "False":
+            self._pos = pos + 1
+            return ast.Const(value=int(value == "True"), line=token.line)
+        if value == "myrank":
+            self._pos = pos + 1
+            return ast.MyRank(line=token.line)
+        if value == "nprocs":
+            self._pos = pos + 1
+            return ast.NProcs(line=token.line)
+        if value == "input":
+            self._pos = pos + 1
+            self._expect("(")
+            label = self._expect_kind(_NAME).value
+            self._expect(")")
+            return ast.InputData(label=label, line=token.line)
+        raise self._error(f"unexpected keyword {value!r} in expression")
 
 
 def parse(source: str) -> ast.Program:

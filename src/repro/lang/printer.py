@@ -52,11 +52,16 @@ def _render_expr(expr: ast.Expr, parent_prec: int) -> str:
         return f"{expr.func}({args})"
     if isinstance(expr, ast.UnaryOp):
         operand = _render_expr(expr.operand, 7)
-        text = f"not {operand}" if expr.op == "not" else f"-{operand}"
-        return f"({text})" if parent_prec >= 7 else text
+        if expr.op == "not":
+            # ``not`` binds looser than every operator but ``and``/``or``.
+            text = f"not {operand}"
+            return f"({text})" if parent_prec > _PRECEDENCE["and"] else text
+        return f"(-{operand})" if parent_prec >= 7 else f"-{operand}"
     if isinstance(expr, ast.BinOp):
         prec = _PRECEDENCE[expr.op]
-        left = _render_expr(expr.left, prec - 1)
+        # Comparisons do not chain: a comparison on the left is wrapped too.
+        comparison = prec == _PRECEDENCE["=="]
+        left = _render_expr(expr.left, prec if comparison else prec - 1)
         right = _render_expr(expr.right, prec)
         text = f"{left} {expr.op} {right}"
         return f"({text})" if prec <= parent_prec else text

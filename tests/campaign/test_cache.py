@@ -177,3 +177,20 @@ class TestHitFidelity:
         ).run()
         assert run_cached.stats.as_dict() == run_fresh.stats.as_dict()
         assert run_cached.final_env == run_fresh.final_env
+
+    def test_hit_keeps_the_meaning_of_not_under_arithmetic(self, tmp_path):
+        # The entry stores printed source: a hit is only the program the
+        # cold transform returned if the printer round-trips it.
+        from repro.lang.parser import parse
+        from repro.runtime.engine import Simulation
+
+        cache = TransformCache(tmp_path)
+        program = parse(
+            "program t():\n    x = 1\n    checkpoint\n    r = (not x) + 1\n"
+        )
+        cold = transform(program, cache=cache)
+        hit = transform(program, cache=cache)
+        assert cache.hits == 1
+        for result in (cold, hit):
+            run = Simulation(result.program, 2, seed=1).run()
+            assert [env["r"] for env in run.final_env.values()] == [1, 1]

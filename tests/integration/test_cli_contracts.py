@@ -239,3 +239,15 @@ def test_second_transform_is_served_from_the_cache(tmp_path, capsys):
         assert code == 0
         assert "checkpoint" in out
         assert f"transform cache: {verdict}" in err
+
+
+@pytest.mark.parametrize("command", ("transform", "lint"))
+def test_non_decimal_digit_is_an_error_not_a_traceback(
+    command, tmp_path, capsys
+):
+    source = tmp_path / "squared.mp"
+    source.write_text("program t():\n    x = 1\u00b2\n", encoding="utf-8")
+    code, out, err = cli(capsys, command, source)
+    assert code == 2
+    assert out == ""
+    assert err == "error: unexpected character '\u00b2' (line 2, column 9)\n"

@@ -37,6 +37,24 @@ class TestExpressionRendering:
         rendered = expr_to_source(original)
         assert ast_equal(original, reparse(rendered))
 
+    @pytest.mark.parametrize(
+        "text, printed",
+        [
+            ("(not x) + 1", "(not x) + 1"),
+            ("(a < b) < c", "(a < b) < c"),
+            ("x * (not y)", "x * (not y)"),
+            ("(not a) == b", "(not a) == b"),
+            ("a < (b < c)", "a < (b < c)"),
+            ("not not a", "not (not a)"),
+            ("a and not b or not c", "a and not b or not c"),
+        ],
+    )
+    def test_not_and_nested_comparisons_keep_their_parentheses(
+        self, text, printed
+    ):
+        expr = parse(f"program t():\n    x = {text}\n").body.statements[0].value
+        assert expr_to_source(expr) == printed
+
     def test_true_false_render_as_ints(self):
         expr = parse("program t():\n    x = True\n").body.statements[0].value
         assert expr_to_source(expr) == "1"
@@ -85,7 +103,58 @@ class TestAstEqual:
         assert not ast_equal(a, b)
 
 
+BINARY_OPS = ["or", "and", "==", "!=", "<", "<=", ">", ">=", "+", "-", "*",
+              "/", "//", "%"]
+
+leaves = st.one_of(
+    st.builds(ast.Const, value=st.integers(min_value=0, max_value=99)),
+    st.builds(ast.Name, ident=st.sampled_from(["a", "b"])),
+    st.builds(ast.MyRank),
+    st.builds(ast.NProcs),
+    st.builds(ast.InputData, label=st.just("noise")),
+)
+
+
+def _nodes_over(deep, shallow):
+    """Expression nodes with at least one child drawn from *deep*."""
+    ops = st.sampled_from(BINARY_OPS)
+    return st.one_of(
+        st.builds(ast.BinOp, op=ops, left=deep, right=shallow),
+        st.builds(ast.BinOp, op=ops, left=shallow, right=deep),
+        st.builds(ast.UnaryOp, op=st.sampled_from(["not", "-"]), operand=deep),
+        st.builds(
+            lambda func, head, tail: ast.Call(func=func, args=[*head, *tail]),
+            st.sampled_from(["min", "max"]),
+            st.lists(shallow, max_size=1),
+            st.lists(deep, min_size=1, max_size=2),
+        ),
+    )
+
+
+def deep_expressions(depth):
+    """Expression trees at least *depth* nodes deep, over every binary
+    operator, ``not``, unary minus and calls."""
+    shallow = st.recursive(
+        leaves, lambda inner: _nodes_over(inner, inner), max_leaves=4
+    )
+    tree = shallow
+    for _ in range(depth):
+        tree = _nodes_over(tree, shallow)
+    return tree
+
+
 class TestRoundTripProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(expr=deep_expressions(4))
+    def test_expression_trees_round_trip(self, expr):
+        program = ast.Program(
+            name="t", body=ast.Block(statements=[ast.Assign(target="x", value=expr)])
+        )
+        once = to_source(program)
+        reparsed = parse(once)
+        assert ast_equal(program, reparsed), once
+        assert to_source(reparsed) == once
+
     @settings(max_examples=40, deadline=None)
     @given(
         seed=st.integers(min_value=0, max_value=10_000),

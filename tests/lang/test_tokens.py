@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import LexerError
+from repro.lang.parser import parse
 from repro.lang.tokens import Token, TokenKind, tokenize
 
 
@@ -97,6 +98,26 @@ class TestErrors:
         with pytest.raises(LexerError) as excinfo:
             tokenize("ok = 1\nbad = $\n")
         assert excinfo.value.line == 2
+
+
+    @pytest.mark.parametrize(
+        "text, column",
+        [("x = ²\n", 4), ("x = 1²\n", 5), ("x = ①2\n", 4), ("x = 3 + ²y\n", 8)],
+    )
+    def test_digit_that_is_not_decimal_is_an_error_at_its_column(
+        self, text, column
+    ):
+        with pytest.raises(LexerError, match="unexpected character") as excinfo:
+            tokenize(text)
+        assert (excinfo.value.line, excinfo.value.column) == (1, column)
+
+    def test_decimal_digits_of_any_script_are_numbers(self):
+        assert values("x = ٣\n") == ["x", "=", "٣"]
+        program = parse("program t():\n    x = ٣7\n")
+        assert program.body.statements[0].value.value == 37
+
+    def test_letters_and_digits_of_any_script_continue_a_name(self):
+        assert values("é = x² + λ①\n") == ["é", "=", "x²", "+", "λ①"]
 
 
 class TestPositions:
