@@ -39,10 +39,9 @@ class ScenarioSpec(RunConfig):
     The run knobs (``seed``, ``storage_replicas``, ``retain_k``,
     ``backend``, ``checkpoint_mode``, …) are the inherited fields of
     :class:`~repro.runtime.engine.RunConfig`, documented and validated
-    there; all of them except the engine-internal ``scheduler`` are
-    part of the JSON form and of :meth:`content_hash` (so cached
-    results record, e.g., which backend produced them). The scenario
-    itself adds:
+    there; all of them are part of the JSON form and of
+    :meth:`content_hash` (so cached results record, e.g., which backend
+    produced them). The scenario itself adds:
 
     Attributes:
         label: The cell key — unique within a campaign; used to order
@@ -148,10 +147,8 @@ def _optional(decode):
     return lambda value: None if value is None else decode(value)
 
 
-#: The JSON form, one entry per serialised field in key order (which
-#: campaign files are byte-pinned to): field name -> decoder of its
-#: JSON value. ``scheduler`` is deliberately absent — the spec
-#: describes the experiment, not the engine internals.
+#: The JSON form, one entry per field in key order (which campaign
+#: files are byte-pinned to): field name -> decoder of its JSON value.
 _JSON_FIELDS = {
     "label": str,
     "program": str,

@@ -38,7 +38,7 @@ from repro.lang.parser import parse
 from repro.lang.printer import to_source
 from repro.lang.programs import load_program, program_names
 from repro.protocols import make_protocol, protocol_names
-from repro.runtime.engine import CHECKPOINT_MODES, SCHEDULERS, RunConfig
+from repro.runtime.engine import CHECKPOINT_MODES, RunConfig
 from repro.runtime.interpreter import BACKENDS
 
 
@@ -326,9 +326,6 @@ _RUN_FLAGS: dict[str, tuple] = {
     "retain_k": ("K", "bounded-storage retention: keep at most K "
                       "checkpoints per rank, GC-protecting the recovery "
                       "line and its degraded fallbacks"),
-    "scheduler": (SCHEDULERS, "engine scheduler: the indexed priority "
-                              "queue or the original linear scan; runs "
-                              "are byte-identical for both"),
     "backend": (BACKENDS, "process-execution backend: the closure "
                           "compiler or the tree-walking interpreter; "
                           "runs are byte-identical for both"),
@@ -403,10 +400,9 @@ def _add_executor_flags(
                              "outcome (default 2)")
 
 
-_SIMULATE_KNOBS = ("seed", "storage_replicas", "retain_k", "scheduler",
-                   "backend", "checkpoint_mode")
-_CHAOS_KNOBS = ("seed", "retain_k", "scheduler", "backend",
-                "checkpoint_mode")
+_SIMULATE_KNOBS = ("seed", "storage_replicas", "retain_k", "backend",
+                   "checkpoint_mode")
+_CHAOS_KNOBS = ("seed", "retain_k", "backend", "checkpoint_mode")
 _CAMPAIGN_KNOBS = ("backend", "checkpoint_mode")
 
 

@@ -20,7 +20,7 @@ metrics from the event stream alone:
 - ``snapshot_bytes`` / ``snapshot_bytes_dist`` — durable wire size of
   the most recently committed checkpoint payload (gauge) and its
   distribution over the run (histogram), fed by storage ``commit``
-  events; the same figure ``StableStorage.total_bytes(incremental=True)``
+  events; the same figure ``CheckpointStore.total_bytes(incremental=True)``
   sums — a structural size, pinned equal to the encoder's output;
 - ``storage_retries_total`` / ``gc_collected_total`` /
   ``gc_reclaimed_bytes_total`` — write-retry and retention-GC counters;

@@ -11,7 +11,7 @@ coordinated-strength property): the straight cut ``R_i`` with ``i`` the
 deepest checkpoint number every process has reached. Phase III
 guarantees ``R_i`` is consistent, which
 :meth:`ApplicationDrivenProtocol.on_failure` re-validates by vector
-clocks before restoring when ``validate`` is set.
+clocks before restoring.
 """
 
 from __future__ import annotations
@@ -28,13 +28,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 class ApplicationDrivenProtocol(CheckpointingProtocol):
-    """Coordination-free checkpointing for Phase-III-transformed programs.
-
-    With ``gc_storage`` set, checkpoints older than the deepest common
-    straight cut are pruned after every checkpoint — they can never be
-    restored again, so stable storage stays bounded by one checkpoint
-    interval per process.
-    """
+    """Coordination-free checkpointing for Phase-III-transformed programs."""
 
     name = "appl-driven"
     #: The paper's central claim: checkpoints placed at the transformed
@@ -43,38 +37,27 @@ class ApplicationDrivenProtocol(CheckpointingProtocol):
     #: since ``restore_cut`` only ever rolls back to straight cuts.
     induces_recovery_lines = True
 
-    def __init__(self, validate: bool = True, gc_storage: bool = False) -> None:
-        self.validate = validate
-        self.gc_storage = gc_storage
+    def __init__(self) -> None:
         self.recovered_to: list[int] = []
-        self.pruned = 0
-
-    def on_checkpoint(self, sim: "Simulation", rank: int, number: int) -> None:
-        """Optionally prune storage below the deepest common cut."""
-        if self.gc_storage:
-            from repro.runtime.storage import prune_below_common
-
-            self.pruned += prune_below_common(
-                sim.storage, list(range(sim.n))
-            )
 
     def on_failure(self, sim: "Simulation", rank: int, time: float) -> None:
         """Restore the deepest *intact* common straight cut ``R_i``.
 
         When storage faults have eaten members of the nominal ``R_i``,
-        the shared degraded-recovery helper falls back to the deepest
-        fully-intact ``R_{i-1}``; validation then checks the cut that
-        is actually about to be restored.
+        the shared degraded-recovery search falls back to the deepest
+        fully-intact ``R_{i-1}``. That one search yields the cut that is
+        validated and then restored.
         """
-        if self.validate:
-            number, members, _ = self.deepest_intact_cut(sim)
-            self._validate_cut(sim, number, list(members.values()))
-            sim.emit(
-                "cut-validated", None, time,
-                protocol=self.name, number=number,
-            )
-        common = self.restore_common_number(sim, time)
-        self.recovered_to.append(common)
+        found = self.deepest_intact_cut(sim)
+        number, members, _ = found
+        self._validate_cut(sim, number, list(members.values()))
+        sim.emit(
+            "cut-validated", None, time,
+            protocol=self.name, number=number,
+        )
+        self.recovered_to.append(
+            self.restore_common_number(sim, time, found)
+        )
 
     def _validate_cut(self, sim: "Simulation", common: int, members) -> None:
         """Check by vector clocks that the straight cut is a recovery line.

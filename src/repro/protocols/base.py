@@ -4,23 +4,12 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.errors import RecoveryError, StorageError, UnrecoverableError
+from repro.errors import RecoveryError, UnrecoverableError
 from repro.runtime.hooks import ProtocolHooks
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.engine import Simulation
     from repro.runtime.storage import StoredCheckpoint
-
-
-def _intact_with_number(sim: "Simulation", rank: int, number: int):
-    """Fault-aware lookup with a plain-storage fallback."""
-    lookup = getattr(sim.storage, "intact_with_number", None)
-    if lookup is not None:
-        return lookup(rank, number)
-    try:
-        return sim.storage.latest_with_number(rank, number)
-    except StorageError:
-        return None
 
 
 class CheckpointingProtocol(ProtocolHooks):
@@ -52,12 +41,12 @@ class CheckpointingProtocol(ProtocolHooks):
         common = sim.storage.max_common_number(ranks)
         if common < 0:
             raise RecoveryError("storage has no checkpoints at all")
-        escalation = getattr(sim, "recovery_escalation", 0)
-        target = max(0, common - escalation)
+        target = max(0, common - sim.recovery_escalation)
+        lookup = sim.storage.intact_with_number
         while target >= 0:
             cut: dict[int, "StoredCheckpoint"] = {}
             for rank in ranks:
-                checkpoint = _intact_with_number(sim, rank, target)
+                checkpoint = lookup(rank, target)
                 if checkpoint is None:
                     break
                 cut[rank] = checkpoint
@@ -69,7 +58,9 @@ class CheckpointingProtocol(ProtocolHooks):
             f"(searched R_{common} down to R_0)"
         )
 
-    def restore_common_number(self, sim: "Simulation", at_time: float) -> int:
+    def restore_common_number(
+        self, sim: "Simulation", at_time: float, found=None
+    ) -> int:
         """Roll back to the deepest *intact* common checkpoint number.
 
         This is straight-cut recovery with graceful degradation: with
@@ -78,9 +69,13 @@ class CheckpointingProtocol(ProtocolHooks):
         intact number-``i`` checkpoint, falling back to ``R_{i-1}``
         when a member is missing or corrupt. The fallback depth is
         recorded in :class:`~repro.runtime.engine.SimulationStats`.
-        Returns the restored number.
+        *found* is the :meth:`deepest_intact_cut` result when the caller
+        already searched (the search is run here otherwise). Returns
+        the restored number.
         """
-        number, cut, depth = self.deepest_intact_cut(sim)
+        if found is None:
+            found = self.deepest_intact_cut(sim)
+        number, cut, depth = found
         sim.stats.fallback_depths.append(depth)
         if depth:
             sim.stats.recovery_fallbacks += 1

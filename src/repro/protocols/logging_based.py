@@ -68,11 +68,9 @@ class MessageLoggingProtocol(CheckpointingProtocol):
         recovery. A retrying supervisor escalates the same way: each
         retry asks for one intact checkpoint older than the last.
         """
-        skip = getattr(sim, "recovery_escalation", 0)
-        if hasattr(sim.storage, "latest_intact"):
-            checkpoint, depth = sim.storage.latest_intact(rank, skip=skip)
-        else:
-            checkpoint, depth = sim.storage.latest(rank), 0
+        checkpoint, depth = sim.storage.latest_intact(
+            rank, skip=sim.recovery_escalation
+        )
         sim.stats.fallback_depths.append(depth)
         if depth:
             sim.stats.recovery_fallbacks += 1

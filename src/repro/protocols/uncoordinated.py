@@ -61,9 +61,8 @@ class UncoordinatedProtocol(CheckpointingProtocol):
         search up front, so the rollback can only land on restorable
         state; any such exclusion is recorded as a degraded recovery.
         """
-        intact = getattr(sim.storage, "intact_history", sim.storage.history)
-        histories = {r: intact(r) for r in range(sim.n)}
-        escalation = getattr(sim, "recovery_escalation", 0)
+        histories = {r: sim.storage.intact_history(r) for r in range(sim.n)}
+        escalation = sim.recovery_escalation
         if escalation:
             # Supervisor escalation: drop the newest candidates so the
             # consistent-cut search is forced deeper (never below the

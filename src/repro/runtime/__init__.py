@@ -61,7 +61,6 @@ from repro.runtime.storage import (
     CheckpointStore,
     ReplicatedCheckpointStore,
     RetentionPolicy,
-    StableStorage,
     StoredCheckpoint,
 )
 from repro.runtime.trace import ExecutionTrace
@@ -100,7 +99,6 @@ __all__ = [
     "SendEffect",
     "Simulation",
     "SimulationResult",
-    "StableStorage",
     "StorageFaultEvent",
     "StoredCheckpoint",
     "SupervisorConfig",

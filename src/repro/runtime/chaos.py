@@ -48,8 +48,8 @@ class ChaosConfig(RunConfig):
     """Knobs of the chaos draw and size of the simulated workload.
 
     The engine knobs every replay runs under (``retain_k`` retention
-    pressure, ``scheduler``, ``backend``, ``checkpoint_mode``, … —
-    verdicts are byte-identical across the last three) are the
+    pressure, ``backend``, ``checkpoint_mode``, … — verdicts are
+    byte-identical across the last two) are the
     inherited :class:`~repro.runtime.engine.RunConfig` fields. ``seed``
     there is the *simulator* seed (inputs, latencies), not the schedule
     seed, so one workload meets many schedules.
@@ -297,7 +297,7 @@ def retention_invariant_holds(
     return True
 
 
-_BASELINES: dict[tuple[str, str], dict] = {}
+_BASELINES: dict[str, dict] = {}
 
 
 def _chaos_spec(
@@ -322,7 +322,7 @@ def _chaos_spec(
 def _baseline_env(spec) -> dict:
     """Final environment of *spec*'s fault-free run (cached per workload)."""
     baseline = replace(spec, fault_plan=None)
-    key = (baseline.content_hash(), baseline.scheduler)
+    key = baseline.content_hash()
     if key not in _BASELINES:
         _BASELINES[key] = baseline.build().run().final_env
     return _BASELINES[key]

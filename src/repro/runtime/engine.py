@@ -64,7 +64,6 @@ from repro.runtime.storage import (
     CheckpointStore,
     ReplicatedCheckpointStore,
     RetentionPolicy,
-    StableStorage,
     StoredCheckpoint,
 )
 from repro.runtime.trace import ExecutionTrace
@@ -93,11 +92,6 @@ class RuntimeCosts:
     recovery_overhead: float = 2.0         # the paper's R
     control_latency: float = 0.05          # transit time of a control message
     storage_retry_backoff: float = 0.25    # base of the exponential backoff
-
-
-#: Recognised engine schedulers, default first: the indexed priority
-#: queue and the original linear scan kept as its differential oracle.
-SCHEDULERS = ("indexed", "reference")
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -130,9 +124,6 @@ class RunConfig:
             delta-encoded payloads). Both modes recover to
             byte-identical application state; only stored payload bytes
             differ.
-        scheduler: Engine scheduler — ``"indexed"`` or ``"reference"``;
-            runs are byte-identical for both. An engine internal: it is
-            not part of a scenario's JSON form or content hash.
     """
 
     seed: int = 0
@@ -146,11 +137,9 @@ class RunConfig:
     retain_k: int | None = None
     backend: str = "compiled"
     checkpoint_mode: str = "full"
-    scheduler: str = "indexed"
 
     def __post_init__(self) -> None:
         for name, choices in (
-            ("scheduler", SCHEDULERS),
             ("checkpoint_mode", CHECKPOINT_MODES),
             ("backend", BACKENDS),
         ):
@@ -164,6 +153,21 @@ class RunConfig:
             raise SimulationError(
                 "need at least one storage replica, "
                 f"got {self.storage_replicas}"
+            )
+        for name, floor in (
+            ("max_storage_retries", 0),
+            ("max_steps", 1),
+            ("base_latency", 0),
+        ):
+            value = getattr(self, name)
+            if value < floor:
+                raise SimulationError(
+                    f"{name} must be >= {floor}, got {value}"
+                )
+        if self.retain_k is not None and self.retain_k < 2:
+            raise SimulationError(
+                "retain_k must be >= 2 (the newest checkpoint plus a "
+                f"recovery floor), got {self.retain_k}"
             )
 
     def run_knobs(self) -> dict:
@@ -181,15 +185,15 @@ class SupervisorConfig:
         backoff_base: Simulated seconds charged before the second
             attempt; attempt ``k`` waits ``base * factor**(k-1)``.
         backoff_factor: Exponential growth of the backoff.
-        escalate_fallback: Whether each retry asks the protocol for a
-            one-number-deeper degraded cut (R_i -> R_{i-k}), on top of
-            whatever degradation corruption already forces.
+
+    Each retry also asks the protocol for a one-number-deeper degraded
+    cut (R_i -> R_{i-k}), on top of whatever degradation corruption
+    already forces.
     """
 
     max_attempts: int = 4
     backoff_base: float = 0.5
     backoff_factor: float = 2.0
-    escalate_fallback: bool = True
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
@@ -284,7 +288,7 @@ class SimulationResult:
 
     trace: ExecutionTrace
     stats: SimulationStats
-    storage: StableStorage
+    storage: CheckpointStore
     final_env: dict[int, dict[str, int]]
     completion_time: float
     verdict: str = "completed"
@@ -408,9 +412,7 @@ class RecoverySupervisor:
         while attempt < self.config.max_attempts:
             attempt += 1
             sim.stats.recovery_attempts += 1
-            self.escalation = (
-                attempt - 1 if self.config.escalate_fallback else 0
-            )
+            self.escalation = attempt - 1
             if self._pending is None and queue:
                 self._pending = queue.pop(0)
             start = now
@@ -510,6 +512,11 @@ class RecoverySupervisor:
 class Simulation:
     """One configured run of a MiniMP program on ``n`` processes."""
 
+    #: Whether the run loop keeps executing the scheduler minimum
+    #: without a heap round trip per effect (see :meth:`run`). A
+    #: subclass whose scheduler keeps no heap must turn it off.
+    _batch_dispatch = True
+
     def __init__(
         self,
         program: ast.Program,
@@ -531,7 +538,6 @@ class Simulation:
             raise SimulationError(f"need at least one process, got {n_processes}")
         plan = FaultPlan.of(failure_plan)
         plan.check_targets(n_processes, config.storage_replicas)
-        self._scheduler = config.scheduler
         self.checkpoint_mode = config.checkpoint_mode
         # Minimal content zeroes provably-dead env slots at app
         # checkpoints and stores only what changed since the rank's
@@ -567,15 +573,9 @@ class Simulation:
         self._ranks = range(n_processes)
         self.costs = config.costs or RuntimeCosts()
         self.protocol = protocol if protocol is not None else NullProtocol()
-        # The base on_effect hook is a no-op; detecting that once lets
-        # the per-effect loop skip the call entirely for every shipped
-        # protocol (none of them override it).
-        self._observes_effects = (
-            type(self.protocol).on_effect is not ProtocolHooks.on_effect
-        )
-        # Same trick for piggyback: the base hook returns {} and has no
-        # side effects, so sends can skip the call (and the empty-dict
-        # copy in the network layer) unless the protocol overrides it.
+        # The base piggyback hook returns {} and has no side effects, so
+        # sends can skip the call (and the empty-dict copy in the
+        # network layer) unless the protocol overrides it.
         self._has_piggyback = (
             type(self.protocol).piggyback is not ProtocolHooks.piggyback
         )
@@ -690,8 +690,8 @@ class Simulation:
                     span_id=-1, parent=None, dur=0.0,
                     **compiled.lowering_stats,
                 )
-        # Indexed-scheduler state: a single priority queue of actionable
-        # items with lazy invalidation (per-rank version counters), plus
+        # Scheduler state: a single priority queue of actionable items
+        # with lazy invalidation (per-rank version counters), plus
         # channel waiters so blocked receivers are woken by arrival
         # notifications instead of being polled every step.
         self._heap: list[tuple] = []
@@ -702,8 +702,7 @@ class Simulation:
         self._ctl_seq = 0
         self._pending_entry: tuple | None = None
         self._n_done = 0
-        if self._scheduler == "indexed":
-            self.network.on_enqueue = self._arrival_notifier()
+        self.network.on_enqueue = self._arrival_notifier()
         # Checkpoint 0: the initial state of every process, so recovery
         # can always fall back to a (trivially consistent) cut.
         for proc in self.procs:
@@ -769,11 +768,10 @@ class Simulation:
             arrival_time=now + self.costs.control_latency,
         )
         self._control_queue.append(message)
-        if self._scheduler == "indexed":
-            seq = self._ctl_seq
-            self._ctl_seq += 1
-            self._ctl_seqs[id(message)] = seq
-            self._push(message.arrival_time, 1, seq, "ctl", message)
+        seq = self._ctl_seq
+        self._ctl_seq += 1
+        self._ctl_seqs[id(message)] = seq
+        self._push(message.arrival_time, 1, seq, "ctl", message)
         self.stats.control_messages += 1
         self.emit("control-send", src, now, dst=dst, tag=tag)
 
@@ -782,8 +780,7 @@ class Simulation:
         timer = (time, self._timer_seq, rank, tag)
         self._timers.append(timer)
         self._timer_seq += 1
-        if self._scheduler == "indexed":
-            self._push(time, 2, timer[1], "timer", timer)
+        self._push(time, 2, timer[1], "timer", timer)
 
     def pause(self, rank: int) -> None:
         """Hold *rank* (it will not execute effects until resumed)."""
@@ -968,11 +965,9 @@ class Simulation:
         """
         self.protocol.on_start(self)
         unrecoverable = False
-        indexed = self._scheduler == "indexed"
+        batch = self._batch_dispatch
         _READY = _Status.READY
-        next_item = (
-            self._next_item_indexed if indexed else self._next_item_reference
-        )
+        next_item = self._next_item
         # Loop invariants of the batching fast path, hoisted: these
         # objects are mutated in place but never rebound during a run
         # (``_resync`` clears the heap rather than replacing it).
@@ -981,7 +976,6 @@ class Simulation:
         max_steps = self._max_steps
         crashes = self._crashes
         rots = self._rot_events
-        observes_effects = self._observes_effects
         local_cost = self.costs.local_statement
         limit = max_time if max_time is not None else _INF
         try:
@@ -1012,7 +1006,7 @@ class Simulation:
                     # Process execution is by far the most common
                     # dispatch; test for it first.
                     self._execute_process(payload)
-                    if indexed:
+                    if batch:
                         # Hot-process fast path: keep executing this
                         # process while it is provably still the strict
                         # scheduler minimum, skipping the heap round
@@ -1036,9 +1030,7 @@ class Simulation:
                         # executes exactly one statement and the loop
                         # below applies the same clock/step accounting
                         # _perform's LocalEffect branch would have.
-                        fast_local = (
-                            None if observes_effects else proc.fast_local
-                        )
+                        fast_local = proc.fast_local
                         while proc.status is _READY and not proc.paused:
                             clock = proc.clock
                             if clock > limit or bound <= clock:
@@ -1173,57 +1165,25 @@ class Simulation:
 
     # -- scheduling --------------------------------------------------------------
     #
-    # Two interchangeable schedulers produce byte-identical runs:
+    # A single heap of actionable items keyed
+    # ``(time, priority, tiebreak, push_seq)`` with lazy invalidation.
+    # Process entries carry a per-rank version; any state change bumps
+    # the version and pushes a fresh entry, so stale entries are
+    # discarded on pop. Blocked processes whose channel is empty hold no
+    # entry at all — the network's arrival notification re-indexes them
+    # — so a step costs O(log n) instead of a scan of every process,
+    # control message, and timer.
     #
-    # - "indexed" (default): a single heap of actionable items keyed
-    #   ``(time, priority, tiebreak, push_seq)`` with lazy invalidation.
-    #   Process entries carry a per-rank version; any state change bumps
-    #   the version and pushes a fresh entry, so stale entries are
-    #   discarded on pop. Blocked processes whose channel is empty hold
-    #   no entry at all — the network's arrival notification re-indexes
-    #   them — so a step costs O(log n) instead of a scan of every
-    #   process, control message, and timer.
-    # - "reference": the original linear scan, kept verbatim as the
-    #   oracle of the scheduler differential tests.
-    #
-    # The tiebreaks replicate the scan's first-considered-wins order
-    # exactly: control messages by send order, timers by creation order,
-    # processes by rank; classes at equal times resolve by priority.
+    # The tiebreaks replicate the first-considered-wins order of that
+    # scan exactly: control messages by send order, timers by creation
+    # order, processes by rank; classes at equal times resolve by
+    # priority. Bit rot (-1) sorts ahead of a same-instant crash (0): the
+    # most adversarial interleaving corrupts storage first, so the
+    # crash's recovery must already cope with it. The scan itself lives
+    # on in the tests as the differential oracle
+    # ``ReferenceSchedulerSimulation``.
 
-    def _next_item_reference(self) -> tuple[float, int, object] | None:
-        self._pending_entry = None
-        best: tuple[float, int, object] | None = None
-
-        def consider(time: float, priority: int, payload: object) -> None:
-            nonlocal best
-            if best is None or (time, priority) < (best[0], best[1]):
-                best = (time, priority, payload)
-
-        if self._rot_events:
-            # Bit rot sorts ahead of a same-instant crash: the most
-            # adversarial interleaving corrupts storage first, so the
-            # crash's recovery must already cope with it.
-            rot = self._rot_events[0]
-            consider(rot.time, -1, rot)
-        if self._crashes:
-            crash = self._crashes[0]
-            consider(crash.time, 0, crash)
-        for message in self._control_queue:
-            consider(message.arrival_time, 1, message)
-        for timer in self._timers:
-            consider(timer[0], 2, timer)
-        for proc in self.procs:
-            if proc.paused:
-                continue
-            if proc.status is _Status.READY:
-                consider(proc.clock, 3, proc)
-            elif proc.status is _Status.BLOCKED:
-                head = self._awaited_message(proc)
-                if head is not None:
-                    consider(max(proc.clock, head.arrival_time), 3, proc)
-        return best
-
-    def _next_item_indexed(self) -> tuple[float, int, object] | None:
+    def _next_item(self) -> tuple[float, int, object] | None:
         self._pending_entry = None
         resynced = False
         heap = self._heap
@@ -1291,8 +1251,6 @@ class Simulation:
         head's arrival. A BLOCKED process on an empty channel registers
         a channel waiter instead and is re-indexed on arrival.
         """
-        if self._scheduler != "indexed":
-            return
         version = self._proc_version[rank] + 1
         self._proc_version[rank] = version
         proc = self.procs[rank]
@@ -1350,8 +1308,6 @@ class Simulation:
         the deadlock-check fallback. The queues and process records stay
         authoritative; the index is always disposable.
         """
-        if self._scheduler != "indexed":
-            return
         self._heap.clear()
         self._waiters.clear()
         for message in self._control_queue:
@@ -1390,8 +1346,6 @@ class Simulation:
             self._n_done += 1
             return
         self._perform(proc, effect)
-        if self._observes_effects:
-            self.protocol.on_effect(self, proc.rank, effect)
 
     def _perform(self, proc: _Proc, effect: Effect) -> None:
         # Exact-type dispatch, ordered by observed frequency: effects are

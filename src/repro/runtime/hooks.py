@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.runtime.effects import Effect
     from repro.runtime.engine import Simulation
     from repro.runtime.network import Message
 
@@ -56,9 +55,6 @@ class ProtocolHooks:
 
     def on_start(self, sim: "Simulation") -> None:
         """Called once before the first effect executes."""
-
-    def on_effect(self, sim: "Simulation", rank: int, effect: "Effect") -> None:
-        """Called after *rank* executed *effect* (time already charged)."""
 
     def on_app_message(self, sim: "Simulation", rank: int, message: "Message") -> None:
         """Called when *rank* is about to consume an application message.

@@ -5,21 +5,21 @@ at the checkpoint, the channel cursors needed for exact channel
 rollback, and bookkeeping tags (which protocol round produced it, which
 statement). Storage survives process failures — that is its point.
 
-:class:`StableStorage` is the idealised store (every write succeeds,
-reads never lie). :class:`CheckpointStore` hardens it against the
-faults real checkpoint stores exhibit — lost writes, torn (partial)
-writes, silent bit rot, transient I/O errors — with per-checkpoint
-checksums, an atomic two-phase commit (stage → validate → publish),
-and bounded retry. :class:`ReplicatedCheckpointStore` additionally
-mirrors every published checkpoint across replicas and answers
-integrity queries by majority quorum.
+:class:`CheckpointStore` keeps the per-process histories and hardens
+them against the faults real checkpoint stores exhibit — lost writes,
+torn (partial) writes, silent bit rot, transient I/O errors — with
+per-checkpoint checksums, an atomic two-phase commit (stage → validate
+→ publish), and bounded retry. :class:`ReplicatedCheckpointStore`
+additionally mirrors every published checkpoint across replicas and
+answers integrity queries by majority quorum. :class:`RetentionPolicy`
+is the one garbage collector.
 """
 
 from __future__ import annotations
 
 import zlib
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.causality.vector_clock import VectorClock
 from repro.errors import StorageError, TransientStorageError
@@ -136,191 +136,6 @@ class StoredCheckpoint:
         return tuple(ancestors)
 
 
-@dataclass
-class StableStorage:
-    """Per-process checkpoint lists, in checkpoint order.
-
-    Besides the histories the store tracks, per rank, a *revision*
-    (bumped whenever the history gains or loses an entry) and the
-    largest stored number, so consumers that cache a derived view
-    (:class:`RetentionPolicy`) can tell in O(1) whether it went stale
-    and :meth:`max_common_number` never rescans the entries.
-    """
-
-    _checkpoints: dict[int, list[StoredCheckpoint]] = field(default_factory=dict)
-    _revisions: dict[int, int] = field(default_factory=dict)
-    _max_numbers: dict[int, int] = field(default_factory=dict)
-
-    def store(self, checkpoint: StoredCheckpoint) -> None:
-        """Append *checkpoint* to its process's history."""
-        rank = checkpoint.rank
-        history = self._checkpoints.setdefault(rank, [])
-        history.append(checkpoint)
-        self._revisions[rank] = self._revisions.get(rank, 0) + 1
-        if checkpoint.number > self._max_numbers.get(rank, -1):
-            self._max_numbers[rank] = checkpoint.number
-
-    def _locate(
-        self, checkpoint: StoredCheckpoint
-    ) -> tuple[list[StoredCheckpoint], int]:
-        """The owner's history and *checkpoint*'s position (by identity)."""
-        history = self._checkpoints.get(checkpoint.rank, [])
-        for position, stored in enumerate(history):
-            if stored is checkpoint:
-                return history, position
-        raise StorageError(
-            "checkpoint is not in storage",
-            rank=checkpoint.rank,
-            number=checkpoint.number,
-        )
-
-    def _left(self, rank: int, entries) -> None:
-        """Bookkeeping once *entries* have been removed from *rank*."""
-        self._revisions[rank] = self._revisions.get(rank, 0) + 1
-        self._max_numbers[rank] = max(
-            (c.number for c in self._checkpoints[rank]), default=-1
-        )
-
-    def history(self, rank: int) -> list[StoredCheckpoint]:
-        """All stored checkpoints of *rank*, oldest first."""
-        return list(self._checkpoints.get(rank, []))
-
-    def latest(self, rank: int) -> StoredCheckpoint:
-        """The most recent checkpoint of *rank*."""
-        history = self._checkpoints.get(rank)
-        if not history:
-            raise StorageError("no checkpoint stored", rank=rank)
-        return history[-1]
-
-    def latest_with_number(self, rank: int, number: int) -> StoredCheckpoint:
-        """The most recent checkpoint of *rank* with the given *number*.
-
-        Rollback can make a process re-take checkpoint ``i``; the most
-        recent instance reflects the surviving timeline.
-        """
-        for checkpoint in reversed(self._checkpoints.get(rank, [])):
-            if checkpoint.number == number:
-                return checkpoint
-        raise StorageError(
-            "rank has no checkpoint with this number", rank=rank, number=number
-        )
-
-    def latest_with_tag(self, rank: int, tag: str) -> StoredCheckpoint | None:
-        """The most recent checkpoint of *rank* carrying *tag*, if any."""
-        for checkpoint in reversed(self._checkpoints.get(rank, [])):
-            if checkpoint.tag == tag:
-                return checkpoint
-        return None
-
-    def max_common_number(self, ranks: Sequence[int]) -> int:
-        """The largest ``i`` every rank has reached (0 = initial state)."""
-        largest = self._max_numbers.get
-        return min([largest(rank, -1) for rank in ranks], default=-1)
-
-    def truncate_to(self, checkpoint: StoredCheckpoint) -> int:
-        """Drop every checkpoint of the owner stored after *checkpoint*.
-
-        Called on rollback: states from the discarded timeline never
-        happened, so keeping them would let a later recovery assemble a
-        cut mixing mutually exclusive timelines. Returns the number of
-        dropped entries.
-        """
-        history, position = self._locate(checkpoint)
-        dropped = history[position + 1 :]
-        if dropped:
-            del history[position + 1 :]
-            self._left(checkpoint.rank, dropped)
-        return len(dropped)
-
-    def drop_prefix(self, rank: int, keep_from: int) -> int:
-        """Drop the oldest *keep_from* checkpoints of *rank* (GC helper)."""
-        history = self._checkpoints.get(rank, [])
-        dropped = history[: max(0, keep_from)]
-        if dropped:
-            del history[: len(dropped)]
-            self._left(rank, dropped)
-        return len(dropped)
-
-    def discard(self, checkpoint: StoredCheckpoint) -> None:
-        """Remove one *checkpoint* from its owner's history (GC victim).
-
-        Unlike :meth:`drop_prefix` this evicts an interior entry, which
-        is what spacing-based retention needs. Matches by identity, like
-        :meth:`truncate_to`.
-        """
-        history, position = self._locate(checkpoint)
-        del history[position]
-        self._left(checkpoint.rank, (checkpoint,))
-
-    def count(self, rank: int) -> int:
-        """Number of checkpoints stored for *rank*."""
-        return len(self._checkpoints.get(rank, []))
-
-    def total_count(self) -> int:
-        """Total stored checkpoints across all processes."""
-        return sum(len(h) for h in self._checkpoints.values())
-
-    def total_bytes(self, incremental: bool = False) -> int:
-        """Cumulative checkpoint volume, full-content or as-stored.
-
-        Both figures are structural sizes, pinned equal to the
-        encoder's output (the bytes checksums and torn-write staging
-        operate on) without materialising it. ``incremental=True``
-        sums the durable wire forms (delta entries count their delta
-        payload — the related-work feature the paper cites as [20]);
-        ``incremental=False`` sums what the same history would cost
-        stored entirely as full checkpoints. The two coincide unless
-        delta encoding is on.
-        """
-        return sum(
-            (c.payload_bytes if incremental else c.full_bytes)
-            for history in self._checkpoints.values()
-            for c in history
-        )
-
-
-def prune_below_common(storage: "StableStorage", ranks: Sequence[int]) -> int:
-    """Garbage-collect checkpoints made obsolete by straight-cut recovery.
-
-    With the application-driven protocol, recovery always restores the
-    deepest common checkpoint number ``i``; checkpoints with smaller
-    numbers can never be needed again. Drops them (keeping exactly one
-    number-``i`` checkpoint per rank as the new floor) and returns how
-    many entries were removed.
-    """
-    common = storage.max_common_number(ranks)
-    if common <= 0:
-        return 0
-    dropped = 0
-    for rank in ranks:
-        history = storage._checkpoints.get(rank, [])
-        # Keep the most recent instance with number >= common, and
-        # everything after it.
-        keep_from = 0
-        for position, checkpoint in enumerate(history):
-            if checkpoint.number == common:
-                keep_from = position
-        # Delta chains may reach below the cut: every kept entry needs
-        # its transitive parents to stay reconstructable, so widen the
-        # kept suffix to the earliest such ancestor. The widening is a
-        # fixpoint by construction — walking each kept entry's chain is
-        # transitive, so entries pulled in only as ancestors have their
-        # own ancestors covered by the same walk.
-        position_of = {id(c): p for p, c in enumerate(history)}
-        for checkpoint in history[keep_from:]:
-            for ancestor in checkpoint.delta_ancestors:
-                position = position_of.get(id(ancestor))
-                if position is not None and position < keep_from:
-                    keep_from = position
-        dropped += storage.drop_prefix(rank, keep_from)
-    return dropped
-
-
-# ----------------------------------------------------------------------
-# Fault-tolerant storage
-# ----------------------------------------------------------------------
-
-
 def checkpoint_payload(checkpoint: StoredCheckpoint) -> bytes:
     """Canonical byte serialisation of a checkpoint's full content.
 
@@ -388,8 +203,15 @@ class StoreReceipt:
 _OK_RECEIPT = StoreReceipt(published=True)
 
 
-class CheckpointStore(StableStorage):
-    """A :class:`StableStorage` hardened against storage faults.
+class CheckpointStore:
+    """Per-process checkpoint histories, hardened against storage faults.
+
+    Each rank's history is kept in checkpoint order. Besides it the
+    store tracks, per rank, a *revision* (bumped whenever the history
+    gains or loses an entry) and the largest stored number, so
+    consumers that cache a derived view (:class:`RetentionPolicy`) can
+    tell in O(1) whether it went stale and :meth:`max_common_number`
+    never rescans the entries.
 
     Every write goes through an atomic two-phase commit: the payload is
     *staged*, its checksum is *validated* against the intended content,
@@ -398,17 +220,16 @@ class CheckpointStore(StableStorage):
     reader can never observe a half-written checkpoint. Published
     checkpoints carry a checksum that read paths re-verify, which is
     how silent bit rot is caught. Transient write errors are retried up
-    to ``max_retries`` times.
-
-    With a zero-fault plan the store behaves byte-identically to
-    :class:`StableStorage` (same histories, same ordering); the
-    integrity machinery only changes behaviour when faults fire.
+    to ``max_retries`` times. The integrity machinery only changes
+    behaviour when faults fire.
     """
 
     def __init__(self, max_retries: int = 3) -> None:
-        super().__init__()
         if max_retries < 0:
             raise StorageError(f"max_retries must be >= 0, got {max_retries}")
+        self._checkpoints: dict[int, list[StoredCheckpoint]] = {}
+        self._revisions: dict[int, int] = {}
+        self._max_numbers: dict[int, int] = {}
         self.max_retries = max_retries
         # Optional observability bus (set by the engine); all storage
         # events are published on it when present.
@@ -558,18 +379,129 @@ class CheckpointStore(StableStorage):
         self, checkpoint: StoredCheckpoint, checksum: int | None = None
     ) -> None:
         """Append to the history; *checksum* ``None`` defers the CRC."""
-        super().store(checkpoint)
+        rank = checkpoint.rank
+        self._checkpoints.setdefault(rank, []).append(checkpoint)
+        self._revisions[rank] = self._revisions.get(rank, 0) + 1
+        if checkpoint.number > self._max_numbers.get(rank, -1):
+            self._max_numbers[rank] = checkpoint.number
         if checksum is not None:
             self._checksums[id(checkpoint)] = checksum
             self._touched.add(id(checkpoint))
 
+    def _locate(
+        self, checkpoint: StoredCheckpoint
+    ) -> tuple[list[StoredCheckpoint], int]:
+        """The owner's history and *checkpoint*'s position (by identity)."""
+        history = self._checkpoints.get(checkpoint.rank, [])
+        for position, stored in enumerate(history):
+            if stored is checkpoint:
+                return history, position
+        raise StorageError(
+            "checkpoint is not in storage",
+            rank=checkpoint.rank,
+            number=checkpoint.number,
+        )
+
     def _left(self, rank: int, entries) -> None:
-        super()._left(rank, entries)
+        """Bookkeeping once *entries* have been removed from *rank*."""
+        self._revisions[rank] = self._revisions.get(rank, 0) + 1
+        self._max_numbers[rank] = max(
+            (c.number for c in self._checkpoints[rank]), default=-1
+        )
         for checkpoint in entries:
             key = id(checkpoint)
             self._checksums.pop(key, None)
             self._touched.discard(key)
             self._detected.discard(key)
+
+    def truncate_to(self, checkpoint: StoredCheckpoint) -> int:
+        """Drop every checkpoint of the owner stored after *checkpoint*.
+
+        Called on rollback: states from the discarded timeline never
+        happened, so keeping them would let a later recovery assemble a
+        cut mixing mutually exclusive timelines. Returns the number of
+        dropped entries.
+        """
+        history, position = self._locate(checkpoint)
+        dropped = history[position + 1 :]
+        if dropped:
+            del history[position + 1 :]
+            self._left(checkpoint.rank, dropped)
+        return len(dropped)
+
+    def discard(self, checkpoint: StoredCheckpoint) -> None:
+        """Remove one *checkpoint* from its owner's history (GC victim).
+
+        Evicts an interior entry, which is what spacing-based retention
+        needs. Matches by identity, like :meth:`truncate_to`.
+        """
+        history, position = self._locate(checkpoint)
+        del history[position]
+        self._left(checkpoint.rank, (checkpoint,))
+
+    # -- plain reads -----------------------------------------------------------
+
+    def history(self, rank: int) -> list[StoredCheckpoint]:
+        """All stored checkpoints of *rank*, oldest first."""
+        return list(self._checkpoints.get(rank, []))
+
+    def latest(self, rank: int) -> StoredCheckpoint:
+        """The most recent checkpoint of *rank*."""
+        history = self._checkpoints.get(rank)
+        if not history:
+            raise StorageError("no checkpoint stored", rank=rank)
+        return history[-1]
+
+    def latest_with_number(self, rank: int, number: int) -> StoredCheckpoint:
+        """The most recent checkpoint of *rank* with the given *number*.
+
+        Rollback can make a process re-take checkpoint ``i``; the most
+        recent instance reflects the surviving timeline.
+        """
+        for checkpoint in reversed(self._checkpoints.get(rank, [])):
+            if checkpoint.number == number:
+                return checkpoint
+        raise StorageError(
+            "rank has no checkpoint with this number", rank=rank, number=number
+        )
+
+    def latest_with_tag(self, rank: int, tag: str) -> StoredCheckpoint | None:
+        """The most recent checkpoint of *rank* carrying *tag*, if any."""
+        for checkpoint in reversed(self._checkpoints.get(rank, [])):
+            if checkpoint.tag == tag:
+                return checkpoint
+        return None
+
+    def max_common_number(self, ranks: Sequence[int]) -> int:
+        """The largest ``i`` every rank has reached (0 = initial state)."""
+        largest = self._max_numbers.get
+        return min([largest(rank, -1) for rank in ranks], default=-1)
+
+    def count(self, rank: int) -> int:
+        """Number of checkpoints stored for *rank*."""
+        return len(self._checkpoints.get(rank, []))
+
+    def total_count(self) -> int:
+        """Total stored checkpoints across all processes."""
+        return sum(len(h) for h in self._checkpoints.values())
+
+    def total_bytes(self, incremental: bool = False) -> int:
+        """Cumulative checkpoint volume, full-content or as-stored.
+
+        Both figures are structural sizes, pinned equal to the
+        encoder's output (the bytes checksums and torn-write staging
+        operate on) without materialising it. ``incremental=True``
+        sums the durable wire forms (delta entries count their delta
+        payload — the related-work feature the paper cites as [20]);
+        ``incremental=False`` sums what the same history would cost
+        stored entirely as full checkpoints. The two coincide unless
+        delta encoding is on.
+        """
+        return sum(
+            (c.payload_bytes if incremental else c.full_bytes)
+            for history in self._checkpoints.values()
+            for c in history
+        )
 
     # -- integrity -------------------------------------------------------------
 
@@ -779,12 +711,6 @@ class ReplicatedCheckpointStore(CheckpointStore):
         dropped = super().truncate_to(checkpoint)
         for mirror in self._mirrors:
             mirror.truncate_to(checkpoint)
-        return dropped
-
-    def drop_prefix(self, rank: int, keep_from: int) -> int:
-        dropped = super().drop_prefix(rank, keep_from)
-        for mirror in self._mirrors:
-            mirror.drop_prefix(rank, keep_from)
         return dropped
 
     def discard(self, checkpoint: StoredCheckpoint) -> None:

@@ -212,23 +212,27 @@ class TestGoldenIdentity:
         ]
         assert ScenarioSpec.from_json_dict(spec.to_json_dict()) == spec
 
-    def test_only_scheduler_stays_out_of_the_json_form(self):
+    def test_every_field_is_in_the_json_form(self):
         names = {f.name for f in dataclasses.fields(ScenarioSpec)}
-        assert names - set(self.populated().to_json_dict()) == {"scheduler"}
-        spec = quick_campaign()[0]
-        other = dataclasses.replace(spec, scheduler="reference")
-        assert other.content_hash() == spec.content_hash()
-        assert other.build()._scheduler == "reference"
+        assert names == set(self.populated().to_json_dict()) - {"version"}
 
 
 BAD_KNOBS = [
-    ({"scheduler": "quantum"}, "unknown scheduler 'quantum'"),
     ({"backend": "jit"}, "unknown backend 'jit'"),
     ({"checkpoint_mode": "tiny"}, "unknown checkpoint_mode 'tiny'"),
     # The single-technique modes are gone: minimal content is one mode.
     ({"checkpoint_mode": "delta"}, "unknown checkpoint_mode 'delta'"),
     ({"checkpoint_mode": "pruned"}, "unknown checkpoint_mode 'pruned'"),
     ({"storage_replicas": 0}, "need at least one storage replica, got 0"),
+]
+
+#: Knobs whose bad values used to load and then fail every cell at run
+#: time (with a storage or channel error, or a misreported livelock).
+BAD_LOADED_KNOBS = [
+    ({"retain_k": 1}, "retain_k must be >= 2"),
+    ({"max_steps": 0}, "max_steps must be >= 1, got 0"),
+    ({"max_storage_retries": -1}, "max_storage_retries must be >= 0, got -1"),
+    ({"base_latency": -1.0}, "base_latency must be >= 0, got -1.0"),
 ]
 
 
@@ -251,6 +255,17 @@ class TestOneValidationSite:
             messages.append(str(excinfo.value))
         assert len(set(messages)) == 1
         assert messages[0].startswith(text)
+
+    @pytest.mark.parametrize(
+        "bad, text", BAD_LOADED_KNOBS, ids=lambda v: str(v)
+    )
+    def test_spec_with_bad_knob_fails_to_load(self, bad, text):
+        data = ScenarioSpec(
+            label="x", program=program_source("pingpong")
+        ).to_json_dict() | bad
+        with pytest.raises(SimulationError) as excinfo:
+            ScenarioSpec.from_json_dict(data)
+        assert str(excinfo.value).startswith(text)
 
     def test_unknown_knob_is_a_type_error(self):
         with pytest.raises(TypeError, match="frobnicate"):

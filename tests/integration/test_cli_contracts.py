@@ -24,7 +24,6 @@ BYTE_STATS = ("stored_bytes", "gc_reclaimed_bytes")
 
 #: Run knob -> (default value, the other value).
 KNOBS = {
-    "scheduler": ("indexed", "reference"),
     "backend": ("compiled", "reference"),
     "checkpoint_mode": ("full", "pruned+delta"),
 }
@@ -43,14 +42,13 @@ def cli(capsys, *argv):
 
 @pytest.fixture
 def engine_knobs(monkeypatch):
-    """The (scheduler, backend, checkpoint_mode) of every run, in order."""
+    """The (backend, checkpoint_mode) of every run, in order."""
     seen = []
     construct = Simulation.__init__
 
     def recording(self, *args, **kwargs):
         construct(self, *args, **kwargs)
         seen.append({
-            "scheduler": self._scheduler,
             "backend": self.backend,
             "checkpoint_mode": self.checkpoint_mode,
         })
@@ -139,9 +137,7 @@ class TestRunFlags:
         assert outputs[0] == outputs[1]
         assert "6 cell(s), 0 failure(s)" in outputs[0]
 
-    # The scheduler is an engine internal, not part of a scenario, so
-    # ``campaign`` has no flag for it.
-    @pytest.mark.parametrize("knob", ("backend", "checkpoint_mode"))
+    @pytest.mark.parametrize("knob", KNOBS)
     def test_campaign(self, knob, tmp_path, capsys):
         artifacts = []
         for value in KNOBS[knob]:

@@ -1,11 +1,22 @@
 """Application-driven protocol tests — the coordination-free claims."""
 
+from collections import Counter
+
 import pytest
 
 from repro.errors import RecoveryError
 from repro.lang.programs import default_params, jacobi, jacobi_odd_even, ring_pipeline
 from repro.protocols import ApplicationDrivenProtocol
-from repro.runtime import FailurePlan, Simulation
+from repro.runtime import (
+    CrashEvent,
+    FailurePlan,
+    FaultKind,
+    FaultPlan,
+    RecoveryFaultEvent,
+    RecoveryFaultKind,
+    Simulation,
+    StorageFaultEvent,
+)
 
 
 class TestCoordinationFreedom:
@@ -57,22 +68,12 @@ class TestRecovery:
         assert protocol.recovered_to[0] == 0
 
     def test_validation_rejects_untransformed_program(self):
-        protocol = ApplicationDrivenProtocol(validate=True)
+        protocol = ApplicationDrivenProtocol()
         with pytest.raises(RecoveryError, match="not a recovery line"):
             Simulation(
                 jacobi_odd_even(), 4, params={"steps": 10}, protocol=protocol,
                 failure_plan=FailurePlan.single(12.0, 1),
             ).run()
-
-    def test_validation_can_be_disabled(self):
-        protocol = ApplicationDrivenProtocol(validate=False)
-        # without validation the restore proceeds (into a formally
-        # inconsistent state); the run itself still finishes.
-        result = Simulation(
-            jacobi_odd_even(), 4, params={"steps": 10}, protocol=protocol,
-            failure_plan=FailurePlan.single(12.0, 1),
-        ).run()
-        assert result.stats.rollbacks == 1
 
     def test_repeated_failures_bounded_rollback(self):
         """No rollback propagation: each recovery loses at most one
@@ -95,3 +96,56 @@ class TestRecovery:
         assert result.stats.rollbacks == 3
         # recovered indexes never regress more than one failure's worth
         assert protocol.recovered_to == sorted(protocol.recovered_to)
+
+
+def _recovery_fault(kind):
+    return RecoveryFaultEvent(recovery=0, rank=1, kind=kind, attempts=1)
+
+
+class TestOneSearchPerAttempt:
+    """The cut that is validated is the cut that is restored: each
+    recovery attempt reads every (rank, number) it needs exactly once."""
+
+    @pytest.mark.parametrize("plan, attempts, depths", [
+        pytest.param(
+            FaultPlan(crashes=[CrashEvent(19.5, 1)], storage_faults=[
+                StorageFaultEvent(
+                    time=0, rank=0, kind=FaultKind.TORN_WRITE, number=6,
+                ),
+                StorageFaultEvent(
+                    time=19, rank=2, kind=FaultKind.BIT_ROT, number=7,
+                ),
+            ]),
+            1, [2], id="degraded-two-lines",
+        ),
+        pytest.param(
+            FaultPlan(crashes=[CrashEvent(19.5, 1)], recovery_faults=[
+                _recovery_fault(RecoveryFaultKind.CRASH),
+            ]),
+            2, [0, 1], id="nested-crash-retry",
+        ),
+        pytest.param(
+            FaultPlan(crashes=[CrashEvent(19.5, 1)], recovery_faults=[
+                _recovery_fault(RecoveryFaultKind.READ_FAULT),
+            ]),
+            2, [1], id="read-fault-retry",
+        ),
+    ])
+    def test_each_member_is_read_once(self, plan, attempts, depths):
+        sim = Simulation(
+            ring_pipeline(), 3, params={"steps": 10},
+            protocol=ApplicationDrivenProtocol(), failure_plan=plan,
+        )
+        reads = Counter()
+        lookup = sim.storage.intact_with_number
+
+        def counting(rank, number):
+            reads[rank, number] += 1
+            return lookup(rank, number)
+
+        sim.storage.intact_with_number = counting
+        result = sim.run()
+        assert result.verdict == "completed"
+        assert result.stats.recovery_attempts == attempts
+        assert result.stats.fallback_depths == depths
+        assert reads and set(reads.values()) == {1}

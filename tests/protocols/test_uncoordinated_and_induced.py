@@ -82,18 +82,29 @@ class TestInduced:
         assert result.stats.forced_checkpoints >= 1
 
     def test_indices_piggybacked(self):
-        protocol = InducedProtocol(period=5)
-        sim = Simulation(
+        class Recording(InducedProtocol):
+            """Records the index every consumed message carried."""
+
+            def __init__(self, period):
+                super().__init__(period=period)
+                self.carried = {}
+
+            def on_app_message(self, sim, rank, message):
+                self.carried.setdefault(message.channel, []).append(
+                    message.piggyback["bcs_index"]
+                )
+                super().on_app_message(sim, rank, message)
+
+        protocol = Recording(period=5)
+        result = Simulation(
             jacobi_plain(), 4, params={"steps": 20}, protocol=protocol
-        )
-        result = sim.run()
-        carried = [
-            m.piggyback.get("bcs_index")
-            for m in sim.network.queued_messages()
-        ]
-        # all consumed; instead check protocol indexes advanced
-        assert max(protocol._index.values()) >= 1
+        ).run()
         assert result.stats.completed
+        assert max(max(indices) for indices in protocol.carried.values()) > 0
+        # Failure-free, a sender's index only grows and channels are
+        # FIFO: indices never decrease along a channel.
+        for indices in protocol.carried.values():
+            assert indices == sorted(indices)
 
     def test_recovery_bounded_by_index(self):
         protocol = InducedProtocol(period=7)

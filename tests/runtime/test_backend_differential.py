@@ -74,7 +74,6 @@ def run_once(base, n_processes, params, protocol, make_plan, backend):
         protocol=make_protocol(protocol, period=6.0),
         failure_plan=make_plan(n_processes),
         seed=3,
-        scheduler="indexed",
         backend=backend,
         observer=obs.bus,
     )

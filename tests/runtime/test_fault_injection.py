@@ -263,11 +263,12 @@ class TestReplicatedStore:
         for mirror in store._mirrors:
             assert mirror.latest(0) is keep
 
-    def test_drop_prefix_keeps_mirrors_in_sync(self):
+    def test_discard_keeps_mirrors_in_sync(self):
         store = ReplicatedCheckpointStore(replicas=2)
-        store.store(checkpoint(0, 0))
+        victim = checkpoint(0, 0)
+        store.store(victim)
         store.store(checkpoint(0, 1))
-        assert store.drop_prefix(0, 1) == 1
+        store.discard(victim)
         for mirror in store._mirrors:
             assert mirror.count(0) == 1
 

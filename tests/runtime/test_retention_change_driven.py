@@ -38,6 +38,8 @@ from repro.runtime.storage import (
     StoredCheckpoint,
 )
 
+from .reference_scheduler import ENGINES
+
 
 # ----------------------------------------------------------------------
 # The batch reference (the pre-change algorithm, verbatim in substance)
@@ -403,7 +405,7 @@ def integrity_records(store):
 
 
 @pytest.mark.parametrize("replicas", (1, 3))
-@pytest.mark.parametrize("leave", ("discard", "truncate_to", "drop_prefix"))
+@pytest.mark.parametrize("leave", ("discard", "truncate_to"))
 def test_departed_entry_leaves_no_integrity_record(replicas, leave):
     store = make_store(replicas)
     entries = [
@@ -419,10 +421,8 @@ def test_departed_entry_leaves_no_integrity_record(replicas, leave):
     assert integrity_records(store) == {id(entries[2])}
     if leave == "discard":
         store.discard(entries[2])
-    elif leave == "truncate_to":
-        store.truncate_to(entries[1])
     else:
-        store.drop_prefix(0, 3)
+        store.truncate_to(entries[1])
     assert integrity_records(store) == set()
     # Detection is a count, not a set of live ids: it survives the purge.
     assert store.corruption_detected == 1
@@ -479,14 +479,15 @@ def test_rot_on_a_recycled_identity_is_detected():
 # ----------------------------------------------------------------------
 
 
-def _assert_freed_by_refcount(retries=0, **knobs):
-    """Run ``token_ring`` n=16 under *knobs* (taking *retries* recovery
-    retries on the way), drop it, and expect nothing left to collect."""
+def _assert_freed_by_refcount(retries=0, engine=Simulation, **knobs):
+    """Run ``token_ring`` n=16 on *engine* under *knobs* (taking
+    *retries* recovery retries on the way), drop it, and expect nothing
+    left to collect."""
     program = token_ring()
     gc.collect()
     gc.disable()
     try:
-        sim = Simulation(
+        sim = engine(
             program, 16, params={"steps": 4},
             protocol=make_protocol("appl-driven", 6.0), **knobs,
         )
@@ -499,11 +500,11 @@ def _assert_freed_by_refcount(retries=0, **knobs):
         gc.enable()
 
 
-@pytest.mark.parametrize("scheduler", ("indexed", "reference"))
+@pytest.mark.parametrize("scheduler", ENGINES)
 def test_finished_fault_free_simulation_is_freed_by_refcount(scheduler):
     """No reference cycle through a fault-free ``Simulation``: dropping
     the last reference frees it, nothing is left for the collector."""
-    _assert_freed_by_refcount(scheduler=scheduler)
+    _assert_freed_by_refcount(engine=ENGINES[scheduler])
 
 
 @pytest.mark.parametrize(

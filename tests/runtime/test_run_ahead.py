@@ -34,6 +34,7 @@ from repro.runtime import (
 from repro.runtime.encoding import checkpoint_record
 from repro.runtime.hooks import ProtocolHooks
 
+from .reference_scheduler import ENGINES
 from .test_backend_differential import run_fingerprint
 
 VARIANTS = tuple(
@@ -64,9 +65,9 @@ def outcome(base, n, variant, slices=(), protocol=lambda: None, **kwargs):
     """
     scheduler, backend = variant
     try:
-        sim = Simulation(
-            ast.clone(base), n, scheduler=scheduler, backend=backend,
-            protocol=protocol(), **kwargs
+        sim = ENGINES[scheduler](
+            ast.clone(base), n, backend=backend, protocol=protocol(),
+            **kwargs
         )
         paused = []
         for limit in slices:
@@ -141,13 +142,13 @@ class TestSchedulerTimesBackend:
             protocol=make_protocol("appl-driven"),
         )
         dispatches = []
-        next_item = sim._next_item_indexed
+        next_item = sim._next_item
 
         def counting():
             dispatches.append(1)
             return next_item()
 
-        sim._next_item_indexed = counting
+        sim._next_item = counting
         result = sim.run()
         assert result.stats.completed
         assert 0 < len(dispatches) < result.stats.steps / 2
@@ -276,18 +277,6 @@ class TestCrashOrCutoffInsideALocalRun:
         assert result[6][1][3] == (3.0,) * 4
 
 
-class RecordingProtocol(ProtocolHooks):
-    """Observes every effect: must keep the strict-minimum order."""
-
-    name = "recording"
-
-    def __init__(self):
-        self.seen = []
-
-    def on_effect(self, sim, rank, effect):
-        self.seen.append((rank, type(effect).__name__, sim.procs[rank].clock))
-
-
 class TestProtocolsThatAct:
     @pytest.mark.parametrize(
         "protocol", ("sas", "cl", "uncoordinated", "cic", "msg-logging")
@@ -338,17 +327,6 @@ class TestProtocolsThatAct:
         )
         echoes = [record for record, *_ in result[5] if record[12] == "echo"]
         assert any(0 < dict(echo[3])["j"] < 30 for echo in echoes)
-
-    def test_effect_observer_sees_the_same_sequence(self):
-        base = parse(LOCAL_RUNS_SOURCE)
-        seen = []
-        for scheduler in ("indexed", "reference"):
-            protocol = RecordingProtocol()
-            Simulation(
-                ast.clone(base), 4, protocol=protocol, scheduler=scheduler
-            ).run()
-            seen.append(protocol.seen)
-        assert seen[0] == seen[1] and len(seen[0]) > 1000
 
     def test_outstanding_timer_keeps_the_strict_order(self):
         """A pending timer switches the run-ahead off, whatever the class.

@@ -1,12 +1,12 @@
-"""Differential tests: indexed scheduler vs the reference linear scan.
+"""Differential tests: the engine's indexed scheduler vs the linear scan.
 
 The indexed scheduler must be a pure performance change — every
 observable artifact (trace events, stats, final state, completion
 time, normalised JSONL event logs, chaos verdicts) must be
-byte-identical to the original per-step scan it replaced. These tests
-drive both schedulers through the campaign matrix, a workload ×
-protocol × failure grid, and the full 210-schedule chaos sweep, and
-compare everything.
+byte-identical to the original per-step scan it replaced, which lives
+on as the oracle ``ReferenceSchedulerSimulation``. These tests drive
+both through the campaign matrix, a workload × protocol × failure
+grid, and the full 210-schedule chaos sweep, and compare everything.
 """
 
 import dataclasses
@@ -19,9 +19,15 @@ from repro.campaign.executor import _campaign_cell
 from repro.lang import ast_nodes as ast
 from repro.lang.programs import stencil_1d, token_ring
 from repro.protocols import make_protocol
-from repro.runtime import FailurePlan, RuntimeCosts, Simulation
-from repro.runtime.chaos import CHAOS_PROTOCOLS, ChaosConfig, chaos_sweep
+from repro.runtime import FailurePlan, RuntimeCosts
+from repro.runtime.chaos import CHAOS_PROTOCOLS, chaos_sweep
 from repro.runtime.failures import CrashEvent
+
+from .reference_scheduler import (
+    ENGINES,
+    ReferenceSchedulerSimulation,
+    scan_every_spec,
+)
 
 
 def run_fingerprint(result):
@@ -40,7 +46,7 @@ def run_fingerprint(result):
 
 def run_once(base, n_processes, params, protocol, plan, scheduler, **kwargs):
     """One simulation of a *shared* AST (cloned so node ids match)."""
-    sim = Simulation(
+    sim = ENGINES[scheduler](
         ast.clone(base),
         n_processes,
         params=dict(params),
@@ -48,7 +54,6 @@ def run_once(base, n_processes, params, protocol, plan, scheduler, **kwargs):
         protocol=make_protocol(protocol, period=6.0),
         failure_plan=FailurePlan(crashes=list(plan.crashes)),
         seed=3,
-        scheduler=scheduler,
         **kwargs,
     )
     return sim.run()
@@ -97,7 +102,7 @@ class TestWorkloadMatrix:
         )
 
         def split(scheduler):
-            sim = Simulation(
+            sim = ENGINES[scheduler](
                 ast.clone(base),
                 workload.n_processes,
                 params=dict(workload.params),
@@ -105,7 +110,6 @@ class TestWorkloadMatrix:
                 protocol=make_protocol("appl-driven", period=6.0),
                 failure_plan=FailurePlan.none(),
                 seed=3,
-                scheduler=scheduler,
             )
             sim.run(max_time=5.0)
             return sim.run()
@@ -158,14 +162,11 @@ class TestCampaignMatrix:
     @pytest.mark.parametrize(
         "spec", quick_campaign(), ids=lambda s: s.label
     )
-    def test_cell_artifacts_identical(self, spec):
+    def test_cell_artifacts_identical(self, spec, monkeypatch):
         observed = dataclasses.replace(spec, observe=True)
-        # ``scheduler`` is a RunConfig field outside the spec's JSON
-        # form and content hash (the hash describes the experiment, not
-        # the engine internals), so both cells record the same hash.
-        reference = dataclasses.replace(observed, scheduler="reference")
         cell_indexed = _campaign_cell(observed)
-        cell_reference = _campaign_cell(reference)
+        scan_every_spec(monkeypatch)
+        cell_reference = _campaign_cell(observed)
         assert cell_indexed.error is None
         assert cell_indexed.to_json_dict() == cell_reference.to_json_dict()
 
@@ -173,30 +174,21 @@ class TestCampaignMatrix:
 class TestChaosSweep:
     """The full 210-schedule chaos sweep under both schedulers."""
 
-    def test_sweep_verdicts_identical(self):
+    def test_sweep_verdicts_identical(self, monkeypatch):
         seeds = range(70)  # 70 seeds x 3 protocols = 210 schedules
-        indexed = chaos_sweep(
-            seeds,
-            protocols=CHAOS_PROTOCOLS,
-            config=ChaosConfig(scheduler="indexed"),
-        )
-        reference = chaos_sweep(
-            seeds,
-            protocols=CHAOS_PROTOCOLS,
-            config=ChaosConfig(scheduler="reference"),
-        )
+        indexed = chaos_sweep(seeds, protocols=CHAOS_PROTOCOLS)
+        scan_every_spec(monkeypatch)
+        reference = chaos_sweep(seeds, protocols=CHAOS_PROTOCOLS)
         assert list(indexed) == list(reference)
         assert indexed == reference
         assert all(outcome.ok for outcome in indexed.values())
 
 
-class TestSchedulerArgument:
-    def test_unknown_scheduler_rejected(self):
-        workload = standard_workloads(steps=4)[0]
-        with pytest.raises(Exception, match="unknown scheduler"):
-            Simulation(
-                workload.make_program(),
-                workload.n_processes,
-                params=dict(workload.params),
-                scheduler="quantum",
-            )
+
+class TestTheOracleScans:
+    def test_specs_build_the_oracle_and_it_keeps_no_index(self, monkeypatch):
+        scan_every_spec(monkeypatch)
+        sim = quick_campaign()[0].build()
+        assert type(sim) is ReferenceSchedulerSimulation
+        assert sim.run().stats.completed
+        assert sim._heap == [] and not sim._waiters

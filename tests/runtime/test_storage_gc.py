@@ -6,38 +6,43 @@ from repro.lang.programs import jacobi, jacobi_plain
 from repro.protocols import ApplicationDrivenProtocol, MessageLoggingProtocol
 from repro.runtime import FailurePlan, Simulation
 from repro.runtime.failures import CrashEvent
-from repro.runtime.storage import prune_below_common
 
 
-class TestPruneBelowCommon:
+class TestRetentionGc:
+    """``retain_k`` (``RetentionPolicy``) is the one storage GC."""
+
     def test_prunes_obsolete_checkpoints(self):
-        sim = Simulation(jacobi(), 4, params={"steps": 8})
-        result = sim.run()
-        before = result.storage.total_count()
-        dropped = prune_below_common(result.storage, list(range(4)))
+        full = Simulation(jacobi(), 4, params={"steps": 8}).run()
+        kept = Simulation(
+            jacobi(), 4, params={"steps": 8}, retain_k=2
+        ).run()
+        dropped = kept.stats.gc_collected
         assert dropped > 0
-        assert result.storage.total_count() == before - dropped
+        assert kept.storage.total_count() == (
+            full.storage.total_count() - dropped
+        )
         # the common floor remains restorable
-        common = result.storage.max_common_number(list(range(4)))
+        common = kept.storage.max_common_number(list(range(4)))
         for rank in range(4):
-            assert result.storage.latest_with_number(rank, common)
+            assert kept.storage.latest_with_number(rank, common)
 
     def test_noop_when_only_initial(self):
-        sim = Simulation(jacobi_plain(), 4, params={"steps": 2})
-        result = sim.run()
-        assert prune_below_common(result.storage, list(range(4))) == 0
+        result = Simulation(
+            jacobi_plain(), 4, params={"steps": 2}, retain_k=2
+        ).run()
+        assert result.stats.gc_collected == 0
 
-    def test_gc_protocol_bounds_storage(self):
-        plain = ApplicationDrivenProtocol()
-        gc = ApplicationDrivenProtocol(gc_storage=True)
+    def test_gc_bounds_storage(self):
         full = Simulation(
-            jacobi(), 4, params={"steps": 10}, protocol=plain
+            jacobi(), 4, params={"steps": 10},
+            protocol=ApplicationDrivenProtocol(),
         ).run()
         pruned = Simulation(
-            jacobi(), 4, params={"steps": 10}, protocol=gc
+            jacobi(), 4, params={"steps": 10},
+            protocol=ApplicationDrivenProtocol(), retain_k=2,
         ).run()
         assert pruned.storage.total_count() < full.storage.total_count()
-        assert gc.pruned > 0
+        assert pruned.stats.gc_collected > 0
         # GC must not break behaviour
         assert pruned.final_env == full.final_env
 
@@ -45,10 +50,12 @@ class TestPruneBelowCommon:
         baseline = Simulation(jacobi(), 4, params={"steps": 10}).run()
         result = Simulation(
             jacobi(), 4, params={"steps": 10},
-            protocol=ApplicationDrivenProtocol(gc_storage=True),
-            failure_plan=FailurePlan.single(11.0, 2),
+            protocol=ApplicationDrivenProtocol(),
+            failure_plan=FailurePlan.single(11.0, 2), retain_k=2,
         ).run()
         assert result.stats.completed
+        assert result.stats.rollbacks == 1
+        assert result.stats.gc_collected > 0
         assert result.final_env == baseline.final_env
 
 

@@ -7,7 +7,7 @@ from repro.errors import SimulationError, StorageError
 from repro.runtime.failures import CrashEvent, FailurePlan, exponential_failures
 from repro.runtime.inputs import _MASK, InputProvider, _mix
 from repro.runtime.interpreter import ProcessSnapshot
-from repro.runtime.storage import StableStorage, StoredCheckpoint
+from repro.runtime.storage import CheckpointStore, StoredCheckpoint
 
 
 def checkpoint(rank, number, time=0.0, tag=""):
@@ -26,36 +26,36 @@ def checkpoint(rank, number, time=0.0, tag=""):
 
 class TestStorage:
     def test_store_and_latest(self):
-        storage = StableStorage()
+        storage = CheckpointStore()
         storage.store(checkpoint(0, 0))
         storage.store(checkpoint(0, 1))
         assert storage.latest(0).number == 1
 
     def test_latest_missing_rank(self):
         with pytest.raises(StorageError, match="no checkpoint"):
-            StableStorage().latest(3)
+            CheckpointStore().latest(3)
 
     def test_latest_with_number_picks_most_recent_instance(self):
-        storage = StableStorage()
+        storage = CheckpointStore()
         storage.store(checkpoint(0, 1, time=1.0))
         storage.store(checkpoint(0, 1, time=9.0))
         assert storage.latest_with_number(0, 1).time == 9.0
 
     def test_latest_with_number_missing(self):
-        storage = StableStorage()
+        storage = CheckpointStore()
         storage.store(checkpoint(0, 0))
         with pytest.raises(StorageError):
             storage.latest_with_number(0, 5)
 
     def test_latest_with_tag(self):
-        storage = StableStorage()
+        storage = CheckpointStore()
         storage.store(checkpoint(0, 1, tag="sas-1"))
         storage.store(checkpoint(0, 2, tag="sas-2"))
         assert storage.latest_with_tag(0, "sas-1").number == 1
         assert storage.latest_with_tag(0, "nope") is None
 
     def test_max_common_number(self):
-        storage = StableStorage()
+        storage = CheckpointStore()
         storage.store(checkpoint(0, 0))
         storage.store(checkpoint(0, 1))
         storage.store(checkpoint(0, 2))
@@ -64,12 +64,12 @@ class TestStorage:
         assert storage.max_common_number([0, 1]) == 1
 
     def test_max_common_number_empty_rank(self):
-        storage = StableStorage()
+        storage = CheckpointStore()
         storage.store(checkpoint(0, 0))
         assert storage.max_common_number([0, 1]) == -1
 
     def test_truncate_to(self):
-        storage = StableStorage()
+        storage = CheckpointStore()
         keep = checkpoint(0, 1)
         storage.store(checkpoint(0, 0))
         storage.store(keep)
@@ -79,13 +79,13 @@ class TestStorage:
         assert storage.latest(0) is keep
 
     def test_truncate_unknown_checkpoint(self):
-        storage = StableStorage()
+        storage = CheckpointStore()
         storage.store(checkpoint(0, 0))
         with pytest.raises(StorageError, match="not in storage"):
             storage.truncate_to(checkpoint(0, 9))
 
     def test_counts(self):
-        storage = StableStorage()
+        storage = CheckpointStore()
         storage.store(checkpoint(0, 0))
         storage.store(checkpoint(1, 0))
         storage.store(checkpoint(1, 1))

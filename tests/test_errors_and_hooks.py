@@ -59,7 +59,6 @@ class TestDefaultHooks:
         hooks = ProtocolHooks()
         # none of these should raise or require a simulation
         hooks.on_start(None)
-        hooks.on_effect(None, 0, None)
         hooks.on_control(None, None)
         hooks.on_timer(None, 0, "t", 0.0)
         hooks.on_checkpoint(None, 0, 1)
