@@ -9,8 +9,8 @@ Prints:
 2. the Figure 9 table (overhead ratio vs message setup time w_m);
 3. a cross-validation of the model against its Markov chain and a
    Monte Carlo simulation; and
-4. a simulator-based comparison of all five protocols on the same
-   workload with an injected failure.
+4. a simulator-based comparison of all six protocols on the same
+   workload with an injected failure, run as one campaign of cells.
 
 Run: ``python examples/protocol_comparison.py``
 """
@@ -31,10 +31,11 @@ from repro.bench.figures import (
     shape_check_figure9,
 )
 from repro.bench.workloads import (
-    ProtocolRunSummary,
-    run_protocol_comparison,
+    comparison_table,
+    protocol_cells,
     standard_workloads,
 )
+from repro.campaign import run_campaign
 from repro.runtime import FailurePlan
 
 
@@ -63,17 +64,17 @@ def main() -> None:
     print(f"Γ Monte Carlo     : {monte.mean:.4f} ± {monte.std_error:.4f}")
 
     print("\n=== Empirical comparison (simulator, jacobi, 1 failure) ===")
-    workload = standard_workloads(steps=12)[0]
-    rows = run_protocol_comparison(
-        workload, period=6.0, failure_plan=FailurePlan.single(14.3, 2)
+    cells = protocol_cells(
+        standard_workloads(steps=12)[0],
+        period=6.0,
+        fault_plan=FailurePlan.single(14.3, 2),
     )
-    print(ProtocolRunSummary.header())
-    for row in rows:
-        print(row.row())
-    appl = next(r for r in rows if r.protocol == "appl-driven")
+    result = run_campaign(cells)
+    print(comparison_table(cells, result), end="")
+    appl = result.cells["jacobi/appl-driven"].stats
     print(
-        f"\napplication-driven: {appl.control_messages} control messages, "
-        f"{appl.forced_checkpoints} forced checkpoints — coordination-free."
+        f"\napplication-driven: {appl['control_messages']} control messages, "
+        f"{appl['forced_checkpoints']} forced checkpoints — coordination-free."
     )
 
 

@@ -1,10 +1,12 @@
-"""Figure and workload harness.
+"""Figure tables and the protocol-comparison cells.
 
 Regenerates the data series behind the paper's evaluation figures and
 formats them as aligned ASCII tables (the repo has no plotting
-dependency). Simulation-based experiments — the validation runs beyond
-the paper's analytic study — live in :mod:`repro.bench.workloads`.
-Nothing here reads the wall clock; ``bench/`` measures performance.
+dependency). The simulation leg — the standard workloads as
+:class:`~repro.campaign.spec.ScenarioSpec` cells, one per protocol, run
+on :func:`~repro.campaign.executor.run_campaign` — lives in
+:mod:`repro.bench.workloads`. Nothing here reads the wall clock;
+``bench/`` measures performance.
 """
 
 from repro.bench.figures import (
@@ -15,19 +17,17 @@ from repro.bench.figures import (
     shape_check_figure9,
 )
 from repro.bench.workloads import (
-    ProtocolRunSummary,
-    WorkloadSpec,
-    run_protocol_comparison,
+    comparison_table,
+    protocol_cells,
     standard_workloads,
 )
 
 __all__ = [
-    "ProtocolRunSummary",
-    "WorkloadSpec",
+    "comparison_table",
     "figure8_table",
     "figure9_table",
     "format_curves",
-    "run_protocol_comparison",
+    "protocol_cells",
     "shape_check_figure8",
     "shape_check_figure9",
     "standard_workloads",

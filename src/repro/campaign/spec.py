@@ -22,6 +22,7 @@ from dataclasses import asdict, dataclass, field, is_dataclass
 from repro.errors import SimulationError
 from repro.lang import ast_nodes as ast
 from repro.lang.printer import to_source
+from repro.protocols import make_protocol
 from repro.runtime.engine import RunConfig, RuntimeCosts, Simulation
 from repro.runtime.failures import FaultPlan
 from repro.runtime.transport import TransportConfig
@@ -73,11 +74,18 @@ class ScenarioSpec(RunConfig):
         super().__post_init__()
         if not self.label:
             raise SimulationError("a scenario spec needs a non-empty label")
+        if self.n_processes < 1:
+            raise SimulationError(
+                f"need at least one process, got {self.n_processes}"
+            )
+        # Everything that only this cell's own shape can rule out fails
+        # here, when a campaign file loads, not in each cell at run time.
+        make_protocol(self.protocol, self.period)
         if self.fault_plan is not None:
             # A bare FailurePlan would not survive the JSON round-trip.
-            object.__setattr__(
-                self, "fault_plan", FaultPlan.of(self.fault_plan)
-            )
+            plan = FaultPlan.of(self.fault_plan)
+            plan.check_targets(self.n_processes, self.storage_replicas)
+            object.__setattr__(self, "fault_plan", plan)
 
     @classmethod
     def from_program(

@@ -533,28 +533,29 @@ def _cmd_figures(args: argparse.Namespace) -> int:
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     from repro.bench.workloads import (
-        ProtocolRunSummary,
-        run_protocol_comparison,
+        comparison_table,
+        protocol_cells,
         standard_workloads,
     )
+    from repro.campaign import run_campaign
     from repro.runtime.failures import FailurePlan
 
-    specs = {w.name: w for w in standard_workloads(steps=args.steps)}
-    if args.workload not in specs:
+    workloads = {w.label: w for w in standard_workloads(steps=args.steps)}
+    if args.workload not in workloads:
         print(
             f"error: unknown workload {args.workload!r}; "
-            f"known: {', '.join(sorted(specs))}",
+            f"known: {', '.join(sorted(workloads))}",
             file=sys.stderr,
         )
         return 2
-    plan = FailurePlan(crashes=list(args.crash))
-    rows = run_protocol_comparison(
-        specs[args.workload], period=args.period, failure_plan=plan
+    cells = protocol_cells(
+        workloads[args.workload],
+        period=args.period,
+        fault_plan=FailurePlan(crashes=list(args.crash)),
     )
-    print(ProtocolRunSummary.header())
-    for row in rows:
-        print(row.row())
-    return 0
+    result = run_campaign(cells, jobs=1)
+    print(comparison_table(cells, result), end="")
+    return 1 if result.failures else 0
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:

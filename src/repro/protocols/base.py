@@ -4,12 +4,19 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.errors import RecoveryError, UnrecoverableError
+from repro.errors import RecoveryError, SimulationError, UnrecoverableError
 from repro.runtime.hooks import ProtocolHooks
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.engine import Simulation
     from repro.runtime.storage import StoredCheckpoint
+
+
+def checked_period(period: float) -> float:
+    """*period* itself, if a timer-driven protocol can checkpoint on it."""
+    if not period > 0:
+        raise SimulationError(f"period must be positive, got {period!r}")
+    return period
 
 
 class CheckpointingProtocol(ProtocolHooks):

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.protocols.base import CheckpointingProtocol
+from repro.protocols.base import CheckpointingProtocol, checked_period
 from repro.runtime.hooks import ControlMessage
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -40,9 +40,7 @@ class ChandyLamportProtocol(CheckpointingProtocol):
     name = "C-L"
 
     def __init__(self, period: float = 50.0) -> None:
-        if period <= 0:
-            raise ValueError(f"period must be positive, got {period!r}")
-        self.period = period
+        self.period = checked_period(period)
         self.round = 0
         self.completed_rounds: list[int] = []
         self._snapshotted: set[int] = set()

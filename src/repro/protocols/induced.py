@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.protocols.base import CheckpointingProtocol
+from repro.protocols.base import CheckpointingProtocol, checked_period
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.engine import Simulation
@@ -30,9 +30,7 @@ class InducedProtocol(CheckpointingProtocol):
     name = "CIC-BCS"
 
     def __init__(self, period: float = 50.0, stagger: float = 0.5) -> None:
-        if period <= 0:
-            raise ValueError(f"period must be positive, got {period!r}")
-        self.period = period
+        self.period = checked_period(period)
         self.stagger = stagger
         self._index: dict[int, int] = {}
         # (index -> checkpoint) per rank; index 0 is the initial state.

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.protocols.base import CheckpointingProtocol
+from repro.protocols.base import CheckpointingProtocol, checked_period
 from repro.runtime.hooks import ControlMessage
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -28,9 +28,7 @@ class SyncAndStopProtocol(CheckpointingProtocol):
     name = "SaS"
 
     def __init__(self, period: float = 50.0) -> None:
-        if period <= 0:
-            raise ValueError(f"period must be positive, got {period!r}")
-        self.period = period
+        self.period = checked_period(period)
         self.round = 0
         self.round_active = False
         self.completed_rounds: list[int] = []

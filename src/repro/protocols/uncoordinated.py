@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.causality.rollback_graph import max_consistent_positions
-from repro.protocols.base import CheckpointingProtocol
+from repro.protocols.base import CheckpointingProtocol, checked_period
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.engine import Simulation
@@ -29,9 +29,7 @@ class UncoordinatedProtocol(CheckpointingProtocol):
     induces_recovery_lines = False
 
     def __init__(self, period: float = 50.0, stagger: float = 0.5) -> None:
-        if period <= 0:
-            raise ValueError(f"period must be positive, got {period!r}")
-        self.period = period
+        self.period = checked_period(period)
         self.stagger = stagger
         self.domino_steps: list[int] = []
         self.rollback_depths: list[dict[int, int]] = []

@@ -235,6 +235,31 @@ BAD_LOADED_KNOBS = [
     ({"base_latency": -1.0}, "base_latency must be >= 0, got -1.0"),
 ]
 
+#: Values only wrong for the cell's own protocol, size or storage, which
+#: used to load and then fail the cell at run time.
+BAD_CELLS = [
+    ({"protocol": "nope"}, "unknown protocol 'nope'"),
+    ({"protocol": "sas", "period": 0.0}, "period must be positive, got 0.0"),
+    ({"protocol": "cic", "period": -1.0}, "period must be positive, got -1.0"),
+    ({"n_processes": 0}, "need at least one process, got 0"),
+    (
+        {"fault_plan": {"crashes": [{"time": 1.0, "rank": 2}]}},
+        "crash at t=1.0 targets rank 2",
+    ),
+    (
+        {"fault_plan": {"network_faults": [
+            {"time": 1.0, "kind": "drop", "src": 0, "dst": 5},
+        ]}},
+        "network fault at t=1.0 targets channel 0->5",
+    ),
+    (
+        {"fault_plan": {"storage_faults": [
+            {"time": 1.0, "rank": 0, "kind": "bit-rot", "replica": 1},
+        ]}},
+        "storage fault at t=1.0 targets replica 1",
+    ),
+]
+
 
 class TestOneValidationSite:
     @pytest.mark.parametrize("bad, text", BAD_KNOBS, ids=lambda v: str(v))
@@ -265,6 +290,15 @@ class TestOneValidationSite:
         ).to_json_dict() | bad
         with pytest.raises(SimulationError) as excinfo:
             ScenarioSpec.from_json_dict(data)
+        assert str(excinfo.value).startswith(text)
+
+    @pytest.mark.parametrize("bad, text", BAD_CELLS, ids=lambda v: str(v))
+    def test_bad_cell_fails_to_load(self, bad, text):
+        cell = ScenarioSpec(
+            label="x", program=program_source("pingpong"), n_processes=2
+        ).to_json_dict() | bad
+        with pytest.raises(SimulationError) as excinfo:
+            load_campaign(json.dumps({"cells": [cell]}))
         assert str(excinfo.value).startswith(text)
 
     def test_unknown_knob_is_a_type_error(self):
@@ -300,13 +334,6 @@ class TestSpecFactory:
         first = spec.build().run()
         second = spec.build().run()
         assert first.stats.as_dict() == second.stats.as_dict()
-
-    def test_unknown_protocol_fails_at_build(self):
-        spec = ScenarioSpec(
-            label="x", program=program_source("pingpong"), protocol="nope"
-        )
-        with pytest.raises(SimulationError, match="unknown protocol"):
-            spec.build()
 
 
 class TestProtocolRegistry:

@@ -9,10 +9,11 @@ saving is 0.8–4.7 %. In ``full`` mode the two figures are equal, so the
 strict inequality below is what makes this a measurement.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.bench.workloads import standard_workloads
-from repro.runtime import Simulation
 
 #: workload -> (full-content bytes, stored bytes), 8 steps.
 STORED_BYTES = {
@@ -24,13 +25,12 @@ STORED_BYTES = {
 
 
 @pytest.mark.parametrize(
-    "spec", standard_workloads(steps=8)[:4], ids=lambda spec: spec.name
+    "spec", standard_workloads(steps=8)[:4], ids=lambda spec: spec.label
 )
 def test_delta_checkpoints_store_fewer_bytes(spec):
-    storage = Simulation(
-        spec.make_program(), spec.n_processes, params=dict(spec.params),
-        checkpoint_mode="pruned+delta",
-    ).run().storage
+    storage = replace(
+        spec, checkpoint_mode="pruned+delta"
+    ).build().run().storage
     full, stored = storage.total_bytes(), storage.total_bytes(incremental=True)
     assert stored < full
-    assert (full, stored) == STORED_BYTES[spec.name]
+    assert (full, stored) == STORED_BYTES[spec.label]

@@ -10,6 +10,7 @@ carry the scale cases: ``tests/runtime/test_scheduler_differential.py``,
 
 import itertools
 import json
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +22,8 @@ from repro.runtime.engine import Simulation
 #: Statistics that count stored wire bytes: the one thing the
 #: checkpoint mode is allowed to change.
 BYTE_STATS = ("stored_bytes", "gc_reclaimed_bytes")
+
+RESULTS = Path(__file__).resolve().parents[2] / "results"
 
 #: Run knob -> (default value, the other value).
 KNOBS = {
@@ -247,3 +250,33 @@ def test_non_decimal_digit_is_an_error_not_a_traceback(
     assert code == 2
     assert out == ""
     assert err == "error: unexpected character '\u00b2' (line 2, column 9)\n"
+
+
+def test_compare_prints_the_committed_comparison_table(capsys):
+    # `repro compare` and tools/regenerate_results.py build the same
+    # campaign cells and print them through the same table.
+    committed = RESULTS / "protocol_comparison.txt"
+    code, out, _ = cli(
+        capsys, "compare", "jacobi", "--steps", 12, "--period", 6,
+        "--crash", "14.3:2",
+    )
+    assert code == 0
+    assert out.splitlines() == committed.read_text().splitlines()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("simulate", "@jacobi", "--protocol", "sas", "--period", 0),
+     "period must be positive, got 0.0"),
+    (("compare", "jacobi", "--period", 0),
+     "period must be positive, got 0.0"),
+    (("compare", "jacobi", "--period", -2),
+     "period must be positive, got -2.0"),
+    (("compare", "jacobi", "--crash", "1:9"),
+     "crash at t=1.0 targets rank 9 but the simulation has only 4 "
+     "processes"),
+], ids=lambda v: " ".join(map(str, v)) if isinstance(v, tuple) else None)
+def test_bad_cell_is_an_error_not_a_traceback(argv, message, capsys):
+    code, out, err = cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"

@@ -1,78 +1,98 @@
 """V4/V5: protocol-comparison experiments on the simulator.
 
 These are the empirical counterparts of the paper's analytic Section 4:
-same workload, same seed, different protocols.
+same workload, same seed, different protocols — one campaign cell each.
 """
 
 import pytest
 
 from repro.bench.workloads import (
-    ProtocolRunSummary,
-    run_protocol_comparison,
+    COMPARED_PROTOCOLS,
+    comparison_table,
+    protocol_cells,
     standard_workloads,
     strip_checkpoints,
 )
+from repro.campaign import run_campaign
 from repro.lang import ast_nodes as ast
+from repro.lang.parser import parse
 from repro.lang.programs import jacobi
+from repro.protocols import PROTOCOL_CLASSES
 from repro.runtime import FailurePlan
 
 
+def workload(name, steps):
+    return next(w for w in standard_workloads(steps=steps) if w.label == name)
+
+
+def run_stats(cells):
+    """Run *cells* as one campaign; protocol key -> stats dict."""
+    result = run_campaign(cells)
+    return {cell.protocol: result.cells[cell.label].stats for cell in cells}
+
+
 @pytest.fixture(scope="module")
-def comparison_rows():
-    workload = standard_workloads(steps=12)[0]  # jacobi
-    return run_protocol_comparison(
-        workload, period=6.0, failure_plan=FailurePlan.single(14.3, 2)
-    )
+def comparison_stats():
+    return run_stats(protocol_cells(
+        workload("jacobi", 12), period=6.0,
+        fault_plan=FailurePlan.single(14.3, 2),
+    ))
 
 
 class TestCoordinationCosts:
-    def test_appl_driven_is_coordination_free(self, comparison_rows):
-        appl = next(r for r in comparison_rows if r.protocol == "appl-driven")
-        assert appl.control_messages == 0
-        assert appl.forced_checkpoints == 0
+    def test_appl_driven_is_coordination_free(self, comparison_stats):
+        appl = comparison_stats["appl-driven"]
+        assert appl["control_messages"] == 0
+        assert appl["forced_checkpoints"] == 0
 
-    def test_coordinated_protocols_pay_messages(self, comparison_rows):
-        for name in ("SaS", "C-L"):
-            row = next(r for r in comparison_rows if r.protocol == name)
-            assert row.control_messages > 0
+    def test_coordinated_protocols_pay_messages(self, comparison_stats):
+        for key in ("sas", "cl"):
+            assert comparison_stats[key]["control_messages"] > 0, key
 
     def test_cl_sends_more_messages_than_sas(self):
-        """Per round, C-L floods (n-1)(n+1) control messages vs SaS's
-        5(n-1) — strictly more for n > 4 (at n = 4 they tie)."""
-        workload = next(
-            w for w in standard_workloads(steps=12) if w.name == "pingpong"
-        )
-        assert workload.n_processes == 6
-        rows = run_protocol_comparison(
-            workload, period=6.0, protocols=("SaS", "C-L")
-        )
-        sas = next(r for r in rows if r.protocol == "SaS")
-        cl = next(r for r in rows if r.protocol == "C-L")
-        assert cl.control_messages / max(1, cl.rollbacks + 1) > 0
-        per_round_sas = 5 * (6 - 1)
-        per_round_cl = 6 * 5 + 5
-        assert per_round_cl > per_round_sas
-        assert cl.control_messages > sas.control_messages
+        """Per round SaS sends 5(n-1) control messages and C-L
+        (n-1)(n+1): n(n-1) markers plus n-1 completion acks. Each round
+        checkpoints every rank once."""
+        pingpong = workload("pingpong", 12)
+        n = pingpong.n_processes
+        assert n == 6
+        stats = run_stats(protocol_cells(pingpong, ("sas", "cl"), period=6.0))
+        for key, per_round in (("sas", 5 * (n - 1)), ("cl", (n - 1) * (n + 1))):
+            rounds, rest = divmod(stats[key]["checkpoints"], n)
+            assert (rounds, rest) == (2, 0), key
+            assert stats[key]["control_messages"] == rounds * per_round, key
+        assert stats["sas"]["control_messages"] == 50
+        assert stats["cl"]["control_messages"] == 70
 
-    def test_uncoordinated_and_cic_message_free(self, comparison_rows):
-        for name in ("uncoordinated", "CIC-BCS"):
-            row = next(r for r in comparison_rows if r.protocol == name)
-            assert row.control_messages == 0
+    def test_uncoordinated_and_cic_message_free(self, comparison_stats):
+        for key in ("uncoordinated", "cic"):
+            assert comparison_stats[key]["control_messages"] == 0, key
 
-    def test_all_protocols_complete_and_recover(self, comparison_rows):
-        for row in comparison_rows:
-            assert row.completed, row.protocol
-            assert row.failures == 1, row.protocol
-            assert row.rollbacks == 1, row.protocol
+    def test_all_protocols_complete_and_recover(self, comparison_stats):
+        for key, stats in comparison_stats.items():
+            assert stats["completed"], key
+            assert stats["failures"] == 1, key
+            assert stats["rollbacks"] == 1, key
 
 
 class TestHarness:
-    def test_rows_render(self, comparison_rows):
-        header = ProtocolRunSummary.header()
-        for row in comparison_rows:
-            line = row.row()
-            assert len(line.split()) >= 7
-        assert "protocol" in header
+    def test_one_cell_per_registered_protocol(self):
+        cells = protocol_cells(workload("jacobi", 4))
+        assert COMPARED_PROTOCOLS == tuple(
+            key for key in PROTOCOL_CLASSES if key != "none"
+        )
+        assert [cell.protocol for cell in cells] == list(COMPARED_PROTOCOLS)
+        assert len({cell.label for cell in cells}) == len(cells)
+
+    def test_subset_of_protocols(self):
+        # Only the application-driven cell keeps its checkpoint statements.
+        cells = protocol_cells(workload("jacobi", 4), ("appl-driven", "sas"))
+        assert [cell.label for cell in cells] == [
+            "jacobi/appl-driven", "jacobi/sas",
+        ]
+        appl, sas = (parse(cell.program) for cell in cells)
+        assert ast.count_statements(appl, ast.Checkpoint) == 1
+        assert ast.count_statements(sas, ast.Checkpoint) == 0
 
     def test_strip_checkpoints(self):
         stripped = strip_checkpoints(jacobi())
@@ -81,15 +101,31 @@ class TestHarness:
         assert ast.count_statements(jacobi(), ast.Checkpoint) == 1
 
     def test_standard_workloads_all_run(self):
-        for spec in standard_workloads(steps=4):
-            rows = run_protocol_comparison(
-                spec, period=8.0, protocols=("appl-driven",)
-            )
-            assert rows[0].completed, spec.name
+        cells = [
+            cell
+            for spec in standard_workloads(steps=4)
+            for cell in protocol_cells(spec, ("appl-driven",), period=8.0)
+        ]
+        assert len(cells) == 8
+        assert run_campaign(cells).failures == []
 
-    def test_subset_of_protocols(self):
-        workload = standard_workloads(steps=4)[0]
-        rows = run_protocol_comparison(
-            workload, protocols=("appl-driven", "SaS")
+
+class TestTable:
+    def test_protocol_column_is_the_class_name(self):
+        cells = protocol_cells(workload("jacobi", 4), ("sas", "cic"))
+        rows = comparison_table(cells, run_campaign(cells)).splitlines()
+        assert [row.split()[:2] for row in rows[1:]] == [
+            ["jacobi", "SaS"], ["jacobi", "CIC-BCS"],
+        ]
+
+    def test_failed_cell_row_carries_its_error(self):
+        cells = protocol_cells(
+            workload("jacobi", 4), ("appl-driven",), max_steps=5
         )
-        assert [r.protocol for r in rows] == ["appl-driven", "SaS"]
+        result = run_campaign(cells)
+        assert result.failures
+        row = comparison_table(cells, result).splitlines()[1]
+        assert row.endswith(
+            "appl-driven SimulationError: step budget exceeded (5); "
+            "likely a livelock or a runaway failure plan"
+        )

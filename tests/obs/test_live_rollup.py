@@ -178,8 +178,12 @@ class TestLiveEqualsReplay:
         assert_live_equals_replay(outcome)
 
     def test_cell_that_fails_to_build_has_a_header_only_log(self):
-        outcome = _campaign_cell(faulted_spec("no-such-protocol", 0))
-        assert outcome.error and not outcome.error.startswith("unexpected:")
+        # A bad protocol no longer gets this far (the spec refuses it);
+        # source that does not parse still fails inside the build.
+        outcome = _campaign_cell(
+            faulted_spec("appl-driven", 0, program="program p(:\n")
+        )
+        assert outcome.error.startswith("ParseError:")
         assert read_event_log(outcome.events_jsonl) == []
         assert outcome.metrics == {
             "cells_errored": {"type": "counter", "value": 1},

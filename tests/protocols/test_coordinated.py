@@ -5,6 +5,7 @@ import pytest
 from repro.causality.cuts import CheckpointCut, cut_is_consistent
 from repro.causality.records import EventKind
 from repro.lang.programs import jacobi_plain, token_ring
+from repro.errors import SimulationError
 from repro.protocols import ChandyLamportProtocol, SyncAndStopProtocol
 from repro.runtime import FailurePlan, Simulation
 
@@ -77,7 +78,7 @@ class TestSyncAndStop:
         assert result.final_env == baseline.final_env
 
     def test_invalid_period(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(SimulationError, match="period must be positive"):
             SyncAndStopProtocol(period=0)
 
 
@@ -153,5 +154,5 @@ class TestChandyLamport:
         assert result.final_env == baseline.final_env
 
     def test_invalid_period(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(SimulationError, match="period must be positive"):
             ChandyLamportProtocol(period=-1)

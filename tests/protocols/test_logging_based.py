@@ -5,6 +5,7 @@ import pytest
 from repro.causality.records import EventKind
 from repro.lang.programs import jacobi_plain, master_worker, token_ring
 from repro.bench.workloads import strip_checkpoints
+from repro.errors import SimulationError
 from repro.protocols import MessageLoggingProtocol
 from repro.runtime import FailurePlan, Simulation
 from repro.runtime.failures import CrashEvent
@@ -105,5 +106,5 @@ class TestSingleProcessRecovery:
         assert result.final_env == baseline.final_env
 
     def test_invalid_period(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(SimulationError, match="period must be positive"):
             MessageLoggingProtocol(period=0)

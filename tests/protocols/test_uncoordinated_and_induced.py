@@ -5,6 +5,7 @@ import pytest
 from repro.lang.parser import parse
 from repro.lang.programs import jacobi_plain, pingpong
 from repro.bench.workloads import strip_checkpoints
+from repro.errors import SimulationError
 from repro.protocols import InducedProtocol, UncoordinatedProtocol
 from repro.runtime import FailurePlan, RuntimeCosts, Simulation
 
@@ -127,5 +128,5 @@ class TestInduced:
         assert max(indexes) - min(indexes) <= max(1, len(indexes))
 
     def test_invalid_period(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(SimulationError, match="period must be positive"):
             InducedProtocol(period=0)

@@ -94,12 +94,12 @@ class TestWorkloadMatrix:
     """Workload x protocol x failure-plan grid, both backends."""
 
     @pytest.mark.parametrize(
-        "workload", standard_workloads(steps=8), ids=lambda w: w.name
+        "workload", standard_workloads(steps=8), ids=lambda w: w.label
     )
     @pytest.mark.parametrize("protocol", ("appl-driven", "cl", "cic"))
     @pytest.mark.parametrize("plan_name", tuple(PLANS))
     def test_byte_identical(self, workload, protocol, plan_name):
-        base = workload.make_program()
+        base = parse(workload.program)
         if protocol != "appl-driven":
             base = strip_checkpoints(base)
 
@@ -249,7 +249,7 @@ class TestBackendArgument:
         workload = standard_workloads(steps=4)[0]
         with pytest.raises(Exception, match="unknown backend"):
             Simulation(
-                workload.make_program(),
+                parse(workload.program),
                 workload.n_processes,
                 params=dict(workload.params),
                 backend="jit",

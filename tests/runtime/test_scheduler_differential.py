@@ -17,6 +17,7 @@ from repro.bench.workloads import standard_workloads, strip_checkpoints
 from repro.campaign import quick_campaign
 from repro.campaign.executor import _campaign_cell
 from repro.lang import ast_nodes as ast
+from repro.lang.parser import parse
 from repro.lang.programs import stencil_1d, token_ring
 from repro.protocols import make_protocol
 from repro.runtime import FailurePlan, RuntimeCosts
@@ -63,12 +64,12 @@ class TestWorkloadMatrix:
     """Workload × protocol × failure grid, both schedulers."""
 
     @pytest.mark.parametrize(
-        "workload", standard_workloads(steps=8), ids=lambda w: w.name
+        "workload", standard_workloads(steps=8), ids=lambda w: w.label
     )
     @pytest.mark.parametrize("protocol", ("appl-driven", "cl", "cic"))
     @pytest.mark.parametrize("crashed", (False, True), ids=("clean", "crash"))
     def test_byte_identical(self, workload, protocol, crashed):
-        base = workload.make_program()
+        base = parse(workload.program)
         if protocol != "appl-driven":
             base = strip_checkpoints(base)
         plan = (
@@ -95,7 +96,7 @@ class TestWorkloadMatrix:
         uninterrupted run on everything but stats.
         """
         workload = standard_workloads(steps=8)[0]
-        base = workload.make_program()
+        base = parse(workload.program)
         full = run_once(
             base, workload.n_processes, workload.params, "appl-driven",
             FailurePlan.none(), "indexed",

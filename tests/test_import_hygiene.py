@@ -1,4 +1,5 @@
-"""Static hygiene: no unused imports in the library source.
+"""Static hygiene: no unused imports in the library source, and the
+third-party imports match ``pyproject.toml``.
 
 A lightweight AST-based substitute for an external linter (the
 environment is offline). ``__init__.py`` files are exempt — their
@@ -6,6 +7,8 @@ imports are re-exports.
 """
 
 import ast
+import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -71,3 +74,46 @@ def test_no_unused_imports(path):
         if name not in used and name != "annotations"
     ]
     assert not unused, f"{path.name}: unused imports: {unused}"
+
+
+REPO = SRC.parent.parent
+
+
+def _declared(key: str) -> set[str]:
+    """The package names in ``pyproject.toml``'s ``key = [...]`` list."""
+    text = (REPO / "pyproject.toml").read_text()
+    block = re.search(rf"^{key} = \[(.*?)\]", text, re.M | re.S).group(1)
+    return set(re.findall(r'"([\w.-]+)', block))
+
+
+def _third_party(top: Path) -> set[str]:
+    """Top-level modules imported under *top* that are neither the
+    standard library, ``repro``, nor a module of this checkout."""
+    found = set()
+    for path in top.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                modules = [node.module]
+            else:
+                continue
+            for module in modules:
+                name = module.partition(".")[0]
+                local = (REPO / name).exists() or (
+                    path.parent / f"{name}.py"
+                ).exists()
+                if not (
+                    name in sys.stdlib_module_names or name == "repro" or local
+                ):
+                    found.add(name)
+    return found
+
+
+def test_src_imports_exactly_the_runtime_dependencies():
+    assert _third_party(SRC) == _declared("dependencies")
+
+
+def test_tests_import_only_declared_dependencies():
+    declared = _declared("dependencies") | _declared("dev")
+    assert _third_party(REPO / "tests") <= declared

@@ -19,8 +19,6 @@ ROOTS = ("repro.cli", "repro.__main__")
 #: Modules nothing on the command line imports today, with their one
 #: way out each: moved next to their only user or deleted.
 UNREACHED = frozenset({
-    "repro.bench.fault_tolerance",
-    "repro.bench.network_faults",
     "repro.lang.generator",
     "repro.lang.mpmd",
     "repro.phases.calibration",

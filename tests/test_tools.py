@@ -87,9 +87,19 @@ class TestCiWorkflow:
 
 
 #: Names of the retired ratio-microbenchmark stack, the ungated
-#: benchmark suite and the wall-clock result generators, spelled in
-#: pieces so this file does not match its own search.
+#: benchmark suite, the wall-clock result generators and the
+#: hand-rolled comparison and fault-sweep loops (now campaign cells),
+#: spelled in pieces so this file does not match its own search.
 RETIRED_NAMES = [
+    "Workload" + "Spec",
+    "ProtocolRun" + "Summary",
+    "run_protocol" + "_comparison",
+    "_protocol" + "_factories",
+    "ensure" + "_transformed",
+    "fault_tolerance" + "_sweep",
+    "network_fault" + "_sweep",
+    "bench.fault" + "_tolerance",
+    "bench.network" + "_faults",
     "perf" + "_smoke",
     "engine" + "_hotpath",
     "checkpoint_payload" + "_report",

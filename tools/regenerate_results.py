@@ -8,7 +8,9 @@ needed). Run from the repository root::
 
 Every generator is deterministic (fixed seeds, no wall clock), so a
 re-run reproduces the committed files byte for byte;
-``tests/test_tools.py`` holds them to that.
+``tests/test_tools.py`` holds them to that. The three simulation
+results (the protocol comparison and both fault sweeps) are lists of
+``ScenarioSpec`` cells run by ``run_campaign``.
 """
 
 from __future__ import annotations
@@ -72,19 +74,19 @@ def markov_validation() -> str:
 def protocol_comparison() -> str:
     """Every protocol on one workload, same seed and failure plan."""
     from repro.bench.workloads import (
-        ProtocolRunSummary,
-        run_protocol_comparison,
+        comparison_table,
+        protocol_cells,
         standard_workloads,
     )
+    from repro.campaign import run_campaign
     from repro.runtime import FailurePlan
 
-    workload = standard_workloads(steps=12)[0]
-    rows = run_protocol_comparison(
-        workload, period=6.0, failure_plan=FailurePlan.single(14.3, 2)
+    cells = protocol_cells(
+        standard_workloads(steps=12)[0],
+        period=6.0,
+        fault_plan=FailurePlan.single(14.3, 2),
     )
-    return "\n".join(
-        [ProtocolRunSummary.header(), *(row.row() for row in rows)]
-    ) + "\n"
+    return comparison_table(cells, run_campaign(cells))
 
 
 def optimal_intervals() -> str:
@@ -122,36 +124,161 @@ def payoff() -> str:
     return "\n".join(lines) + "\n"
 
 
-def _with_runs_lost(table: str, rows, absorbed_by: str) -> str:
-    lost = sum(r.runs - r.completed for r in rows)
+#: The fault sweeps' Poisson rates: storage faults per rank, and drops
+#: plus duplicates per directed channel, each per simulated second.
+STORAGE_RATES = (0.0, 0.01, 0.03, 0.06)
+NETWORK_RATES = (0.0, 0.02, 0.05, 0.1)
+
+#: Sweep table column -> (width, format spec); a row is a dict by column.
+STORAGE_COLUMNS = {
+    "protocol": (14, "s"), "rate": (6, ".2f"), "avail": (6, ".2f"),
+    "time": (8, ".2f"), "crash": (6, "d"), "wfail": (6, "d"),
+    "torn": (5, "d"), "rot": (4, "d"), "retry": (6, "d"), "fb": (4, "d"),
+    "depth": (6, "d"),
+}
+NETWORK_COLUMNS = {
+    "protocol": (14, "s"), "rate": (6, ".2f"), "avail": (6, ".2f"),
+    "time": (8, ".2f"), "r": (8, ".4f"), "frames": (7, "d"),
+    "retx": (6, "d"), "drop": (5, "d"), "dup": (4, "d"),
+}
+
+
+def _sweep(protocols, rates, plan, seeds=range(4)):
+    """Run ring_pipeline (n = 3, 10 steps) over protocol × rate × seed.
+
+    *plan(rate, seed)* draws a cell's fault plan. Every cell runs in one
+    campaign; returns one ``(protocol, rate, outcomes)`` group per
+    (protocol, rate), its outcomes in seed order.
+    """
+    from repro.campaign import ScenarioSpec, run_campaign
+    from repro.lang.programs import program_source
+
+    groups = [
+        (protocol, rate, [
+            ScenarioSpec(
+                label=f"{protocol}/{rate}/{seed}",
+                program=program_source("ring_pipeline"),
+                n_processes=3,
+                params={"steps": 10},
+                protocol=protocol,
+                period=6.0,
+                fault_plan=plan(rate, seed),
+            )
+            for seed in seeds
+        ])
+        for protocol in protocols
+        for rate in rates
+    ]
+    result = run_campaign([cell for _, _, cells in groups for cell in cells])
+    return [
+        (protocol, rate, [result.cells[cell.label] for cell in cells])
+        for protocol, rate, cells in groups
+    ]
+
+
+def _row(protocol, rate, outcomes, totals) -> dict:
+    """One sweep row: availability, the mean completion time of the
+    completed runs, the deepest recovery fallback, and each *totals*
+    stat (column -> stats key) summed over the runs that have stats; a
+    run that raised has none and counts as lost."""
+    ran = [outcome.stats for outcome in outcomes if outcome.stats is not None]
+    times = [outcome.completion_time for outcome in outcomes if outcome.ok]
+    row = {
+        "protocol": protocol,
+        "rate": rate,
+        "avail": len(times) / len(outcomes),
+        "time": sum(times) / len(times) if times else 0.0,
+        "lost": len(outcomes) - len(times),
+        "depth": max((s["max_fallback_depth"] for s in ran), default=0),
+    }
+    row.update(
+        {column: sum(s[key] for s in ran) for column, key in totals.items()}
+    )
+    return row
+
+
+def storage_sweep_rows() -> list[dict]:
+    """Storage faults at rising rates, crashes held at 0.02 per rank."""
+    from repro.runtime.failures import exponential_fault_plan
+
+    def plan(rate, seed):
+        return exponential_fault_plan(
+            3, 30.0, failure_rate=0.02, storage_fault_rate=rate,
+            seed=seed, max_failures=2,
+        )
+
+    totals = {
+        "crash": "failures", "wfail": "storage_write_failures",
+        "torn": "torn_writes", "rot": "bit_rot_injected",
+        "retry": "storage_retries", "fb": "recovery_fallbacks",
+    }
+    return [
+        _row(protocol, rate, outcomes, totals)
+        for protocol, rate, outcomes in _sweep(
+            ("appl-driven", "uncoordinated"), STORAGE_RATES, plan
+        )
+    ]
+
+
+def network_sweep_rows() -> list[dict]:
+    """Drops and duplicates at rising rates and no crashes; ``r`` is
+    Γ/T − 1 against the protocol's one fault-free baseline cell."""
+    from repro.runtime.failures import exponential_network_plan
+
+    def plan(rate, seed):
+        return exponential_network_plan(
+            3, 30.0, drop_rate=rate, duplicate_rate=rate, seed=seed
+        )
+
+    protocols = ("appl-driven", "uncoordinated", "msg-logging")
+    baseline = {
+        protocol: outcomes[0].completion_time
+        for protocol, _, outcomes in _sweep(
+            protocols, ("baseline",), lambda *_: None, seeds=(0,)
+        )
+    }
+    totals = {
+        "frames": "frames_sent", "retx": "retransmits",
+        "drop": "dropped_frames", "dup": "duplicate_frames",
+    }
+    rows = []
+    for protocol, rate, outcomes in _sweep(protocols, NETWORK_RATES, plan):
+        row = _row(protocol, rate, outcomes, totals)
+        base = baseline[protocol]
+        row["r"] = row["time"] / base - 1.0 if base and row["avail"] else 0.0
+        rows.append(row)
+    return rows
+
+
+def _sweep_table(columns, rows, absorbed_by: str) -> str:
+    """*rows* as an aligned table, then the count of runs lost."""
+    lines = [
+        " ".join(f"{name:>{width}s}" for name, (width, _) in columns.items())
+    ]
+    lines += [
+        " ".join(
+            f"{row[name]:>{width}{spec}}"
+            for name, (width, spec) in columns.items()
+        )
+        for row in rows
+    ]
+    lost = sum(row["lost"] for row in rows)
     verdict = f"NONE ({absorbed_by})" if lost == 0 else str(lost)
-    return f"{table}\n\nruns lost: {verdict}\n"
+    return "\n".join(lines) + f"\n\nruns lost: {verdict}\n"
 
 
 def fault_tolerance() -> str:
     """Storage-fault sweep: degraded recovery absorbs every fault."""
-    from repro.bench.fault_tolerance import (
-        fault_tolerance_sweep,
-        format_fault_table,
-    )
-
-    rows = fault_tolerance_sweep()
-    return _with_runs_lost(
-        format_fault_table(rows), rows,
+    return _sweep_table(
+        STORAGE_COLUMNS, storage_sweep_rows(),
         "degraded recovery absorbed every fault",
     )
 
 
 def network_faults() -> str:
     """Network-fault sweep: the reliable transport hides the medium."""
-    from repro.bench.network_faults import (
-        format_network_table,
-        network_fault_sweep,
-    )
-
-    rows = network_fault_sweep()
-    return _with_runs_lost(
-        format_network_table(rows), rows,
+    return _sweep_table(
+        NETWORK_COLUMNS, network_sweep_rows(),
         "reliable transport absorbed every network fault",
     )
 
