@@ -8,10 +8,12 @@ provided here:
   *irregular* (input-data dependent).
 - **Abstract evaluation** (:mod:`repro.attributes.expressions`): partial
   evaluation of endpoint and condition expressions as functions of
-  ``(rank, nprocs)``, with *unknown* for irregular values.
+  ``(rank, nprocs)``, over a whole vector of points in one walk, with
+  *unknown* for irregular values.
 - **Rank reachability** (:mod:`repro.attributes.domain`): which ranks
   can reach each send/recv node — a forward dataflow over the
-  once-through DAG, exact without enumerating a path.
+  once-through DAG, bit-parallel over every system size, exact without
+  enumerating a path.
 - **Contradiction checking** (:mod:`repro.attributes.contradiction`):
   whether a send's destination attribute and a receive's source
   attribute can simultaneously hold, decided by exhaustive evaluation

@@ -1,19 +1,68 @@
 """Abstract evaluation of MiniMP expressions as functions of rank.
 
-:func:`abstract_eval` partially evaluates an expression given concrete
-``rank`` and ``nprocs`` values, inlining single-assignment variable
-definitions. The result is either a concrete integer or ``None``,
-meaning *unknown* — the expression depends on input data, received
-values, loop counters, or multiply-assigned variables. Unknown values
-act as wildcards in contradiction checking (paper: irregular patterns
-"match if they do not contradict").
+:func:`evaluate` partially evaluates an expression at many
+``(rank, nprocs)`` points at once — one walk of the tree, each node
+computed as a vector over the points — inlining single-assignment
+variable definitions. Each value is either a concrete integer or
+``None``, meaning *unknown*: the expression depends on input data,
+received values, loop counters, or multiply-assigned variables.
+Unknown values act as wildcards in contradiction checking (paper:
+irregular patterns "match if they do not contradict").
+:func:`abstract_eval` is the one-point case.
+
+The semantics are pointwise: ``and``/``or`` evaluate their right side
+only at the points the left side leaves open, ``//`` and ``%`` by zero
+are unknown, and inlining stops 16 levels deep.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 from repro.lang import ast_nodes as ast
 
 _MAX_INLINE_DEPTH = 16
+
+Values = list[int | None]
+
+_BINARY = {
+    "+": lambda a, b: a + b,
+    "-": lambda a, b: a - b,
+    "*": lambda a, b: a * b,
+    "/": lambda a, b: a // b if b != 0 else None,
+    "//": lambda a, b: a // b if b != 0 else None,
+    "%": lambda a, b: a % b if b != 0 else None,
+    "==": lambda a, b: int(a == b),
+    "!=": lambda a, b: int(a != b),
+    "<": lambda a, b: int(a < b),
+    "<=": lambda a, b: int(a <= b),
+    ">": lambda a, b: int(a > b),
+    ">=": lambda a, b: int(a >= b),
+}
+
+
+def universe_points(sizes: Sequence[int]) -> tuple[list[int], list[int]]:
+    """The parallel ``(ranks, nprocs)`` vectors of every ``(size, rank)``
+    point of *sizes*, size-major: point ``k`` is bit ``k`` of a mask."""
+    ranks = [rank for nprocs in sizes for rank in range(nprocs)]
+    sizes_of = [nprocs for nprocs in sizes for _ in range(nprocs)]
+    return ranks, sizes_of
+
+
+def evaluate(
+    expr: ast.Expr,
+    ranks: Sequence[int],
+    nprocs: Sequence[int],
+    defs: dict[str, ast.Expr] | None = None,
+) -> Values:
+    """Evaluate *expr* at every point ``(ranks[k], nprocs[k])``.
+
+    Returns one value per point: the concrete integer, or ``None`` if
+    it cannot be determined statically. Division or modulo by zero also
+    yields ``None`` (the execution would fault; for matching purposes
+    the value is unconstrained).
+    """
+    return _eval(expr, ranks, nprocs, defs, 0)
 
 
 def abstract_eval(
@@ -21,106 +70,89 @@ def abstract_eval(
     rank: int,
     nprocs: int,
     defs: dict[str, ast.Expr] | None = None,
-    _depth: int = 0,
 ) -> int | None:
-    """Evaluate *expr* for a process with the given *rank*.
+    """Evaluate *expr* for a process with the given *rank*: the
+    one-point case of :func:`evaluate`."""
+    return _eval(expr, (rank,), (nprocs,), defs, 0)[0]
 
-    Returns the concrete integer value, or ``None`` if the value cannot
-    be determined statically. Division or modulo by zero also yields
-    ``None`` (the execution would fault; for matching purposes the
-    value is unconstrained).
-    """
-    if _depth > _MAX_INLINE_DEPTH:
-        return None
+
+def _eval(expr, ranks, nprocs, defs, depth) -> Values:
+    if depth > _MAX_INLINE_DEPTH:
+        return [None] * len(ranks)
     if isinstance(expr, ast.Const):
-        return expr.value
+        return [expr.value] * len(ranks)
     if isinstance(expr, ast.MyRank):
-        return rank
+        return list(ranks)
     if isinstance(expr, ast.NProcs):
-        return nprocs
-    if isinstance(expr, ast.InputData):
-        return None
+        return list(nprocs)
     if isinstance(expr, ast.Name):
         if defs and expr.ident in defs:
-            return abstract_eval(
-                defs[expr.ident], rank, nprocs, defs, _depth + 1
-            )
-        return None
+            return _eval(defs[expr.ident], ranks, nprocs, defs, depth + 1)
+        return [None] * len(ranks)
     if isinstance(expr, ast.Call):
-        args = [abstract_eval(a, rank, nprocs, defs, _depth + 1) for a in expr.args]
-        if any(a is None for a in args):
-            return None
-        if expr.func == "min":
-            return min(args)
-        if expr.func == "max":
-            return max(args)
+        args = [_eval(a, ranks, nprocs, defs, depth + 1) for a in expr.args]
+        if expr.func in ("min", "max"):
+            pick = min if expr.func == "min" else max
+            columns = zip(*args) if args else [()] * len(ranks)
+            return [None if None in col else pick(col) for col in columns]
         if expr.func == "abs" and len(args) == 1:
-            return abs(args[0])
-        return None
+            return [None if v is None else abs(v) for v in args[0]]
+        return [None] * len(ranks)
     if isinstance(expr, ast.UnaryOp):
-        operand = abstract_eval(expr.operand, rank, nprocs, defs, _depth + 1)
-        if operand is None:
-            return None
+        operand = _eval(expr.operand, ranks, nprocs, defs, depth + 1)
         if expr.op == "-":
-            return -operand
+            return [None if v is None else -v for v in operand]
         if expr.op == "not":
-            return int(not operand)
-        return None
+            return [None if v is None else int(not v) for v in operand]
+        return [None] * len(ranks)
     if isinstance(expr, ast.BinOp):
-        return _eval_binop(expr, rank, nprocs, defs, _depth)
-    return None
+        if expr.op in ("and", "or"):
+            return _eval_logical(expr, ranks, nprocs, defs, depth)
+        left = _eval(expr.left, ranks, nprocs, defs, depth + 1)
+        right = _eval(expr.right, ranks, nprocs, defs, depth + 1)
+        fn = _BINARY.get(expr.op)
+        if fn is None:
+            return [None] * len(ranks)
+        return [
+            None if a is None or b is None else fn(a, b)
+            for a, b in zip(left, right)
+        ]
+    # InputData and anything unrecognised.
+    return [None] * len(ranks)
 
 
-def _eval_binop(
-    expr: ast.BinOp,
-    rank: int,
-    nprocs: int,
-    defs: dict[str, ast.Expr] | None,
-    depth: int,
-) -> int | None:
-    left = abstract_eval(expr.left, rank, nprocs, defs, depth + 1)
-    # Short-circuit forms first: one known side can decide the result.
-    if expr.op == "and":
-        if left == 0:
-            return 0
-        right = abstract_eval(expr.right, rank, nprocs, defs, depth + 1)
-        if right == 0:
-            return 0
-        if left is None or right is None:
-            return None
-        return int(bool(left) and bool(right))
-    if expr.op == "or":
-        if left is not None and left != 0:
-            return 1
-        right = abstract_eval(expr.right, rank, nprocs, defs, depth + 1)
-        if right is not None and right != 0:
-            return 1
-        if left is None or right is None:
-            return None
-        return 0
-    right = abstract_eval(expr.right, rank, nprocs, defs, depth + 1)
-    if left is None or right is None:
-        return None
-    if expr.op == "+":
-        return left + right
-    if expr.op == "-":
-        return left - right
-    if expr.op == "*":
-        return left * right
-    if expr.op in ("/", "//"):
-        return left // right if right != 0 else None
-    if expr.op == "%":
-        return left % right if right != 0 else None
-    if expr.op == "==":
-        return int(left == right)
-    if expr.op == "!=":
-        return int(left != right)
-    if expr.op == "<":
-        return int(left < right)
-    if expr.op == "<=":
-        return int(left <= right)
-    if expr.op == ">":
-        return int(left > right)
-    if expr.op == ">=":
-        return int(left >= right)
-    return None
+def _eval_logical(expr, ranks, nprocs, defs, depth) -> Values:
+    """Short-circuit ``and``/``or``: one known side can decide a point,
+    and the right side is evaluated only where the left leaves it open."""
+    left = _eval(expr.left, ranks, nprocs, defs, depth + 1)
+    conjunction = expr.op == "and"
+    if conjunction:
+        result = [0 if v == 0 else None for v in left]
+        open_points = [k for k, v in enumerate(left) if v != 0]
+    else:
+        result = [None if v is None or v == 0 else 1 for v in left]
+        open_points = [k for k, v in enumerate(left) if v is None or v == 0]
+    if not open_points:
+        return result
+    if len(open_points) == len(ranks):
+        right = _eval(expr.right, ranks, nprocs, defs, depth + 1)
+    else:
+        right = _eval(
+            expr.right,
+            [ranks[k] for k in open_points],
+            [nprocs[k] for k in open_points],
+            defs,
+            depth + 1,
+        )
+    for k, b in zip(open_points, right):
+        a = left[k]
+        if conjunction:
+            if b == 0:
+                result[k] = 0
+            elif a is not None and b is not None:
+                result[k] = int(bool(a) and bool(b))
+        elif b is not None and b != 0:
+            result[k] = 1
+        elif a is not None and b is not None:
+            result[k] = 0
+    return result

@@ -196,14 +196,12 @@ def _result_to_entry(result) -> dict:
 
 
 def _entry_to_result(entry: dict):
-    from repro.attributes.liveness import checkpoint_liveness
     from repro.phases.pipeline import TransformResult
 
-    program = parse(entry["program"])
-    # Liveness is recomputed rather than cached: it is deterministic
-    # on the reconstructed AST, and its keys are process-global node
+    # Liveness is not cached: the result computes it from the
+    # reconstructed AST if read, since its keys are process-global node
     # ids that would be meaningless if persisted across parses.
-    liveness = checkpoint_liveness(program)
+    program = parse(entry["program"])
     insertion_data = entry["insertion"]
     insertion = None
     if insertion_data is not None:
@@ -238,8 +236,6 @@ def _entry_to_result(entry: dict):
             )
             for earlier, later, index in entry["ordering_constraints"]
         ),
-        checkpoint_live=dict(liveness.live_out),
-        checkpoint_dead=dict(liveness.dead),
     )
     return TransformResult(
         program=program,

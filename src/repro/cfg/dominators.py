@@ -3,9 +3,10 @@
 The paper identifies loops via dominators: an edge ``<a, b>`` is a
 *backward edge* if ``b`` dominates ``a``, and the loop of a backward
 edge consists of all nodes on paths from ``b`` to ``a`` (Section 2).
-This module implements the classic iterative dominator dataflow (the
-CFGs here are small, so the simple O(n²) fixpoint is plenty) and the
-natural-loop construction.
+This module computes immediate dominators with the Cooper–Harvey–Kennedy
+algorithm ("A Simple, Fast Dominance Algorithm", 2001: iterate over
+reverse postorder, intersecting predecessors' dominator-tree paths) and
+builds the natural loops on top.
 """
 
 from __future__ import annotations
@@ -18,9 +19,8 @@ def compute_dominators(cfg: CFG) -> dict[int, frozenset[int]]:
     """Return ``dom[v]`` = the set of nodes dominating ``v``.
 
     Every node dominates itself; the entry node dominates every node
-    reachable from it. Unreachable nodes (which the builder never
-    produces) would be reported as dominated by everything, so we guard
-    by restricting to reachable nodes. Computed once per graph (see
+    reachable from it. Only nodes reachable from the entry get an entry
+    (the builder produces no others). Computed once per graph (see
     :meth:`~repro.cfg.graph.CFG.derived`); treat the result as read-only.
     """
     return cfg.derived("dominators", _dominators)
@@ -29,41 +29,55 @@ def compute_dominators(cfg: CFG) -> dict[int, frozenset[int]]:
 def _dominators(cfg: CFG) -> dict[int, frozenset[int]]:
     if cfg.entry_id is None:
         raise CFGError("CFG has no entry node")
-    reachable = _reachable(cfg, cfg.entry_id)
-    all_ids = frozenset(reachable)
-    dom: dict[int, set[int]] = {
-        v: ({v} if v == cfg.entry_id else set(all_ids)) for v in reachable
-    }
+    order = _reverse_postorder(cfg, cfg.entry_id)
+    number = {node_id: position for position, node_id in enumerate(order)}
+    entry = cfg.entry_id
+    idom = {entry: entry}
     changed = True
     while changed:
         changed = False
-        for v in reachable:
-            if v == cfg.entry_id:
-                continue
-            preds = [p for p in cfg.predecessors(v) if p in all_ids]
-            if preds:
-                new = set.intersection(*(dom[p] for p in preds))
-            else:
-                new = set()
-            new.add(v)
-            if new != dom[v]:
-                dom[v] = new
+        for v in order[1:]:
+            new = None
+            for p in cfg.predecessors(v):
+                if p not in idom:
+                    continue
+                if new is None:
+                    new = p
+                    continue
+                # Walk both fingers up the tree to their common ancestor.
+                a, b = p, new
+                while a != b:
+                    while number[a] > number[b]:
+                        a = idom[a]
+                    while number[b] > number[a]:
+                        b = idom[b]
+                new = a
+            if idom.get(v) != new:
+                idom[v] = new
                 changed = True
-    return {v: frozenset(s) for v, s in dom.items()}
+    dom = {entry: frozenset((entry,))}
+    for v in order[1:]:
+        dom[v] = dom[idom[v]] | {v}
+    return dom
 
 
-def _reachable(cfg: CFG, start: int) -> list[int]:
+def _reverse_postorder(cfg: CFG, start: int) -> list[int]:
+    """Nodes reachable from *start*, each after all its DFS ancestors."""
     seen = {start}
-    order = [start]
-    stack = [start]
+    postorder: list[int] = []
+    stack = [(start, iter(cfg.successors(start)))]
     while stack:
-        current = stack.pop()
-        for nxt in cfg.successors(current):
-            if nxt not in seen:
-                seen.add(nxt)
-                order.append(nxt)
-                stack.append(nxt)
-    return order
+        node, children = stack[-1]
+        for child in children:
+            if child not in seen:
+                seen.add(child)
+                stack.append((child, iter(cfg.successors(child))))
+                break
+        else:
+            stack.pop()
+            postorder.append(node)
+    postorder.reverse()
+    return postorder
 
 
 def dominates(dom: dict[int, frozenset[int]], a: int, b: int) -> bool:

@@ -11,7 +11,6 @@ same index on every iteration.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 from repro.cfg.dominators import natural_loops
@@ -24,8 +23,7 @@ from repro.errors import CFGError
 #: and Phase II a rank-reachability dataflow over :func:`once_through`
 #: — so the cap bounds nothing ``transform`` accepts: it guards only
 #: witness/report paths and Phase III's ``_rebalance``, which reads
-#: :func:`enumerate_checkpoints` to pick a surplus checkpoint. Passing
-#: ``limit=`` to the checkpoint decision entry points is deprecated.
+#: :func:`enumerate_checkpoints` to pick a surplus checkpoint.
 DEFAULT_PATH_LIMIT = 100_000
 
 
@@ -220,25 +218,14 @@ class CheckpointEnumeration:
         return len(self.columns)
 
 
-def enumerate_checkpoints(
-    cfg: CFG, limit: int | None = None
-) -> CheckpointEnumeration:
+def enumerate_checkpoints(cfg: CFG) -> CheckpointEnumeration:
     """Enumerate ``C_i^γ`` along every acyclic path (paper §2).
 
     This is the explicit (exponential) enumeration; the decision
     procedure uses :func:`index_checkpoints` instead and only falls back
-    here for human-readable reports. Passing ``limit=`` is deprecated:
-    the decision procedure needs no path cap any more.
+    here for human-readable reports.
     """
-    if limit is not None:
-        warnings.warn(
-            "passing limit= to enumerate_checkpoints is deprecated; the "
-            "Condition 1 decision procedure uses index_checkpoints and "
-            "needs no path cap",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-    paths = acyclic_paths(cfg, limit=DEFAULT_PATH_LIMIT if limit is None else limit)
+    paths = acyclic_paths(cfg)
     per_path: list[tuple[int, ...]] = []
     for path in paths:
         checkpoints = tuple(
@@ -261,18 +248,8 @@ def enumerate_checkpoints(
     )
 
 
-def checkpoint_columns(
-    cfg: CFG, limit: int | None = None
-) -> tuple[frozenset[int], ...]:
+def checkpoint_columns(cfg: CFG) -> tuple[frozenset[int], ...]:
     """Shorthand: the ``S_i`` collections of *cfg* (1-indexed as i-1)."""
-    if limit is not None:
-        warnings.warn(
-            "passing limit= to checkpoint_columns is deprecated; the "
-            "Condition 1 decision procedure uses index_checkpoints and "
-            "needs no path cap",
-            DeprecationWarning,
-            stacklevel=2,
-        )
     return index_checkpoints(cfg).columns
 
 

@@ -38,10 +38,6 @@ class CFGError(ReproError):
     """Raised on malformed control-flow-graph operations."""
 
 
-class AttributeAnalysisError(ReproError):
-    """Raised when attribute/dataflow analysis cannot proceed."""
-
-
 class PhaseError(ReproError):
     """Base class for the three offline phases."""
 
@@ -132,21 +128,8 @@ class StorageWriteError(StorageError):
     """A checkpoint write failed permanently (all retries exhausted)."""
 
 
-class TornWriteError(StorageWriteError):
-    """A staged checkpoint write landed partially and failed validation.
-
-    Raised (or recorded on the write receipt) when the two-phase commit
-    detects that the staged bytes do not match the intended payload —
-    the torn blob is discarded and never published.
-    """
-
-
 class TransientStorageError(StorageError):
     """A retryable I/O error on stable storage (succeeds on retry)."""
-
-
-class CorruptCheckpointError(StorageError):
-    """A stored checkpoint failed its checksum at read time (bit rot)."""
 
 
 class RecoveryError(SimulationError):
@@ -185,10 +168,6 @@ class ExecutorQuarantineError(SimulationError):
     and the chaos sweep always supply one, turning quarantine into a
     structured error *outcome* instead of an exception.
     """
-
-
-class ProtocolError(ReproError):
-    """Raised by checkpointing protocols on invalid usage."""
 
 
 class AnalysisError(ReproError):

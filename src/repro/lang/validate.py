@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.attributes.expressions import abstract_eval
+from repro.attributes.expressions import evaluate, universe_points
 from repro.lang import ast_nodes as ast
 
 
@@ -129,38 +129,33 @@ def _check_endpoints(
     universe_sizes: tuple[int, ...],
     diagnostics: list[Diagnostic],
 ) -> None:
+    points = universe_points(universe_sizes)
     for node in ast.walk(program):
         if isinstance(node, ast.Send):
-            _check_endpoint(node.dest, node.line, "destination",
-                            universe_sizes, diagnostics)
-            _check_self_send(node, universe_sizes, diagnostics)
+            values = evaluate(node.dest, *points)
+            _check_endpoint(values, points, node.line, "destination",
+                            diagnostics)
+            _check_self_send(values, points, node.line, diagnostics)
         elif isinstance(node, ast.Recv):
-            _check_endpoint(node.source, node.line, "source",
-                            universe_sizes, diagnostics)
+            _check_endpoint(evaluate(node.source, *points), points,
+                            node.line, "source", diagnostics)
         elif isinstance(node, ast.Bcast):
-            _check_endpoint(node.root, node.line, "broadcast root",
-                            universe_sizes, diagnostics)
+            _check_endpoint(evaluate(node.root, *points), points,
+                            node.line, "broadcast root", diagnostics)
 
 
 def _check_endpoint(
-    expr: ast.Expr,
+    values: list[int | None],
+    points: tuple[list[int], list[int]],
     line: int,
     role: str,
-    universe_sizes: tuple[int, ...],
     diagnostics: list[Diagnostic],
 ) -> None:
     """Flag endpoints out of range for EVERY rank in EVERY size."""
-    ever_valid = False
-    ever_known = False
-    for nprocs in universe_sizes:
-        for rank in range(nprocs):
-            value = abstract_eval(expr, rank, nprocs)
-            if value is None:
-                return  # not statically decidable: no diagnostic
-            ever_known = True
-            if 0 <= value < nprocs:
-                ever_valid = True
-    if ever_known and not ever_valid:
+    if not values or None in values:
+        return  # not statically decidable: no diagnostic
+    _, nprocs = points
+    if not any(0 <= value < n for value, n in zip(values, nprocs)):
         diagnostics.append(
             Diagnostic(
                 "error",
@@ -171,26 +166,20 @@ def _check_endpoint(
 
 
 def _check_self_send(
-    node: ast.Send,
-    universe_sizes: tuple[int, ...],
+    values: list[int | None],
+    points: tuple[list[int], list[int]],
+    line: int,
     diagnostics: list[Diagnostic],
 ) -> None:
     """Flag sends whose destination always equals the sender's rank."""
-    always_self = True
-    ever_known = False
-    for nprocs in universe_sizes:
-        for rank in range(nprocs):
-            value = abstract_eval(node.dest, rank, nprocs)
-            if value is None:
-                return
-            ever_known = True
-            if value != rank:
-                always_self = False
-    if ever_known and always_self:
+    if not values or None in values:
+        return
+    ranks, _ = points
+    if all(value == rank for value, rank in zip(values, ranks)):
         diagnostics.append(
             Diagnostic(
                 "error",
-                node.line,
+                line,
                 "send targets the sender itself (deadlocks under "
                 "blocking receives)",
             )

@@ -30,9 +30,10 @@ Modes mirror :mod:`repro.phases.verification`:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro.attributes.contradiction import Universe
-from repro.attributes.liveness import checkpoint_liveness
+from repro.attributes.liveness import LivenessResult, checkpoint_liveness
 from repro.cfg.builder import build_cfg
 from repro.cfg.dominators import compute_dominators
 from repro.cfg.graph import ExtendedCFG
@@ -76,11 +77,11 @@ class PlacementResult:
             (``None`` on a result rebuilt from the transform cache).
         ordering_constraints: Loop-optimisation artifacts (empty in
             conservative mode).
-        checkpoint_live: Checkpoint statement ``node_id`` → variables
-            still live at that (final, post-motion) checkpoint — what a
-            liveness-pruned snapshot must retain.
-        checkpoint_dead: The complement per checkpoint — provably
-            rewritten-before-read on every path, safe to exclude.
+
+    The liveness of ``program``'s (final, post-motion) checkpoints is
+    computed on first access of :attr:`checkpoint_live` or
+    :attr:`checkpoint_dead`, and only then: of the pipeline, only the
+    placement report reads it.
     """
 
     program: ast.Program
@@ -88,8 +89,22 @@ class PlacementResult:
     verification: VerificationResult | None = None
     extended: ExtendedCFG | None = None
     ordering_constraints: tuple[OrderingConstraint, ...] = ()
-    checkpoint_live: dict[int, frozenset[str]] = field(default_factory=dict)
-    checkpoint_dead: dict[int, frozenset[str]] = field(default_factory=dict)
+
+    @cached_property
+    def _liveness(self) -> LivenessResult:
+        return checkpoint_liveness(self.program)
+
+    @property
+    def checkpoint_live(self) -> dict[int, frozenset[str]]:
+        """Checkpoint statement ``node_id`` → variables still live at
+        that checkpoint — what a liveness-pruned snapshot must retain."""
+        return self._liveness.live_out
+
+    @property
+    def checkpoint_dead(self) -> dict[int, frozenset[str]]:
+        """The complement per checkpoint — provably rewritten-before-read
+        on every path, safe to exclude."""
+        return self._liveness.dead
 
 
 @dataclass
@@ -159,18 +174,12 @@ def ensure_recovery_lines(
             constraints = (
                 loop_ordering_constraints(ext) if loop_optimization else ()
             )
-            # Liveness is computed on the *final* placement: motion
-            # changes which variables are rewritten between a
-            # checkpoint and their next read.
-            liveness = checkpoint_liveness(working)
             return PlacementResult(
                 program=working,
                 moves=tuple(moves),
                 verification=result,
                 extended=ext,
                 ordering_constraints=constraints,
-                checkpoint_live=dict(liveness.live_out),
-                checkpoint_dead=dict(liveness.dead),
             )
         if not result.balanced:
             moves.append(_rebalance(working, ext))

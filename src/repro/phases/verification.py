@@ -26,7 +26,6 @@ from repro.cfg.graph import ExtendedCFG
 from repro.cfg.paths import (
     CheckpointEnumeration,
     CheckpointIndexing,
-    enumerate_checkpoints,
     index_checkpoints,
 )
 from repro.errors import VerificationError
@@ -90,8 +89,7 @@ def check_condition1(
     path. Violations are discovered in the same order as the
     enumerating checker (ascending index, then sorted members, source
     before destination), so downstream phases see identical results;
-    :func:`check_condition1_enumerated` keeps the old procedure for
-    differential testing.
+    the old procedure lives on as the test suite's oracle.
     """
     indexing = index_checkpoints(ext.cfg)
     if not indexing.balanced:
@@ -251,58 +249,6 @@ def _checkpoint_reachability(
                     mask |= 1 << bits[child]
             reach[node_id] = mask
     return reach
-
-
-def check_condition1_enumerated(
-    ext: ExtendedCFG,
-    include_back_edge_paths: bool = True,
-    first_only: bool = False,
-) -> VerificationResult:
-    """The original path-enumerating Condition 1 checker.
-
-    Kept as the differential-testing and benchmarking reference for
-    :func:`check_condition1`; the two must agree on every program.
-    """
-    enumeration = enumerate_checkpoints(ext.cfg)
-    if not enumeration.balanced:
-        counts = sorted({len(seq) for seq in enumeration.per_path})
-        return VerificationResult(
-            ok=False,
-            enumeration=enumeration,
-            balanced=False,
-            reason=(
-                "paths carry different checkpoint counts "
-                f"{counts}; straight cuts are undefined"
-            ),
-        )
-    back_edges = {(e.src, e.dst) for e in find_back_edges(ext.cfg)}
-    exclude = () if include_back_edge_paths else tuple(back_edges)
-    violations: list[Violation] = []
-    for index, column in enumerate(enumeration.columns, start=1):
-        members = sorted(column)
-        for src in members:
-            for dst in members:
-                if src == dst:
-                    continue
-                path = ext.find_path(src, dst, exclude_back_edges=exclude)
-                if path is None:
-                    continue
-                uses_back = any(
-                    (path[k], path[k + 1]) in back_edges
-                    for k in range(len(path) - 1)
-                )
-                violations.append(
-                    Violation(
-                        index=index,
-                        src=src,
-                        dst=dst,
-                        path=tuple(path),
-                        uses_back_edge=uses_back,
-                    )
-                )
-                if first_only:
-                    return _result(violations, enumeration, ext)
-    return _result(violations, enumeration, ext)
 
 
 def _result(

@@ -36,12 +36,13 @@ from repro.attributes.dataflow import (
     classify_variables,
     single_assignments,
 )
-from repro.attributes.expressions import abstract_eval
 from repro.cfg.builder import build_cfg
 from repro.cfg.graph import CFG, Edge
 from repro.cfg.nodes import NodeKind
 from repro.cfg.paths import once_through
 from repro.lang import ast_nodes as ast
+
+from .scalar_eval import scalar_eval
 
 
 @dataclass(frozen=True)
@@ -53,7 +54,7 @@ class PathConstraint:
 
     def holds(self, rank, nprocs, defs) -> bool | None:
         """Whether the constraint holds for *rank* (None: unknown)."""
-        value = abstract_eval(self.condition, rank, nprocs, defs)
+        value = scalar_eval(self.condition, rank, nprocs, defs)
         if value is None:
             return None
         return bool(value) == self.polarity
@@ -78,7 +79,7 @@ class NodeContext:
 
     def endpoint_value(self, rank, nprocs, defs) -> int | None:
         """The endpoint's concrete value for *rank*, or None if unknown."""
-        return abstract_eval(self.endpoint, rank, nprocs, defs)
+        return scalar_eval(self.endpoint, rank, nprocs, defs)
 
 
 def edge_paths(cfg: CFG) -> list[tuple[Edge, ...]]:

@@ -6,13 +6,15 @@ rank-reachability mask per node (``repro.attributes.domain``);
 occurrence on every once-through path. The dataflow is distributive, so
 the two must agree exactly — on generated programs with nested and
 sequential ID-dependent branches, empty arms, loops (also a loop ending
-in a loop), collectives and irregular conditions — while the number of abstract evaluations stays linear in
-the number of branches.
+in a loop), collectives and irregular conditions — while each condition
+and each endpoint is evaluated once, whatever the number of paths or
+system sizes.
 """
 
 from hypothesis import given, settings
 
 from repro.attributes import domain
+from repro.attributes.contradiction import Universe
 from repro.lang import ast_nodes as ast
 from repro.lang.parser import parse
 from repro.phases.matching import match_messages
@@ -148,24 +150,34 @@ class TestOperationCount:
     """The cost the dataflow removed cannot come back unseen."""
 
     @staticmethod
-    def _evaluations(monkeypatch, source: str) -> int:
+    def _evaluations(monkeypatch, source: str, universe=Universe()) -> int:
         calls = []
-        real = domain.abstract_eval
+        real = domain.evaluate
 
         def counting(*args):
             calls.append(1)
             return real(*args)
 
-        monkeypatch.setattr(domain, "abstract_eval", counting)
-        match_messages(parse(source))
+        with monkeypatch.context() as patch:
+            patch.setattr(domain, "evaluate", counting)
+            match_messages(parse(source), universe=universe)
         return len(calls)
 
     def test_evaluations_grow_linearly_with_diamonds(self, monkeypatch):
         at_8 = self._evaluations(monkeypatch, diamond_chain(8))
         at_16 = self._evaluations(monkeypatch, diamond_chain(16))
-        # 152 (size, rank) points per condition, as many per endpoint.
-        assert at_8 == 152 * (8 + 1) + 152
-        assert at_16 - at_8 == 152 * 8
+        # 8 diamonds + the exchange branch, then the send and the recv:
+        # one call each, over all 152 (size, rank) points at once.
+        assert at_8 == (8 + 1) + 2
+        assert at_16 - at_8 == 8
+
+    def test_evaluations_do_not_grow_with_the_universe(self, monkeypatch):
+        source = diamond_chain(8)
+        counts = [
+            self._evaluations(monkeypatch, source, Universe(sizes=sizes))
+            for sizes in ((2,), tuple(range(2, 18)), tuple(range(2, 65)))
+        ]
+        assert counts == [11, 11, 11]
 
     def test_program_without_messages_evaluates_nothing(self, monkeypatch):
         source = diamond_chain(9, exchange=False)

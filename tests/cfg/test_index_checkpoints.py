@@ -1,4 +1,4 @@
-"""Tests for the bitmask checkpoint indexing and the path-limit deprecation.
+"""Tests for the bitmask checkpoint indexing.
 
 :func:`~repro.cfg.paths.index_checkpoints` must agree with
 :func:`~repro.cfg.paths.enumerate_checkpoints` on depth, balance, and
@@ -79,16 +79,6 @@ class TestAgainstEnumeration:
 
 
 class TestPathLimitDeprecation:
-    def test_enumerate_warns_on_limit(self):
-        cfg = build_cfg(load_program("jacobi"))
-        with pytest.deprecated_call():
-            enumerate_checkpoints(cfg, limit=1000)
-
-    def test_checkpoint_columns_warns_on_limit(self):
-        cfg = build_cfg(load_program("jacobi"))
-        with pytest.deprecated_call():
-            checkpoint_columns(cfg, limit=1000)
-
     def test_no_warning_without_limit(self, recwarn):
         cfg = build_cfg(load_program("jacobi"))
         enumerate_checkpoints(cfg)

@@ -137,3 +137,48 @@ class TestPropertyRepair:
         source = generate_exchange_program(seed, checkpoint_position="head")
         result = ensure_recovery_lines(source)
         assert result.moves == ()
+
+
+class TestLivenessOnRead:
+    """Only the placement report reads checkpoint liveness, so neither
+    Phase III nor a transform-cache hit may compute it."""
+
+    @staticmethod
+    def _count_liveness(monkeypatch) -> list:
+        from repro.attributes import liveness
+        from repro.phases import placement
+
+        calls = []
+        real = liveness.checkpoint_liveness
+
+        def counting(program):
+            calls.append(program)
+            return real(program)
+
+        monkeypatch.setattr(liveness, "checkpoint_liveness", counting)
+        monkeypatch.setattr(placement, "checkpoint_liveness", counting)
+        return calls
+
+    def test_placement_computes_liveness_once_when_read(self, monkeypatch):
+        calls = self._count_liveness(monkeypatch)
+        result = ensure_recovery_lines(jacobi_odd_even())
+        assert calls == []
+        live, dead = result.checkpoint_live, result.checkpoint_dead
+        assert result.checkpoint_live is live
+        assert result.checkpoint_dead is dead
+        assert calls == [result.program]
+        for stmt_id in live:
+            assert not live[stmt_id] & dead[stmt_id]
+
+    def test_cache_hit_computes_no_liveness(self, monkeypatch, tmp_path):
+        from repro.campaign.cache import TransformCache
+        from repro.phases.pipeline import transform
+
+        cache = TransformCache(tmp_path)
+        transform(jacobi_odd_even(), cache=cache)
+        calls = self._count_liveness(monkeypatch)
+        cached = transform(jacobi_odd_even(), cache=cache)
+        assert cache.hits == 1
+        assert calls == []
+        assert cached.placement.checkpoint_live
+        assert len(calls) == 1

@@ -2,7 +2,7 @@
 
 :func:`~repro.phases.verification.check_condition1` decides Condition 1
 with a reverse-postorder bitmask DP plus an SCC transitive closure;
-:func:`~repro.phases.verification.check_condition1_enumerated` is the
+:func:`.enumerating_checker.check_condition1_enumerated` is the
 original path-enumerating procedure it replaced. The two must agree —
 verdict, balance, reason string, and the exact violation list — on
 every program, including the branchy ones where enumeration is
@@ -14,12 +14,10 @@ import pytest
 from repro.lang.parser import parse
 from repro.lang.programs import load_program, program_names
 from repro.phases.matching import build_extended_cfg
-from repro.phases.verification import (
-    check_condition1,
-    check_condition1_enumerated,
-)
+from repro.phases.verification import check_condition1
 
 from ..cfg.branchy import branchy_program
+from .enumerating_checker import check_condition1_enumerated
 
 
 def verdict(result):

@@ -5,6 +5,7 @@ it, so a renamed test, a deleted tool or a regenerated result must
 update the docs in the same change.
 """
 
+import json
 import re
 from pathlib import Path
 
@@ -74,3 +75,96 @@ def test_quoted_gamma_values_are_committed_results():
     committed = (RESULTS / "figure7_markov.txt").read_text()
     for value in values:
         assert f": {value.replace('±', '+/-')}\n" in committed, value
+
+
+#: A committed full benchmark run, cited by path.
+BENCH_RUN = re.compile(r"results/BENCH_run_\w+\.json")
+#: A quoted number; digits inside an identifier (``p50``, ``pr31``,
+#: ``V9``) are not quotes.
+QUOTED_NUMBER = re.compile(r"(?<![\w.])\d+(?:\.\d+)?(?!\w)")
+
+
+def _sentences(text: str) -> list[str]:
+    """The prose sentences and table-cell sentences of a markdown text
+    (fenced code skipped; a paragraph or list item is joined first)."""
+    units: list[str] = []
+    paragraph: list[str] = []
+    fenced = False
+    for line in text.splitlines() + [""]:
+        stripped = line.strip()
+        if stripped.startswith("```"):
+            fenced = not fenced
+            continue
+        if fenced:
+            continue
+        starts_unit = not stripped or stripped.startswith(("|", "#", "- "))
+        if starts_unit and paragraph:
+            units.append(" ".join(paragraph))
+            paragraph = []
+        if stripped.startswith("|"):
+            units.extend(stripped.strip("|").split("|"))
+        elif stripped:
+            paragraph.append(stripped)
+    return [
+        sentence
+        for unit in units
+        for sentence in re.split(r"(?<=\.)\s+", unit)
+    ]
+
+
+def _bench_numbers(path: str) -> tuple[set[str], list[float]]:
+    """The integers (as text) and all numbers of one result file,
+    including those inside its strings."""
+    integers: set[str] = set()
+    numbers: list[float] = []
+
+    def visit(value) -> None:
+        if isinstance(value, bool):
+            return
+        if isinstance(value, int):
+            integers.add(str(value))
+            numbers.append(float(value))
+        elif isinstance(value, float):
+            numbers.append(value)
+        elif isinstance(value, str):
+            for token in QUOTED_NUMBER.findall(value):
+                if "." not in token:
+                    integers.add(token)
+                numbers.append(float(token))
+        elif isinstance(value, dict):
+            for item in value.values():
+                visit(item)
+        elif isinstance(value, list):
+            for item in value:
+                visit(item)
+
+    visit(json.loads((REPO_ROOT / path).read_text()))
+    return integers, numbers
+
+
+def _appears(token: str, files: list[tuple[set[str], list[float]]]) -> bool:
+    """*token* is some number of *files* at the token's precision."""
+    if "." not in token:
+        return any(token in integers for integers, _ in files)
+    places = len(token.split(".")[1])
+    return any(
+        f"{number:.{places}f}" == token
+        for _, numbers in files
+        for number in numbers
+    )
+
+
+@pytest.mark.parametrize("doc", DOCS)
+def test_numbers_quoted_from_bench_runs_are_in_them(doc):
+    """A sentence that cites a ``results/BENCH_run_*.json`` file quotes
+    only numbers that file holds, at the quoted precision."""
+    drifted = []
+    for sentence in _sentences((REPO_ROOT / doc).read_text()):
+        cited = sorted(set(BENCH_RUN.findall(sentence)))
+        if not cited:
+            continue
+        files = [_bench_numbers(path) for path in cited]
+        for token in QUOTED_NUMBER.findall(BENCH_RUN.sub("", sentence)):
+            if not _appears(token, files):
+                drifted.append((token, sentence))
+    assert drifted == []
