@@ -4,13 +4,14 @@ The simulator produces one :class:`TraceEvent` per computation, send,
 receive, checkpoint, failure, or restart event. Records carry the
 simulation time, the process's vector clock *after* the event, and
 event-specific payload fields. They are immutable so traces can be
-shared freely between analyses.
+shared freely between analyses, and one tuple each, so the engine
+builds one per event with a single allocation.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.causality.vector_clock import VectorClock
 
@@ -29,8 +30,7 @@ class EventKind(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
     """One event in a process's local history.
 
     Attributes:

@@ -808,29 +808,18 @@ class CompiledProcess:
     def _snapshot(self, env: dict[str, int]) -> ProcessSnapshot:
         """The snapshot of the current state that stores *env*."""
         frames = []
-        loops = self._loops
-        loop_index = 0
+        loops = iter(self._loops)
         for entry in self._tmpl:
             kind = entry[0]
             if kind == "block":
-                frames.append(
-                    FrameState("block", entry[1], entry[2], None, 0, 0)
-                )
+                frame = (kind, entry[1], entry[2], None, 0, 0)
             elif kind == "while":
-                trip = loops[loop_index][0]
-                loop_index += 1
-                frames.append(
-                    FrameState("while", None, 0, entry[1], 0, trip)
-                )
+                frame = (kind, None, 0, entry[1], 0, next(loops)[0])
             else:
-                remaining, trip = loops[loop_index]
-                loop_index += 1
-                frames.append(
-                    FrameState("for", None, 0, entry[1], remaining, trip)
-                )
-        # Built through __dict__ (see the engine's trace events): one
-        # snapshot per checkpoint, and the generated frozen __init__
-        # costs ~3x this path.
+                frame = (kind, None, 0, entry[1], *next(loops))
+            frames.append(tuple.__new__(FrameState, frame))
+        # Built through __dict__: one snapshot per checkpoint, and the
+        # generated frozen __init__ costs ~3x this path.
         snap = ProcessSnapshot.__new__(ProcessSnapshot)
         snap.__dict__.update(
             env=env,

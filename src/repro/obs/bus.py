@@ -67,9 +67,9 @@ class EventBus:
         return self._publish(category, name, rank, time, clock, fields)
 
     def _publish(self, category, name, rank, time, clock, fields) -> ObsEvent:
-        # Build the frozen event through __dict__ directly, as
-        # ExecutionTrace.append does: the generated frozen __init__
-        # (object.__setattr__ per field) costs ~3x this path.
+        # Build the frozen event through __dict__ directly: the
+        # generated frozen __init__ (object.__setattr__ per field)
+        # costs ~3x this path.
         event = ObsEvent.__new__(ObsEvent)
         event.__dict__.update(
             seq=self._seq,

@@ -16,10 +16,9 @@ clocks before restoring.
 
 from __future__ import annotations
 
+from itertools import permutations
 from typing import TYPE_CHECKING
 
-from repro.causality.cuts import CheckpointCut, cut_is_consistent
-from repro.causality.records import EventKind
 from repro.errors import RecoveryError
 from repro.protocols.base import CheckpointingProtocol
 
@@ -50,7 +49,7 @@ class ApplicationDrivenProtocol(CheckpointingProtocol):
         """
         found = self.deepest_intact_cut(sim)
         number, members, _ = found
-        self._validate_cut(sim, number, list(members.values()))
+        self._validate_cut(number, members.values())
         sim.emit(
             "cut-validated", None, time,
             protocol=self.name, number=number,
@@ -59,28 +58,18 @@ class ApplicationDrivenProtocol(CheckpointingProtocol):
             self.restore_common_number(sim, time, found)
         )
 
-    def _validate_cut(self, sim: "Simulation", common: int, members) -> None:
+    def _validate_cut(self, common: int, members) -> None:
         """Check by vector clocks that the straight cut is a recovery line.
 
-        Uses the *trace*'s checkpoint events (same clocks as storage);
-        a failure here means the program was not properly transformed —
-        surfacing it beats silently restoring an inconsistent state.
+        Reads each stored member's own clock (the object its trace
+        event carries too); a failure here means the program was not
+        properly transformed — surfacing it beats silently restoring an
+        inconsistent state.
         """
         if common <= 0:
             return  # initial cut, trivially consistent
-        # Build a lightweight cut from the stored clocks by reusing the
-        # checkpoint events recorded in the trace.
-        events = []
-        for stored in members:
-            for event in sim.trace.events_for(stored.rank):
-                if (
-                    event.kind is EventKind.CHECKPOINT
-                    and event.checkpoint_number == stored.number
-                ):
-                    chosen = event
-            events.append(chosen)
-        cut = CheckpointCut(members=tuple(events))
-        if not cut_is_consistent(cut):
+        clocks = [stored.clock for stored in members]
+        if any(a.happened_before(b) for a, b in permutations(clocks, 2)):
             raise RecoveryError(
                 f"straight cut R_{common} is not a recovery line — "
                 "the program was not transformed by Phase III"

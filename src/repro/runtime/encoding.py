@@ -233,19 +233,25 @@ def checkpoint_record(checkpoint) -> tuple:
 _MISSING = object()
 
 
+def _differs(a, b) -> bool:
+    """Type-strict ``!=``, into tuples too: ``True`` vs ``1`` differ, and
+    so do ``(True, 0)`` vs ``(1, 0)``."""
+    if a.__class__ is not b.__class__ or a != b:
+        return True
+    return a.__class__ is tuple and any(map(_differs, a, b))
+
+
 def _changed(new: dict, old: dict) -> tuple:
     """``(key, value)`` pairs of *new* absent-or-different in *old*.
 
-    Comparison is type-strict (``True`` vs ``1`` counts as a change) so
-    reconstruction is byte-identical, not merely ``==``.
+    Comparison is type-strict (:func:`_differs`) so reconstruction is
+    byte-identical, not merely ``==``.
     """
     get = old.get
-    changes = []
-    for key, value in new.items():
-        previous = get(key, _MISSING)
-        if previous.__class__ is not value.__class__ or previous != value:
-            changes.append((key, value))
-    return tuple(changes)
+    return tuple(
+        (key, value) for key, value in new.items()
+        if _differs(get(key, _MISSING), value)
+    )
 
 
 def _changed_indices(clock: tuple, parent_clock: tuple) -> list[int]:
@@ -288,6 +294,23 @@ def delta_record(checkpoint, parent) -> tuple:
 _NO_MAP: dict = {}
 _STALE = object()
 
+#: ``encoded_size`` of an int by its bit length, for every length whose
+#: byte count fits a one-byte varint.
+_INT_SIZES = tuple(2 + (bits + 8) // 8 for bits in range(1016))
+
+
+def _sized(value) -> int:
+    """:func:`encoded_size` of a value an int lookup did not price: a
+    pair of ints (a channel cursor) by two lookups, anything else by
+    the call."""
+    if value.__class__ is tuple and len(value) == 2:
+        first, second = value
+        if first.__class__ is int and second.__class__ is int:
+            first, second = first.bit_length(), second.bit_length()
+            if first < 1016 and second < 1016:
+                return 2 + _INT_SIZES[first] + _INT_SIZES[second]
+    return encoded_size(value)
+
 
 class SizeLedger:
     """Structural sizes of checkpoints, each priced from the one before.
@@ -295,11 +318,13 @@ class SizeLedger:
     The ledger mirrors one checkpoint (:attr:`entry`): per map — env
     slots, input counters, channel cursors — the running sum of its
     ``(key, value)`` pair sizes. A small clock is diffed as one integer.
-    :meth:`price` compares a checkpoint with that entry and sends only
-    the changed pairs (the new value in, the old one out) through
-    :func:`encoded_size`, which gives the full record's size (the
-    sums), the delta record's (the changed pairs) and whether a key
-    disappeared, in one pass per map.
+    :meth:`price` compares a checkpoint with that entry and prices only
+    the changed pairs (the new value in, the old one out), which gives
+    the full record's size (the sums), the delta record's (the changed
+    pairs) and whether a key disappeared, in one pass per map. An
+    exact int, or a pair of them as cursors are, is priced by lookups
+    in a bit-length table; any other value goes through
+    :func:`encoded_size`.
     Handed a parent other than the mirrored entry — first commit,
     restore, re-base, a write that never landed — it rebuilds the
     mirror from that parent, so nothing ever has to reset a ledger.
@@ -420,23 +445,40 @@ class SizeLedger:
         if not (new or old):
             return 2, 2
         key_sizes = self._key_sizes
-        body = self._bodies[slot]
+        table = _INT_SIZES
         get = old.get
+        body = self._bodies[slot]
         changed = count = added = 0
         for key, value in new.items():
             previous = get(key, _MISSING)
-            if previous.__class__ is not value.__class__ or previous != value:
-                head = key_sizes.get(key)
-                if head is None:
-                    head = key_sizes[key] = 2 + encoded_size(key)
-                size = encoded_size(value)
-                if previous is _MISSING:
-                    added += 1
-                    body += head + size
-                else:
-                    body += size - encoded_size(previous)
-                changed += head + size
-                count += 1
+            cls = value.__class__
+            # Type-strict: True vs 1, or (True, 0) vs (1, 0), is a change.
+            if (
+                previous == value
+                and previous.__class__ is cls
+                and (cls is not tuple or not _differs(previous, value))
+            ):
+                continue
+            head = key_sizes.get(key)
+            if head is None:
+                head = key_sizes[key] = 2 + encoded_size(key)
+            # An int (every env slot and input counter the engine
+            # stores) is one lookup in the size table.
+            if cls is int and (bits := value.bit_length()) < 1016:
+                size = table[bits]
+            else:
+                size = _sized(value)
+            if previous is _MISSING:
+                added += 1
+                body += head + size
+            elif previous.__class__ is int and (
+                (bits := previous.bit_length()) < 1016
+            ):
+                body += size - table[bits]
+            else:
+                body += size - _sized(previous)
+            changed += head + size
+            count += 1
         if len(new) == len(old) + added:
             changed += 2 if count < 0x80 else 1 + _varint_size(count)
         else:

@@ -1501,9 +1501,8 @@ class Simulation:
             snapshot = proc.interp.snapshot_pruned(stmt_id)
         else:
             snapshot = proc.interp.snapshot()
-        # Built through __dict__ like the trace's events: checkpoints
-        # are the third per-effect frozen-dataclass allocation on the
-        # hot path, and the generated __init__ costs ~3x this.
+        # Built through __dict__: the generated frozen __init__ costs
+        # ~3x this, and the lazy size caches live in the same dict.
         stored = StoredCheckpoint.__new__(StoredCheckpoint)
         fields = stored.__dict__
         fields.update(

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.errors import ChannelError
 from repro.runtime.transport import (
@@ -48,8 +49,7 @@ def _mix(*values: int) -> int:
     return acc & _MASK
 
 
-@dataclass(frozen=True)
-class Message:
+class Message(NamedTuple):
     """One application message.
 
     ``channel`` is ``(src, dst, lane)``; the lane separates point-to-
@@ -64,7 +64,7 @@ class Message:
     value: int
     send_time: float
     arrival_time: float
-    piggyback: dict[str, int] = field(default_factory=dict)
+    piggyback: dict[str, int]
 
     @property
     def channel(self) -> tuple[int, int, str]:
@@ -121,10 +121,10 @@ class Network:
         # latency() is a pure function of (seed, src, dst); memoise it so
         # the per-send cost is one dict hit instead of a hash mix.
         self._latency_cache: dict[tuple[int, int], float] = {}
-        # Per-rank channel keys (creation order), so checkpoint cursor
-        # snapshots touch only a rank's own channels instead of scanning
-        # every channel in the system.
-        self._rank_channels: dict[int, list[tuple[int, int, str]]] = {}
+        # Per-rank (key, channel) pairs (creation order), so checkpoint
+        # cursor snapshots touch only a rank's own channels instead of
+        # scanning every channel in the system.
+        self._rank_channels: dict[int, list[tuple[tuple, _Channel]]] = {}
         self._ids = itertools.count(1)
         # Arrival notification hook: called with each Message the moment
         # it is appended to a channel log. The engine's indexed scheduler
@@ -138,9 +138,9 @@ class Network:
         if channel is None:
             channel = self._channels[key] = _Channel()
             src, dst, _ = key
-            self._rank_channels.setdefault(src, []).append(key)
+            self._rank_channels.setdefault(src, []).append((key, channel))
             if dst != src:
-                self._rank_channels.setdefault(dst, []).append(key)
+                self._rank_channels.setdefault(dst, []).append((key, channel))
         return channel
 
     def latency(self, src: int, dst: int) -> float:
@@ -166,8 +166,10 @@ class Network:
         piggyback: dict[str, int] | None = None,
     ) -> Message:
         """Append a message to the (src, dst, lane) channel."""
-        self._check_rank(src)
-        self._check_rank(dst)
+        n = self.n_processes
+        if not (0 <= src < n and 0 <= dst < n):
+            self._check_rank(src)
+            self._check_rank(dst)
         channel = self._channel((src, dst, lane))
         if channel.replayed is not None and channel.replayed < len(channel.log):
             # A recovering sender re-executing a logged send: suppress
@@ -193,20 +195,12 @@ class Network:
         )
         arrival = max(delivery.delivery_time, channel.last_arrival)
         channel.last_arrival = arrival
-        # Build the frozen message through __dict__ directly: one
-        # message per application send, and the generated frozen
-        # __init__ (object.__setattr__ per field) costs ~3x this path.
-        message = Message.__new__(Message)
-        message.__dict__.update(
-            message_id=next(self._ids),
-            src=src,
-            dst=dst,
-            lane=lane,
-            value=value,
-            send_time=send_time,
-            arrival_time=arrival,
-            piggyback=dict(piggyback) if piggyback else {},
-        )
+        # tuple.__new__ skips the generated __new__'s argument binding:
+        # one message per application send.
+        message = tuple.__new__(Message, (
+            next(self._ids), src, dst, lane, value, send_time, arrival,
+            dict(piggyback) if piggyback else {},
+        ))
         channel.log.append(message)
         if self.on_enqueue is not None:
             self.on_enqueue(message)
@@ -276,11 +270,10 @@ class Network:
         assembled from per-process checkpoints can rebuild every
         channel.
         """
-        cursors: dict[tuple[int, int, str], tuple[int, int]] = {}
-        for key in self._rank_channels.get(rank, ()):
-            channel = self._channels[key]
-            cursors[key] = (channel.sent, channel.delivered)
-        return cursors
+        return {
+            key: (len(channel.log), channel.delivered)
+            for key, channel in self._rank_channels.get(rank, ())
+        }
 
     def rollback(
         self,

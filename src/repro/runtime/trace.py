@@ -50,20 +50,12 @@ class ExecutionTrace:
         """Record an event, assigning its local-history sequence number."""
         seq = self._seq.get(process, 0)
         self._seq[process] = seq + 1
-        # Build the frozen event through __dict__ directly: the engine
-        # appends one event per traced effect, and the generated frozen
-        # __init__ (object.__setattr__ per field) costs ~3x this path.
-        event = TraceEvent.__new__(TraceEvent)
-        event.__dict__.update(
-            kind=kind,
-            process=process,
-            seq=seq,
-            time=time,
-            clock=clock,
-            message_id=message_id,
-            peer=peer,
-            checkpoint_number=checkpoint_number,
-            stmt_id=stmt_id,
+        # tuple.__new__ skips the generated __new__'s argument binding:
+        # the engine appends one event per traced effect.
+        event = tuple.__new__(
+            TraceEvent,
+            (kind, process, seq, time, clock, message_id, peer,
+             checkpoint_number, stmt_id),
         )
         self.events.append(event)
         if self.observer is not None:

@@ -36,6 +36,7 @@ from __future__ import annotations
 import math
 import zlib
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.errors import ChannelError, SimulationError
 from repro.runtime.failures import NetworkFaultEvent, NetworkFaultKind
@@ -178,8 +179,7 @@ class _ChannelTransport:
     last_delivery: float = 0.0  # receiver: release time of that seq
 
 
-@dataclass(frozen=True)
-class Delivery:
+class Delivery(NamedTuple):
     """Outcome of one reliable transmission.
 
     ``delivery_time`` is when the receiver releases the payload to the
@@ -229,9 +229,12 @@ class ReliableTransport:
         :class:`~repro.errors.ChannelError` when ``max_attempts``
         transmissions all fail (an unhealed partition, in practice).
         """
-        state = self._channels.setdefault(
-            (src, dst, lane), _ChannelTransport()
-        )
+        # get-then-insert: setdefault would build a throwaway state on
+        # every send to a known channel.
+        key = (src, dst, lane)
+        state = self._channels.get(key)
+        if state is None:
+            state = self._channels[key] = _ChannelTransport()
         seq = state.next_seq
         state.next_seq += 1
         if (
@@ -254,11 +257,7 @@ class ReliableTransport:
             )
             state.delivered_seq = seq
             state.last_delivery = delivery
-            result = Delivery.__new__(Delivery)
-            result.__dict__.update(
-                delivery_time=delivery, seq=seq, attempts=1, extra_copies=()
-            )
-            return result
+            return tuple.__new__(Delivery, (delivery, seq, 1, ()))
         crc = frame_checksum(seq, value)
         rto = self.config.rto_factor * latency
         attempt_time = send_time

@@ -1,12 +1,17 @@
 """End-to-end transform() pipeline tests."""
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from repro.errors import MatchingError, PlacementError
 from repro.lang import ast_nodes as ast
 from repro.lang.programs import jacobi, jacobi_odd_even, jacobi_plain
 from repro.phases.insertion import CostModel
 from repro.phases.pipeline import transform
 from repro.phases.verification import verify_program
+
+from ..attributes.program_strategies import grammar_programs
 
 
 class TestTransform:
@@ -73,3 +78,37 @@ class TestTransform:
         before = copy.deepcopy(source)
         transform(source)
         assert ast_equal(source, before)
+
+
+class TestVerificationIsPhaseThreesLastCheck:
+    """Phase IV reuses Phase III's last, ok, Condition 1 check: on the
+    same extended CFG and back-edge setting an ok check never stops at a
+    first violation, so it equals a fresh full check."""
+
+    @staticmethod
+    def agree(program, loop_optimization):
+        from repro.phases.verification import check_condition1
+
+        result = transform(program, loop_optimization=loop_optimization)
+        assert result.verification == check_condition1(
+            result.placement.extended,
+            include_back_edge_paths=not loop_optimization,
+        )
+        return result
+
+    @pytest.mark.parametrize("loop_optimization", [False, True])
+    def test_on_every_shipped_program(self, loop_optimization):
+        from repro.lang.programs import load_program, program_names
+
+        names = program_names()
+        assert len(names) == 14
+        for name in names:
+            self.agree(load_program(name), loop_optimization)
+
+    @settings(max_examples=40, deadline=None)
+    @given(program=grammar_programs(), loop_optimization=st.booleans())
+    def test_on_grammar_programs(self, program, loop_optimization):
+        try:
+            self.agree(program, loop_optimization)
+        except (MatchingError, PlacementError):
+            assume(False)  # the grammar also draws unmatched programs

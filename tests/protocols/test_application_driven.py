@@ -4,6 +4,7 @@ from collections import Counter
 
 import pytest
 
+from repro.causality.records import EventKind
 from repro.errors import RecoveryError
 from repro.lang.programs import default_params, jacobi, jacobi_odd_even, ring_pipeline
 from repro.protocols import ApplicationDrivenProtocol
@@ -17,6 +18,7 @@ from repro.runtime import (
     Simulation,
     StorageFaultEvent,
 )
+from repro.runtime.trace import ExecutionTrace
 
 
 class TestCoordinationFreedom:
@@ -149,3 +151,57 @@ class TestOneSearchPerAttempt:
         assert result.stats.recovery_attempts == attempts
         assert result.stats.fallback_depths == depths
         assert reads and set(reads.values()) == {1}
+
+
+class TestCutValidationReadsStoredClocks:
+    """The cut is validated from its stored members' own clocks (the
+    objects their trace events carry), never from the trace: a member
+    whose event is missing still gets the right verdict, and a recovery
+    costs no scan of the trace per member."""
+
+    @staticmethod
+    def finished(program):
+        protocol = ApplicationDrivenProtocol()
+        sim = Simulation(program, 4, params={"steps": 6}, protocol=protocol)
+        result = sim.run()
+        return protocol, sim, result.completion_time
+
+    @staticmethod
+    def drop_checkpoint_events(sim, rank):
+        sim.trace.events[:] = [
+            event for event in sim.trace.events
+            if not (event.process == rank and event.kind is EventKind.CHECKPOINT)
+        ]
+
+    @pytest.mark.parametrize("rank", [0, 2])
+    def test_consistent_cut_with_a_member_missing_its_event(self, rank):
+        protocol, sim, end = self.finished(jacobi())
+        self.drop_checkpoint_events(sim, rank)
+        protocol.on_failure(sim, 1, end)
+        assert protocol.recovered_to[-1] >= 1
+
+    @pytest.mark.parametrize("rank", [0, 2])
+    def test_inconsistent_cut_with_a_member_missing_its_event(self, rank):
+        protocol, sim, end = self.finished(jacobi_odd_even())
+        self.drop_checkpoint_events(sim, rank)
+        with pytest.raises(RecoveryError, match="not a recovery line"):
+            protocol.on_failure(sim, 1, end)
+
+    def test_validation_never_reads_the_trace(self, monkeypatch):
+        def scan(*args):
+            raise AssertionError("cut validation read the trace")
+
+        monkeypatch.setattr(ExecutionTrace, "events_for", scan)
+        monkeypatch.setattr(ExecutionTrace, "checkpoint_events", scan)
+        protocol = ApplicationDrivenProtocol()
+        result = Simulation(
+            jacobi(), 4, params={"steps": 10}, protocol=protocol,
+            failure_plan=FailurePlan.single(12.0, 3),
+        ).run()
+        assert result.stats.completed and protocol.recovered_to[0] >= 1
+        with pytest.raises(RecoveryError, match="not a recovery line"):
+            Simulation(
+                jacobi_odd_even(), 4, params={"steps": 10},
+                protocol=ApplicationDrivenProtocol(),
+                failure_plan=FailurePlan.single(12.0, 1),
+            ).run()

@@ -23,6 +23,7 @@ from repro.runtime import Simulation
 from repro.runtime.encoding import (
     SizeLedger,
     _changed,
+    apply_delta,
     checkpoint_record,
     checkpoint_sizes,
     delta_encodable,
@@ -241,6 +242,112 @@ class TestLedgerMatchesTheEncoder:
         assert ledger.price(second, first) == encoded_sizes(second, first)
 
 
+# Ints and int pairs are priced from the ledger's size table; flips to
+# and from ``bool`` (``1`` and ``True`` are ``==``), other types, ints
+# either side of the table's end and dropped keys must leave it exact.
+ints = st.one_of(
+    st.integers(-3, 3),
+    st.integers(-(2**40), 2**40),
+    st.sampled_from([127, 128, -128, -129, 2**1015 - 1, 2**1015,
+                     -(2**1015), 2**2040]),
+)
+odd = st.sampled_from([True, False, 1.0, 0.5, None, "s"])
+many_names = st.sampled_from([f"v{i}" for i in range(12)] + ["é" * 70])
+
+
+def flipped(value):
+    """*value* as another type: ``bool`` <-> ``int``, else back to 1."""
+    if value.__class__ is tuple:
+        return (flipped(value[0]), *value[1:])
+    if value.__class__ is bool:
+        return int(value)
+    if value.__class__ is int:
+        return bool(value % 2)
+    return 1
+
+
+@st.composite
+def int_heavy(draw, base, keys, pairs, grow=3):
+    def fresh():
+        return draw(st.tuples(ints, ints) if pairs else ints)
+
+    result = {
+        key: fresh() if draw(st.booleans()) else value
+        for key, value in base.items()
+    }
+    for key in draw(st.lists(keys, max_size=grow)):
+        result.setdefault(key, fresh())
+    mode = draw(st.sampled_from("iiifod"))
+    if result and mode != "i":
+        key = draw(st.sampled_from(sorted(result, key=repr)))
+        if mode == "d":
+            del result[key]
+        elif mode == "f":
+            result[key] = flipped(result[key])
+        else:
+            result[key] = draw(odd)
+    return result
+
+
+class TestTablePath:
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_every_step_of_an_int_heavy_commit_sequence(self, data):
+        ledger, blind = SizeLedger(), SizeLedger()
+        clock = VectorClock.zero(3)
+        published = [
+            make(
+                0, 0, data.draw(int_heavy({}, many_names, False, grow=12)),
+                {}, data.draw(int_heavy({}, channels, True, grow=10)),
+                clock, (), None, 0,
+            )
+        ]
+        assert ledger.price(published[0]) == encoded_sizes(
+            published[0], None
+        )
+        for number in range(1, data.draw(st.integers(1, 8)) + 1):
+            choice = data.draw(st.sampled_from("lllllon"))
+            if choice == "o":
+                del published[data.draw(st.integers(1, len(published))):]
+            parent = None if choice == "n" else published[-1]
+            base = published[-1]
+            clock = clock.tick(number % 3)
+            child = make(
+                0, number,
+                data.draw(int_heavy(base.snapshot.env, many_names, False)),
+                data.draw(int_heavy(base.snapshot.input_counters, labels,
+                                    False)),
+                data.draw(int_heavy(base.channel_cursors, channels, True)),
+                clock, (), None, float(number),
+            )
+            expected = encoded_sizes(child, parent)
+            assert ledger.price(child, parent) == expected
+            assert blind.price(child, parent, False) == (expected[0], None)
+            if data.draw(st.integers(0, 5)):
+                published.append(child)
+
+
+    def test_a_bool_inside_a_pair_is_a_change(self):
+        # (True, 0) == (1, 0), yet they encode differently: the delta
+        # must carry the pair, and both sizes must see it.
+        clock = VectorClock.zero(2)
+        key = (0, 1, "p2p")
+        parent = make(0, 1, {}, {}, {key: (1, 0)}, clock, (), None, 1.0)
+        child = make(0, 2, {}, {}, {key: (True, 0)}, clock, (), None, 2.0)
+        assert _changed(child.channel_cursors, parent.channel_cursors) == (
+            (key, (True, 0)),
+        )
+        rebuilt = apply_delta(
+            checkpoint_record(parent), delta_record(child, parent)
+        )
+        assert encode_record(rebuilt) == encode_record(
+            checkpoint_record(child)
+        )
+        ledger = SizeLedger()
+        ledger.price(parent)
+        assert ledger.price(child, parent) == encoded_sizes(child, parent)
+
+
 class TestSmallClockFact:
     @staticmethod
     def holds(clock):
@@ -301,25 +408,40 @@ class TestSmallClockFact:
 
 class TestCommitPricesOnlyWhatChanged:
     def run_counting(self, monkeypatch, mode):
-        calls = []
+        """The run, its :func:`encoded_size` calls and its size-table
+        lookups (one per int the table prices)."""
+        calls, lookups = [], []
         real = repro.runtime.encoding.encoded_size
 
         def counting(value):
             calls.append(value)
             return real(value)
 
+        class CountingTable(tuple):
+            def __getitem__(self, bits):
+                lookups.append(bits)
+                return tuple.__getitem__(self, bits)
+
         monkeypatch.setattr(repro.runtime.encoding, "encoded_size", counting)
+        monkeypatch.setattr(
+            repro.runtime.encoding, "_INT_SIZES",
+            CountingTable(repro.runtime.encoding._INT_SIZES),
+        )
         result = Simulation(
             stencil_halo(), 8, params={"steps": 6},
             protocol=ApplicationDrivenProtocol(), checkpoint_mode=mode,
         ).run()
         monkeypatch.undo()
         assert result.verdict == "completed"
-        return result, len(calls)
+        return result, len(calls), len(lookups)
 
     def test_pricing_calls_are_bounded_by_the_changes(self, monkeypatch):
-        result, calls = self.run_counting(monkeypatch, "pruned+delta")
-        commits = changed = pairs = 0
+        result, calls, lookups = self.run_counting(monkeypatch, "pruned+delta")
+
+        def ints(value):
+            return len(value) if value.__class__ is tuple else 1
+
+        commits = changed = whole = 0
         keys = set()
         for rank in range(8):
             previous = None
@@ -336,24 +458,30 @@ class TestCommitPricesOnlyWhatChanged:
                         old = previous.channel_cursors
                     else:
                         old = getattr(previous.snapshot, field)
-                    changed += len(_changed(new, old))
-                    pairs += len(new)
+                    for key, value in _changed(new, old):
+                        changed += ints(value) + (
+                            ints(old[key]) if key in old else 0
+                        )
+                    whole += sum(1 + ints(value) for value in new.values())
                     keys.update(new)
                 commits += 1
                 previous = entry
-        # Per commit: one call for the shared fields, one for the parent's
-        # number; per changed pair its new value and the one it replaces;
-        # per distinct key, once per simulation, the key. Clocks (n = 8,
-        # small) cost no call at all.
-        assert commits > 40 and 0 < changed < pairs
-        assert calls <= 2 * changed + 2 * commits + len(keys)
-        # A whole pass would price every pair's key and value, and the
+        # Every map here holds ints or int pairs: per changed pair the
+        # table prices each int of its new value and of the one it
+        # replaces, and nothing else does. Per commit one call prices
+        # the shared fields and one the parent's number; per distinct
+        # key, once per simulation, one prices the key. Clocks (n = 8,
+        # small) cost no pricing at all.
+        assert commits > 40 and 0 < changed < whole
+        assert 0 < lookups <= changed
+        assert calls <= 2 * commits + len(keys)
+        # A whole pass would price every pair's key and ints, and the
         # eight clock components, at every commit.
-        assert calls < (2 * pairs + 8 * commits) / 2
+        assert calls + lookups < (whole + 8 * commits) / 2
 
     @pytest.mark.parametrize("mode", CHECKPOINT_MODES)
     def test_every_mode_sizes_its_entries_at_commit(self, monkeypatch, mode):
-        result, _ = self.run_counting(monkeypatch, mode)
+        result, _, _ = self.run_counting(monkeypatch, mode)
 
         def no_sizing(value):
             raise AssertionError("accounting re-derived a size")
