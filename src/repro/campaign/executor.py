@@ -608,7 +608,7 @@ class CellOutcome:
 
     ``metrics`` is a side channel outside the artifact (not in JSON, the
     journal, ``==`` or ``repr``; it crosses workers by pickle): the dict
-    of the registry an observed run fed live, which spares
+    of the registry an observed run's live log folded into, which spares
     :func:`~repro.obs.rollup.cell_metrics` decoding ``events_jsonl``.
     """
 
@@ -761,11 +761,23 @@ def _campaign_cell(spec: ScenarioSpec) -> CellOutcome:
 
         obs = Observability()
         observer = obs.bus
-    sim = None
+    sim = error = None
     try:
-        sim = spec.build(observer=observer)
-        result = sim.run()
-    except ReproError as error:
+        try:
+            sim = spec.build(observer=observer)
+            result = sim.run()
+        except ReproError as caught:
+            error = caught
+        # Folding the log raises TypeError on a metric-type conflict.
+        registry = obs.metrics if obs is not None else None
+    except Exception as unexpected:
+        # A RecursionError, MemoryError, or plain bug in one cell must
+        # not abort a whole serial campaign: capture it as a structured
+        # outcome, distinguishable from engine errors by its prefix.
+        return CellOutcome.failure(
+            spec, f"unexpected: {type(unexpected).__name__}: {unexpected}"
+        )
+    if error is not None:
         events = metrics = None
         if obs is not None:
             events = (
@@ -773,16 +785,9 @@ def _campaign_cell(spec: ScenarioSpec) -> CellOutcome:
                 if sim is not None
                 else obs.jsonl()
             )
-            metrics = fold_stats(obs.metrics, None, True)
+            metrics = fold_stats(registry, None, True)
         return CellOutcome.failure(
             spec, f"{type(error).__name__}: {error}", events, metrics
-        )
-    except Exception as error:
-        # A RecursionError, MemoryError, or plain bug in one cell must
-        # not abort a whole serial campaign: capture it as a structured
-        # outcome, distinguishable from engine errors by its prefix.
-        return CellOutcome.failure(
-            spec, f"unexpected: {type(error).__name__}: {error}"
         )
     stats = result.stats.as_dict()
     return CellOutcome(
@@ -797,7 +802,7 @@ def _campaign_cell(spec: ScenarioSpec) -> CellOutcome:
             _normalized_jsonl(obs, sim.program) if obs is not None else None
         ),
         metrics=(
-            fold_stats(obs.metrics, stats, False) if obs is not None else None
+            fold_stats(registry, stats, False) if obs is not None else None
         ),
     )
 

@@ -12,9 +12,10 @@ On top of the bus sit:
 
 - a :class:`~repro.obs.metrics.MetricsRegistry` of counters, gauges and
   histograms (checkpoint latency, recovery-line lag, retransmit rate,
-  rollback depth), fed by a :class:`~repro.obs.metrics.MetricsCollector`;
-- a bounded :class:`~repro.obs.recorder.FlightRecorder` the chaos
-  harness dumps automatically next to ddmin counterexamples;
+  rollback depth), folded from the log by a
+  :class:`~repro.obs.metrics.MetricsCollector`;
+- a :class:`~repro.obs.recorder.FlightRecorder`, the log's bounded
+  tail, which the chaos harness dumps next to ddmin counterexamples;
 - exporters to JSONL and Chrome ``chrome://tracing`` trace-event format
   (:mod:`repro.obs.export`), with a schema-versioned log header;
 - hierarchical :mod:`spans <repro.obs.spans>` (wall + simulated clock)
@@ -72,29 +73,33 @@ from repro.obs.spans import NULL_TRACKER, Span, SpanTracker
 
 
 class Observability:
-    """Convenience bundle: bus + event log + flight recorder + metrics.
+    """Convenience bundle: the bus's event log, its tail, and its metrics.
 
-    Wires the standard subscribers onto a fresh bus. Pass ``.bus`` as
-    the ``observer`` argument of
-    :class:`~repro.runtime.engine.Simulation`; afterwards ``.events``
-    holds the full event log, ``.recorder`` the bounded tail, and
-    ``.metrics`` the aggregated registry.
+    Pass ``.bus`` as the ``observer`` argument of
+    :class:`~repro.runtime.engine.Simulation`; afterwards ``.events`` is
+    the full event log (the bus's own list), ``.recorder`` reads its
+    bounded tail, and ``.metrics`` is the aggregated registry.
     """
 
-    def __init__(
-        self, capacity: int = 4096, keep_events: bool = True
-    ) -> None:
+    def __init__(self, capacity: int = 4096) -> None:
         self.bus = EventBus()
-        self.events: list[ObsEvent] = []
-        if keep_events:
-            self.bus.subscribe(self.events.append)
-            self.recorder = FlightRecorder(capacity, log=self.events)
-        else:
-            self.recorder = FlightRecorder(capacity)
-            self.recorder.attach(self.bus)
-        self.metrics = MetricsRegistry()
-        self.collector = MetricsCollector(self.metrics)
-        self.collector.attach(self.bus)
+        self.events = self.bus.events
+        self.recorder = FlightRecorder(self.events, capacity)
+        self._collector = MetricsCollector(MetricsRegistry())
+        self._folded = 0
+
+    @property
+    def metrics(self) -> MetricsRegistry:
+        """The registry, with every event logged so far folded in.
+
+        A read folds the part of the log no earlier read has, so each
+        event is folded once. A metric name taken by another type of
+        metric raises ``TypeError`` here.
+        """
+        start, self._folded = self._folded, len(self.events)
+        if start < self._folded:
+            self._collector.feed(self.events[start:self._folded])
+        return self._collector.registry
 
     def jsonl(self) -> str:
         """The full event log serialised as JSONL."""

@@ -1,11 +1,14 @@
 """The event bus every runtime layer publishes to.
 
-A deliberately tiny synchronous pub/sub hub. Publishers call
-:meth:`EventBus.emit`; subscribers are plain callables invoked in
-subscription order. The engine binds its live vector-clock array once
-(:meth:`EventBus.bind_clocks`), after which every ranked event is
-automatically stamped with the publisher's current vector clock —
-transport and storage stay ignorant of causality metadata entirely.
+The bus is the run's event log: :meth:`EventBus.emit` appends one
+:class:`~repro.obs.events.ObsEvent` to :attr:`EventBus.events`, and an
+event's ``seq`` is its index there. Everything else — metrics, the
+flight recorder's tail, the JSONL export — is read from that list
+afterwards, so publishing costs one tuple and one append. The engine
+binds its live vector-clock array once (:meth:`EventBus.bind_clocks`),
+after which every ranked event is automatically stamped with the
+publisher's current vector clock — transport and storage stay ignorant
+of causality metadata entirely.
 
 Zero-cost-when-disabled is achieved one level up: layers hold
 ``observer: EventBus | None`` and guard each emission with a single
@@ -15,22 +18,18 @@ all beyond that test.
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import Any
 
 from repro.obs.events import ObsEvent
 
 
 class EventBus:
-    """Synchronous dispatch of :class:`~repro.obs.events.ObsEvent`."""
+    """The append-only log of :class:`~repro.obs.events.ObsEvent`."""
 
     def __init__(self) -> None:
-        self._subscribers: list[Callable[[ObsEvent], None]] = []
+        #: Every event emitted so far, in emission (``seq``) order.
+        self.events: list[ObsEvent] = []
         self._clocks: list | None = None
-        self._seq = 0
-
-    def subscribe(self, handler: Callable[[ObsEvent], None]) -> None:
-        """Register *handler* to receive every subsequent event."""
-        self._subscribers.append(handler)
 
     def bind_clocks(self, clocks: list) -> None:
         """Bind the engine's live per-rank vector-clock array.
@@ -41,11 +40,6 @@ class EventBus:
         """
         self._clocks = clocks
 
-    @property
-    def events_emitted(self) -> int:
-        """Total events emitted on this bus so far."""
-        return self._seq
-
     def emit(
         self,
         category: str,
@@ -55,7 +49,7 @@ class EventBus:
         clock: tuple[int, ...] | None = None,
         **fields: Any,
     ) -> ObsEvent:
-        """Publish one event to every subscriber and return it.
+        """Append one event to the log and return it.
 
         When *clock* is omitted but *rank* is given and the engine has
         bound its clock array, the event is stamped with that rank's
@@ -67,22 +61,13 @@ class EventBus:
         return self._publish(category, name, rank, time, clock, fields)
 
     def _publish(self, category, name, rank, time, clock, fields) -> ObsEvent:
-        # Build the frozen event through __dict__ directly: the
-        # generated frozen __init__ (object.__setattr__ per field)
-        # costs ~3x this path.
-        event = ObsEvent.__new__(ObsEvent)
-        event.__dict__.update(
-            seq=self._seq,
-            category=category,
-            name=name,
-            rank=rank,
-            time=time,
-            clock=clock,
-            fields=fields,
+        events = self.events
+        # tuple.__new__ skips the generated __new__'s argument binding:
+        # an observed run publishes one event per traced effect.
+        event = tuple.__new__(
+            ObsEvent, (len(events), category, name, rank, time, clock, fields)
         )
-        self._seq += 1
-        for handler in self._subscribers:
-            handler(event)
+        events.append(event)
         return event
 
     def emit_trace_event(self, trace_event) -> ObsEvent:

@@ -28,17 +28,20 @@ span       closed :class:`~repro.obs.spans.Span` records — the span
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any
+from types import MappingProxyType
+from typing import Any, Mapping, NamedTuple
 
 #: The event categories, one per publishing runtime layer (plus the
 #: cross-layer ``span`` records emitted by closed spans).
 CATEGORIES = ("engine", "transport", "storage", "protocol", "span")
 
+#: The payload of an event built without one: empty and read-only, so
+#: no two events share a mutable mapping.
+_NO_FIELDS: Mapping[str, Any] = MappingProxyType({})
 
-@dataclass(frozen=True)
-class ObsEvent:
-    """One structured observability event.
+
+class ObsEvent(NamedTuple):
+    """One structured observability event: one tuple, one allocation.
 
     Attributes:
         seq: Global emission order on the bus (0-based); ties on equal
@@ -63,7 +66,7 @@ class ObsEvent:
     rank: int | None
     time: float
     clock: tuple[int, ...] | None = None
-    fields: dict[str, Any] = field(default_factory=dict)
+    fields: Mapping[str, Any] = _NO_FIELDS
 
     def to_dict(self) -> dict[str, Any]:
         """JSON-ready dictionary form (stable key set, compact)."""

@@ -32,6 +32,7 @@ from repro.causality.records import EventKind, TraceEvent
 from repro.causality.vector_clock import VectorClock
 from repro.errors import SimulationError
 from repro.obs.events import ObsEvent
+from repro.obs.spans import chrome_document
 from repro.runtime.trace import ExecutionTrace
 
 #: Simulated seconds → Chrome trace microseconds.
@@ -334,28 +335,7 @@ def chrome_trace(events: Iterable[ObsEvent]) -> dict[str, Any]:
             "tid": tid,
             "args": args,
         })
-    metadata = [
-        {
-            "name": "thread_name",
-            "ph": "M",
-            "pid": 0,
-            "tid": rank,
-            "args": {"name": f"P{rank}"},
-        }
-        for rank in sorted(ranks)
-    ]
-    if any(event["tid"] == -1 for event in trace_events):
-        metadata.append({
-            "name": "thread_name",
-            "ph": "M",
-            "pid": 0,
-            "tid": -1,
-            "args": {"name": "system"},
-        })
-    return {
-        "traceEvents": metadata + trace_events,
-        "displayTimeUnit": "ms",
-    }
+    return chrome_document(trace_events, ranks, "system")
 
 
 def chrome_trace_json(

@@ -2,9 +2,9 @@
 
 The registry is deliberately simulation-grade: deterministic (no
 wall-clock, no sampling), allocation-light, and serialisable to plain
-JSON for benchmarks and CI. :class:`MetricsCollector` subscribes to an
-:class:`~repro.obs.bus.EventBus` and derives the standard checkpoint
-metrics from the event stream alone:
+JSON for benchmarks and CI. :class:`MetricsCollector` folds the event
+log an :class:`~repro.obs.bus.EventBus` keeps — live, or parsed back
+from JSONL — and derives the standard checkpoint metrics from it alone:
 
 - ``checkpoints_total`` / per-category event counters;
 - ``checkpoint_latency`` — histogram of per-rank gaps between
@@ -38,7 +38,10 @@ registry the simulated system uses.
 from __future__ import annotations
 
 import json
-from typing import Any
+from collections import defaultdict
+from functools import reduce
+from operator import add
+from typing import Any, Iterable
 
 from repro.obs.events import ObsEvent
 
@@ -97,6 +100,18 @@ class Histogram:
         self.total += value
         self.min = value if self.min is None else min(self.min, value)
         self.max = value if self.max is None else max(self.max, value)
+
+    def observe_all(self, values: list[float]) -> None:
+        """Record *values* in order, as :meth:`observe` once per value.
+
+        The sum stays a left-to-right float addition: ``sum()`` is
+        compensated on Python 3.12+ and would round differently.
+        """
+        if values:
+            self.count += len(values)
+            self.total = reduce(add, values, self.total)
+            self.min = min(values if self.min is None else (self.min, *values))
+            self.max = max(values if self.max is None else (self.max, *values))
 
     @property
     def mean(self) -> float:
@@ -158,34 +173,36 @@ class MetricsRegistry:
 
 
 class MetricsCollector:
-    """Derives the standard metrics from the bus's event stream.
+    """Folds batches of the event log into the standard metrics.
 
-    A ``(category, name)`` kind is resolved once, at its first event,
-    into the two counters it bumps and its handler (``None`` for a kind
-    that is only counted). A handler holds the metric objects it updates
-    and creates each exactly when a per-event registry lookup would
-    have, so which names a registry holds — mid-run too — depends on the
-    events alone.
+    :meth:`feed` groups a batch by ``(category, name)`` kind. A kind is
+    resolved once, at its first event, into the two counters it bumps
+    and its handler (``None`` for a kind that is only counted); a group
+    bumps both by its size and runs its handler over its events in
+    order. Kinds update disjoint metrics (``events_total`` only adds),
+    so a stream fed in any batches reads as an event-by-event fold at
+    every batch boundary — which names exist included, as a handler
+    creates each metric at the event that first needs it.
     """
 
     def __init__(self, registry: MetricsRegistry) -> None:
         self.registry = registry
         self._kinds: dict[tuple[str, str], tuple] = {}
 
-    def attach(self, bus) -> None:
-        """Subscribe this collector to *bus*."""
-        bus.subscribe(self.on_event)
-
-    def on_event(self, event: ObsEvent) -> None:
-        """Fold one event into the registry."""
-        kind = self._kinds.get((event.category, event.name))
-        if kind is None:
-            kind = self._resolve(event.category, event.name)
-        total, counter, handler = kind
-        total.value += 1
-        counter.value += 1
-        if handler is not None:
-            handler(event)
+    def feed(self, events: Iterable[ObsEvent]) -> None:
+        """Fold *events*, the next batch of the log, into the registry."""
+        groups: defaultdict[tuple[str, str], list] = defaultdict(list)
+        for event in events:
+            groups[event.category, event.name].append(event)
+        for kind, group in groups.items():
+            entry = self._kinds.get(kind)
+            if entry is None:
+                entry = self._resolve(*kind)
+            total, counter, handler = entry
+            total.value += len(group)
+            counter.value += len(group)
+            if handler is not None:
+                handler(group)
 
     def _resolve(self, category: str, name: str) -> tuple:
         reg = self.registry
@@ -201,9 +218,13 @@ class MetricsCollector:
         return kind
 
 
+def _values(events, field: str, default) -> list:
+    return [event.fields.get(field, default) for event in events]
+
+
 def _observe(histogram: Histogram, field: str):
-    observe = histogram.observe
-    return lambda event: observe(float(event.fields.get(field, 0.0)))
+    observe = histogram.observe_all
+    return lambda events: observe([*map(float, _values(events, field, 0.0))])
 
 
 def _on_commit(reg: MetricsRegistry):
@@ -213,12 +234,13 @@ def _on_commit(reg: MetricsRegistry):
     latest = reg.gauge("snapshot_bytes")
     sizes = reg.histogram("snapshot_bytes_dist")
 
-    def handler(event):
-        retries = event.fields.get("retries", 0)
+    def handler(events):
+        retries = sum(_values(events, "retries", 0))
         if retries:
             reg.counter("storage_retries_total").inc(retries)
-        latest.value = size = float(event.fields.get("bytes", 0))
-        sizes.observe(size)
+        values = [*map(float, _values(events, "bytes", 0))]
+        latest.value = values[-1]
+        sizes.observe_all(values)
     return handler
 
 
@@ -226,18 +248,20 @@ def _on_gc(reg: MetricsRegistry):
     collected = reg.counter("gc_collected_total")
     reclaimed = reg.counter("gc_reclaimed_bytes_total")
 
-    def handler(event):
-        collected.value += 1
-        reclaimed.inc(int(event.fields.get("bytes", 0)))
+    def handler(events):
+        collected.inc(len(events))
+        reclaimed.inc(sum(map(int, _values(events, "bytes", 0))))
     return handler
 
 
 def _on_occupancy(reg: MetricsRegistry):
     count, size = reg.gauge("storage_checkpoints"), reg.gauge("storage_bytes")
 
-    def handler(event):
-        count.value = float(event.fields.get("count", 0))
-        size.value = float(event.fields.get("bytes", 0))
+    def handler(events):
+        # Gauges: the batch's last event wins.
+        fields = events[-1].fields
+        count.value = float(fields.get("count", 0))
+        size.value = float(fields.get("bytes", 0))
     return handler
 
 
@@ -245,15 +269,15 @@ def _on_recovery_retry(reg: MetricsRegistry):
     retries = reg.counter("recovery_retries_total")
     backoff = _observe(reg.histogram("recovery_backoff"), "backoff")
 
-    def handler(event):
-        retries.value += 1
-        backoff(event)
+    def handler(events):
+        retries.inc(len(events))
+        backoff(events)
     return handler
 
 
 def _on_unrecoverable(reg: MetricsRegistry):
     counter = reg.counter("unrecoverable_total")
-    return lambda event: counter.inc()
+    return lambda events: counter.inc(len(events))
 
 
 def _on_checkpoint(reg: MetricsRegistry):
@@ -261,23 +285,28 @@ def _on_checkpoint(reg: MetricsRegistry):
     numbers: dict[int, int] = {}
     latency = lag = None
 
-    def handler(event):
+    def handler(events):
         nonlocal latency, lag
-        rank = event.rank
-        if rank is None:
-            return
-        # float(): a live event may carry an int time, a replayed
-        # one never does — the registries must not differ by that.
-        now = float(event.time)
-        previous = last_time.get(rank)
-        if previous is not None:
+        gaps = []
+        for event in events:
+            rank = event.rank
+            if rank is None:
+                continue
+            # float(): a live event may carry an int time, a replayed
+            # one never does — the registries must not differ by that.
+            now = float(event.time)
+            previous = last_time.get(rank)
+            if previous is not None:
+                gaps.append(now - previous)
+            last_time[rank] = now
+            number = event.fields.get("checkpoint_number")
+            if number is not None:
+                numbers[rank] = number
+        if gaps:
             if latency is None:
                 latency = reg.histogram("checkpoint_latency")
-            latency.observe(now - previous)
-        last_time[rank] = now
-        number = event.fields.get("checkpoint_number")
-        if number is not None:
-            numbers[rank] = number
+            latency.observe_all(gaps)
+        if numbers:  # a batch that set no number recomputes the same lag
             if lag is None:
                 lag = reg.gauge("recovery_line_lag")
             lag.value = max(numbers.values()) - min(numbers.values())
@@ -289,16 +318,18 @@ def _on_frame(reg: MetricsRegistry):
     retransmits = reg.counter("retransmits_total")
     rate = reg.gauge("retransmit_rate")
 
-    def handler(event):
-        frames.value += 1
-        if event.fields.get("attempt", 1) > 1:
-            retransmits.value += 1
+    def handler(events):
+        frames.value += len(events)
+        retransmits.value += sum(
+            [attempt > 1 for attempt in _values(events, "attempt", 1)]
+        )
         rate.value = retransmits.value / frames.value
     return handler
 
 
 #: Handler factory per kind; a kind not listed (and not a span) is only
-#: counted. Each takes the registry and returns ``handler(event)``.
+#: counted. Each takes the registry and returns ``handler(events)``,
+#: which folds one kind's events of one batch, in order.
 _HANDLERS = {
     ("storage", "commit"): _on_commit,
     ("storage", "gc"): _on_gc,

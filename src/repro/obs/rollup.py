@@ -137,11 +137,12 @@ def cell_metrics(outcome) -> dict[str, dict]:
     ``stats.*`` counters plus, for an observed cell, the derived set of
     a :class:`~repro.obs.metrics.MetricsCollector` (checkpoint latency,
     retransmit rate, rollback depth, ...). An outcome fresh from its
-    worker carries the registry its run fed live (``outcome.metrics``),
-    returned as is; one that arrived as JSON (journal, results file)
-    replays its event log through a second collector — the definition,
-    and a pure function of the cell's deterministic artifact, which is
-    what makes the rollup jobs-invariant.
+    worker carries the registry its live log folded into
+    (``outcome.metrics``), returned as is; one that arrived as JSON
+    (journal, results file) feeds its parsed event log through the same
+    fold the live read uses — the definition, and a pure function of the
+    cell's deterministic artifact, which is what makes the rollup
+    jobs-invariant.
     """
     live = getattr(outcome, "metrics", None)
     if live is not None:
@@ -150,9 +151,7 @@ def cell_metrics(outcome) -> dict[str, dict]:
     if outcome.events_jsonl:
         from repro.obs.export import read_event_log
 
-        collector = MetricsCollector(registry)
-        for event in read_event_log(outcome.events_jsonl):
-            collector.on_event(event)
+        MetricsCollector(registry).feed(read_event_log(outcome.events_jsonl))
     return fold_stats(
         registry, outcome.stats, getattr(outcome, "error", None) is not None
     )

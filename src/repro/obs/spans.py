@@ -161,16 +161,19 @@ class SpanTracker:
         return span
 
     def close(self, span: Span) -> Span:
-        """Close *span* (and any unclosed children), publish if bound."""
-        while self._stack:
+        """Close *span* (and any unclosed children), publish if bound.
+
+        A span that is not open — closed already, or recorded — is
+        left as it is, and so is every other span.
+        """
+        if not any(open_span is span for open_span in self._stack):
+            return span
+        while True:
             top = self._stack.pop()
             if top.wall_end is None:
                 top.wall_end = self._wall()
             if top is span:
                 break
-        else:
-            if span.wall_end is None:
-                span.wall_end = self._wall()
         self._publish(span)
         return span
 
@@ -273,32 +276,30 @@ class SpanTracker:
                 "tid": tid,
                 "args": args,
             })
-        metadata: list[dict[str, Any]] = [
-            {
-                "name": "thread_name",
-                "ph": "M",
-                "pid": 0,
-                "tid": rank,
-                "args": {"name": f"P{rank}"},
-            }
-            for rank in sorted(ranks)
-        ]
-        if any(event["tid"] == -1 for event in events):
-            metadata.append({
-                "name": "thread_name",
-                "ph": "M",
-                "pid": 0,
-                "tid": -1,
-                "args": {"name": "driver"},
-            })
-        return {
-            "traceEvents": metadata + events,
-            "displayTimeUnit": "ms",
-        }
+        return chrome_document(events, ranks, "driver")
 
     def chrome_trace_json(self, indent: int | None = None) -> str:
         """:meth:`chrome_trace` serialised as JSON text."""
         return json.dumps(self.chrome_trace(), indent=indent, sort_keys=True)
+
+
+def chrome_document(
+    events: list[dict[str, Any]], ranks: set[int], rankless: str
+) -> dict[str, Any]:
+    """A Chrome trace-event document of *events*.
+
+    A thread-name record labels each of *ranks* ``P<rank>`` and, when an
+    event sits on thread ``-1``, names that thread *rankless*.
+    """
+    threads = [(rank, f"P{rank}") for rank in sorted(ranks)]
+    if any(event["tid"] == -1 for event in events):
+        threads.append((-1, rankless))
+    metadata = [
+        {"name": "thread_name", "ph": "M", "pid": 0, "tid": tid,
+         "args": {"name": name}}
+        for tid, name in threads
+    ]
+    return {"traceEvents": metadata + events, "displayTimeUnit": "ms"}
 
 
 class _NullTracker:

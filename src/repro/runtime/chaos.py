@@ -506,7 +506,7 @@ def dump_failure_artifacts(
     out.mkdir(parents=True, exist_ok=True)
     paths: dict[str, object] = {}
 
-    obs = Observability(capacity=recorder_capacity, keep_events=False)
+    obs = Observability(capacity=recorder_capacity)
     outcome = run_schedule(
         plan, protocol=protocol, config=config, observer=obs.bus
     )

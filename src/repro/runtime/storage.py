@@ -526,9 +526,12 @@ class CheckpointStore:
             if number is not None and checkpoint.number != number:
                 continue
             # Rot targets the entry's *own* stored record, so the scan
-            # uses the single-entry check: a delta whose ancestor is
-            # already rotten is still a fresh target for independent rot.
-            if self._intact_entry(checkpoint):
+            # uses this copy's single-entry check — never a replicated
+            # store's quorum, under which a copy already rotten here
+            # would be picked again and a second flip would heal it. A
+            # delta whose ancestor is already rotten is still a fresh
+            # target for independent rot.
+            if CheckpointStore._intact_entry(self, checkpoint):
                 target = checkpoint
                 break
         if target is None:

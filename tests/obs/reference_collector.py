@@ -2,11 +2,13 @@
 
 This is ``repro.obs.metrics.MetricsCollector`` as it stood before a
 ``(category, name)`` kind was resolved once into its counter and its
-handler: every event formats its counter's name, goes through the
-registry for each metric it touches and walks an ``if`` / ``elif`` chain
-over the categories. It defines what a registry holds after any event
-stream — values, number types and which names exist at all — and the
-collector must agree with it (``test_collector_oracle.py``).
+handler, and before a batch was folded one kind at a time: every event
+formats its counter's name, goes through the registry for each metric
+it touches and walks an ``if`` / ``elif`` chain over the categories. It
+defines what a registry holds after any prefix of any event stream —
+values, number types and which names exist at all — and the collector's
+``feed`` must agree with it at every batch boundary
+(``test_collector_oracle.py``).
 """
 
 from __future__ import annotations
@@ -23,9 +25,10 @@ class ReferenceCollector:
         self._last_checkpoint_time: dict[int, float] = {}
         self._checkpoint_numbers: dict[int, int] = {}
 
-    def attach(self, bus) -> None:
-        """Subscribe this collector to *bus*."""
-        bus.subscribe(self.on_event)
+    def feed(self, events) -> None:
+        """Fold *events*, one at a time, in order."""
+        for event in events:
+            self.on_event(event)
 
     def on_event(self, event: ObsEvent) -> None:
         """Fold one event into the registry."""

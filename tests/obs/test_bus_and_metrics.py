@@ -1,6 +1,11 @@
 """Unit tests of the event bus, metrics registry, and flight recorder."""
 
+import re
+from pathlib import Path
+
 import pytest
+
+import repro
 
 from repro.causality.vector_clock import VectorClock
 from repro.lang.programs import ring_pipeline
@@ -15,6 +20,7 @@ from repro.obs import (
     MetricsRegistry,
     ObsEvent,
     Observability,
+    events_to_jsonl,
     filter_events,
     summarize_events,
 )
@@ -35,21 +41,19 @@ def crashed_run(observer):
 class TestEventBus:
     """Publishing, sequencing, and vector-clock auto-stamping."""
 
-    def test_emit_delivers_to_all_subscribers(self):
+    def test_emit_appends_to_the_log(self):
         bus = EventBus()
-        seen_a, seen_b = [], []
-        bus.subscribe(seen_a.append)
-        bus.subscribe(seen_b.append)
         event = bus.emit("engine", "send", 0, 1.5, dst=1)
-        assert seen_a == [event]
-        assert seen_b == [event]
+        assert bus.events == [event]
+        assert bus.events[0] is event
         assert event.fields == {"dst": 1}
 
-    def test_seq_is_global_and_monotonic(self):
+    def test_seq_is_the_log_index(self):
         bus = EventBus()
         events = [bus.emit("engine", "send", r, 0.0) for r in range(5)]
         assert [e.seq for e in events] == [0, 1, 2, 3, 4]
-        assert bus.events_emitted == 5
+        assert bus.events == events
+        assert len(bus.events) == 5
 
     def test_bound_clocks_stamp_ranked_events(self):
         bus = EventBus()
@@ -94,6 +98,23 @@ class TestObsEvent:
         )
         assert ObsEvent.from_dict(event.to_dict()) == event
 
+    def test_one_tuple_with_no_dict(self):
+        event = EventBus().emit("engine", "send", 0, 1.5, dst=1)
+        assert type(event) is ObsEvent and isinstance(event, tuple)
+        assert not hasattr(event, "__dict__")
+        assert event._replace(rank=2) == (0, "engine", "send", 2, 1.5, None,
+                                          {"dst": 1})
+
+    def test_default_fields_are_empty_and_read_only(self):
+        first = ObsEvent(seq=0, category="engine", name="send", rank=0,
+                         time=0.0)
+        second = ObsEvent(seq=1, category="engine", name="send", rank=0,
+                          time=0.0)
+        assert first.fields == {} and "fields" not in first.to_dict()
+        with pytest.raises(TypeError):
+            first.fields["x"] = 1
+        assert second.fields == {}
+
     def test_category_taxonomy_is_fixed(self):
         assert CATEGORIES == (
             "engine", "transport", "storage", "protocol", "span"
@@ -135,15 +156,14 @@ class TestMetrics:
 
     def test_collector_derives_metrics_from_events(self):
         registry = MetricsRegistry()
-        collector = MetricsCollector(registry)
         bus = EventBus()
-        collector.attach(bus)
         bus.emit("engine", "checkpoint", 0, 1.0, checkpoint_number=1)
         bus.emit("engine", "checkpoint", 0, 4.0, checkpoint_number=2)
         bus.emit("engine", "checkpoint", 1, 4.0, checkpoint_number=1)
         bus.emit("transport", "frame", 0, 1.0, seq=0, attempt=1)
         bus.emit("transport", "frame", 0, 2.0, seq=0, attempt=2)
         bus.emit("protocol", "recovery", None, 9.0, depth=2)
+        MetricsCollector(registry).feed(bus.events)
         data = registry.as_dict()
         assert data["events_total"]["value"] == 6
         assert data["checkpoint_latency"]["count"] == 1
@@ -155,12 +175,12 @@ class TestMetrics:
 
 
 class TestFlightRecorder:
-    """Bounded retention and dumping."""
+    """The bounded tail of a log, and its dump."""
 
     def test_keeps_only_the_newest_events(self):
-        recorder = FlightRecorder(capacity=3)
         bus = EventBus()
-        recorder.attach(bus)
+        recorder = FlightRecorder(bus.events, capacity=3)
+        assert len(recorder) == 0 and recorder.events() == []
         for index in range(10):
             bus.emit("engine", "send", 0, float(index))
         assert len(recorder) == 3
@@ -168,9 +188,8 @@ class TestFlightRecorder:
         assert recorder.dropped == 7
 
     def test_dump_writes_jsonl(self, tmp_path):
-        recorder = FlightRecorder(capacity=8)
         bus = EventBus()
-        recorder.attach(bus)
+        recorder = FlightRecorder(bus.events, capacity=8)
         bus.emit("engine", "send", 0, 0.0)
         path = recorder.dump(tmp_path / "flight.jsonl")
         lines = path.read_text().splitlines()
@@ -178,50 +197,62 @@ class TestFlightRecorder:
         assert '"log_schema_version"' in lines[0]
         assert '"cat":"engine"' in lines[1]
 
-    def test_list_backed_recorder_equals_the_subscribed_one(self, tmp_path):
-        # One bus feeds a full log and a subscribed recorder; a second
-        # recorder reads the log's tail. They must agree at every
-        # event, before the run outgrows the capacity and after.
+    def test_tail_follows_the_log_at_every_length(self, tmp_path):
+        # Before the run outgrows the capacity and after, the recorder
+        # is the log's last ``capacity`` events and nothing else.
         capacity = 32
-        bus = EventBus()
-        log = []
-        bus.subscribe(log.append)
-        subscribed = FlightRecorder(capacity)
-        subscribed.attach(bus)
-        backed = FlightRecorder(capacity, log=log)
-
-        def compare(event):
-            assert backed.events() == subscribed.events()
-            assert len(backed) == len(subscribed) <= capacity
-            assert backed.dropped == subscribed.dropped
-
-        bus.subscribe(compare)
-        crashed_run(bus)
-        assert len(log) > 4 * capacity
-        assert backed.dropped == subscribed.dropped == len(log) - capacity
-        assert backed.events() == log[-capacity:]
-        assert backed.dump(tmp_path / "backed.jsonl").read_bytes() == (
-            subscribed.dump(tmp_path / "subscribed.jsonl").read_bytes()
-        )
-
-    @pytest.mark.parametrize("keep_events", (True, False))
-    def test_observability_recorder_holds_the_tail(self, keep_events):
-        obs = Observability(capacity=50, keep_events=keep_events)
-        seen = []
-        obs.bus.subscribe(seen.append)
+        obs = Observability(capacity=capacity)
         crashed_run(obs.bus)
-        assert obs.events == (seen if keep_events else [])
-        assert obs.recorder.events() == seen[-50:]
-        assert len(obs.recorder) == 50
-        assert obs.recorder.dropped == len(seen) - 50
-        # The full log is the only copy: with it kept, nothing feeds a
-        # second ring.
-        subscribers = len(obs.bus._subscribers) - 1  # less ``seen``
-        assert subscribers == 2
+        log = obs.events
+        assert log is obs.bus.events and len(log) > 4 * capacity
+        for length in range(len(log) + 1):
+            recorder = FlightRecorder(log[:length], capacity)
+            assert recorder.events() == log[max(0, length - capacity):length]
+            assert len(recorder) == min(length, capacity)
+            assert recorder.dropped == max(0, length - capacity)
+        assert obs.recorder.events() == log[-capacity:]
+        assert obs.recorder.dropped == len(log) - capacity
+        assert obs.recorder.dump(tmp_path / "tail.jsonl").read_text() == (
+            events_to_jsonl(log[-capacity:])
+        )
 
     def test_capacity_must_be_positive(self):
         with pytest.raises(ValueError):
-            FlightRecorder(capacity=0, log=[])
+            FlightRecorder([], capacity=0)
+
+
+class TestOneLogOneFold:
+    """The bus is the log; nothing in the package subscribes to it."""
+
+    def test_no_subscriber_or_per_event_path_in_src(self):
+        gone = re.compile(
+            r"\bsubscribe\b|\bkeep_events\b|\.attach\(|def attach\b"
+            r"|\bon_event\b|_subscribers"
+        )
+        hits = [
+            f"{path.name}:{number}"
+            for path in sorted(Path(repro.__file__).parent.rglob("*.py"))
+            for number, line in enumerate(path.read_text().splitlines(), 1)
+            if gone.search(line)
+        ]
+        assert hits == []
+
+    def test_removed_entry_points_stay_removed(self):
+        for owner, name in [
+            (EventBus, "subscribe"), (FlightRecorder, "attach"),
+            (FlightRecorder, "record"), (MetricsCollector, "attach"),
+            (MetricsCollector, "on_event"),
+        ]:
+            assert not hasattr(owner, name), (owner.__name__, name)
+        with pytest.raises(TypeError):
+            Observability(keep_events=False)
+
+    def test_a_metric_type_conflict_raises_at_the_read(self):
+        obs = Observability()
+        obs.bus.emit("span", "x", None, 0.0, dur=1.0)
+        obs.bus.emit("span", "x.sim_dur", None, 0.0, dur=1.0)
+        with pytest.raises(TypeError, match="already registered"):
+            obs.metrics
 
 
 class TestSummary:

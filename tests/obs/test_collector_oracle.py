@@ -1,15 +1,18 @@
-"""The collector against the lookup-per-event collector it replaced.
+"""The collector's batched fold against the lookup-per-event collector.
 
-``MetricsCollector`` resolves a ``(category, name)`` kind once into its
-counter and a handler that holds its metric objects;
+``MetricsCollector.feed`` groups a batch of the event log by
+``(category, name)`` kind and runs each kind's handler over its group;
 ``reference_collector.ReferenceCollector`` is the old procedure, which
-goes through the registry for every metric at every event. After any
-prefix of any event stream the two registries must be equal as
-``as_dict()`` — values, number types, and which names exist — whether
-the registry started empty or the caller had put metrics into it.
-Covered: the live streams of all six protocols under the
-``test_live_rollup`` fault draws, and Hypothesis-drawn event lists
-(unknown categories and names, missing and odd fields, ``rank=None``).
+goes through the registry for every metric at every event. Cut any
+event stream into any batches: after every batch the two registries
+must be equal as ``as_dict()`` — values, number types, and which names
+exist — whether the registry started empty or the caller had put
+metrics into it, and a name the caller took with another type of
+metric must raise ``TypeError`` in the same batch in both. Covered: the
+live streams of all six protocols under the ``test_live_rollup`` fault
+draws, read mid-run through ``Observability.metrics``, and
+Hypothesis-drawn event lists and cuts (unknown categories and names,
+missing and odd fields, ``rank=None``).
 """
 
 import json
@@ -19,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ReproError
-from repro.obs import EventBus, MetricsCollector, MetricsRegistry, ObsEvent
+from repro.obs import MetricsCollector, MetricsRegistry, ObsEvent, Observability
 
 from .reference_collector import ReferenceCollector
 from .test_live_rollup import PROTOCOLS, SEEDS, faulted_spec
@@ -29,55 +32,73 @@ def dumps(registry):
     return json.dumps(registry.as_dict(), sort_keys=True)
 
 
-def fed(collector_type, events, prepare=None, reads=None):
-    """The registry a *collector_type* leaves after *events*.
+def reads(collector_type, events, cuts=(), prepare=None):
+    """The registry's JSON after each batch *cuts* splits *events* into.
 
-    *prepare* puts the caller's own metrics in first; *reads*, a list,
-    receives the registry's dict form after every event.
+    *prepare* puts the caller's own metrics in first. A batch whose fold
+    raises ``TypeError`` reads ``TypeError`` and ends the list.
     """
     registry = MetricsRegistry()
     if prepare is not None:
         prepare(registry)
     collector = collector_type(registry)
-    for event in events:
-        collector.on_event(event)
-        if reads is not None:
-            reads.append(dumps(registry))
-    return registry
+    out, done = [], 0
+    for cut in [*cuts, len(events)]:
+        try:
+            collector.feed(events[done:cut])
+        except TypeError:
+            return [*out, TypeError]
+        done = cut
+        out.append(dumps(registry))
+    return out
 
 
-def assert_same_registries(events, prepare=None):
-    reads, expected_reads = [], []
-    got = fed(MetricsCollector, events, prepare, reads)
-    expected = fed(ReferenceCollector, events, prepare, expected_reads)
-    assert dumps(got) == dumps(expected)
-    assert reads == expected_reads
+def observed_reads(events, cuts):
+    """``Observability.metrics`` read at each cut while *events* are
+    emitted on its bus."""
+    obs, out, done = Observability(), [], 0
+    for cut in [*cuts, len(events)]:
+        for event in events[done:cut]:
+            obs.bus.emit(
+                event.category, event.name, event.rank, event.time,
+                **event.fields,
+            )
+        done = cut
+        out.append(dumps(obs.metrics))
+    return out
+
+
+def assert_same_reads(events, cuts=(), prepare=None):
+    got = reads(MetricsCollector, events, cuts, prepare)
+    assert got == reads(ReferenceCollector, events, cuts, prepare)
+    return got
 
 
 class TestLiveStreams:
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("protocol", PROTOCOLS)
-    def test_every_protocol_under_drawn_faults(self, protocol, seed):
-        bus = EventBus()
-        registry, expected = MetricsRegistry(), MetricsRegistry()
-        MetricsCollector(registry).attach(bus)
-        ReferenceCollector(expected).attach(bus)
-        events = []
-        bus.subscribe(events.append)
+    def test_every_protocol_read_mid_run(self, protocol, seed):
+        obs = Observability()
+        publish, mid_run = obs.bus._publish, {}
 
-        def read_in_mid_run(event):
-            # Whatever exists by now must exist, equal, in both.
-            if event.seq % 97 == 0:
-                assert dumps(registry) == dumps(expected), event.seq
+        def publish_and_read(*event):
+            # Read the live registry now and then while the run goes on.
+            published = publish(*event)
+            if published.seq % 97 == 0:
+                mid_run[published.seq + 1] = dumps(obs.metrics)
+            return published
 
-        bus.subscribe(read_in_mid_run)
+        obs.bus._publish = publish_and_read
         try:
-            faulted_spec(protocol, seed).build(observer=bus).run()
+            faulted_spec(protocol, seed).build(observer=obs.bus).run()
         except ReproError:
             pass  # an unrecoverable cell's stream counts as well
-        assert len(events) > 100
-        assert dumps(registry) == dumps(expected)
-        assert registry.as_dict()["events_total"]["value"] == len(events)
+        final = dumps(obs.metrics)
+        events = obs.events
+        assert len(events) > 100 and len(mid_run) > 1
+        expected = reads(ReferenceCollector, events, list(mid_run))
+        assert [*mid_run.values(), final] == expected
+        assert obs.metrics.as_dict()["events_total"]["value"] == len(events)
 
 
 CATEGORIES = st.sampled_from(
@@ -97,13 +118,21 @@ FIELDS = st.fixed_dictionaries({}, optional={
     "retries": st.integers(0, 3), "backoff": NUMBERS, "depth": NUMBERS,
     "count": NUMBERS, "checkpoint_number": st.none() | st.integers(0, 9),
     "other": st.text(max_size=3),
-})
+}) | st.just(ObsEvent._field_defaults["fields"])
+#: Every kind a handler folds, drawn as often as all others together.
+KINDS = st.sampled_from([
+    ("engine", "checkpoint"), ("engine", "recovery-retry"),
+    ("engine", "unrecoverable"), ("transport", "frame"),
+    ("protocol", "recovery"), ("storage", "commit"), ("storage", "gc"),
+    ("storage", "occupancy"), ("span", "recovery.attempt"),
+]) | st.tuples(CATEGORIES, NAMES)
 EVENTS = st.lists(
     st.builds(
-        ObsEvent,
+        lambda kind, **parts: ObsEvent(
+            category=kind[0], name=kind[1], **parts
+        ),
+        kind=KINDS,
         seq=st.integers(0, 99),
-        category=CATEGORIES,
-        name=NAMES,
         rank=st.none() | st.integers(0, 3),
         time=st.floats(0, 1e6, allow_nan=False) | st.integers(0, 100),
         clock=st.none(),
@@ -111,6 +140,22 @@ EVENTS = st.lists(
     ),
     max_size=24,
 )
+#: Every name the collector registers for a drawn event.
+TAKEN = st.sampled_from([
+    "events_total", "engine.checkpoint", "transport.frame", "x.y",
+    "frames_total", "retransmits_total", "retransmit_rate",
+    "checkpoint_latency", "recovery_line_lag", "snapshot_bytes",
+    "snapshot_bytes_dist", "storage_retries_total", "gc_collected_total",
+    "gc_reclaimed_bytes_total", "storage_checkpoints", "storage_bytes",
+    "recovery_retries_total", "recovery_backoff", "unrecoverable_total",
+    "rollback_depth", "span.recovery.attempt.sim_dur",
+])
+METRIC_TYPES = st.sampled_from(["counter", "gauge", "histogram"])
+
+
+def cuts_of(events):
+    """Sorted batch boundaries inside *events*."""
+    return st.lists(st.integers(0, len(events)), max_size=5).map(sorted)
 
 
 def caller_metrics(registry):
@@ -125,17 +170,44 @@ def caller_metrics(registry):
 
 class TestDrawnStreams:
     @settings(max_examples=300, deadline=None)
-    @given(events=EVENTS)
-    def test_registry_equal_after_every_event(self, events):
-        assert_same_registries(events)
+    @given(events=EVENTS, data=st.data())
+    def test_registry_equal_after_every_batch(self, events, data):
+        cuts = data.draw(cuts_of(events))
+        assert observed_reads(events, cuts) == assert_same_reads(events, cuts)
 
     @settings(max_examples=100, deadline=None)
-    @given(events=EVENTS)
-    def test_registry_the_caller_put_metrics_in(self, events):
-        assert_same_registries(events, caller_metrics)
+    @given(events=EVENTS, data=st.data())
+    def test_registry_the_caller_put_metrics_in(self, events, data):
+        assert_same_reads(events, data.draw(cuts_of(events)), caller_metrics)
+
+    @settings(max_examples=200, deadline=None)
+    @given(events=EVENTS, taken=TAKEN, kind=METRIC_TYPES, data=st.data())
+    def test_a_taken_name_raises_in_the_same_batch(
+        self, events, taken, kind, data
+    ):
+        def prepare(registry):
+            getattr(registry, kind)(taken)
+
+        assert_same_reads(events, data.draw(cuts_of(events)), prepare)
+
+    def test_one_event_at_a_time_equals_one_batch(self):
+        events = [
+            ObsEvent(seq, category, name, rank, float(seq), None, fields)
+            for seq, (category, name, rank, fields) in enumerate([
+                ("engine", "checkpoint", 0, {"checkpoint_number": 1}),
+                ("transport", "frame", 0, {"attempt": 2}),
+                ("engine", "checkpoint", 1, {"checkpoint_number": 3}),
+                ("storage", "commit", 0, {"bytes": 7, "retries": 1}),
+                ("engine", "checkpoint", 0, {"checkpoint_number": 2}),
+                ("transport", "frame", 1, {}),
+                ("storage", "commit", 1, {"bytes": 9}),
+            ])
+        ]
+        single = assert_same_reads(events, range(1, len(events)))
+        assert single[-1] == assert_same_reads(events)[-1]
 
     def test_empty_stream_registers_nothing(self):
-        assert fed(MetricsCollector, []).as_dict() == {}
+        assert reads(MetricsCollector, []) == ["{}"]
 
     def test_names_appear_only_when_their_event_does(self):
         def event(category, name, rank=0, **fields):
@@ -149,21 +221,20 @@ class TestDrawnStreams:
             event("engine", "checkpoint"),             # first of its rank
             event("storage", "commit", bytes=8),       # no retries
         ]
-        assert sorted(fed(MetricsCollector, stream).as_dict()) == [
+        first = json.loads(assert_same_reads(stream)[-1])
+        assert sorted(first) == [
             "engine.checkpoint", "events_total", "snapshot_bytes",
             "snapshot_bytes_dist", "storage.commit",
         ]
-        assert_same_registries(stream)
         stream += [
             event("engine", "checkpoint", checkpoint_number=2),
             event("storage", "commit", bytes=8, retries=2),
         ]
-        assert sorted(
-            set(fed(MetricsCollector, stream).as_dict())
-            - set(fed(MetricsCollector, stream[:3]).as_dict())
-        ) == ["checkpoint_latency", "recovery_line_lag",
-              "storage_retries_total"]
-        assert_same_registries(stream)
+        second = json.loads(assert_same_reads(stream, [3])[-1])
+        assert sorted(set(second) - set(first)) == [
+            "checkpoint_latency", "recovery_line_lag",
+            "storage_retries_total",
+        ]
 
     @pytest.mark.parametrize("taken", [
         "events_total", "transport.frame", "retransmit_rate",
@@ -187,5 +258,7 @@ class TestDrawnStreams:
             ])
         ]
         for collector_type in (MetricsCollector, ReferenceCollector):
+            registry = MetricsRegistry()
+            prepare(registry)
             with pytest.raises(TypeError, match="already registered"):
-                fed(collector_type, stream, prepare)
+                collector_type(registry).feed(stream)

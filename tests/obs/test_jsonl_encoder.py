@@ -14,7 +14,6 @@ and 0/1-component clocks, and one shape seen with two sets of types.
 """
 
 import json
-from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -102,8 +101,7 @@ def old_normalized_jsonl(events, program):
         for index, node in enumerate(walk(program), start=1)
     }
     events = [
-        replace(
-            event,
+        event._replace(
             fields={
                 **event.fields,
                 "stmt_id": stmt_ids.get(

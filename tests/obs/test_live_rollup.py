@@ -1,12 +1,12 @@
-"""The rollup reads the registry the run fed; replaying the log defines it.
+"""The rollup reads the registry the run folded; replaying the log defines it.
 
-An observed campaign cell feeds a ``MetricsCollector`` live, and its
-outcome carries that registry's dict form as a side channel
-(``CellOutcome.metrics``) which ``cell_metrics`` returns as is. An
-outcome that arrived as JSON — a journal-served cell on resume, a
-results file — has no side channel and replays its ``events_jsonl``
-through a second collector. The two must agree to the byte, number
-*types* included; replay is the oracle here. Covered: the differential
+An observed campaign cell folds its live event log into a registry
+(``Observability.metrics``), and its outcome carries that registry's
+dict form as a side channel (``CellOutcome.metrics``) which
+``cell_metrics`` returns as is. An outcome that arrived as JSON — a
+journal-served cell on resume, a results file — has no side channel and
+feeds its parsed ``events_jsonl`` through the same fold. The two must
+agree to the byte, number *types* included; replay is the oracle here. Covered: the differential
 over all six protocols x the fault classes ``chaos_recovery`` draws
 (crash, frame faults, a healed partition, recovery-time faults, storage
 write faults and bit rot), the error outcomes, ``jobs`` and resume
@@ -27,6 +27,7 @@ from repro.campaign.spec import ScenarioSpec
 from repro.lang.programs import program_source
 from repro.obs import MetricsCollector, MetricsRegistry, ObsEvent
 from repro.obs.export import events_to_jsonl, read_event_log
+from repro.obs.metrics import _HANDLERS
 from repro.obs.rollup import campaign_rollup, cell_metrics
 from repro.runtime.chaos import ChaosConfig, draw_schedule
 from repro.runtime.engine import RecoverySupervisor
@@ -207,6 +208,22 @@ class TestLiveEqualsReplay:
         }
         assert_live_equals_replay(outcome)
 
+    def test_metric_type_conflict_ends_the_cell_unexpectedly(
+        self, monkeypatch
+    ):
+        # A kind whose handler takes a name another kind registers as
+        # a different type: the fold at the end of the run raises, and
+        # the cell ends as an unexpected error with no events.
+        def clash(registry):
+            registry.gauge("frames_total")
+
+        monkeypatch.setitem(_HANDLERS, ("engine", "send"), clash)
+        outcome = _campaign_cell(faulted_spec("appl-driven", 0))
+        assert outcome.error.startswith(
+            "unexpected: TypeError: metric 'frames_total' already registered"
+        )
+        assert outcome.events_jsonl is None and outcome.metrics is None
+
     def test_unobserved_cell_has_no_side_channel(self):
         outcome = _campaign_cell(
             faulted_spec("appl-driven", 0, observe=False)
@@ -229,9 +246,7 @@ class TestLiveEqualsReplay:
         registries = []
         for stream in (events, read_event_log(events_to_jsonl(events))):
             registry = MetricsRegistry()
-            collector = MetricsCollector(registry)
-            for event in stream:
-                collector.on_event(event)
+            MetricsCollector(registry).feed(stream)
             registries.append(dumps(registry.as_dict()))
         assert registries[0] == registries[1]
         assert '"min": 4.0' in registries[0]

@@ -80,10 +80,25 @@ class TestSpanTracker:
         tracker.close(outer)
         assert all(s.wall_end is not None for s in tracker.spans)
 
+    def test_closing_a_closed_span_touches_no_other_span(self):
+        bus = EventBus()
+        tracker = SpanTracker(bus=bus, wall_clock=fake_clock(range(10)))
+        outer = tracker.open("outer")
+        inner = tracker.close(tracker.open("inner"))
+        inner2 = tracker.open("inner2")
+        assert tracker.close(inner) is inner
+        assert inner.wall_end == 2 and inner2.wall_end is None
+        assert tracker.spans[0].wall_end is None
+        tracker.close(inner2)
+        tracker.close(outer)
+        assert [event.name for event in bus.events] == [
+            "inner", "inner2", "outer",
+        ]
+        assert [span.wall_end for span in tracker.spans] == [5, 2, 4]
+
     def test_bus_event_carries_sim_times_only(self):
         bus = EventBus()
-        seen = []
-        bus.subscribe(seen.append)
+        seen = bus.events
         tracker = SpanTracker(bus=bus, wall_clock=fake_clock([100.0, 200.0]))
         with tracker.span("recovery.attempt", rank=1,
                           sim_start=14.0, sim_end=14.5, outcome="ok"):
@@ -99,8 +114,7 @@ class TestSpanTracker:
 
     def test_wall_only_span_publishes_zero_sim_times(self):
         bus = EventBus()
-        seen = []
-        bus.subscribe(seen.append)
+        seen = bus.events
         tracker = SpanTracker(bus=bus, wall_clock=fake_clock([5.0, 6.0]))
         with tracker.span("phase3.placement"):
             pass
@@ -110,8 +124,7 @@ class TestSpanTracker:
 
     def test_record_parents_and_publishes(self):
         bus = EventBus()
-        seen = []
-        bus.subscribe(seen.append)
+        seen = bus.events
         tracker = SpanTracker(bus=bus, wall_clock=fake_clock([0.0, 9.0]))
         with tracker.span("campaign"):
             span = tracker.record("cell", 1.0, 4.0, cell="a/b", ok=True)

@@ -88,7 +88,7 @@ class TestVectorClockStamping:
         assert ranked
         assert all(e.clock is not None for e in ranked)
         # Every runtime layer publishes, not just the engine.
-        assert obs.bus.events_emitted > 100
+        assert len(obs.bus.events) > 100
         assert {e.category for e in obs.events} >= {
             "engine", "transport", "storage", "protocol"
         }

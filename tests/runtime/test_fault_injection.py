@@ -247,6 +247,20 @@ class TestReplicatedStore:
         store.corrupt(0, replica=2)
         assert not store.verify(store.latest(0))
 
+    def test_primary_rot_twice_does_not_heal_its_copy(self):
+        # The primary picks its target by its own copy, as a mirror
+        # does: its one entry rotted, a second rot finds nothing left
+        # to rot rather than flipping the checksum back.
+        store = ReplicatedCheckpointStore(replicas=3)
+        store.store(checkpoint(0, 0))
+        assert store.corrupt(0, replica=0)
+        assert not store.corrupt(0, replica=0)
+        entry = store.latest(0)
+        assert not CheckpointStore._intact_entry(store, entry)
+        assert store.verify(entry)  # 2/3 intact
+        assert store.corrupt(0, replica=1)
+        assert not store.verify(entry)  # 1/3: quorum lost
+
     def test_replica_out_of_range_rejected(self):
         store = ReplicatedCheckpointStore(replicas=3)
         store.store(checkpoint(0, 0))

@@ -15,8 +15,9 @@ end against the real CLI:
 5. assert the two runs' metric rollups (``--metrics-out``) have
    identical ``aggregate`` and ``per_cell`` sections. The cells are
    observed, so the clean run rolls up from the registries its cells
-   fed live; in the resumed run the journal-served cells replay their
-   event logs and the rest arrive live from ``--jobs 2`` workers.
+   folded from their live logs; in the resumed run the journal-served
+   cells fold their parsed event logs and the rest arrive live from
+   ``--jobs 2`` workers.
 
 Exit code 0 on success, 1 on any violated expectation. Tier-1 runs it
 through ``tests/integration/test_kill_resume.py``.
