@@ -116,4 +116,4 @@ def strip_checkpoints(program: ast.Program) -> ast.Program:
             node.statements[:] = [
                 s for s in node.statements if not isinstance(s, ast.Checkpoint)
             ]
-    return working
+    return ast.number_nodes(working)

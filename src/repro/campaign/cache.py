@@ -199,8 +199,8 @@ def _entry_to_result(entry: dict):
     from repro.phases.pipeline import TransformResult
 
     # Liveness is not cached: the result computes it from the
-    # reconstructed AST if read, since its keys are process-global node
-    # ids that would be meaningless if persisted across parses.
+    # reconstructed AST if read. A parse numbers that AST as the cold
+    # transform numbered its output, so the two agree on every id.
     program = parse(entry["program"])
     insertion_data = entry["insertion"]
     insertion = None

@@ -731,26 +731,6 @@ class CampaignResult:
         }
 
 
-def _normalized_jsonl(obs, program) -> str:
-    """The cell's event log with ``stmt_id`` fields made process-free.
-
-    AST node ids come from a process-wide counter, so the raw ids in an
-    event log depend on how many nodes the emitting process had ever
-    allocated — different under ``jobs=1`` (one process parses every
-    cell) and ``jobs=N`` (each worker parses from scratch). Remapping
-    each ``stmt_id`` to its statement's pre-order position in the
-    cell's own program makes the log a pure function of the spec, which
-    is what the executor's byte-identity invariant demands.
-    """
-    from repro.lang.ast_nodes import walk
-    from repro.obs.export import events_to_jsonl
-
-    return events_to_jsonl(obs.events, {
-        node.node_id: index
-        for index, node in enumerate(walk(program), start=1)
-    })
-
-
 def _campaign_cell(spec: ScenarioSpec) -> CellOutcome:
     """Worker: run one scenario spec to a plain-data outcome."""
     obs = None
@@ -761,11 +741,10 @@ def _campaign_cell(spec: ScenarioSpec) -> CellOutcome:
 
         obs = Observability()
         observer = obs.bus
-    sim = error = None
+    error = None
     try:
         try:
-            sim = spec.build(observer=observer)
-            result = sim.run()
+            result = spec.build(observer=observer).run()
         except ReproError as caught:
             error = caught
         # Folding the log raises TypeError on a metric-type conflict.
@@ -780,11 +759,7 @@ def _campaign_cell(spec: ScenarioSpec) -> CellOutcome:
     if error is not None:
         events = metrics = None
         if obs is not None:
-            events = (
-                _normalized_jsonl(obs, sim.program)
-                if sim is not None
-                else obs.jsonl()
-            )
+            events = obs.jsonl()
             metrics = fold_stats(registry, None, True)
         return CellOutcome.failure(
             spec, f"{type(error).__name__}: {error}", events, metrics
@@ -798,9 +773,7 @@ def _campaign_cell(spec: ScenarioSpec) -> CellOutcome:
             rank: dict(env) for rank, env in sorted(result.final_env.items())
         },
         completion_time=result.completion_time,
-        events_jsonl=(
-            _normalized_jsonl(obs, sim.program) if obs is not None else None
-        ),
+        events_jsonl=obs.jsonl() if obs is not None else None,
         metrics=(
             fold_stats(registry, stats, False) if obs is not None else None
         ),

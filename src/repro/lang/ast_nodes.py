@@ -21,27 +21,24 @@ process, exactly the setting of the paper's Section 3).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Iterator, Union
-
-_NODE_IDS = itertools.count(1)
-
-
-def _next_node_id() -> int:
-    return next(_NODE_IDS)
 
 
 @dataclass
 class _Node:
-    """Common base: source line plus a process-wide unique node id.
+    """Common base: source line plus the node's id within its program.
 
-    The unique id lets the CFG builder and the phase transformations
-    refer to AST statements stably even after blocks are rewritten.
+    A program's ids are its nodes' 1-based pre-order positions
+    (:func:`number_nodes`), assigned where the program is born: by the
+    parser, the MPMD composer, Phase I and ``transform``. The id lets
+    the CFG builder and the phase transformations refer to AST
+    statements stably while blocks are rewritten; a node built on its
+    own keeps ``0`` until its program is numbered.
     """
 
     line: int = field(default=0, kw_only=True)
-    node_id: int = field(default_factory=_next_node_id, kw_only=True)
+    node_id: int = field(default=0, kw_only=True)
 
 
 # ---------------------------------------------------------------------------
@@ -268,6 +265,15 @@ def walk(node: _Node) -> Iterator[_Node]:
         get = table.get(type(node))
         if get is not None:
             push(reversed(get(node)))
+
+
+def number_nodes(program: Program) -> Program:
+    """Set every node's ``node_id`` to its 1-based position in
+    :func:`walk`'s pre-order, so equal texts number alike; returns
+    *program*."""
+    for position, node in enumerate(walk(program), 1):
+        node.node_id = position
+    return program
 
 
 def count_statements(program: Program, kind: type | tuple[type, ...]) -> int:

@@ -171,7 +171,9 @@ def combine_mpmd(roles: list[Role], name: str = "mpmd") -> ast.Program:
             )
         ]
 
-    return ast.Program(name=name, body=ast.Block(statements=build(list(roles))))
+    return ast.number_nodes(
+        ast.Program(name=name, body=ast.Block(statements=build(list(roles))))
+    )
 
 
 def role_of_rank(roles: list[Role], rank: int, nprocs: int) -> int | None:

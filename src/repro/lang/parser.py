@@ -273,5 +273,7 @@ class _Parser:
 
 
 def parse(source: str) -> ast.Program:
-    """Parse MiniMP *source* text into a :class:`~repro.lang.Program`."""
-    return _Parser(tokenize(source)).parse_program()
+    """Parse MiniMP *source* text into a :class:`~repro.lang.Program`
+    whose node ids are pre-order positions
+    (:func:`~repro.lang.ast_nodes.number_nodes`)."""
+    return ast.number_nodes(_Parser(tokenize(source)).parse_program())

@@ -26,7 +26,7 @@ import json
 from functools import lru_cache
 from operator import itemgetter
 from pathlib import Path
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable
 
 from repro.causality.records import EventKind, TraceEvent
 from repro.causality.vector_clock import VectorClock
@@ -96,18 +96,16 @@ def _plan(key: tuple, n_fields: int) -> tuple | None:
     (:data:`encode_line`'s own output for a payload with a marker at
     each value, so key order and escaping are its), the getter that
     picks the template's arguments out of that value list, and the
-    positions of the strings to escape, of the floats to check for
-    finiteness, and of a ``stmt_id``.
+    positions of the strings to escape and of the floats to check for
+    finiteness.
     """
     texts, types = key[:2 + n_fields], key[2 + n_fields:]
     names = texts[2:]
-    stmt_at = 4 + names.index("stmt_id") if "stmt_id" in names else 0
     plan = None
     if (
         {*map(type, texts)} == {str}
         and "\0" not in "".join(texts)  # the marker below
         and {int, float, str, _NONE}.issuperset(types)
-        and (not stmt_at or types[stmt_at] is int)
     ):
         by_name = sorted(range(n_fields), key=names.__getitem__)
         order = [0, *(4 + i for i in by_name), 1, 2, 3]
@@ -127,7 +125,6 @@ def _plan(key: tuple, n_fields: int) -> tuple | None:
                 itemgetter(*picked),
                 tuple(at for at in order[1:] if types[at] is str),
                 tuple(at for at in order if types[at] is float),
-                stmt_at,
             )
     return plan
 
@@ -145,19 +142,7 @@ def _clock_text(clock) -> str | bool | None:
     return False
 
 
-def _payload_line(event: ObsEvent, stmt_ids) -> str:
-    payload = event.to_dict()
-    if stmt_ids is not None and "stmt_id" in event.fields:
-        stmt_id = event.fields["stmt_id"]
-        payload["fields"] = {
-            **event.fields, "stmt_id": stmt_ids.get(stmt_id, stmt_id),
-        }
-    return encode_line(payload)
-
-
-def events_to_jsonl(
-    events: Iterable[ObsEvent], stmt_ids: Mapping[int, int] | None = None
-) -> str:
+def events_to_jsonl(events: Iterable[ObsEvent]) -> str:
     """Serialise *events* as JSONL: header line + one event per line.
 
     Keys are sorted and separators fixed, so the bytes are a pure
@@ -165,12 +150,8 @@ def events_to_jsonl(
     suite checks byte-for-byte. Each line is, by definition,
     ``encode_line(event.to_dict())``; an event of plain scalars and an
     all-``int`` tuple clock is written through its shape's template
-    (:func:`_plan`) instead, to the same bytes. *stmt_ids*, when given,
-    replaces each ``stmt_id`` field it has an entry for (the campaign
-    executor's process-free statement numbering).
+    (:func:`_plan`) instead, to the same bytes.
     """
-    if stmt_ids is not None and not {*map(type, stmt_ids.values())} <= {int}:
-        raise TypeError("stmt_ids must map to plain ints")
     lines = [event_log_header()]
     # A clock tuple is shared by every event its rank emits until the
     # next tick: render each object once (held here, so its id is its).
@@ -186,10 +167,7 @@ def events_to_jsonl(
         key = (event.category, event.name, *fields, *map(type, values))
         plan = _plan(key, len(fields))
         if plan is not None:
-            template, pick, strings, floats, stmt_at = plan
-            if stmt_at and stmt_ids is not None:
-                stmt_id = values[stmt_at]
-                values[stmt_at] = stmt_ids.get(stmt_id, stmt_id)
+            template, pick, strings, floats = plan
             for at in floats:
                 if not -_INF < values[at] < _INF:
                     break
@@ -198,7 +176,7 @@ def events_to_jsonl(
                     values[at] = _text(values[at])
                 lines.append(template % pick(values))
                 continue
-        lines.append(_payload_line(event, stmt_ids))
+        lines.append(encode_line(event.to_dict()))
     return "\n".join(lines) + "\n"
 
 

@@ -85,7 +85,7 @@ def insert_checkpoints(
     walker.walk_block(working.body)
     balance_added = _balance_block(working.body)
     plan = InsertionPlan(
-        program=working,
+        program=ast.number_nodes(working),
         interval=interval,
         inserted=walker.inserted,
         balance_added=balance_added,

@@ -186,10 +186,8 @@ def _match_collectives(cfg: CFG, extended: ExtendedCFG) -> None:
     for node in cfg.nodes():
         if node.collective and node.stmt is not None:
             by_stmt.setdefault(node.stmt.node_id, {})[node.kind] = node.node_id
-    for stmt_id, pair in by_stmt.items():
+    for pair in by_stmt.values():
         if NodeKind.SEND in pair and NodeKind.RECV in pair:
             extended.add_message_edge(
-                pair[NodeKind.SEND],
-                pair[NodeKind.RECV],
-                reason=f"collective stmt #{stmt_id}",
+                pair[NodeKind.SEND], pair[NodeKind.RECV], reason="collective"
             )

@@ -95,8 +95,10 @@ def transform(
     with tracker.span("phase4.verification"):
         verification = placement.verification
     verification.raise_if_failed()
+    # Motion moved checkpoints: renumber, so the output's ids are its
+    # own pre-order positions, as a parse of its text would give.
     result = TransformResult(
-        program=placement.program,
+        program=ast.number_nodes(placement.program),
         insertion=insertion,
         placement=placement,
         verification=verification,

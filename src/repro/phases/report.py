@@ -66,10 +66,8 @@ def transform_report(result: TransformResult) -> str:
             f"liveness : {len(live)} checkpoint(s) over "
             f"{total} variable(s)"
         )
-        # Checkpoints are labelled by document-order ordinal, not raw
-        # AST node id: node ids come from a process-global counter, so
-        # a cache-reconstructed result would otherwise render a
-        # different report than the fresh transform it mirrors.
+        # Checkpoints are labelled by document-order ordinal: node ids
+        # are pre-order positions, so sorting them is document order.
         for ordinal, stmt_id in enumerate(sorted(live), start=1):
             dead_names = ", ".join(sorted(dead[stmt_id])) or "-"
             lines.append(

@@ -71,8 +71,10 @@ class InducedProtocol(CheckpointingProtocol):
         stored = sim.take_checkpoint(
             rank, time, tag=f"bcs-{index}", forced=forced
         )
-        self._index[rank] = index
+        # A rank covers an index only once its checkpoint is stored: a
+        # lost write must not advance it past the hole.
         if stored is not None:
+            self._index[rank] = index
             self._by_index[rank][index] = stored
 
     def on_failure(self, sim: "Simulation", rank: int, time: float) -> None:

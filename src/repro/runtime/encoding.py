@@ -207,10 +207,8 @@ def checkpoint_record(checkpoint) -> tuple:
     Environment slots appear in insertion order — the order restore
     must rebuild — while the unordered maps (input counters, channel
     cursors) are emitted sorted. The originating statement is carried
-    as ``stmt_label`` (its document-order ordinal), not ``stmt_id``:
-    node ids come from a process-global counter, so encoding them
-    would make durable byte counts depend on unrelated parses earlier
-    in the same process.
+    as ``stmt_label`` (its ordinal among the program's checkpoint
+    statements), not as ``stmt_id`` (its position among all nodes).
     """
     snapshot = checkpoint.snapshot
     return (

@@ -545,7 +545,7 @@ class Simulation:
         self._minimal = config.checkpoint_mode != "full"
         # For "compiled" this is where the program is lowered, once,
         # shared by every rank.
-        process_factory, compiled = make_backend(
+        process_factory, compiled, self._stmt_labels = make_backend(
             program, n_processes, config.backend
         )
         self.backend = config.backend
@@ -637,16 +637,6 @@ class Simulation:
         # identity at every commit), with one key-size memo between them.
         memo: dict = {}
         self._size_ledgers = [SizeLedger(memo) for _ in range(n_processes)]
-        # Document-order ordinal per checkpoint statement: the stable
-        # identifier the wire encoding carries in place of the
-        # process-global AST node id (see StoredCheckpoint.stmt_label).
-        self._stmt_labels = {
-            node.node_id: ordinal
-            for ordinal, node in enumerate(
-                n for n in ast.walk(program)
-                if isinstance(n, ast.Checkpoint)
-            )
-        }
         self.supervisor = RecoverySupervisor(
             self, recovery or SupervisorConfig(), list(plan.recovery_faults)
         )

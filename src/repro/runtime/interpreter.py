@@ -398,31 +398,41 @@ ProcessFactory = Callable[
 
 def make_backend(
     program: ast.Program, n_processes: int, backend: str
-) -> tuple[ProcessFactory, CompiledProgram | None]:
+) -> tuple[ProcessFactory, CompiledProgram | None, dict[int, int]]:
     """Build the per-rank process factory of the chosen *backend*.
 
-    Returns ``(factory, lowered)``. ``"compiled"`` lowers *program* once
-    into the instruction table all ranks share — *lowered*, the
-    :class:`~repro.lang.compile.CompiledProgram`, which callers reach
-    for pruning masks and lowering diagnostics — and its factory only
-    allocates a rank's registers over it; ``"reference"`` constructs the
+    Returns ``(factory, lowered, labels)``. ``"compiled"`` lowers
+    *program* once into the instruction table all ranks share —
+    *lowered*, the :class:`~repro.lang.compile.CompiledProgram`, which
+    callers reach for pruning masks and lowering diagnostics — and its
+    factory only allocates a rank's registers over it; ``"reference"`` constructs the
     tree-walking :class:`ProcessInterpreter` and has no lowered form
     (``None``). Both factories expose the identical
-    ``step``/``deliver``/``snapshot``/``restore`` surface. *backend* is
-    one of :data:`BACKENDS` (validated by
+    ``step``/``deliver``/``snapshot``/``restore`` surface. *labels*
+    maps each ``checkpoint`` statement's node id to its document-order
+    ordinal, the label a stored checkpoint carries
+    (:attr:`~repro.runtime.storage.StoredCheckpoint.stmt_label`).
+    *backend* is one of :data:`BACKENDS` (validated by
     :class:`~repro.runtime.engine.RunConfig`).
     """
+    labels = {
+        node.node_id: ordinal
+        for ordinal, node in enumerate(
+            node for node in ast.walk(program)
+            if type(node) is ast.Checkpoint
+        )
+    }
     if backend == "compiled":
         # Imported here: lang.compile imports this module for the
         # snapshot types, so a top-level import would be circular.
         from repro.lang.compile import compile_program
 
         compiled = compile_program(program, n_processes)
-        return compiled.bind, compiled
+        return compiled.bind, compiled, labels
 
     def make_reference(rank, params=None, inputs=None):
         return ProcessInterpreter(
             program, rank, n_processes, params=params, inputs=inputs
         )
 
-    return make_reference, None
+    return make_reference, None, labels

@@ -56,10 +56,10 @@ class StoredCheckpoint:
             checkpoint came from an application ``checkpoint`` statement.
         stmt_label: Document-order ordinal of that statement among the
             program's checkpoint statements (``None`` for protocol and
-            initial checkpoints). This — never ``stmt_id`` — is what
-            the wire record carries: AST node ids come from a
-            process-global counter, and durable bytes must not vary
-            with how many programs a process parsed earlier.
+            initial checkpoints). This — never ``stmt_id``, the node's
+            position among all the program's nodes — is what the wire
+            record carries: a smaller number naming the same
+            statement.
         tag: Protocol-specific label (e.g. the coordinated round id).
         blocked_effect: The receive effect the process was blocked on
             when a protocol checkpointed it mid-receive (None when the

@@ -8,14 +8,12 @@ carry the scale cases: ``tests/runtime/test_scheduler_differential.py``,
 ``tests/runtime/test_delta_recovery.py``.
 """
 
-import itertools
 import json
 from pathlib import Path
 
 import pytest
 
 from repro.cli import main
-from repro.lang import ast_nodes
 from repro.obs.export import events_to_jsonl, read_event_log
 from repro.runtime.engine import Simulation
 
@@ -97,17 +95,9 @@ class TestRunFlags:
     reaches every engine the subcommand builds."""
 
     @pytest.mark.parametrize("knob", KNOBS)
-    def test_simulate(
-        self, knob, tmp_path, capsys, engine_knobs, monkeypatch
-    ):
+    def test_simulate(self, knob, tmp_path, capsys, engine_knobs):
         outputs = []
-        first_id = next(ast_nodes._NODE_IDS)
         for value in KNOBS[knob]:
-            # Statement ids come from a process-global counter: number
-            # both parses alike, as two fresh processes would.
-            monkeypatch.setattr(
-                ast_nodes, "_NODE_IDS", itertools.count(first_id)
-            )
             trace = tmp_path / f"trace-{value}.json"
             stats = tmp_path / f"stats-{value}.json"
             code, _, _ = cli(

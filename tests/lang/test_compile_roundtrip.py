@@ -7,8 +7,7 @@ interpreter yields on the *original* AST — same effects in the same
 order with the same payloads, same environment evolution, same
 checkpoint count. Going through the printer and parser first is the
 point: it proves the compiler keys on program *meaning*, not on the
-specific AST object identities (node ids are process-global, so the
-reparsed program shares none of them).
+specific AST objects (the reparsed program shares none of them).
 
 Receives are satisfied with a deterministic synthetic value stream on
 both sides (no engine, no network — this isolates the per-process

@@ -155,21 +155,19 @@ def reference_parse(text):
 
 
 def outcome(function, text):
-    """``(True, result)`` or ``(False, (type, message, line, column))``;
-    a tree comes with its node ids rebased to the counter before it."""
-    base = next(ast._NODE_IDS)
+    """``(True, result)`` or ``(False, (type, message, line, column))``."""
     try:
         result = function(text)
     except LanguageError as error:
         return False, (type(error), str(error), error.line, error.column)
     if isinstance(result, ast.Program):
-        return True, (result, base)
+        return True, result
     return True, [tuple(token) for token in result]
 
 
-def shape(program, base):
+def shape(program):
     return [
-        (type(node).__name__, node.line, node.node_id - base)
+        (type(node).__name__, node.line, node.node_id)
         for node in reference.walk(program)
     ]
 
@@ -181,9 +179,12 @@ def assert_same_parse(text):
     if not ok:
         assert got == want
         return None
-    (program, base), (ref_program, ref_base) = got, want
+    program, ref_program = got, want
     assert ast_equal(program, ref_program)
-    assert shape(program, base) == shape(ref_program, ref_base)
+    # The oracle's ids: positions in the recursive pre-order walk.
+    for position, node in enumerate(reference.walk(ref_program), 1):
+        node.node_id = position
+    assert shape(program) == shape(ref_program)
     assert [id(n) for n in ast.walk(program)] == [
         id(n) for n in reference.walk(program)
     ]

@@ -32,8 +32,7 @@ class TestSimulateFlags:
         assert {"engine", "transport", "storage"} <= categories
 
     def test_trace_out_is_deterministic(self, tmp_path):
-        # Statement IDs come from a process-global counter, so
-        # byte-identity is a *replay* property: two fresh processes
+        # Byte-identity is a *replay* property: two fresh processes
         # running the same (program, seed, plan) must agree exactly.
         import subprocess
         import sys

@@ -2,27 +2,25 @@
 
 ``events_to_jsonl`` writes an event of plain scalars through a
 ``%``-template of its shape and everything else through the compact
-JSON encoder, and the executor's ``_normalized_jsonl`` hands it the
-``stmt_id`` remap instead of rewriting payloads. The bytes are a
-contract (artifact, journal and ``bench/expected`` digests hang off
-them), so both are pinned against the formulations they replaced, kept
-here as oracles: ``json.dumps`` of ``to_dict()`` per line, and
-replace-then-encode. The draws aim at what a hand-written encoder gets
-wrong: ``%`` / quotes / non-ASCII in names and keys, non-``str`` keys,
+JSON encoder. The bytes are a contract (artifact, journal and
+``bench/expected`` digests hang off them), so they are pinned against
+the formulation the templates replaced, kept here as the oracle:
+``json.dumps`` of ``to_dict()`` per line. Real logs are also pinned
+against the ``stmt_id`` remap campaign workers once applied (each id to
+its statement's pre-order position): node ids are those positions now,
+so the remap must change nothing. The draws aim at what a hand-written
+encoder gets wrong: ``%`` / quotes / non-ASCII in names and keys, non-``str`` keys,
 ``bool`` / ``NaN`` / infinities / 2**70 in every scalar position, list
 and 0/1-component clocks, and one shape seen with two sets of types.
 """
 
 import json
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.campaign.executor import _normalized_jsonl
 from repro.lang.ast_nodes import walk
-from repro.lang.programs import ring_pipeline
 from repro.obs import (
     CATEGORIES,
     EVENT_LOG_SCHEMA_VERSION,
@@ -34,9 +32,6 @@ from repro.obs import export
 from repro.obs.export import read_event_log
 
 from .test_live_rollup import PROTOCOLS, SEEDS, faulted_spec
-
-PROGRAM = ring_pipeline()
-NODE_IDS = [node.node_id for node in walk(PROGRAM)]
 
 #: Non-ASCII, quotes, backslashes and control characters included.
 TEXT = st.text(max_size=12) | st.sampled_from(
@@ -55,9 +50,6 @@ VALUES = st.recursive(
     ),
     max_leaves=8,
 )
-#: A real statement id, an id no statement has, ``None`` — or no field.
-STMT_IDS = st.sampled_from(NODE_IDS) | INTS | st.none()
-
 
 #: Keys JSON coerces to strings; one type a dict, so they sort.
 ODD_KEYS = st.one_of(
@@ -72,12 +64,8 @@ COMPONENTS = st.lists(
 
 
 @st.composite
-def obs_events(draw, stmt_ids=False):
+def obs_events(draw):
     fields = draw(st.dictionaries(TEXT, VALUES, max_size=4) | ODD_KEYS)
-    if stmt_ids and draw(st.booleans()) and all(
-        isinstance(key, str) for key in fields  # mixed keys do not sort
-    ):
-        fields["stmt_id"] = draw(STMT_IDS)
     return ObsEvent(
         seq=draw(INTS | SCALARS),
         category=draw(st.sampled_from(CATEGORIES) | TEXT),
@@ -94,9 +82,10 @@ def dumps_line(payload):
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-def old_normalized_jsonl(events, program):
-    """``_normalized_jsonl`` as it was: rebuild each event, then encode."""
-    stmt_ids = {
+def remapped_jsonl(events, program):
+    """The log with each ``stmt_id`` replaced by its statement's
+    pre-order position in *program*, as campaign workers once wrote it."""
+    positions = {
         node.node_id: index
         for index, node in enumerate(walk(program), start=1)
     }
@@ -104,7 +93,7 @@ def old_normalized_jsonl(events, program):
         event._replace(
             fields={
                 **event.fields,
-                "stmt_id": stmt_ids.get(
+                "stmt_id": positions.get(
                     event.fields["stmt_id"], event.fields["stmt_id"]
                 ),
             },
@@ -134,44 +123,6 @@ def test_every_line_is_what_json_dumps_writes(events):
         assert ('"fields":' in dumps_line(event.to_dict())) == bool(
             event.fields
         )
-
-
-@settings(max_examples=400, deadline=None)
-@given(events=st.lists(obs_events(stmt_ids=True), max_size=6))
-def test_normalized_log_matches_replace_then_encode(events):
-    before = repr(events)
-    text = _normalized_jsonl(SimpleNamespace(events=events), PROGRAM)
-    assert text == old_normalized_jsonl(events, PROGRAM)
-    # The remap works on the line's payload: the events are untouched.
-    assert repr(events) == before
-
-
-def test_remap_known_unknown_and_absent_stmt_ids():
-    def event(seq, **fields):
-        return ObsEvent(
-            seq=seq, category="engine", name="send", rank=0, time=1.0,
-            clock=(1,), fields=fields,
-        )
-
-    unknown = max(NODE_IDS) + 1000
-    events = [
-        event(0, stmt_id=NODE_IDS[3], peer=1),
-        event(1, stmt_id=unknown),
-        event(2, stmt_id=None),
-        event(3, peer=2),
-        event(4),
-    ]
-    text = _normalized_jsonl(SimpleNamespace(events=events), PROGRAM)
-    decoded = read_event_log(text)
-    assert [e.fields for e in decoded] == [
-        {"stmt_id": 4, "peer": 1},      # pre-order position, 1-based
-        {"stmt_id": unknown},           # passes through unchanged
-        {"stmt_id": None},
-        {"peer": 2},
-        {},
-    ]
-    assert events[0].fields == {"stmt_id": NODE_IDS[3], "peer": 1}
-    assert text == old_normalized_jsonl(events, PROGRAM)
 
 
 def shaped(**overrides):
@@ -242,13 +193,6 @@ def test_nul_in_a_name_is_not_taken_for_a_value_marker():
         ]
 
 
-def test_stmt_id_map_must_hold_plain_ints():
-    with pytest.raises(TypeError, match="plain ints"):
-        events_to_jsonl([], {1: "one"})
-    with pytest.raises(TypeError, match="plain ints"):
-        events_to_jsonl([], {1: True})
-
-
 def test_memos_are_bounded_and_refill():
     bound = export._plan.cache_info().maxsize
     assert 0 < bound <= 4096 and export._text.cache_info().maxsize == bound
@@ -264,8 +208,8 @@ def test_memos_are_bounded_and_refill():
 
 
 class TestRealLogs:
-    """The six protocols' faulted cells: every line, with and without
-    the ``stmt_id`` map."""
+    """The six protocols' faulted cells: every line, and the old
+    ``stmt_id`` remap is the identity on them."""
 
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("protocol", PROTOCOLS)
@@ -282,10 +226,8 @@ class TestRealLogs:
         assert len(obs.events) > 100
         lines = obs.jsonl()[:-1].split("\n")
         assert lines[1:] == [dumps_line(e.to_dict()) for e in obs.events]
-        normalized = _normalized_jsonl(obs, sim.program)
-        assert normalized == old_normalized_jsonl(obs.events, sim.program)
-        assert any(
-            "stmt_id" in event.fields for event in obs.events
-        ) and normalized != obs.jsonl()
+        log = obs.jsonl()
+        assert any("stmt_id" in event.fields for event in obs.events)
+        assert remapped_jsonl(obs.events, sim.program) == log
         # A fixpoint of its own reader and writer.
-        assert events_to_jsonl(read_event_log(normalized)) == normalized
+        assert events_to_jsonl(read_event_log(log)) == log

@@ -37,8 +37,6 @@ from repro.runtime.failures import (
 )
 
 
-# Statement IDs come from a global counter, so byte-identity tests
-# must reuse one parsed program rather than re-parsing per run.
 PROGRAM = ring_pipeline()
 
 

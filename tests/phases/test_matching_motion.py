@@ -41,6 +41,13 @@ def _checkpoints(program: ast.Program) -> list[tuple[ast.Block, int]]:
     ]
 
 
+def _new_checkpoint(program: ast.Program) -> ast.Checkpoint:
+    """A checkpoint whose id no node of *program* holds yet."""
+    return ast.Checkpoint(
+        node_id=max(node.node_id for node in ast.walk(program)) + 1
+    )
+
+
 def _mutate(program: ast.Program, op: str, a: int, b: int) -> None:
     """One legal rearrangement of checkpoint statements, in place."""
     placed = _checkpoints(program)
@@ -48,11 +55,11 @@ def _mutate(program: ast.Program, op: str, a: int, b: int) -> None:
     target = blocks[a % len(blocks)]
     slot = b % (len(target.statements) + 1)
     if op == "insert" or not placed:
-        target.statements.insert(slot, ast.Checkpoint())
+        target.statements.insert(slot, _new_checkpoint(program))
         return
     block, position = placed[a % len(placed)]
     if op == "merge":
-        block.statements.insert(position, ast.Checkpoint())
+        block.statements.insert(position, _new_checkpoint(program))
         _merge_adjacent_checkpoints(program)
     elif op == "hoist":
         if block is not program.body:

@@ -42,9 +42,9 @@ def adversarial_plan():
     )
 
 
-def run_ring(program=None, fault_plan=None, **kwargs):
+def run_ring(fault_plan=None, **kwargs):
     return Simulation(
-        program if program is not None else ring_pipeline(),
+        ring_pipeline(),
         3,
         params={"steps": 10},
         protocol=ApplicationDrivenProtocol(),
@@ -229,30 +229,23 @@ class TestOtherProtocols:
 
 class TestDeterminism:
     def test_identical_traces_under_identical_fault_plan(self):
-        # One program object for both runs: AST node ids come from a
-        # global counter, so trace stmt_ids only line up when the
-        # parsed program is shared.
-        program = ring_pipeline()
-        first = run_ring(program=program, fault_plan=adversarial_plan())
-        second = run_ring(program=program, fault_plan=adversarial_plan())
+        # Each run parses its own program: equal texts number alike.
+        first = run_ring(fault_plan=adversarial_plan())
+        second = run_ring(fault_plan=adversarial_plan())
         assert trace_to_json(first.trace) == trace_to_json(second.trace)
         assert first.stats == second.stats
         assert first.final_env == second.final_env
         assert first.completion_time == second.completion_time
 
     def test_zero_fault_plan_equivalent_to_no_plan(self):
-        program = ring_pipeline()
-        bare = run_ring(program=program)
-        empty = run_ring(program=program, fault_plan=FaultPlan())
+        bare = run_ring()
+        empty = run_ring(fault_plan=FaultPlan())
         assert trace_to_json(bare.trace) == trace_to_json(empty.trace)
         assert bare.stats == empty.stats
         assert bare.final_env == empty.final_env
 
     def test_crash_only_fault_plan_matches_failure_plan(self):
-        program = ring_pipeline()
-        legacy = run_ring(program=program,
-                          fault_plan=FailurePlan.single(19.5, 1))
-        modern = run_ring(program=program,
-                          fault_plan=FaultPlan(crashes=[(19.5, 1)]))
+        legacy = run_ring(fault_plan=FailurePlan.single(19.5, 1))
+        modern = run_ring(fault_plan=FaultPlan(crashes=[(19.5, 1)]))
         assert trace_to_json(legacy.trace) == trace_to_json(modern.trace)
         assert legacy.stats == modern.stats

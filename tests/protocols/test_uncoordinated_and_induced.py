@@ -1,13 +1,26 @@
 """Uncoordinated and communication-induced protocol tests (V5)."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.lang.parser import parse
-from repro.lang.programs import jacobi_plain, pingpong
+from repro.lang.programs import jacobi_plain, pingpong, program_source
 from repro.bench.workloads import strip_checkpoints
+from repro.campaign import ScenarioSpec
 from repro.errors import SimulationError
 from repro.protocols import InducedProtocol, UncoordinatedProtocol
-from repro.runtime import FailurePlan, RuntimeCosts, Simulation
+from repro.runtime import (
+    CrashEvent,
+    FailurePlan,
+    FaultKind,
+    FaultPlan,
+    NetworkFaultEvent,
+    NetworkFaultKind,
+    RuntimeCosts,
+    Simulation,
+    StorageFaultEvent,
+)
 
 
 class TestUncoordinated:
@@ -130,3 +143,61 @@ class TestInduced:
     def test_invalid_period(self):
         with pytest.raises(SimulationError, match="period must be positive"):
             InducedProtocol(period=0)
+
+
+#: The network faults of ``chaos_recovery``'s ``stencil_1d/n12/cic``
+#: cell as its generator draws it at seed 109 with write faults on:
+#: (time, kind, src, dst).
+_CELL_NETWORK = (
+    (0.95283, "corrupt", 10, 3), (7.5217, "drop", 3, 6),
+    (12.641379, "drop", 9, 3), (14.117255, "partition", 6, 5),
+    (14.461089, "drop", 1, 8), (16.936629, "heal", 6, 5),
+    (19.828667, "duplicate", 8, 11), (24.151475, "duplicate", 5, 2),
+    (28.394166, "drop", 10, 2), (29.870732, "drop", 2, 7),
+    (31.948595, "duplicate", 0, 6),
+)
+
+
+def _lost_write_plan(kind, network=()):
+    """Rank 6 loses its first checkpoint write after t=6.2; rank 4
+    crashes at t=14.1, after rank 6 took later indices."""
+    return FaultPlan(
+        crashes=[CrashEvent(time=14.088311, rank=4)],
+        max_failures=1,
+        storage_faults=[
+            StorageFaultEvent(
+                time=3.973076, rank=0, kind=FaultKind.BIT_ROT, replica=0,
+            ),
+            StorageFaultEvent(time=6.201878, rank=6, kind=kind),
+        ],
+        network_faults=[
+            NetworkFaultEvent(
+                time=time, kind=NetworkFaultKind(name), src=src, dst=dst,
+            )
+            for time, name, src, dst in network
+        ],
+    )
+
+
+class TestInducedLostWrite:
+    """A ``cic`` rank whose checkpoint write is lost keeps its old BCS
+    index: adopting the new one would let a later rollback pair the
+    rank's older checkpoint with its peers' newer ones."""
+
+    @pytest.mark.parametrize("plan", [
+        _lost_write_plan(FaultKind.TORN_WRITE, _CELL_NETWORK),
+        _lost_write_plan(FaultKind.TORN_WRITE),
+        _lost_write_plan(FaultKind.WRITE_FAIL),
+    ], ids=["drawn-cell", "torn-write", "write-fail"])
+    def test_final_state_matches_the_fault_free_run(self, plan):
+        cell = ScenarioSpec(
+            label="stencil_1d/n12/cic", program=program_source("stencil_1d"),
+            n_processes=12, params={"steps": 8}, protocol="cic", period=6.0,
+            seed=3, storage_replicas=3, checkpoint_mode="pruned+delta",
+            fault_plan=plan,
+        )
+        twin = replace(cell, fault_plan=None)
+        result = cell.build().run()
+        assert result.stats.completed
+        assert result.stats.rollbacks == 1
+        assert result.final_env == twin.build().run().final_env

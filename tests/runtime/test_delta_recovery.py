@@ -27,9 +27,6 @@ from repro.runtime.failures import (
 #: stored/reclaimed *wire* bytes, which is exactly what the modes change.
 BYTE_STATS = ("stored_bytes", "gc_reclaimed_bytes")
 
-# Fingerprints compare trace events across runs, and events carry
-# statement node ids — which come from a process-global counter. Parse
-# each workload once and clone per run so ids line up.
 JACOBI = jacobi()
 STENCIL_HALO = stencil_halo()
 RING_PIPELINE = ring_pipeline()
