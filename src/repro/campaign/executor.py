@@ -51,6 +51,7 @@ verdict worker.
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import time
@@ -82,7 +83,10 @@ def _attempt_call(worker, fault, attempt, in_process, payload):
     The fault fires *outside* the worker callable, so cell-level error
     capture (e.g. ``_campaign_cell``'s) never swallows an injected
     executor fault — they model the process dying, not the cell
-    failing. Returns ``(result, elapsed_s, worker_pid)``; the pid
+    failing. The worker runs with the cyclic collector paused (a
+    finished cell leaves no cycles, so its kept checkpoints need no
+    rescans) and the caller's collector state comes back on any exit.
+    Returns ``(result, elapsed_s, worker_pid)``; the pid
     identifies which process executed the cell — diagnostic only (it
     feeds the rollup's ``diagnostics.workers`` map), never part of any
     deterministic artifact.
@@ -90,7 +94,13 @@ def _attempt_call(worker, fault, attempt, in_process, payload):
     start = time.perf_counter()
     if fault is not None and fault.fires(attempt):
         fire_fault(fault, in_process)
-    result = worker(payload)
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        result = worker(payload)
+    finally:
+        if collecting:
+            gc.enable()
     return result, time.perf_counter() - start, os.getpid()
 
 

@@ -1,4 +1,8 @@
-"""Campaign executor: merge determinism, parallel byte-identity, errors."""
+"""Campaign executor: merge determinism, parallel byte-identity, errors,
+and the collector pause every cell runs under."""
+
+import gc
+import sys
 
 import pytest
 
@@ -7,12 +11,15 @@ from repro.campaign.executor import (
     CellOutcome,
     ExecutorPolicy,
     ExecutorStats,
+    _attempt_call,
+    _campaign_cell,
     _charge,
     _default_fail,
     resolve_jobs,
     run_campaign,
     run_cells,
 )
+from repro.campaign.faults import _InjectedCrash, _InjectedHang, WorkerFault
 from repro.campaign.spec import ScenarioSpec, quick_campaign
 from repro.errors import ExecutorQuarantineError, SimulationError
 from repro.lang.programs import program_source
@@ -27,6 +34,16 @@ def _square(payload):
 def _explode(payload):
     """Module-level worker that always raises (picklable)."""
     raise ValueError(f"boom on {payload}")
+
+
+def _collector_enabled(payload):
+    """Module-level worker reporting whether the cyclic collector runs."""
+    return gc.isenabled()
+
+
+def _engine_error(payload):
+    """Module-level worker raising the engine's own error type."""
+    raise SimulationError(f"engine error on {payload}")
 
 
 class TestRunCells:
@@ -238,6 +255,83 @@ class TestCharge:
         with pytest.raises(ExecutorQuarantineError, match="'k'") as info:
             self._charge(self.POLICY.max_attempts, fail=_default_fail)
         assert isinstance(info.value.__cause__, ValueError)
+
+
+@pytest.fixture
+def restore_collector():
+    """Puts the collector back as the test found it."""
+    enabled = gc.isenabled()
+    yield
+    (gc.enable if enabled else gc.disable)()
+
+
+class TestCollectorPause:
+    """A cell runs with the cyclic collector paused; the caller's state
+    comes back on every way out of the worker shim."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_worker_sees_the_collector_paused(self, jobs):
+        results, _ = run_cells(
+            [("a", 0), ("b", 1)], _collector_enabled, jobs=jobs
+        )
+        assert results == {"a": False, "b": False}
+        assert gc.isenabled()
+
+    def test_no_collector_pass_while_a_campaign_cell_runs(self):
+        # A pass is inside a cell when the allocation that triggered it
+        # was made under ``_campaign_cell``.
+        inside = []
+
+        def probe(phase, info):
+            if phase != "start":
+                return
+            frame = sys._getframe(1)
+            while frame is not None:
+                if frame.f_code is _campaign_cell.__code__:
+                    inside.append(info["generation"])
+                    return
+                frame = frame.f_back
+
+        specs = [
+            ScenarioSpec(
+                label=f"stencil_1d/{index}",
+                program=program_source("stencil_1d"),
+                n_processes=16, params={"steps": 8}, seed=index,
+            )
+            for index in range(2)
+        ]
+        gc.callbacks.append(probe)
+        try:
+            result = run_campaign(specs)
+        finally:
+            gc.callbacks.remove(probe)
+        assert all(cell.ok for cell in result.cells.values())
+        assert inside == []
+
+    @pytest.mark.usefixtures("restore_collector")
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize(
+        "worker, fault, raised",
+        [
+            (_collector_enabled, None, None),
+            (_engine_error, None, SimulationError),
+            (_explode, None, ValueError),
+            (_collector_enabled, WorkerFault(kind="crash"), _InjectedCrash),
+            (_collector_enabled, WorkerFault(kind="hang"), _InjectedHang),
+        ],
+        ids=["return", "repro-error", "unexpected", "crash", "hang"],
+    )
+    def test_every_exit_restores_the_collector(
+        self, enabled, worker, fault, raised
+    ):
+        (gc.enable if enabled else gc.disable)()
+        if raised is None:
+            result, _, _ = _attempt_call(worker, fault, 1, True, 0)
+            assert result is False
+        else:
+            with pytest.raises(raised):
+                _attempt_call(worker, fault, 1, True, 0)
+        assert gc.isenabled() is enabled
 
 
 class TestChaosSweepJobs:

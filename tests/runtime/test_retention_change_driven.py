@@ -10,7 +10,10 @@ below as :class:`BatchRetention` — re-deriving everything from scratch
 for every victim — and a Hypothesis property drives both through the
 same interleavings. Two count pins keep the cost from coming back
 unseen, and a regression test covers the identity-keyed integrity
-records that used to outlive their entries.
+records that used to outlive their entries. The last section checks
+that a finished run, fault-free or faulted under every protocol, is
+freed by refcount alone: campaign cells run with the cyclic collector
+paused on that assumption.
 """
 
 import gc
@@ -19,12 +22,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bench.workloads import protocol_cells
+from repro.campaign.executor import _campaign_cell
+from repro.campaign.spec import ScenarioSpec
 from repro.causality.vector_clock import VectorClock
-from repro.lang.programs import ring_pipeline, token_ring
+from repro.lang.programs import program_source, ring_pipeline, token_ring
 from repro.protocols import ApplicationDrivenProtocol, make_protocol
 from repro.runtime import FaultPlan, Simulation
 from repro.runtime.failures import (
+    CrashEvent,
     FaultKind,
+    NetworkFaultEvent,
+    NetworkFaultKind,
     RecoveryFaultEvent,
     RecoveryFaultKind,
     StorageFaultEvent,
@@ -521,3 +530,74 @@ def test_finished_retried_recovery_is_freed_by_refcount(kind):
             RecoveryFaultEvent(recovery=0, rank=3, kind=kind, attempts=2),
         ],
     ))
+
+
+def _every_fault_class(horizon):
+    """A crash plus network, storage and recovery faults, aimed at
+    fractions of a run that lasts about *horizon* simulated seconds."""
+    def at(share):
+        return round(share * horizon, 6)
+
+    net = NetworkFaultKind
+    return FaultPlan(
+        crashes=[CrashEvent(time=at(0.5), rank=2)],
+        max_failures=1,
+        network_faults=[
+            NetworkFaultEvent(time=at(0.1), kind=net.DROP, src=0, dst=1),
+            NetworkFaultEvent(time=at(0.2), kind=net.DUPLICATE, src=1, dst=2),
+            NetworkFaultEvent(
+                time=at(0.3), kind=net.DELAY, src=2, dst=3, delay=1.5
+            ),
+            NetworkFaultEvent(time=at(0.4), kind=net.CORRUPT, src=3, dst=0),
+            NetworkFaultEvent(time=at(0.15), kind=net.PARTITION, src=1, dst=3),
+            NetworkFaultEvent(
+                time=at(0.15) + 2.0, kind=net.HEAL, src=1, dst=3
+            ),
+        ],
+        storage_faults=[
+            StorageFaultEvent(
+                time=at(0.3), rank=1, kind=FaultKind.BIT_ROT, replica=1
+            ),
+            StorageFaultEvent(time=at(0.2), rank=3, kind=FaultKind.TRANSIENT),
+        ],
+        recovery_faults=[
+            RecoveryFaultEvent(
+                recovery=0, rank=0, kind=RecoveryFaultKind.CRASH
+            ),
+        ],
+    )
+
+
+@pytest.mark.parametrize("steps", (8, 32))
+def test_finished_faulted_campaign_cell_leaves_no_cycle(steps):
+    """The campaign executor pauses the cyclic collector while a cell
+    runs, so a cell must free everything it drops by refcount: under
+    every protocol, a replicated, retention-bounded, observed cell that
+    recovers from a crash through network, storage and recovery faults
+    leaves nothing for the collector once it returns its outcome."""
+    workload = ScenarioSpec(
+        label="ring_pipeline", program=program_source("ring_pipeline"),
+        n_processes=4, params={"steps": steps},
+    )
+    cells = protocol_cells(
+        workload,
+        protocols=("appl-driven", "sas", "cl", "cic", "uncoordinated",
+                   "msg-logging"),
+        period=5.0, storage_replicas=3, retain_k=4, observe=True,
+        # One ring_pipeline iteration takes about 3.72 simulated seconds
+        # at n = 4.
+        fault_plan=_every_fault_class(steps * 3.72),
+    )
+    for spec in cells:
+        gc.collect()
+        gc.disable()
+        try:
+            outcome = _campaign_cell(spec)
+            assert gc.collect() == 0, spec.label
+        finally:
+            gc.enable()
+        assert outcome.ok, (spec.label, outcome.error)
+        stats = outcome.stats
+        assert (stats["failures"], stats["nested_crashes"]) == (1, 1)
+        assert stats["bit_rot_injected"] == stats["storage_retries"] == 1
+        assert stats["retransmits"] > 0 and stats["gc_collected"] > 0

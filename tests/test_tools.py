@@ -1,9 +1,13 @@
-"""Tests for the results-regeneration tool, the benchmark's layer table,
-and the CI workflow's references into the checkout."""
+"""Tests for the results-regeneration tool, the collector probe, the
+benchmark's layer table, and the CI workflow's references into the
+checkout."""
 
+import gc
 import importlib
 import importlib.util
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -53,7 +57,7 @@ class TestCiWorkflow:
         # sees everything CI checks.
         runs = re.findall(r"^\s+run: (.+)$", self.job("tests"), re.M)
         assert [r for r in runs if not r.startswith("python -m pip ")] == [
-            "PYTHONPATH=src python -m pytest -x -q",
+            "PYTHONPATH=src python -m pytest -x -q --durations=15",
             "python -m pytest bench/tests -q",
         ]
 
@@ -159,6 +163,38 @@ def regenerated(tmp_path_factory):
     out = tmp_path_factory.mktemp("results")
     assert load_tool().main([str(out)]) == 0
     return out
+
+
+class TestGcProbe:
+    TOOL = REPO_ROOT / "tools" / "gc_probe.py"
+
+    def test_probe_counts_passes_by_generation(self):
+        probe = load_by_path("gc_probe", self.TOOL).CollectorProbe()
+        with probe:
+            gc.collect(0)
+            gc.collect(2)
+        assert probe not in gc.callbacks
+        assert probe.passes == [1, 0, 1]
+        assert probe.seconds > 0
+
+    def test_probes_one_workload(self):
+        completed = subprocess.run(
+            [sys.executable, str(self.TOOL), "--workload", "transform_sweep",
+             "--rounds", "1"],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert completed.returncode == 0, completed.stderr
+        header, row = completed.stdout.splitlines()[1:]
+        assert header.split()[:2] == ["workload", "passes"]
+        assert row.split()[0] == "transform_sweep"
+
+    def test_unknown_workload_rejected(self):
+        completed = subprocess.run(
+            [sys.executable, str(self.TOOL), "--workload", "nope"],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert completed.returncode == 2
+        assert "unknown workload" in completed.stderr
 
 
 class TestRegenerateResults:
