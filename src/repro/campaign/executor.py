@@ -36,17 +36,16 @@ artifact is byte-identical across any ``jobs`` count **and** across
 clean vs. retried vs. killed-and-resumed runs — quarantine messages
 deliberately contain no PIDs, times, or host state.
 
-:func:`run_spec_cells` instantiates the substrate for
-:class:`~repro.campaign.spec.ScenarioSpec` cells — the shape both
-harnesses ship: one journal adapter (key = label, hash =
-``spec.content_hash()``), one quarantine rule, one journal lifetime.
-:func:`run_campaign` runs it with the campaign worker: each worker
-builds a simulation from its spec (``spec.build()``), runs it, and
-returns a plain-data :class:`CellOutcome` — stats dict, final
-environment, completion time, and (when the spec says ``observe``) the
-cell's full JSONL observability event log, captured per-worker and
-merged deterministically by cell key. The chaos sweep runs it with its
-verdict worker.
+:func:`run_campaign` instantiates the substrate for
+:class:`~repro.campaign.spec.ScenarioSpec` cells: one journal codec
+(key = label, hash = ``spec.content_hash()``), one quarantine rule, one
+journal lifetime, and one worker. Each worker builds a simulation from
+its spec (``spec.build()``), runs it, and returns a plain-data
+:class:`CellOutcome` — stats dict, final environment, completion time,
+and (when the spec says ``observe``) the cell's full JSONL
+observability event log, captured per-worker and merged
+deterministically by cell key. A caller's ``judge`` turns a clean run
+into a verdict inside the worker; the chaos sweep is that caller.
 """
 
 from __future__ import annotations
@@ -614,7 +613,9 @@ class CellOutcome:
     different worker counts — produce equal outcomes. A quarantined
     cell carries an ``executor:``-prefixed error; a cell that died on
     an unexpected (non-:class:`~repro.errors.ReproError`) exception
-    carries an ``unexpected:``-prefixed one.
+    carries an ``unexpected:``-prefixed one; a judged run that broke
+    its contract carries the judge's reason and keeps its stats and
+    final environment.
 
     ``metrics`` is a side channel outside the artifact (not in JSON, the
     journal, ``==`` or ``repr``; it crosses workers by pickle): the dict
@@ -741,22 +742,34 @@ class CampaignResult:
         }
 
 
-def _campaign_cell(spec: ScenarioSpec) -> CellOutcome:
-    """Worker: run one scenario spec to a plain-data outcome."""
+def _campaign_cell(
+    spec: ScenarioSpec, judge=None, observer=None
+) -> CellOutcome:
+    """Worker: run one scenario spec to a plain-data outcome.
+
+    After a clean run, ``judge(spec, sim, result)`` may return a reason
+    the run broke its contract; the reason becomes the outcome's
+    ``error`` and the outcome keeps its stats and final environment.
+    *observer* (an :class:`~repro.obs.bus.EventBus`) replaces the
+    spec's own observability; the outcome then carries no event log.
+    """
     obs = None
-    observer = None
-    if spec.observe:
+    if observer is None and spec.observe:
         from repro.obs import Observability
         from repro.obs.rollup import fold_stats
 
         obs = Observability()
         observer = obs.bus
-    error = None
+    error = verdict = None
     try:
         try:
-            result = spec.build(observer=observer).run()
+            sim = spec.build(observer=observer)
+            result = sim.run()
         except ReproError as caught:
             error = caught
+        else:
+            if judge is not None:
+                verdict = judge(spec, sim, result)
         # Folding the log raises TypeError on a metric-type conflict.
         registry = obs.metrics if obs is not None else None
     except Exception as unexpected:
@@ -778,6 +791,7 @@ def _campaign_cell(spec: ScenarioSpec) -> CellOutcome:
     return CellOutcome(
         label=spec.label,
         spec_hash=spec.content_hash(),
+        error=verdict,
         stats=stats,
         final_env={
             rank: dict(env) for rank, env in sorted(result.final_env.items())
@@ -785,54 +799,10 @@ def _campaign_cell(spec: ScenarioSpec) -> CellOutcome:
         completion_time=result.completion_time,
         events_jsonl=obs.jsonl() if obs is not None else None,
         metrics=(
-            fold_stats(registry, stats, False) if obs is not None else None
+            fold_stats(registry, stats, verdict is not None)
+            if obs is not None else None
         ),
     )
-
-
-def run_spec_cells(
-    items: list[tuple],
-    worker,
-    outcome_type,
-    jobs: int | None = 1,
-    *,
-    journal_path=None,
-    **options,
-) -> tuple[dict, dict]:
-    """:func:`run_cells` for ``(key, ScenarioSpec)`` cells.
-
-    The one adapter the campaign and chaos harnesses share. A cell is
-    journalled under its spec's label and content hash, so an edited
-    spec re-executes; *outcome_type* (:class:`CellOutcome`, the chaos
-    verdict) supplies the rest — ``to_json_dict`` / ``from_json_dict``
-    for the journal and ``failure(spec, message)`` for a quarantined
-    cell. The journal at *journal_path* is opened (created or resumed)
-    for the run and closed after it. *options* are :func:`run_cells`'s
-    remaining keywords.
-    """
-    journal = (
-        CampaignJournal(journal_path) if journal_path is not None else None
-    )
-    try:
-        return run_cells(
-            items,
-            worker,
-            jobs,
-            journal=journal,
-            codec=JournalCodec(
-                key=lambda _key, spec: spec.label,
-                cell_hash=lambda _key, spec: spec.content_hash(),
-                encode=lambda outcome: outcome.to_json_dict(),
-                decode=outcome_type.from_json_dict,
-            ),
-            quarantine=lambda _key, spec, message, _error: (
-                outcome_type.failure(spec, message)
-            ),
-            **options,
-        )
-    finally:
-        if journal is not None:
-            journal.close()
 
 
 def run_campaign(
@@ -845,6 +815,7 @@ def run_campaign(
     registry=None,
     progress=None,
     tracker=None,
+    judge=None,
 ) -> CampaignResult:
     """Run every spec (labels are the cell keys) and merge the results.
 
@@ -856,30 +827,47 @@ def run_campaign(
     *policy* sets per-cell timeouts and the retry budget before
     quarantine (none: one attempt, no deadline); *journal_path* makes
     progress durable (and resumable — a journal that already exists
-    serves its finished cells); *fault_plan* injects deterministic
-    executor faults; *registry* (a
-    :class:`~repro.obs.metrics.MetricsRegistry`) receives the
-    ``executor.*`` resilience counters; *progress* streams structured
-    :class:`~repro.obs.progress.ProgressEvent` records as cells
-    finish; *tracker* (a :class:`~repro.obs.spans.SpanTracker`)
-    records the cell-lifecycle wall-clock spans. The worker pid of
+    serves its finished cells; an edited spec's new content hash
+    re-executes it); *fault_plan* injects deterministic executor
+    faults; *registry* (a :class:`~repro.obs.metrics.MetricsRegistry`)
+    receives the ``executor.*`` resilience counters; *progress* streams
+    structured :class:`~repro.obs.progress.ProgressEvent` records as
+    cells finish; *tracker* (a :class:`~repro.obs.spans.SpanTracker`)
+    records the cell-lifecycle wall-clock spans; *judge* (a picklable
+    ``(spec, sim, result) -> reason | None``) runs in the worker after
+    each clean run (see :func:`_campaign_cell`). The worker pid of
     every executed cell lands in :attr:`CampaignResult.workers`.
     """
     stats = ExecutorStats()
     workers: dict[str, int] = {}
-    results, timings = run_spec_cells(
-        [(spec.label, spec) for spec in specs],
-        _campaign_cell,
-        CellOutcome,
-        jobs,
-        policy=policy,
-        journal_path=journal_path,
-        fault_plan=fault_plan,
-        stats=stats,
-        progress=progress,
-        tracker=tracker,
-        workers=workers,
+    journal = (
+        CampaignJournal(journal_path) if journal_path is not None else None
     )
+    try:
+        results, timings = run_cells(
+            [(spec.label, spec) for spec in specs],
+            partial(_campaign_cell, judge=judge),
+            jobs,
+            policy=policy,
+            journal=journal,
+            codec=JournalCodec(
+                key=lambda _key, spec: spec.label,
+                cell_hash=lambda _key, spec: spec.content_hash(),
+                encode=CellOutcome.to_json_dict,
+                decode=CellOutcome.from_json_dict,
+            ),
+            quarantine=lambda _key, spec, message, _error: (
+                CellOutcome.failure(spec, message)
+            ),
+            fault_plan=fault_plan,
+            stats=stats,
+            progress=progress,
+            tracker=tracker,
+            workers=workers,
+        )
+    finally:
+        if journal is not None:
+            journal.close()
     if registry is not None:
         stats.publish(registry)
     return CampaignResult(

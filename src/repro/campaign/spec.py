@@ -20,8 +20,6 @@ import json
 from dataclasses import asdict, dataclass, field, is_dataclass
 
 from repro.errors import SimulationError
-from repro.lang import ast_nodes as ast
-from repro.lang.printer import to_source
 from repro.protocols import make_protocol
 from repro.runtime.engine import RunConfig, RuntimeCosts, Simulation
 from repro.runtime.failures import FaultPlan
@@ -86,13 +84,6 @@ class ScenarioSpec(RunConfig):
             plan = FaultPlan.of(self.fault_plan)
             plan.check_targets(self.n_processes, self.storage_replicas)
             object.__setattr__(self, "fault_plan", plan)
-
-    @classmethod
-    def from_program(
-        cls, label: str, program: ast.Program, **kwargs
-    ) -> "ScenarioSpec":
-        """Build a spec from an AST (printed to canonical source)."""
-        return cls(label=label, program=to_source(program), **kwargs)
 
     # -- serialisation -----------------------------------------------------------
 

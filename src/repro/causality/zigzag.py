@@ -207,9 +207,6 @@ class ZigzagAnalysis:
         ]
         return self._closure_masks
 
-    def _hop_index(self) -> dict[int, _MessageHop]:
-        return {id(h): h for h in self._hops}
-
     def _closure_from(self, start: _MessageHop) -> frozenset[int]:
         """ids of hops zigzag-reachable from *start* (inclusive)."""
         key = id(start)

@@ -156,10 +156,6 @@ class CFG:
         """Outgoing edges of *node_id*."""
         return list(self._succ[node_id])
 
-    def in_edges(self, node_id: int) -> list[Edge]:
-        """Incoming edges of *node_id*."""
-        return list(self._pred[node_id])
-
     def checkpoint_nodes(self) -> list[CFGNode]:
         """All checkpoint nodes."""
         return self.nodes_of_kind(NodeKind.CHECKPOINT)

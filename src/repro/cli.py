@@ -687,12 +687,16 @@ def _cmd_metrics_diff(args: argparse.Namespace) -> int:
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
-    from repro.campaign import (
-        ExecutorPolicy,
-        ExecutorStats,
-        draw_executor_faults,
+    from repro.campaign import ExecutorPolicy, draw_executor_faults
+    from repro.runtime.chaos import (
+        CHAOS_PROTOCOLS,
+        ChaosConfig,
+        cell_label,
+        chaos_sweep,
+        describe,
+        draw_schedule,
+        unrecoverable,
     )
-    from repro.runtime.chaos import CHAOS_PROTOCOLS, ChaosConfig, chaos_sweep
     from repro.runtime.transport import TransportConfig
 
     config = ChaosConfig(
@@ -706,15 +710,14 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     if args.executor_faults > 0:
         fault_plan = draw_executor_faults(
             [
-                (protocol, seed)
+                cell_label(seed, protocol)
                 for protocol in protocols
                 for seed in range(args.seeds)
             ],
             args.executor_fault_seed,
             probability=args.executor_faults,
         )
-    executor_stats = ExecutorStats()
-    outcomes = chaos_sweep(
+    result = chaos_sweep(
         range(args.seeds),
         protocols=protocols,
         config=config,
@@ -723,29 +726,27 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         policy=ExecutorPolicy(timeout=args.timeout, max_retries=args.retries),
         journal_path=args.resume,
         executor_fault_plan=fault_plan,
-        executor_stats=executor_stats,
     )
-    failures = 0
-    unrecoverable = 0
-    for (protocol, seed), outcome in sorted(outcomes.items()):
-        print(f"{protocol:>14s} seed {seed:>3d}: {outcome.describe()}")
-        failures += 0 if outcome.ok else 1
-        unrecoverable += 1 if outcome.unrecoverable else 0
-    summary = f"{len(outcomes)} cell(s), {failures} failure(s)"
-    if unrecoverable:
-        summary += f", {unrecoverable} clean unrecoverable verdict(s)"
+    failures = unrecoverable_runs = 0
+    for protocol in sorted(set(protocols)):
+        for seed in range(args.seeds):
+            outcome = result.cells[cell_label(seed, protocol)]
+            verdict = describe(outcome, draw_schedule(seed, config))
+            print(f"{protocol:>14s} seed {seed:>3d}: {verdict}")
+            failures += outcome.error is not None
+            unrecoverable_runs += unrecoverable(outcome)
+    summary = f"{len(result.cells)} cell(s), {failures} failure(s)"
+    if unrecoverable_runs:
+        summary += f", {unrecoverable_runs} clean unrecoverable verdict(s)"
     print(summary)
-    if any(executor_stats.as_dict().values()):
-        print(f"resilience: {executor_stats.describe()}")
+    if any(result.executor.as_dict().values()):
+        print(f"resilience: {result.executor.describe()}")
     if args.metrics_out:
-        from repro.campaign.executor import resolve_jobs
-        from repro.obs.rollup import chaos_rollup, rollup_to_json
+        from repro.obs.rollup import campaign_rollup, rollup_to_json
 
-        Path(args.metrics_out).write_text(rollup_to_json(chaos_rollup(
-            outcomes,
-            jobs=resolve_jobs(args.jobs),
-            executor=executor_stats,
-        )))
+        Path(args.metrics_out).write_text(
+            rollup_to_json(campaign_rollup(result))
+        )
         print(f"# wrote metrics rollup to {args.metrics_out}",
               file=sys.stderr)
     if failures and args.artifacts:

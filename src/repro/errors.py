@@ -124,10 +124,6 @@ class StorageError(SimulationError):
         self.replica = replica
 
 
-class StorageWriteError(StorageError):
-    """A checkpoint write failed permanently (all retries exhausted)."""
-
-
 class TransientStorageError(StorageError):
     """A retryable I/O error on stable storage (succeeds on retry)."""
 

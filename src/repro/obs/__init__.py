@@ -65,7 +65,6 @@ from repro.obs.query import filter_events
 from repro.obs.recorder import FlightRecorder
 from repro.obs.rollup import (
     campaign_rollup,
-    chaos_rollup,
     merge_registries,
     rollup_to_json,
 )
@@ -128,7 +127,6 @@ __all__ = [
     "SpanTracker",
     "Threshold",
     "campaign_rollup",
-    "chaos_rollup",
     "chrome_trace",
     "chrome_trace_json",
     "diff_metrics",

@@ -191,53 +191,11 @@ def campaign_rollup(result) -> dict[str, Any]:
         "diagnostics": {
             "jobs": result.jobs,
             "timings": dict(result.timings),
-            "workers": dict(getattr(result, "workers", {}) or {}),
+            "workers": dict(result.workers),
             "executor": (
                 None if result.executor is None
                 else result.executor.as_dict()
             ),
-        },
-    }
-
-
-def chaos_rollup(
-    outcomes: dict, timings: dict | None = None, jobs: int = 1,
-    executor=None,
-) -> dict[str, Any]:
-    """Roll a chaos sweep's ``{(protocol, seed): ChaosOutcome}`` up.
-
-    Verdict fields become counters (``chaos.cells`` / ``.failures`` /
-    ``.unrecoverable`` / ``.faults`` / ``.crashes``), merged in cell
-    submission order, so the aggregate is jobs-invariant exactly like
-    the campaign rollup's.
-    """
-    per_cell: dict[str, Any] = {}
-    for (protocol, seed), outcome in outcomes.items():
-        key = f"{protocol}/seed{seed}"
-        registry = MetricsRegistry()
-        registry.counter("chaos.cells").inc()
-        registry.counter("chaos.failures").inc(0 if outcome.ok else 1)
-        registry.counter("chaos.unrecoverable").inc(
-            1 if outcome.unrecoverable else 0
-        )
-        registry.counter("chaos.faults").inc(outcome.faults)
-        registry.counter("chaos.crashes").inc(outcome.crashes)
-        per_cell[key] = {
-            "tags": {"cell": key, "protocol": protocol},
-            "metrics": registry.as_dict(),
-        }
-    aggregate = merge_registries(
-        entry["metrics"] for entry in per_cell.values()
-    )
-    return {
-        "rollup_schema_version": ROLLUP_SCHEMA_VERSION,
-        "aggregate": aggregate,
-        "per_cell": per_cell,
-        "diagnostics": {
-            "jobs": jobs,
-            "timings": dict(timings or {}),
-            "workers": {},
-            "executor": None if executor is None else executor.as_dict(),
         },
     }
 

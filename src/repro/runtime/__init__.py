@@ -10,7 +10,6 @@ a checkpoint is a genuine restorable snapshot of process state.
 
 from repro.runtime.chaos import (
     ChaosConfig,
-    ChaosOutcome,
     chaos_sweep,
     draw_schedule,
     dump_failure_artifacts,
@@ -70,7 +69,6 @@ __all__ = [
     "BcastSendEffect",
     "CheckpointEffect",
     "ChaosConfig",
-    "ChaosOutcome",
     "CheckpointStore",
     "ComputeEffect",
     "CrashEvent",

@@ -16,6 +16,12 @@ paper's end-to-end contract:
 3. the **final state** equals the fault-free baseline (the transport
    must hide the unreliable medium from the application entirely).
 
+Every replay is a campaign cell (:func:`~repro.campaign.executor
+.run_campaign`) whose worker applies :func:`judge` to the finished run;
+a cell's verdict is its outcome's ``error`` (``None``: the contract
+held). The final-state check needs the cell's fault-free twin, which
+the coordinating process runs once per workload.
+
 When a schedule fails, :func:`shrink_schedule` delta-debugs it down to
 a minimal counterexample — repeatedly dropping event chunks while the
 failure persists — which is only sound because replay is deterministic.
@@ -23,11 +29,11 @@ failure persists — which is only sound because replay is deterministic.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from repro.errors import ReproError, SimulationError, StorageError
+from repro.errors import SimulationError, StorageError
 from repro.runtime.engine import RunConfig, SimulationResult, SupervisorConfig
 from repro.runtime.failures import (
     ONE_SHOT_NETWORK_KINDS,
@@ -167,61 +173,6 @@ def draw_schedule(seed: int, config: ChaosConfig = ChaosConfig()) -> FaultPlan:
     )
 
 
-@dataclass(frozen=True)
-class ChaosOutcome:
-    """Verdict of one schedule replay against one protocol.
-
-    A clean ``UNRECOVERABLE`` verdict (the supervisor exhausted its
-    retries or no intact line survived) counts as *ok* as long as the
-    invariants that still apply hold: surviving straight cuts are
-    recovery lines and retention GC never broke recoverability. The
-    final-state and completion checks are vacuous for such runs.
-    """
-
-    ok: bool
-    reason: str
-    completed: bool
-    recovery_lines_ok: bool
-    state_ok: bool
-    faults: int
-    crashes: int
-    unrecoverable: bool = False
-    retention_ok: bool = True
-
-    @classmethod
-    def failure(cls, spec, message: str) -> "ChaosOutcome":
-        """The failing verdict of a cell that never produced a result."""
-        plan = spec.fault_plan
-        return cls(
-            ok=False,
-            reason=message,
-            completed=False,
-            recovery_lines_ok=False,
-            state_ok=False,
-            faults=len(plan.network_faults),
-            crashes=len(plan.effective()),
-        )
-
-    def describe(self) -> str:
-        """One-line human-readable verdict."""
-        status = "ok" if self.ok else f"FAIL ({self.reason})"
-        if self.unrecoverable:
-            status += " [unrecoverable]"
-        return (
-            f"{status}: {self.faults} network fault(s), "
-            f"{self.crashes} crash(es)"
-        )
-
-    def to_json_dict(self) -> dict:
-        """JSON-ready form (journalled by ``repro chaos --resume``)."""
-        return asdict(self)
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "ChaosOutcome":
-        """Rebuild a verdict from :meth:`to_json_dict`'s schema."""
-        return cls(**data)
-
-
 def storage_recovery_lines_consistent(
     result: SimulationResult, n_processes: int
 ) -> bool:
@@ -297,7 +248,53 @@ def retention_invariant_holds(
     return True
 
 
-_BASELINES: dict[str, dict] = {}
+#: The verdict of a completed replay whose state is not its twin's.
+DIVERGED = "final state diverged from the fault-free baseline"
+
+
+def judge(spec, sim, result) -> str | None:
+    """The storage half of a chaos cell's verdict (``None``: it held).
+
+    Runs in the campaign worker after a clean run: every surviving
+    straight cut is a recovery line, then retention kept recoverability
+    and its bound, then the run completed — unless the supervisor gave
+    up cleanly (an ``unrecoverable`` verdict: recovery terminated in
+    bounded retries, so completion is vacuous but the storage
+    invariants still apply).
+    """
+    if (
+        sim.protocol.induces_recovery_lines
+        and not storage_recovery_lines_consistent(result, spec.n_processes)
+    ):
+        return "a surviving straight cut is not a recovery line"
+    if not retention_invariant_holds(
+        result, spec.n_processes, spec.retain_k, spec.checkpoint_mode
+    ):
+        return "retention GC broke recoverability (or its bound)"
+    if not result.stats.completed and result.verdict != "unrecoverable":
+        return "run did not complete"
+    return None
+
+
+def unrecoverable(outcome) -> bool:
+    """Whether a chaos cell's run ended in a clean ``unrecoverable``."""
+    return bool(outcome.stats and outcome.stats["unrecoverable"])
+
+
+def describe(outcome, plan: FaultPlan) -> str:
+    """One-line human-readable verdict of *outcome*, the replay of *plan*."""
+    status = "ok" if outcome.error is None else f"FAIL ({outcome.error})"
+    if unrecoverable(outcome):
+        status += " [unrecoverable]"
+    return (
+        f"{status}: {len(plan.network_faults)} network fault(s), "
+        f"{len(plan.effective())} crash(es)"
+    )
+
+
+def cell_label(seed: int, protocol: str) -> str:
+    """The campaign label of a sweep cell (``workload/protocol``)."""
+    return f"seed{seed}/{protocol}"
 
 
 def _chaos_spec(
@@ -319,13 +316,27 @@ def _chaos_spec(
     )
 
 
-def _baseline_env(spec) -> dict:
-    """Final environment of *spec*'s fault-free run (cached per workload)."""
-    baseline = replace(spec, fault_plan=None)
-    key = baseline.content_hash()
-    if key not in _BASELINES:
-        _BASELINES[key] = baseline.build().run().final_env
-    return _BASELINES[key]
+def _twin_env(spec) -> dict:
+    """Final environment of *spec*'s fault-free twin."""
+    return replace(spec, fault_plan=None).build().run().final_env
+
+
+def _against_twin(outcome, twin_env: dict):
+    """*outcome* with the final-state half of its verdict applied."""
+    if (
+        outcome.error is None
+        and not unrecoverable(outcome)
+        and outcome.final_env != twin_env
+    ):
+        return replace(outcome, error=DIVERGED)
+    return outcome
+
+
+def _replay(spec, twin_env: dict, observer=None):
+    """Run and judge one chaos cell in-process."""
+    from repro.campaign.executor import _campaign_cell
+
+    return _against_twin(_campaign_cell(spec, judge, observer), twin_env)
 
 
 def run_schedule(
@@ -333,67 +344,18 @@ def run_schedule(
     protocol: str = "appl-driven",
     config: ChaosConfig = ChaosConfig(),
     observer=None,
-) -> ChaosOutcome:
+):
     """Replay one schedule against one protocol and judge the outcome.
 
-    A *config* whose ``transport`` has ``dedup=False`` runs the
-    deliberately-broken transport the harness must be able to catch
-    and shrink. ``observer`` is an optional
+    Returns the cell's :class:`~repro.campaign.executor.CellOutcome`;
+    its ``error`` is the verdict. A *config* whose ``transport`` has
+    ``dedup=False`` runs the deliberately-broken transport the harness
+    must be able to catch and shrink. ``observer`` is an optional
     :class:`~repro.obs.bus.EventBus` threaded into the replay so a
     failing schedule can be re-run under full causal tracing.
     """
-    return _judge(_chaos_spec(protocol, plan, protocol, config), observer)
-
-
-def _judge(spec, observer=None) -> ChaosOutcome:
-    """Run one chaos cell (also the sweep's executor worker)."""
-    plan = spec.fault_plan
-    faults = len(plan.network_faults)
-    crashes = len(plan.effective())
-    baseline = _baseline_env(spec)
-    sim = spec.build(observer=observer)
-    try:
-        result = sim.run()
-    except ReproError as error:
-        return ChaosOutcome.failure(spec, f"{type(error).__name__}: {error}")
-    completed = bool(result.stats.completed)
-    unrecoverable = result.verdict == "unrecoverable"
-    lines_ok = (
-        not sim.protocol.induces_recovery_lines
-        or storage_recovery_lines_consistent(result, spec.n_processes)
-    )
-    retention_ok = retention_invariant_holds(
-        result, spec.n_processes, spec.retain_k, spec.checkpoint_mode
-    )
-    state_ok = result.final_env == baseline
-    if unrecoverable:
-        # The supervisor gave up cleanly: recovery terminated in bounded
-        # retries with a verdict. The run cannot complete or match the
-        # baseline, but the storage invariants must still hold.
-        ok = lines_ok and retention_ok
-    else:
-        ok = completed and lines_ok and state_ok and retention_ok
-    if ok:
-        reason = ""
-    elif not lines_ok:
-        reason = "a surviving straight cut is not a recovery line"
-    elif not retention_ok:
-        reason = "retention GC broke recoverability (or its bound)"
-    elif not completed:
-        reason = "run did not complete"
-    else:
-        reason = "final state diverged from the fault-free baseline"
-    return ChaosOutcome(
-        ok=ok,
-        reason=reason,
-        completed=completed,
-        recovery_lines_ok=lines_ok,
-        state_ok=state_ok,
-        faults=faults,
-        crashes=crashes,
-        unrecoverable=unrecoverable,
-        retention_ok=retention_ok,
-    )
+    spec = _chaos_spec(protocol, plan, protocol, config)
+    return _replay(spec, _twin_env(spec), observer)
 
 
 def chaos_sweep(
@@ -405,70 +367,61 @@ def chaos_sweep(
     policy=None,
     journal_path=None,
     executor_fault_plan=None,
-    executor_stats=None,
-) -> dict[tuple[str, int], ChaosOutcome]:
-    """Run every (protocol, seed) cell and collect the verdicts.
+):
+    """Run every (protocol, seed) cell as a judged campaign.
 
-    Cells run on the campaign executor: *jobs* worker processes
-    (``None``/0 = all cores), with verdicts merged deterministically by
-    ``(protocol, seed)`` key — the returned mapping (order included) is
-    **byte-identical for any worker count**, because every cell is an
-    independent seed-deterministic replay.
+    Returns the :class:`~repro.campaign.executor.CampaignResult`, one
+    cell per :func:`cell_label`, protocol-major; its deterministic
+    artifact is byte-identical for any *jobs* count and across retried
+    and journal-resumed runs, because every cell is an independent
+    seed-deterministic replay. *policy*, *journal_path* (``repro chaos
+    --resume``) and *executor_fault_plan* (keyed by label) are
+    :func:`~repro.campaign.executor.run_campaign`'s.
 
-    With *artifacts_dir* set, every failing cell automatically gets a
-    diagnostic bundle written there via
-    :func:`dump_failure_artifacts` — the vector-clock-stamped flight
-    recorder, the verbatim schedule, and the ddmin-shrunk minimal
-    counterexample. Artifacts are dumped from the coordinating process
-    after the sweep, in cell order, so parallel runs produce the same
-    files as serial ones.
-
-    *policy* (an :class:`~repro.campaign.executor.ExecutorPolicy`)
-    sets the per-cell timeout and retry budget (none: one attempt, no
-    deadline); *journal_path* enables ``repro chaos --resume``
-    (finished cells are served from the journal);
-    *executor_fault_plan* is the deterministic crash/hang/raise
-    injector, keyed by ``(protocol, seed)``. A cell whose worker dies
-    past its retry budget yields a structured failing
-    :class:`ChaosOutcome` instead of an unhandled
-    ``BrokenProcessPool``. *executor_stats* (an
-    :class:`~repro.campaign.executor.ExecutorStats`) accumulates the
-    resilience counters in place.
+    With *artifacts_dir* set, every failing or unrecoverable cell gets
+    a diagnostic bundle written there via :func:`dump_failure_artifacts`
+    — the vector-clock-stamped flight recorder, the verbatim schedule,
+    and the ddmin-shrunk minimal counterexample — from the
+    coordinating process after the sweep, in cell order, so parallel
+    runs produce the same files as serial ones.
     """
-    from repro.campaign.executor import run_spec_cells
+    from repro.campaign.executor import run_campaign
 
     cells = {
         (protocol, seed): _chaos_spec(
-            f"{protocol}/seed{seed}", draw_schedule(seed, config),
+            cell_label(seed, protocol), draw_schedule(seed, config),
             protocol, config,
         )
         for protocol in protocols
         for seed in seeds
     }
-    outcomes, _timings = run_spec_cells(
-        list(cells.items()),
-        _judge,
-        ChaosOutcome,
+    result = run_campaign(
+        list(cells.values()),
         jobs,
         policy=policy,
         journal_path=journal_path,
         fault_plan=executor_fault_plan,
-        stats=executor_stats,
+        judge=judge,
     )
-    if artifacts_dir is not None:
-        for (protocol, seed), outcome in outcomes.items():
-            # Clean UNRECOVERABLE verdicts are ok but still archived:
-            # the acceptance contract wants every such schedule shrunk
-            # and replayable.
-            if not outcome.ok or outcome.unrecoverable:
-                dump_failure_artifacts(
-                    cells[(protocol, seed)].fault_plan,
-                    protocol=protocol,
-                    config=config,
-                    out_dir=artifacts_dir,
-                    prefix=f"{protocol}-seed{seed}",
-                )
-    return outcomes
+    twins: dict[str, dict] = {}
+    for (protocol, seed), spec in cells.items():
+        if protocol not in twins:
+            twins[protocol] = _twin_env(spec)
+        outcome = _against_twin(result.cells[spec.label], twins[protocol])
+        result.cells[spec.label] = outcome
+        if artifacts_dir is not None and (
+            outcome.error is not None or unrecoverable(outcome)
+        ):
+            # A clean unrecoverable verdict is archived too: every such
+            # schedule is shrunk and replayable.
+            dump_failure_artifacts(
+                spec.fault_plan,
+                protocol=protocol,
+                config=config,
+                out_dir=artifacts_dir,
+                prefix=f"{protocol}-seed{seed}",
+            )
+    return result
 
 
 def dump_failure_artifacts(
@@ -506,10 +459,14 @@ def dump_failure_artifacts(
     out.mkdir(parents=True, exist_ok=True)
     paths: dict[str, object] = {}
 
+    spec = _chaos_spec(protocol, plan, protocol, config)
+    twin = _twin_env(spec)
+
+    def replay(candidate: FaultPlan, observer=None):
+        return _replay(replace(spec, fault_plan=candidate), twin, observer)
+
     obs = Observability(capacity=recorder_capacity)
-    outcome = run_schedule(
-        plan, protocol=protocol, config=config, observer=obs.bus
-    )
+    outcome = replay(plan, obs.bus)
     flight = out / f"{prefix}.flight.jsonl"
     obs.recorder.dump(flight)
     paths["flight_recorder"] = flight
@@ -519,23 +476,20 @@ def dump_failure_artifacts(
     paths["schedule"] = schedule
 
     verdict = out / f"{prefix}.outcome.txt"
-    verdict.write_text(outcome.describe() + "\n")
+    verdict.write_text(describe(outcome, plan) + "\n")
     paths["outcome"] = verdict
 
-    if shrink and (not outcome.ok or outcome.unrecoverable):
-        if not outcome.ok:
+    if shrink and (outcome.error is not None or unrecoverable(outcome)):
+        if outcome.error is not None:
             def still_fails(candidate: FaultPlan) -> bool:
-                return not run_schedule(
-                    candidate, protocol=protocol, config=config
-                ).ok
+                return replay(candidate).error is not None
         else:
-            # An ok-but-unrecoverable schedule shrinks against "still
-            # ends in the UNRECOVERABLE verdict", yielding the minimal
-            # replayable terminal-recovery counterexample.
+            # An unrecoverable schedule whose contract held shrinks
+            # against "still ends in the UNRECOVERABLE verdict",
+            # yielding the minimal replayable terminal-recovery
+            # counterexample.
             def still_fails(candidate: FaultPlan) -> bool:
-                return run_schedule(
-                    candidate, protocol=protocol, config=config
-                ).unrecoverable
+                return unrecoverable(replay(candidate))
 
         minimal = shrink_schedule(
             plan, still_fails, max_runs=max_shrink_runs

@@ -101,14 +101,6 @@ class TransportStats:
     ack_frames: int = 0         # cumulative ACKs receivers put on the wire
     acks_lost: int = 0          # ACKs lost to partitions
 
-    def as_tuple(self) -> tuple[int, ...]:
-        """All counters in declaration order (for byte-identity checks)."""
-        return (
-            self.frames_sent, self.retransmits, self.dropped_frames,
-            self.corrupt_frames, self.delayed_frames, self.duplicate_frames,
-            self.dups_suppressed, self.ack_frames, self.acks_lost,
-        )
-
 
 class NetworkFaultInjector:
     """Deterministic per-frame fault oracle built from a fault schedule.

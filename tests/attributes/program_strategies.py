@@ -16,12 +16,13 @@ from hypothesis import strategies as st
 from repro.cfg.builder import build_cfg
 from repro.cfg.paths import once_through
 from repro.lang import ast_nodes as ast
-from repro.lang.generator import (
+from repro.lang.parser import parse
+from repro.lang.printer import to_source
+
+from ..phases.generator import (
     generate_exchange_program,
     generate_ring_program,
 )
-from repro.lang.parser import parse
-from repro.lang.printer import to_source
 
 #: The first eight are ID-dependent (``spin`` is assigned twice, so its
 #: branches are ID-dependent yet statically unknown: both arms admit).

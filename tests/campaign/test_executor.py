@@ -343,5 +343,8 @@ class TestChaosSweepJobs:
         parallel = chaos_sweep(
             range(4), protocols=("appl-driven",), config=config, jobs=2
         )
-        assert parallel == serial
-        assert list(parallel) == list(serial)
+        assert parallel.to_json() == serial.to_json()
+        assert parallel.cells == serial.cells
+        assert list(parallel.cells) == [
+            f"seed{seed}/appl-driven" for seed in range(4)
+        ]

@@ -6,6 +6,8 @@ and resumed runs — quarantine messages carry no PIDs, times, or host
 state.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.campaign.executor import (
@@ -27,7 +29,8 @@ from repro.campaign.journal import CampaignJournal
 from repro.campaign.spec import quick_campaign
 from repro.errors import ExecutorQuarantineError, SimulationError
 from repro.obs import MetricsRegistry
-from repro.runtime.chaos import ChaosConfig, chaos_sweep
+from repro.runtime.chaos import DIVERGED, ChaosConfig, chaos_sweep
+from repro.runtime.transport import TransportConfig
 
 #: A fast policy for tests: tiny backoffs, tight polling.
 FAST = ExecutorPolicy(
@@ -385,38 +388,68 @@ class TestCampaignResilience:
 class TestChaosSweepResilience:
     CONFIG = ChaosConfig(n_processes=3, steps=5, horizon=30.0)
 
+    def _sweep(self, config=CONFIG, **options):
+        return chaos_sweep(
+            range(3), protocols=("appl-driven",), config=config, jobs=1,
+            **options,
+        )
+
     def test_executor_fault_quarantines_one_cell(self):
         plan = ExecutorFaultPlan(
-            {("appl-driven", 1): WorkerFault(kind="raise")}
+            {"seed1/appl-driven": WorkerFault(kind="raise")}
         )
-        stats = ExecutorStats()
-        outcomes = chaos_sweep(
-            range(3), protocols=("appl-driven",), config=self.CONFIG,
-            jobs=1, policy=FAST, executor_fault_plan=plan,
-            executor_stats=stats,
+        result = self._sweep(policy=FAST, executor_fault_plan=plan)
+        bad = result.cells["seed1/appl-driven"]
+        assert bad.error.startswith("executor: quarantined after")
+        assert result.cells["seed0/appl-driven"].error is None
+        assert result.cells["seed2/appl-driven"].error is None
+        assert result.executor.quarantines == 1
+
+    def test_transient_executor_fault_retries_to_the_clean_artifact(self):
+        clean = self._sweep()
+        plan = ExecutorFaultPlan(
+            {"seed1/appl-driven": WorkerFault(kind="raise", until_attempt=1)}
         )
-        bad = outcomes[("appl-driven", 1)]
-        assert not bad.ok
-        assert bad.reason.startswith("executor: quarantined after")
-        assert outcomes[("appl-driven", 0)].ok
-        assert outcomes[("appl-driven", 2)].ok
-        assert stats.quarantines == 1
+        retried = self._sweep(policy=FAST, executor_fault_plan=plan)
+        assert retried.executor.retries == 1
+        assert retried.to_json() == clean.to_json()
 
     def test_journal_resume_round_trip(self, tmp_path):
         path = tmp_path / "chaos.jsonl"
-        clean = chaos_sweep(
-            range(3), protocols=("appl-driven",), config=self.CONFIG, jobs=1
+        clean = self._sweep()
+        first = self._sweep(journal_path=path)
+        resumed = self._sweep(journal_path=path)
+        assert first.to_json() == clean.to_json()
+        assert resumed.to_json() == clean.to_json()
+        assert list(resumed.cells) == list(clean.cells)
+        assert resumed.executor.resume_hits == 3
+
+    def test_resume_reapplies_the_final_state_verdict(self, tmp_path):
+        # The journal keeps the worker's outcome; the twin comparison
+        # runs again on resume, so diverged cells stay diverged.
+        broken = replace(self.CONFIG, transport=TransportConfig(dedup=False))
+        path = tmp_path / "broken.jsonl"
+        first = self._sweep(config=broken, journal_path=path)
+        resumed = self._sweep(config=broken, journal_path=path)
+        assert resumed.executor.resume_hits == 3
+        assert resumed.to_json() == first.to_json()
+        assert DIVERGED in {cell.error for cell in first.cells.values()}
+
+    def test_judge_error_is_unexpected_not_retried(self, monkeypatch):
+        # A bug in the verdict is recorded like any campaign cell's:
+        # once, as an ``unexpected:`` outcome, never retried.
+        from repro.runtime import chaos
+
+        def broken_judge(spec, sim, result):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr(chaos, "judge", broken_judge)
+        result = chaos_sweep(
+            range(1), protocols=("appl-driven",), config=self.CONFIG,
+            policy=ExecutorPolicy(max_retries=2),
         )
-        first = chaos_sweep(
-            range(3), protocols=("appl-driven",), config=self.CONFIG,
-            jobs=1, journal_path=path,
+        assert result.cells["seed0/appl-driven"].error == (
+            "unexpected: RecursionError: maximum recursion depth exceeded"
         )
-        stats = ExecutorStats()
-        resumed = chaos_sweep(
-            range(3), protocols=("appl-driven",), config=self.CONFIG,
-            jobs=1, journal_path=path, executor_stats=stats,
-        )
-        assert first == clean
-        assert resumed == clean
-        assert list(resumed) == list(clean)
-        assert stats.resume_hits == 3
+        assert result.executor.retries == 0
+        assert result.executor.quarantines == 0

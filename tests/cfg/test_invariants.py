@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from repro.cfg import NodeKind, build_cfg
 from repro.cfg.dominators import compute_dominators, find_back_edges
 from repro.cfg.paths import acyclic_paths, reachable_from
-from repro.lang.generator import generate_exchange_program
+
+from ..phases.generator import generate_exchange_program
 
 programs = st.builds(
     generate_exchange_program,

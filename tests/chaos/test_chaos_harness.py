@@ -6,7 +6,8 @@ checkpointing protocol. We draw hundreds of seed-deterministic
 schedules (drops, duplicates, delays, corruption, partitions, crashes),
 replay each against the three main protocols, and require completion,
 recovery-line consistency on storage, and a final state identical to
-the fault-free baseline. A deliberately-broken transport (receiver
+the fault-free baseline. Each replay is a campaign cell whose verdict
+is its outcome's ``error``. A deliberately-broken transport (receiver
 dedup disabled) must be *caught* by the same harness and shrunk to a
 minimal counterexample.
 """
@@ -16,19 +17,22 @@ from dataclasses import replace
 
 import pytest
 
+from repro.campaign import CellOutcome
 from repro.errors import SimulationError
 from repro.lang.programs import ring_pipeline
 from repro.protocols import ApplicationDrivenProtocol
 from repro.runtime.chaos import (
     CHAOS_PROTOCOLS,
+    DIVERGED,
     ChaosConfig,
-    ChaosOutcome,
     _chaos_spec,
     chaos_sweep,
+    describe,
     draw_schedule,
     dump_failure_artifacts,
     run_schedule,
     shrink_schedule,
+    unrecoverable,
 )
 from repro.runtime.engine import Simulation
 from repro.runtime.failures import (
@@ -41,6 +45,15 @@ from repro.runtime.failures import (
 from repro.runtime.transport import TransportConfig
 
 CONFIG = ChaosConfig()
+
+
+def failed_verdicts(result) -> dict[str, str]:
+    """Label -> error of every cell of a sweep whose contract broke."""
+    return {
+        label: outcome.error
+        for label, outcome in result.cells.items()
+        if outcome.error is not None
+    }
 
 
 class TestScheduleDrawing:
@@ -79,12 +92,9 @@ class TestChaosSweep:
     @pytest.mark.parametrize("protocol", CHAOS_PROTOCOLS)
     def test_seventy_schedules_per_protocol_all_hold(self, protocol):
         # 70 seeds x 3 protocols = 210 randomized schedules in total.
-        outcomes = chaos_sweep(range(70), protocols=(protocol,))
-        failures = {
-            seed: outcome.describe()
-            for (_, seed), outcome in outcomes.items()
-            if not outcome.ok
-        }
+        result = chaos_sweep(range(70), protocols=(protocol,))
+        assert len(result.cells) == 70
+        failures = failed_verdicts(result)
         assert not failures, failures
 
     @pytest.mark.parametrize("protocol", CHAOS_PROTOCOLS)
@@ -94,22 +104,21 @@ class TestChaosSweep:
         # flip a single chaos verdict (the retention invariant already
         # accounts for pinned delta ancestors).
         config = ChaosConfig(checkpoint_mode="pruned+delta")
-        outcomes = chaos_sweep(
+        result = chaos_sweep(
             range(70), protocols=(protocol,), config=config
         )
-        failures = {
-            seed: outcome.describe()
-            for (_, seed), outcome in outcomes.items()
-            if not outcome.ok
-        }
+        assert len(result.cells) == 70
+        failures = failed_verdicts(result)
         assert not failures, failures
 
     def test_outcome_reports_fault_counts(self):
         plan = draw_schedule(3, CONFIG)
         outcome = run_schedule(plan, config=CONFIG)
-        assert isinstance(outcome, ChaosOutcome)
-        assert outcome.faults == len(plan.network_faults)
-        assert "fault" in outcome.describe()
+        assert isinstance(outcome, CellOutcome)
+        assert describe(outcome, plan) == (
+            f"ok: {len(plan.network_faults)} network fault(s), "
+            f"{len(plan.effective())} crash(es)"
+        )
 
     def test_availability_one_at_low_drop_rates(self):
         # Paper-style availability claim: message-drop rates up to 10%
@@ -122,9 +131,46 @@ class TestChaosSweep:
                 )
                 outcome = run_schedule(plan, config=CONFIG)
                 total += 1
-                completed += outcome.completed
-                assert outcome.ok, outcome.describe()
+                completed += outcome.stats["completed"]
+                assert outcome.error is None, outcome.error
         assert completed == total  # availability 1.0
+
+
+class TestFaultFreeTwin:
+    """The final-state check's baseline is run, never cached globally."""
+
+    def _count_twins(self, monkeypatch) -> list:
+        from repro.runtime import chaos
+
+        calls = []
+        original = chaos._twin_env
+
+        def counting(spec):
+            calls.append(spec.protocol)
+            return original(spec)
+
+        monkeypatch.setattr(chaos, "_twin_env", counting)
+        return calls
+
+    def test_sweep_runs_one_twin_per_protocol(self, monkeypatch):
+        calls = self._count_twins(monkeypatch)
+        result = chaos_sweep(
+            range(4), protocols=("appl-driven", "msg-logging")
+        )
+        assert len(result.cells) == 8
+        assert calls == ["appl-driven", "msg-logging"]
+
+    def test_shrink_candidates_reuse_the_dump_twin(
+        self, monkeypatch, tmp_path
+    ):
+        broken = replace(CONFIG, transport=TransportConfig(dedup=False))
+        calls = self._count_twins(monkeypatch)
+        paths = dump_failure_artifacts(
+            draw_schedule(0, broken), protocol="appl-driven",
+            config=broken, out_dir=tmp_path, max_shrink_runs=10,
+        )
+        assert "shrunk" in paths
+        assert calls == ["appl-driven"]
 
 
 class TestByteIdenticalReplay:
@@ -172,15 +218,15 @@ class TestBrokenTransportShrinking:
     BROKEN = replace(QUIET, transport=TransportConfig(dedup=False))
 
     def _fails(self, plan: FaultPlan) -> bool:
-        return not run_schedule(plan, config=self.BROKEN).ok
+        return run_schedule(plan, config=self.BROKEN).error is not None
 
     def test_dedup_disabled_is_caught(self):
         plan = draw_schedule(0, self.QUIET)
-        assert run_schedule(plan, config=self.QUIET).ok
+        assert run_schedule(plan, config=self.QUIET).error is None
         outcome = run_schedule(plan, config=self.BROKEN)
-        assert not outcome.ok
-        assert outcome.completed  # it finishes, but with divergent state
-        assert not outcome.state_ok
+        # It finishes, but with divergent state.
+        assert outcome.stats["completed"]
+        assert outcome.error == DIVERGED
 
     def test_failure_shrinks_to_minimal_counterexample(self):
         plan = draw_schedule(0, self.QUIET)
@@ -276,24 +322,21 @@ class TestRecoveryFaultSweep:
         config = ChaosConfig(
             recovery_fault_probability=0.7, retain_k=retain_k
         )
-        for seed in range(15):
-            outcome = run_schedule(
-                draw_schedule(seed, config), protocol, config
-            )
-            assert outcome.ok, (protocol, retain_k, seed, outcome.describe())
+        result = chaos_sweep(range(15), protocols=(protocol,), config=config)
+        assert len(result.cells) == 15
+        failures = failed_verdicts(result)
+        assert not failures, (protocol, retain_k, failures)
 
     def test_unrecoverable_verdict_is_clean_and_reported(self):
         # Find a schedule the supervisor gives up on; it must count as
         # ok (bounded termination) and be flagged in the outcome.
         for seed in range(40):
-            outcome = run_schedule(
-                draw_schedule(seed, self.RECOVERY), "appl-driven",
-                self.RECOVERY,
-            )
-            if outcome.unrecoverable:
-                assert outcome.ok
-                assert not outcome.completed
-                assert "[unrecoverable]" in outcome.describe()
+            plan = draw_schedule(seed, self.RECOVERY)
+            outcome = run_schedule(plan, "appl-driven", self.RECOVERY)
+            if unrecoverable(outcome):
+                assert outcome.error is None
+                assert not outcome.stats["completed"]
+                assert "[unrecoverable]" in describe(outcome, plan)
                 break
         else:
             pytest.skip("no unrecoverable schedule in the first 40 seeds")
@@ -302,7 +345,7 @@ class TestRecoveryFaultSweep:
         for seed in range(40):
             plan = draw_schedule(seed, self.RECOVERY)
             outcome = run_schedule(plan, "appl-driven", self.RECOVERY)
-            if outcome.unrecoverable:
+            if unrecoverable(outcome):
                 break
         else:
             pytest.skip("no unrecoverable schedule in the first 40 seeds")
@@ -316,9 +359,9 @@ class TestRecoveryFaultSweep:
             __import__("json").loads(paths["shrunk"].read_text())
         )
         # The minimal counterexample still ends in the clean verdict.
-        assert run_schedule(
+        assert unrecoverable(run_schedule(
             minimal, "appl-driven", self.RECOVERY
-        ).unrecoverable
+        ))
         assert len(minimal.crashes) + len(minimal.recovery_faults) <= (
             len(plan.crashes) + len(plan.recovery_faults)
         )
@@ -340,13 +383,13 @@ class TestRecoveryFaultSweep:
         )
         config = ChaosConfig()
 
-        def unrecoverable(candidate: FaultPlan) -> bool:
-            return run_schedule(
+        def ends_unrecoverable(candidate: FaultPlan) -> bool:
+            return unrecoverable(run_schedule(
                 candidate, "appl-driven", config
-            ).unrecoverable
+            ))
 
-        assert unrecoverable(plan)
-        minimal = shrink_schedule(plan, unrecoverable)
+        assert ends_unrecoverable(plan)
+        minimal = shrink_schedule(plan, ends_unrecoverable)
         assert len(minimal.crashes) == 1
         assert len(minimal.recovery_faults) == 1
         assert not minimal.network_faults

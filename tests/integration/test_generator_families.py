@@ -3,9 +3,10 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.lang.generator import generate_ring_program
 from repro.phases import ensure_recovery_lines, verify_program
 from repro.runtime import Simulation
+
+from ..phases.generator import generate_ring_program
 
 
 @settings(max_examples=15, deadline=None)

@@ -16,9 +16,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.lang.generator import generate_exchange_program
 from repro.phases import ensure_recovery_lines, verify_program
 from repro.runtime import Simulation
+
+from ..phases.generator import generate_exchange_program
 
 SIM_KWARGS = dict(params={"steps": 4})
 

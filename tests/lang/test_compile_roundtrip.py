@@ -19,10 +19,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.lang.compile import compile_program
-from repro.lang.generator import (
-    generate_exchange_program,
-    generate_ring_program,
-)
 from repro.lang.parser import parse
 from repro.lang.printer import to_source
 from repro.runtime.effects import (
@@ -35,6 +31,11 @@ from repro.runtime.effects import (
     SendEffect,
 )
 from repro.runtime.interpreter import ProcessInterpreter
+
+from ..phases.generator import (
+    generate_exchange_program,
+    generate_ring_program,
+)
 
 NPROCS = 4
 STEP_BUDGET = 600

@@ -17,13 +17,13 @@ from hypothesis import strategies as st
 
 from repro.errors import LanguageError, LexerError
 from repro.lang import ast_nodes as ast
-from repro.lang.generator import generate_exchange_program
 from repro.lang.parser import parse
 from repro.lang.printer import ast_equal, to_source
 from repro.lang.programs import program_names, program_source
 from repro.lang.tokens import KEYWORDS, TokenKind, tokenize
 
 from . import reference_front_end as reference
+from ..phases.generator import generate_exchange_program
 
 OPERATORS = ["==", "!=", "<=", ">=", "//", *"+-*/%<>=(),:"]
 BINARY = ["or", "and", "==", "!=", "<", "<=", ">", ">=", "+", "-", "*", "/",

@@ -5,10 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.lang import ast_nodes as ast
-from repro.lang.generator import generate_exchange_program
 from repro.lang.parser import parse
 from repro.lang.printer import ast_equal, expr_to_source, to_source
 from repro.lang.programs import load_program, program_names
+
+from ..phases.generator import generate_exchange_program
 
 
 class TestExpressionRendering:

@@ -14,6 +14,7 @@ import pytest
 from repro.obs import chrome_trace, read_event_log
 from repro.runtime.chaos import (
     ChaosConfig,
+    cell_label,
     chaos_sweep,
     draw_schedule,
     dump_failure_artifacts,
@@ -28,7 +29,7 @@ BROKEN = replace(ChaosConfig(), transport=TransportConfig(dedup=False))
 def _failing_seed() -> int:
     for seed in range(30):
         plan = draw_schedule(seed, BROKEN)
-        if not run_schedule(plan, config=BROKEN).ok:
+        if run_schedule(plan, config=BROKEN).error is not None:
             return seed
     pytest.skip("no failing seed found with the broken transport")
 
@@ -81,7 +82,7 @@ class TestDumpFailureArtifacts:
         # The dumped schedule replays through the CLI's --fault-plan
         # loader to the same failing verdict.
         rebuilt = _load_fault_plan(str(paths["schedule"]), [], [])
-        assert not run_schedule(rebuilt, config=BROKEN).ok
+        assert run_schedule(rebuilt, config=BROKEN).error is not None
 
     def test_shrunk_plan_still_fails_and_is_no_bigger(self, tmp_path):
         seed = _failing_seed()
@@ -106,22 +107,22 @@ class TestChaosSweepAutoDump:
 
     def test_failing_sweep_writes_artifacts(self, tmp_path):
         seed = _failing_seed()
-        outcomes = chaos_sweep(
+        result = chaos_sweep(
             range(seed, seed + 1),
             protocols=("appl-driven",),
             config=BROKEN,
             artifacts_dir=tmp_path,
         )
-        assert not outcomes[("appl-driven", seed)].ok
+        assert result.cells[cell_label(seed, "appl-driven")].error is not None
         dumped = sorted(p.name for p in tmp_path.iterdir())
         assert f"appl-driven-seed{seed}.flight.jsonl" in dumped
         assert f"appl-driven-seed{seed}.schedule.json" in dumped
 
     def test_passing_sweep_writes_nothing(self, tmp_path):
-        outcomes = chaos_sweep(
+        result = chaos_sweep(
             range(1),
             protocols=("appl-driven",),
             artifacts_dir=tmp_path,
         )
-        assert all(o.ok for o in outcomes.values())
+        assert all(o.error is None for o in result.cells.values())
         assert not list(tmp_path.iterdir())

@@ -242,6 +242,31 @@ class TestChaosSubcommand:
         out = capsys.readouterr().out
         assert "2 cell(s), 0 failure(s)" in out
 
+    def test_metrics_out_is_the_campaign_rollup(self, tmp_path, capsys):
+        metrics = tmp_path / "chaos-metrics.json"
+        assert main([
+            "chaos", "--seeds", "3", "--protocol", "appl-driven",
+            "--jobs", "2", "--metrics-out", str(metrics),
+        ]) == 0
+        rollup = json.loads(metrics.read_text())
+        cells = [f"seed{seed}/appl-driven" for seed in range(3)]
+        # One wall time and one worker pid per cell.
+        diagnostics = rollup["diagnostics"]
+        assert diagnostics["jobs"] == 2
+        assert sorted(diagnostics["timings"]) == cells
+        assert all(t > 0 for t in diagnostics["timings"].values())
+        assert sorted(diagnostics["workers"]) == cells
+        assert all(
+            isinstance(pid, int) and pid > 0
+            for pid in diagnostics["workers"].values()
+        )
+        assert list(rollup["per_cell"]) == cells
+        assert rollup["per_cell"][cells[0]]["tags"]["protocol"] == (
+            "appl-driven"
+        )
+        assert "cells_errored" not in rollup["aggregate"]
+        assert rollup["aggregate"]["stats.completed"]["value"] == 3
+
     def test_broken_transport_fails_and_dumps(self, tmp_path, capsys):
         art = tmp_path / "artifacts"
         code = main([

@@ -18,7 +18,6 @@ from repro.obs.rollup import (
     ROLLUP_SCHEMA_VERSION,
     campaign_rollup,
     cell_metrics,
-    chaos_rollup,
     merge_metric,
     merge_registries,
     rollup_to_json,
@@ -369,7 +368,7 @@ class TestMergeAlgebra:
 
 
 class TestRollups:
-    """campaign_rollup / chaos_rollup document shape and invariance."""
+    """campaign_rollup document shape and invariance."""
 
     def _outcome(self, stats=None, error=None, events_jsonl=""):
         return SimpleNamespace(
@@ -432,19 +431,28 @@ class TestRollups:
         assert rollup_to_json(serial) != rollup_to_json(parallel)
 
     def test_chaos_rollup_counts_verdicts(self):
-        outcomes = {
-            ("appl-driven", 0): SimpleNamespace(
-                ok=True, unrecoverable=False, faults=3, crashes=1,
+        # A chaos sweep is a campaign: a failed verdict is an errored
+        # cell, a clean unrecoverable run is a stats counter, and the
+        # faults that fired are stats counters too.
+        result = self._result({
+            "seed0/appl-driven": self._outcome(stats={
+                "unrecoverable": False, "dropped_frames": 3, "failures": 1,
+            }),
+            "seed1/appl-driven": self._outcome(
+                stats={
+                    "unrecoverable": True, "dropped_frames": 5,
+                    "failures": 2,
+                },
+                error="a surviving straight cut is not a recovery line",
             ),
-            ("appl-driven", 1): SimpleNamespace(
-                ok=False, unrecoverable=True, faults=5, crashes=2,
-            ),
-        }
-        rollup = chaos_rollup(outcomes, jobs=2)
+        }, jobs=2)
+        rollup = campaign_rollup(result)
         aggregate = rollup["aggregate"]
-        assert aggregate["chaos.cells"]["value"] == 2
-        assert aggregate["chaos.failures"]["value"] == 1
-        assert aggregate["chaos.unrecoverable"]["value"] == 1
-        assert aggregate["chaos.faults"]["value"] == 8
-        assert aggregate["chaos.crashes"]["value"] == 3
-        assert "appl-driven/seed1" in rollup["per_cell"]
+        assert len(rollup["per_cell"]) == 2
+        assert aggregate["cells_errored"]["value"] == 1
+        assert aggregate["stats.unrecoverable"]["value"] == 1
+        assert aggregate["stats.dropped_frames"]["value"] == 8
+        assert aggregate["stats.failures"]["value"] == 3
+        assert rollup["per_cell"]["seed1/appl-driven"]["tags"] == {
+            "cell": "seed1/appl-driven", "protocol": "appl-driven",
+        }

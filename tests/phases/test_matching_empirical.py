@@ -14,10 +14,11 @@ from hypothesis import strategies as st
 
 from repro.causality.records import EventKind
 from repro.cfg.nodes import NodeKind
-from repro.lang.generator import generate_exchange_program, generate_ring_program
 from repro.lang.programs import default_params, load_program, program_names
 from repro.phases.matching import build_extended_cfg
 from repro.runtime import Simulation
+
+from .generator import generate_exchange_program, generate_ring_program
 
 
 def observed_statement_pairs(trace):

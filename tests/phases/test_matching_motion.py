@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from repro.cfg.builder import build_cfg
 from repro.lang import ast_nodes as ast
-from repro.lang.generator import generate_exchange_program
 from repro.lang.programs import load_program, program_names
 from repro.phases.matching import (
     attach_message_edges,
@@ -26,6 +25,7 @@ from repro.phases.placement import (
 )
 
 from ..attributes.program_strategies import grammar_programs
+from .generator import generate_exchange_program
 
 
 def _blocks(program: ast.Program) -> list[ast.Block]:

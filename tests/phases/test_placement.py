@@ -6,12 +6,13 @@ from hypothesis import strategies as st
 
 from repro.errors import PlacementError
 from repro.lang import ast_nodes as ast
-from repro.lang.generator import generate_exchange_program
 from repro.lang.parser import parse
 from repro.lang.printer import ast_equal
 from repro.lang.programs import jacobi, jacobi_odd_even, ring_unsafe
 from repro.phases.placement import ensure_recovery_lines
 from repro.phases.verification import verify_program
+
+from .generator import generate_exchange_program
 
 
 def program(statements: str):

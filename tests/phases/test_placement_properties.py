@@ -3,10 +3,11 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.lang.generator import generate_exchange_program
 from repro.lang.printer import ast_equal, to_source
 from repro.phases import ensure_recovery_lines, transform
 from repro.phases.insertion import CostModel
+
+from .generator import generate_exchange_program
 
 
 @settings(max_examples=20, deadline=None)

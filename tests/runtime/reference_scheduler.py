@@ -74,12 +74,9 @@ ENGINES = {"indexed": Simulation, "reference": ReferenceSchedulerSimulation}
 def scan_every_spec(monkeypatch) -> None:
     """Build every spec's engine as the oracle, for the rest of the test.
 
-    Campaign cells and chaos replays construct their engines through
-    ``ScenarioSpec.build``; the chaos harness's fault-free baselines are
-    recomputed too, so nothing the production heap ran is reused.
+    Campaign cells, chaos replays and their fault-free twins construct
+    their engines through ``ScenarioSpec.build``.
     """
     from repro.campaign import spec
-    from repro.runtime import chaos
 
     monkeypatch.setattr(spec, "Simulation", ReferenceSchedulerSimulation)
-    monkeypatch.setattr(chaos, "_BASELINES", {})

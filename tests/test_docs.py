@@ -168,3 +168,12 @@ def test_numbers_quoted_from_bench_runs_are_in_them(doc):
             if not _appears(token, files):
                 drifted.append((token, sentence))
     assert drifted == []
+
+
+def test_readme_chaos_snippet_runs(capsys):
+    blocks = re.findall(
+        r"```python\n(.*?)```", (REPO_ROOT / "README.md").read_text(), re.S
+    )
+    (snippet,) = [block for block in blocks if "chaos_sweep" in block]
+    exec(compile(snippet, "README.md", "exec"), {})
+    assert capsys.readouterr().out == "None\n"
