@@ -4,21 +4,28 @@
 
 ========== ==========================================================
 verify     check Condition 1 on a program (exit 0 iff it holds)
+lint       validate a program statically (exit 1 on an error)
 transform  run the offline pipeline; print or write the safe program
 simulate   execute a program on the simulator, optionally with
            crashes, a protocol, and a space-time diagram
 cfg        dump the (extended) CFG as Graphviz DOT
 figures    print the Figure 8 / Figure 9 data tables
+compare    run every protocol on one standard workload
+analyze    check the straight cuts of a recorded ``--trace-out`` event
+           log (exit 1 iff one is not a recovery line)
 programs   list the shipped example programs
 trace      inspect/filter/convert a recorded JSONL observability event
            log (``trace query LOG`` lists events matching rank/kind/
-           time-window/span filters)
+           time-window/span filters; ``--format spacetime`` draws the
+           whole run with its recovery lines marked)
 metrics    metric-artifact tooling (``metrics diff`` compares two
            metrics/rollup/BENCH JSONs under ratio thresholds)
 chaos      run the chaos sweep, dumping diagnostics on failure
            (resumable via --resume, executor-fault injectable)
 campaign   run a declarative scenario campaign on N worker processes
            with timeouts, retry/quarantine, and --resume restart
+optimal    tabulate each protocol's optimal checkpoint interval
+           and overhead ratio
 ========== ==========================================================
 
 Program arguments accept either a file path or ``@name`` for a shipped
@@ -483,11 +490,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
         print()
         print(render_spacetime(result.trace), end="")
-    if args.export_trace:
-        from repro.runtime.export import trace_to_json
-
-        Path(args.export_trace).write_text(trace_to_json(result.trace))
-        print(f"# wrote trace to {args.export_trace}", file=sys.stderr)
     if obs is not None and args.trace_out:
         Path(args.trace_out).write_text(obs.jsonl())
         print(f"# wrote event log to {args.trace_out}", file=sys.stderr)
@@ -561,9 +563,9 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 def _cmd_analyze(args: argparse.Namespace) -> int:
     from repro.causality.cuts import cut_is_consistent, orphan_messages
     from repro.causality.rollback_graph import max_consistent_cut
-    from repro.runtime.export import trace_from_json
+    from repro.obs import read_event_log, trace_from_events
 
-    trace = trace_from_json(Path(args.trace).read_text())
+    trace = trace_from_events(read_event_log(args.log))
     print(f"processes        : {trace.n_processes}")
     print(f"events           : {len(trace.events)}")
     print(f"messages         : {trace.message_count()}")
@@ -595,11 +597,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         print(f"useless checkpoints (zigzag cycles): {useless}")
     else:
         print("no useless checkpoints (no zigzag cycles)")
-    if args.spacetime:
-        from repro.viz import render_spacetime
-
-        print()
-        print(render_spacetime(trace), end="")
     return 1 if inconsistent else 0
 
 
@@ -609,29 +606,31 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         events_to_jsonl,
         read_event_log,
         summarize_events,
+        trace_from_events,
     )
     from repro.obs.query import filter_events, format_events
 
     query_mode = args.log == "query"
-    if query_mode:
-        if args.query_log is None:
-            print("error: repro trace query needs a LOG argument",
-                  file=sys.stderr)
-            return 2
-        log = args.query_log
-    else:
-        log = args.log
-    events = read_event_log(log)
-    filtering = (
-        args.rank or args.category or args.kind
-        or args.since is not None or args.until is not None or args.span
-    )
-    if query_mode or filtering:
+    if query_mode and args.query_log is None:
+        print("error: repro trace query needs a LOG argument",
+              file=sys.stderr)
+        return 2
+    filters = [
+        name for name in ("rank", "category", "kind", "since", "until", "span")
+        if getattr(args, name) is not None
+    ]
+    if filters and args.format == "spacetime" and not query_mode:
+        # The recovery-line markers are cuts of the whole run.
+        print(f"error: --format spacetime draws the whole run; drop "
+              f"--{', --'.join(filters)}", file=sys.stderr)
+        return 2
+    events = read_event_log(args.query_log if query_mode else args.log)
+    if query_mode or filters:
         events = filter_events(
             events,
-            ranks=args.rank if args.rank else None,
-            categories=args.category if args.category else None,
-            kinds=args.kind if args.kind else None,
+            ranks=args.rank,
+            categories=args.category,
+            kinds=args.kind,
             since=args.since,
             until=args.until,
             span=args.span,
@@ -653,9 +652,10 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     elif args.format == "jsonl":
         _write(events_to_jsonl(events))
     else:  # spacetime
-        from repro.viz import render_spacetime_from_log
+        from repro.viz import render_spacetime
 
-        _write(render_spacetime_from_log(log))
+        trace = trace_from_events(events)
+        _write(render_spacetime(trace, cuts=trace.all_straight_cuts()))
     return 0
 
 
@@ -933,8 +933,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="checkpoint period for timer protocols")
     simulate.add_argument("--spacetime", action="store_true",
                           help="print an ASCII space-time diagram")
-    simulate.add_argument("--export-trace", metavar="PATH",
-                          help="write the execution trace as JSON")
     simulate.add_argument("--trace-out", metavar="PATH",
                           help="record the run's observability event log "
                                "(vector-clock-stamped JSONL; see "
@@ -965,10 +963,10 @@ def build_parser() -> argparse.ArgumentParser:
     compare.set_defaults(func=_cmd_compare)
 
     analyze = commands.add_parser(
-        "analyze", help="consistency analysis of an exported trace"
+        "analyze", help="consistency analysis of a recorded run"
     )
-    analyze.add_argument("trace", help="path to a JSON trace file")
-    analyze.add_argument("--spacetime", action="store_true")
+    analyze.add_argument("log", help="path to a JSONL event log "
+                                     "(simulate --trace-out)")
     analyze.set_defaults(func=_cmd_analyze)
 
     trace = commands.add_parser(

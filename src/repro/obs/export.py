@@ -236,21 +236,26 @@ def trace_from_events(events: Iterable[ObsEvent]) -> ExecutionTrace:
     events the live trace recorded, with vector clocks and local
     sequence numbers preserved), so recovery lines, rollback graphs,
     and space-time diagrams can all be computed from a log file alone.
+    Raises :class:`SimulationError` on an engine event without its
+    rank, clock or ``lseq`` stamp, and on a log with no engine events:
+    a recorded run always logs each rank's checkpoint 0, so an empty
+    trace would pass every cut check vacuously.
     """
     trace_events: list[TraceEvent] = []
     n_processes = 0
     for event in events:
         if event.category != "engine" or event.name not in _ENGINE_KINDS:
             continue
-        if event.rank is None or event.clock is None:
+        lseq = event.fields.get("lseq")
+        if event.rank is None or event.clock is None or lseq is None:
             raise SimulationError(
-                f"engine event {event.seq} lacks rank/clock stamping"
+                f"engine event {event.seq} lacks rank/clock/lseq stamping"
             )
         n_processes = max(n_processes, event.rank + 1, len(event.clock))
         trace_events.append(TraceEvent(
             kind=EventKind(event.name),
             process=event.rank,
-            seq=int(event.fields.get("lseq", 0)),
+            seq=int(lseq),
             time=event.time,
             clock=VectorClock(tuple(event.clock)),
             message_id=event.fields.get("message_id"),
@@ -258,7 +263,11 @@ def trace_from_events(events: Iterable[ObsEvent]) -> ExecutionTrace:
             checkpoint_number=event.fields.get("checkpoint_number"),
             stmt_id=event.fields.get("stmt_id"),
         ))
-    trace = ExecutionTrace(n_processes=max(n_processes, 1))
+    if not trace_events:
+        raise SimulationError(
+            "event log has no engine events to rebuild a trace from"
+        )
+    trace = ExecutionTrace(n_processes=n_processes)
     for trace_event in trace_events:
         trace.events.append(trace_event)
         trace._seq[trace_event.process] = max(

@@ -5,11 +5,7 @@ space-time diagrams (Figure 3, the execution halves of Figures 5/6).
 """
 
 from repro.viz.ascii_chart import Series, curves_chart, line_chart
-from repro.viz.spacetime import (
-    render_messages,
-    render_spacetime,
-    render_spacetime_from_log,
-)
+from repro.viz.spacetime import render_messages, render_spacetime
 
 __all__ = [
     "Series",
@@ -17,5 +13,4 @@ __all__ = [
     "line_chart",
     "render_messages",
     "render_spacetime",
-    "render_spacetime_from_log",
 ]

@@ -98,25 +98,6 @@ def render_spacetime(
     return "\n".join(lines) + "\n"
 
 
-def render_spacetime_from_log(source, width: int = 72) -> str:
-    """Render a recorded observability event log as a space-time diagram.
-
-    *source* is anything :func:`repro.obs.read_event_log` accepts — a
-    path to a JSONL event log (e.g. a ``--trace-out`` capture or a
-    flight-recorder dump) or the JSONL text itself. The engine events
-    are reconstructed into an :class:`~repro.runtime.trace.ExecutionTrace`
-    and every straight-cut recovery line ``R_i``'s members are marked
-    ``#`` — the diagram is recoverable from the log alone, no live
-    simulation needed.
-    """
-    from repro.obs import read_event_log, trace_from_events
-
-    trace = trace_from_events(read_event_log(source))
-    return render_spacetime(
-        trace, width=width, cuts=trace.all_straight_cuts()
-    )
-
-
 def render_messages(trace, limit: int = 20) -> str:
     """Tabulate the first *limit* messages of *trace*: id, route, times."""
     sends = {

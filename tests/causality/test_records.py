@@ -4,7 +4,7 @@
 event, application send and transmission. As ``NamedTuple`` records
 they cost one allocation and carry no ``__dict__``, while keeping the
 value semantics the analyses rely on: equality and hash by field,
-their ``repr``, and the JSON trace round trip.
+their ``repr``, and the round trip through the event log.
 """
 
 import pytest
@@ -12,18 +12,28 @@ import pytest
 from repro.causality.records import EventKind, TraceEvent
 from repro.causality.vector_clock import VectorClock
 from repro.lang.programs import jacobi
+from repro.obs import (
+    Observability,
+    events_to_jsonl,
+    read_event_log,
+    trace_from_events,
+)
 from repro.protocols import ApplicationDrivenProtocol
 from repro.runtime import Simulation
-from repro.runtime.export import trace_from_json, trace_to_json
 from repro.runtime.network import Message, Network
 from repro.runtime.transport import Delivery, ReliableTransport
 
 
 @pytest.fixture(scope="module")
-def result():
+def obs():
+    return Observability()
+
+
+@pytest.fixture(scope="module")
+def result(obs):
     return Simulation(
         jacobi(), 4, params={"steps": 3},
-        protocol=ApplicationDrivenProtocol(),
+        protocol=ApplicationDrivenProtocol(), observer=obs.bus,
     ).run()
 
 
@@ -68,8 +78,9 @@ def test_repr_is_unchanged():
     )
 
 
-def test_trace_json_round_trip(result):
-    rebuilt = trace_from_json(trace_to_json(result.trace))
+def test_event_log_round_trip(obs, result):
+    rebuilt = trace_from_events(read_event_log(events_to_jsonl(obs.events)))
+    assert rebuilt.n_processes == result.trace.n_processes
     assert rebuilt.events == result.trace.events
     assert all(type(event) is TraceEvent for event in rebuilt.events)
 

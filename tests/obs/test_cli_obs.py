@@ -117,6 +117,27 @@ class TestTraceSubcommand:
         assert out.startswith("P0 |")
         assert "legend:" in out
 
+    def test_spacetime_refuses_every_filter(self, tmp_path, capsys):
+        # The recovery-line markers are cuts of the whole run, so a
+        # filtered diagram would be silently wrong.
+        _, log = _capture(tmp_path)
+        for extra in (
+            ["--rank", "0"], ["--category", "engine"], ["--kind", "send"],
+            ["--since", "0"], ["--until", "2.0"],
+            ["--span", "recovery.attempt"],
+        ):
+            capsys.readouterr()
+            code = main(["trace", str(log), "--format", "spacetime", *extra])
+            assert code == 2, extra
+            captured = capsys.readouterr()
+            assert extra[0] in captured.err
+            assert captured.out == ""
+        assert main([
+            "trace", str(log), "--format", "spacetime",
+            "--rank", "0", "--until", "2.0",
+        ]) == 2
+        assert "--rank, --until" in capsys.readouterr().err
+
     def test_missing_log_is_a_clean_error(self, tmp_path, capsys):
         assert main(["trace", str(tmp_path / "nope.jsonl")]) == 2
         assert "error" in capsys.readouterr().err

@@ -8,23 +8,31 @@ The load-bearing guarantees of the observability subsystem:
   the simulated execution;
 - **reconstruction** — the engine's :class:`ExecutionTrace` is fully
   recoverable from the event log alone, so space-time diagrams and
-  causality analyses work offline;
+  causality analyses work offline, and a log that cannot rebuild one
+  is refused rather than read as an empty run;
 - **Chrome export** — the converted trace is a valid trace-event file.
 """
 
 import json
 
-from repro.lang.programs import ring_pipeline
+import pytest
+
+from repro.causality.records import EventKind, TraceEvent
+from repro.causality.vector_clock import VectorClock
+from repro.cli import main
+from repro.errors import SimulationError
+from repro.lang.programs import jacobi, ring_pipeline, tree_reduce
 from repro.obs import (
     Observability,
     chrome_trace,
+    events_to_jsonl,
     read_event_log,
     trace_from_events,
 )
+from repro.obs.events import ObsEvent
 from repro.protocols import ApplicationDrivenProtocol
 from repro.runtime import FailurePlan, Simulation
-from repro.runtime.export import trace_to_json
-from repro.viz import render_spacetime, render_spacetime_from_log
+from repro.viz import render_spacetime
 
 PROGRAM = ring_pipeline()
 
@@ -41,6 +49,24 @@ def _traced_run(plan=None, steps=6):
         observer=obs.bus,
     ).run()
     return obs, result
+
+
+def _round_trip(make=jacobi, n=4, steps=3, plan=None, protocol=None):
+    """A run and the trace rebuilt from its event log's JSONL text."""
+    obs = Observability()
+    result = Simulation(
+        make(), n, params={"steps": steps},
+        failure_plan=plan, protocol=protocol, observer=obs.bus,
+    ).run()
+    text = events_to_jsonl(obs.events)
+    return result.trace, trace_from_events(read_event_log(text))
+
+
+def assert_same_trace(rebuilt, trace):
+    # TraceEvent is a tuple and VectorClock defines __eq__, so this
+    # compares every field of every event.
+    assert rebuilt.n_processes == trace.n_processes
+    assert rebuilt.events == trace.events
 
 
 class TestDeterminism:
@@ -68,7 +94,7 @@ class TestDeterminism:
             failure_plan=plan,
             seed=0,
         ).run()
-        assert trace_to_json(traced.trace) == trace_to_json(untraced.trace)
+        assert_same_trace(traced.trace, untraced.trace)
         assert traced.stats.as_dict() == untraced.stats.as_dict()
         assert traced.final_env == untraced.final_env
 
@@ -119,26 +145,95 @@ class TestReconstruction:
 
     def test_trace_from_events_round_trip(self):
         obs, result = _traced_run(FailurePlan.single(12.0, 1))
-        rebuilt = trace_from_events(obs.events)
-        assert trace_to_json(rebuilt) == trace_to_json(result.trace)
+        assert_same_trace(trace_from_events(obs.events), result.trace)
 
     def test_round_trip_through_file(self, tmp_path):
         obs, result = _traced_run()
         path = tmp_path / "events.jsonl"
         path.write_text(obs.jsonl())
         rebuilt = trace_from_events(read_event_log(path))
-        assert trace_to_json(rebuilt) == trace_to_json(result.trace)
+        assert_same_trace(rebuilt, result.trace)
 
-    def test_spacetime_from_log_matches_live_render(self, tmp_path):
+    @pytest.mark.parametrize("make", [jacobi, tree_reduce])
+    def test_events_preserved_exactly(self, make):
+        trace, rebuilt = _round_trip(make=make)
+        assert_same_trace(rebuilt, trace)
+
+    def test_failure_events_round_trip(self):
+        trace, rebuilt = _round_trip(
+            steps=8,
+            plan=FailurePlan.single(8.0, 1),
+            protocol=ApplicationDrivenProtocol(),
+        )
+        assert_same_trace(rebuilt, trace)
+        kinds = {e.kind for e in rebuilt.events}
+        assert {EventKind.FAILURE, EventKind.RESTART} <= kinds
+
+    def test_analyses_work_on_rebuilt_trace(self):
+        trace, rebuilt = _round_trip()
+        assert rebuilt.all_straight_cuts_consistent() == (
+            trace.all_straight_cuts_consistent()
+        )
+        assert rebuilt.max_straight_cut_index() == trace.max_straight_cut_index()
+
+    def test_appending_after_rebuild_continues_sequences(self):
+        _, rebuilt = _round_trip()
+        before = len(rebuilt.events_for(0))
+        event = rebuilt.append(
+            EventKind.COMPUTE, 0, 99.0, VectorClock.zero(4)
+        )
+        assert event.seq == before
+
+    def test_cli_spacetime_matches_live_render(self, tmp_path, capsys):
         obs, result = _traced_run()
         path = tmp_path / "events.jsonl"
         path.write_text(obs.jsonl())
-        offline = render_spacetime_from_log(path)
+        capsys.readouterr()
+        assert main(["trace", str(path), "--format", "spacetime"]) == 0
+        offline = capsys.readouterr().out
         live = render_spacetime(
             result.trace, cuts=result.trace.all_straight_cuts()
         )
         assert offline == live
         assert "#" in offline  # recovery-line members are marked
+
+
+def _engine_event(**fields):
+    return ObsEvent(
+        seq=0, time=1.0, category="engine", name="compute",
+        rank=0, clock=(1,), fields=fields,
+    )
+
+
+class TestReconstructionErrors:
+    """A log that cannot rebuild the run's trace is refused."""
+
+    def test_event_without_lseq_is_malformed(self):
+        # Defaulting the stamp to 0 would put every receive "after"
+        # any cut, hiding orphan witnesses.
+        with pytest.raises(SimulationError, match="lseq"):
+            trace_from_events([_engine_event()])
+
+    def test_event_without_rank_or_clock_is_malformed(self):
+        event = _engine_event(lseq=0)
+        for broken in (event._replace(rank=None), event._replace(clock=None)):
+            with pytest.raises(SimulationError, match="rank/clock"):
+                trace_from_events([broken])
+
+    def test_log_without_engine_events_is_refused(self):
+        obs, _ = _traced_run()
+        transport = [e for e in obs.events if e.category == "transport"]
+        assert transport
+        for events in ([], transport):
+            with pytest.raises(SimulationError, match="no engine events"):
+                trace_from_events(events)
+
+    def test_optional_fields_absent(self):
+        trace = trace_from_events([_engine_event(lseq=0)])
+        assert trace.n_processes == 1
+        assert trace.events == [
+            TraceEvent(EventKind.COMPUTE, 0, 0, 1.0, VectorClock((1,)))
+        ]
 
 
 class TestChromeExport:

@@ -1,8 +1,12 @@
 """CLI tests (argument handling, exit codes, output shape)."""
 
+import argparse
+import re
+
 import pytest
 
-from repro.cli import main
+import repro.cli
+from repro.cli import build_parser, main
 from repro.lang.programs import JACOBI_ODD_EVEN_SOURCE
 
 
@@ -235,3 +239,17 @@ class TestFigures:
         assert main(["figures", "--figure", "9"]) == 0
         out = capsys.readouterr().out
         assert "Figure 9" in out and "Figure 8" not in out
+
+
+class TestModuleDocstring:
+    def test_command_table_lists_every_subcommand(self):
+        lines = re.DOTALL | re.MULTILINE
+        table = re.search(
+            r"^=+ =+\n(.*?)^=+ =+$", repro.cli.__doc__, lines
+        ).group(1)
+        documented = re.findall(r"^([a-z]+) ", table, lines)
+        subparsers = next(
+            action for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        assert sorted(documented) == sorted(subparsers.choices)

@@ -1,59 +1,85 @@
-"""CLI tests for trace export + analysis."""
+"""CLI tests for the offline analysis of a recorded event log."""
 
 import pytest
 
 from repro.cli import main
+from repro.obs import read_event_log
 
 
-@pytest.fixture
-def safe_trace(tmp_path, capsys):
-    path = tmp_path / "safe.json"
+def _record(tmp_path, capsys, program, name):
+    path = tmp_path / name
     assert main(
-        ["simulate", "@jacobi", "-n", "4", "--steps", "3",
-         "--export-trace", str(path)]
+        ["simulate", program, "-n", "4", "--steps", "3",
+         "--trace-out", str(path)]
     ) == 0
     capsys.readouterr()
     return path
 
 
 @pytest.fixture
-def unsafe_trace(tmp_path, capsys):
-    path = tmp_path / "unsafe.json"
-    assert main(
-        ["simulate", "@jacobi_odd_even", "-n", "4", "--steps", "3",
-         "--export-trace", str(path)]
-    ) == 0
-    capsys.readouterr()
-    return path
+def safe_log(tmp_path, capsys):
+    return _record(tmp_path, capsys, "@jacobi", "safe.jsonl")
 
 
-class TestExportAndAnalyze:
-    def test_export_writes_json(self, safe_trace):
-        import json
+@pytest.fixture
+def unsafe_log(tmp_path, capsys):
+    return _record(tmp_path, capsys, "@jacobi_odd_even", "unsafe.jsonl")
 
-        data = json.loads(safe_trace.read_text())
-        assert data["n_processes"] == 4
-        assert data["events"]
 
-    def test_analyze_safe_trace(self, safe_trace, capsys):
-        assert main(["analyze", str(safe_trace)]) == 0
+class TestAnalyzeEventLog:
+    def test_analyze_safe_log(self, safe_log, capsys):
+        assert main(["analyze", str(safe_log)]) == 0
         out = capsys.readouterr().out
+        assert "processes        : 4" in out
+        assert "events           : 36" in out
         assert "every straight cut is a recovery line" in out
 
-    def test_analyze_unsafe_trace(self, unsafe_trace, capsys):
-        assert main(["analyze", str(unsafe_trace)]) == 1
+    def test_analyze_unsafe_log(self, unsafe_log, capsys):
+        assert main(["analyze", str(unsafe_log)]) == 1
         out = capsys.readouterr().out
         assert "NOT recovery lines" in out
         assert "orphan witness" in out
 
-    def test_analyze_reports_rollback_analysis(self, unsafe_trace, capsys):
-        main(["analyze", str(unsafe_trace)])
+    def test_analyze_reports_rollback_analysis(self, unsafe_log, capsys):
+        main(["analyze", str(unsafe_log)])
         out = capsys.readouterr().out
         assert "max consistent cut" in out
 
-    def test_analyze_with_spacetime(self, safe_trace, capsys):
-        assert main(["analyze", str(safe_trace), "--spacetime"]) == 0
-        assert "legend:" in capsys.readouterr().out
+    def test_analyze_has_no_spacetime_flag(self, safe_log, capsys):
+        # ``repro trace LOG --format spacetime`` draws the diagram.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["analyze", str(safe_log), "--spacetime"])
+        assert exit_info.value.code == 2
+        assert "--spacetime" in capsys.readouterr().err
 
     def test_analyze_missing_file(self, capsys):
-        assert main(["analyze", "/nonexistent.json"]) == 2
+        assert main(["analyze", "/nonexistent.jsonl"]) == 2
+
+
+class TestAnalyzeRefusesLogsWithoutARun:
+    """A log with no engine events is not a vacuously safe run."""
+
+    def test_transport_only_log(self, safe_log, tmp_path, capsys):
+        transport = tmp_path / "transport.jsonl"
+        assert main([
+            "trace", str(safe_log), "--category", "transport",
+            "--format", "jsonl", "-o", str(transport),
+        ]) == 0
+        assert read_event_log(transport)
+        capsys.readouterr()
+        assert main(["analyze", str(transport)]) == 2
+        captured = capsys.readouterr()
+        assert "no engine events" in captured.err
+        assert "recovery line" not in captured.out
+
+    def test_empty_log(self, tmp_path, capsys):
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+        assert main(["analyze", str(empty)]) == 2
+        assert "no engine events" in capsys.readouterr().err
+
+    def test_json_trace_is_not_an_event_log(self, tmp_path, capsys):
+        old = tmp_path / "trace.json"
+        old.write_text('{"format":1,"n_processes":3,"events":[]}')
+        assert main(["analyze", str(old)]) == 2
+        assert "error:" in capsys.readouterr().err
