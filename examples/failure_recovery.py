@@ -18,16 +18,16 @@ Run: ``python examples/failure_recovery.py``
 from repro.bench.workloads import strip_checkpoints
 from repro.lang.programs import pingpong, ring_pipeline
 from repro.protocols import ApplicationDrivenProtocol, UncoordinatedProtocol
-from repro.runtime import FailurePlan, Simulation
-from repro.runtime.failures import exponential_failures
+from repro.runtime import FaultPlan, Simulation
+from repro.runtime.failures import exponential_fault_plan
 
 
 def failure_storm() -> None:
     print("=== 1. Failure storm (application-driven) ===")
     program = ring_pipeline()
     baseline = Simulation(program, 5, params={"steps": 20}).run()
-    plan = exponential_failures(
-        5, failure_rate=0.02, horizon=baseline.completion_time * 2,
+    plan = exponential_fault_plan(
+        5, baseline.completion_time * 2, failure_rate=0.02,
         seed=11, max_failures=6,
     )
     print("crash schedule:",
@@ -35,7 +35,7 @@ def failure_storm() -> None:
     protocol = ApplicationDrivenProtocol()
     stormy = Simulation(
         program, 5, params={"steps": 20},
-        protocol=protocol, failure_plan=plan,
+        protocol=protocol, fault_plan=plan,
     ).run()
     print(f"failures applied      : {stormy.stats.failures}")
     print(f"rollbacks             : {stormy.stats.rollbacks}")
@@ -51,12 +51,12 @@ def failure_storm() -> None:
 def domino() -> None:
     print("\n=== 2. Domino effect (uncoordinated vs application-driven) ===")
     chatty = pingpong()
-    plan = FailurePlan.single(21.0, rank=1)
+    plan = FaultPlan.single(21.0, rank=1)
 
     uncoordinated = UncoordinatedProtocol(period=6, stagger=0.9)
     run_unc = Simulation(
         strip_checkpoints(chatty), 4, params={"steps": 60},
-        protocol=uncoordinated, failure_plan=plan,
+        protocol=uncoordinated, fault_plan=plan,
     ).run()
     depths = uncoordinated.rollback_depths[0]
     print(f"uncoordinated : domino steps = {uncoordinated.domino_steps[0]}, "
@@ -67,7 +67,7 @@ def domino() -> None:
     run_appl = Simulation(
         pingpong(), 4, params={"steps": 60},
         protocol=appl,
-        failure_plan=FailurePlan.single(21.0, rank=1),
+        fault_plan=FaultPlan.single(21.0, rank=1),
     ).run()
     print(f"appl-driven   : recovered to R_{appl.recovered_to[0]}, "
           f"lost work = {run_appl.stats.lost_work:.2f} "

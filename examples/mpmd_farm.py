@@ -11,7 +11,7 @@ crash — with the space-time diagram of the recovered run.
 Run: ``python examples/mpmd_farm.py``
 """
 
-from repro import FailurePlan, Simulation, to_source, verify_program
+from repro import FaultPlan, Simulation, to_source, verify_program
 from repro.lang.mpmd import RankSet, Role, combine_mpmd
 from repro.lang.parser import parse
 from repro.phases.calibration import calibrate_cost_model
@@ -84,7 +84,7 @@ def main() -> None:
         4,
         params={"steps": 6},
         protocol=ApplicationDrivenProtocol(),
-        failure_plan=FailurePlan.single(20.0, rank=3),
+        fault_plan=FaultPlan.single(20.0, rank=3),
     ).run()
     print(f"completed: {crashed.stats.completed}, "
           f"control messages: {crashed.stats.control_messages}, "

@@ -36,7 +36,7 @@ from repro.bench.workloads import (
     standard_workloads,
 )
 from repro.campaign import run_campaign
-from repro.runtime import FailurePlan
+from repro.runtime import FaultPlan
 
 
 def main() -> None:
@@ -67,7 +67,7 @@ def main() -> None:
     cells = protocol_cells(
         standard_workloads(steps=12)[0],
         period=6.0,
-        fault_plan=FailurePlan.single(14.3, 2),
+        fault_plan=FaultPlan.single(14.3, 2),
     )
     result = run_campaign(cells)
     print(comparison_table(cells, result), end="")

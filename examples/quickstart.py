@@ -14,7 +14,7 @@ Run: ``python examples/quickstart.py``
 """
 
 from repro import (
-    FailurePlan,
+    FaultPlan,
     Simulation,
     parse,
     to_source,
@@ -67,7 +67,7 @@ def main() -> None:
         4,
         params={"steps": 8},
         protocol=ApplicationDrivenProtocol(),
-        failure_plan=FailurePlan.single(9.5, rank=2),
+        fault_plan=FaultPlan.single(9.5, rank=2),
     ).run()
     print(f"failure-free completion time : {baseline.completion_time:8.2f}")
     print(f"with crash + recovery        : {crashed.completion_time:8.2f}")

@@ -45,12 +45,11 @@ from repro.phases import (
     transform,
     verify_program,
 )
-from repro.runtime import FailurePlan, FaultPlan, RuntimeCosts, Simulation
+from repro.runtime import FaultPlan, RuntimeCosts, Simulation
 
 __version__ = "1.0.0"
 
 __all__ = [
-    "FailurePlan",
     "FaultPlan",
     "ModelParameters",
     "ProtocolKind",

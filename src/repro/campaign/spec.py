@@ -80,10 +80,9 @@ class ScenarioSpec(RunConfig):
         # here, when a campaign file loads, not in each cell at run time.
         make_protocol(self.protocol, self.period)
         if self.fault_plan is not None:
-            # A bare FailurePlan would not survive the JSON round-trip.
-            plan = FaultPlan.of(self.fault_plan)
-            plan.check_targets(self.n_processes, self.storage_replicas)
-            object.__setattr__(self, "fault_plan", plan)
+            self.fault_plan.check_targets(
+                self.n_processes, self.storage_replicas
+            )
 
     # -- serialisation -----------------------------------------------------------
 

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import fields, replace
+from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
 from repro.errors import ReproError
@@ -46,6 +46,12 @@ from repro.lang.printer import to_source
 from repro.lang.programs import load_program, program_names
 from repro.protocols import make_protocol, protocol_names
 from repro.runtime.engine import CHECKPOINT_MODES, RunConfig
+from repro.runtime.failures import (
+    EVENT_LISTS,
+    FaultPlan,
+    event_syntax,
+    parse_event,
+)
 from repro.runtime.interpreter import BACKENDS
 
 
@@ -167,134 +173,63 @@ def _cmd_cfg(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_crash(text: str):
-    from repro.runtime.failures import CrashEvent
+def _event_parser(name: str | None, what: str):
+    """An argparse ``type`` reading one fault event's text form.
 
-    try:
-        time_text, rank_text = text.split(":", 1)
-        return CrashEvent(time=float(time_text), rank=int(rank_text))
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"crash must be TIME:RANK, got {text!r}"
-        ) from None
+    *name* is the event list (``None``: named by the leading ``KIND``).
+    """
+    names = [name] if name else [
+        n for n, spec in EVENT_LISTS.items() if spec.kinds is not None
+    ]
+    forms = " or ".join(event_syntax(n) for n in names)
 
-
-def _parse_fault(text: str):
-    from repro.runtime.failures import (
-        FaultKind,
-        NetworkFaultEvent,
-        NetworkFaultKind,
-        StorageFaultEvent,
-    )
-
-    parts = text.split(":")
-    network_kinds = {k.value for k in NetworkFaultKind}
-    if parts and parts[0] in network_kinds:
+    def parse(text: str):
         try:
-            kind = NetworkFaultKind(parts[0])
-            time = float(parts[1])
-            src = int(parts[2])
-            dst = int(parts[3])
-            delay = float(parts[4]) if len(parts) > 4 else 0.0
-            if len(parts) > 5:
-                raise ValueError(text)
-            return NetworkFaultEvent(
-                time=time, kind=kind, src=src, dst=dst, delay=delay
-            )
-        except (ValueError, IndexError):
-            kinds = "|".join(k.value for k in NetworkFaultKind)
+            return parse_event(text, name)
+        except (TypeError, ValueError):
             raise argparse.ArgumentTypeError(
-                f"network fault must be KIND:TIME:SRC:DST[:DELAY] with "
-                f"KIND one of {kinds}, got {text!r}"
+                f"{what} must be {forms}, got {text!r}"
             ) from None
-    try:
-        kind = FaultKind(parts[0])
-        time = float(parts[1])
-        rank = int(parts[2])
-        number = int(parts[3]) if len(parts) > 3 and parts[3] else None
-        replica = int(parts[4]) if len(parts) > 4 else 0
-        if len(parts) > 5:
-            raise ValueError(text)
-        return StorageFaultEvent(
-            time=time, rank=rank, kind=kind, number=number, replica=replica
-        )
-    except (ValueError, IndexError):
-        kinds = "|".join(
-            k.value for k in FaultKind
-        ) + "|" + "|".join(k.value for k in NetworkFaultKind)
-        raise argparse.ArgumentTypeError(
-            f"fault must be KIND:TIME:RANK[:NUMBER[:REPLICA]] (storage) or "
-            f"KIND:TIME:SRC:DST[:DELAY] (network) with "
-            f"KIND one of {kinds}, got {text!r}"
-        ) from None
+
+    return parse
 
 
-def _parse_recovery_fault(text: str):
-    from repro.runtime.failures import RecoveryFaultEvent, RecoveryFaultKind
-
-    parts = text.split(":")
-    try:
-        kind = RecoveryFaultKind(parts[0])
-        recovery = int(parts[1])
-        rank = int(parts[2])
-        attempts = int(parts[3]) if len(parts) > 3 else 1
-        if len(parts) > 4:
-            raise ValueError(text)
-        return RecoveryFaultEvent(
-            recovery=recovery, rank=rank, kind=kind, attempts=attempts
-        )
-    except (ValueError, IndexError):
-        kinds = "|".join(k.value for k in RecoveryFaultKind)
-        raise argparse.ArgumentTypeError(
-            f"recovery fault must be KIND:RECOVERY:RANK[:ATTEMPTS] with "
-            f"KIND one of {kinds}, got {text!r}"
-        ) from None
+def _fault_help() -> str:
+    """``--fault``'s help: every kinded event list's text form and kinds."""
+    return "inject a fault: " + "; ".join(
+        f"{spec.what} {event_syntax(name)} (KIND: "
+        + ", ".join(kind.value for kind in spec.kinds) + ")"
+        for name, spec in EVENT_LISTS.items() if spec.kinds is not None
+    ) + "; RECOVERY counts crash-triggered recoveries from 0"
 
 
-_FAULT_PLAN_SCHEMA = (
-    '{"max_failures": N, "crashes": [{"time", "rank"}], '
-    '"storage_faults": [{"time", "rank", "kind", ...}], '
-    '"network_faults": [{"time", "kind", "src", "dst", "delay"?}], '
-    '"recovery_faults": [{"recovery", "rank", "kind", "attempts"?}]}'
-)
+def _fault_plan_schema() -> str:
+    """The ``--fault-plan`` JSON schema, for error messages."""
+    lists = ", ".join(
+        f'"{name}": [{{' + ", ".join(
+            f'"{f.name}"' + ("" if f.default is MISSING else "?")
+            for f in fields(spec.event)
+        ) + "}]"
+        for name, spec in EVENT_LISTS.items()
+    )
+    return f'{{"max_failures": N?, {lists}}}'
 
 
-def _load_fault_plan(path: str, crashes, faults, recovery_faults=()):
+def _load_fault_plan(path: str, events):
     """Build a FaultPlan from CLI events plus an optional JSON file.
 
-    *faults* may mix storage and network fault events (as produced by
-    ``--fault``); they are routed to the right plan field here.
-    *recovery_faults* come from ``--recovery-fault``. The JSON schema
-    mirrors the dataclasses::
-
-        {"max_failures": 4,
-         "crashes": [{"time": 10.0, "rank": 1}, ...],
-         "storage_faults": [{"time": 5.0, "rank": 0, "kind": "bit-rot",
-                             "number": 2, "replica": 0, "attempts": 1}, ...],
-         "network_faults": [{"time": 4.0, "kind": "drop",
-                             "src": 0, "dst": 1, "delay": 0.0}, ...],
-         "recovery_faults": [{"recovery": 0, "rank": 1,
-                              "kind": "crash-in-recovery",
-                              "attempts": 1}, ...]}
-
-    Unknown top-level keys are rejected (a typo like ``"netwrok_faults"``
-    must not silently disable the faults it was meant to inject), and so
-    are unknown per-event keys.
+    *events* are ``(list name, event)`` pairs, as ``--crash`` and
+    ``--fault`` parse them. The JSON schema is
+    :meth:`~repro.runtime.failures.FaultPlan.to_json_dict`'s: one list
+    per event family, each event an object of its fields.
     """
     import json
 
-    from repro.runtime.failures import (
-        FaultPlan,
-        NetworkFaultEvent,
-        StorageFaultEvent,
-    )
-
     from repro.errors import SimulationError
 
-    crashes = list(crashes)
-    storage_faults = [f for f in faults if isinstance(f, StorageFaultEvent)]
-    network_faults = [f for f in faults if isinstance(f, NetworkFaultEvent)]
-    recovery_faults = list(recovery_faults)
+    lists = {name: [] for name in EVENT_LISTS}
+    for name, event in events:
+        lists[name].append(event)
     max_failures = None
     if path:
         try:
@@ -303,25 +238,17 @@ def _load_fault_plan(path: str, crashes, faults, recovery_faults=()):
         except SimulationError as exc:
             raise SimulationError(
                 f"bad fault plan {path!r}: {exc} — expected "
-                f"{_FAULT_PLAN_SCHEMA}"
+                f"{_fault_plan_schema()}"
             ) from exc
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise SimulationError(
                 f"bad fault plan {path!r}: {exc!r} — expected "
-                f"{_FAULT_PLAN_SCHEMA}"
+                f"{_fault_plan_schema()}"
             ) from exc
-        crashes.extend(loaded.crashes)
-        storage_faults.extend(loaded.storage_faults)
-        network_faults.extend(loaded.network_faults)
-        recovery_faults.extend(loaded.recovery_faults)
+        for name, found in lists.items():
+            found.extend(getattr(loaded, name))
         max_failures = loaded.max_failures
-    return FaultPlan(
-        crashes=crashes,
-        max_failures=max_failures,
-        storage_faults=storage_faults,
-        network_faults=network_faults,
-        recovery_faults=recovery_faults,
-    )
+    return FaultPlan(max_failures=max_failures, **lists)
 
 
 #: The run knobs the CLI exposes: :class:`RunConfig` field ->
@@ -417,9 +344,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     from repro.runtime.engine import Simulation
 
     program = _load(args.program)
-    plan = _load_fault_plan(
-        args.fault_plan, args.crash, args.fault, args.recovery_fault
-    )
+    plan = _load_fault_plan(args.fault_plan, args.crash + args.fault)
     obs = None
     if args.trace_out or args.metrics_out:
         from repro.obs import Observability
@@ -430,7 +355,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         args.n,
         params={"steps": args.steps} if args.steps else None,
         protocol=make_protocol(args.protocol, args.period),
-        failure_plan=plan,
+        fault_plan=plan,
         observer=obs.bus if obs is not None else None,
         **_run_knobs(args, *_SIMULATE_KNOBS),
     )
@@ -540,7 +465,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         standard_workloads,
     )
     from repro.campaign import run_campaign
-    from repro.runtime.failures import FailurePlan
 
     workloads = {w.label: w for w in standard_workloads(steps=args.steps)}
     if args.workload not in workloads:
@@ -553,7 +477,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     cells = protocol_cells(
         workloads[args.workload],
         period=args.period,
-        fault_plan=FailurePlan(crashes=list(args.crash)),
+        fault_plan=FaultPlan(crashes=[crash for _, crash in args.crash]),
     )
     result = run_campaign(cells, jobs=1)
     print(comparison_table(cells, result), end="")
@@ -906,23 +830,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_program_argument(simulate)
     simulate.add_argument("-n", type=int, default=4, help="process count")
     simulate.add_argument("--steps", type=int, default=5)
-    simulate.add_argument("--crash", type=_parse_crash, action="append",
-                          default=[], metavar="TIME:RANK")
-    simulate.add_argument("--fault", type=_parse_fault, action="append",
-                          default=[], metavar="KIND:...",
-                          help="inject a storage fault "
-                               "(KIND:TIME:RANK[:NUM[:REP]], kind: "
-                               "write-fail, torn-write, bit-rot, transient) "
-                               "or a network fault "
-                               "(KIND:TIME:SRC:DST[:DELAY], kind: drop, "
-                               "duplicate, delay, corrupt, partition, heal)")
-    simulate.add_argument("--recovery-fault", type=_parse_recovery_fault,
-                          action="append", default=[],
-                          metavar="KIND:RECOVERY:RANK[:ATTEMPTS]",
-                          help="inject a fault into the RECOVERY-th "
-                               "recovery operation (kind: "
-                               "crash-in-recovery, restore-read-fail, "
-                               "control-lost)")
+    simulate.add_argument("--crash", type=_event_parser("crashes", "crash"),
+                          action="append", default=[], metavar="TIME:RANK")
+    simulate.add_argument("--fault", type=_event_parser(None, "fault"),
+                          action="append", default=[], metavar="KIND:...",
+                          help=_fault_help())
     simulate.add_argument("--fault-plan", metavar="PATH",
                           help="JSON file with crashes, storage_faults, "
                                "network_faults, and recovery_faults")
@@ -958,8 +870,8 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("workload", help="a standard workload name")
     compare.add_argument("--steps", type=int, default=12)
     compare.add_argument("--period", type=float, default=6.0)
-    compare.add_argument("--crash", type=_parse_crash, action="append",
-                         default=[], metavar="TIME:RANK")
+    compare.add_argument("--crash", type=_event_parser("crashes", "crash"),
+                         action="append", default=[], metavar="TIME:RANK")
     compare.set_defaults(func=_cmd_compare)
 
     analyze = commands.add_parser(

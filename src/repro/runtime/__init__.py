@@ -36,7 +36,6 @@ from repro.runtime.engine import (
 )
 from repro.runtime.failures import (
     CrashEvent,
-    FailurePlan,
     FaultKind,
     FaultPlan,
     NetworkFaultEvent,
@@ -44,9 +43,7 @@ from repro.runtime.failures import (
     RecoveryFaultEvent,
     RecoveryFaultKind,
     StorageFaultEvent,
-    exponential_failures,
     exponential_fault_plan,
-    exponential_network_plan,
 )
 from repro.runtime.interpreter import ProcessInterpreter, ProcessSnapshot
 from repro.runtime.network import Message, Network
@@ -74,7 +71,6 @@ __all__ = [
     "CrashEvent",
     "Effect",
     "ExecutionTrace",
-    "FailurePlan",
     "FaultKind",
     "FaultPlan",
     "LocalEffect",
@@ -105,9 +101,7 @@ __all__ = [
     "chaos_sweep",
     "draw_schedule",
     "dump_failure_artifacts",
-    "exponential_failures",
     "exponential_fault_plan",
-    "exponential_network_plan",
     "run_schedule",
     "shrink_schedule",
 ]

@@ -36,6 +36,7 @@ import numpy as np
 from repro.errors import SimulationError, StorageError
 from repro.runtime.engine import RunConfig, SimulationResult, SupervisorConfig
 from repro.runtime.failures import (
+    EVENT_LISTS,
     ONE_SHOT_NETWORK_KINDS,
     CrashEvent,
     FaultPlan,
@@ -508,13 +509,8 @@ def dump_failure_artifacts(
 
 
 def _atoms(plan: FaultPlan) -> list[tuple[str, object]]:
-    """Flatten a plan into removable atoms (tagged events)."""
-    atoms: list[tuple[str, object]] = []
-    atoms.extend(("crash", c) for c in plan.crashes)
-    atoms.extend(("storage", f) for f in plan.storage_faults)
-    atoms.extend(("network", f) for f in plan.network_faults)
-    atoms.extend(("recovery", f) for f in plan.recovery_faults)
-    return atoms
+    """Flatten a plan into removable atoms: (event list name, event)."""
+    return [(name, e) for name in EVENT_LISTS for e in getattr(plan, name)]
 
 
 def _build(
@@ -526,13 +522,10 @@ def _build(
     simply skipped by the shrinker).
     """
     try:
-        return FaultPlan(
-            crashes=[e for tag, e in atoms if tag == "crash"],
-            max_failures=max_failures,
-            storage_faults=[e for tag, e in atoms if tag == "storage"],
-            network_faults=[e for tag, e in atoms if tag == "network"],
-            recovery_faults=[e for tag, e in atoms if tag == "recovery"],
-        )
+        return FaultPlan(max_failures=max_failures, **{
+            name: [e for tag, e in atoms if tag == name]
+            for name in EVENT_LISTS
+        })
     except SimulationError:
         return None
 

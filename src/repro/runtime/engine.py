@@ -44,7 +44,6 @@ from repro.runtime.effects import (
     SendEffect,
 )
 from repro.runtime.failures import (
-    FailurePlan,
     FaultPlan,
     RecoveryFaultEvent,
     RecoveryFaultKind,
@@ -523,7 +522,7 @@ class Simulation:
         n_processes: int,
         params: dict[str, int] | None = None,
         protocol: ProtocolHooks | None = None,
-        failure_plan: FailurePlan | None = None,
+        fault_plan: FaultPlan | None = None,
         observer=None,
         recovery: SupervisorConfig | None = None,
         **knobs,
@@ -536,7 +535,7 @@ class Simulation:
         config = RunConfig(**knobs)
         if n_processes < 1:
             raise SimulationError(f"need at least one process, got {n_processes}")
-        plan = FaultPlan.of(failure_plan)
+        plan = fault_plan if fault_plan is not None else FaultPlan()
         plan.check_targets(n_processes, config.storage_replicas)
         self.checkpoint_mode = config.checkpoint_mode
         # Minimal content zeroes provably-dead env slots at app
@@ -720,7 +719,7 @@ class Simulation:
             spec.n_processes,
             params=dict(spec.params) if spec.params else None,
             protocol=make_protocol(spec.protocol, spec.period),
-            failure_plan=spec.fault_plan,
+            fault_plan=spec.fault_plan,
             observer=observer,
             **spec.run_knobs(),
         )
@@ -1529,7 +1528,12 @@ class Simulation:
             parent=parent,
             delta_depth=0 if parent is None else parent.delta_depth + 1,
         )
-        fault = self._take_write_fault(rank, time, stored.number)
+        # The initial state is never a faulted write: a fault armed at
+        # t = 0 hits the rank's first real checkpoint instead.
+        fault = (
+            None if tag == "initial"
+            else self._take_write_fault(rank, time, stored.number)
+        )
         receipt = self.storage.store(stored, fault=fault)
         if receipt.retries:
             # Bounded retry with exponential backoff: attempt k waits

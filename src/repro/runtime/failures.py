@@ -1,20 +1,27 @@
 """Failure and fault injection.
 
-A :class:`FailurePlan` is a pre-drawn list of (time, rank) crash
-events. A :class:`FaultPlan` extends it with *stable-storage* faults —
-checkpoint write failures, torn (partial) writes, silent bit rot, and
-transient I/O errors — and with *network* faults — dropped, duplicated,
-delayed, and corrupted frames plus timed partitions between rank pairs
-— so recovery itself can be stressed, not just triggered. Plans are
-generated ahead of the run (exponential arrivals per process or per
-channel, or fixed schedules in tests), so simulations stay reproducible
-and independent of execution order.
+A :class:`FaultPlan` is one pre-drawn adversarial schedule of four
+event lists: process *crashes*; *stable-storage* faults — checkpoint
+write failures, torn (partial) writes, silent bit rot, and transient
+I/O errors; *network* faults — dropped, duplicated, delayed, and
+corrupted frames plus timed partitions between rank pairs; and faults
+that strike *recovery itself* — so recovery can be stressed, not just
+triggered. Plans are generated ahead of the run (exponential arrivals
+per process or per channel, or fixed schedules in tests), so
+simulations stay reproducible and independent of execution order.
+
+:data:`EVENT_LISTS` maps each list to its event class. An event's
+dataclass fields, in declaration order, are both its JSON keys
+(:func:`encode_event`, :func:`decode_event`) and its text form
+(:func:`parse_event`): ``KIND`` followed by the other fields,
+``:``-separated, trailing optional fields omitted.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from enum import Enum
+from typing import Callable
 
 import numpy as np
 
@@ -200,73 +207,335 @@ class RecoveryFaultEvent:
     attempts: int = 1
 
 
-#: Allowed per-event JSON keys (typos inside an event entry must not
-#: silently drop the field they were meant to set).
-_CRASH_EVENT_KEYS = frozenset({"time", "rank"})
-_STORAGE_EVENT_KEYS = frozenset(
-    {"time", "rank", "kind", "number", "replica", "attempts"}
-)
-_NETWORK_EVENT_KEYS = frozenset({"time", "kind", "src", "dst", "delay"})
-_RECOVERY_EVENT_KEYS = frozenset({"recovery", "rank", "kind", "attempts"})
+# ----------------------------------------------------------------------
+# Validation
+# ----------------------------------------------------------------------
+
+#: Lower bound of every numeric event field (an untargeted ``number``,
+#: ``None``, is not checked).
+_FLOORS = {
+    "time": 0, "rank": 0, "src": 0, "dst": 0, "replica": 0,
+    "recovery": 0, "number": 0, "attempts": 1,
+}
+
+#: Fields that say how hard an event strikes, not what or when: two
+#: events that differ only in these are duplicates.
+_MAGNITUDES = frozenset({"attempts", "delay"})
 
 
-def _reject_unknown_keys(entry: dict, allowed: frozenset, what: str) -> dict:
-    unknown = sorted(set(entry) - allowed)
+def _check_storage_faults(faults: list[StorageFaultEvent]) -> None:
+    """Checkpoint 0 is the initial state, which is never a faulted write."""
+    for fault in faults:
+        if fault.number == 0 and fault.kind is not FaultKind.BIT_ROT:
+            raise SimulationError(
+                f"{fault.kind.value} fault at t={fault.time} targets "
+                "checkpoint 0, the initial state, which is never a "
+                "faulted write"
+            )
+
+
+def _check_network_faults(faults: list[NetworkFaultEvent]) -> None:
+    """Reject self-channels, misplaced delays and unpaired partitions.
+
+    A ``DELAY`` needs a positive delay and no other kind may carry one;
+    a heal must close an open partition of its pair. A trailing
+    unhealed partition is allowed — it is a legitimate adversarial
+    scenario (the transport eventually gives up on the dead pair with a
+    :class:`~repro.errors.ChannelError`).
+    """
+    open_partitions: set[tuple[int, int]] = set()
+    for fault in faults:
+        kind = fault.kind
+        if fault.src == fault.dst:
+            raise SimulationError(
+                f"network fault targets the self-channel "
+                f"{fault.src}->{fault.dst} ({kind.value}); processes "
+                "do not message themselves"
+            )
+        if kind is NetworkFaultKind.DELAY:
+            if fault.delay <= 0:
+                raise SimulationError(
+                    f"delay fault needs a positive delay, got "
+                    f"{fault.delay} ({fault.src}->{fault.dst})"
+                )
+        elif fault.delay:
+            raise SimulationError(
+                f"delay={fault.delay} is only meaningful on "
+                f"{NetworkFaultKind.DELAY.value!r} faults, not "
+                f"{kind.value!r}"
+            )
+        if kind is NetworkFaultKind.PARTITION:
+            if fault.pair in open_partitions:
+                raise SimulationError(
+                    f"partition of pair {fault.pair} at time "
+                    f"{fault.time} is already open"
+                )
+            open_partitions.add(fault.pair)
+        elif kind is NetworkFaultKind.HEAL:
+            if fault.pair not in open_partitions:
+                raise SimulationError(
+                    f"heal of pair {fault.pair} at time {fault.time} "
+                    "closes no open partition"
+                )
+            open_partitions.discard(fault.pair)
+
+
+def _check_recovery_faults(faults: list[RecoveryFaultEvent]) -> None:
+    """Reject a second ``CRASH`` on a ``(recovery, rank)`` pair.
+
+    The nested-failure analogue of a double crash: a rank cannot crash
+    while it is already down (one ``CRASH`` fault models repeated
+    nested crashes through ``attempts``).
+    """
+    crashing: set[tuple[int, int]] = set()
+    for fault in faults:
+        if fault.kind is RecoveryFaultKind.CRASH:
+            if (fault.recovery, fault.rank) in crashing:
+                raise SimulationError(
+                    f"crash scheduled on already-crashed rank {fault.rank} "
+                    f"in recovery {fault.recovery}"
+                )
+            crashing.add((fault.recovery, fault.rank))
+
+
+@dataclass(frozen=True)
+class EventList:
+    """How one of a plan's event lists is typed, named, ordered and checked.
+
+    Attributes:
+        event: The event dataclass. Its fields, in declaration order,
+            are the event's JSON keys and its text form's fields.
+        what: The event's name in error messages.
+        kinds: The enum its ``kind`` field takes (``None``: no kind).
+        order: Sort key of the validated list.
+        check: The list's own rules, run over the sorted list.
+        kind_noun: The event's name in unknown-kind errors, if not
+            *what* (a storage fault's is just "fault").
+    """
+
+    event: type
+    what: str
+    kinds: type[Enum] | None
+    order: Callable
+    check: Callable[[list], None] | None = None
+    kind_noun: str | None = None
+
+    def kind(self, value):
+        """*value* — an enum member or its text — as this list's kind."""
+        if isinstance(value, self.kinds):
+            return value
+        try:
+            return self.kinds(value)
+        except ValueError:
+            known = ", ".join(k.value for k in self.kinds)
+            raise SimulationError(
+                f"unknown {self.kind_noun or self.what} kind {value!r}; "
+                f"known: {known}"
+            ) from None
+
+    def validated(self, events: list) -> list:
+        """*events* with kinds coerced, checked, and sorted.
+
+        A tuple stands for the event built from it. Rejects negative
+        (or, for ``attempts``, non-positive) fields, the list's own
+        violations, and duplicates.
+        """
+        normalised = []
+        for event in events:
+            if not isinstance(event, self.event):
+                event = self.event(*event)
+            if self.kinds is not None:
+                event = replace(event, kind=self.kind(event.kind))
+            for name, value in encode_event(event).items():
+                floor = _FLOORS.get(name)
+                if floor is not None and value is not None and value < floor:
+                    raise SimulationError(
+                        f"{self.what} {name} must be >= {floor}, got {value}"
+                    )
+            normalised.append(event)
+        normalised.sort(key=self.order)
+        if self.check is not None:
+            self.check(normalised)
+        seen: set[tuple] = set()
+        for event in normalised:
+            identity = {
+                name: value for name, value in encode_event(event).items()
+                if name not in _MAGNITUDES
+            }
+            key = tuple(identity.values())
+            if key in seen:
+                detail = ", ".join(f"{k}={v}" for k, v in identity.items())
+                raise SimulationError(f"duplicate {self.what} ({detail})")
+            seen.add(key)
+        return normalised
+
+
+#: A plan's four event lists, in :class:`FaultPlan` field order: field
+#: name -> how its events are typed, named, ordered and checked.
+EVENT_LISTS = {
+    "crashes": EventList(
+        CrashEvent, "crash", None, order=lambda c: c.time,
+    ),
+    "storage_faults": EventList(
+        StorageFaultEvent, "storage fault", FaultKind,
+        order=lambda f: (f.time, f.rank),
+        check=_check_storage_faults, kind_noun="fault",
+    ),
+    "network_faults": EventList(
+        NetworkFaultEvent, "network fault", NetworkFaultKind,
+        order=lambda f: (f.time, f.src, f.dst, f.kind.value),
+        check=_check_network_faults,
+    ),
+    "recovery_faults": EventList(
+        RecoveryFaultEvent, "recovery fault", RecoveryFaultKind,
+        order=lambda f: (f.recovery, f.rank, f.kind.value),
+        check=_check_recovery_faults,
+    ),
+}
+
+
+# ----------------------------------------------------------------------
+# Encoding
+# ----------------------------------------------------------------------
+
+
+def _optional_int(value) -> int | None:
+    return None if value is None else int(value)
+
+
+#: Decoder of every event field's JSON or text value but ``kind``
+#: (which goes through :meth:`EventList.kind`).
+_DECODERS = {
+    "time": float,
+    "delay": float,
+    "rank": int,
+    "src": int,
+    "dst": int,
+    "replica": int,
+    "attempts": int,
+    "recovery": int,
+    "number": _optional_int,
+}
+
+
+def encode_event(event) -> dict:
+    """*event* as its JSON object: every field in declaration order."""
+    return {
+        f.name: getattr(event, f.name).value if f.name == "kind"
+        else getattr(event, f.name)
+        for f in fields(event)
+    }
+
+
+def decode_event(name: str, data: dict):
+    """One event of the *name* list from :func:`encode_event`'s form.
+
+    Absent fields take their defaults; unknown keys are rejected (a
+    typo inside an event must not silently drop the field it was meant
+    to set).
+    """
+    spec = EVENT_LISTS[name]
+    keys = [f.name for f in fields(spec.event)]
+    unknown = sorted(set(data) - set(keys))
     if unknown:
         raise SimulationError(
-            f"unknown {what} key(s) {unknown} — "
-            f"expected keys from {sorted(allowed)}"
+            f"unknown {spec.what} key(s) {unknown} — "
+            f"expected keys from {sorted(keys)}"
         )
-    return entry
+    return spec.event(**{
+        key: spec.kind(value) if key == "kind" else _DECODERS[key](value)
+        for key, value in data.items()
+    })
+
+
+#: The list each text ``KIND`` belongs to.
+_KIND_LISTS = {
+    kind.value: name
+    for name, spec in EVENT_LISTS.items() if spec.kinds is not None
+    for kind in spec.kinds
+}
+
+
+def _text_fields(name: str) -> list:
+    """The fields of a *name* event's text form: ``kind`` first."""
+    return sorted(
+        fields(EVENT_LISTS[name].event), key=lambda f: f.name != "kind"
+    )
+
+
+def parse_event(text: str, name: str | None = None) -> tuple[str, object]:
+    """One event from its text form, as ``(list name, event)``.
+
+    The text is the event's fields, ``:``-separated: ``KIND`` first,
+    which names the list (crashes have no kind, so their list is given
+    as *name*), then the others in declaration order. Trailing optional
+    fields may be omitted and an empty field takes its default, so
+    ``bit-rot:5:0::2`` rots rank 0's latest checkpoint on replica 2 at
+    t = 5. Raises ``ValueError`` or ``TypeError`` on a malformed text.
+    """
+    parts = text.split(":")
+    if name is None:
+        name = _KIND_LISTS.get(parts[0])
+        if name is None:
+            raise ValueError(f"unknown fault kind {parts[0]!r}")
+    keys = [f.name for f in _text_fields(name)]
+    if len(parts) > len(keys):
+        raise ValueError(f"too many fields in {text!r}")
+    return name, decode_event(
+        name, {key: part for key, part in zip(keys, parts) if part}
+    )
+
+
+def event_syntax(name: str) -> str:
+    """The text form of a *name* event, e.g. ``KIND:TIME:SRC:DST[:DELAY]``."""
+    syntax = ""
+    optional = 0
+    for f in _text_fields(name):
+        part = f.name.upper()
+        if f.default is MISSING:
+            syntax += f":{part}" if syntax else part
+        else:
+            syntax += f"[:{part}"
+            optional += 1
+    return syntax + "]" * optional
+
+
+# ----------------------------------------------------------------------
+# The plan
+# ----------------------------------------------------------------------
 
 
 @dataclass
-class FailurePlan:
-    """An ordered schedule of crashes.
+class FaultPlan:
+    """Crashes plus storage, network and recovery faults: one schedule.
 
     ``max_failures`` bounds how many crashes the engine will actually
     apply (the rest are ignored), which keeps adversarial plans finite.
+    Every event list is validated and sorted at construction
+    (:data:`EVENT_LISTS`). The engine threads the ``storage_faults``
+    through its event loop, so fault timing interleaves
+    deterministically with crashes and messages, feeds the
+    ``network_faults`` to the reliable transport's fault injector
+    (:class:`repro.runtime.transport.NetworkFaultInjector`) and the
+    ``recovery_faults`` to its recovery supervisor.
     """
 
     crashes: list[CrashEvent] = field(default_factory=list)
     max_failures: int | None = None
+    storage_faults: list[StorageFaultEvent] = field(default_factory=list)
+    network_faults: list[NetworkFaultEvent] = field(default_factory=list)
+    recovery_faults: list[RecoveryFaultEvent] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         if self.max_failures is not None and self.max_failures < 0:
             raise SimulationError(
                 f"max_failures must be >= 0, got {self.max_failures}"
             )
-        self.crashes = [
-            crash if isinstance(crash, CrashEvent) else CrashEvent(*crash)
-            for crash in self.crashes
-        ]
-        seen: set[tuple[float, int]] = set()
-        for crash in self.crashes:
-            if crash.time < 0:
-                raise SimulationError(
-                    f"crash time must be >= 0, got {crash.time} "
-                    f"(rank {crash.rank})"
-                )
-            if crash.rank < 0:
-                raise SimulationError(
-                    f"crash rank must be >= 0, got {crash.rank}"
-                )
-            key = (crash.time, crash.rank)
-            if key in seen:
-                raise SimulationError(
-                    f"duplicate crash event (time={crash.time}, "
-                    f"rank={crash.rank})"
-                )
-            seen.add(key)
-        self.crashes.sort(key=lambda c: c.time)
+        for name, spec in EVENT_LISTS.items():
+            setattr(self, name, spec.validated(getattr(self, name)))
 
     @classmethod
-    def none(cls) -> "FailurePlan":
-        """The empty (failure-free) plan."""
-        return cls()
-
-    @classmethod
-    def single(cls, time: float, rank: int) -> "FailurePlan":
+    def single(cls, time: float, rank: int) -> "FaultPlan":
         """A single crash of *rank* at *time*."""
         return cls(crashes=[CrashEvent(time=time, rank=rank)])
 
@@ -275,82 +544,6 @@ class FailurePlan:
         if self.max_failures is None:
             return list(self.crashes)
         return self.crashes[: self.max_failures]
-
-
-@dataclass
-class FaultPlan(FailurePlan):
-    """Crashes plus stable-storage faults, in one adversarial schedule.
-
-    A :class:`FaultPlan` is accepted anywhere a :class:`FailurePlan`
-    is; engines that understand storage faults additionally thread the
-    ``storage_faults`` through their event loop so fault timing
-    interleaves deterministically with crashes and messages, and feed
-    the ``network_faults`` to the reliable transport's fault injector
-    (:class:`repro.runtime.transport.NetworkFaultInjector`).
-    """
-
-    storage_faults: list[StorageFaultEvent] = field(default_factory=list)
-    network_faults: list[NetworkFaultEvent] = field(default_factory=list)
-    recovery_faults: list[RecoveryFaultEvent] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        self.network_faults = _validate_network_faults(self.network_faults)
-        self.recovery_faults = _validate_recovery_faults(self.recovery_faults)
-        normalised: list[StorageFaultEvent] = []
-        seen: set[tuple[float, int, str, int | None, int]] = set()
-        for fault in self.storage_faults:
-            kind = fault.kind
-            if not isinstance(kind, FaultKind):
-                try:
-                    kind = FaultKind(kind)
-                except ValueError:
-                    known = ", ".join(k.value for k in FaultKind)
-                    raise SimulationError(
-                        f"unknown fault kind {fault.kind!r}; known: {known}"
-                    ) from None
-                fault = replace(fault, kind=kind)
-            if fault.time < 0:
-                raise SimulationError(
-                    f"fault time must be >= 0, got {fault.time} "
-                    f"(rank {fault.rank})"
-                )
-            if fault.rank < 0:
-                raise SimulationError(
-                    f"fault rank must be >= 0, got {fault.rank}"
-                )
-            if fault.replica < 0:
-                raise SimulationError(
-                    f"fault replica must be >= 0, got {fault.replica}"
-                )
-            if fault.attempts < 1:
-                raise SimulationError(
-                    f"fault attempts must be >= 1, got {fault.attempts}"
-                )
-            key = (fault.time, fault.rank, kind.value, fault.number,
-                   fault.replica)
-            if key in seen:
-                raise SimulationError(
-                    f"duplicate storage fault (time={fault.time}, "
-                    f"rank={fault.rank}, kind={kind.value})"
-                )
-            seen.add(key)
-            normalised.append(fault)
-        normalised.sort(key=lambda f: (f.time, f.rank))
-        self.storage_faults = normalised
-
-    @classmethod
-    def of(cls, plan: FailurePlan | None) -> "FaultPlan":
-        """*plan* as a :class:`FaultPlan` (``None`` = failure-free).
-
-        A bare :class:`FailurePlan` carries crashes only.
-        """
-        if isinstance(plan, cls):
-            return plan
-        if plan is None:
-            return cls()
-        return cls(crashes=list(plan.crashes), max_failures=plan.max_failures)
-
     def check_targets(self, n_processes: int, storage_replicas: int) -> None:
         """Reject events aimed at a rank or replica the run does not have.
 
@@ -396,12 +589,6 @@ class FaultPlan(FailurePlan):
         """The bit-rot faults (scheduled through the event loop)."""
         return [f for f in self.storage_faults if f.kind is FaultKind.BIT_ROT]
 
-    #: Top-level keys :meth:`from_json_dict` accepts.
-    JSON_KEYS = frozenset(
-        {"max_failures", "crashes", "storage_faults", "network_faults",
-         "recovery_faults"}
-    )
-
     @classmethod
     def from_json_dict(cls, data: dict) -> "FaultPlan":
         """Rebuild a plan from :meth:`to_json_dict`'s JSON schema.
@@ -410,69 +597,20 @@ class FaultPlan(FailurePlan):
         ``--fault-plan`` loader and the campaign layer's
         :class:`~repro.campaign.spec.ScenarioSpec`. Unknown top-level
         keys are rejected (a typo like ``"netwrok_faults"`` must not
-        silently disable the faults it was meant to inject).
+        silently disable the faults it was meant to inject), and so are
+        unknown per-event keys.
         """
-        unknown = sorted(set(data) - cls.JSON_KEYS)
+        known = {"max_failures", *EVENT_LISTS}
+        unknown = sorted(set(data) - known)
         if unknown:
             raise SimulationError(
                 f"unknown top-level key(s) {unknown} — "
-                f"expected keys from {sorted(cls.JSON_KEYS)}"
+                f"expected keys from {sorted(known)}"
             )
-        return cls(
-            crashes=[
-                CrashEvent(time=float(e["time"]), rank=int(e["rank"]))
-                for e in (
-                    _reject_unknown_keys(e, _CRASH_EVENT_KEYS, "crash")
-                    for e in data.get("crashes", [])
-                )
-            ],
-            max_failures=data.get("max_failures"),
-            storage_faults=[
-                StorageFaultEvent(
-                    time=float(e["time"]),
-                    rank=int(e["rank"]),
-                    kind=e["kind"],
-                    number=e.get("number"),
-                    replica=int(e.get("replica", 0)),
-                    attempts=int(e.get("attempts", 1)),
-                )
-                for e in (
-                    _reject_unknown_keys(
-                        e, _STORAGE_EVENT_KEYS, "storage fault"
-                    )
-                    for e in data.get("storage_faults", [])
-                )
-            ],
-            network_faults=[
-                NetworkFaultEvent(
-                    time=float(e["time"]),
-                    kind=e["kind"],
-                    src=int(e["src"]),
-                    dst=int(e["dst"]),
-                    delay=float(e.get("delay", 0.0)),
-                )
-                for e in (
-                    _reject_unknown_keys(
-                        e, _NETWORK_EVENT_KEYS, "network fault"
-                    )
-                    for e in data.get("network_faults", [])
-                )
-            ],
-            recovery_faults=[
-                RecoveryFaultEvent(
-                    recovery=int(e["recovery"]),
-                    rank=int(e["rank"]),
-                    kind=e["kind"],
-                    attempts=int(e.get("attempts", 1)),
-                )
-                for e in (
-                    _reject_unknown_keys(
-                        e, _RECOVERY_EVENT_KEYS, "recovery fault"
-                    )
-                    for e in data.get("recovery_faults", [])
-                )
-            ],
-        )
+        return cls(max_failures=_optional_int(data.get("max_failures")), **{
+            name: [decode_event(name, entry) for entry in data.get(name, [])]
+            for name in EVENT_LISTS
+        })
 
     def to_json_dict(self) -> dict:
         """The plan in the CLI's ``--fault-plan`` JSON schema.
@@ -484,267 +622,33 @@ class FaultPlan(FailurePlan):
         payload: dict = {}
         if self.max_failures is not None:
             payload["max_failures"] = self.max_failures
-        payload["crashes"] = [
-            {"time": c.time, "rank": c.rank} for c in self.crashes
-        ]
-        payload["storage_faults"] = [
-            {
-                "time": f.time,
-                "rank": f.rank,
-                "kind": f.kind.value,
-                "number": f.number,
-                "replica": f.replica,
-                "attempts": f.attempts,
-            }
-            for f in self.storage_faults
-        ]
-        payload["network_faults"] = [
-            {
-                "time": f.time,
-                "kind": f.kind.value,
-                "src": f.src,
-                "dst": f.dst,
-                "delay": f.delay,
-            }
-            for f in self.network_faults
-        ]
-        payload["recovery_faults"] = [
-            {
-                "recovery": f.recovery,
-                "rank": f.rank,
-                "kind": f.kind.value,
-                "attempts": f.attempts,
-            }
-            for f in self.recovery_faults
-        ]
+        for name in EVENT_LISTS:
+            payload[name] = [encode_event(e) for e in getattr(self, name)]
         return payload
 
 
-def _validate_recovery_faults(
-    faults: list[RecoveryFaultEvent],
-) -> list[RecoveryFaultEvent]:
-    """Normalise, validate, and sort a recovery-fault schedule.
-
-    Rejects unknown kinds, negative indices/ranks, non-positive
-    attempt counts, exact duplicates, and — the nested-failure analogue
-    of a double crash — a second ``CRASH`` fault targeting a
-    ``(recovery, rank)`` pair that is already crashing (a rank cannot
-    crash while it is already down).
-    """
-    normalised: list[RecoveryFaultEvent] = []
-    seen: set[tuple[int, int, str]] = set()
-    crashing: set[tuple[int, int]] = set()
-    for fault in faults:
-        kind = fault.kind
-        if not isinstance(kind, RecoveryFaultKind):
-            try:
-                kind = RecoveryFaultKind(kind)
-            except ValueError:
-                known = ", ".join(k.value for k in RecoveryFaultKind)
-                raise SimulationError(
-                    f"unknown recovery fault kind {fault.kind!r}; "
-                    f"known: {known}"
-                ) from None
-            fault = replace(fault, kind=kind)
-        if fault.recovery < 0:
-            raise SimulationError(
-                f"recovery fault index must be >= 0, got {fault.recovery} "
-                f"(rank {fault.rank})"
-            )
-        if fault.rank < 0:
-            raise SimulationError(
-                f"recovery fault rank must be >= 0, got {fault.rank}"
-            )
-        if fault.attempts < 1:
-            raise SimulationError(
-                f"recovery fault attempts must be >= 1, got {fault.attempts}"
-            )
-        if kind is RecoveryFaultKind.CRASH:
-            if (fault.recovery, fault.rank) in crashing:
-                raise SimulationError(
-                    f"crash scheduled on already-crashed rank {fault.rank} "
-                    f"in recovery {fault.recovery}"
-                )
-            crashing.add((fault.recovery, fault.rank))
-        key = (fault.recovery, fault.rank, kind.value)
-        if key in seen:
-            raise SimulationError(
-                f"duplicate recovery fault (recovery={fault.recovery}, "
-                f"rank={fault.rank}, kind={kind.value})"
-            )
-        seen.add(key)
-        normalised.append(fault)
-    normalised.sort(key=lambda f: (f.recovery, f.rank, f.kind.value))
-    return normalised
+# ----------------------------------------------------------------------
+# Drawing
+# ----------------------------------------------------------------------
 
 
-def _validate_network_faults(
-    faults: list[NetworkFaultEvent],
-) -> list[NetworkFaultEvent]:
-    """Normalise, validate, and time-sort a network-fault schedule.
-
-    Rejects unknown kinds, negative times/ranks, self-channels,
-    non-positive delays on ``DELAY`` (or any delay elsewhere), exact
-    duplicates, and heals that do not close an open partition. A
-    trailing unhealed partition is allowed — it is a legitimate
-    adversarial scenario (the transport eventually gives up on the
-    dead pair with a :class:`~repro.errors.ChannelError`).
-    """
-    normalised: list[NetworkFaultEvent] = []
-    seen: set[tuple[float, str, int, int]] = set()
-    for fault in faults:
-        kind = fault.kind
-        if not isinstance(kind, NetworkFaultKind):
-            try:
-                kind = NetworkFaultKind(kind)
-            except ValueError:
-                known = ", ".join(k.value for k in NetworkFaultKind)
-                raise SimulationError(
-                    f"unknown network fault kind {fault.kind!r}; "
-                    f"known: {known}"
-                ) from None
-            fault = replace(fault, kind=kind)
-        if fault.time < 0:
-            raise SimulationError(
-                f"network fault time must be >= 0, got {fault.time} "
-                f"({kind.value} {fault.src}->{fault.dst})"
-            )
-        if fault.src < 0 or fault.dst < 0:
-            raise SimulationError(
-                f"network fault ranks must be >= 0, got "
-                f"{fault.src}->{fault.dst} ({kind.value})"
-            )
-        if fault.src == fault.dst:
-            raise SimulationError(
-                f"network fault targets the self-channel "
-                f"{fault.src}->{fault.dst} ({kind.value}); processes "
-                "do not message themselves"
-            )
-        if kind is NetworkFaultKind.DELAY:
-            if fault.delay <= 0:
-                raise SimulationError(
-                    f"delay fault needs a positive delay, got "
-                    f"{fault.delay} ({fault.src}->{fault.dst})"
-                )
-        elif fault.delay:
-            raise SimulationError(
-                f"delay={fault.delay} is only meaningful on "
-                f"{NetworkFaultKind.DELAY.value!r} faults, not "
-                f"{kind.value!r}"
-            )
-        key = (fault.time, kind.value, fault.src, fault.dst)
-        if key in seen:
-            raise SimulationError(
-                f"duplicate network fault (time={fault.time}, "
-                f"kind={kind.value}, {fault.src}->{fault.dst})"
-            )
-        seen.add(key)
-        normalised.append(fault)
-    normalised.sort(key=lambda f: (f.time, f.src, f.dst, f.kind.value))
-    open_partitions: set[tuple[int, int]] = set()
-    for fault in normalised:
-        if fault.kind is NetworkFaultKind.PARTITION:
-            if fault.pair in open_partitions:
-                raise SimulationError(
-                    f"partition of pair {fault.pair} at time "
-                    f"{fault.time} is already open"
-                )
-            open_partitions.add(fault.pair)
-        elif fault.kind is NetworkFaultKind.HEAL:
-            if fault.pair not in open_partitions:
-                raise SimulationError(
-                    f"heal of pair {fault.pair} at time {fault.time} "
-                    "closes no open partition"
-                )
-            open_partitions.discard(fault.pair)
-    return normalised
-
-
-def exponential_failures(
-    n_processes: int,
-    failure_rate: float,
-    horizon: float,
-    seed: int = 0,
-    max_failures: int | None = None,
-) -> FailurePlan:
-    """Draw per-process exponential crash times up to *horizon*.
-
-    Each process draws independent exponential inter-failure times with
-    rate *failure_rate* (the paper's per-process λ); every arrival
-    before *horizon* becomes a crash event.
-    """
-    if failure_rate < 0:
-        raise SimulationError(f"failure_rate must be >= 0, got {failure_rate}")
-    if horizon <= 0:
-        raise SimulationError(f"horizon must be positive, got {horizon}")
-    crashes: list[CrashEvent] = []
-    if failure_rate > 0:
-        rng = np.random.default_rng(seed)
-        for rank in range(n_processes):
-            t = 0.0
-            while True:
-                t += float(rng.exponential(1.0 / failure_rate))
-                if t >= horizon:
-                    break
-                crashes.append(CrashEvent(time=t, rank=rank))
-    return FailurePlan(crashes=crashes, max_failures=max_failures)
+def _arrivals(rng: np.random.Generator, rate: float, horizon: float):
+    """Exponential arrival times at *rate* before *horizon*, lazily."""
+    t = 0.0
+    while True:
+        t += float(rng.exponential(1.0 / rate))
+        if t >= horizon:
+            return
+        yield t
 
 
 def exponential_fault_plan(
     n_processes: int,
     horizon: float,
+    *,
     failure_rate: float = 0.0,
     storage_fault_rate: float = 0.0,
-    seed: int = 0,
-    max_failures: int | None = None,
-    kinds: tuple[FaultKind, ...] = (
-        FaultKind.WRITE_FAIL,
-        FaultKind.TORN_WRITE,
-        FaultKind.BIT_ROT,
-        FaultKind.TRANSIENT,
-    ),
-) -> FaultPlan:
-    """Draw a combined crash + storage-fault schedule up to *horizon*.
-
-    Crashes arrive per process at *failure_rate* exactly as in
-    :func:`exponential_failures`; storage faults arrive per process at
-    *storage_fault_rate* with kinds cycled deterministically from
-    *kinds* by the same seeded generator, so the whole adversarial
-    schedule is reproducible from ``(seed, rates, horizon)``.
-    """
-    if storage_fault_rate < 0:
-        raise SimulationError(
-            f"storage_fault_rate must be >= 0, got {storage_fault_rate}"
-        )
-    base = exponential_failures(
-        n_processes, failure_rate, horizon, seed=seed, max_failures=max_failures
-    )
-    faults: list[StorageFaultEvent] = []
-    if storage_fault_rate > 0:
-        if not kinds:
-            raise SimulationError("kinds must name at least one fault kind")
-        rng = np.random.default_rng(seed + 1)
-        for rank in range(n_processes):
-            t = 0.0
-            while True:
-                t += float(rng.exponential(1.0 / storage_fault_rate))
-                if t >= horizon:
-                    break
-                kind = kinds[int(rng.integers(len(kinds)))]
-                faults.append(
-                    StorageFaultEvent(time=t, rank=rank, kind=kind)
-                )
-    return FaultPlan(
-        crashes=base.crashes,
-        max_failures=max_failures,
-        storage_faults=faults,
-    )
-
-
-def exponential_network_plan(
-    n_processes: int,
-    horizon: float,
-    failure_rate: float = 0.0,
+    kinds: tuple[FaultKind, ...] = tuple(FaultKind),
     drop_rate: float = 0.0,
     duplicate_rate: float = 0.0,
     delay_rate: float = 0.0,
@@ -755,64 +659,85 @@ def exponential_network_plan(
     seed: int = 0,
     max_failures: int | None = None,
 ) -> FaultPlan:
-    """Draw a combined crash + network-fault schedule up to *horizon*.
+    """Draw a crash, storage-fault and network-fault schedule to *horizon*.
 
-    Crashes arrive per process at *failure_rate* exactly as in
-    :func:`exponential_failures`. One-shot frame faults arrive
-    independently per **directed channel** at their per-kind rates
-    (``drop_rate``, ``duplicate_rate``, ``delay_rate``,
-    ``corrupt_rate``); delays draw exponential extra latency with mean
-    *mean_delay*. Partitions arrive per **unordered pair** at
-    *partition_rate*, each healing after an exponential duration with
-    mean *mean_partition* (clipped below the pair's next partition, so
-    windows never overlap). The whole schedule is reproducible from
-    ``(seed, rates, horizon)``, which is what makes fault sweeps and
-    chaos replays deterministic.
+    Every family arrives as a Poisson process and draws from its own
+    generator (crashes from *seed*, storage faults from ``seed + 1``,
+    network faults from ``seed + 2``), so a rate of one family never
+    moves another's events, and the whole schedule is reproducible
+    from ``(seed, rates, horizon)`` — which is what makes fault sweeps
+    and chaos replays deterministic.
+
+    - Crashes arrive per process at *failure_rate* (the paper's
+      per-process λ).
+    - Storage faults arrive per process at *storage_fault_rate*, each
+      of a kind drawn uniformly from *kinds*.
+    - One-shot frame faults arrive per **directed channel** at their
+      per-kind rates (*drop_rate*, *duplicate_rate*, *delay_rate*,
+      *corrupt_rate*); a delay draws exponential extra latency with
+      mean *mean_delay*.
+    - Partitions arrive per **unordered pair** at *partition_rate*,
+      each healing after an exponential duration with mean
+      *mean_partition* (clipped below the pair's next partition, so
+      windows never overlap).
     """
-    for name, rate in (
-        ("drop_rate", drop_rate),
-        ("duplicate_rate", duplicate_rate),
-        ("delay_rate", delay_rate),
-        ("corrupt_rate", corrupt_rate),
-        ("partition_rate", partition_rate),
-    ):
+    network_rates = {
+        NetworkFaultKind.DROP: drop_rate,
+        NetworkFaultKind.DUPLICATE: duplicate_rate,
+        NetworkFaultKind.DELAY: delay_rate,
+        NetworkFaultKind.CORRUPT: corrupt_rate,
+    }
+    rates = {
+        "failure_rate": failure_rate,
+        "storage_fault_rate": storage_fault_rate,
+        "drop_rate": drop_rate,
+        "duplicate_rate": duplicate_rate,
+        "delay_rate": delay_rate,
+        "corrupt_rate": corrupt_rate,
+        "partition_rate": partition_rate,
+    }
+    for name, rate in rates.items():
         if rate < 0:
             raise SimulationError(f"{name} must be >= 0, got {rate}")
-    if mean_delay <= 0:
-        raise SimulationError(f"mean_delay must be positive, got {mean_delay}")
-    if mean_partition <= 0:
-        raise SimulationError(
-            f"mean_partition must be positive, got {mean_partition}"
-        )
-    base = exponential_failures(
-        n_processes, failure_rate, horizon, seed=seed, max_failures=max_failures
-    )
-    faults: list[NetworkFaultEvent] = []
+    for name, mean in (("mean_delay", mean_delay),
+                       ("mean_partition", mean_partition)):
+        if mean <= 0:
+            raise SimulationError(f"{name} must be positive, got {mean}")
+    if horizon <= 0:
+        raise SimulationError(f"horizon must be positive, got {horizon}")
+    if storage_fault_rate > 0 and not kinds:
+        raise SimulationError("kinds must name at least one fault kind")
+    crashes: list[CrashEvent] = []
+    if failure_rate > 0:
+        rng = np.random.default_rng(seed)
+        for rank in range(n_processes):
+            crashes.extend(
+                CrashEvent(time=t, rank=rank)
+                for t in _arrivals(rng, failure_rate, horizon)
+            )
+    storage: list[StorageFaultEvent] = []
+    if storage_fault_rate > 0:
+        rng = np.random.default_rng(seed + 1)
+        for rank in range(n_processes):
+            for t in _arrivals(rng, storage_fault_rate, horizon):
+                kind = kinds[int(rng.integers(len(kinds)))]
+                storage.append(StorageFaultEvent(time=t, rank=rank, kind=kind))
+    network: list[NetworkFaultEvent] = []
     rng = np.random.default_rng(seed + 2)
-    one_shot_rates = (
-        (NetworkFaultKind.DROP, drop_rate),
-        (NetworkFaultKind.DUPLICATE, duplicate_rate),
-        (NetworkFaultKind.DELAY, delay_rate),
-        (NetworkFaultKind.CORRUPT, corrupt_rate),
-    )
     for src in range(n_processes):
         for dst in range(n_processes):
             if src == dst:
                 continue
-            for kind, rate in one_shot_rates:
+            for kind, rate in network_rates.items():
                 if rate <= 0:
                     continue
-                t = 0.0
-                while True:
-                    t += float(rng.exponential(1.0 / rate))
-                    if t >= horizon:
-                        break
+                for t in _arrivals(rng, rate, horizon):
                     delay = (
                         float(rng.exponential(mean_delay))
                         if kind is NetworkFaultKind.DELAY
                         else 0.0
                     )
-                    faults.append(NetworkFaultEvent(
+                    network.append(NetworkFaultEvent(
                         time=t, kind=kind, src=src, dst=dst, delay=delay,
                     ))
     if partition_rate > 0:
@@ -828,16 +753,17 @@ def exponential_network_plan(
                         min(float(rng.exponential(mean_partition)), gap * 0.5),
                         1e-6,
                     )
-                    faults.append(NetworkFaultEvent(
+                    network.append(NetworkFaultEvent(
                         time=t, kind=NetworkFaultKind.PARTITION, src=a, dst=b,
                     ))
-                    faults.append(NetworkFaultEvent(
+                    network.append(NetworkFaultEvent(
                         time=t + duration, kind=NetworkFaultKind.HEAL,
                         src=a, dst=b,
                     ))
                     t += gap
     return FaultPlan(
-        crashes=base.crashes,
+        crashes=crashes,
         max_failures=max_failures,
-        network_faults=faults,
+        storage_faults=storage,
+        network_faults=network,
     )

@@ -40,7 +40,7 @@ from repro.runtime.failures import (
     NetworkFaultKind,
     RecoveryFaultEvent,
     RecoveryFaultKind,
-    exponential_network_plan,
+    exponential_fault_plan,
 )
 from repro.runtime.transport import TransportConfig
 
@@ -126,7 +126,7 @@ class TestChaosSweep:
         completed = total = 0
         for rate in (0.02, 0.05, 0.1):
             for seed in range(3):
-                plan = exponential_network_plan(
+                plan = exponential_fault_plan(
                     3, 30.0, drop_rate=rate, seed=seed
                 )
                 outcome = run_schedule(plan, config=CONFIG)
@@ -183,7 +183,7 @@ class TestByteIdenticalReplay:
                 CONFIG.n_processes,
                 params={"steps": CONFIG.steps},
                 protocol=ApplicationDrivenProtocol(),
-                failure_plan=plan,
+                fault_plan=plan,
                 seed=CONFIG.seed,
             ).run()
 
@@ -204,7 +204,7 @@ class TestByteIdenticalReplay:
             CONFIG.n_processes,
             params={"steps": CONFIG.steps},
             protocol=ApplicationDrivenProtocol(),
-            failure_plan=plan,
+            fault_plan=plan,
             seed=CONFIG.seed,
         ).run()
         assert result.stats.frames_sent > 0

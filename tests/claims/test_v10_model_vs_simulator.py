@@ -13,7 +13,7 @@ from repro.analysis.overhead import overhead_ratio
 from repro.lang.parser import parse
 from repro.protocols import ApplicationDrivenProtocol
 from repro.runtime import RuntimeCosts, Simulation
-from repro.runtime.failures import exponential_failures
+from repro.runtime.failures import exponential_fault_plan
 
 WORK = 10.0
 OVERHEAD = 1.0
@@ -43,7 +43,9 @@ def _measured_ratio() -> float:
         result = Simulation(
             copy.deepcopy(PROGRAM), 1, params={"steps": STEPS}, costs=costs,
             protocol=ApplicationDrivenProtocol(),
-            failure_plan=exponential_failures(1, LAMBDA, horizon, seed=seed),
+            fault_plan=exponential_fault_plan(
+                1, horizon, failure_rate=LAMBDA, seed=seed
+            ),
         ).run()
         assert result.stats.completed
         total += result.completion_time

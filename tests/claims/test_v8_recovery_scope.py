@@ -8,13 +8,13 @@ restarts 1.
 from repro.causality.records import EventKind
 from repro.lang.programs import jacobi, jacobi_plain
 from repro.protocols import ApplicationDrivenProtocol, MessageLoggingProtocol
-from repro.runtime import FailurePlan, Simulation
+from repro.runtime import FaultPlan, Simulation
 
 
 def _restarts(program, protocol):
     result = Simulation(
         program, 4, params={"steps": 20}, protocol=protocol,
-        failure_plan=FailurePlan.single(23.7, 1),
+        fault_plan=FaultPlan.single(23.7, 1),
     ).run()
     assert result.stats.completed
     return len(result.trace.of_kind(EventKind.RESTART))

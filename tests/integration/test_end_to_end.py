@@ -40,7 +40,7 @@ class TestPublicApiFlow:
             4,
             params={"steps": 6},
             protocol=ApplicationDrivenProtocol(),
-            failure_plan=repro.FailurePlan.single(7.7, 1),
+            fault_plan=repro.FaultPlan.single(7.7, 1),
         ).run()
         assert crashed.stats.completed
         assert crashed.stats.control_messages == 0
@@ -92,7 +92,7 @@ class TestInsertionToRecoveryPipeline:
             4,
             params={"steps": 10},
             protocol=ApplicationDrivenProtocol(),
-            failure_plan=repro.FailurePlan.single(13.9, 3),
+            fault_plan=repro.FaultPlan.single(13.9, 3),
         ).run()
         assert run.stats.completed
         assert run.trace.all_straight_cuts_consistent()

@@ -19,7 +19,7 @@ from repro.phases import (
     verify_program,
 )
 from repro.protocols import ApplicationDrivenProtocol
-from repro.runtime import FailurePlan, Simulation
+from repro.runtime import FaultPlan, Simulation
 
 
 class TestFigure1:
@@ -155,7 +155,7 @@ class TestAlgorithm32:
             4,
             params={"steps": 8},
             protocol=ApplicationDrivenProtocol(),
-            failure_plan=FailurePlan.single(9.7, 2),
+            fault_plan=FaultPlan.single(9.7, 2),
         ).run()
         assert crashed.stats.completed
         assert crashed.stats.control_messages == 0

@@ -18,7 +18,7 @@ from repro.lang import ast_nodes as ast
 from repro.lang.parser import parse
 from repro.lang.programs import jacobi
 from repro.protocols import PROTOCOL_CLASSES
-from repro.runtime import FailurePlan
+from repro.runtime import FaultPlan
 
 
 def workload(name, steps):
@@ -35,7 +35,7 @@ def run_stats(cells):
 def comparison_stats():
     return run_stats(protocol_cells(
         workload("jacobi", 12), period=6.0,
-        fault_plan=FailurePlan.single(14.3, 2),
+        fault_plan=FaultPlan.single(14.3, 2),
     ))
 
 

@@ -11,7 +11,7 @@ import pytest
 
 from repro.bench.workloads import protocol_cells, standard_workloads
 from repro.campaign import run_campaign
-from repro.runtime import FailurePlan
+from repro.runtime import FaultPlan
 
 COORDINATION_FREE = {"appl-driven", "uncoordinated", "cic", "msg-logging"}
 
@@ -33,7 +33,7 @@ def matrix():
         cells += protocol_cells(
             w,
             period=max(2.0, time / 5),
-            fault_plan=FailurePlan.single(time * 0.6, w.n_processes - 1),
+            fault_plan=FaultPlan.single(time * 0.6, w.n_processes - 1),
         )
     result = run_campaign(cells)
     grid = {}

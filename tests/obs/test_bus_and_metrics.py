@@ -25,7 +25,7 @@ from repro.obs import (
     summarize_events,
 )
 from repro.protocols import ApplicationDrivenProtocol
-from repro.runtime import FailurePlan, Simulation
+from repro.runtime import FaultPlan, Simulation
 
 
 def crashed_run(observer):
@@ -33,7 +33,7 @@ def crashed_run(observer):
     return Simulation(
         ring_pipeline(), 3, params={"steps": 8},
         protocol=ApplicationDrivenProtocol(),
-        failure_plan=FailurePlan(crashes=[(12.0, 1)]), seed=0,
+        fault_plan=FaultPlan(crashes=[(12.0, 1)]), seed=0,
         observer=observer,
     ).run()
 

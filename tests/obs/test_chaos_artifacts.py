@@ -81,7 +81,7 @@ class TestDumpFailureArtifacts:
         assert data == plan.to_json_dict()
         # The dumped schedule replays through the CLI's --fault-plan
         # loader to the same failing verdict.
-        rebuilt = _load_fault_plan(str(paths["schedule"]), [], [])
+        rebuilt = _load_fault_plan(str(paths["schedule"]), [])
         assert run_schedule(rebuilt, config=BROKEN).error is not None
 
     def test_shrunk_plan_still_fails_and_is_no_bigger(self, tmp_path):

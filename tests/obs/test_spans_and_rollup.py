@@ -221,7 +221,7 @@ class TestRecoverySpans:
         result = Simulation(
             PROGRAM, 3, params={"steps": 10},
             protocol=ApplicationDrivenProtocol(),
-            failure_plan=plan, seed=0, observer=obs.bus,
+            fault_plan=plan, seed=0, observer=obs.bus,
         ).run()
         return obs, result
 
@@ -270,7 +270,7 @@ class TestCollectorUnderFaults:
         Simulation(
             PROGRAM, 3, params={"steps": steps},
             protocol=ApplicationDrivenProtocol(),
-            failure_plan=plan, seed=0, observer=obs.bus,
+            fault_plan=plan, seed=0, observer=obs.bus,
         ).run()
         return obs.metrics.as_dict()
 

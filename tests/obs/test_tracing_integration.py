@@ -31,7 +31,7 @@ from repro.obs import (
 )
 from repro.obs.events import ObsEvent
 from repro.protocols import ApplicationDrivenProtocol
-from repro.runtime import FailurePlan, Simulation
+from repro.runtime import FaultPlan, Simulation
 from repro.viz import render_spacetime
 
 PROGRAM = ring_pipeline()
@@ -44,7 +44,7 @@ def _traced_run(plan=None, steps=6):
         3,
         params={"steps": steps},
         protocol=ApplicationDrivenProtocol(),
-        failure_plan=plan,
+        fault_plan=plan,
         seed=0,
         observer=obs.bus,
     ).run()
@@ -56,7 +56,7 @@ def _round_trip(make=jacobi, n=4, steps=3, plan=None, protocol=None):
     obs = Observability()
     result = Simulation(
         make(), n, params={"steps": steps},
-        failure_plan=plan, protocol=protocol, observer=obs.bus,
+        fault_plan=plan, protocol=protocol, observer=obs.bus,
     ).run()
     text = events_to_jsonl(obs.events)
     return result.trace, trace_from_events(read_event_log(text))
@@ -73,25 +73,25 @@ class TestDeterminism:
     """Byte-identical replays produce byte-identical traces."""
 
     def test_same_seed_same_plan_byte_identical_jsonl(self):
-        plan = FailurePlan.single(12.0, 1)
+        plan = FaultPlan.single(12.0, 1)
         obs_a, _ = _traced_run(plan)
         obs_b, _ = _traced_run(plan)
         assert obs_a.jsonl() == obs_b.jsonl()
 
     def test_different_plan_differs(self):
-        obs_a, _ = _traced_run(FailurePlan.single(12.0, 1))
+        obs_a, _ = _traced_run(FaultPlan.single(12.0, 1))
         obs_b, _ = _traced_run(None)
         assert obs_a.jsonl() != obs_b.jsonl()
 
     def test_observer_does_not_perturb_the_run(self):
-        plan = FailurePlan.single(12.0, 1)
+        plan = FaultPlan.single(12.0, 1)
         _, traced = _traced_run(plan)
         untraced = Simulation(
             PROGRAM,
             3,
             params={"steps": 6},
             protocol=ApplicationDrivenProtocol(),
-            failure_plan=plan,
+            fault_plan=plan,
             seed=0,
         ).run()
         assert_same_trace(traced.trace, untraced.trace)
@@ -109,7 +109,7 @@ class TestVectorClockStamping:
     """Happened-before is recoverable from the log alone."""
 
     def test_every_ranked_event_is_stamped(self):
-        obs, _ = _traced_run(FailurePlan.single(12.0, 1))
+        obs, _ = _traced_run(FaultPlan.single(12.0, 1))
         ranked = [e for e in obs.events if e.rank is not None]
         assert ranked
         assert all(e.clock is not None for e in ranked)
@@ -144,7 +144,7 @@ class TestReconstruction:
     """The ExecutionTrace round-trips through the event log."""
 
     def test_trace_from_events_round_trip(self):
-        obs, result = _traced_run(FailurePlan.single(12.0, 1))
+        obs, result = _traced_run(FaultPlan.single(12.0, 1))
         assert_same_trace(trace_from_events(obs.events), result.trace)
 
     def test_round_trip_through_file(self, tmp_path):
@@ -162,7 +162,7 @@ class TestReconstruction:
     def test_failure_events_round_trip(self):
         trace, rebuilt = _round_trip(
             steps=8,
-            plan=FailurePlan.single(8.0, 1),
+            plan=FaultPlan.single(8.0, 1),
             protocol=ApplicationDrivenProtocol(),
         )
         assert_same_trace(rebuilt, trace)
@@ -268,7 +268,7 @@ class TestStats:
         assert stats.as_dict()["max_fallback_depth"] == 2
 
     def test_as_dict_includes_transport_and_fallback_counters(self):
-        _, result = _traced_run(FailurePlan.single(12.0, 1))
+        _, result = _traced_run(FaultPlan.single(12.0, 1))
         data = result.stats.as_dict()
         for key in (
             "frames_sent", "retransmits", "ack_frames",

@@ -10,9 +10,8 @@ from repro.lang.programs import default_params, jacobi, jacobi_odd_even, ring_pi
 from repro.protocols import ApplicationDrivenProtocol
 from repro.runtime import (
     CrashEvent,
-    FailurePlan,
-    FaultKind,
     FaultPlan,
+    FaultKind,
     RecoveryFaultEvent,
     RecoveryFaultKind,
     Simulation,
@@ -54,7 +53,7 @@ class TestRecovery:
         protocol = ApplicationDrivenProtocol()
         result = Simulation(
             jacobi(), 4, params={"steps": 10}, protocol=protocol,
-            failure_plan=FailurePlan.single(12.0, 3),
+            fault_plan=FaultPlan.single(12.0, 3),
         ).run()
         assert result.stats.completed
         assert protocol.recovered_to
@@ -64,7 +63,7 @@ class TestRecovery:
         protocol = ApplicationDrivenProtocol()
         result = Simulation(
             jacobi(), 4, params={"steps": 5}, protocol=protocol,
-            failure_plan=FailurePlan.single(0.001, 0),
+            fault_plan=FaultPlan.single(0.001, 0),
         ).run()
         assert result.stats.completed
         assert protocol.recovered_to[0] == 0
@@ -74,14 +73,14 @@ class TestRecovery:
         with pytest.raises(RecoveryError, match="not a recovery line"):
             Simulation(
                 jacobi_odd_even(), 4, params={"steps": 10}, protocol=protocol,
-                failure_plan=FailurePlan.single(12.0, 1),
+                fault_plan=FaultPlan.single(12.0, 1),
             ).run()
 
     def test_repeated_failures_bounded_rollback(self):
         """No rollback propagation: each recovery loses at most one
         checkpoint interval per process."""
         protocol = ApplicationDrivenProtocol()
-        plan = FailurePlan(
+        plan = FaultPlan(
             crashes=[],
         )
         from repro.runtime.failures import CrashEvent
@@ -92,7 +91,7 @@ class TestRecovery:
         )
         result = Simulation(
             ring_pipeline(), 5, params={"steps": 10}, protocol=protocol,
-            failure_plan=plan,
+            fault_plan=plan,
         ).run()
         assert result.stats.completed
         assert result.stats.rollbacks == 3
@@ -136,7 +135,7 @@ class TestOneSearchPerAttempt:
     def test_each_member_is_read_once(self, plan, attempts, depths):
         sim = Simulation(
             ring_pipeline(), 3, params={"steps": 10},
-            protocol=ApplicationDrivenProtocol(), failure_plan=plan,
+            protocol=ApplicationDrivenProtocol(), fault_plan=plan,
         )
         reads = Counter()
         lookup = sim.storage.intact_with_number
@@ -196,12 +195,12 @@ class TestCutValidationReadsStoredClocks:
         protocol = ApplicationDrivenProtocol()
         result = Simulation(
             jacobi(), 4, params={"steps": 10}, protocol=protocol,
-            failure_plan=FailurePlan.single(12.0, 3),
+            fault_plan=FaultPlan.single(12.0, 3),
         ).run()
         assert result.stats.completed and protocol.recovered_to[0] >= 1
         with pytest.raises(RecoveryError, match="not a recovery line"):
             Simulation(
                 jacobi_odd_even(), 4, params={"steps": 10},
                 protocol=ApplicationDrivenProtocol(),
-                failure_plan=FailurePlan.single(12.0, 1),
+                fault_plan=FaultPlan.single(12.0, 1),
             ).run()

@@ -7,13 +7,13 @@ from repro.causality.records import EventKind
 from repro.lang.programs import jacobi_plain, token_ring
 from repro.errors import SimulationError
 from repro.protocols import ChandyLamportProtocol, SyncAndStopProtocol
-from repro.runtime import FailurePlan, Simulation
+from repro.runtime import FaultPlan, Simulation
 
 
 def run(protocol, make=jacobi_plain, n=4, steps=20, plan=None, seed=0):
     return Simulation(
         make(), n, params={"steps": steps}, protocol=protocol,
-        failure_plan=plan, seed=seed,
+        fault_plan=plan, seed=seed,
     ).run()
 
 
@@ -65,7 +65,7 @@ class TestSyncAndStop:
     def test_recovery_restores_last_round(self):
         protocol = SyncAndStopProtocol(period=8)
         baseline = Simulation(jacobi_plain(), 4, params={"steps": 20}).run()
-        result = run(protocol, plan=FailurePlan.single(25.0, 2))
+        result = run(protocol, plan=FaultPlan.single(25.0, 2))
         assert result.stats.completed
         assert result.stats.rollbacks == 1
         assert result.final_env == baseline.final_env
@@ -73,7 +73,7 @@ class TestSyncAndStop:
     def test_crash_before_first_round_restarts_initial(self):
         protocol = SyncAndStopProtocol(period=1000)
         baseline = Simulation(jacobi_plain(), 4, params={"steps": 10}).run()
-        result = run(protocol, steps=10, plan=FailurePlan.single(3.0, 1))
+        result = run(protocol, steps=10, plan=FaultPlan.single(3.0, 1))
         assert result.stats.completed
         assert result.final_env == baseline.final_env
 
@@ -148,7 +148,7 @@ class TestChandyLamport:
     def test_recovery_replays_correctly(self):
         baseline = Simulation(jacobi_plain(), 4, params={"steps": 20}).run()
         result = run(
-            ChandyLamportProtocol(period=8), plan=FailurePlan.single(25.0, 0)
+            ChandyLamportProtocol(period=8), plan=FaultPlan.single(25.0, 0)
         )
         assert result.stats.completed
         assert result.final_env == baseline.final_env

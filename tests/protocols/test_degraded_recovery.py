@@ -18,9 +18,8 @@ from repro.protocols import (
     UncoordinatedProtocol,
 )
 from repro.runtime import (
-    FailurePlan,
-    FaultKind,
     FaultPlan,
+    FaultKind,
     Simulation,
     StorageFaultEvent,
 )
@@ -54,7 +53,7 @@ def run_ring(fault_plan=None, **kwargs):
         3,
         params={"steps": 10},
         protocol=ApplicationDrivenProtocol(),
-        failure_plan=fault_plan,
+        fault_plan=fault_plan,
         **kwargs,
     ).run()
 
@@ -64,7 +63,7 @@ class TestDegradedRecovery:
         protocol = ApplicationDrivenProtocol()
         result = Simulation(
             ring_pipeline(), 3, params={"steps": 10}, protocol=protocol,
-            failure_plan=adversarial_plan(),
+            fault_plan=adversarial_plan(),
         ).run()
         assert result.stats.completed
         # R_7 is corrupt (bit rot), R_6 has a hole (torn write): the
@@ -166,7 +165,7 @@ class TestReplication:
         protocol = ApplicationDrivenProtocol()
         result = Simulation(
             ring_pipeline(), 3, params={"steps": 10}, protocol=protocol,
-            failure_plan=plan, storage_replicas=3,
+            fault_plan=plan, storage_replicas=3,
         ).run()
         assert result.stats.completed
         # Quorum (2/3 copies intact) masks the rot: no fallback.
@@ -181,7 +180,7 @@ class TestReplication:
         with pytest.raises(SimulationError, match="replica"):
             Simulation(
                 ring_pipeline(), 3, params={"steps": 3},
-                failure_plan=plan, storage_replicas=2,
+                fault_plan=plan, storage_replicas=2,
             )
 
     def test_invalid_replica_count_rejected(self):
@@ -201,7 +200,7 @@ class TestOtherProtocols:
         result = Simulation(
             ring_pipeline(), 3, params={"steps": 10},
             protocol=UncoordinatedProtocol(period=6.0),
-            failure_plan=plan,
+            fault_plan=plan,
         ).run()
         assert result.stats.completed
         assert result.stats.recovery_fallbacks == 1
@@ -226,7 +225,7 @@ class TestOtherProtocols:
         result = Simulation(
             ring_pipeline(), 3, params={"steps": 10},
             protocol=MessageLoggingProtocol(period=6.0),
-            failure_plan=plan,
+            fault_plan=plan,
         ).run()
         assert result.stats.completed
         assert result.stats.recovery_fallbacks == 1
@@ -250,8 +249,8 @@ class TestDeterminism:
         assert bare.stats == empty.stats
         assert bare.final_env == empty.final_env
 
-    def test_crash_only_fault_plan_matches_failure_plan(self):
-        legacy = run_ring(fault_plan=FailurePlan.single(19.5, 1))
+    def test_crash_only_fault_plan_matches_fault_plan(self):
+        legacy = run_ring(fault_plan=FaultPlan.single(19.5, 1))
         modern = run_ring(fault_plan=FaultPlan(crashes=[(19.5, 1)]))
         assert_same_trace(legacy.trace, modern.trace)
         assert legacy.stats == modern.stats

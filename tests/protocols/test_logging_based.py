@@ -7,7 +7,7 @@ from repro.lang.programs import jacobi_plain, master_worker, token_ring
 from repro.bench.workloads import strip_checkpoints
 from repro.errors import SimulationError
 from repro.protocols import MessageLoggingProtocol
-from repro.runtime import FailurePlan, Simulation
+from repro.runtime import FaultPlan, Simulation
 from repro.runtime.failures import CrashEvent
 
 
@@ -15,7 +15,7 @@ def run(make=jacobi_plain, n=4, steps=20, plan=None, period=8.0):
     protocol = MessageLoggingProtocol(period=period)
     result = Simulation(
         make(), n, params={"steps": steps},
-        protocol=protocol, failure_plan=plan,
+        protocol=protocol, fault_plan=plan,
     ).run()
     return protocol, result
 
@@ -32,14 +32,14 @@ class TestFailureFree:
 
 class TestSingleProcessRecovery:
     def test_only_failed_process_restarts(self):
-        protocol, result = run(plan=FailurePlan.single(23.7, 1))
+        protocol, result = run(plan=FaultPlan.single(23.7, 1))
         assert result.stats.completed
         assert protocol.single_restarts == [1]
         restarts = result.trace.of_kind(EventKind.RESTART)
         assert [e.process for e in restarts] == [1]
 
     def test_survivors_never_roll_back(self):
-        _, result = run(plan=FailurePlan.single(23.7, 1))
+        _, result = run(plan=FaultPlan.single(23.7, 1))
         # exactly one RESTART event, and no survivor checkpoint is
         # truncated: every rank's history stays monotone
         for rank in (0, 2, 3):
@@ -48,14 +48,14 @@ class TestSingleProcessRecovery:
 
     def test_replay_reaches_same_final_state(self):
         baseline = Simulation(jacobi_plain(), 4, params={"steps": 20}).run()
-        _, result = run(plan=FailurePlan.single(23.7, 1))
+        _, result = run(plan=FaultPlan.single(23.7, 1))
         assert result.final_env == baseline.final_env
 
     def test_duplicate_sends_suppressed(self):
         """After recovery the total message count seen by receivers is
         identical to the failure-free run (no duplicate deliveries)."""
         baseline = Simulation(jacobi_plain(), 4, params={"steps": 20}).run()
-        _, result = run(plan=FailurePlan.single(23.7, 1))
+        _, result = run(plan=FaultPlan.single(23.7, 1))
         baseline_recvs = len(baseline.trace.of_kind(EventKind.RECV))
         # the recovering process RE-consumes some logged messages, which
         # appear as extra RECV trace events for rank 1 only
@@ -67,7 +67,7 @@ class TestSingleProcessRecovery:
 
     def test_multiple_failures_different_ranks(self):
         baseline = Simulation(jacobi_plain(), 4, params={"steps": 20}).run()
-        plan = FailurePlan(
+        plan = FaultPlan(
             crashes=[CrashEvent(15.0, 2), CrashEvent(30.0, 0), CrashEvent(42.0, 3)]
         )
         protocol, result = run(plan=plan)
@@ -77,7 +77,7 @@ class TestSingleProcessRecovery:
 
     def test_repeated_failures_same_rank(self):
         baseline = Simulation(jacobi_plain(), 4, params={"steps": 20}).run()
-        plan = FailurePlan(
+        plan = FaultPlan(
             crashes=[CrashEvent(14.0, 1), CrashEvent(33.0, 1)]
         )
         protocol, result = run(plan=plan)
@@ -88,7 +88,7 @@ class TestSingleProcessRecovery:
     def test_crash_before_first_checkpoint_replays_from_initial(self):
         baseline = Simulation(jacobi_plain(), 4, params={"steps": 10}).run()
         protocol, result = run(
-            steps=10, plan=FailurePlan.single(2.0, 3), period=1000.0
+            steps=10, plan=FaultPlan.single(2.0, 3), period=1000.0
         )
         assert result.stats.completed
         assert result.final_env == baseline.final_env
@@ -100,7 +100,7 @@ class TestSingleProcessRecovery:
         ).run()
         _, result = run(
             make=lambda: strip_checkpoints(make()), n=n, steps=10,
-            plan=FailurePlan.single(11.0, n - 1),
+            plan=FaultPlan.single(11.0, n - 1),
         )
         assert result.stats.completed
         assert result.final_env == baseline.final_env

@@ -9,7 +9,7 @@ import pytest
 
 from repro.lang.programs import jacobi_plain
 from repro.protocols import ChandyLamportProtocol, SyncAndStopProtocol
-from repro.runtime import FailurePlan, RuntimeCosts, Simulation
+from repro.runtime import FaultPlan, RuntimeCosts, Simulation
 from repro.runtime.failures import CrashEvent
 
 
@@ -19,10 +19,10 @@ def baseline():
 
 
 def run_with_crashes(protocol, crashes):
-    plan = FailurePlan(crashes=[CrashEvent(t, r) for t, r in crashes])
+    plan = FaultPlan(crashes=[CrashEvent(t, r) for t, r in crashes])
     return Simulation(
         jacobi_plain(), 4, params={"steps": 20},
-        protocol=protocol, failure_plan=plan,
+        protocol=protocol, fault_plan=plan,
     ).run()
 
 

@@ -12,9 +12,8 @@ from repro.errors import SimulationError
 from repro.protocols import InducedProtocol, UncoordinatedProtocol
 from repro.runtime import (
     CrashEvent,
-    FailurePlan,
-    FaultKind,
     FaultPlan,
+    FaultKind,
     NetworkFaultEvent,
     NetworkFaultKind,
     RuntimeCosts,
@@ -48,7 +47,7 @@ class TestUncoordinated:
         baseline = Simulation(jacobi_plain(), 4, params={"steps": 20}).run()
         result = Simulation(
             jacobi_plain(), 4, params={"steps": 20}, protocol=protocol,
-            failure_plan=FailurePlan.single(23.0, 1),
+            fault_plan=FaultPlan.single(23.0, 1),
         ).run()
         assert result.stats.completed
         assert result.final_env == baseline.final_env
@@ -61,7 +60,7 @@ class TestUncoordinated:
         result = Simulation(
             strip_checkpoints(pingpong()), 4, params={"steps": 60},
             protocol=protocol,
-            failure_plan=FailurePlan.single(21.0, 1),
+            fault_plan=FaultPlan.single(21.0, 1),
         ).run()
         assert result.stats.completed
         assert protocol.domino_steps[0] >= 1
@@ -70,7 +69,7 @@ class TestUncoordinated:
         protocol = UncoordinatedProtocol(period=6)
         Simulation(
             jacobi_plain(), 4, params={"steps": 20}, protocol=protocol,
-            failure_plan=FailurePlan.single(20.0, 2),
+            fault_plan=FaultPlan.single(20.0, 2),
         ).run()
         depths = protocol.rollback_depths[0]
         assert set(depths) == {0, 1, 2, 3}
@@ -125,7 +124,7 @@ class TestInduced:
         baseline = Simulation(jacobi_plain(), 4, params={"steps": 20}).run()
         result = Simulation(
             jacobi_plain(), 4, params={"steps": 20}, protocol=protocol,
-            failure_plan=FailurePlan.single(22.0, 3),
+            fault_plan=FaultPlan.single(22.0, 3),
         ).run()
         assert result.stats.completed
         assert result.final_env == baseline.final_env
@@ -134,7 +133,7 @@ class TestInduced:
         protocol = InducedProtocol(period=7)
         Simulation(
             jacobi_plain(), 4, params={"steps": 20}, protocol=protocol,
-            failure_plan=FailurePlan.single(22.0, 0),
+            fault_plan=FaultPlan.single(22.0, 0),
         ).run()
         # after recovery, every tracked index is <= the common target
         indexes = protocol._index.values()

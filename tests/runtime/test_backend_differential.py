@@ -29,7 +29,7 @@ from repro.lang import ast_nodes as ast
 from repro.lang.compile import compile_program
 from repro.lang.parser import parse
 from repro.protocols import make_protocol
-from repro.runtime import FailurePlan, RuntimeCosts, Simulation
+from repro.runtime import FaultPlan, RuntimeCosts, Simulation
 from repro.runtime.chaos import CHAOS_PROTOCOLS, ChaosConfig, chaos_sweep
 from repro.runtime.failures import CrashEvent, exponential_fault_plan
 from repro.runtime.inputs import InputProvider
@@ -72,7 +72,7 @@ def run_once(base, n_processes, params, protocol, make_plan, backend):
         params=dict(params),
         costs=RuntimeCosts(),
         protocol=make_protocol(protocol, period=6.0),
-        failure_plan=make_plan(n_processes),
+        fault_plan=make_plan(n_processes),
         seed=3,
         backend=backend,
         observer=obs.bus,
@@ -82,8 +82,8 @@ def run_once(base, n_processes, params, protocol, make_plan, backend):
 
 
 PLANS = {
-    "clean": lambda n: FailurePlan.none(),
-    "crash": lambda n: FailurePlan(crashes=[CrashEvent(time=12.0, rank=1)]),
+    "clean": lambda n: FaultPlan(),
+    "crash": lambda n: FaultPlan(crashes=[CrashEvent(time=12.0, rank=1)]),
     "storm": lambda n: exponential_fault_plan(
         n, horizon=40.0, failure_rate=0.02, storage_fault_rate=0.05, seed=7
     ),

@@ -23,7 +23,7 @@ from repro.lang.parser import parse
 from repro.lang.programs import jacobi, stencil_1d, stencil_halo, token_ring
 from repro.obs import Observability
 from repro.protocols import ApplicationDrivenProtocol
-from repro.runtime import FailurePlan, Simulation
+from repro.runtime import FaultPlan, Simulation
 from repro.runtime.engine import CHECKPOINT_MODES
 from repro.runtime.encoding import (
     checkpoint_record,
@@ -38,14 +38,14 @@ from repro.runtime.storage import (
 )
 
 
-def run(program, n, mode, steps=6, failure_plan=None, observer=None,
+def run(program, n, mode, steps=6, fault_plan=None, observer=None,
         retain_k=None, seed=0):
     return Simulation(
         program,
         n,
         params={"steps": steps},
         protocol=ApplicationDrivenProtocol(),
-        failure_plan=failure_plan or FailurePlan.none(),
+        fault_plan=fault_plan or FaultPlan(),
         checkpoint_mode=mode,
         observer=observer,
         retain_k=retain_k,
@@ -71,7 +71,7 @@ SIZE_CASES = tuple(
 def size_case(mode, make_program, crash):
     result = run(
         make_program(), 4, mode, steps=8,
-        failure_plan=FailurePlan.single(9.0, 1) if crash else None,
+        fault_plan=FaultPlan.single(9.0, 1) if crash else None,
     )
     assert result.stats.failures == int(crash)
     return result
@@ -252,7 +252,7 @@ class TestPayloadFloor:
         for mode in ("full", "pruned+delta"):
             result = run(
                 ast.clone(base), n, mode, steps=steps,
-                failure_plan=FailurePlan.single(crash_time, 1), seed=3,
+                fault_plan=FaultPlan.single(crash_time, 1), seed=3,
             )
             assert result.stats.failures == 1
             survivors = [
@@ -310,7 +310,7 @@ class TestSizeSemantics:
             4,
             "pruned+delta",
             steps=8,
-            failure_plan=FailurePlan.single(9.0, 1),
+            fault_plan=FaultPlan.single(9.0, 1),
         )
         for checkpoint in entries(result):
             assert checkpoint.payload_bytes <= checkpoint.full_bytes

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from repro.lang import ast_nodes as ast
 from repro.lang.programs import jacobi, ring_pipeline, stencil_halo
 from repro.protocols import ApplicationDrivenProtocol
-from repro.runtime import FailurePlan, Simulation
+from repro.runtime import Simulation
 from repro.runtime.engine import CHECKPOINT_MODES
 from repro.runtime.failures import (
     CrashEvent,
@@ -46,7 +46,7 @@ def run(
         n,
         params={"steps": steps},
         protocol=ApplicationDrivenProtocol(),
-        failure_plan=plan or FailurePlan.none(),
+        fault_plan=plan or FaultPlan(),
         checkpoint_mode=mode,
         backend=backend,
         retain_k=retain_k,
@@ -157,7 +157,7 @@ class TestRetentionProtectsAncestors:
             4,
             "pruned+delta",
             steps=8,
-            plan=FailurePlan.single(9.0, 1),
+            plan=FaultPlan.single(9.0, 1),
             retain_k=retain_k,
         )
         assert result.verdict == "completed"
@@ -210,8 +210,8 @@ class TestCrossModeIdentity:
 
     CASES = [
         ("stencil_halo-clean", STENCIL_HALO, 6, None),
-        ("stencil_halo-crash", STENCIL_HALO, 6, FailurePlan.single(9.5, 1)),
-        ("ring_pipeline-crash", RING_PIPELINE, 6, FailurePlan.single(9.5, 1)),
+        ("stencil_halo-crash", STENCIL_HALO, 6, FaultPlan.single(9.5, 1)),
+        ("ring_pipeline-crash", RING_PIPELINE, 6, FaultPlan.single(9.5, 1)),
     ]
 
     @pytest.mark.parametrize(
@@ -256,7 +256,7 @@ class TestPrunedRestoreProperty:
     def test_minimized_equals_full_under_random_crashes(
         self, rank, half_steps
     ):
-        plan = FailurePlan.single(half_steps / 2.0, rank)
+        plan = FaultPlan.single(half_steps / 2.0, rank)
         _, full = run(ast.clone(JACOBI), 4, "full", steps=8, plan=plan)
         _, minimized = run(
             ast.clone(JACOBI), 4, "pruned+delta", steps=8, plan=plan

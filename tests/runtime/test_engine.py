@@ -8,7 +8,7 @@ from repro.errors import DeadlockError, RecoveryError, SimulationError
 from repro.lang.parser import parse
 from repro.lang.programs import default_params, jacobi, master_worker
 from repro.protocols import ApplicationDrivenProtocol
-from repro.runtime import FailurePlan, RuntimeCosts, Simulation
+from repro.runtime import FaultPlan, RuntimeCosts, Simulation
 
 
 def program(statements: str):
@@ -166,7 +166,7 @@ class TestDeadlockAndGuards:
         source = program("compute(100)")
         with pytest.raises(RecoveryError, match="no recovery"):
             Simulation(
-                source, 1, failure_plan=FailurePlan.single(5.0, 0)
+                source, 1, fault_plan=FaultPlan.single(5.0, 0)
             ).run()
 
     def test_need_at_least_one_process(self):
@@ -179,7 +179,7 @@ class TestCrashRecovery:
         result = Simulation(
             program("compute(1)"),
             1,
-            failure_plan=FailurePlan.single(1000.0, 0),
+            fault_plan=FaultPlan.single(1000.0, 0),
         ).run()
         assert result.stats.completed
         assert result.stats.failures == 0
@@ -190,7 +190,7 @@ class TestCrashRecovery:
             4,
             params={"steps": 10},
             protocol=ApplicationDrivenProtocol(),
-            failure_plan=FailurePlan.single(11.0, 2),
+            fault_plan=FaultPlan.single(11.0, 2),
         ).run()
         assert len(result.trace.of_kind(EventKind.FAILURE)) == 1
         assert len(result.trace.of_kind(EventKind.RESTART)) == 4
@@ -201,7 +201,7 @@ class TestCrashRecovery:
             4,
             params={"steps": 10},
             protocol=ApplicationDrivenProtocol(),
-            failure_plan=FailurePlan.single(11.0, 2),
+            fault_plan=FaultPlan.single(11.0, 2),
         ).run()
         # after truncation + replay, each rank's history is 0..steps
         for rank in range(4):
@@ -217,7 +217,7 @@ class TestCrashRecovery:
                 4,
                 params={"steps": 8},
                 protocol=ApplicationDrivenProtocol(),
-                failure_plan=FailurePlan.single(crash_time, 1),
+                fault_plan=FaultPlan.single(crash_time, 1),
             ).run()
             assert result.final_env == baseline, crash_time
 
@@ -230,7 +230,7 @@ class TestCrashRecovery:
             4,
             params={"steps": 6},
             protocol=ApplicationDrivenProtocol(),
-            failure_plan=FailurePlan.single(9.3, 0),
+            fault_plan=FaultPlan.single(9.3, 0),
         ).run()
         assert result.stats.completed
         assert result.final_env == baseline

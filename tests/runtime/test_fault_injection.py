@@ -6,9 +6,8 @@ from repro.causality.vector_clock import VectorClock
 from repro.errors import ChannelError, SimulationError, StorageError
 from repro.runtime.failures import (
     CrashEvent,
-    FailurePlan,
-    FaultKind,
     FaultPlan,
+    FaultKind,
     StorageFaultEvent,
     exponential_fault_plan,
 )
@@ -36,27 +35,27 @@ def checkpoint(rank, number, time=0.0, tag="", env=None):
     )
 
 
-class TestFailurePlanValidation:
+class TestCrashValidation:
     def test_negative_crash_time_rejected(self):
         with pytest.raises(SimulationError, match="crash time"):
-            FailurePlan(crashes=[CrashEvent(time=-1.0, rank=0)])
+            FaultPlan(crashes=[CrashEvent(time=-1.0, rank=0)])
 
     def test_negative_crash_rank_rejected(self):
         with pytest.raises(SimulationError, match="crash rank"):
-            FailurePlan(crashes=[CrashEvent(time=1.0, rank=-2)])
+            FaultPlan(crashes=[CrashEvent(time=1.0, rank=-2)])
 
     def test_negative_max_failures_rejected(self):
         with pytest.raises(SimulationError, match="max_failures"):
-            FailurePlan(max_failures=-1)
+            FaultPlan(max_failures=-1)
 
     def test_duplicate_time_rank_rejected(self):
         with pytest.raises(SimulationError, match="duplicate crash"):
-            FailurePlan(
+            FaultPlan(
                 crashes=[CrashEvent(5.0, 1), CrashEvent(5.0, 1)]
             )
 
     def test_same_time_different_ranks_allowed(self):
-        plan = FailurePlan(crashes=[CrashEvent(5.0, 0), CrashEvent(5.0, 1)])
+        plan = FaultPlan(crashes=[CrashEvent(5.0, 0), CrashEvent(5.0, 1)])
         assert len(plan.effective()) == 2
 
 
@@ -365,3 +364,92 @@ class TestStructuredErrors:
             Network(2).consume(0, 1, "p2p")
         assert (info.value.src, info.value.dst) == (0, 1)
         assert info.value.lane == "p2p"
+
+
+#: Every checkpointing protocol the engine runs.
+PROTOCOLS = ("appl-driven", "sas", "cl", "uncoordinated", "cic", "msg-logging")
+
+
+def run_ring(protocol, plan=None):
+    from repro.lang.programs import load_program
+    from repro.protocols import make_protocol
+    from repro.runtime.engine import Simulation
+
+    return Simulation(
+        load_program("ring_pipeline"), 3, params={"steps": 4},
+        protocol=make_protocol(protocol, 10.0), fault_plan=plan,
+    ).run()
+
+
+class TestInitialCheckpointIsNeverFaulted:
+    """A write fault armed at t = 0 skips checkpoint 0, the initial state."""
+
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_fault_at_zero_hits_the_first_real_checkpoint(self, protocol):
+        twin = run_ring(protocol)
+        result = run_ring(protocol, FaultPlan(
+            crashes=[CrashEvent(time=0.05, rank=1)],
+            storage_faults=[StorageFaultEvent(
+                time=0.0, rank=1, kind=FaultKind.WRITE_FAIL,
+            )],
+        ))
+        assert result.stats.completed and result.verdict == "completed"
+        assert result.final_env == twin.final_env
+        assert result.stats.storage_write_failures == 1
+        assert result.storage.history(1)[0].number == 0
+
+
+class TestStorageFaultNumber:
+    """``number`` is an integer >= 0, and > 0 on write-targeting kinds."""
+
+    def test_negative_number_rejected(self):
+        with pytest.raises(SimulationError, match="number must be >= 0"):
+            FaultPlan(storage_faults=[StorageFaultEvent(
+                time=1.0, rank=1, kind=FaultKind.WRITE_FAIL, number=-1,
+            )])
+
+    @pytest.mark.parametrize("kind", [
+        FaultKind.WRITE_FAIL, FaultKind.TORN_WRITE, FaultKind.TRANSIENT,
+    ])
+    def test_write_fault_on_checkpoint_zero_rejected(self, kind):
+        with pytest.raises(SimulationError, match="checkpoint 0"):
+            FaultPlan(storage_faults=[StorageFaultEvent(
+                time=1.0, rank=1, kind=kind, number=0,
+            )])
+
+    def test_bit_rot_may_target_checkpoint_zero(self):
+        plan = FaultPlan(storage_faults=[StorageFaultEvent(
+            time=1.0, rank=1, kind=FaultKind.BIT_ROT, number=0,
+        )])
+        assert plan.storage_faults[0].number == 0
+
+    @pytest.mark.parametrize("number", [2, "2"])
+    def test_json_number_decodes_as_int_and_fires(self, number):
+        plan = FaultPlan.from_json_dict({"storage_faults": [{
+            "time": 1.0, "rank": 1, "kind": "write-fail", "number": number,
+        }]})
+        assert plan.storage_faults[0].number == 2
+        assert run_ring("appl-driven", plan).stats.storage_write_failures == 1
+
+    def test_json_negative_number_rejected(self):
+        with pytest.raises(SimulationError, match="number must be >= 0"):
+            FaultPlan.from_json_dict({"storage_faults": [{
+                "time": 1.0, "rank": 1, "kind": "write-fail", "number": -1,
+            }]})
+
+    def test_cli_negative_number_rejected(self, capsys):
+        from repro.cli import main
+
+        assert main([
+            "simulate", "@ring_pipeline", "-n", "3", "--steps", "4",
+            "--fault", "write-fail:1:1:-1",
+        ]) == 2
+        assert "number must be >= 0" in capsys.readouterr().err
+
+
+def test_json_max_failures_decodes_as_int():
+    plan = FaultPlan.from_json_dict({
+        "max_failures": "1",
+        "crashes": [{"time": 5.0, "rank": 1}, {"time": 9.0, "rank": 0}],
+    })
+    assert plan.max_failures == 1 and len(plan.effective()) == 1

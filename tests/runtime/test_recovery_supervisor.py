@@ -21,7 +21,6 @@ from repro.protocols import (
     UncoordinatedProtocol,
 )
 from repro.runtime import (
-    FailurePlan,
     FaultPlan,
     RecoveryFaultEvent,
     RecoveryFaultKind,
@@ -33,7 +32,7 @@ from repro.runtime import (
 def run_ring(protocol, fault_plan=None, recovery=None, **kwargs):
     return Simulation(
         ring_pipeline(), 3, params={"steps": 10}, protocol=protocol,
-        failure_plan=fault_plan, recovery=recovery, **kwargs,
+        fault_plan=fault_plan, recovery=recovery, **kwargs,
     ).run()
 
 
@@ -66,7 +65,7 @@ class TestSupervisorConfig:
         with pytest.raises(SimulationError, match="rank"):
             Simulation(
                 ring_pipeline(), 3, params={"steps": 10},
-                protocol=ApplicationDrivenProtocol(), failure_plan=bad,
+                protocol=ApplicationDrivenProtocol(), fault_plan=bad,
             )
 
 
@@ -95,7 +94,7 @@ class TestNestedCrashRetry:
         # The nested crashes delay recovery but must not change what
         # is recovered: the final state equals the plain-crash run's.
         baseline = run_ring(
-            ApplicationDrivenProtocol(), FailurePlan.single(19.5, 1)
+            ApplicationDrivenProtocol(), FaultPlan.single(19.5, 1)
         )
         result = run_ring(
             ApplicationDrivenProtocol(),
@@ -153,7 +152,7 @@ class TestDeterminism:
         # An empty recovery-fault list must reproduce the pre-supervisor
         # behavior bit for bit: same stats, same final state.
         plain = run_ring(
-            ApplicationDrivenProtocol(), FailurePlan.single(19.5, 1)
+            ApplicationDrivenProtocol(), FaultPlan.single(19.5, 1)
         )
         supervised = run_ring(
             ApplicationDrivenProtocol(), crash_plan()
@@ -176,7 +175,7 @@ class TestCli:
         assert main([
             "simulate", "@ring_pipeline", "-n", "3", "--steps", "10",
             "--protocol", "appl-driven", "--crash", "19.5:1",
-            "--recovery-fault", "crash-in-recovery:0:1:2",
+            "--fault", "crash-in-recovery:0:1:2",
         ]) == 0
         out = capsys.readouterr().out
         assert "verdict" in out
@@ -195,7 +194,7 @@ class TestCli:
         with pytest.raises(SystemExit):
             main([
                 "simulate", "@ring_pipeline",
-                "--recovery-fault", "bogus-kind:0:1",
+                "--fault", "bogus-kind:0:1",
             ])
 
     def test_stats_json_includes_supervisor_fields(self, tmp_path, capsys):
@@ -203,7 +202,7 @@ class TestCli:
         assert main([
             "simulate", "@ring_pipeline", "-n", "3", "--steps", "10",
             "--protocol", "appl-driven", "--crash", "19.5:1",
-            "--recovery-fault", "crash-in-recovery:0:1",
+            "--fault", "crash-in-recovery:0:1",
             "--retain-k", "4", "--stats-json", str(stats_path),
         ]) == 0
         stats = json.loads(stats_path.read_text())

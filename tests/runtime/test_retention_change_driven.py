@@ -333,7 +333,7 @@ def faulted_replicated_cell():
     )
     return Simulation(
         RING_PIPELINE, 4, params={"steps": 24},
-        protocol=ApplicationDrivenProtocol(), failure_plan=plan,
+        protocol=ApplicationDrivenProtocol(), fault_plan=plan,
         storage_replicas=3, retain_k=4, checkpoint_mode="pruned+delta",
         seed=3,
     )
@@ -524,7 +524,7 @@ def test_finished_retried_recovery_is_freed_by_refcount(kind):
     the retried error once an attempt succeeds — its traceback holds
     the frames of ``recover`` and its callers, whose locals are the
     simulation — so such a run is freed by refcount too."""
-    _assert_freed_by_refcount(retries=2, failure_plan=FaultPlan(
+    _assert_freed_by_refcount(retries=2, fault_plan=FaultPlan(
         crashes=[(12.0, 3)],
         recovery_faults=[
             RecoveryFaultEvent(recovery=0, rank=3, kind=kind, attempts=2),

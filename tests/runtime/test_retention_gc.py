@@ -222,7 +222,7 @@ class TestRetentionInEngine:
         plan = FaultPlan(crashes=[(19.5, 1)])
         result = Simulation(
             ring_pipeline(), 3, params={"steps": 10},
-            protocol=ApplicationDrivenProtocol(), failure_plan=plan,
+            protocol=ApplicationDrivenProtocol(), fault_plan=plan,
             retain_k=3,
         ).run()
         assert result.stats.completed
@@ -244,7 +244,7 @@ class TestRetentionInEngine:
         ).run()
         result = Simulation(
             ring_pipeline(), 3, params={"steps": 10},
-            protocol=ApplicationDrivenProtocol(), failure_plan=plan,
+            protocol=ApplicationDrivenProtocol(), fault_plan=plan,
             retain_k=3,
         ).run()
         assert result.verdict == "completed"

@@ -113,7 +113,7 @@ class TestSchedulerTimesBackend:
             params=default_params(name, steps=3),
             protocol=lambda: make_protocol(protocol),
             # Without a protocol nothing recovers a crash.
-            failure_plan=faults(crash=protocol == "appl-driven"),
+            fault_plan=faults(crash=protocol == "appl-driven"),
             record_compute_events=True,
             checkpoint_mode="pruned+delta",
             slices=(0.0, 1.505, 3.3, 4.0, 7.77),
@@ -131,7 +131,7 @@ class TestSchedulerTimesBackend:
             load_program("stencil_halo"), 16,
             params=default_params("stencil_halo", steps=4),
             protocol=lambda: make_protocol("appl-driven"),
-            failure_plan=faults(crash=True),
+            fault_plan=faults(crash=True),
         )
         assert result[1]["completed"]
 
@@ -246,7 +246,7 @@ class TestCrashOrCutoffInsideALocalRun:
         result = assert_all_variants_agree(
             parse(LOCAL_RUNS_SOURCE), 4,
             protocol=lambda: make_protocol("appl-driven"),
-            failure_plan=FaultPlan(crashes=[CrashEvent(time=when, rank=3)]),
+            fault_plan=FaultPlan(crashes=[CrashEvent(time=when, rank=3)]),
             slices=cutoffs if sliced else (),
         )
         stats = result[1]
@@ -266,7 +266,7 @@ class TestCrashOrCutoffInsideALocalRun:
                 local_statement=0.25, checkpoint_overhead=0.5,
                 recovery_overhead=1.0,
             ),
-            failure_plan=FaultPlan(crashes=[CrashEvent(time=2.0, rank=0)]),
+            fault_plan=FaultPlan(crashes=[CrashEvent(time=2.0, rank=0)]),
             slices=(1.0, 2.0),
         )
         assert result[1]["rollbacks"] == 1
@@ -290,7 +290,7 @@ class TestProtocolsThatAct:
         result = assert_all_variants_agree(
             parse(LOCAL_RUNS_SOURCE), 4,
             protocol=lambda: make_protocol(protocol, period=1.3),
-            failure_plan=FaultPlan(crashes=[CrashEvent(time=3.21, rank=2)]),
+            fault_plan=FaultPlan(crashes=[CrashEvent(time=3.21, rank=2)]),
         )
         stats, stored = result[1], result[5]
         assert stats["completed"] and stats["checkpoints"] > 0

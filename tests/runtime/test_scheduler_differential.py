@@ -20,7 +20,7 @@ from repro.lang import ast_nodes as ast
 from repro.lang.parser import parse
 from repro.lang.programs import stencil_1d, token_ring
 from repro.protocols import make_protocol
-from repro.runtime import FailurePlan, RuntimeCosts
+from repro.runtime import FaultPlan, RuntimeCosts
 from repro.runtime.chaos import CHAOS_PROTOCOLS, chaos_sweep
 from repro.runtime.failures import CrashEvent
 
@@ -53,7 +53,7 @@ def run_once(base, n_processes, params, protocol, plan, scheduler, **kwargs):
         params=dict(params),
         costs=RuntimeCosts(),
         protocol=make_protocol(protocol, period=6.0),
-        failure_plan=FailurePlan(crashes=list(plan.crashes)),
+        fault_plan=FaultPlan(crashes=list(plan.crashes)),
         seed=3,
         **kwargs,
     )
@@ -73,9 +73,9 @@ class TestWorkloadMatrix:
         if protocol != "appl-driven":
             base = strip_checkpoints(base)
         plan = (
-            FailurePlan(crashes=[CrashEvent(time=12.0, rank=1)])
+            FaultPlan(crashes=[CrashEvent(time=12.0, rank=1)])
             if crashed
-            else FailurePlan.none()
+            else FaultPlan()
         )
         indexed = run_once(
             base, workload.n_processes, workload.params, protocol, plan,
@@ -99,7 +99,7 @@ class TestWorkloadMatrix:
         base = parse(workload.program)
         full = run_once(
             base, workload.n_processes, workload.params, "appl-driven",
-            FailurePlan.none(), "indexed",
+            FaultPlan(), "indexed",
         )
 
         def split(scheduler):
@@ -109,7 +109,7 @@ class TestWorkloadMatrix:
                 params=dict(workload.params),
                 costs=RuntimeCosts(),
                 protocol=make_protocol("appl-driven", period=6.0),
-                failure_plan=FailurePlan.none(),
+                fault_plan=FaultPlan(),
                 seed=3,
             )
             sim.run(max_time=5.0)
@@ -146,7 +146,7 @@ class TestCombinedStackAtScale:
         def run(scheduler, backend):
             return run_once(
                 base, n_processes, {"steps": steps}, "appl-driven",
-                FailurePlan.none(), scheduler, backend=backend,
+                FaultPlan(), scheduler, backend=backend,
             )
 
         production = run("indexed", "compiled")

@@ -2,14 +2,14 @@
 
 from repro.lang.programs import jacobi, jacobi_odd_even
 from repro.protocols import ApplicationDrivenProtocol
-from repro.runtime import FailurePlan, Simulation
+from repro.runtime import FaultPlan, Simulation
 from repro.viz import render_messages, render_spacetime
 
 
 def run_trace(make=jacobi, n=4, steps=3, plan=None, protocol=None):
     return Simulation(
         make(), n, params={"steps": steps},
-        failure_plan=plan, protocol=protocol,
+        fault_plan=plan, protocol=protocol,
     ).run().trace
 
 
@@ -29,7 +29,7 @@ class TestSpacetime:
     def test_failure_and_restart_markers(self):
         trace = run_trace(
             steps=8,
-            plan=FailurePlan.single(8.0, 1),
+            plan=FaultPlan.single(8.0, 1),
             protocol=ApplicationDrivenProtocol(),
         )
         text = render_spacetime(trace)

@@ -4,7 +4,7 @@ import pytest
 
 from repro.lang.programs import jacobi, jacobi_plain
 from repro.protocols import ApplicationDrivenProtocol, MessageLoggingProtocol
-from repro.runtime import FailurePlan, Simulation
+from repro.runtime import FaultPlan, Simulation
 from repro.runtime.failures import CrashEvent
 
 
@@ -51,7 +51,7 @@ class TestRetentionGc:
         result = Simulation(
             jacobi(), 4, params={"steps": 10},
             protocol=ApplicationDrivenProtocol(),
-            failure_plan=FailurePlan.single(11.0, 2), retain_k=2,
+            fault_plan=FaultPlan.single(11.0, 2), retain_k=2,
         ).run()
         assert result.stats.completed
         assert result.stats.rollbacks == 1
@@ -64,13 +64,13 @@ class TestOverlappingFailures:
 
     def test_back_to_back_crashes_appl_driven(self):
         baseline = Simulation(jacobi(), 4, params={"steps": 12}).run()
-        plan = FailurePlan(
+        plan = FaultPlan(
             crashes=[CrashEvent(10.0, 1), CrashEvent(12.5, 2),
                      CrashEvent(12.6, 3)]
         )
         result = Simulation(
             jacobi(), 4, params={"steps": 12},
-            protocol=ApplicationDrivenProtocol(), failure_plan=plan,
+            protocol=ApplicationDrivenProtocol(), fault_plan=plan,
         ).run()
         assert result.stats.completed
         assert result.stats.rollbacks == 3
@@ -78,12 +78,12 @@ class TestOverlappingFailures:
 
     def test_crash_during_replay_msg_logging(self):
         baseline = Simulation(jacobi_plain(), 4, params={"steps": 15}).run()
-        plan = FailurePlan(
+        plan = FaultPlan(
             crashes=[CrashEvent(14.0, 1), CrashEvent(16.5, 1)]
         )
         result = Simulation(
             jacobi_plain(), 4, params={"steps": 15},
-            protocol=MessageLoggingProtocol(period=6), failure_plan=plan,
+            protocol=MessageLoggingProtocol(period=6), fault_plan=plan,
         ).run()
         assert result.stats.completed
         assert result.stats.rollbacks == 2
@@ -91,12 +91,12 @@ class TestOverlappingFailures:
 
     def test_same_instant_crashes(self):
         baseline = Simulation(jacobi(), 4, params={"steps": 10}).run()
-        plan = FailurePlan(
+        plan = FaultPlan(
             crashes=[CrashEvent(9.0, 0), CrashEvent(9.0, 3)]
         )
         result = Simulation(
             jacobi(), 4, params={"steps": 10},
-            protocol=ApplicationDrivenProtocol(), failure_plan=plan,
+            protocol=ApplicationDrivenProtocol(), fault_plan=plan,
         ).run()
         assert result.stats.completed
         assert result.final_env == baseline.final_env
@@ -112,7 +112,7 @@ class TestProtocolDeterminism:
             return Simulation(
                 jacobi(), 4, params={"steps": 10},
                 protocol=make_protocol(),
-                failure_plan=FailurePlan.single(9.0, 2),
+                fault_plan=FaultPlan.single(9.0, 2),
                 seed=5,
             ).run()
 

@@ -4,7 +4,7 @@ import pytest
 
 from repro.causality.vector_clock import VectorClock
 from repro.errors import SimulationError, StorageError
-from repro.runtime.failures import CrashEvent, FailurePlan, exponential_failures
+from repro.runtime.failures import CrashEvent, FaultPlan, exponential_fault_plan
 from repro.runtime.inputs import _MASK, InputProvider, _mix
 from repro.runtime.interpreter import ProcessSnapshot
 from repro.runtime.storage import CheckpointStore, StoredCheckpoint
@@ -187,47 +187,47 @@ class TestInputProvider:
         assert drive(InputProvider(seed=9)) == drive(FlatOracle(seed=9))
 
 
-class TestFailurePlans:
+class TestCrashSchedules:
     def test_crashes_sorted_by_time(self):
-        plan = FailurePlan(
+        plan = FaultPlan(
             crashes=[CrashEvent(5.0, 1), CrashEvent(2.0, 0), CrashEvent(9.0, 2)]
         )
         times = [c.time for c in plan.effective()]
         assert times == sorted(times)
 
     def test_single_and_none(self):
-        assert FailurePlan.none().effective() == []
-        plan = FailurePlan.single(3.0, 1)
+        assert FaultPlan().effective() == []
+        plan = FaultPlan.single(3.0, 1)
         assert len(plan.effective()) == 1
 
     def test_max_failures_cap(self):
-        plan = FailurePlan(
+        plan = FaultPlan(
             crashes=[CrashEvent(float(i), 0) for i in range(10)],
             max_failures=3,
         )
         assert len(plan.effective()) == 3
 
     def test_exponential_plan_reproducible(self):
-        a = exponential_failures(4, 0.05, horizon=100, seed=1)
-        b = exponential_failures(4, 0.05, horizon=100, seed=1)
+        a = exponential_fault_plan(4, 100, failure_rate=0.05, seed=1)
+        b = exponential_fault_plan(4, 100, failure_rate=0.05, seed=1)
         assert [(c.time, c.rank) for c in a.crashes] == [
             (c.time, c.rank) for c in b.crashes
         ]
 
     def test_exponential_plan_within_horizon(self):
-        plan = exponential_failures(4, 0.1, horizon=50, seed=2)
+        plan = exponential_fault_plan(4, 50, failure_rate=0.1, seed=2)
         assert all(c.time < 50 for c in plan.crashes)
 
     def test_zero_rate_empty(self):
-        assert exponential_failures(4, 0.0, horizon=50).crashes == []
+        assert exponential_fault_plan(4, 50, failure_rate=0.0).crashes == []
 
     def test_invalid_args(self):
         with pytest.raises(SimulationError):
-            exponential_failures(2, -1.0, horizon=10)
+            exponential_fault_plan(2, 10, failure_rate=-1.0)
         with pytest.raises(SimulationError):
-            exponential_failures(2, 0.1, horizon=0)
+            exponential_fault_plan(2, 0, failure_rate=0.1)
 
     def test_rate_scales_count(self):
-        sparse = exponential_failures(8, 0.01, horizon=200, seed=0)
-        dense = exponential_failures(8, 0.1, horizon=200, seed=0)
+        sparse = exponential_fault_plan(8, 200, failure_rate=0.01, seed=0)
+        dense = exponential_fault_plan(8, 200, failure_rate=0.1, seed=0)
         assert len(dense.crashes) > len(sparse.crashes)

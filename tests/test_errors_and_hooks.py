@@ -66,12 +66,12 @@ class TestDefaultHooks:
 
     def test_default_failure_hook_leaves_crash_unhandled(self):
         from repro.lang.parser import parse
-        from repro.runtime import FailurePlan, Simulation
+        from repro.runtime import FaultPlan, Simulation
 
         with pytest.raises(errors.RecoveryError, match="no recovery"):
             Simulation(
                 parse("program t():\n    compute(100)\n"),
                 1,
                 protocol=NullProtocol(),
-                failure_plan=FailurePlan.single(5.0, 0),
+                fault_plan=FaultPlan.single(5.0, 0),
             ).run()

@@ -10,7 +10,7 @@ import repro.analysis
 import repro.protocols
 
 TOP_LEVEL = {
-    "FailurePlan",
+    "FaultPlan",
     "ModelParameters",
     "ProtocolKind",
     "RuntimeCosts",

@@ -93,7 +93,10 @@ class TestCiWorkflow:
 #: Names of the retired ratio-microbenchmark stack, the ungated
 #: benchmark suite, the wall-clock result generators and the
 #: hand-rolled comparison and fault-sweep loops (now campaign cells),
-#: spelled in pieces so this file does not match its own search.
+#: and the crash-only plan type, its drawers and its keyword and parser
+#: (now ``FaultPlan``, ``exponential_fault_plan``, ``fault_plan`` and
+#: ``--fault``), spelled in pieces so this file does not match its own
+#: search.
 RETIRED_NAMES = [
     "Workload" + "Spec",
     "ProtocolRun" + "Summary",
@@ -114,6 +117,11 @@ RETIRED_NAMES = [
     "--benchmark" + "-only",
     "obs" + "_overhead",
     "campaign" + "_scaling",
+    "Failure" + "Plan",
+    "exponential" + "_failures",
+    "exponential" + "_network_plan",
+    "failure" + "_plan",
+    "_parse_recovery" + "_fault",
 ]
 
 #: Top-level files that describe the current tree. The change log and

@@ -79,12 +79,12 @@ def protocol_comparison() -> str:
         standard_workloads,
     )
     from repro.campaign import run_campaign
-    from repro.runtime import FailurePlan
+    from repro.runtime import FaultPlan
 
     cells = protocol_cells(
         standard_workloads(steps=12)[0],
         period=6.0,
-        fault_plan=FailurePlan.single(14.3, 2),
+        fault_plan=FaultPlan.single(14.3, 2),
     )
     return comparison_table(cells, run_campaign(cells))
 
@@ -223,10 +223,10 @@ def storage_sweep_rows() -> list[dict]:
 def network_sweep_rows() -> list[dict]:
     """Drops and duplicates at rising rates and no crashes; ``r`` is
     Γ/T − 1 against the protocol's one fault-free baseline cell."""
-    from repro.runtime.failures import exponential_network_plan
+    from repro.runtime.failures import exponential_fault_plan
 
     def plan(rate, seed):
-        return exponential_network_plan(
+        return exponential_fault_plan(
             3, 30.0, drop_rate=rate, duplicate_rate=rate, seed=seed
         )
 
