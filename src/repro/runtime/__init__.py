@@ -55,7 +55,6 @@ from repro.runtime.transport import (
 )
 from repro.runtime.storage import (
     CheckpointStore,
-    ReplicatedCheckpointStore,
     RetentionPolicy,
     StoredCheckpoint,
 )
@@ -86,7 +85,6 @@ __all__ = [
     "RecoverySupervisor",
     "RecvEffect",
     "ReliableTransport",
-    "ReplicatedCheckpointStore",
     "RetentionPolicy",
     "RunConfig",
     "RuntimeCosts",

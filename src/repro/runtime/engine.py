@@ -61,7 +61,6 @@ from repro.runtime.encoding import SizeLedger
 from repro.runtime.storage import (
     DELTA_CHAIN_CAP,
     CheckpointStore,
-    ReplicatedCheckpointStore,
     RetentionPolicy,
     StoredCheckpoint,
 )
@@ -598,15 +597,10 @@ class Simulation:
             transport_config=config.transport,
             observer=observer,
         )
-        if config.storage_replicas == 1:
-            self.storage = CheckpointStore(
-                max_retries=config.max_storage_retries
-            )
-        else:
-            self.storage = ReplicatedCheckpointStore(
-                replicas=config.storage_replicas,
-                max_retries=config.max_storage_retries,
-            )
+        self.storage = CheckpointStore(
+            max_retries=config.max_storage_retries,
+            replicas=config.storage_replicas,
+        )
         self.storage.obs = observer
         self.trace = ExecutionTrace(
             n_processes=n_processes, observer=observer
@@ -1088,6 +1082,8 @@ class Simulation:
         # metrics. Identical to the full-content sum outside delta mode.
         self.stats.stored_bytes = self.storage.total_bytes(incremental=True)
         self.stats.recovery_read_faults = self.storage.read_faults_injected
+        self.stats.gc_collected = self.storage.gc_collected
+        self.stats.gc_reclaimed_bytes = self.storage.gc_reclaimed_bytes
         completion_time = max((p.clock for p in self.procs), default=0.0)
         if self.obs is not None:
             self.obs.emit(
@@ -1558,12 +1554,7 @@ class Simulation:
                 stmt_id=stmt_id,
             )
             if self._retention is not None:
-                collected, reclaimed = self._retention.collect(
-                    self.storage, self._ranks
-                )
-                if collected:
-                    self.stats.gc_collected += collected
-                    self.stats.gc_reclaimed_bytes += reclaimed
+                self._retention.collect(self.storage, self._ranks)
         return stored
 
     def _take_write_fault(

@@ -75,8 +75,8 @@ class StorageFaultEvent:
         kind: The fault class (see :class:`FaultKind`).
         number: Target checkpoint number, or ``None`` for "the next
             write" (write faults) / "the latest stored" (bit rot).
-        replica: Which storage replica the fault hits (0 = primary);
-            only meaningful with a replicated store.
+        replica: Which storage replica the fault hits (bit rot flips
+            that replica's checksum record); below the replica count.
         attempts: For ``TRANSIENT`` faults, how many write attempts
             fail before one succeeds.
     """

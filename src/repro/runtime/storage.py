@@ -9,10 +9,11 @@ statement). Storage survives process failures — that is its point.
 them against the faults real checkpoint stores exhibit — lost writes,
 torn (partial) writes, silent bit rot, transient I/O errors — with
 per-checkpoint checksums, an atomic two-phase commit (stage → validate
-→ publish), and bounded retry. :class:`ReplicatedCheckpointStore`
-additionally mirrors every published checkpoint across replicas and
-answers integrity queries by majority quorum. :class:`RetentionPolicy`
-is the one garbage collector.
+→ publish), and bounded retry. With ``replicas > 1`` the one history
+is held by every replica and the replicas differ only in their
+integrity records (a checksum table each), so integrity queries are
+answered by majority quorum. :class:`RetentionPolicy` is the one
+garbage collector.
 """
 
 from __future__ import annotations
@@ -222,27 +223,42 @@ class CheckpointStore:
     how silent bit rot is caught. Transient write errors are retried up
     to ``max_retries`` times. The integrity machinery only changes
     behaviour when faults fire.
+
+    Stable storage is replicated ``replicas`` ways. Every replica holds
+    the same history, so the store keeps it once; what a replica owns is
+    its integrity record, one checksum table per replica, and bit rot
+    hits one replica's record. Integrity queries are answered by
+    **majority quorum**: an entry is intact iff at least ``quorum =
+    replicas // 2 + 1`` copies are, so a minority of rotten replicas is
+    survivable without any fallback.
     """
 
-    def __init__(self, max_retries: int = 3) -> None:
+    def __init__(self, max_retries: int = 3, replicas: int = 1) -> None:
         if max_retries < 0:
             raise StorageError(f"max_retries must be >= 0, got {max_retries}")
+        if replicas < 1:
+            raise StorageError(f"replicas must be >= 1, got {replicas}")
         self._checkpoints: dict[int, list[StoredCheckpoint]] = {}
         self._revisions: dict[int, int] = {}
         self._max_numbers: dict[int, int] = {}
         self.max_retries = max_retries
+        self.replicas = replicas
+        self.quorum = replicas // 2 + 1
         # Optional observability bus (set by the engine); all storage
         # events are published on it when present.
         self.obs = None
-        # Materialised checksums, keyed by checkpoint object identity.
-        # An untorn, unrotted write has no record: its checksum matches
-        # the (immutable) content by construction, so the CRC is only
-        # computed if rot later targets the entry. ``_touched`` is the
-        # set of entries with a record on *any* replica (mirrors share
-        # it): everything outside it is intact without a look-up. All
-        # three drop an entry when it leaves the store (``_left``), so
-        # a recycled ``id`` can never inherit a verdict.
-        self._checksums: dict[int, int] = {}
+        # Materialised checksums, one table per replica, keyed by
+        # checkpoint object identity. An untorn, unrotted write has no
+        # record: its checksum matches the (immutable) content by
+        # construction, so the CRC is only computed if rot later
+        # targets the entry. ``_touched`` is the set of entries with a
+        # record in *any* table: everything outside it is intact
+        # without a look-up. All of them drop an entry when it leaves
+        # the store (``_left``), so a recycled ``id`` can never inherit
+        # a verdict.
+        self._checksums: list[dict[int, int]] = [
+            {} for _ in range(replicas)
+        ]
         self._touched: set[int] = set()
         # Bumped by every successful ``corrupt`` on any replica: with
         # the per-rank history revisions, what can flip a verdict.
@@ -385,8 +401,10 @@ class CheckpointStore:
         if checkpoint.number > self._max_numbers.get(rank, -1):
             self._max_numbers[rank] = checkpoint.number
         if checksum is not None:
-            self._checksums[id(checkpoint)] = checksum
-            self._touched.add(id(checkpoint))
+            key = id(checkpoint)
+            for table in self._checksums:
+                table[key] = checksum
+            self._touched.add(key)
 
     def _locate(
         self, checkpoint: StoredCheckpoint
@@ -410,7 +428,8 @@ class CheckpointStore:
         )
         for checkpoint in entries:
             key = id(checkpoint)
-            self._checksums.pop(key, None)
+            for table in self._checksums:
+                table.pop(key, None)
             self._touched.discard(key)
             self._detected.discard(key)
 
@@ -508,53 +527,50 @@ class CheckpointStore:
     def corrupt(
         self, rank: int, number: int | None = None, replica: int = 0
     ) -> bool:
-        """Inject bit rot into a stored checkpoint of *rank*.
+        """Inject bit rot into *replica*'s copy of a checkpoint of *rank*.
 
-        Flips the stored checksum of the latest *intact* checkpoint (or
-        the latest intact instance with *number*), so the next read
-        catches the mismatch. Already-corrupt instances are skipped —
-        rot on the same slot twice must not cancel out. Returns whether
-        a checkpoint was actually corrupted.
+        Flips that replica's stored checksum of the latest checkpoint
+        (or the latest instance with *number*) whose copy there is
+        still intact, so the next read catches the mismatch. Copies
+        already rotten on this replica are skipped — rot on the same
+        slot twice must not cancel out — whatever the quorum says; a
+        delta whose ancestor is rotten is still a fresh target for
+        independent rot. Returns whether a copy was actually corrupted.
         """
-        if replica != 0:
+        if not 0 <= replica < self.replicas:
             raise StorageError(
-                "unreplicated store has only replica 0",
+                f"replica out of range [0, {self.replicas})",
                 rank=rank, number=number, replica=replica,
             )
-        target: StoredCheckpoint | None = None
+        table = self._checksums[replica]
         for checkpoint in reversed(self._checkpoints.get(rank, [])):
             if number is not None and checkpoint.number != number:
                 continue
-            # Rot targets the entry's *own* stored record, so the scan
-            # uses this copy's single-entry check — never a replicated
-            # store's quorum, under which a copy already rotten here
-            # would be picked again and a second flip would heal it. A
-            # delta whose ancestor is already rotten is still a fresh
-            # target for independent rot.
-            if CheckpointStore._intact_entry(self, checkpoint):
-                target = checkpoint
-                break
-        if target is None:
-            return False
-        key = id(target)
-        stored = self._checksums.get(key)
-        if stored is None:
-            # Materialise the deferred write-time checksum now, from
-            # the still-uncorrupted content, then flip it.
-            stored = checkpoint_checksum(target)
-        self._checksums[key] = stored ^ 0x5A5A5A5A
-        self._touched.add(key)
-        self._integrity_revision += 1
-        return True
+            key = id(checkpoint)
+            checksum = checkpoint_checksum(checkpoint)
+            if table.get(key, checksum) == checksum:
+                table[key] = checksum ^ 0x5A5A5A5A
+                self._touched.add(key)
+                self._integrity_revision += 1
+                return True
+        return False
 
     def _intact_entry(self, checkpoint: StoredCheckpoint) -> bool:
-        """Whether one entry's own stored checksum matches its content.
+        """Quorum read: whether a majority of copies match the content.
 
-        No record means published untorn and never rotted (or never
-        published here — a synthetic fixture): intact by construction.
+        A replica without a record holds a copy published untorn and
+        never rotted (or never published here — a synthetic fixture):
+        intact by construction. Chain handling stays in :meth:`verify`,
+        which calls this per link — so each ancestor needs its own
+        quorum, and a minority of rotten replicas anywhere on a delta
+        chain is still survivable.
         """
-        stored = self._checksums.get(id(checkpoint))
-        return stored is None or stored == checkpoint_checksum(checkpoint)
+        key = id(checkpoint)
+        checksum = checkpoint_checksum(checkpoint)
+        intact = sum(
+            table.get(key, checksum) == checksum for table in self._checksums
+        )
+        return intact >= self.quorum
 
     def verify(self, checkpoint: StoredCheckpoint) -> bool:
         """Whether *checkpoint* is restorable from durable content.
@@ -645,81 +661,11 @@ class CheckpointStore:
         return intact
 
 
-class ReplicatedCheckpointStore(CheckpointStore):
-    """A checkpoint store mirrored across ``replicas`` copies.
-
-    The primary replica is this store itself; ``replicas - 1`` mirrors
-    receive every published checkpoint. Integrity queries are answered
-    by **majority quorum**: a checkpoint counts as intact iff at least
-    ``replicas // 2 + 1`` replicas hold an uncorrupted copy, so a
-    minority of rotten replicas is survivable without any fallback.
-    """
-
-    def __init__(self, replicas: int = 3, max_retries: int = 3) -> None:
-        super().__init__(max_retries=max_retries)
-        if replicas < 1:
-            raise StorageError(f"replicas must be >= 1, got {replicas}")
-        self.replicas = replicas
-        self._mirrors = [
-            CheckpointStore(max_retries=max_retries)
-            for _ in range(replicas - 1)
-        ]
-        for mirror in self._mirrors:
-            mirror._touched = self._touched
-
-    @property
-    def quorum(self) -> int:
-        """Copies that must be intact for a read to succeed."""
-        return self.replicas // 2 + 1
-
-    def _publish(
-        self, checkpoint: StoredCheckpoint, checksum: int | None = None
-    ) -> None:
-        super()._publish(checkpoint, checksum)
-        for mirror in self._mirrors:
-            mirror._publish(checkpoint, checksum)
-
-    def corrupt(
-        self, rank: int, number: int | None = None, replica: int = 0
-    ) -> bool:
-        if replica == 0:
-            return super().corrupt(rank, number=number)
-        if not 1 <= replica < self.replicas:
-            raise StorageError(
-                f"replica out of range [0, {self.replicas})",
-                rank=rank, number=number, replica=replica,
-            )
-        rotted = self._mirrors[replica - 1].corrupt(rank, number=number)
-        if rotted:
-            self._integrity_revision += 1
-        return rotted
-
-    def _intact_entry(self, checkpoint: StoredCheckpoint) -> bool:
-        """Quorum read: an entry is intact iff a majority of copies are.
-
-        Chain handling stays in the inherited :meth:`verify`, which
-        calls this per link — so each ancestor needs its own quorum,
-        and a minority of rotten replicas anywhere on a delta chain is
-        still survivable.
-        """
-        if id(checkpoint) not in self._touched:
-            return True
-        copies = [CheckpointStore._intact_entry(self, checkpoint)]
-        copies.extend(
-            mirror._intact_entry(checkpoint) for mirror in self._mirrors
-        )
-        return sum(copies) >= self.quorum
-
-    def truncate_to(self, checkpoint: StoredCheckpoint) -> int:
-        dropped = super().truncate_to(checkpoint)
-        for mirror in self._mirrors:
-            mirror.truncate_to(checkpoint)
-        return dropped
-
-    def discard(self, checkpoint: StoredCheckpoint) -> None:
-        super().discard(checkpoint)
-        for mirror in self._mirrors:
-            mirror.discard(checkpoint)
+def ReplicatedCheckpointStore(
+    replicas: int = 3, max_retries: int = 3
+) -> CheckpointStore:
+    """Older spelling of ``CheckpointStore(max_retries, replicas)``."""
+    return CheckpointStore(max_retries, replicas)
 
 
 # ----------------------------------------------------------------------

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.lang.programs import (
     jacobi,
@@ -12,6 +13,12 @@ from repro.lang.programs import (
     master_worker,
     program_names,
 )
+
+# Tier-1 draws the same examples on every run: each property's draws
+# are seeded from the test itself, and no example database replays an
+# earlier run's failures. Each module keeps its own ``max_examples``.
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.load_profile("tier1")
 
 
 @pytest.fixture

@@ -14,7 +14,6 @@ from repro.runtime.failures import (
 from repro.runtime.interpreter import ProcessSnapshot
 from repro.runtime.storage import (
     CheckpointStore,
-    ReplicatedCheckpointStore,
     StoredCheckpoint,
     checkpoint_checksum,
 )
@@ -234,56 +233,38 @@ class TestCheckpointStore:
 
 class TestReplicatedStore:
     def test_minority_rot_masked_by_quorum(self):
-        store = ReplicatedCheckpointStore(replicas=3)
+        store = CheckpointStore(replicas=3)
         store.store(checkpoint(0, 0))
         assert store.corrupt(0, replica=1)
         assert store.verify(store.latest(0))  # 2/3 intact
 
     def test_majority_rot_fails_quorum(self):
-        store = ReplicatedCheckpointStore(replicas=3)
+        store = CheckpointStore(replicas=3)
         store.store(checkpoint(0, 0))
         store.corrupt(0, replica=0)
         store.corrupt(0, replica=2)
         assert not store.verify(store.latest(0))
 
     def test_primary_rot_twice_does_not_heal_its_copy(self):
-        # The primary picks its target by its own copy, as a mirror
-        # does: its one entry rotted, a second rot finds nothing left
+        # Rot picks its target by the replica's own record, not by the
+        # quorum: its one entry rotted, a second rot finds nothing left
         # to rot rather than flipping the checksum back.
-        store = ReplicatedCheckpointStore(replicas=3)
+        store = CheckpointStore(replicas=3)
         store.store(checkpoint(0, 0))
         assert store.corrupt(0, replica=0)
         assert not store.corrupt(0, replica=0)
         entry = store.latest(0)
-        assert not CheckpointStore._intact_entry(store, entry)
+        assert store._checksums[0][id(entry)] != checkpoint_checksum(entry)
         assert store.verify(entry)  # 2/3 intact
         assert store.corrupt(0, replica=1)
         assert not store.verify(entry)  # 1/3: quorum lost
 
-    def test_replica_out_of_range_rejected(self):
-        store = ReplicatedCheckpointStore(replicas=3)
+    @pytest.mark.parametrize("replicas, replica", ((1, 1), (3, 3), (3, -1)))
+    def test_replica_out_of_range_rejected(self, replicas, replica):
+        store = CheckpointStore(replicas=replicas)
         store.store(checkpoint(0, 0))
-        with pytest.raises(StorageError, match="replica"):
-            store.corrupt(0, replica=3)
-
-    def test_truncate_keeps_mirrors_in_sync(self):
-        store = ReplicatedCheckpointStore(replicas=2)
-        keep = checkpoint(0, 1)
-        store.store(checkpoint(0, 0))
-        store.store(keep)
-        store.store(checkpoint(0, 2))
-        assert store.truncate_to(keep) == 1
-        for mirror in store._mirrors:
-            assert mirror.latest(0) is keep
-
-    def test_discard_keeps_mirrors_in_sync(self):
-        store = ReplicatedCheckpointStore(replicas=2)
-        victim = checkpoint(0, 0)
-        store.store(victim)
-        store.store(checkpoint(0, 1))
-        store.discard(victim)
-        for mirror in store._mirrors:
-            assert mirror.count(0) == 1
+        with pytest.raises(StorageError, match="replica out of range"):
+            store.corrupt(0, replica=replica)
 
 
 class TestEvenReplicaQuorum:
@@ -295,7 +276,7 @@ class TestEvenReplicaQuorum:
     """
 
     def test_two_replicas_need_both(self):
-        store = ReplicatedCheckpointStore(replicas=2)
+        store = CheckpointStore(replicas=2)
         store.store(checkpoint(0, 0))
         assert store.quorum == 2
         assert store.verify(store.latest(0))  # 2/2 intact
@@ -303,13 +284,13 @@ class TestEvenReplicaQuorum:
         assert not store.verify(store.latest(0))  # 1/2 is a tie, not quorum
 
     def test_two_replicas_primary_rot_also_fails(self):
-        store = ReplicatedCheckpointStore(replicas=2)
+        store = CheckpointStore(replicas=2)
         store.store(checkpoint(0, 0))
         store.corrupt(0, replica=0)
         assert not store.verify(store.latest(0))
 
     def test_four_replicas_split_verdict_fails(self):
-        store = ReplicatedCheckpointStore(replicas=4)
+        store = CheckpointStore(replicas=4)
         store.store(checkpoint(0, 0))
         assert store.quorum == 3
         store.corrupt(0, replica=1)
@@ -317,13 +298,13 @@ class TestEvenReplicaQuorum:
         assert not store.verify(store.latest(0))  # 2/4 split verdict
 
     def test_four_replicas_single_rot_masked(self):
-        store = ReplicatedCheckpointStore(replicas=4)
+        store = CheckpointStore(replicas=4)
         store.store(checkpoint(0, 0))
         store.corrupt(0, replica=2)
         assert store.verify(store.latest(0))  # 3/4 >= quorum
 
     def test_four_replicas_majority_rot_fails(self):
-        store = ReplicatedCheckpointStore(replicas=4)
+        store = CheckpointStore(replicas=4)
         store.store(checkpoint(0, 0))
         for replica in (0, 1, 2):
             store.corrupt(0, replica=replica)

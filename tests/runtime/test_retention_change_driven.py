@@ -8,9 +8,11 @@ entry rot never touched. None of that may change *which* entries are
 evicted or in what order. The batch algorithm it replaced lives on
 below as :class:`BatchRetention` — re-deriving everything from scratch
 for every victim — and a Hypothesis property drives both through the
-same interleavings. Two count pins keep the cost from coming back
-unseen, and a regression test covers the identity-keyed integrity
-records that used to outlive their entries. The last section checks
+same interleavings, checking every verdict against
+:class:`QuorumModel`, replicas kept as independent copies. Two count
+pins keep the cost from coming back unseen, and a regression test
+covers the identity-keyed integrity records that used to outlive their
+entries. The last section checks
 that a finished run, fault-free or faulted under every protocol, is
 freed by refcount alone: campaign cells run with the cyclic collector
 paused on that assumption.
@@ -42,7 +44,6 @@ from repro.runtime.interpreter import ProcessSnapshot
 from repro.runtime.storage import (
     DELTA_CHAIN_CAP,
     CheckpointStore,
-    ReplicatedCheckpointStore,
     RetentionPolicy,
     StoredCheckpoint,
 )
@@ -143,6 +144,36 @@ class BatchRetention:
 # ----------------------------------------------------------------------
 
 
+class QuorumModel:
+    """``replicas`` independent copies of one history, for the verdicts.
+
+    Each replica keeps the set of its copies that rot has hit (the
+    entries themselves are held, so no identity is ever reused); an
+    entry is restorable iff every link of its delta chain is intact on
+    a strict majority of replicas.
+    """
+
+    def __init__(self, replicas):
+        self.rotten = [{} for _ in range(replicas)]
+
+    def corrupt(self, history, number, replica):
+        rotten = self.rotten[replica]
+        for entry in reversed(history):
+            if number in (None, entry.number) and id(entry) not in rotten:
+                rotten[id(entry)] = entry
+                return True
+        return False
+
+    def verify(self, entry):
+        majority = len(self.rotten) // 2 + 1
+        while entry is not None:
+            intact = sum(id(entry) not in rotten for rotten in self.rotten)
+            if intact < majority:
+                return False
+            entry = entry.parent
+        return True
+
+
 class GcLog:
     """Stand-in observability bus: keeps the ``gc`` events, in order."""
 
@@ -155,10 +186,7 @@ class GcLog:
 
 
 def make_store(replicas):
-    store = (
-        CheckpointStore() if replicas == 1
-        else ReplicatedCheckpointStore(replicas=replicas)
-    )
+    store = CheckpointStore(replicas=replicas)
     store.obs = GcLog()
     store.victims = []
     discard = store.discard
@@ -235,6 +263,7 @@ def test_change_driven_collect_matches_batch_reference(
     between two collections (publishes with delta chains up to the cap,
     rot on any replica, rollbacks that re-take numbers)."""
     new, old = stores = make_store(replicas), make_store(replicas)
+    model = QuorumModel(replicas)
     policies = (
         RetentionPolicy(retain_k, protect_depth=protect_depth),
         BatchRetention(retain_k, protect_depth=protect_depth),
@@ -262,11 +291,12 @@ def test_change_driven_collect_matches_batch_reference(
                 store.store(last[rank])
         elif op == "corrupt":
             number, replica = args
-            outcomes = {
-                store.corrupt(rank, number=number, replica=replica % replicas)
+            replica %= replicas
+            rotted = model.corrupt(new.history(rank), number, replica)
+            assert [
+                store.corrupt(rank, number=number, replica=replica)
                 for store in stores
-            }
-            assert len(outcomes) == 1
+            ] == [rotted, rotted]
         else:
             history = new.history(rank)
             # Roll back to an older entry: later numbers are re-taken.
@@ -289,7 +319,7 @@ def test_change_driven_collect_matches_batch_reference(
             ]
             assert [new.verify(c) for c in new.history(rank)] == [
                 old.verify(c) for c in old.history(rank)
-            ]
+            ] == [model.verify(c) for c in new.history(rank)]
     assert new.gc_collected == old.gc_collected == len(new.victims)
     assert new.gc_reclaimed_bytes == old.gc_reclaimed_bytes
 
@@ -407,10 +437,7 @@ class TestOperationCounts:
 
 
 def integrity_records(store):
-    replicas = [store, *getattr(store, "_mirrors", ())]
-    return set().union(
-        store._touched, store._detected, *(r._checksums for r in replicas)
-    )
+    return set().union(store._touched, store._detected, *store._checksums)
 
 
 @pytest.mark.parametrize("replicas", (1, 3))

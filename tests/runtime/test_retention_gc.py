@@ -25,7 +25,6 @@ from repro.runtime import (
 from repro.runtime.interpreter import ProcessSnapshot
 from repro.runtime.storage import (
     CheckpointStore,
-    ReplicatedCheckpointStore,
     RetentionPolicy,
     StoredCheckpoint,
 )
@@ -169,7 +168,7 @@ def test_gc_never_removes_recovery_floor(ops, retain_k, protect_depth):
 def test_gc_under_even_replica_quorum(ops, retain_k):
     """With replicas=2 every rot breaks quorum (2 of 2 required), the
     harshest verification regime — the floor must still survive."""
-    store = ReplicatedCheckpointStore(replicas=2)
+    store = CheckpointStore(replicas=2)
     policy = RetentionPolicy(retain_k=retain_k, protect_depth=2)
     ranks = [0, 1]
     counters = {rank: 1 for rank in ranks}
