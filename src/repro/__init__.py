@@ -25,51 +25,35 @@ See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-vs-measured record of every figure.
 """
 
-from repro.analysis import (
-    ModelParameters,
-    ProtocolKind,
-    figure8_series,
-    figure9_series,
-    gamma_closed_form,
-    overhead_ratio,
-)
-from repro.cfg import build_cfg
-from repro.lang import parse, to_source
-from repro.lang.programs import load_program, program_names
-from repro.phases import (
-    TransformResult,
-    build_extended_cfg,
-    check_condition1,
-    ensure_recovery_lines,
-    insert_checkpoints,
-    transform,
-    verify_program,
-)
-from repro.runtime import FaultPlan, RuntimeCosts, Simulation
+from repro.lazy import lazy_exports
+
+_EXPORTS = {
+    "repro.analysis": (
+        "ModelParameters",
+        "ProtocolKind",
+        "figure8_series",
+        "figure9_series",
+        "gamma_closed_form",
+        "overhead_ratio",
+    ),
+    "repro.cfg": ("build_cfg",),
+    "repro.lang": ("parse", "to_source"),
+    "repro.lang.programs": ("load_program", "program_names"),
+    "repro.phases": (
+        "TransformResult",
+        "build_extended_cfg",
+        "check_condition1",
+        "ensure_recovery_lines",
+        "insert_checkpoints",
+        "transform",
+        "verify_program",
+    ),
+    "repro.runtime": ("FaultPlan", "RuntimeCosts", "Simulation"),
+}
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "FaultPlan",
-    "ModelParameters",
-    "ProtocolKind",
-    "RuntimeCosts",
-    "Simulation",
-    "TransformResult",
-    "build_cfg",
-    "build_extended_cfg",
-    "check_condition1",
-    "ensure_recovery_lines",
-    "figure8_series",
-    "figure9_series",
-    "gamma_closed_form",
-    "insert_checkpoints",
-    "load_program",
-    "overhead_ratio",
-    "parse",
-    "program_names",
-    "to_source",
-    "transform",
-    "verify_program",
-    "__version__",
-]
+__all__ = [name for names in _EXPORTS.values() for name in names]
+__all__ += ["__version__"]
+
+__getattr__ = lazy_exports(globals(), _EXPORTS)

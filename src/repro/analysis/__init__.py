@@ -7,69 +7,47 @@ sweeps behind Figures 8 and 9, optimal-checkpoint-interval theory, and
 Monte Carlo cross-validation of the closed forms.
 """
 
-from repro.analysis.comparison import (
-    ProtocolCurve,
-    figure8_series,
-    figure9_series,
-    overhead_ratio_for_protocol,
-)
-from repro.analysis.availability import (
-    break_even_work,
-    expected_completion_with_checkpointing,
-    expected_completion_without_checkpointing,
-)
-from repro.analysis.delay import RttEstimator, estimate_message_delay
-from repro.analysis.markov import IntervalMarkovChain, expected_interval_time
-from repro.analysis.message_overhead import (
-    coordination_message_count,
-    message_overhead,
-)
-from repro.analysis.montecarlo import simulate_interval_time
-from repro.analysis.optimal_interval import (
-    daly_interval,
-    optimal_interval_exact,
-    young_interval,
-)
-from repro.analysis.overhead import gamma_closed_form, overhead_ratio
-from repro.analysis.parameters import (
-    ModelParameters,
-    ProtocolKind,
-    STARFISH_DEFAULTS,
-    system_failure_rate,
-)
-from repro.analysis.sensitivity import (
-    OptimalPoint,
-    optimal_comparison,
-    optimal_interval_for_protocol,
-    sensitivity_sweep,
-)
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "IntervalMarkovChain",
-    "ModelParameters",
-    "OptimalPoint",
-    "ProtocolCurve",
-    "ProtocolKind",
-    "RttEstimator",
-    "STARFISH_DEFAULTS",
-    "break_even_work",
-    "estimate_message_delay",
-    "expected_completion_with_checkpointing",
-    "expected_completion_without_checkpointing",
-    "optimal_comparison",
-    "optimal_interval_for_protocol",
-    "sensitivity_sweep",
-    "coordination_message_count",
-    "daly_interval",
-    "expected_interval_time",
-    "figure8_series",
-    "figure9_series",
-    "gamma_closed_form",
-    "message_overhead",
-    "optimal_interval_exact",
-    "overhead_ratio",
-    "overhead_ratio_for_protocol",
-    "simulate_interval_time",
-    "system_failure_rate",
-    "young_interval",
-]
+_EXPORTS = {
+    "repro.analysis.availability": (
+        "break_even_work",
+        "expected_completion_with_checkpointing",
+        "expected_completion_without_checkpointing",
+    ),
+    "repro.analysis.comparison": (
+        "ProtocolCurve",
+        "figure8_series",
+        "figure9_series",
+        "overhead_ratio_for_protocol",
+    ),
+    "repro.analysis.delay": ("RttEstimator", "estimate_message_delay"),
+    "repro.analysis.markov": ("IntervalMarkovChain", "expected_interval_time"),
+    "repro.analysis.message_overhead": (
+        "coordination_message_count",
+        "message_overhead",
+    ),
+    "repro.analysis.montecarlo": ("simulate_interval_time",),
+    "repro.analysis.optimal_interval": (
+        "daly_interval",
+        "optimal_interval_exact",
+        "young_interval",
+    ),
+    "repro.analysis.overhead": ("gamma_closed_form", "overhead_ratio"),
+    "repro.analysis.parameters": (
+        "ModelParameters",
+        "ProtocolKind",
+        "STARFISH_DEFAULTS",
+        "system_failure_rate",
+    ),
+    "repro.analysis.sensitivity": (
+        "OptimalPoint",
+        "optimal_comparison",
+        "optimal_interval_for_protocol",
+        "sensitivity_sweep",
+    ),
+}
+
+__all__ = [name for names in _EXPORTS.values() for name in names]
+
+__getattr__ = lazy_exports(globals(), _EXPORTS)

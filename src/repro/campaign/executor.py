@@ -55,12 +55,7 @@ import json
 import os
 import time
 from collections import Counter, deque
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    BrokenExecutor,
-    ProcessPoolExecutor,
-    wait,
-)
+from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, wait
 from dataclasses import asdict, dataclass, field
 from functools import partial
 from typing import Callable, NamedTuple
@@ -304,6 +299,8 @@ def _run_pool(
     that exceed their deadline are charged, the pool is killed and
     rebuilt, and everything else re-runs uncharged.
     """
+    from concurrent.futures import ProcessPoolExecutor
+
     pending: deque[_Cell] = deque(cells)
     suspects: deque[_Cell] = deque()
     inflight: dict = {}

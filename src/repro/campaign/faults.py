@@ -34,8 +34,6 @@ import os
 import time
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.errors import SimulationError
 
 #: The executor-fault kinds the shim can fire.
@@ -132,6 +130,8 @@ def draw_executor_faults(
     sweep is replayable — the chaos harness's discipline applied to the
     harness itself.
     """
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     faults: dict = {}
     for key in keys:

@@ -49,7 +49,7 @@ class ApplicationDrivenProtocol(CheckpointingProtocol):
         """
         found = self.deepest_intact_cut(sim)
         number, members, _ = found
-        self._validate_cut(number, members.values())
+        self._validate_cut(number, members)
         sim.emit(
             "cut-validated", None, time,
             protocol=self.name, number=number,
@@ -62,15 +62,17 @@ class ApplicationDrivenProtocol(CheckpointingProtocol):
         """Check by vector clocks that the straight cut is a recovery line.
 
         Reads each stored member's own clock (the object its trace
-        event carries too); a failure here means the program was not
-        properly transformed — surfacing it beats silently restoring an
+        event carries too), *members* mapping rank to checkpoint. A
+        failure names the first ordered pair of ranks whose members are
+        causally ordered — surfacing it beats silently restoring an
         inconsistent state.
         """
         if common <= 0:
             return  # initial cut, trivially consistent
-        clocks = [stored.clock for stored in members]
-        if any(a.happened_before(b) for a, b in permutations(clocks, 2)):
-            raise RecoveryError(
-                f"straight cut R_{common} is not a recovery line — "
-                "the program was not transformed by Phase III"
-            )
+        for (p, a), (q, b) in permutations(sorted(members.items()), 2):
+            if a.clock.happened_before(b.clock):
+                raise RecoveryError(
+                    f"straight cut R_{common} is not a recovery line: by "
+                    f"vector clocks, rank {p}'s checkpoint happened before "
+                    f"rank {q}'s"
+                )

@@ -31,8 +31,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from repro.errors import SimulationError, StorageError
 from repro.runtime.engine import RunConfig, SimulationResult, SupervisorConfig
 from repro.runtime.failures import (
@@ -99,6 +97,8 @@ def draw_schedule(seed: int, config: ChaosConfig = ChaosConfig()) -> FaultPlan:
     duplicates (which :class:`FaultPlan` rejects) are skipped, so the
     result is always a valid plan.
     """
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     n = config.n_processes
     events: list[NetworkFaultEvent] = []

@@ -23,8 +23,6 @@ from dataclasses import MISSING, dataclass, field, fields, replace
 from enum import Enum
 from typing import Callable
 
-import numpy as np
-
 from repro.errors import SimulationError
 
 
@@ -632,8 +630,9 @@ class FaultPlan:
 # ----------------------------------------------------------------------
 
 
-def _arrivals(rng: np.random.Generator, rate: float, horizon: float):
-    """Exponential arrival times at *rate* before *horizon*, lazily."""
+def _arrivals(rng, rate: float, horizon: float):
+    """Exponential arrival times at *rate* before *horizon*, drawn lazily
+    from the numpy generator *rng*."""
     t = 0.0
     while True:
         t += float(rng.exponential(1.0 / rate))
@@ -707,6 +706,8 @@ def exponential_fault_plan(
         raise SimulationError(f"horizon must be positive, got {horizon}")
     if storage_fault_rate > 0 and not kinds:
         raise SimulationError("kinds must name at least one fault kind")
+    import numpy as np
+
     crashes: list[CrashEvent] = []
     if failure_rate > 0:
         rng = np.random.default_rng(seed)

@@ -1,13 +1,16 @@
-"""Static hygiene: no unused imports in the library source, and the
-third-party imports match ``pyproject.toml``.
+"""Import hygiene: no unused imports in the library source, the
+third-party imports match ``pyproject.toml``, and a process imports
+only what its command runs.
 
-A lightweight AST-based substitute for an external linter (the
-environment is offline). ``__init__.py`` files are exempt — their
-imports are re-exports.
+The first two are a lightweight AST-based substitute for an external
+linter (the environment is offline). ``__init__.py`` files are exempt —
+their imports are re-exports.
 """
 
 import ast
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -117,3 +120,44 @@ def test_src_imports_exactly_the_runtime_dependencies():
 def test_tests_import_only_declared_dependencies():
     declared = _declared("dependencies") | _declared("dev")
     assert _third_party(REPO / "tests") <= declared
+
+
+def _run_fresh(script: str) -> list[str]:
+    """Run *script* in a fresh interpreter; the words it prints."""
+    done = subprocess.run(
+        [sys.executable, "-c", script], check=True, capture_output=True,
+        text=True, env={**os.environ, "PYTHONPATH": str(SRC.parent)},
+    )
+    return done.stdout.split()
+
+
+def test_a_transform_and_a_cell_load_no_analysis_stack_or_pool():
+    # Phases I-III and a serial campaign cell use none of the §4 model,
+    # numpy or the process pool; those load on first use only.
+    loaded = _run_fresh("""
+import sys
+import repro.cli
+from repro.campaign import ScenarioSpec, run_campaign
+from repro.lang.parser import parse
+from repro.lang.programs import RING_PIPELINE_SOURCE
+from repro.phases.pipeline import transform
+transform(parse(RING_PIPELINE_SOURCE))
+spec = ScenarioSpec(label="cell", program=RING_PIPELINE_SOURCE,
+                    n_processes=3, params={"steps": 3})
+assert run_campaign([spec], jobs=1).cells["cell"].ok
+print(*sys.modules)
+""")
+    heavy = {"numpy", "multiprocessing", "concurrent.futures.process"}
+    assert heavy.isdisjoint(loaded)
+    analysis = {name for name in loaded if name.startswith("repro.analysis.")}
+    assert analysis <= {"repro.analysis.optimal_interval"}
+
+
+def test_lazy_exports_resolve_in_a_fresh_interpreter():
+    printed = _run_fresh("""
+import repro.analysis
+from repro import figure8_series
+print(figure8_series.__module__,
+      repro.analysis.simulate_interval_time.__module__)
+""")
+    assert printed == ["repro.analysis.comparison", "repro.analysis.montecarlo"]

@@ -3,7 +3,9 @@
 Modules: walks the static import graph — every ``import`` statement in
 a module, function-local ones included — from ``repro.cli`` and
 ``repro.__main__``. Importing a module also imports each package above
-it, so a package's ``__init__`` re-exports count as edges. Every module
+it, so a package's ``__init__`` re-exports count as edges — the lazy
+ones too, which a package lists as the module keys of its ``_EXPORTS``
+table (``repro.lazy``) instead of import statements. Every module
 under ``src/repro`` must be reached, except the named allowlist below;
 and an allowlisted module that becomes reachable fails too, so the list
 can only shrink.
@@ -47,10 +49,16 @@ def _modules() -> dict[str, Path]:
 
 
 def _imports(name: str, path: Path):
-    """Every dotted name *path*'s import statements mention."""
+    """Every dotted name *path*'s import statements, or its lazy
+    ``_EXPORTS`` table, mention."""
     package = name if path.name == "__init__.py" else name.rpartition(".")[0]
     for node in ast.walk(ast.parse(path.read_text())):
-        if isinstance(node, ast.Import):
+        if (
+            isinstance(node, ast.Assign)
+            and [ast.unparse(t) for t in node.targets] == ["_EXPORTS"]
+        ):
+            yield from (ast.literal_eval(key) for key in node.value.keys)
+        elif isinstance(node, ast.Import):
             yield from (alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
             base = node.module or ""
