@@ -17,37 +17,39 @@ from typing import Callable
 
 from repro.errors import SimulationError
 
-_MASK = (1 << 31) - 1
+MIX_MASK = (1 << 31) - 1
+MIX_MULTIPLIER = 0x85EBCA6B
 
 
 def _mix(*values: int) -> int:
     """Deterministic integer mixer (a small multiplicative hash)."""
     acc = 0x9E3779B9
     for value in values:
-        acc = (acc ^ (value & _MASK)) * 0x85EBCA6B & _MASK
+        acc = (acc ^ (value & MIX_MASK)) * MIX_MULTIPLIER & MIX_MASK
         acc ^= acc >> 13
-    return acc & _MASK
+    return acc & MIX_MASK
 
 
-def _init(*args: int) -> int:
-    return _mix(0x12345678, *args)
+def _kernel(seed: int) -> Callable[..., int]:
+    def kernel(*args: int) -> int:
+        return _mix(seed, *args)
+
+    return kernel
 
 
-def _combine(*args: int) -> int:
-    return _mix(0x5EED, *args)
+#: Each stand-in kernel mixes its seed, then its arguments.
+_SEEDS = {"init": 0x12345678, "combine": 0x5EED, "relax": 0xFACE}
 
-
-def _relax(*args: int) -> int:
-    return _mix(0xFACE, *args)
-
+#: The mixing state of each kernel once its seed is mixed in. A fused
+#: statement (``repro.lang.compile``) goes on from here with one round
+#: of :func:`_mix`'s loop body per argument.
+MIX_STATES = {name: _mix(seed) for name, seed in _SEEDS.items()}
 
 BUILTINS: dict[str, Callable[..., int]] = {
     "min": lambda *args: min(args),
     "max": lambda *args: max(args),
     "abs": lambda x: abs(x),
-    "init": _init,
-    "combine": _combine,
-    "relax": _relax,
+    **{name: _kernel(seed) for name, seed in _SEEDS.items()},
 }
 
 

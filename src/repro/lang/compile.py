@@ -17,13 +17,30 @@ else:
   first-binding order list reproduces the reference interpreter's dict
   insertion order exactly, so ``env`` (and every JSON artifact derived
   from it) is byte-identical.
-- **Three-valued expressions.** Every expression lowers to a
-  *constant*, a *rank-pure* value (built only from ``myrank``,
-  ``nprocs``, constants and pure builtins: one rank-indexed vector on
-  the program) or a *dynamic* closure. Neighbour endpoints and
-  ``myrank % 2 == 0`` branch targets are vector lookups, and effects
-  that depend on nothing but the rank are allocated at most once per
-  rank and reused; rank-independent effects are shared by all ranks.
+- **Operand kinds.** Every expression lowers to a *constant*, a
+  *rank-pure* value (built only from ``myrank``, ``nprocs``, constants
+  and pure builtins: one rank-indexed vector on the program), a
+  *register* (a variable's slot) or a *dynamic* closure. Neighbour
+  endpoints and ``myrank % 2 == 0`` branch targets are vector lookups,
+  and effects that depend on nothing but the rank are allocated at most
+  once per rank and reused; rank-independent effects are shared by all
+  ranks.
+- **Instruction selection.** A *leaf operand* is a variable's register
+  slot or a rank-indexed vector holding a constant or a rank-pure fold.
+  The statements that dominate the shipped programs lower to one fused
+  closure that reads its leaves inline, left to right, and raises the
+  reference's unbound-variable error at the first unbound one:
+
+  - ``x = init|combine|relax(leaves)``: ``mix_assign``, which goes on
+    from the kernel's ``MIX_STATES`` entry with one mixing round per
+    leaf;
+  - ``x = a op b`` for ``+ - *`` and the comparisons: ``op_assign``;
+  - ``if``/``while`` on ``a op b``: ``test``, the branch or loop head;
+  - ``send(dest, x)`` with a constant or rank-pure ``dest``: ``send``,
+    which builds its ``SendEffect`` without the frozen ``__init__``.
+
+  Anything else — division and modulo, ``input()``, nested calls, a
+  shape used as an operand — keeps the general closure tree.
 - **Flattened control flow.** ``if``/``while``/``for`` become jump
   targets; loop bookkeeping is a small stack of counters, not frames.
 - **Snapshot templates.** Every effectful instruction carries the exact
@@ -55,7 +72,9 @@ from itertools import repeat
 
 from repro.errors import SimulationError
 from repro.lang import ast_nodes as ast
-from repro.lang.builtins import BUILTINS, call_builtin
+from repro.lang.builtins import (
+    BUILTINS, MIX_MASK, MIX_MULTIPLIER, MIX_STATES, call_builtin,
+)
 from repro.runtime.effects import (
     BcastRecvEffect,
     BcastSendEffect,
@@ -73,7 +92,8 @@ from repro.runtime.interpreter import FrameState, ProcessSnapshot
 #: incorporate it so stale transforms can't be served across compiler
 #: changes. 2: per-checkpoint register masks for pruned snapshots.
 #: 3: one instruction table per (program, n), rank-pure operand vectors.
-COMPILER_VERSION = 3
+#: 4: instruction selection, one fused closure per hot statement.
+COMPILER_VERSION = 4
 
 #: Register value marking a never-bound variable slot.
 _UNBOUND = object()
@@ -85,8 +105,25 @@ _NO_STAGE = object()
 _EMPTY_TMPL: tuple = ()
 
 # What a lowered expression is: (_CONST, value), (_RANK, vector indexed
-# by rank) or (_DYN, closure taking the process).
-_CONST, _RANK, _DYN = "const", "rank", "dyn"
+# by rank), (_REG, leaf) for a variable, (_DYN, closure taking the
+# process), or a shape the statement lowering selects a fused closure
+# for: (_MIX, (kernel name, parts)) and (_OP, (operator, parts)), whose
+# parts are all leaf operands, at least one of them a register.
+_CONST, _RANK, _REG, _DYN = "const", "rank", "reg", "dyn"
+_MIX, _OP = "mix", "op"
+_STATIC_KINDS = frozenset((_CONST, _RANK))
+_LEAF_KINDS = _STATIC_KINDS | {_REG}
+
+#: Operators a fused closure applies directly; a comparison's ``bool``
+#: is stored as ``int``, like :data:`_BINOPS` does.
+_FUSED_OPS = {
+    "+": operator.add, "-": operator.sub, "*": operator.mul,
+    "==": operator.eq, "!=": operator.ne, "<": operator.lt,
+    "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+}
+
+#: Builds an effect without its frozen dataclass ``__init__``.
+_new = object.__new__
 
 #: The pure function behind every binary operator (division by zero
 #: raises ``ZeroDivisionError``: a failed fold, never a wrong value).
@@ -147,13 +184,62 @@ def _raiser(message: str):
     return raise_error
 
 
+def _unbound(proc, ident: str, line: int) -> SimulationError:
+    return SimulationError(
+        f"P{proc.rank}: unbound variable {ident!r} at line {line}"
+    )
+
+
+def _out_of_range(proc, rank: int, nprocs: int, line: int):
+    return SimulationError(
+        f"P{proc.rank}: endpoint rank {rank} out of range "
+        f"[0, {nprocs}) at line {line}"
+    )
+
+
 def _thunk(kind: str, payload):
     """A lowered expression as a callable taking the process."""
     if kind is _DYN:
         return payload
     if kind is _RANK:
         return lambda proc: payload[proc.rank]
-    return lambda proc: payload
+    if kind is _CONST:
+        return lambda proc: payload
+    if kind is _REG:
+        slot, _, ident, line = payload
+
+        def read_name(proc):
+            value = proc._regs[slot]
+            if value is _UNBOUND:
+                raise _unbound(proc, ident, line)
+            return value
+
+        return read_name
+    # A selectable shape used as an operand: the general closure tree.
+    name, parts = payload
+    thunks = [_thunk(*part) for part in parts]
+    if kind is _MIX:
+        return _call_closure(name, thunks)
+    pure, (left, right) = _BINOPS[name], thunks
+    return lambda proc: pure(left(proc), right(proc))
+
+
+def _call_closure(name: str, thunks: list):
+    """The closure calling builtin *name* on evaluated *thunks*."""
+    func = BUILTINS.get(name)
+    if func is None:
+        # Unknown builtin: args still evaluate first (input() side
+        # effects), then call_builtin raises the reference error.
+        return lambda proc: call_builtin(
+            name, [thunk(proc) for thunk in thunks]
+        )
+    if len(thunks) == 1:
+        arg0 = thunks[0]
+        return lambda proc: int(func(arg0(proc)))
+    if len(thunks) == 2:
+        arg0, arg1 = thunks
+        return lambda proc: int(func(arg0(proc), arg1(proc)))
+    return lambda proc: int(func(*[thunk(proc) for thunk in thunks]))
 
 
 def _fold(pure, parts: list):
@@ -165,7 +251,7 @@ def _fold(pure, parts: list):
     fails) at run time, exactly where the reference interpreter would.
     """
     kinds = {kind for kind, _ in parts}
-    if _DYN in kinds:
+    if not kinds <= _STATIC_KINDS:
         return None
     try:
         if _RANK not in kinds:
@@ -379,18 +465,7 @@ snapshot_pruned` zeroes by slot without per-capture name lookups.
         if expr_type is ast.NProcs:
             return _CONST, self.nprocs
         if expr_type is ast.Name:
-            slot, ident, line = self.symtab[expr.ident], expr.ident, expr.line
-
-            def read_name(proc):
-                value = proc._regs[slot]
-                if value is _UNBOUND:
-                    raise SimulationError(
-                        f"P{proc.rank}: unbound variable {ident!r} "
-                        f"at line {line}"
-                    )
-                return value
-
-            return _DYN, read_name
+            return _REG, (self.symtab[expr.ident], None, expr.ident, expr.line)
         if expr_type is ast.InputData:
             label = expr.label
             return _DYN, lambda proc: proc.inputs.value(label, proc.rank)
@@ -414,29 +489,18 @@ snapshot_pruned` zeroes by slot without per-capture name lookups.
         return _DYN, _raiser(f"unknown expression {expr!r}")
 
     def _lower_call(self, expr: ast.Call):
+        name = expr.func
         parts = [self._lower_expr(arg) for arg in expr.args]
-        func = BUILTINS.get(expr.func)
+        func = BUILTINS.get(name)
         if func is not None:
             folded = _fold(lambda *args: int(func(*args)), parts)
             if folded is not None:
                 return folded
-        thunks = [_thunk(*part) for part in parts]
-        if func is None:
-            # Unknown builtin: args still evaluate first (input() side
-            # effects), then call_builtin raises the reference error.
-            name = expr.func
-            return _DYN, lambda proc: call_builtin(
-                name, [thunk(proc) for thunk in thunks]
-            )
-        if len(thunks) == 1:
-            arg0 = thunks[0]
-            return _DYN, lambda proc: int(func(arg0(proc)))
-        if len(thunks) == 2:
-            arg0, arg1 = thunks
-            return _DYN, lambda proc: int(func(arg0(proc), arg1(proc)))
-        return _DYN, lambda proc: int(
-            func(*[thunk(proc) for thunk in thunks])
-        )
+        if name in MIX_STATES and all(
+            kind in _LEAF_KINDS for kind, _ in parts
+        ):
+            return _MIX, (name, parts)
+        return _DYN, _call_closure(name, [_thunk(*part) for part in parts])
 
     def _lower_binop(self, expr: ast.BinOp):
         op = expr.op
@@ -455,6 +519,9 @@ snapshot_pruned` zeroes by slot without per-capture name lookups.
         folded = _fold(pure, [left, right])
         if folded is not None:
             return folded
+        if op in _FUSED_OPS and left[0] in _LEAF_KINDS \
+                and right[0] in _LEAF_KINDS:
+            return _OP, (op, [left, right])
         left_fn, right_fn = _thunk(*left), _thunk(*right)
         if op == "and":
             return _DYN, lambda proc: \
@@ -481,6 +548,116 @@ snapshot_pruned` zeroes by slot without per-capture name lookups.
             return _DYN, checked
         return _DYN, lambda proc: pure(left_fn(proc), right_fn(proc))
 
+    def _leaf(self, part) -> tuple:
+        """``(slot, vector, ident, line)``: where a fused closure reads
+        a leaf operand — ``regs[slot]`` when *vector* is ``None``, else
+        ``vector[rank]``.
+        """
+        kind, payload = part
+        if kind is _REG:
+            return payload
+        if kind is _CONST:
+            payload = [payload] * self.nprocs
+        return 0, payload, None, None
+
+    # -- instruction selection ---------------------------------------------------
+    #
+    # A statement whose value or condition lowered to a _MIX or _OP shape
+    # becomes one closure that reads its leaf operands inline, left to
+    # right, raising the reference's unbound-variable error at the first
+    # unbound one; so does a send of a variable to a constant or
+    # rank-pure destination.
+
+    def _fused_assign(self, kind: str, payload, slot: int, done: tuple):
+        name, parts = payload
+        leaves = tuple(self._leaf(part) for part in parts)
+        if kind is _MIX:
+            start = MIX_STATES[name]
+            mask, multiplier = MIX_MASK, MIX_MULTIPLIER
+
+            def mix_assign(proc):
+                regs = proc._regs
+                rank = proc.rank
+                acc = start
+                for source, vector, ident, line in leaves:
+                    value = regs[source] if vector is None else vector[rank]
+                    if value is _UNBOUND:
+                        raise _unbound(proc, ident, line)
+                    # One round of builtins._mix per argument.
+                    acc = (acc ^ (value & mask)) * multiplier & mask
+                    acc ^= acc >> 13
+                if regs[slot] is _UNBOUND:
+                    proc._order.append(slot)
+                regs[slot] = acc
+                return done
+
+            return mix_assign
+        op = _FUSED_OPS[name]
+        (slot1, vector1, ident1, line1), (slot2, vector2, ident2, line2) = \
+            leaves
+
+        def op_assign(proc):
+            regs = proc._regs
+            left = regs[slot1] if vector1 is None else vector1[proc.rank]
+            if left is _UNBOUND:
+                raise _unbound(proc, ident1, line1)
+            right = regs[slot2] if vector2 is None else vector2[proc.rank]
+            if right is _UNBOUND:
+                raise _unbound(proc, ident2, line2)
+            result = int(op(left, right))
+            if regs[slot] is _UNBOUND:
+                proc._order.append(slot)
+            regs[slot] = result
+            return done
+
+        return op_assign
+
+    def _fused_test(self, payload, true_pc: int, false_pc: int, loop: bool):
+        """A branch (or, with *loop*, a while head) on ``a op b``."""
+        name, parts = payload
+        op = _FUSED_OPS[name]
+        (slot1, vector1, ident1, line1), (slot2, vector2, ident2, line2) = [
+            self._leaf(part) for part in parts
+        ]
+
+        def test(proc):
+            regs = proc._regs
+            left = regs[slot1] if vector1 is None else vector1[proc.rank]
+            if left is _UNBOUND:
+                raise _unbound(proc, ident1, line1)
+            right = regs[slot2] if vector2 is None else vector2[proc.rank]
+            if right is _UNBOUND:
+                raise _unbound(proc, ident2, line2)
+            if op(left, right):
+                if loop:
+                    proc._loops[-1][0] += 1
+                return true_pc
+            if loop:
+                proc._loops.pop()
+            return false_pc
+
+        return test
+
+    def _fused_send(self, stmt, dests: list, leaf: tuple, cont, tmpl):
+        slot, _, ident, line = leaf
+        nprocs = self.nprocs
+
+        def send(proc):
+            dest = dests[proc.rank]
+            if not 0 <= dest < nprocs:
+                raise _out_of_range(proc, dest, nprocs, stmt.line)
+            value = proc._regs[slot]
+            if value is _UNBOUND:
+                raise _unbound(proc, ident, line)
+            effect = _new(SendEffect)
+            fields = effect.__dict__
+            fields["dest"] = dest
+            fields["value"] = value
+            fields["stmt"] = stmt
+            return cont, effect, tmpl
+
+        return send
+
     # -- instruction lowering ------------------------------------------------------
 
     def _instruction(self, desc: list):
@@ -497,7 +674,9 @@ snapshot_pruned` zeroes by slot without per-capture name lookups.
             )
             if target is not None:
                 return _thunk(*target)
-            cond = part[1]
+            if part[0] is _OP:
+                return self._fused_test(part[1], then_pc, else_pc, False)
+            cond = _thunk(*part)
             return lambda proc: then_pc if cond(proc) != 0 else else_pc
         if kind == "jump":
             # Unreachable after threading; a guard, not a hot path.
@@ -511,8 +690,11 @@ snapshot_pruned` zeroes by slot without per-capture name lookups.
 
             return while_enter
         if kind == "whead":
-            cond = _thunk(*self._lower_expr(desc[1].cond))
+            part = self._lower_expr(desc[1].cond)
             body_pc, exit_pc = desc[2], desc[3]
+            if part[0] is _OP:
+                return self._fused_test(part[1], body_pc, exit_pc, True)
+            cond = _thunk(*part)
 
             def while_head(proc):
                 if cond(proc) != 0:
@@ -575,32 +757,31 @@ snapshot_pruned` zeroes by slot without per-capture name lookups.
 
         return cached
 
-    def _endpoint(self, expr, line: int):
-        """``(is_static, closure)`` for a send/recv/bcast endpoint.
+    def _endpoint(self, part, line: int):
+        """``(is_static, closure)`` for a lowered send/recv/bcast endpoint.
 
         The closure evaluates the endpoint and range-checks it the way
         the reference does — when the statement executes.
         """
-        kind, payload = self._lower_expr(expr)
-        value, nprocs = _thunk(kind, payload), self.nprocs
+        value, nprocs = _thunk(*part), self.nprocs
 
         def endpoint(proc):
             rank = value(proc)
             if not 0 <= rank < nprocs:
-                raise SimulationError(
-                    f"P{proc.rank}: endpoint rank {rank} out of range "
-                    f"[0, {nprocs}) at line {line}"
-                )
+                raise _out_of_range(proc, rank, nprocs, line)
             return rank
 
-        return kind is not _DYN, endpoint
+        return part[0] in _STATIC_KINDS, endpoint
 
     def _lower_effect(self, stmt, tmpl: tuple, cont: int):
         stmt_type = type(stmt)
         if stmt_type is ast.Assign:
             slot = self.symtab[stmt.target]
-            value = _thunk(*self._lower_expr(stmt.value))
+            kind, payload = self._lower_expr(stmt.value)
             done = (cont, LocalEffect(description=stmt.target), tmpl)
+            if kind is _MIX or kind is _OP:
+                return self._fused_assign(kind, payload, slot, done)
+            value = _thunk(kind, payload)
 
             def assign(proc):
                 result = value(proc)
@@ -629,8 +810,12 @@ snapshot_pruned` zeroes by slot without per-capture name lookups.
         if stmt_type is ast.Send:
             # Evaluate the destination, range-check it, THEN evaluate
             # the value — the reference order, observable via input().
-            dest_static, dest = self._endpoint(stmt.dest, stmt.line)
+            dest_part = self._lower_expr(stmt.dest)
             value_kind, value = self._lower_expr(stmt.value)
+            if value_kind is _REG and dest_part[0] in _STATIC_KINDS:
+                dests = self._leaf(dest_part)[1]
+                return self._fused_send(stmt, dests, value, cont, tmpl)
+            dest_static, dest = self._endpoint(dest_part, stmt.line)
             value = _thunk(value_kind, value)
             return self._per_rank(
                 lambda proc: (
@@ -638,10 +823,12 @@ snapshot_pruned` zeroes by slot without per-capture name lookups.
                     SendEffect(dest=dest(proc), value=value(proc), stmt=stmt),
                     tmpl,
                 ),
-                dest_static and value_kind is not _DYN,
+                dest_static and value_kind in _STATIC_KINDS,
             )
         if stmt_type is ast.Recv:
-            source_static, source = self._endpoint(stmt.source, stmt.line)
+            source_static, source = self._endpoint(
+                self._lower_expr(stmt.source), stmt.line
+            )
             target = stmt.target
             pending = (self.symtab[target], target)
             done_for = self._per_rank(
@@ -672,7 +859,9 @@ snapshot_pruned` zeroes by slot without per-capture name lookups.
         return _raiser(f"unknown statement {stmt!r}")
 
     def _lower_bcast(self, stmt: ast.Bcast, tmpl: tuple, cont: int):
-        root_static, root = self._endpoint(stmt.root, stmt.line)
+        root_static, root = self._endpoint(
+            self._lower_expr(stmt.root), stmt.line
+        )
         value = _thunk(*self._lower_expr(stmt.value))
         target = stmt.target
         slot = self.symtab[target]

@@ -225,6 +225,29 @@ FAILING_PROGRAMS = {
         "y = (input(a) + 1) // (input(a) + 1)\nz = input(a)", set()
     ),
     "division-unbound-order": ("y = p // q", {0, 1, 2}),
+    # Fused statements: an unbound operand in either position raises
+    # the reference's text at the same point, after the operands left
+    # of it were read.
+    "kernel-unbound-first": ("y = combine(p, 1)", {0, 1, 2}),
+    "kernel-unbound-second": ("y = combine(1, q)", {0, 1, 2}),
+    "kernel-unbound-both": ("y = relax(myrank, p, q)", {0, 1, 2}),
+    "operator-unbound-first": ("y = p * 2", {0, 1, 2}),
+    "operator-unbound-second": ("y = 2 - q", {0, 1, 2}),
+    "operator-unbound-both": ("y = p - q", {0, 1, 2}),
+    "while-unbound": ("while p < 3:\n    x = 1", {0, 1, 2}),
+    "while-unbound-both": ("while p < q:\n    x = 1", {0, 1, 2}),
+    "if-unbound": ("if q == myrank:\n    x = 1\ny = 1", {0, 1, 2}),
+    "if-unbound-both": ("if p != q:\n    x = 1", {0, 1, 2}),
+    "send-unbound": ("send(1, p)", {0, 1, 2}),
+    # The destination is range-checked before the value is read.
+    "send-fused-out-of-range": ("x = 1\nsend(myrank + 1, x)", {2}),
+    "send-out-of-range-unbound": ("send(myrank + 1, p)", {0, 1, 2}),
+    # input() keeps a kernel call on the general path, in reference order.
+    "kernel-input-unbound": ("y = combine(x, input(a))", {0, 1, 2}),
+    "kernel-input-order": (
+        "x = input(a)\ny = combine(x, input(a)) + input(b)\nz = input(a)",
+        set(),
+    ),
 }
 
 

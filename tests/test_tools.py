@@ -5,6 +5,7 @@ checkout."""
 import gc
 import importlib
 import importlib.util
+import json
 import re
 import subprocess
 import sys
@@ -203,6 +204,71 @@ class TestGcProbe:
         )
         assert completed.returncode == 2
         assert "unknown workload" in completed.stderr
+
+
+class TestAbPairs:
+    TOOL = REPO_ROOT / "tools" / "ab_pairs.py"
+
+    @staticmethod
+    def contract(cells_per_s, wall_ms, correct=True):
+        return "progress line\n" + json.dumps({
+            "correct": correct, "attempted": 4, "failed": 0,
+            "metrics": {
+                "cells_per_s": {"value": cells_per_s, "unit": "cells/s"},
+                "cell_wall_p50_ms": {"value": wall_ms, "unit": "ms"},
+                "cell_wall_p90_ms": {"value": None, "unit": "ms"},
+            },
+        })
+
+    def test_alternates_pairs_and_reports_medians_and_wins(
+        self, tmp_path, capsys
+    ):
+        tool = load_by_path("ab_pairs", self.TOOL)
+        base, change = str(REPO_ROOT), str(tmp_path)
+        canned = {
+            base: [self.contract(10, 5), self.contract(12, 4),
+                   self.contract(11, 6)],
+            change: [self.contract(13, 4), self.contract(11, 5),
+                     self.contract(14, 3)],
+        }
+        calls = []
+
+        def run(checkout, workload, rounds):
+            calls.append((checkout, workload, rounds))
+            return canned[checkout].pop(0)
+
+        assert tool.main(
+            [base, change, "--workload", "steady_full", "--pairs", "3",
+             "--rounds", "2"], run=run,
+        ) == 0
+        assert [checkout for checkout, _, _ in calls] == [
+            base, change, change, base, base, change,
+        ]
+        assert {(workload, rounds) for _, workload, rounds in calls} == {
+            ("steady_full", 2)
+        }
+        rows = {
+            line.split()[0]: line.split()[1:]
+            for line in capsys.readouterr().out.splitlines()[2:]
+        }
+        # Pairs (10, 13), (12, 11), (11, 14): medians 11 and 13.
+        # A's quartiles (exclusive method): 10 and 12.
+        assert rows["cells_per_s"] == ["11", "13", "1.182", "2", "2/3"]
+        assert rows["cell_wall_p50_ms"] == ["5", "4", "0.800", "2", "2/3"]
+        assert rows["cell_wall_p90_ms"] == ["-", "-"]
+        assert set(rows) == {
+            metric["name"] for metric in json.loads(
+                (REPO_ROOT / "BENCHMARK.json").read_text()
+            )["end_to_end"]
+        }
+
+    def test_incorrect_run_fails(self, tmp_path, capsys):
+        tool = load_by_path("ab_pairs", self.TOOL)
+        assert tool.main(
+            [str(REPO_ROOT), str(tmp_path), "--workload", "w"],
+            run=lambda *_: self.contract(1, 1, correct=False),
+        ) == 1
+        assert "not correct" in capsys.readouterr().err
 
 
 class TestRegenerateResults:
