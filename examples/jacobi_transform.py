@@ -14,7 +14,7 @@ Shows the full Section 2/3 narrative on real artifacts:
 Run: ``python examples/jacobi_transform.py``
 """
 
-from repro import build_cfg, check_condition1, ensure_recovery_lines, to_source
+from repro import check_condition1, ensure_recovery_lines, to_source
 from repro.causality.cuts import cut_is_consistent, orphan_messages
 from repro.cfg import to_dot
 from repro.lang.printer import ast_equal

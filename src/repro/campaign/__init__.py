@@ -6,8 +6,8 @@ for large experiment campaigns:
 - :class:`~repro.campaign.spec.ScenarioSpec` — a picklable,
   JSON-round-trippable description of one run (program source,
   protocol, fault plan, transport, seeds, observability flags) with a
-  stable content hash; ``Simulation.from_spec`` turns one into a live
-  engine in any process.
+  stable content hash; :meth:`~repro.campaign.spec.ScenarioSpec.build`
+  turns one into a live engine in any process.
 - :class:`~repro.campaign.cache.TransformCache` — a content-addressed
   on-disk cache for :func:`~repro.phases.pipeline.transform`, keyed by
   program hash × cost model × universe × flags, valued by
@@ -33,8 +33,9 @@ the paper's checkpoint/restart discipline applied to the harness:
   -cell quarantine, and the deterministic crash/hang/raise worker
   shims that make all of it testable.
 
-The chaos harness (``repro chaos --jobs``) and the ``repro campaign``
-CLI subcommand both run on this substrate.
+The chaos harness (``repro chaos --jobs``), the ``repro campaign`` CLI
+subcommand and ``repro simulate`` (a one-cell campaign) all run on this
+substrate.
 """
 
 from repro.campaign.cache import (

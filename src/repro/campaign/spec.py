@@ -9,8 +9,7 @@ in files and be replayed byte-identically), and content-hashed (so
 results can be cached and cross-checked by identity, in the spirit of
 treating a configured run as a compiler artifact keyed by its inputs).
 
-``Simulation.from_spec`` is the engine-side factory; this module owns
-only the data model and its serialisation.
+:meth:`ScenarioSpec.build` is the one factory from a spec to an engine.
 """
 
 from __future__ import annotations
@@ -137,8 +136,26 @@ class ScenarioSpec(RunConfig):
     # -- execution ---------------------------------------------------------------
 
     def build(self, observer=None) -> Simulation:
-        """Construct the engine for this spec (see ``Simulation.from_spec``)."""
-        return Simulation.from_spec(self, observer=observer)
+        """Construct the engine for this spec.
+
+        The program is parsed from its source text, the protocol made by
+        name, and the run knobs handed over whole
+        (:meth:`~repro.runtime.engine.RunConfig.run_knobs`). Everything
+        here is picklable, so a spec, unlike a constructed
+        ``Simulation``, can be shipped to another process: that is how
+        the campaign executor fans cells out to workers.
+        """
+        from repro.lang.parser import parse
+
+        return Simulation(
+            parse(self.program),
+            self.n_processes,
+            params=dict(self.params) if self.params else None,
+            protocol=make_protocol(self.protocol, self.period),
+            fault_plan=self.fault_plan,
+            observer=observer,
+            **self.run_knobs(),
+        )
 
 
 def _optional(decode):

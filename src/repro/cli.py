@@ -35,17 +35,18 @@ program (see ``python -m repro programs``).
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
-from repro.errors import ReproError
+from repro.errors import ReproError, SimulationError
 from repro.lang import ast_nodes as ast
 from repro.lang.parser import parse
 from repro.lang.printer import to_source
-from repro.lang.programs import load_program, program_names
-from repro.protocols import make_protocol, protocol_names
-from repro.runtime.engine import CHECKPOINT_MODES, RunConfig
+from repro.lang.programs import program_names, program_source
+from repro.protocols import PROTOCOL_CLASSES, protocol_names
+from repro.runtime.engine import CHECKPOINT_MODES, RunConfig, run_verdict
 from repro.runtime.failures import (
     EVENT_LISTS,
     FaultPlan,
@@ -55,10 +56,29 @@ from repro.runtime.failures import (
 from repro.runtime.interpreter import BACKENDS
 
 
-def _load(spec: str) -> ast.Program:
+def _source(spec: str) -> str:
+    """The MiniMP source text a program argument names."""
     if spec.startswith("@"):
-        return load_program(spec[1:])
-    return parse(Path(spec).read_text())
+        return program_source(spec[1:])
+    return Path(spec).read_text(encoding="utf-8")
+
+
+def _load(spec: str) -> ast.Program:
+    return parse(_source(spec))
+
+
+def _write(path: str, text: str, what: str = "") -> None:
+    """Write *text* to *path* (``-``: stdout), announcing a file on stderr."""
+    if path == "-":
+        print(text, end="")
+        return
+    Path(path).write_text(text)
+    print(f"# wrote {what + ' to ' if what else ''}{path}", file=sys.stderr)
+
+
+def _json(data) -> str:
+    """*data* as the CLI's JSON files hold it: indented, keys sorted."""
+    return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 
 def _add_program_argument(parser: argparse.ArgumentParser) -> None:
@@ -138,10 +158,8 @@ def _cmd_transform(args: argparse.Namespace) -> int:
         tracker=tracker,
     )
     if tracker is not None:
-        Path(args.spans_out).write_text(
-            tracker.chrome_trace_json(indent=2) + "\n"
-        )
-        print(f"# wrote span trace to {args.spans_out}", file=sys.stderr)
+        _write(args.spans_out, tracker.chrome_trace_json(indent=2) + "\n",
+               "span trace")
     if cache is not None:
         verdict = "hit" if cache.hits else "miss"
         print(f"# transform cache: {verdict} ({args.cache})",
@@ -150,12 +168,7 @@ def _cmd_transform(args: argparse.Namespace) -> int:
 
     for line in transform_report(result).splitlines():
         print(f"# {line}", file=sys.stderr)
-    source = to_source(result.program)
-    if args.output:
-        Path(args.output).write_text(source)
-        print(f"# wrote {args.output}", file=sys.stderr)
-    else:
-        print(source, end="")
+    _write(args.output or "-", to_source(result.program))
     return 0
 
 
@@ -223,10 +236,6 @@ def _load_fault_plan(path: str, events):
     :meth:`~repro.runtime.failures.FaultPlan.to_json_dict`'s: one list
     per event family, each event an object of its fields.
     """
-    import json
-
-    from repro.errors import SimulationError
-
     lists = {name: [] for name in EVENT_LISTS}
     for name, event in events:
         lists[name].append(event)
@@ -341,96 +350,95 @@ _CAMPAIGN_KNOBS = ("backend", "checkpoint_mode")
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    from repro.runtime.engine import Simulation
+    """One judged campaign cell; every output is a view of its outcome."""
+    from repro.campaign import ScenarioSpec, run_campaign
+    from repro.runtime import chaos
+    from repro.runtime.hooks import NullProtocol
 
-    program = _load(args.program)
+    source = _source(args.program)
     plan = _load_fault_plan(args.fault_plan, args.crash + args.fault)
-    obs = None
-    if args.trace_out or args.metrics_out:
-        from repro.obs import Observability
-
-        obs = Observability()
-    sim = Simulation(
-        program,
-        args.n,
-        params={"steps": args.steps} if args.steps else None,
-        protocol=make_protocol(args.protocol, args.period),
+    spec = ScenarioSpec(
+        label="simulate",
+        program=source,
+        n_processes=args.n,
+        params={"steps": args.steps} if args.steps else {},
+        protocol=args.protocol,
+        period=args.period,
         fault_plan=plan,
-        observer=obs.bus if obs is not None else None,
+        observe=bool(args.trace_out or args.metrics_out or args.spacetime),
         **_run_knobs(args, *_SIMULATE_KNOBS),
     )
-    result = sim.run()
-    stats = result.stats
-    print(f"completed         : {stats.completed}")
-    print(f"verdict           : {result.verdict}")
-    print(f"completion time   : {result.completion_time:.3f}")
-    print(f"app messages      : {stats.app_messages}")
-    print(f"control messages  : {stats.control_messages}")
-    print(f"checkpoints       : {stats.checkpoints} "
-          f"(forced: {stats.forced_checkpoints})")
-    print(f"failures/rollbacks: {stats.failures}/{stats.rollbacks}")
-    print(f"lost work         : {stats.lost_work:.3f}")
+    outcome = run_campaign([spec], judge=chaos.judge).cells[spec.label]
+    stats = outcome.stats
+    if stats is None:
+        print(f"error: {outcome.error}", file=sys.stderr)
+        return 2
+    verdict = run_verdict(stats["unrecoverable"], stats["completed"])
+    print(f"completed         : {stats['completed']}")
+    print(f"verdict           : {verdict}")
+    print(f"completion time   : {outcome.completion_time:.3f}")
+    print(f"app messages      : {stats['app_messages']}")
+    print(f"control messages  : {stats['control_messages']}")
+    print(f"checkpoints       : {stats['checkpoints']} "
+          f"(forced: {stats['forced_checkpoints']})")
+    print(f"failures/rollbacks: {stats['failures']}/{stats['rollbacks']}")
+    print(f"lost work         : {stats['lost_work']:.3f}")
     if plan.storage_faults or args.storage_replicas > 1:
-        print(f"storage faults    : write-failures={stats.storage_write_failures} "
-              f"torn={stats.torn_writes} retries={stats.storage_retries} "
-              f"bit-rot={stats.bit_rot_injected} "
-              f"corrupt-detected={stats.corrupt_checkpoints}")
-        print(f"degraded recovery : {stats.recovery_fallbacks} "
-              f"(max fallback depth: {stats.max_fallback_depth})")
-    if plan.recovery_faults or stats.recovery_retries:
-        print(f"recovery superv.  : attempts={stats.recovery_attempts} "
-              f"retries={stats.recovery_retries} "
-              f"backoff={stats.recovery_backoff_time:.3f} "
-              f"nested-crashes={stats.nested_crashes} "
-              f"control-lost={stats.recovery_control_lost} "
-              f"read-faults={stats.recovery_read_faults}")
+        print(f"storage faults    : "
+              f"write-failures={stats['storage_write_failures']} "
+              f"torn={stats['torn_writes']} "
+              f"retries={stats['storage_retries']} "
+              f"bit-rot={stats['bit_rot_injected']} "
+              f"corrupt-detected={stats['corrupt_checkpoints']}")
+        print(f"degraded recovery : {stats['recovery_fallbacks']} "
+              f"(max fallback depth: {stats['max_fallback_depth']})")
+    if plan.recovery_faults or stats["recovery_retries"]:
+        print(f"recovery superv.  : attempts={stats['recovery_attempts']} "
+              f"retries={stats['recovery_retries']} "
+              f"backoff={stats['recovery_backoff_time']:.3f} "
+              f"nested-crashes={stats['nested_crashes']} "
+              f"control-lost={stats['recovery_control_lost']} "
+              f"read-faults={stats['recovery_read_faults']}")
     if args.retain_k is not None:
         print(f"retention (k={args.retain_k})   : "
-              f"stored={stats.stored_checkpoints} "
-              f"({stats.stored_bytes} bytes), "
-              f"gc-collected={stats.gc_collected} "
-              f"({stats.gc_reclaimed_bytes} bytes reclaimed)")
+              f"stored={stats['stored_checkpoints']} "
+              f"({stats['stored_bytes']} bytes), "
+              f"gc-collected={stats['gc_collected']} "
+              f"({stats['gc_reclaimed_bytes']} bytes reclaimed)")
     if plan.network_faults:
-        print(f"network faults    : dropped={stats.dropped_frames} "
-              f"corrupt={stats.corrupt_frames} "
-              f"delayed={stats.delayed_frames} "
-              f"duplicated={stats.duplicate_frames} "
-              f"(dups suppressed: {stats.dups_suppressed})")
-        print(f"transport         : frames={stats.frames_sent} "
-              f"retransmits={stats.retransmits} "
-              f"acks={stats.ack_frames} acks-lost={stats.acks_lost}")
-    if stats.rollbacks:
-        # The raw trace keeps discarded-timeline checkpoint events, so
-        # the positional straight-cut check is meaningless once a
-        # rollback happened; judge the surviving timeline on stable
-        # storage instead.
-        from repro.runtime.chaos import storage_recovery_lines_consistent
-
-        consistent = storage_recovery_lines_consistent(result, args.n)
+        print(f"network faults    : dropped={stats['dropped_frames']} "
+              f"corrupt={stats['corrupt_frames']} "
+              f"delayed={stats['delayed_frames']} "
+              f"duplicated={stats['duplicate_frames']} "
+              f"(dups suppressed: {stats['dups_suppressed']})")
+        print(f"transport         : frames={stats['frames_sent']} "
+              f"retransmits={stats['retransmits']} "
+              f"acks={stats['ack_frames']} acks-lost={stats['acks_lost']}")
+    # The judge holds only a protocol that claims recovery lines to them.
+    protocol = PROTOCOL_CLASSES[args.protocol] or NullProtocol
+    if protocol.induces_recovery_lines:
+        cuts = outcome.error != chaos.CUT_BROKEN
     else:
-        consistent = result.trace.all_straight_cuts_consistent()
-    print(f"straight cuts are recovery lines: {consistent}")
+        cuts = f"not claimed by {args.protocol}"
+    print(f"straight cuts are recovery lines: {cuts}")
+    if outcome.error not in (None, chaos.CUT_BROKEN):
+        print(f"judge             : {outcome.error}")
     if args.spacetime:
+        from repro.obs import read_event_log, trace_from_events
         from repro.viz import render_spacetime
 
         print()
-        print(render_spacetime(result.trace), end="")
-    if obs is not None and args.trace_out:
-        Path(args.trace_out).write_text(obs.jsonl())
-        print(f"# wrote event log to {args.trace_out}", file=sys.stderr)
-    if obs is not None and args.metrics_out:
-        Path(args.metrics_out).write_text(obs.metrics.to_json() + "\n")
-        print(f"# wrote metrics to {args.metrics_out}", file=sys.stderr)
-    if args.stats_json:
-        import json
+        trace = trace_from_events(read_event_log(outcome.events_jsonl))
+        print(render_spacetime(trace), end="")
+    if args.trace_out:
+        _write(args.trace_out, outcome.events_jsonl, "event log")
+    if args.metrics_out:
+        from repro.obs.rollup import cell_metrics
 
-        payload = json.dumps(stats.as_dict(), indent=2, sort_keys=True)
-        if args.stats_json == "-":
-            print(payload)
-        else:
-            Path(args.stats_json).write_text(payload + "\n")
-            print(f"# wrote stats to {args.stats_json}", file=sys.stderr)
-    return 0 if stats.completed else 1
+        _write(args.metrics_out, _json(cell_metrics(outcome)), "metrics")
+    if args.stats_json:
+        _write(args.stats_json, _json(stats), "stats")
+    return 0 if stats["completed"] else 1
 
 
 def _cmd_figures(args: argparse.Namespace) -> int:
@@ -559,27 +567,20 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             until=args.until,
             span=args.span,
         )
-
-    def _write(text: str) -> None:
-        if args.output:
-            Path(args.output).write_text(text)
-            print(f"# wrote {args.output}", file=sys.stderr)
-        else:
-            print(text, end="")
-
     if query_mode:
-        _write(format_events(events))
+        text = format_events(events)
     elif args.format == "summary":
-        _write(summarize_events(events))
+        text = summarize_events(events)
     elif args.format == "chrome":
-        _write(chrome_trace_json(events, indent=2) + "\n")
+        text = chrome_trace_json(events, indent=2) + "\n"
     elif args.format == "jsonl":
-        _write(events_to_jsonl(events))
+        text = events_to_jsonl(events)
     else:  # spacetime
         from repro.viz import render_spacetime
 
         trace = trace_from_events(events)
-        _write(render_spacetime(trace, cuts=trace.all_straight_cuts()))
+        text = render_spacetime(trace, cuts=trace.all_straight_cuts())
+    _write(args.output or "-", text)
     return 0
 
 
@@ -668,11 +669,8 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     if args.metrics_out:
         from repro.obs.rollup import campaign_rollup, rollup_to_json
 
-        Path(args.metrics_out).write_text(
-            rollup_to_json(campaign_rollup(result))
-        )
-        print(f"# wrote metrics rollup to {args.metrics_out}",
-              file=sys.stderr)
+        _write(args.metrics_out, rollup_to_json(campaign_rollup(result)),
+               "metrics rollup")
     if failures and args.artifacts:
         print(f"# diagnostics under {args.artifacts}", file=sys.stderr)
     return 1 if failures else 0
@@ -746,26 +744,15 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
           f"jobs={result.jobs}")
     print(f"resilience: {result.executor.describe()}")
     if args.results_json:
-        payload = result.to_json()
-        if args.results_json == "-":
-            print(payload)
-        else:
-            Path(args.results_json).write_text(payload + "\n")
-            print(f"# wrote results to {args.results_json}",
-                  file=sys.stderr)
+        _write(args.results_json, result.to_json() + "\n", "results")
     if args.metrics_out:
         from repro.obs.rollup import campaign_rollup, rollup_to_json
 
-        Path(args.metrics_out).write_text(
-            rollup_to_json(campaign_rollup(result))
-        )
-        print(f"# wrote metrics rollup to {args.metrics_out}",
-              file=sys.stderr)
+        _write(args.metrics_out, rollup_to_json(campaign_rollup(result)),
+               "metrics rollup")
     if tracker is not None:
-        Path(args.spans_out).write_text(
-            tracker.chrome_trace_json(indent=2) + "\n"
-        )
-        print(f"# wrote span trace to {args.spans_out}", file=sys.stderr)
+        _write(args.spans_out, tracker.chrome_trace_json(indent=2) + "\n",
+               "span trace")
     return 1 if failures else 0
 
 
@@ -850,8 +837,11 @@ def build_parser() -> argparse.ArgumentParser:
                                "(vector-clock-stamped JSONL; see "
                                "'repro trace')")
     simulate.add_argument("--metrics-out", metavar="PATH",
-                          help="write the metrics registry (counters, "
-                               "gauges, histograms) as JSON")
+                          help="write the run's metrics registry as JSON: "
+                               "the derived counters, gauges and "
+                               "histograms plus the run's stats as "
+                               "stats.* rows (the per-cell entry of a "
+                               "campaign rollup)")
     simulate.add_argument("--stats-json", metavar="PATH",
                           help="write SimulationStats as JSON ('-' for "
                                "stdout)")
@@ -1039,10 +1029,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ReproError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as error:
+    except (ReproError, OSError, UnicodeDecodeError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
 

@@ -25,6 +25,16 @@ class LexerError(LanguageError):
         self.column = column
 
 
+class UnknownProgramError(LanguageError, KeyError):
+    """Raised when no shipped program has the requested name.
+
+    Also a :class:`KeyError` (a lookup that missed), printed as its
+    message rather than a key's ``repr``.
+    """
+
+    __str__ = LanguageError.__str__
+
+
 class ParseError(LanguageError):
     """Raised when the parser encounters a malformed program."""
 

@@ -14,6 +14,7 @@ parsed AST so callers can mutate their copy freely.
 
 from __future__ import annotations
 
+from repro.errors import UnknownProgramError
 from repro.lang.ast_nodes import Program
 from repro.lang.parser import parse
 
@@ -381,7 +382,9 @@ def program_source(name: str) -> str:
         return _SOURCES[name]
     except KeyError:
         known = ", ".join(sorted(_SOURCES))
-        raise KeyError(f"unknown program {name!r}; known programs: {known}") from None
+        raise UnknownProgramError(
+            f"unknown program {name!r}; known programs: {known}"
+        ) from None
 
 
 def load_program(name: str) -> Program:

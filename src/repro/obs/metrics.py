@@ -37,7 +37,6 @@ registry the simulated system uses.
 
 from __future__ import annotations
 
-import json
 from collections import defaultdict
 from functools import reduce
 from operator import add
@@ -166,10 +165,6 @@ class MetricsRegistry:
             name: self._metrics[name].as_dict()
             for name in sorted(self._metrics)
         }
-
-    def to_json(self, indent: int | None = 2) -> str:
-        """The registry serialised as a JSON object."""
-        return json.dumps(self.as_dict(), indent=indent, sort_keys=True)
 
 
 class MetricsCollector:

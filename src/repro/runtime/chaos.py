@@ -47,6 +47,10 @@ from repro.runtime.failures import (
 #: The protocols the chaos harness exercises by default.
 CHAOS_PROTOCOLS = ("appl-driven", "uncoordinated", "msg-logging")
 
+#: :func:`judge`'s reason when a surviving straight cut is not a
+#: recovery line under a protocol that claims they all are.
+CUT_BROKEN = "a surviving straight cut is not a recovery line"
+
 
 @dataclass(frozen=True)
 class ChaosConfig(RunConfig):
@@ -267,7 +271,7 @@ def judge(spec, sim, result) -> str | None:
         sim.protocol.induces_recovery_lines
         and not storage_recovery_lines_consistent(result, spec.n_processes)
     ):
-        return "a surviving straight cut is not a recovery line"
+        return CUT_BROKEN
     if not retention_invariant_holds(
         result, spec.n_processes, spec.retain_k, spec.checkpoint_mode
     ):

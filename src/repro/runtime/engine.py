@@ -292,6 +292,13 @@ class SimulationResult:
     verdict: str = "completed"
 
 
+def run_verdict(unrecoverable: bool, completed: bool) -> str:
+    """A run's :attr:`SimulationResult.verdict`, from its two stats flags."""
+    if unrecoverable:
+        return "unrecoverable"
+    return "completed" if completed else "incomplete"
+
+
 _INF = float("inf")
 
 
@@ -692,32 +699,6 @@ class Simulation:
             self._store_checkpoint(proc, stmt_id=None, tag="initial", time=0.0)
         self._resync()
 
-    @classmethod
-    def from_spec(cls, spec, observer=None) -> "Simulation":
-        """Build a simulation from a declarative scenario description.
-
-        *spec* is a :class:`~repro.campaign.spec.ScenarioSpec`: program
-        **source text**, protocol name, fault plan, and — being a
-        :class:`RunConfig` itself — the run knobs, handed over whole
-        (:meth:`RunConfig.run_knobs`).
-        Because everything in the spec is picklable and
-        JSON-round-trippable, a spec — unlike a constructed
-        ``Simulation`` — can be shipped to another process, which is
-        how the campaign executor fans cells out to workers.
-        """
-        from repro.lang.parser import parse
-        from repro.protocols import make_protocol
-
-        return cls(
-            parse(spec.program),
-            spec.n_processes,
-            params=dict(spec.params) if spec.params else None,
-            protocol=make_protocol(spec.protocol, spec.period),
-            fault_plan=spec.fault_plan,
-            observer=observer,
-            **spec.run_knobs(),
-        )
-
     @property
     def recovery_escalation(self) -> int:
         """Extra fallback depth the current recovery attempt asks for."""
@@ -947,7 +928,6 @@ class Simulation:
         (and the chaos harness) get full stats and artifacts.
         """
         self.protocol.on_start(self)
-        unrecoverable = False
         batch = self._batch_dispatch
         _READY = _Status.READY
         next_item = self._next_item
@@ -1063,7 +1043,7 @@ class Simulation:
                         self, payload[2], payload[3], payload[0]
                     )
         except UnrecoverableError:
-            unrecoverable = True
+            pass  # the supervisor set ``stats.unrecoverable`` as it gave up
         self.stats.completed = self._n_done == self.n
         self.stats.corrupt_checkpoints = self.storage.corruption_detected
         transport = self.network.transport.stats
@@ -1093,19 +1073,13 @@ class Simulation:
                 gc_collected=self.stats.gc_collected,
                 gc_reclaimed_bytes=self.stats.gc_reclaimed_bytes,
             )
-        if unrecoverable:
-            verdict = "unrecoverable"
-        elif self.stats.completed:
-            verdict = "completed"
-        else:
-            verdict = "incomplete"
         return SimulationResult(
             trace=self.trace,
             stats=self.stats,
             storage=self.storage,
             final_env={p.rank: dict(p.interp.env) for p in self.procs},
             completion_time=completion_time,
-            verdict=verdict,
+            verdict=run_verdict(stats.unrecoverable, stats.completed),
         )
 
     def _over_budget(self) -> SimulationError:

@@ -1,7 +1,5 @@
 """Markov-chain / closed-form / Monte Carlo agreement tests (V3)."""
 
-import math
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st

@@ -1,6 +1,5 @@
 """Abstract-evaluation tests, including agreement with the interpreter."""
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

@@ -20,7 +20,6 @@ from repro.campaign.executor import (
 from repro.campaign.faults import (
     ALWAYS,
     ExecutorFaultPlan,
-    InjectedWorkerError,
     WorkerFault,
     draw_executor_faults,
     parse_worker_fault,

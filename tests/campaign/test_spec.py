@@ -317,7 +317,7 @@ class TestSpecFactory:
             period=6.0,
             seed=3,
         )
-        via_spec = Simulation.from_spec(spec).run()
+        via_spec = spec.build().run()
         direct = Simulation(
             load_program("ring_pipeline"),
             3,

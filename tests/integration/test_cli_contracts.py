@@ -14,12 +14,27 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
+from repro.lang.programs import load_program
+from repro.obs import Observability
 from repro.obs.export import (
     events_to_jsonl,
     read_event_log,
     trace_from_events,
 )
+from repro.protocols import make_protocol
+from repro.runtime import chaos
 from repro.runtime.engine import Simulation
+from repro.runtime.failures import (
+    CrashEvent,
+    FaultKind,
+    FaultPlan,
+    NetworkFaultEvent,
+    NetworkFaultKind,
+    RecoveryFaultEvent,
+    RecoveryFaultKind,
+    StorageFaultEvent,
+)
+from repro.viz import render_spacetime
 
 #: Statistics that count stored wire bytes: the one thing the
 #: checkpoint mode is allowed to change.
@@ -283,3 +298,185 @@ def test_bad_cell_is_an_error_not_a_traceback(argv, message, capsys):
     assert code == 2
     assert out == ""
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command", (
+    "verify", "lint", "transform", "cfg", "simulate",
+))
+@pytest.mark.parametrize("bad, message", [
+    ("unknown", "unknown program 'nosuch'"),
+    ("directory", "Is a directory"),
+    ("not-utf-8", "can't decode byte 0xff"),
+])
+def test_bad_program_argument_is_an_error_not_a_traceback(
+    command, bad, message, tmp_path, capsys
+):
+    if bad == "unknown":
+        program = "@nosuch"
+    elif bad == "directory":
+        program = tmp_path
+    else:
+        program = tmp_path / "latin1.mp"
+        program.write_bytes(b"\xffprogram t():\n    x = 1\n")
+    code, out, err = cli(capsys, command, program)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and message in err
+    assert err.count("\n") == 1
+
+
+class TestSimulateIsOneCell:
+    """``repro simulate`` runs a one-cell campaign; each of its outputs
+    must equal the same run built directly, the oracle kept here."""
+
+    CASES = {
+        "appl-driven clean": (
+            "@jacobi", 4, 4, "appl-driven", 10.0, (), FaultPlan(), {},
+        ),
+        "torn-write and bit-rot": (
+            "@ring_pipeline", 3, 10, "appl-driven", 10.0,
+            ("--crash", "19.5:1", "--fault", "torn-write:0:0:6",
+             "--fault", "bit-rot:19:2:7"),
+            FaultPlan(
+                crashes=[CrashEvent(19.5, 1)],
+                storage_faults=[
+                    StorageFaultEvent(0.0, 0, FaultKind.TORN_WRITE, 6),
+                    StorageFaultEvent(19.0, 2, FaultKind.BIT_ROT, 7),
+                ],
+            ),
+            {},
+        ),
+        "network faults": (
+            "@ring_pipeline", 3, 8, "appl-driven", 10.0,
+            ("--crash", "12:1", "--fault", "drop:3:0:1",
+             "--fault", "duplicate:4:1:2", "--fault", "delay:5:2:0:1.5"),
+            FaultPlan(
+                crashes=[CrashEvent(12.0, 1)],
+                network_faults=[
+                    NetworkFaultEvent(3.0, NetworkFaultKind.DROP, 0, 1),
+                    NetworkFaultEvent(4.0, NetworkFaultKind.DUPLICATE, 1, 2),
+                    NetworkFaultEvent(5.0, NetworkFaultKind.DELAY, 2, 0, 1.5),
+                ],
+            ),
+            {},
+        ),
+        "crash-in-recovery under retention": (
+            "@ring_pipeline", 3, 8, "appl-driven", 10.0,
+            ("--crash", "12:1", "--fault", "crash-in-recovery:0:2",
+             "--retain-k", 4),
+            FaultPlan(
+                crashes=[CrashEvent(12.0, 1)],
+                recovery_faults=[
+                    RecoveryFaultEvent(0, 2, RecoveryFaultKind.CRASH),
+                ],
+            ),
+            {"retain_k": 4},
+        ),
+        "three storage replicas outvote one rotted copy": (
+            "@ring_pipeline", 3, 8, "appl-driven", 10.0,
+            ("--crash", "12:1", "--fault", "bit-rot:12:1::1",
+             "--storage-replicas", 3),
+            FaultPlan(
+                crashes=[CrashEvent(12.0, 1)],
+                storage_faults=[StorageFaultEvent(
+                    12.0, 1, FaultKind.BIT_ROT, replica=1
+                )],
+            ),
+            {"storage_replicas": 3},
+        ),
+        "sas": (
+            "@jacobi_plain", 4, 6, "sas", 5.0, ("--crash", "7:2"),
+            FaultPlan(crashes=[CrashEvent(7.0, 2)]), {},
+        ),
+        "uncoordinated": (
+            "@ring_pipeline", 4, 4, "uncoordinated", 5.0, ("--crash", "9:2"),
+            FaultPlan(crashes=[CrashEvent(9.0, 2)]), {},
+        ),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_outputs_equal_a_direct_run(self, case, tmp_path, capsys):
+        program, n, steps, protocol, period, flags, plan, knobs = (
+            self.CASES[case]
+        )
+
+        def direct(observer=None):
+            return Simulation(
+                load_program(program[1:]), n, params={"steps": steps},
+                protocol=make_protocol(protocol, period), fault_plan=plan,
+                observer=observer, **knobs,
+            ).run()
+
+        argv = ("simulate", program, "-n", n, "--steps", steps,
+                "--protocol", protocol, "--period", period, *flags)
+        plain_stats = tmp_path / "plain.json"
+        code, plain, _ = cli(capsys, *argv, "--stats-json", plain_stats)
+        assert code == 0
+        log, stats = tmp_path / "events.jsonl", tmp_path / "stats.json"
+        code, out, _ = cli(
+            capsys, *argv, "--spacetime", "--trace-out", log,
+            "--stats-json", stats,
+        )
+        assert code == 0
+        block, spacetime = out.split("\n\n", 1)
+        assert block + "\n" == plain
+
+        expected = direct().stats.as_dict()
+        for path in (plain_stats, stats):
+            assert path.read_text() == (
+                json.dumps(expected, indent=2, sort_keys=True) + "\n"
+            )
+        obs = Observability()
+        observed = direct(obs.bus)
+        assert observed.stats.as_dict() == expected
+        assert log.read_text() == obs.jsonl()
+        assert spacetime == render_spacetime(observed.trace)
+
+
+class TestSimulateVerdictLines:
+    def test_unsafe_placement_breaks_a_cut_but_completes(self, capsys):
+        code, out, _ = cli(
+            capsys, "simulate", "@jacobi_odd_even", "-n", 4, "--steps", 3
+        )
+        assert code == 0
+        assert "straight cuts are recovery lines: False\n" in out
+        assert "judge" not in out
+
+    @pytest.mark.parametrize("protocol", ("uncoordinated", "msg-logging"))
+    def test_protocols_that_make_no_claim_say_so(self, protocol, capsys):
+        code, out, _ = cli(
+            capsys, "simulate", "@ring_pipeline", "-n", 4, "--steps", 4,
+            "--protocol", protocol, "--period", 5, "--crash", "9:2",
+        )
+        assert code == 0
+        assert (
+            f"straight cuts are recovery lines: not claimed by {protocol}\n"
+            in out
+        )
+
+    def test_another_judge_reason_gets_its_own_line(
+        self, monkeypatch, capsys
+    ):
+        monkeypatch.setattr(
+            chaos, "judge", lambda spec, sim, result: "retention broke"
+        )
+        code, out, _ = cli(
+            capsys, "simulate", "@jacobi", "-n", 4, "--steps", 3
+        )
+        assert code == 0
+        assert out.endswith(
+            "straight cuts are recovery lines: True\n"
+            "judge             : retention broke\n"
+        )
+
+    def test_a_run_that_raises_exits_two_with_its_error(
+        self, tmp_path, capsys
+    ):
+        path = tmp_path / "deadlock.mp"
+        path.write_text(
+            "program dead():\n    y = recv((myrank + 1) % nprocs)\n"
+        )
+        code, out, err = cli(capsys, "simulate", path, "-n", 2)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: DeadlockError: ")

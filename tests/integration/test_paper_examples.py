@@ -4,8 +4,6 @@ Each test states which figure it reproduces; together they constitute
 the executable form of Section 2/3's narrative.
 """
 
-import pytest
-
 from repro.cfg import build_cfg, enumerate_checkpoints, find_back_edges
 from repro.lang import to_source
 from repro.lang.parser import parse

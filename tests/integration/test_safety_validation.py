@@ -12,7 +12,6 @@ generated exchange programs,
   changing program results.
 """
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

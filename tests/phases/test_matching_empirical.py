@@ -13,7 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.causality.records import EventKind
-from repro.cfg.nodes import NodeKind
 from repro.lang.programs import default_params, load_program, program_names
 from repro.phases.matching import build_extended_cfg
 from repro.runtime import Simulation

@@ -9,7 +9,7 @@ import pytest
 
 from repro.lang.programs import jacobi_plain
 from repro.protocols import ChandyLamportProtocol, SyncAndStopProtocol
-from repro.runtime import FaultPlan, RuntimeCosts, Simulation
+from repro.runtime import FaultPlan, Simulation
 from repro.runtime.failures import CrashEvent
 
 

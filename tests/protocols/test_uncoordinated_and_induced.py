@@ -4,7 +4,6 @@ from dataclasses import replace
 
 import pytest
 
-from repro.lang.parser import parse
 from repro.lang.programs import jacobi_plain, pingpong, program_source
 from repro.bench.workloads import strip_checkpoints
 from repro.campaign import ScenarioSpec
@@ -16,7 +15,6 @@ from repro.runtime import (
     FaultKind,
     NetworkFaultEvent,
     NetworkFaultKind,
-    RuntimeCosts,
     Simulation,
     StorageFaultEvent,
 )

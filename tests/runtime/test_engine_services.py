@@ -5,9 +5,8 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.lang.parser import parse
-from repro.lang.programs import jacobi_plain
 from repro.runtime import RuntimeCosts, Simulation
-from repro.runtime.hooks import ControlMessage, ProtocolHooks
+from repro.runtime.hooks import ProtocolHooks
 
 
 def program(statements: str):

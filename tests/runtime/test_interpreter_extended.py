@@ -1,7 +1,5 @@
 """Extended interpreter coverage: control-flow corners at runtime."""
 
-import pytest
-
 from repro.lang.parser import parse
 from repro.runtime import Simulation
 from repro.runtime.interpreter import ProcessInterpreter

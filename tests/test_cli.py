@@ -48,8 +48,8 @@ class TestVerify:
         assert "error" in capsys.readouterr().err
 
     def test_unknown_shipped_program(self, capsys):
-        with pytest.raises(KeyError):
-            main(["verify", "@nope"])
+        assert main(["verify", "@nope"]) == 2
+        assert "unknown program 'nope'" in capsys.readouterr().err
 
 
 class TestTransform:

@@ -1,7 +1,5 @@
 """CLI tests for the compare and optimal subcommands."""
 
-import pytest
-
 from repro.cli import main
 
 

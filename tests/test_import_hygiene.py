@@ -1,6 +1,6 @@
-"""Import hygiene: no unused imports in the library source, the
-third-party imports match ``pyproject.toml``, and a process imports
-only what its command runs.
+"""Import hygiene: no unused imports in the library, tools, examples
+and tests, the third-party imports match ``pyproject.toml``, and a
+process imports only what its command runs.
 
 The first two are a lightweight AST-based substitute for an external
 linter (the environment is offline). ``__init__.py`` files are exempt —
@@ -17,12 +17,20 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
+REPO = SRC.parent.parent
 
 
 def _module_files():
+    tops = [SRC] + [REPO / name for name in ("tools", "examples", "tests")]
     return sorted(
-        path for path in SRC.rglob("*.py") if path.name != "__init__.py"
+        path for top in tops for path in top.rglob("*.py")
+        if path.name != "__init__.py"
     )
+
+
+def _module_id(path: Path) -> str:
+    """A library module by its package path, any other by its repo path."""
+    return str(path.relative_to(SRC if path.is_relative_to(SRC) else REPO))
 
 
 def _imported_names(tree):
@@ -64,9 +72,7 @@ def _used_names(tree):
     return used
 
 
-@pytest.mark.parametrize(
-    "path", _module_files(), ids=lambda p: str(p.relative_to(SRC))
-)
+@pytest.mark.parametrize("path", _module_files(), ids=_module_id)
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text())
     imported = _imported_names(tree)
@@ -78,8 +84,6 @@ def test_no_unused_imports(path):
     ]
     assert not unused, f"{path.name}: unused imports: {unused}"
 
-
-REPO = SRC.parent.parent
 
 
 def _declared(key: str) -> set[str]:
@@ -132,12 +136,15 @@ def _run_fresh(script: str) -> list[str]:
 
 
 def test_a_transform_and_a_cell_load_no_analysis_stack_or_pool():
-    # Phases I-III and a serial campaign cell use none of the §4 model,
-    # numpy or the process pool; those load on first use only.
+    # Phases I-III, a serial campaign cell and ``repro simulate`` (a
+    # one-cell campaign) use none of the §4 model, numpy or the process
+    # pool; those load on first use only.
     loaded = _run_fresh("""
+import contextlib
+import io
 import sys
-import repro.cli
 from repro.campaign import ScenarioSpec, run_campaign
+from repro.cli import main
 from repro.lang.parser import parse
 from repro.lang.programs import RING_PIPELINE_SOURCE
 from repro.phases.pipeline import transform
@@ -145,6 +152,8 @@ transform(parse(RING_PIPELINE_SOURCE))
 spec = ScenarioSpec(label="cell", program=RING_PIPELINE_SOURCE,
                     n_processes=3, params={"steps": 3})
 assert run_campaign([spec], jobs=1).cells["cell"].ok
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["simulate", "@ring_pipeline", "-n", "3", "--steps", "4"]) == 0
 print(*sys.modules)
 """)
     heavy = {"numpy", "multiprocessing", "concurrent.futures.process"}
