@@ -438,7 +438,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         _write(args.metrics_out, _json(cell_metrics(outcome)), "metrics")
     if args.stats_json:
         _write(args.stats_json, _json(stats), "stats")
-    return 0 if stats["completed"] else 1
+    return 0 if stats["completed"] and outcome.error is None else 1
 
 
 def _cmd_figures(args: argparse.Namespace) -> int:

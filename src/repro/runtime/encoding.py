@@ -7,7 +7,11 @@ neither self-describing nor type-faithful (``repr`` cannot distinguish
 re-parsable equal values, and its output was never decodable). Byte
 accounting does not consume bytes: :func:`encoded_size` and
 :func:`checkpoint_sizes` give the exact length of the canonical form
-structurally, so a fault-free run never builds it.
+structurally, so a fault-free run never builds it. Sizes are priced
+when something reads them: a :class:`SizeLedger` per rank prices each
+commit from its parent where the delta decision or a ``commit`` event
+needs it; otherwise :func:`full_bytes_total` prices a whole history
+at once, in bulk, when its total is read.
 
 The format is a minimal tag–length–value scheme over the closed value
 universe checkpoints actually contain (ints, bools, floats, strings,
@@ -33,8 +37,9 @@ Two record shapes exist on the wire:
 from __future__ import annotations
 
 import struct
-from itertools import chain, compress
-from operator import attrgetter, eq, ne
+from collections import Counter
+from itertools import chain, compress, islice, repeat
+from operator import attrgetter, eq, is_, is_not, ne
 
 from repro.errors import StorageError
 
@@ -337,22 +342,19 @@ class SizeLedger:
         self._key_sizes = {} if key_sizes is None else key_sizes
         self._bodies = [0, 0, 0]
 
-    def price(
-        self, checkpoint, parent=None, delta: bool = True
-    ) -> tuple[int, int | None]:
+    def price(self, checkpoint, parent=None) -> tuple[int, int | None]:
         """``(full_size, delta_size)`` of *checkpoint*, without bytes.
 
         Exactly ``len(encode_record(checkpoint_record(checkpoint)))``
         and ``len(encode_record(delta_record(checkpoint, parent)))``;
         the latter is ``None`` when there is no such record (no
-        *parent*, or a pair :func:`delta_encodable` refuses) or no use
-        for it (*delta* false: the clocks are then not diffed).
+        *parent*, or a pair :func:`delta_encodable` refuses).
         Afterwards the ledger mirrors *checkpoint*.
         """
         if self.entry is not parent:
             self.__init__(self._key_sizes)
             if parent is not None:
-                self.price(parent, None, delta)
+                self.price(parent)
         # A pass that raises (an unencodable value) leaves the sums
         # half-updated: match no parent until one has completed.
         self.entry = _STALE
@@ -399,8 +401,7 @@ class SizeLedger:
             + (3 * n if small else sum(map(encoded_size, clock.components)))
         )
         if (
-            not delta
-            or parent is None
+            parent is None
             or env_changed is None
             or inputs_changed is None
             or cursors_changed is None
@@ -496,6 +497,114 @@ def checkpoint_sizes(checkpoint, parent=None) -> tuple[int, int | None]:
     against.
     """
     return SizeLedger().price(checkpoint, parent)
+
+
+#: Checkpoints one bulk pass prices together: enough to amortise its
+#: passes, few enough that the columns it flattens stay small.
+BULK_CHUNK = 256
+_FIXED_SIZES = {float: 9, bool: 2, type(None): 1}
+#: ``_INT_SIZES`` up to 255 bits, as a ``bytes.translate`` table.
+_SMALL_INT_SIZES = bytes(_INT_SIZES[:256])
+
+
+class _SizeMemo(dict):
+    """:func:`encoded_size` by value (by ``==``), priced on first use."""
+
+    def __missing__(self, value) -> int:
+        size = self[value] = encoded_size(value)
+        return size
+
+
+def _column_size(column: list, memo: _SizeMemo) -> int:
+    """Σ :func:`encoded_size` over *column*, a C pass or two per class:
+    exact ints by bit length, strings through *memo*, fixed sizes by
+    count; an int of 256 bits or more, or a tuple, one by one."""
+    classes = set(map(type, column))
+    total = 0
+    for cls in classes:
+        values = column if len(classes) == 1 else list(
+            compress(column, map(is_, map(type, column), repeat(cls)))
+        )
+        if cls in _FIXED_SIZES:
+            total += _FIXED_SIZES[cls] * len(values)
+        elif cls is str:
+            total += sum(map(memo.__getitem__, values))
+        elif cls is int and -(2**255) < min(values) and max(values) < 2**255:
+            bits = bytes(map(int.bit_length, values))
+            total += sum(bits.translate(_SMALL_INT_SIZES))
+        else:
+            total += sum(map(encoded_size, values))
+    return total
+
+
+def full_bytes_total(checkpoints) -> int:
+    """Σ ``len(encode_record(checkpoint_record(c)))`` over *checkpoints*.
+
+    The bulk counterpart of ``checkpoint_sizes(c)[0]``: rather than one
+    Python-level walk per entry, each field is priced as a column of
+    :data:`BULK_CHUNK` entries by C-level ``map``/``sum`` passes. Map
+    keys and strings are priced once per distinct value (keys by
+    ``==``, as :class:`SizeLedger` memoises them) and a small clock by
+    its width; cursor pairs and any other clock join the int column.
+    """
+    memo = _SizeMemo()
+    entries = iter(checkpoints)
+    total = 0
+    while chunk := list(islice(entries, BULK_CHUNK)):
+        snaps = list(map(attrgetter("snapshot"), chunk))
+        frames = list(map(attrgetter("frames"), snaps))
+        flat_frames = list(chain.from_iterable(frames))
+        clocks = list(map(attrgetter("clock"), chunk))
+        widths = list(map(len, clocks))
+        packed = list(map(attrgetter("packed"), clocks))
+        maps = [
+            *map(attrgetter("env"), snaps),
+            *map(attrgetter("input_counters"), snaps),
+        ]
+        # Every field the engine fills with an int, as one column.
+        ints = [
+            *chain.from_iterable(map(dict.values, maps)),
+            *chain.from_iterable(map(attrgetter("rank", "number"), chunk)),
+            *map(attrgetter("checkpoint_count"), snaps),
+            *chain.from_iterable(
+                map(attrgetter("index", "remaining", "trip"), flat_frames)
+            ),
+        ]
+        cursors = list(map(attrgetter("channel_cursors"), chunk))
+        maps += cursors
+        tuples = [*maps, *frames]
+        # Cursor values are (sent, delivered) pairs: their items join
+        # the int column.
+        pairs = list(chain.from_iterable(map(dict.values, cursors)))
+        if set(map(type, pairs)) <= {tuple}:
+            tuples += pairs
+            ints += chain.from_iterable(pairs)
+        else:
+            total += sum(map(encoded_size, pairs))
+        # The record's header and "full"; a tag and count for each map,
+        # pair, frame stack, frame and clock; a pair header and key per
+        # map entry; three bytes a component of a small clock.
+        lengths = Counter([*map(len, tuples), *widths])
+        keys = list(chain.from_iterable(maps))
+        total += (
+            8 * len(chunk) + 2 * len(flat_frames) + 2 * len(keys)
+            + sum(k * (1 + _varint_size(n)) for n, k in lengths.items())
+            + sum(map(memo.__getitem__, keys))
+            + 3 * sum(compress(widths, map(is_not, packed, repeat(None))))
+        )
+        ints += chain.from_iterable(
+            clock.components for clock, bits in zip(clocks, packed)
+            if bits is None
+        )
+        columns = (
+            ints, list(map(attrgetter("time"), chunk)),
+            list(map(attrgetter("stmt_label"), chunk)),
+            [*map(attrgetter("tag"), chunk),
+             *map(attrgetter("kind"), flat_frames)],
+            list(map(attrgetter("pending_recv"), snaps)),
+        )
+        total += sum(_column_size(column, memo) for column in columns)
+    return total
 
 
 def delta_encodable(checkpoint, parent) -> bool:

@@ -633,10 +633,15 @@ class Simulation:
         # the delta encoder's chain parent. Reset on restore, so chains
         # always rebase onto the surviving timeline.
         self._last_stored: dict[int, StoredCheckpoint] = {}
-        # One size ledger per rank, mirroring that entry (checked by
-        # identity at every commit), with one key-size memo between them.
+        # Where something at commit reads sizes (the delta decision, a
+        # commit event), one size ledger per rank mirrors that entry
+        # (checked by identity at every commit), with one key-size memo
+        # between them; else ``total_bytes`` prices entries in bulk.
         memo: dict = {}
-        self._size_ledgers = [SizeLedger(memo) for _ in range(n_processes)]
+        self._size_ledgers = (
+            [SizeLedger(memo) for _ in range(n_processes)]
+            if self._minimal or observer is not None else None
+        )
         self.supervisor = RecoverySupervisor(
             self, recovery or SupervisorConfig(), list(plan.recovery_faults)
         )
@@ -1481,19 +1486,24 @@ class Simulation:
         # Structural sizes, priced from the rank's last published entry,
         # seed the entry's lazy caches. A delta must pay off (so payload
         # <= full holds for every entry) and chain below the cap.
-        parent = self._last_stored.get(rank)
-        full_size, delta_size = self._size_ledgers[rank].price(
-            stored, parent, self._minimal
-        )
-        if (
-            delta_size is None
-            or delta_size >= full_size
-            or parent.delta_depth >= DELTA_CHAIN_CAP
-        ):
-            parent = None
+        parent = None
+        if self._size_ledgers is not None:
+            parent = self._last_stored.get(rank)
+            full_size, delta_size = self._size_ledgers[rank].price(
+                stored, parent
+            )
+            if (
+                not self._minimal
+                or delta_size is None
+                or delta_size >= full_size
+                or parent.delta_depth >= DELTA_CHAIN_CAP
+            ):
+                parent = None
+            fields.update(
+                _full_bytes=full_size,
+                _payload_bytes=None if parent is None else delta_size,
+            )
         fields.update(
-            _full_bytes=full_size,
-            _payload_bytes=None if parent is None else delta_size,
             payload_kind="full" if parent is None else "delta",
             parent=parent,
             delta_depth=0 if parent is None else parent.delta_depth + 1,

@@ -30,6 +30,7 @@ from repro.runtime.encoding import (
     checkpoint_sizes,
     delta_record,
     encode_record,
+    full_bytes_total,
 )
 from repro.runtime.failures import FaultKind, StorageFaultEvent
 from repro.runtime.interpreter import ProcessSnapshot
@@ -101,8 +102,9 @@ class StoredCheckpoint:
         building bytes. Lazily cached (direct ``__dict__`` write — the
         dataclass is frozen but the cache is not part of its identity,
         and ``dataclasses.replace`` copies start cold); the engine
-        seeds it when its full-vs-delta decision already sized the
-        entry.
+        seeds it where it priced the entry at commit. An entry nothing
+        read at commit stays cold, and :meth:`CheckpointStore.total_bytes`
+        prices it in bulk without caching.
         """
         cached = self.__dict__.get("_full_bytes")
         if cached is None:
@@ -514,13 +516,22 @@ class CheckpointStore:
         payload — the related-work feature the paper cites as [20]);
         ``incremental=False`` sums what the same history would cost
         stored entirely as full checkpoints. The two coincide unless
-        delta encoding is on.
+        delta encoding is on. Cached sizes are summed; every entry
+        without one is priced in one bulk pass
+        (:func:`~repro.runtime.encoding.full_bytes_total`), which is how
+        a ``full``-mode run prices its checkpoints: once, at the end.
         """
-        return sum(
-            (c.payload_bytes if incremental else c.full_bytes)
-            for history in self._checkpoints.values()
-            for c in history
-        )
+        total = 0
+        cold = []
+        for history in self._checkpoints.values():
+            for checkpoint in history:
+                if incremental and checkpoint.payload_kind == "delta":
+                    total += checkpoint.payload_bytes
+                elif (size := checkpoint.__dict__.get("_full_bytes")) is None:
+                    cold.append(checkpoint)
+                else:
+                    total += size
+        return total + full_bytes_total(cold)
 
     # -- integrity -------------------------------------------------------------
 

@@ -438,7 +438,8 @@ class TestSimulateVerdictLines:
         code, out, _ = cli(
             capsys, "simulate", "@jacobi_odd_even", "-n", 4, "--steps", 3
         )
-        assert code == 0
+        # Completed, but judged: the run fails like its chaos cell would.
+        assert code == 1
         assert "straight cuts are recovery lines: False\n" in out
         assert "judge" not in out
 
@@ -463,7 +464,7 @@ class TestSimulateVerdictLines:
         code, out, _ = cli(
             capsys, "simulate", "@jacobi", "-n", 4, "--steps", 3
         )
-        assert code == 0
+        assert code == 1
         assert out.endswith(
             "straight cuts are recovery lines: True\n"
             "judge             : retention broke\n"

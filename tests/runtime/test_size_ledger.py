@@ -7,7 +7,10 @@ commits, a restore to an older entry, a write that never landed, a
 failed pass. The oracle is the encoder itself plus the list-and-set
 statement of the delta-encodability rule the ledger replaced. A clock's
 ``small`` fact must be sound along every ``zero/tick/merge/receive``
-chain, and a fault-free engine run must price only what changed.
+chain, and a fault-free delta-mode run must price only what changed. A
+full-mode run prices nothing at commit: ``full_bytes_total`` prices its
+entries once, in bulk, and must equal the encoder over any list of
+checkpoints, however unusual their values.
 """
 
 import pytest
@@ -21,6 +24,7 @@ from repro.lang.programs import stencil_halo
 from repro.protocols import ApplicationDrivenProtocol
 from repro.runtime import Simulation
 from repro.runtime.encoding import (
+    BULK_CHUNK,
     SizeLedger,
     _changed,
     apply_delta,
@@ -29,10 +33,13 @@ from repro.runtime.encoding import (
     delta_encodable,
     delta_record,
     encode_record,
+    full_bytes_total,
 )
 from repro.runtime.engine import CHECKPOINT_MODES
 from repro.runtime.interpreter import FrameState, ProcessSnapshot
 from repro.runtime.storage import StoredCheckpoint
+
+DELTA_MODES = [mode for mode in CHECKPOINT_MODES if mode != "full"]
 
 
 def encodable_oracle(checkpoint, parent) -> bool:
@@ -157,8 +164,7 @@ class TestLedgerMatchesTheEncoder:
     @given(data=st.data(), width=st.sampled_from([1, 3, 140]))
     @settings(max_examples=60, deadline=None)
     def test_every_step_of_a_commit_sequence(self, data, width):
-        memo = {}
-        ledger, twin = SizeLedger(memo), SizeLedger(memo)
+        ledger = SizeLedger()
         published = [
             make(
                 0, 0, data.draw(edited({}, names)), {}, {},
@@ -178,14 +184,8 @@ class TestLedgerMatchesTheEncoder:
             child = data.draw(successor(published[-1], number))
             expected = encoded_sizes(child, parent)
             assert ledger.price(child, parent) == expected
-            # The public exact function and the predicate agree, and a
-            # second ledger on the same memo prices a foreign history,
-            # asked for the delta size only now and then.
+            # The public exact function and the predicate agree.
             assert checkpoint_sizes(child, parent) == expected
-            wanted = data.draw(st.booleans())
-            assert twin.price(child, parent, wanted) == (
-                expected if wanted else (expected[0], None)
-            )
             if parent is not None:
                 assert delta_encodable(child, parent) == (
                     expected[1] is not None
@@ -293,7 +293,7 @@ class TestTablePath:
     @given(data=st.data())
     @settings(max_examples=150, deadline=None)
     def test_every_step_of_an_int_heavy_commit_sequence(self, data):
-        ledger, blind = SizeLedger(), SizeLedger()
+        ledger = SizeLedger()
         clock = VectorClock.zero(3)
         published = [
             make(
@@ -322,7 +322,6 @@ class TestTablePath:
             )
             expected = encoded_sizes(child, parent)
             assert ledger.price(child, parent) == expected
-            assert blind.price(child, parent, False) == (expected[0], None)
             if data.draw(st.integers(0, 5)):
                 published.append(child)
 
@@ -479,7 +478,7 @@ class TestCommitPricesOnlyWhatChanged:
         # eight clock components, at every commit.
         assert calls + lookups < (whole + 8 * commits) / 2
 
-    @pytest.mark.parametrize("mode", CHECKPOINT_MODES)
+    @pytest.mark.parametrize("mode", DELTA_MODES)
     def test_every_mode_sizes_its_entries_at_commit(self, monkeypatch, mode):
         result, _, _ = self.run_counting(monkeypatch, mode)
 
@@ -491,3 +490,168 @@ class TestCommitPricesOnlyWhatChanged:
         for rank in range(8):
             for entry in result.storage.history(rank):
                 assert entry.payload_bytes <= entry.full_bytes
+
+    def test_full_mode_prices_once_in_bulk_at_run_end(self, monkeypatch):
+        result, calls, lookups = self.run_counting(monkeypatch, "full")
+        entries = [
+            entry for rank in range(8)
+            for entry in result.storage.history(rank)
+        ]
+        keys, strings = set(), set()
+        for entry in entries:
+            snap = entry.snapshot
+            for values in (snap.env, snap.input_counters):
+                assert {type(value) for value in values.values()} <= {int}
+            assert all(
+                type(a) is int and type(b) is int
+                for a, b in entry.channel_cursors.values()
+            )
+            keys.update(snap.env, snap.input_counters, entry.channel_cursors)
+            scalars = (entry.tag, snap.pending_recv,
+                       *(frame.kind for frame in snap.frames))
+            strings.update(v for v in scalars if type(v) is str)
+        # No decision at commit read a size, and the run-end sum cached
+        # none; no ledger priced anything.
+        assert not any("_full_bytes" in entry.__dict__ for entry in entries)
+        assert lookups == 0
+        # The one bulk pass priced each distinct key and string once and
+        # every int, float and None without a call.
+        assert calls == len(keys | strings)
+        exact = sum(checkpoint_sizes(entry)[0] for entry in entries)
+        assert result.stats.stored_bytes == exact
+        assert result.storage.total_bytes() == exact
+        assert not any("_full_bytes" in entry.__dict__ for entry in entries)
+
+
+# The bulk pricer's cases: every class the encoder takes, in every field
+# of the full record, and ints either side of its 255-bit table.
+wild = st.sampled_from([
+    True, False, -1, -128, -129, 2**255 - 1, 2**255, -(2**255), 2**1015,
+    -(2**1016), "", "s", "é" * 70, "ü" * 130, None, 0.5, -1.0,
+    (1, (True, None)), ((), "é"),
+])
+mostly_ints = st.one_of(st.integers(-300, 300), wild)
+cursor_values = st.one_of(
+    st.tuples(st.integers(0, 300), st.integers(0, 300)),
+    st.sampled_from([(True, 2**70), (1, 2, 3), (7,), None, 5, ("a", 1.5)]),
+)
+
+
+def env_key(i):
+    return f"{'é' * (i % 2)}v{i}"
+
+
+def label_key(i):
+    return f"in{i}"
+
+
+def channel_key(i):
+    return (i, i % 4, "p2p")
+
+
+@st.composite
+def sized_maps(draw, key_of, values):
+    """Maps of 0 to 130 entries keyed by ``key_of(position)``, cycling
+    through a few drawn values (a long map costs no more draws)."""
+    drawn = draw(st.lists(values, min_size=1, max_size=4))
+    return {
+        key_of(i): drawn[i % len(drawn)]
+        for i in range(draw(st.sampled_from([0, 2, 5, 130])))
+    }
+
+
+# Built once: a strategy made inside a draw is labelled anew each time.
+env_maps = sized_maps(env_key, mostly_ints)
+label_maps = sized_maps(label_key, mostly_ints)
+cursor_maps = sized_maps(channel_key, cursor_values)
+frame_fields = st.sampled_from([0, 1, 300, 2**16, -1, True, None])
+odd_frames = st.lists(
+    st.tuples(
+        st.sampled_from(["block", "while", "ü", None]),
+        frame_fields, frame_fields, frame_fields,
+    ).map(lambda f: FrameState(f[0], index=f[1], remaining=f[2], trip=f[3])),
+    max_size=3,
+).map(tuple)
+clock_edits = st.lists(st.tuples(st.integers(0, 129), components), max_size=4)
+
+
+@st.composite
+def wild_checkpoints(draw):
+    parts = [0] * draw(st.sampled_from([1, 4, 130]))
+    for index, value in draw(clock_edits):
+        parts[index % len(parts)] = value
+    return StoredCheckpoint(
+        rank=draw(mostly_ints),
+        number=draw(mostly_ints),
+        snapshot=ProcessSnapshot(
+            env=draw(env_maps),
+            frames=draw(odd_frames),
+            checkpoint_count=draw(mostly_ints),
+            input_counters=draw(label_maps),
+            pending_recv=draw(st.sampled_from([None, "x", "é"])),
+        ),
+        clock=VectorClock(components=tuple(parts)),
+        time=draw(wild),
+        channel_cursors=draw(cursor_maps),
+        stmt_label=draw(st.one_of(st.none(), mostly_ints)),
+        tag=draw(st.sampled_from(["", "app", "initial", "é" * 40])),
+    )
+
+
+class TestBulkPricing:
+    @given(
+        pool=st.lists(wild_checkpoints(), min_size=1, max_size=3),
+        data=st.data(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_bulk_total_is_the_encoded_length(self, pool, data):
+        # An all-int entry takes every fast path; it pads the list past
+        # one chunk, around runs of drawn entries placed anywhere.
+        plain = make(
+            0, 3, {"x": 1, "y": -200}, {"in": 4}, {(0, 1, "p2p"): (2, 1)},
+            VectorClock.zero(3).tick(1), (FrameState("for", index=1),),
+            None, 2.5,
+        )
+        pool.append(plain)
+        runs = data.draw(st.lists(
+            st.tuples(st.integers(0, len(pool) - 1), st.integers(1, 40)),
+            min_size=1, max_size=4,
+        ))
+        entries = [pool[index] for index, count in runs for _ in range(count)]
+        position = data.draw(st.integers(0, len(entries)))
+        entries[position:position] = [plain] * (BULK_CHUNK + 1 - len(entries))
+        sizes = {
+            id(entry): len(encode_record(checkpoint_record(entry)))
+            for entry in pool
+        }
+        assert full_bytes_total(entries) == sum(
+            sizes[id(entry)] for entry in entries
+        )
+        assert full_bytes_total(pool) == sum(map(sizes.get, map(id, pool)))
+
+    def test_every_unusual_case_in_one_list(self):
+        clock = VectorClock.zero(3)
+        none_fields = (
+            FrameState(None, index=True), FrameState("for", trip=None)
+        )
+        cases = [
+            make(0, 1, {"b": True, "n": -5, "huge": 2**1015, "s": "é"},
+                 {}, {}, clock, (), None, 1.0),
+            make(0, 2, {"none": None, "f": 0.5, "t": (1, (True, "x"))},
+                 {"in": False}, {(0, 1, "p2p"): (1, 2, 3)}, clock, none_fields,
+                 "x", 2),
+            make(0, 3, {f"v{i}": i for i in range(130)}, {}, {
+                (i, 1, "p2p"): (i, True) for i in range(128)
+            }, VectorClock(components=(128, True, 5)), (), None, 3.0),
+            make(1, 4, {}, {}, {(1, 0, "ctl"): tuple(range(130))},
+                 clock, (), None, 3.5),
+            make(1, 4, {}, {}, {(1, 0, "ctl"): None},
+                 VectorClock.zero(130).tick(129), (), "é", 4.0),
+            make(1, 5, {}, {}, {}, VectorClock(components=(2**70,)), (),
+                 None, 5.0),
+        ]
+        plain = make(0, 0, {"x": 1}, {}, {}, clock, (), None, 0.0)
+        entries = [plain] * (BULK_CHUNK - 2) + cases + [plain] * 3
+        assert full_bytes_total(entries) == sum(
+            len(encode_record(checkpoint_record(entry))) for entry in entries
+        )

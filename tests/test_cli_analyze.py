@@ -6,12 +6,12 @@ from repro.cli import main
 from repro.obs import read_event_log
 
 
-def _record(tmp_path, capsys, program, name):
+def _record(tmp_path, capsys, program, name, code=0):
     path = tmp_path / name
     assert main(
         ["simulate", program, "-n", "4", "--steps", "3",
          "--trace-out", str(path)]
-    ) == 0
+    ) == code
     capsys.readouterr()
     return path
 
@@ -23,7 +23,11 @@ def safe_log(tmp_path, capsys):
 
 @pytest.fixture
 def unsafe_log(tmp_path, capsys):
-    return _record(tmp_path, capsys, "@jacobi_odd_even", "unsafe.jsonl")
+    # The judge rejects the run (a broken cut), so simulate exits 1; the
+    # log is written all the same.
+    return _record(
+        tmp_path, capsys, "@jacobi_odd_even", "unsafe.jsonl", code=1
+    )
 
 
 class TestAnalyzeEventLog:

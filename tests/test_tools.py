@@ -210,13 +210,15 @@ class TestAbPairs:
     TOOL = REPO_ROOT / "tools" / "ab_pairs.py"
 
     @staticmethod
-    def contract(cells_per_s, wall_ms, correct=True):
+    def contract(cells_per_s, wall_ms, correct=True, stored=700.5):
         return "progress line\n" + json.dumps({
             "correct": correct, "attempted": 4, "failed": 0,
             "metrics": {
                 "cells_per_s": {"value": cells_per_s, "unit": "cells/s"},
                 "cell_wall_p50_ms": {"value": wall_ms, "unit": "ms"},
                 "cell_wall_p90_ms": {"value": None, "unit": "ms"},
+                "stored_bytes_per_checkpoint": {"value": stored, "unit": "B"},
+                "sim_overhead_ratio": {"value": 0.05, "unit": "ratio"},
             },
         })
 
@@ -261,6 +263,27 @@ class TestAbPairs:
                 (REPO_ROOT / "BENCHMARK.json").read_text()
             )["end_to_end"]
         }
+
+    def test_sides_that_differ_in_a_deterministic_metric_fail(
+        self, tmp_path, capsys
+    ):
+        tool = load_by_path("ab_pairs", self.TOOL)
+        base, change = str(REPO_ROOT), str(tmp_path)
+        stored = {base: [700.5, 700.5], change: [700.5, 701.0]}
+
+        def run(checkout, workload, rounds):
+            return self.contract(10, 5, stored=stored[checkout].pop(0))
+
+        assert tool.main(
+            [base, change, "--workload", "w", "--pairs", "2"], run=run
+        ) == 1
+        out, err = capsys.readouterr()
+        # The table still prints; the verdict names the pair and metric.
+        assert "cells_per_s" in out
+        assert err == (
+            "error: pair 2: stored_bytes_per_checkpoint differ: the two "
+            "sides run different programs\n"
+        )
 
     def test_incorrect_run_fails(self, tmp_path, capsys):
         tool = load_by_path("ab_pairs", self.TOOL)

@@ -15,7 +15,10 @@ One parent/change pair can misjudge a workload by more than the
 benchmark's 25 % bound: ``transform_sweep`` runs in two modes on one
 commit, and ``steady_minimal`` swung by 16-33 % on a change outside its
 path. A performance claim is backed by these medians and win counts,
-not by one pair. Exits 1 if any run is not ``correct`` or has failures.
+not by one pair. Exits 1 if any run is not ``correct`` or has failures,
+or if the two runs of a pair differ in a metric the seeds fix
+(:data:`DETERMINISTIC`): such an A/B compares two different programs,
+not two speeds of one.
 """
 
 from __future__ import annotations
@@ -26,6 +29,9 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
+
+#: End-to-end metrics fixed by the workload's seeds, not by the host.
+DETERMINISTIC = ("stored_bytes_per_checkpoint", "sim_overhead_ratio")
 
 
 def parse_contract(stdout: str) -> dict:
@@ -105,6 +111,15 @@ def main(argv=None, run=run_bench) -> int:
     print(f"{args.workload}: {args.pairs} alternating pairs, "
           f"{args.rounds} rounds a run")
     print("\n".join(summarize(metrics, *runs)))
+    for pair, (run_a, run_b) in enumerate(zip(*runs), 1):
+        differ = [
+            name for name in DETERMINISTIC
+            if run_a.get(name) != run_b.get(name)
+        ]
+        if differ:
+            print(f"error: pair {pair}: {', '.join(differ)} differ: the "
+                  "two sides run different programs", file=sys.stderr)
+            return 1
     return 0
 
 
