@@ -27,11 +27,9 @@ the paper's checkpoint/restart discipline applied to the harness:
   outcomes, keyed by cell key × content hash, powering
   ``repro campaign --resume`` / ``repro chaos --resume``;
 - :class:`~repro.campaign.executor.ExecutorPolicy` /
-  :class:`~repro.campaign.executor.ExecutorStats` plus the fault
-  injector in :mod:`repro.campaign.faults` — per-cell timeouts,
-  bounded retry with backoff, ``BrokenProcessPool`` recovery, poison
-  -cell quarantine, and the deterministic crash/hang/raise worker
-  shims that make all of it testable.
+  :class:`~repro.campaign.executor.ExecutorStats` — per-cell timeouts,
+  bounded retry with backoff, ``BrokenProcessPool`` recovery and
+  poison-cell quarantine.
 
 The chaos harness (``repro chaos --jobs``), the ``repro campaign`` CLI
 subcommand and ``repro simulate`` (a one-cell campaign) all run on this
@@ -52,13 +50,6 @@ from repro.campaign.executor import (
     run_campaign,
     run_cells,
 )
-from repro.campaign.faults import (
-    ExecutorFaultPlan,
-    InjectedWorkerError,
-    WorkerFault,
-    draw_executor_faults,
-    parse_worker_fault,
-)
 from repro.campaign.journal import JOURNAL_VERSION, CampaignJournal
 from repro.campaign.spec import (
     SPEC_VERSION,
@@ -73,19 +64,14 @@ __all__ = [
     "CampaignJournal",
     "CampaignResult",
     "CellOutcome",
-    "ExecutorFaultPlan",
     "ExecutorPolicy",
     "ExecutorStats",
-    "InjectedWorkerError",
     "JOURNAL_VERSION",
     "SPEC_VERSION",
     "ScenarioSpec",
     "TransformCache",
-    "WorkerFault",
-    "draw_executor_faults",
     "dump_campaign",
     "load_campaign",
-    "parse_worker_fault",
     "quick_campaign",
     "resolve_jobs",
     "run_campaign",

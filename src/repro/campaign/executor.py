@@ -11,9 +11,8 @@ collected alongside but kept strictly out of the deterministic payload
 
 Every run takes the one resilient path — the paper's checkpoint/restart
 discipline applied to the harness itself. A call without an
-:class:`ExecutorPolicy` is its zero-retry, no-timeout case (a worker's
-own exception then reaches the caller as itself); with a policy (and
-optionally a journal or an injected fault plan) the executor guarantees:
+:class:`ExecutorPolicy` is its zero-retry, no-timeout case; with a
+policy (and optionally a journal) the executor guarantees:
 
 - **per-cell wall-clock timeouts** — a hung worker is detected by the
   parent, its pool is killed and rebuilt, and the cell is retried;
@@ -60,34 +59,23 @@ from dataclasses import asdict, dataclass, field
 from functools import partial
 from typing import Callable, NamedTuple
 
-from repro.errors import ExecutorQuarantineError, ReproError, SimulationError
-from repro.campaign.faults import (
-    ExecutorFaultPlan,
-    _InjectedCrash,
-    _InjectedHang,
-    fire_fault,
-)
+from repro.errors import ReproError, SimulationError
 from repro.campaign.journal import CampaignJournal
 from repro.campaign.spec import ScenarioSpec
 
 
-def _attempt_call(worker, fault, attempt, in_process, payload):
-    """Worker shim: fire any due injected fault, then run the worker.
+def _attempt_call(worker, payload):
+    """Worker shim: run *worker* on *payload*, timed, collector paused.
 
-    The fault fires *outside* the worker callable, so cell-level error
-    capture (e.g. ``_campaign_cell``'s) never swallows an injected
-    executor fault — they model the process dying, not the cell
-    failing. The worker runs with the cyclic collector paused (a
-    finished cell leaves no cycles, so its kept checkpoints need no
-    rescans) and the caller's collector state comes back on any exit.
-    Returns ``(result, elapsed_s, worker_pid)``; the pid
-    identifies which process executed the cell — diagnostic only (it
-    feeds the rollup's ``diagnostics.workers`` map), never part of any
-    deterministic artifact.
+    The worker runs with the cyclic collector paused (a finished cell
+    leaves no cycles, so its kept checkpoints need no rescans) and the
+    caller's collector state comes back on any exit. Returns
+    ``(result, elapsed_s, worker_pid)``; the pid identifies which
+    process executed the cell — diagnostic only (it feeds the rollup's
+    ``diagnostics.workers`` map), never part of any deterministic
+    artifact.
     """
     start = time.perf_counter()
-    if fault is not None and fault.fires(attempt):
-        fire_fault(fault, in_process)
     collecting = gc.isenabled()
     gc.disable()
     try:
@@ -110,12 +98,13 @@ class ExecutorPolicy:
     """Retry/timeout policy of the resilient executor.
 
     Attributes:
-        timeout: Per-cell wall-clock budget in seconds (``None`` =
-            unlimited). Enforced by the parent when cells run on a
-            worker pool (``jobs >= 2``); a serial run cannot preempt
-            itself, so only *injected* hangs are detectable there.
-        max_retries: Re-attempts after the first try; a cell has
-            ``max_retries + 1`` total attempts before quarantine.
+        timeout: Per-cell wall-clock budget in seconds, positive
+            (``None`` = unlimited). Enforced by the parent when cells
+            run on a worker pool (``jobs >= 2``); a serial run cannot
+            preempt itself, so it has no deadline.
+        max_retries: Re-attempts after the first try (``>= 0``); a
+            cell has ``max_retries + 1`` total attempts before
+            quarantine.
         backoff_base: Sleep before the first retry, in seconds.
         backoff_factor: Multiplier per further retry (exponential).
         backoff_max: Upper bound on any single backoff sleep.
@@ -129,6 +118,16 @@ class ExecutorPolicy:
     backoff_factor: float = 2.0
     backoff_max: float = 2.0
     poll_interval: float = 0.05
+
+    def __post_init__(self) -> None:
+        if self.max_retries < 0:
+            raise SimulationError(
+                f"executor retries must be >= 0, got {self.max_retries}"
+            )
+        if self.timeout is not None and self.timeout <= 0:
+            raise SimulationError(
+                f"executor timeout must be positive, got {self.timeout:g}"
+            )
 
     @property
     def max_attempts(self) -> int:
@@ -178,13 +177,6 @@ class ExecutorStats:
         )
 
 
-def _timeout_reason(policy: ExecutorPolicy) -> str:
-    """Deterministic quarantine reason for a hung/over-deadline cell."""
-    if policy.timeout is not None:
-        return f"timed out after {policy.timeout:g}s"
-    return "hung"
-
-
 def _quarantine_message(attempts: int, reason: str) -> str:
     """Deterministic quarantine text (no PIDs, times, or host state)."""
     return (
@@ -213,20 +205,6 @@ def _charge(
     return False
 
 
-def _default_fail(key, _payload, message, error):
-    """Quarantine fallback when the caller gave no factory: raise."""
-    raise ExecutorQuarantineError(
-        f"cell {key!r}: {message}"
-    ) from error
-
-
-def _propagate(key, payload, message, error):
-    """Fallback of a policy-less call: the worker's own exception."""
-    if error is not None:
-        raise error
-    _default_fail(key, payload, message, error)
-
-
 class JournalCodec(NamedTuple):
     """How :func:`run_cells` maps a cell onto a journal record."""
 
@@ -249,47 +227,30 @@ class _Cell:
         self.isolated = False
 
 
-def _run_serial(
-    cells, worker, policy, fault_plan, stats, emit, fail, notify
-):
+def _run_serial(cells, worker, policy, stats, emit, fail, notify):
     """In-process execution (no preemption, same semantics as the pool).
 
-    Injected crash/hang sentinels are mapped onto the exact quarantine
-    texts the pool path produces, keeping artifacts byte-identical
-    across ``jobs`` values.
+    A worker exception is charged with the very text the pool path
+    gives it, keeping artifacts byte-identical across ``jobs`` values.
     """
     for key, payload in cells:
         attempt = 1
         while True:
-            fault = (
-                fault_plan.for_key(key) if fault_plan is not None else None
-            )
-            error = None
             try:
-                result, elapsed, pid = _attempt_call(
-                    worker, fault, attempt, True, payload
-                )
-            except _InjectedCrash:
-                reason = "worker crashed"
-            except _InjectedHang:
-                stats.timeouts += 1
-                reason = _timeout_reason(policy)
-            except Exception as exc:
-                reason = f"{type(exc).__name__}: {exc}"
-                error = exc
+                result, elapsed, pid = _attempt_call(worker, payload)
+            except Exception as error:
+                reason = f"{type(error).__name__}: {error}"
+                if _charge(key, payload, attempt, reason, error, policy,
+                           stats, emit, fail, notify):
+                    break
+                time.sleep(policy.backoff(attempt))
+                attempt += 1
             else:
                 emit(key, result, elapsed, pid, attempt)
                 break
-            if _charge(key, payload, attempt, reason, error, policy, stats,
-                       emit, fail, notify):
-                break
-            time.sleep(policy.backoff(attempt))
-            attempt += 1
 
 
-def _run_pool(
-    cells, worker, workers, policy, fault_plan, stats, emit, fail, notify
-):
+def _run_pool(cells, worker, workers, policy, stats, emit, fail, notify):
     """Process-pool execution with bounded in-flight cells.
 
     At most *workers* cells are in flight, so a pool death has a
@@ -311,13 +272,7 @@ def _run_pool(
         now = time.monotonic()
         if cell.ready_at > now:
             time.sleep(cell.ready_at - now)
-        fault = (
-            fault_plan.for_key(cell.key) if fault_plan is not None else None
-        )
-        future = pool.submit(
-            partial(_attempt_call, worker, fault, cell.attempt, False),
-            cell.payload,
-        )
+        future = pool.submit(_attempt_call, worker, cell.payload)
         inflight[future] = cell
         deadlines[future] = (
             time.monotonic() + policy.timeout
@@ -433,7 +388,7 @@ def _run_pool(
                 restart_pool()
                 abandon_inflight()
                 for cell in expired_cells:
-                    failed(cell, _timeout_reason(policy))
+                    failed(cell, f"timed out after {policy.timeout:g}s")
     finally:
         try:
             pool.shutdown(wait=False, cancel_futures=True)
@@ -449,8 +404,7 @@ def run_cells(
     policy: ExecutorPolicy | None = None,
     journal: CampaignJournal | None = None,
     codec: JournalCodec | None = None,
-    quarantine=None,
-    fault_plan: ExecutorFaultPlan | None = None,
+    quarantine,
     stats: ExecutorStats | None = None,
     progress=None,
     tracker=None,
@@ -485,18 +439,14 @@ def run_cells(
 
     The resilience knobs (see the module doc for semantics):
 
+    - *quarantine* (required) is ``(key, payload, message, error) ->
+      result``, the factory for a budget-exhausted cell's structured
+      error result;
     - *policy* bounds per-cell wall-clock time and retry budget.
-      Without one a cell gets a single attempt and no deadline, and —
-      unless *quarantine* is given — a worker exception propagates to
-      the caller as itself;
+      Without one a cell gets a single attempt and no deadline, so a
+      worker exception quarantines it at once;
     - *journal* (with *codec*) serves already-finished cells from disk
       and durably appends each newly finalised one;
-    - *quarantine* is ``(key, payload, message, error) -> result``, the
-      factory for a budget-exhausted cell's structured error result;
-      without it, quarantine under a *policy* raises
-      :class:`~repro.errors.ExecutorQuarantineError`;
-    - *fault_plan* injects deterministic executor faults (the
-      ``--inject-fault`` and ``--executor-faults`` flags, and tests);
     - *stats* (an :class:`ExecutorStats`) accumulates the resilience
       counters in place.
     """
@@ -510,9 +460,6 @@ def run_cells(
     if journal is not None and codec is None:
         raise SimulationError("run_cells with a journal needs a codec")
     jobs = resolve_jobs(jobs)
-    fail = quarantine
-    if fail is None:
-        fail = _propagate if policy is None else _default_fail
     if policy is None:
         policy = ExecutorPolicy(max_retries=0)
     stats = stats if stats is not None else ExecutorStats()
@@ -576,13 +523,13 @@ def run_cells(
     if todo:
         if jobs == 1:
             _run_serial(
-                todo, worker, policy, fault_plan, stats, emit, fail, notify
+                todo, worker, policy, stats, emit, quarantine, notify
             )
         else:
             _run_pool(
                 [_Cell(key, payload) for key, payload in todo],
-                worker, min(jobs, len(todo)), policy, fault_plan, stats,
-                emit, fail, notify,
+                worker, min(jobs, len(todo)), policy, stats,
+                emit, quarantine, notify,
             )
 
     start = time.perf_counter()
@@ -808,7 +755,6 @@ def run_campaign(
     *,
     policy: ExecutorPolicy | None = None,
     journal_path=None,
-    fault_plan: ExecutorFaultPlan | None = None,
     registry=None,
     progress=None,
     tracker=None,
@@ -825,9 +771,9 @@ def run_campaign(
     quarantine (none: one attempt, no deadline); *journal_path* makes
     progress durable (and resumable — a journal that already exists
     serves its finished cells; an edited spec's new content hash
-    re-executes it); *fault_plan* injects deterministic executor
-    faults; *registry* (a :class:`~repro.obs.metrics.MetricsRegistry`)
-    receives the ``executor.*`` resilience counters; *progress* streams
+    re-executes it); *registry* (a
+    :class:`~repro.obs.metrics.MetricsRegistry`) receives the
+    ``executor.*`` resilience counters; *progress* streams
     structured :class:`~repro.obs.progress.ProgressEvent` records as
     cells finish; *tracker* (a :class:`~repro.obs.spans.SpanTracker`)
     records the cell-lifecycle wall-clock spans; *judge* (a picklable
@@ -856,7 +802,6 @@ def run_campaign(
             quarantine=lambda _key, spec, message, _error: (
                 CellOutcome.failure(spec, message)
             ),
-            fault_plan=fault_plan,
             stats=stats,
             progress=progress,
             tracker=tracker,

@@ -21,7 +21,7 @@ trace      inspect/filter/convert a recorded JSONL observability event
 metrics    metric-artifact tooling (``metrics diff`` compares two
            metrics/rollup/BENCH JSONs under ratio thresholds)
 chaos      run the chaos sweep, dumping diagnostics on failure
-           (resumable via --resume, executor-fault injectable)
+           (resumable via --resume)
 campaign   run a declarative scenario campaign on N worker processes
            with timeouts, retry/quarantine, and --resume restart
 optimal    tabulate each protocol's optimal checkpoint interval
@@ -612,7 +612,7 @@ def _cmd_metrics_diff(args: argparse.Namespace) -> int:
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
-    from repro.campaign import ExecutorPolicy, draw_executor_faults
+    from repro.campaign import ExecutorPolicy
     from repro.runtime.chaos import (
         CHAOS_PROTOCOLS,
         ChaosConfig,
@@ -622,26 +622,12 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         draw_schedule,
         unrecoverable,
     )
-    from repro.runtime.transport import TransportConfig
 
     config = ChaosConfig(
         recovery_fault_probability=args.recovery_faults,
         **_run_knobs(args, *_CHAOS_KNOBS),
     )
-    if args.broken_transport:
-        config = replace(config, transport=TransportConfig(dedup=False))
     protocols = tuple(args.protocol) if args.protocol else CHAOS_PROTOCOLS
-    fault_plan = None
-    if args.executor_faults > 0:
-        fault_plan = draw_executor_faults(
-            [
-                cell_label(seed, protocol)
-                for protocol in protocols
-                for seed in range(args.seeds)
-            ],
-            args.executor_fault_seed,
-            probability=args.executor_faults,
-        )
     result = chaos_sweep(
         range(args.seeds),
         protocols=protocols,
@@ -650,7 +636,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         jobs=args.jobs,
         policy=ExecutorPolicy(timeout=args.timeout, max_retries=args.retries),
         journal_path=args.resume,
-        executor_fault_plan=fault_plan,
     )
     failures = unrecoverable_runs = 0
     for protocol in sorted(set(protocols)):
@@ -678,10 +663,8 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 
 def _cmd_campaign(args: argparse.Namespace) -> int:
     from repro.campaign import (
-        ExecutorFaultPlan,
         ExecutorPolicy,
         load_campaign,
-        parse_worker_fault,
         quick_campaign,
         run_campaign,
     )
@@ -699,11 +682,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         specs = load_campaign(Path(args.campaign).read_text())
     overrides = _run_knobs(args, *_CAMPAIGN_KNOBS)
     specs = [replace(spec, **overrides) for spec in specs]
-    fault_plan = None
-    if args.inject_fault:
-        fault_plan = ExecutorFaultPlan(
-            dict(parse_worker_fault(text) for text in args.inject_fault)
-        )
     progress = None
     if args.progress:
         from repro.obs.progress import ProgressReporter
@@ -721,7 +699,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             timeout=args.timeout, max_retries=args.retries
         ),
         journal_path=args.resume,
-        fault_plan=fault_plan,
         progress=progress,
         tracker=tracker,
     )
@@ -960,19 +937,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="on failure (or a clean unrecoverable "
                             "verdict), write flight-recorder dump, "
                             "schedule, and ddmin-shrunk counterexample here")
-    chaos.add_argument("--broken-transport", action="store_true",
-                       help="disable duplicate suppression (test hook that "
-                            "forces failures, exercising the artifact dump)")
     _add_executor_flags(chaos, jobs=1)
-    chaos.add_argument("--executor-faults", type=float, default=0.0,
-                       metavar="P",
-                       help="per-cell probability of injecting a "
-                            "deterministic executor fault "
-                            "(crash/hang/raise worker shim) — the "
-                            "harness testing its own resilience")
-    chaos.add_argument("--executor-fault-seed", type=int, default=0,
-                       metavar="SEED",
-                       help="seed of the executor-fault draw")
     chaos.add_argument("--metrics-out", metavar="PATH",
                        help="write the sweep's metric rollup "
                             "(deterministic aggregate + per-cell "
@@ -990,13 +955,6 @@ def build_parser() -> argparse.ArgumentParser:
     campaign.add_argument("--results-json", metavar="PATH",
                           help="write the deterministic campaign result "
                                "as JSON ('-' for stdout)")
-    campaign.add_argument("--inject-fault", action="append", default=[],
-                          metavar="LABEL:KIND[:UNTIL]",
-                          help="inject a deterministic executor fault "
-                               "on one cell (kind: crash, hang, raise; "
-                               "UNTIL = last faulting attempt, default "
-                               "forever) — for testing the executor's "
-                               "own resilience")
     campaign.add_argument("--metrics-out", metavar="PATH",
                           help="write the campaign metric rollup "
                                "(campaign_metrics.json: deterministic "

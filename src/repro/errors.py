@@ -166,15 +166,5 @@ class UnrecoverableError(RecoveryError):
     """
 
 
-class ExecutorQuarantineError(SimulationError):
-    """A campaign cell exhausted its executor retry budget.
-
-    Raised by the resilient executor only when the caller supplied no
-    quarantine factory — :func:`~repro.campaign.executor.run_campaign`
-    and the chaos sweep always supply one, turning quarantine into a
-    structured error *outcome* instead of an exception.
-    """
-
-
 class AnalysisError(ReproError):
     """Raised by the stochastic performance analysis on bad parameters."""

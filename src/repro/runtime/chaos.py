@@ -371,7 +371,6 @@ def chaos_sweep(
     jobs: int | None = 1,
     policy=None,
     journal_path=None,
-    executor_fault_plan=None,
 ):
     """Run every (protocol, seed) cell as a judged campaign.
 
@@ -379,9 +378,8 @@ def chaos_sweep(
     cell per :func:`cell_label`, protocol-major; its deterministic
     artifact is byte-identical for any *jobs* count and across retried
     and journal-resumed runs, because every cell is an independent
-    seed-deterministic replay. *policy*, *journal_path* (``repro chaos
-    --resume``) and *executor_fault_plan* (keyed by label) are
-    :func:`~repro.campaign.executor.run_campaign`'s.
+    seed-deterministic replay. *policy* and *journal_path* (``repro
+    chaos --resume``) are :func:`~repro.campaign.executor.run_campaign`'s.
 
     With *artifacts_dir* set, every failing or unrecoverable cell gets
     a diagnostic bundle written there via :func:`dump_failure_artifacts`
@@ -405,7 +403,6 @@ def chaos_sweep(
         jobs,
         policy=policy,
         journal_path=journal_path,
-        fault_plan=executor_fault_plan,
         judge=judge,
     )
     twins: dict[str, dict] = {}

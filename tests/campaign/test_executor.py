@@ -14,14 +14,12 @@ from repro.campaign.executor import (
     _attempt_call,
     _campaign_cell,
     _charge,
-    _default_fail,
     resolve_jobs,
     run_campaign,
     run_cells,
 )
-from repro.campaign.faults import _InjectedCrash, _InjectedHang, WorkerFault
 from repro.campaign.spec import ScenarioSpec, quick_campaign
-from repro.errors import ExecutorQuarantineError, SimulationError
+from repro.errors import SimulationError
 from repro.lang.programs import program_source
 from repro.runtime.chaos import ChaosConfig, chaos_sweep
 
@@ -46,43 +44,54 @@ def _engine_error(payload):
     raise SimulationError(f"engine error on {payload}")
 
 
+def _message(_key, _payload, message, _error):
+    """Quarantine factory: the quarantine text itself is the result."""
+    return message
+
+
+def _cells(items, worker, jobs=1, **kwargs):
+    """``run_cells`` with the message quarantine."""
+    return run_cells(items, worker, jobs, quarantine=_message, **kwargs)
+
+
 class TestRunCells:
     def test_duplicate_keys_rejected(self):
         with pytest.raises(SimulationError, match="unique"):
-            run_cells([("a", 1), ("a", 2)], _square)
+            _cells([("a", 1), ("a", 2)], _square)
 
     def test_duplicate_keys_named_in_message(self):
         items = [("a", 1), ("b", 2), ("a", 3), ("c", 4), ("c", 5)]
         with pytest.raises(SimulationError) as excinfo:
-            run_cells(items, _square)
+            _cells(items, _square)
         message = str(excinfo.value)
         assert "'a'" in message and "'c'" in message
         assert "'b'" not in message
 
-    def test_worker_exception_propagates_serial(self):
-        with pytest.raises(ValueError, match="boom on 1"):
-            run_cells([("a", 1)], _explode, jobs=1)
-
-    def test_worker_exception_propagates_parallel(self):
-        with pytest.raises(ValueError, match="boom on"):
-            run_cells([("a", 1), ("b", 2)], _explode, jobs=2)
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_policy_less_worker_exception_is_quarantined_at_once(self, jobs):
+        results, _ = _cells([("a", 1), ("b", 2)], _explode, jobs)
+        assert results == {
+            key: "executor: quarantined after 1 attempt(s); "
+                 f"last failure: ValueError: boom on {value}"
+            for key, value in (("a", 1), ("b", 2))
+        }
 
     def test_results_in_submission_order(self):
         items = [("c", 3), ("a", 1), ("b", 2)]
-        results, timings = run_cells(items, _square)
+        results, timings = _cells(items, _square)
         assert list(results) == ["c", "a", "b"]
         assert list(timings) == ["c", "a", "b"]
         assert results == {"c": 9, "a": 1, "b": 4}
 
     def test_parallel_matches_serial(self):
         items = [(n, n) for n in range(8)]
-        serial, _ = run_cells(items, _square, jobs=1)
-        parallel, _ = run_cells(items, _square, jobs=2)
+        serial, _ = _cells(items, _square, jobs=1)
+        parallel, _ = _cells(items, _square, jobs=2)
         assert parallel == serial
         assert list(parallel) == list(serial)
 
     def test_timings_cover_every_cell(self):
-        results, timings = run_cells([("x", 2), ("y", 3)], _square)
+        results, timings = _cells([("x", 2), ("y", 3)], _square)
         assert set(timings) == {"x", "y"}
         assert all(t >= 0.0 for t in timings.values())
 
@@ -206,7 +215,7 @@ class TestCharge:
 
     POLICY = ExecutorPolicy(max_retries=3)
 
-    def _charge(self, attempt, policy=POLICY, fail=None):
+    def _charge(self, attempt, policy=POLICY):
         stats = ExecutorStats()
         emitted, notes, failed = [], [], []
         error = ValueError("boom")
@@ -220,7 +229,7 @@ class TestCharge:
 
         done = _charge(
             "k", 7, attempt, "worker crashed", error, policy, stats,
-            lambda *args: emitted.append(args), fail or record_fail, notify,
+            lambda *args: emitted.append(args), record_fail, notify,
         )
         return done, stats, emitted, notes, failed, error
 
@@ -251,11 +260,6 @@ class TestCharge:
             ("k", "quarantined-outcome", 0.0, None, attempt)
         ]
 
-    def test_default_fail_raises_chained_to_the_cause(self):
-        with pytest.raises(ExecutorQuarantineError, match="'k'") as info:
-            self._charge(self.POLICY.max_attempts, fail=_default_fail)
-        assert isinstance(info.value.__cause__, ValueError)
-
 
 @pytest.fixture
 def restore_collector():
@@ -271,9 +275,7 @@ class TestCollectorPause:
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_worker_sees_the_collector_paused(self, jobs):
-        results, _ = run_cells(
-            [("a", 0), ("b", 1)], _collector_enabled, jobs=jobs
-        )
+        results, _ = _cells([("a", 0), ("b", 1)], _collector_enabled, jobs)
         assert results == {"a": False, "b": False}
         assert gc.isenabled()
 
@@ -311,26 +313,22 @@ class TestCollectorPause:
     @pytest.mark.usefixtures("restore_collector")
     @pytest.mark.parametrize("enabled", [True, False])
     @pytest.mark.parametrize(
-        "worker, fault, raised",
+        "worker, raised",
         [
-            (_collector_enabled, None, None),
-            (_engine_error, None, SimulationError),
-            (_explode, None, ValueError),
-            (_collector_enabled, WorkerFault(kind="crash"), _InjectedCrash),
-            (_collector_enabled, WorkerFault(kind="hang"), _InjectedHang),
+            (_collector_enabled, None),
+            (_engine_error, SimulationError),
+            (_explode, ValueError),
         ],
-        ids=["return", "repro-error", "unexpected", "crash", "hang"],
+        ids=["return", "repro-error", "unexpected"],
     )
-    def test_every_exit_restores_the_collector(
-        self, enabled, worker, fault, raised
-    ):
+    def test_every_exit_restores_the_collector(self, enabled, worker, raised):
         (gc.enable if enabled else gc.disable)()
         if raised is None:
-            result, _, _ = _attempt_call(worker, fault, 1, True, 0)
+            result, _, _ = _attempt_call(worker, 0)
             assert result is False
         else:
             with pytest.raises(raised):
-                _attempt_call(worker, fault, 1, True, 0)
+                _attempt_call(worker, 0)
         assert gc.isenabled() is enabled
 
 

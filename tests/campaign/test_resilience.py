@@ -1,39 +1,41 @@
-"""Resilient executor: retries, quarantine, fault injection, resume.
+"""Resilient executor: retries, quarantine, timeouts, resume.
 
-The byte-identity invariant under test throughout: the deterministic
-artifact is identical across ``jobs`` values AND across clean, retried,
-and resumed runs — quarantine messages carry no PIDs, times, or host
-state.
+Faults are injected through the worker itself (``tests/campaign/
+faulty.py``). The byte-identity invariant under test throughout: the
+deterministic artifact is identical across ``jobs`` values AND across
+clean, retried, and resumed runs — quarantine messages carry no PIDs,
+times, or host state.
 """
 
 from dataclasses import replace
 
 import pytest
 
+from repro.campaign import executor
 from repro.campaign.executor import (
+    CellOutcome,
     ExecutorPolicy,
     ExecutorStats,
     JournalCodec,
     run_cells,
     run_campaign,
 )
-from repro.campaign.faults import (
-    ALWAYS,
-    ExecutorFaultPlan,
-    WorkerFault,
-    draw_executor_faults,
-    parse_worker_fault,
-)
 from repro.campaign.journal import CampaignJournal
 from repro.campaign.spec import quick_campaign
-from repro.errors import ExecutorQuarantineError, SimulationError
+from repro.errors import SimulationError
 from repro.obs import MetricsRegistry
 from repro.runtime.chaos import DIVERGED, ChaosConfig, chaos_sweep
 from repro.runtime.transport import TransportConfig
 
+from .faulty import Fault, campaign_cell, double, transient
+
 #: A fast policy for tests: tiny backoffs, tight polling.
 FAST = ExecutorPolicy(
     max_retries=2, backoff_base=0.001, backoff_max=0.01, poll_interval=0.01
+)
+
+CRASHED = (
+    "executor: quarantined after 3 attempt(s); last failure: worker crashed"
 )
 
 
@@ -56,16 +58,22 @@ INT_CODEC = JournalCodec(
 )
 
 
-def _run(items, jobs, **kwargs):
+def _run(items, jobs, worker=_double, **kwargs):
     """run_cells with the fast policy, the dict quarantine, and stats."""
     stats = ExecutorStats()
     kwargs.setdefault("policy", FAST)
     kwargs.setdefault("quarantine", _quarantine_dict)
     kwargs.setdefault("codec", INT_CODEC)
     results, timings = run_cells(
-        items, _double, jobs=jobs, stats=stats, **kwargs
+        items, worker, jobs=jobs, stats=stats, **kwargs
     )
     return results, timings, stats
+
+
+def _faulted(n, jobs, faults, **kwargs):
+    """Cells ``0..n-1`` through the faulty worker, ``faults`` by key."""
+    items = [(key, (key, faults.get(key))) for key in range(n)]
+    return _run(items, jobs, worker=double, **kwargs)
 
 
 class TestPolicy:
@@ -82,111 +90,41 @@ class TestPolicy:
         assert policy.backoff(3) == pytest.approx(0.3)  # capped
         assert policy.backoff(10) == pytest.approx(0.3)
 
-
-class TestFaultPlans:
-    def test_draw_is_seed_deterministic(self):
-        keys = [f"cell{i}" for i in range(32)]
-        one = draw_executor_faults(keys, seed=7, probability=0.5)
-        two = draw_executor_faults(keys, seed=7, probability=0.5)
-        assert one.faults == two.faults
-        other = draw_executor_faults(keys, seed=8, probability=0.5)
-        assert one.faults != other.faults
-
-    def test_draw_probability_extremes(self):
-        keys = ["a", "b", "c"]
-        assert len(draw_executor_faults(keys, seed=0, probability=0.0)) == 0
-        assert len(draw_executor_faults(keys, seed=0, probability=1.0)) == 3
-
-    def test_fault_validation(self):
-        with pytest.raises(SimulationError, match="unknown executor fault"):
-            WorkerFault(kind="melt")
-        with pytest.raises(SimulationError, match=">= 1"):
-            WorkerFault(kind="crash", until_attempt=0)
-
-    def test_fires_window(self):
-        fault = WorkerFault(kind="raise", until_attempt=2)
-        assert fault.fires(1) and fault.fires(2)
-        assert not fault.fires(3)
-        assert WorkerFault(kind="raise").fires(ALWAYS)
-
-    def test_parse_worker_fault(self):
-        key, fault = parse_worker_fault("ring/appl-driven:crash")
-        assert key == "ring/appl-driven"
-        assert fault == WorkerFault(kind="crash")
-        key, fault = parse_worker_fault("a:b:raise:2")
-        assert key == "a:b"
-        assert fault == WorkerFault(kind="raise", until_attempt=2)
-
-    def test_parse_worker_fault_rejects_garbage(self):
-        with pytest.raises(SimulationError, match="KEY:KIND"):
-            parse_worker_fault("no-kind-here")
-        with pytest.raises(SimulationError, match="non-empty"):
-            parse_worker_fault(":crash")
+    @pytest.mark.parametrize("fields, message", [
+        ({"max_retries": -1}, "retries must be >= 0, got -1"),
+        ({"timeout": 0}, "timeout must be positive, got 0"),
+        ({"timeout": -1.5}, "timeout must be positive, got -1.5"),
+    ])
+    def test_rejects_a_bad_budget(self, fields, message):
+        with pytest.raises(SimulationError, match=message):
+            ExecutorPolicy(**fields)
 
 
-class TestSerialResilience:
-    def test_transient_raise_is_retried(self):
-        plan = ExecutorFaultPlan(
-            {"b": WorkerFault(kind="raise", until_attempt=1)}
+class TestWorkerFaults:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_transient_raise_is_retried(self, jobs, tmp_path):
+        results, _, stats = _faulted(
+            4, jobs, {1: transient("raise", tmp_path)}
         )
-        results, _, stats = _run([("a", 1), ("b", 2)], 1, fault_plan=plan)
-        assert results == {"a": 2, "b": 4}
-        assert stats.retries == 1
-        assert stats.quarantines == 0
+        assert results == {n: 2 * n for n in range(4)}
+        assert list(results) == list(range(4))
+        assert (stats.retries, stats.quarantines) == (1, 0)
 
-    def test_poison_raise_is_quarantined(self):
-        plan = ExecutorFaultPlan({"b": WorkerFault(kind="raise")})
-        results, timings, stats = _run(
-            [("a", 1), ("b", 2)], 1, fault_plan=plan
-        )
-        assert results["a"] == 2
-        assert results["b"] == {
-            "key": "b",
-            "error": (
-                "executor: quarantined after 3 attempt(s); last failure: "
-                "InjectedWorkerError: injected executor fault: raise"
-            ),
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_poison_raise_is_retried_then_quarantined(self, jobs):
+        results, timings, stats = _faulted(2, jobs, {1: Fault("raise")})
+        assert results == {
+            0: 0,
+            1: {
+                "key": 1,
+                "error": (
+                    "executor: quarantined after 3 attempt(s); last "
+                    "failure: InjectedError: injected raise"
+                ),
+            },
         }
-        assert stats.quarantines == 1
-        assert stats.retries == 2
-        assert timings["b"] == 0.0
-
-    def test_poison_crash_is_quarantined(self):
-        plan = ExecutorFaultPlan({"a": WorkerFault(kind="crash")})
-        results, _, stats = _run([("a", 1)], 1, fault_plan=plan)
-        assert results["a"]["error"] == (
-            "executor: quarantined after 3 attempt(s); "
-            "last failure: worker crashed"
-        )
-        assert stats.quarantines == 1
-
-    def test_hang_uses_timeout_reason(self):
-        plan = ExecutorFaultPlan({"a": WorkerFault(kind="hang")})
-        policy = ExecutorPolicy(
-            timeout=0.5, max_retries=0, backoff_base=0.001
-        )
-        results, _, stats = _run(
-            [("a", 1)], 1, fault_plan=plan, policy=policy
-        )
-        assert results["a"]["error"] == (
-            "executor: quarantined after 1 attempt(s); "
-            "last failure: timed out after 0.5s"
-        )
-        assert stats.timeouts == 1
-
-    def test_hang_without_timeout_reads_hung(self):
-        plan = ExecutorFaultPlan({"a": WorkerFault(kind="hang")})
-        policy = ExecutorPolicy(max_retries=0, backoff_base=0.001)
-        results, _, _ = _run([("a", 1)], 1, fault_plan=plan, policy=policy)
-        assert "last failure: hung" in results["a"]["error"]
-
-    def test_quarantine_raises_without_factory(self):
-        plan = ExecutorFaultPlan({"a": WorkerFault(kind="raise")})
-        with pytest.raises(ExecutorQuarantineError, match="'a'"):
-            run_cells(
-                [("a", 1)], _double, jobs=1,
-                policy=FAST, fault_plan=plan,
-            )
+        assert (stats.retries, stats.quarantines) == (2, 1)
+        assert timings[1] == 0.0
 
     def test_real_worker_exception_counts_and_quarantines(self):
         results, _, stats = _run(
@@ -203,54 +141,37 @@ class TestSerialResilience:
         assert stats.quarantines == 1
         assert stats.retries == 1
 
-
-class TestPoolResilience:
-    def test_transient_raise_matches_clean_run(self):
-        items = [(n, n) for n in range(6)]
-        clean, _ = run_cells(items, _double, jobs=1)
-        plan = ExecutorFaultPlan(
-            {3: WorkerFault(kind="raise", until_attempt=1)}
+    def test_crash_quarantines_the_culprit_only(self):
+        retried = []
+        results, _, stats = _faulted(
+            4, 2, {2: Fault("crash")},
+            progress=lambda event: (
+                retried.append(event.cell) if event.kind == "retry" else None
+            ),
         )
-        results, _, stats = _run(items, 2, fault_plan=plan)
-        assert results == clean
-        assert list(results) == list(clean)
-        assert stats.retries == 1
+        assert results[2] == {"key": 2, "error": CRASHED}
+        # The bystanders the pool deaths interrupted re-ran in isolation,
+        # uncharged: every retry is the culprit's.
+        assert retried == ["2", "2"]
+        assert all(results[n] == 2 * n for n in (0, 1, 3))
+        assert stats.quarantines == 1
+        assert stats.worker_restarts >= 3
 
-    def test_poison_crash_quarantined_byte_identical_across_jobs(self):
-        items = [(n, n) for n in range(4)]
-        plan = ExecutorFaultPlan({2: WorkerFault(kind="crash")})
-        serial, _, _ = _run(items, 1, fault_plan=plan)
-        pooled, _, stats = _run(items, 2, fault_plan=plan)
-        assert pooled == serial
-        assert pooled[2]["error"] == (
-            "executor: quarantined after 3 attempt(s); "
-            "last failure: worker crashed"
+    def test_transient_crash_recovers(self, tmp_path):
+        results, _, stats = _faulted(
+            4, 2, {1: transient("crash", tmp_path)}
         )
-        assert stats.worker_restarts >= 1
-        # Innocent bystanders all completed despite the pool deaths.
-        assert all(pooled[n] == 2 * n for n in (0, 1, 3))
-
-    def test_transient_crash_recovers(self):
-        items = [(n, n) for n in range(4)]
-        plan = ExecutorFaultPlan(
-            {1: WorkerFault(kind="crash", until_attempt=1)}
-        )
-        results, _, stats = _run(items, 2, fault_plan=plan)
         assert results == {n: 2 * n for n in range(4)}
         assert stats.worker_restarts >= 1
         assert stats.quarantines == 0
 
     def test_hang_detected_by_parent_deadline(self):
-        items = [(n, n) for n in range(3)]
-        plan = ExecutorFaultPlan(
-            {1: WorkerFault(kind="hang", hang_seconds=60.0)}
-        )
         policy = ExecutorPolicy(
             timeout=0.4, max_retries=0,
             backoff_base=0.001, poll_interval=0.01,
         )
-        results, _, stats = _run(
-            items, 2, fault_plan=plan, policy=policy
+        results, _, stats = _faulted(
+            3, 2, {1: Fault("hang")}, policy=policy
         )
         assert results[1]["error"] == (
             "executor: quarantined after 1 attempt(s); "
@@ -312,38 +233,45 @@ class TestJournalResume:
     def test_journal_requires_full_codec(self):
         journal = CampaignJournal("unused.jsonl")
         with pytest.raises(SimulationError, match="journal needs"):
-            run_cells([("a", 1)], _double, jobs=1, journal=journal)
+            run_cells(
+                [("a", 1)], _double, jobs=1, journal=journal,
+                quarantine=_quarantine_dict,
+            )
+
+
+def _inject(monkeypatch, faults: dict) -> None:
+    """Make every campaign cell fire ``faults[label]`` first."""
+    monkeypatch.setattr(executor, "_campaign_cell", campaign_cell(faults))
 
 
 class TestCampaignResilience:
-    def test_fault_plan_artifact_identical_across_jobs(self):
+    def test_faulted_artifact_identical_across_jobs(
+        self, monkeypatch, tmp_path
+    ):
         specs = quick_campaign(steps=3)[:4]
-        plan = ExecutorFaultPlan({
-            specs[1].label: WorkerFault(kind="crash"),
-            specs[2].label: WorkerFault(kind="raise", until_attempt=1),
-        })
-        serial = run_campaign(
-            specs, jobs=1, policy=FAST, fault_plan=plan
-        )
-        pooled = run_campaign(
-            specs, jobs=2, policy=FAST, fault_plan=plan
-        )
         clean = run_campaign(specs, jobs=1)
+        # A serial run cannot survive a crash, so jobs=1 meets only the
+        # transient raise; the pooled run's crashed cell must read as
+        # exactly that serial artifact with the cell quarantined.
+        _inject(monkeypatch, {specs[2].label: transient("raise", tmp_path)})
+        serial = run_campaign(specs, jobs=1, policy=FAST)
+        _inject(monkeypatch, {
+            specs[1].label: Fault("crash"),
+            specs[2].label: transient("raise", tmp_path, "pooled"),
+        })
+        pooled = run_campaign(specs, jobs=2, policy=FAST)
+        assert serial.to_json() == clean.to_json()
+        assert serial.executor.retries == 1
+        serial.cells[specs[1].label] = CellOutcome.failure(specs[1], CRASHED)
         assert pooled.to_json() == serial.to_json()
-        assert serial.cells[specs[1].label].error == (
-            "executor: quarantined after 3 attempt(s); "
-            "last failure: worker crashed"
-        )
-        # The transient cell recovered and matches its clean outcome.
-        assert (
-            serial.cells[specs[2].label]
-            == clean.cells[specs[2].label]
-        )
+        assert pooled.executor.quarantines == 1
 
-    def test_quarantined_cell_is_a_failure_not_an_exception(self):
+    def test_quarantined_cell_is_a_failure_not_an_exception(
+        self, monkeypatch
+    ):
         specs = quick_campaign(steps=3)[:2]
-        plan = ExecutorFaultPlan({specs[0].label: WorkerFault(kind="crash")})
-        result = run_campaign(specs, jobs=2, policy=FAST, fault_plan=plan)
+        _inject(monkeypatch, {specs[0].label: Fault("crash")})
+        result = run_campaign(specs, jobs=2, policy=FAST)
         assert [cell.label for cell in result.failures] == [specs[0].label]
         assert result.executor.quarantines == 1
 
@@ -393,23 +321,23 @@ class TestChaosSweepResilience:
             **options,
         )
 
-    def test_executor_fault_quarantines_one_cell(self):
-        plan = ExecutorFaultPlan(
-            {"seed1/appl-driven": WorkerFault(kind="raise")}
-        )
-        result = self._sweep(policy=FAST, executor_fault_plan=plan)
+    def test_executor_fault_quarantines_one_cell(self, monkeypatch):
+        _inject(monkeypatch, {"seed1/appl-driven": Fault("raise")})
+        result = self._sweep(policy=FAST)
         bad = result.cells["seed1/appl-driven"]
         assert bad.error.startswith("executor: quarantined after")
         assert result.cells["seed0/appl-driven"].error is None
         assert result.cells["seed2/appl-driven"].error is None
         assert result.executor.quarantines == 1
 
-    def test_transient_executor_fault_retries_to_the_clean_artifact(self):
+    def test_transient_executor_fault_retries_to_the_clean_artifact(
+        self, monkeypatch, tmp_path
+    ):
         clean = self._sweep()
-        plan = ExecutorFaultPlan(
-            {"seed1/appl-driven": WorkerFault(kind="raise", until_attempt=1)}
+        _inject(
+            monkeypatch, {"seed1/appl-driven": transient("raise", tmp_path)}
         )
-        retried = self._sweep(policy=FAST, executor_fault_plan=plan)
+        retried = self._sweep(policy=FAST)
         assert retried.executor.retries == 1
         assert retried.to_json() == clean.to_json()
 

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.campaign import executor
 from repro.cli import main
 from repro.lang.programs import load_program
 from repro.obs import Observability
@@ -35,6 +36,7 @@ from repro.runtime.failures import (
     StorageFaultEvent,
 )
 from repro.viz import render_spacetime
+from tests.campaign.faulty import Fault, campaign_cell, transient
 
 #: Statistics that count stored wire bytes: the one thing the
 #: checkpoint mode is allowed to change.
@@ -181,32 +183,42 @@ class TestRunFlags:
 
 
 class TestExecutorFaults:
+    """Faults come from a faulty cell worker (``tests/campaign/faulty.py``)
+    patched in under the CLI."""
+
     def test_transient_campaign_fault_retries_to_the_clean_artifact(
-        self, tmp_path, capsys
+        self, tmp_path, capsys, monkeypatch
     ):
         clean, faulted = tmp_path / "clean.json", tmp_path / "faulted.json"
         assert cli(
             capsys, "campaign", "@quick", "--jobs", 1, "--results-json", clean
         )[0] == 0
+        monkeypatch.setattr(executor, "_campaign_cell", campaign_cell(
+            {"pingpong/appl-driven": transient("raise", tmp_path)}
+        ))
         code, out, _ = cli(
-            capsys, "campaign", "@quick", "--jobs", 1,
-            "--inject-fault", "pingpong/appl-driven:raise:1", "--retries", 2,
+            capsys, "campaign", "@quick", "--jobs", 1, "--retries", 2,
             "--results-json", faulted,
         )
         assert code == 0
         assert "retries=1 " in out
         assert faulted.read_bytes() == clean.read_bytes()
 
-    def test_crashing_campaign_cell_is_quarantined(self, tmp_path, capsys):
+    def test_crashing_campaign_cell_is_quarantined(
+        self, tmp_path, capsys, monkeypatch
+    ):
         results, metrics = tmp_path / "poison.json", tmp_path / "metrics.json"
         poison = "ring_pipeline/appl-driven"
-        code, _, _ = cli(
-            capsys, "campaign", "@quick", "--jobs", 2,
-            "--inject-fault", f"{poison}:crash", "--timeout", 120,
+        monkeypatch.setattr(
+            executor, "_campaign_cell", campaign_cell({poison: Fault("crash")})
+        )
+        code, out, _ = cli(
+            capsys, "campaign", "@quick", "--jobs", 2, "--timeout", 120,
             "--retries", 1, "--results-json", results,
             "--metrics-out", metrics,
         )
         assert code == 1
+        assert "resilience: " in out and "quarantined=1 " in out
         errors = {
             cell["label"]: cell["error"]
             for cell in json.loads(results.read_text())["cells"]
@@ -216,11 +228,13 @@ class TestExecutorFaults:
             "last failure: worker crashed"
         )
         assert set(errors.values()) == {None}
-        executor = json.loads(metrics.read_text())["diagnostics"]["executor"]
-        assert executor["quarantines"] == 1
+        executor_stats = json.loads(
+            metrics.read_text()
+        )["diagnostics"]["executor"]
+        assert executor_stats["quarantines"] == 1
 
     def test_chaos_survives_executor_faults_and_resumes(
-        self, tmp_path, capsys
+        self, tmp_path, capsys, monkeypatch
     ):
         sweep = ("chaos", "--seeds", 6, "--protocol", "appl-driven",
                  "--jobs", 1)
@@ -234,17 +248,37 @@ class TestExecutorFaults:
 
         code, clean, _ = cli(capsys, *sweep)
         assert code == 0
-        code, faulted, _ = cli(
-            capsys, *sweep, "--executor-faults", 0.5,
-            "--executor-fault-seed", 0, "--retries", 3, "--resume", journal,
-        )
+        with monkeypatch.context() as patch:
+            patch.setattr(executor, "_campaign_cell", campaign_cell({
+                f"seed{seed}/appl-driven": transient(
+                    "raise", tmp_path, f"seed{seed}"
+                )
+                for seed in (1, 4)
+            }))
+            code, faulted, _ = cli(
+                capsys, *sweep, "--retries", 3, "--resume", journal
+            )
         assert code == 0
-        assert "resume-hits=0" in faulted and "retries=0 " not in faulted
+        assert "retries=2 " in faulted and "resume-hits=0" in faulted
         assert verdicts(faulted) == verdicts(clean)
         code, resumed, _ = cli(capsys, *sweep, "--resume", journal)
         assert code == 0
         assert "resume-hits=6" in resumed
         assert verdicts(resumed) == verdicts(clean)
+
+
+@pytest.mark.parametrize("argv, error", [
+    (("campaign", "@quick", "--timeout", -1, "--retries", 0),
+     "executor timeout must be positive, got -1"),
+    (("campaign", "@quick", "--timeout", 0),
+     "executor timeout must be positive, got 0"),
+    (("chaos", "--seeds", 1, "--retries", -1),
+     "executor retries must be >= 0, got -1"),
+])
+def test_a_bad_executor_budget_is_an_error(argv, error, capsys):
+    # Under --jobs 2 a negative timeout used to quarantine every cell.
+    code, out, err = cli(capsys, *argv, "--jobs", 2)
+    assert (code, out, err) == (2, "", f"error: {error}\n")
 
 
 def test_second_transform_is_served_from_the_cache(tmp_path, capsys):

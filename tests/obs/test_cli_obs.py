@@ -8,9 +8,12 @@ dumping, and the campaign telemetry flags
 """
 
 import json
+from functools import partial
 
 from repro.cli import main
 from repro.obs import read_event_log
+from repro.runtime import chaos
+from repro.runtime.transport import TransportConfig
 
 
 def _capture(tmp_path, extra=()):
@@ -288,11 +291,17 @@ class TestChaosSubcommand:
         assert "cells_errored" not in rollup["aggregate"]
         assert rollup["aggregate"]["stats.completed"]["value"] == 3
 
-    def test_broken_transport_fails_and_dumps(self, tmp_path, capsys):
+    def test_broken_transport_fails_and_dumps(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # Duplicate suppression off: the fault the harness must catch.
+        monkeypatch.setattr(chaos, "ChaosConfig", partial(
+            chaos.ChaosConfig, transport=TransportConfig(dedup=False)
+        ))
         art = tmp_path / "artifacts"
         code = main([
             "chaos", "--seeds", "1", "--protocol", "appl-driven",
-            "--broken-transport", "--artifacts", str(art),
+            "--artifacts", str(art),
         ])
         out = capsys.readouterr().out
         if code == 0:  # this seed happened to survive dedup=False

@@ -1,11 +1,17 @@
 """Stable-storage, input-provider, and failure-plan tests."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.causality.vector_clock import VectorClock
 from repro.errors import SimulationError, StorageError
 from repro.runtime.failures import CrashEvent, FaultPlan, exponential_fault_plan
-from repro.runtime.inputs import _MASK, InputProvider, _mix
+from repro.runtime.inputs import _MASK, InputProvider, _label_hash, _mix
 from repro.runtime.interpreter import ProcessSnapshot
 from repro.runtime.storage import CheckpointStore, StoredCheckpoint
 
@@ -143,7 +149,7 @@ class TestInputProvider:
             def value(self, label, rank):
                 occurrence = self.counters.get((label, rank), 0)
                 self.counters[(label, rank)] = occurrence + 1
-                return _mix(self.seed, hash(label) & _MASK, rank, occurrence)
+                return _mix(self.seed, _label_hash(label), rank, occurrence)
 
             def snapshot(self, rank):
                 return {
@@ -185,6 +191,53 @@ class TestInputProvider:
             return seen
 
         assert drive(InputProvider(seed=9)) == drive(FlatOracle(seed=9))
+
+
+SRC = Path(__file__).resolve().parents[2] / "src"
+
+#: Labels of every string kind CPython stores: ASCII, Latin-1, UCS-2
+#: and UCS-4, across the 8-byte block boundary.
+LABELS = ["", "x", "noise", "routing", "abcdefg", "abcdefgh", "abcdefghi",
+          "café", "Ābc", "日本語ラベル", "z\U0001F600"]
+
+
+def _python(script: str, hash_seed: int) -> str:
+    """Stdout of *script* in a fresh interpreter under *hash_seed*."""
+    return subprocess.run(
+        [sys.executable, "-c", script], check=True, capture_output=True,
+        text=True, env={
+            **os.environ, "PYTHONPATH": str(SRC),
+            "PYTHONHASHSEED": str(hash_seed),
+        },
+    ).stdout
+
+
+class TestInputsIgnoreTheHashSeed:
+    """``input()`` draws the same values in every process, so a killed
+    campaign resumed in a fresh interpreter never mixes two streams."""
+
+    def test_final_environment_is_the_same_under_any_hash_seed(self):
+        script = """
+import json
+from repro.campaign.executor import _campaign_cell
+from repro.campaign.spec import ScenarioSpec
+from repro.lang.programs import program_source
+spec = ScenarioSpec(
+    label="irregular", program=program_source("irregular_dispatch"),
+    n_processes=4, params={"steps": 4},
+)
+print(json.dumps(_campaign_cell(spec).to_json_dict()["final_env"]))
+"""
+        first, second = (_python(script, seed) for seed in (1, 2))
+        assert json.loads(first)["0"]["r"] > 0
+        assert first == second
+
+    def test_label_hash_is_the_string_hash_at_hash_seed_zero(self):
+        # Values drawn before the hash seed stopped mattering (under
+        # PYTHONHASHSEED=0) are the values drawn now.
+        script = f"print([hash(label) & {_MASK} for label in {LABELS!r}])"
+        expected = [_label_hash(label) for label in LABELS]
+        assert _python(script, 0) == f"{expected}\n"
 
 
 class TestCrashSchedules:

@@ -5,6 +5,7 @@ it, so a renamed test, a deleted tool or a regenerated result must
 update the docs in the same change.
 """
 
+import argparse
 import json
 import re
 from pathlib import Path
@@ -177,3 +178,49 @@ def test_readme_chaos_snippet_runs(capsys):
     (snippet,) = [block for block in blocks if "chaos_sweep" in block]
     exec(compile(snippet, "README.md", "exec"), {})
     assert capsys.readouterr().out == "None\n"
+
+
+#: A ``repro CMD …`` invocation (``python -m repro CMD …`` included):
+#: the command and the rest of its shell line (up to a comment, pipe or
+#: ``;``), code span or table cell.
+INVOCATION = re.compile(r"(?<![\w.])repro (\w+)([^\n`|;&#]*)")
+#: An option word: ``--flag`` or ``-x`` (``--flag=VALUE`` included).
+OPTION = re.compile(r"(?<![\w-])(--?[A-Za-z][\w-]*)")
+
+
+def _subcommands(parser) -> dict:
+    """The subcommand parsers of *parser*, by name."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            return action.choices
+    return {}
+
+
+def test_documented_repro_flags_exist():
+    """Every ``--flag``/``-x`` a doc passes to ``repro CMD`` is one that
+    subcommand accepts, so a deleted or renamed flag cannot linger."""
+    from repro.cli import build_parser
+
+    commands = _subcommands(build_parser())
+    checked, stale = 0, []
+    for doc in DOCS + ["examples/README.md"]:
+        text = (REPO_ROOT / doc).read_text().replace("\\\n", " ")
+        for command, rest in INVOCATION.findall(text):
+            parser = commands.get(command)
+            if parser is None:
+                continue
+            words = rest.split()
+            nested = _subcommands(parser)
+            if words and words[0] in nested:
+                parser = nested[words[0]]
+            accepted = {
+                option
+                for action in parser._actions
+                for option in action.option_strings
+            }
+            for option in OPTION.findall(rest):
+                checked += 1
+                if option not in accepted:
+                    stale.append((doc, f"repro {command} {option}"))
+    assert stale == []
+    assert checked > 50
