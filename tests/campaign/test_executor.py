@@ -44,6 +44,16 @@ def _engine_error(payload):
     raise SimulationError(f"engine error on {payload}")
 
 
+def _exit(payload):
+    """Module-level worker that exits the interpreter (``sys.exit``)."""
+    sys.exit(f"exit on {payload}")
+
+
+def _interrupt(payload):
+    """Module-level worker interrupted mid-cell, as by Ctrl-C."""
+    raise KeyboardInterrupt
+
+
 def _message(_key, _payload, message, _error):
     """Quarantine factory: the quarantine text itself is the result."""
     return message
@@ -318,8 +328,10 @@ class TestCollectorPause:
             (_collector_enabled, None),
             (_engine_error, SimulationError),
             (_explode, ValueError),
+            (_exit, SystemExit),
+            (_interrupt, KeyboardInterrupt),
         ],
-        ids=["return", "repro-error", "unexpected"],
+        ids=["return", "repro-error", "unexpected", "exit", "interrupt"],
     )
     def test_every_exit_restores_the_collector(self, enabled, worker, raised):
         (gc.enable if enabled else gc.disable)()

@@ -99,6 +99,16 @@ class TestPolicy:
         with pytest.raises(SimulationError, match=message):
             ExecutorPolicy(**fields)
 
+    @pytest.mark.parametrize("fields", [
+        {"max_retries": 0},
+        {"timeout": None, "max_retries": 2},  # the benchmark harness's
+        {"timeout": 0.001},
+    ])
+    def test_accepts_the_smallest_valid_budget(self, fields):
+        policy = ExecutorPolicy(**fields)
+        for name, value in fields.items():
+            assert getattr(policy, name) == value
+
 
 class TestWorkerFaults:
     @pytest.mark.parametrize("jobs", [1, 2])

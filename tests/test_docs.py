@@ -196,31 +196,70 @@ def _subcommands(parser) -> dict:
     return {}
 
 
-def test_documented_repro_flags_exist():
-    """Every ``--flag``/``-x`` a doc passes to ``repro CMD`` is one that
-    subcommand accepts, so a deleted or renamed flag cannot linger."""
+def _options(text: str) -> list:
+    """``(invocation, accepted)`` for every option word *text* passes to
+    a ``repro`` subcommand (``\\`` continuations joined)."""
     from repro.cli import build_parser
 
     commands = _subcommands(build_parser())
+    found = []
+    for command, rest in INVOCATION.findall(text.replace("\\\n", " ")):
+        parser = commands.get(command)
+        if parser is None:
+            continue
+        words = rest.split()
+        nested = _subcommands(parser)
+        if words and words[0] in nested:
+            parser = nested[words[0]]
+        accepted = {
+            option
+            for action in parser._actions
+            for option in action.option_strings
+        }
+        for option in OPTION.findall(rest):
+            found.append((f"repro {command} {option}", option in accepted))
+    return found
+
+
+def test_documented_repro_flags_exist():
+    """Every ``--flag``/``-x`` a doc passes to ``repro CMD`` is one that
+    subcommand accepts, so a deleted or renamed flag cannot linger."""
     checked, stale = 0, []
     for doc in DOCS + ["examples/README.md"]:
-        text = (REPO_ROOT / doc).read_text().replace("\\\n", " ")
-        for command, rest in INVOCATION.findall(text):
-            parser = commands.get(command)
-            if parser is None:
-                continue
-            words = rest.split()
-            nested = _subcommands(parser)
-            if words and words[0] in nested:
-                parser = nested[words[0]]
-            accepted = {
-                option
-                for action in parser._actions
-                for option in action.option_strings
-            }
-            for option in OPTION.findall(rest):
-                checked += 1
-                if option not in accepted:
-                    stale.append((doc, f"repro {command} {option}"))
+        for invocation, ok in _options((REPO_ROOT / doc).read_text()):
+            checked += 1
+            if not ok:
+                stale.append((doc, invocation))
     assert stale == []
     assert checked > 50
+
+
+@pytest.mark.parametrize("line, removed", [
+    ("repro campaign @quick --inject-fault 'crash:cell=0'",
+     "repro campaign --inject-fault"),
+    ("python -m repro chaos --seeds 2 --executor-faults 0.5",
+     "repro chaos --executor-faults"),
+    ("repro chaos --seeds 2 \\\n    --executor-fault-seed 7",
+     "repro chaos --executor-fault-seed"),
+    ("repro chaos --broken-transport", "repro chaos --broken-transport"),
+], ids=["inject-fault", "executor-faults", "executor-fault-seed",
+        "broken-transport"])
+def test_a_removed_flag_reads_stale(line, removed):
+    """The executor fault-injection and broken-transport flags are gone
+    from the CLI, and the pin above would flag a doc that still names
+    one."""
+    found = _options(f"```bash\n{line}\n```\n")
+    assert [invocation for invocation, ok in found if not ok] == [removed]
+
+
+def test_current_flags_read_accepted():
+    line = (
+        "repro campaign @quick -j 2 --timeout 5 \\\n"
+        "    --retries 1 --metrics-out m.json"
+    )
+    assert _options(line) == [
+        ("repro campaign -j", True),
+        ("repro campaign --timeout", True),
+        ("repro campaign --retries", True),
+        ("repro campaign --metrics-out", True),
+    ]
