@@ -46,8 +46,7 @@ def main() -> None:
 
     print("\n=== Figure 3: an execution with an inconsistent straight cut ===")
     trace = Simulation(unsafe, 4, params={"steps": 4}).run().trace
-    for index in range(1, trace.max_straight_cut_index() + 1):
-        cut = trace.straight_cut(index)
+    for index, cut in enumerate(trace.all_straight_cuts(), 1):
         consistent = cut_is_consistent(cut)
         print(f"R_{index}: recovery line = {consistent}")
         if not consistent:

@@ -17,7 +17,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.causality.cuts import CheckpointCut, checkpoints_by_process
+from repro.causality.cuts import (
+    CheckpointCut,
+    checkpoints_by_process,
+    first_causal_pair,
+)
 from repro.causality.records import EventKind, TraceEvent
 from repro.causality.vector_clock import VectorClock
 
@@ -94,41 +98,26 @@ def max_consistent_positions(
     earlier one back cannot remove the dependency). Returns the final
     positions (−1 = before the first listed checkpoint) and the number
     of rollback steps taken — the domino count.
+
+    Each step resolves :func:`~repro.causality.cuts.first_causal_pair`.
+    While clocks grow along each list, as a run's do, a dependency
+    stays until its later member rolls back, so every step is forced
+    and neither result depends on which pair goes first.
     """
     position = {rank: len(clocks) - 1 for rank, clocks in clock_lists.items()}
-    processes = list(clock_lists)
     domino_steps = 0
-
-    def clock_of(rank: int) -> VectorClock | None:
-        pos = position[rank]
-        if pos < 0:
-            return None  # before every listed checkpoint
-        return clock_lists[rank][pos]
-
-    changed = True
-    while changed:
-        changed = False
-        for later in processes:
-            later_clock = clock_of(later)
-            if later_clock is None:
-                continue
-            for earlier in processes:
-                if earlier == later:
-                    continue
-                earlier_clock = clock_of(earlier)
-                if earlier_clock is None:
-                    continue
-                if earlier_clock.happened_before(later_clock):
-                    # `later`'s checkpoint has `earlier`'s in its past:
-                    # rolling `earlier` back would orphan it, so `later`
-                    # must roll back.
-                    position[later] -= 1
-                    domino_steps += 1
-                    changed = True
-                    break
-            if changed:
-                break
-    return position, domino_steps
+    while True:
+        pair = first_causal_pair({
+            rank: clock_lists[rank][pos]
+            for rank, pos in position.items()
+            if pos >= 0  # −1: before every listed checkpoint
+        })
+        if pair is None:
+            return position, domino_steps
+        # The later member has the earlier one in its past: rolling the
+        # earlier one back would orphan it, so the later one rolls back.
+        position[pair[1]] -= 1
+        domino_steps += 1
 
 
 def max_consistent_cut(

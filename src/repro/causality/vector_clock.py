@@ -160,6 +160,9 @@ class VectorClock:
     def happened_before(self, other: "VectorClock") -> bool:
         """True iff ``self -> other`` in the happened-before order:
         ``self <= other`` component-wise with at least one strict."""
+        a, b, high = self._packed, other._packed, self._high
+        if a is not None and b is not None and high == other._high:
+            return a != b and _lane_max(a, b, high) == b
         if len(other) != len(self):
             raise ValueError(
                 f"clock size mismatch: {len(self)} vs {len(other)}"

@@ -502,16 +502,15 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     print(f"events           : {len(trace.events)}")
     print(f"messages         : {trace.message_count()}")
     print(f"completion time  : {trace.completion_time():.3f}")
-    max_index = trace.max_straight_cut_index()
-    print(f"straight cuts    : R_1 .. R_{max_index}")
-    inconsistent = []
-    for index in range(1, max_index + 1):
-        cut = trace.straight_cut(index)
-        if cut is not None and not cut_is_consistent(cut):
-            inconsistent.append(index)
+    cuts = trace.all_straight_cuts()
+    print(f"straight cuts    : R_1 .. R_{len(cuts)}")
+    inconsistent = [
+        index for index, cut in enumerate(cuts, 1)
+        if not cut_is_consistent(cut)
+    ]
     if inconsistent:
         print(f"NOT recovery lines: {inconsistent}")
-        first = trace.straight_cut(inconsistent[0])
+        first = cuts[inconsistent[0] - 1]
         for send, recv in orphan_messages(trace.events, first)[:3]:
             print(f"  orphan witness in R_{inconsistent[0]}: "
                   f"{send!r} -> {recv!r}")

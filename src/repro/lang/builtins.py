@@ -13,6 +13,7 @@ their cost, so small integer mixers are a faithful substitute.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable
 
 from repro.errors import SimulationError
@@ -21,20 +22,26 @@ MIX_MASK = (1 << 31) - 1
 MIX_MULTIPLIER = 0x85EBCA6B
 
 
-def _mix(*values: int) -> int:
-    """Deterministic integer mixer (a small multiplicative hash)."""
-    acc = 0x9E3779B9
-    for value in values:
-        acc = (acc ^ (value & MIX_MASK)) * MIX_MULTIPLIER & MIX_MASK
-        acc ^= acc >> 13
-    return acc & MIX_MASK
+def mixer(start: int, multiplier: int, shift: int) -> Callable[..., int]:
+    """A deterministic integer mixer (a small multiply-xorshift hash).
+
+    The mixer xors each value's low 31 bits into its state, multiplies
+    by *multiplier* and xor-shifts right by *shift*. The builtin
+    kernels, the input stream and the network's latency noise each
+    keep their own *start*, *multiplier* and *shift*.
+    """
+
+    def mix(*values: int) -> int:
+        acc = start
+        for value in values:
+            acc = (acc ^ (value & MIX_MASK)) * multiplier & MIX_MASK
+            acc ^= acc >> shift
+        return acc & MIX_MASK
+
+    return mix
 
 
-def _kernel(seed: int) -> Callable[..., int]:
-    def kernel(*args: int) -> int:
-        return _mix(seed, *args)
-
-    return kernel
+_mix = mixer(0x9E3779B9, MIX_MULTIPLIER, 13)
 
 
 #: Each stand-in kernel mixes its seed, then its arguments.
@@ -42,14 +49,14 @@ _SEEDS = {"init": 0x12345678, "combine": 0x5EED, "relax": 0xFACE}
 
 #: The mixing state of each kernel once its seed is mixed in. A fused
 #: statement (``repro.lang.compile``) goes on from here with one round
-#: of :func:`_mix`'s loop body per argument.
+#: of :func:`mixer`'s loop body per argument.
 MIX_STATES = {name: _mix(seed) for name, seed in _SEEDS.items()}
 
 BUILTINS: dict[str, Callable[..., int]] = {
     "min": lambda *args: min(args),
     "max": lambda *args: max(args),
     "abs": lambda x: abs(x),
-    **{name: _kernel(seed) for name, seed in _SEEDS.items()},
+    **{name: partial(_mix, seed) for name, seed in _SEEDS.items()},
 }
 
 

@@ -583,7 +583,7 @@ snapshot_pruned` zeroes by slot without per-capture name lookups.
                     value = regs[source] if vector is None else vector[rank]
                     if value is _UNBOUND:
                         raise _unbound(proc, ident, line)
-                    # One round of builtins._mix per argument.
+                    # One round of builtins.mixer's loop per argument.
                     acc = (acc ^ (value & mask)) * multiplier & mask
                     acc ^= acc >> 13
                 if regs[slot] is _UNBOUND:

@@ -16,9 +16,9 @@ clocks before restoring.
 
 from __future__ import annotations
 
-from itertools import permutations
 from typing import TYPE_CHECKING
 
+from repro.causality.cuts import first_causal_pair
 from repro.errors import RecoveryError
 from repro.protocols.base import CheckpointingProtocol
 
@@ -69,10 +69,12 @@ class ApplicationDrivenProtocol(CheckpointingProtocol):
         """
         if common <= 0:
             return  # initial cut, trivially consistent
-        for (p, a), (q, b) in permutations(sorted(members.items()), 2):
-            if a.clock.happened_before(b.clock):
-                raise RecoveryError(
-                    f"straight cut R_{common} is not a recovery line: by "
-                    f"vector clocks, rank {p}'s checkpoint happened before "
-                    f"rank {q}'s"
-                )
+        pair = first_causal_pair(
+            {rank: checkpoint.clock for rank, checkpoint in members.items()}
+        )
+        if pair is not None:
+            raise RecoveryError(
+                f"straight cut R_{common} is not a recovery line: by "
+                f"vector clocks, rank {pair[0]}'s checkpoint happened "
+                f"before rank {pair[1]}'s"
+            )

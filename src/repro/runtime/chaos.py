@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+from repro.causality.cuts import first_causal_pair
 from repro.errors import SimulationError, StorageError
 from repro.runtime.engine import RunConfig, SimulationResult, SupervisorConfig
 from repro.runtime.failures import (
@@ -187,8 +188,8 @@ def storage_recovery_lines_consistent(
     so — unlike the raw trace, which keeps discarded-timeline events —
     its per-number cuts are exactly the recovery lines a failure at
     run end could use. Checks Definition 2.1 (no member happened
-    before another) over the stored vector clocks for every common
-    checkpoint number.
+    before another, :func:`~repro.causality.cuts.first_causal_pair`)
+    over the stored vector clocks for every common checkpoint number.
 
     Only protocols claiming ``induces_recovery_lines`` are held to
     this (the application-driven protocol — it is the paper's central
@@ -203,17 +204,16 @@ def storage_recovery_lines_consistent(
     common = storage.max_common_number(ranks)
     for number in range(1, common + 1):
         try:
-            members = [
-                storage.latest_with_number(rank, number) for rank in ranks
-            ]
+            clocks = {
+                rank: storage.latest_with_number(rank, number).clock
+                for rank in ranks
+            }
         except StorageError:
             # A rank's surviving history skips this number (GC or
             # truncation) — there is no straight cut R_number to check.
             continue
-        for a in members:
-            for b in members:
-                if a is not b and a.clock.happened_before(b.clock):
-                    return False
+        if first_causal_pair(clocks) is not None:
+            return False
     return True
 
 

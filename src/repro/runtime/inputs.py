@@ -14,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cache
 
+from repro.lang.builtins import mixer
+
 _MASK = (1 << 31) - 1
 _U64 = (1 << 64) - 1
 
@@ -72,12 +74,7 @@ def _label_hash(label: str) -> int:
     return (digest - (digest == _U64)) & _MASK
 
 
-def _mix(*values: int) -> int:
-    acc = 0x2545F491
-    for value in values:
-        acc = (acc ^ (value & _MASK)) * 0x9E3779B1 & _MASK
-        acc ^= acc >> 15
-    return acc & _MASK
+_mix = mixer(0x2545F491, 0x9E3779B1, 15)
 
 
 @dataclass

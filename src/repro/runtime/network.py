@@ -32,21 +32,14 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from repro.errors import ChannelError
+from repro.lang.builtins import MIX_MASK, mixer
 from repro.runtime.transport import (
     NetworkFaultInjector,
     ReliableTransport,
     TransportConfig,
 )
 
-_MASK = (1 << 31) - 1
-
-
-def _mix(*values: int) -> int:
-    acc = 0x6A09E667
-    for value in values:
-        acc = (acc ^ (value & _MASK)) * 0x85EBCA6B & _MASK
-        acc ^= acc >> 13
-    return acc & _MASK
+_mix = mixer(0x6A09E667, 0x85EBCA6B, 13)
 
 
 class Message(NamedTuple):
@@ -145,7 +138,7 @@ class Network:
 
     def latency(self, src: int, dst: int) -> float:
         """Deterministic one-way latency for the (src, dst) pair."""
-        noise = _mix(self.seed, src, dst) / _MASK  # in [0, 1]
+        noise = _mix(self.seed, src, dst) / MIX_MASK  # in [0, 1]
         return self.base_latency + self.jitter * noise
 
     def _check_rank(self, rank: int) -> None:

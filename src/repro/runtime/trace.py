@@ -89,13 +89,13 @@ class ExecutionTrace:
         )
 
     def all_straight_cuts(self) -> list[CheckpointCut]:
-        """Every existing straight cut, ``R_1 .. R_max``."""
-        cuts = []
-        for index in range(1, self.max_straight_cut_index() + 1):
-            cut = self.straight_cut(index)
-            if cut is not None:
-                cuts.append(cut)
-        return cuts
+        """Every existing straight cut, ``R_1 .. R_max`` (one grouping)."""
+        grouped = self.checkpoint_events()
+        ranks = range(self.n_processes)
+        return [
+            CheckpointCut(members=members)
+            for members in zip(*(grouped.get(rank, []) for rank in ranks))
+        ]
 
     def all_straight_cuts_consistent(self) -> bool:
         """True iff every straight cut of this trace is a recovery line.

@@ -10,11 +10,13 @@ import itertools
 
 import pytest
 
-from repro.causality.happened_before import HappenedBeforeGraph, happened_before
+from repro.causality.happened_before import happened_before
 from repro.causality.records import EventKind, TraceEvent
 from repro.causality.vector_clock import VectorClock
 from repro.lang.programs import jacobi, master_worker, token_ring
 from repro.runtime import Simulation
+
+from .happened_before_graph import HappenedBeforeGraph
 
 
 def event(kind, process, seq, clock, message_id=None):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ChannelError
-from repro.runtime.network import Network
+from repro.runtime.network import Network, _mix
 
 
 class TestSendReceive:
@@ -53,6 +53,27 @@ class TestFifoOrdering:
     def test_latency_deterministic_per_pair(self):
         net = Network(4, seed=7)
         assert net.latency(0, 1) == net.latency(0, 1)
+
+    #: ``_mix`` of each argument tuple, taken before the three mixers
+    #: shared one helper: a changed start value, multiplier or shift
+    #: fails here.
+    GOLDEN = (
+        ((), 1779033703),
+        ((1, 2), 286757762),
+        ((-5, 2**40), 1523293844),
+        ((7,), 2080959096),
+        ((0, 3, 1, 4), 1756314661),
+    )
+
+    @pytest.mark.parametrize("args,expected", GOLDEN)
+    def test_golden_mixer_values(self, args, expected):
+        assert _mix(*args) == expected
+
+    def test_golden_latencies(self):
+        net = Network(8, jitter=0.5, seed=7)
+        assert [net.latency(0, 1), net.latency(3, 2)] == [
+            0.5968454080153468, 0.7604546846172096,
+        ]
 
     def test_latency_varies_across_pairs(self):
         net = Network(8, jitter=0.5, seed=7)

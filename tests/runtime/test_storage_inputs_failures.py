@@ -100,6 +100,27 @@ class TestStorage:
 
 
 class TestInputProvider:
+    #: ``_mix`` of each argument tuple, taken before the three mixers
+    #: shared one helper: a changed start value, multiplier or shift
+    #: fails here.
+    GOLDEN = (
+        ((), 625341585),
+        ((1, 2), 642594916),
+        ((-5, 2**40), 1970193215),
+        ((7,), 1983114704),
+        ((0, 3, 1, 4), 730955541),
+    )
+
+    @pytest.mark.parametrize("args,expected", GOLDEN)
+    def test_golden_mixer_values(self, args, expected):
+        assert _mix(*args) == expected
+
+    def test_golden_input_values(self):
+        provider = InputProvider()
+        drawn = [provider.value("x", 0), provider.value("x", 0),
+                 provider.value("y", 1)]
+        assert drawn == [2000678001, 1493645905, 1687268348]
+
     def test_deterministic_per_seed(self):
         a = InputProvider(seed=5)
         b = InputProvider(seed=5)
