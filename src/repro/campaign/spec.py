@@ -20,7 +20,8 @@ from dataclasses import asdict, dataclass, field, is_dataclass
 
 from repro.errors import SimulationError
 from repro.protocols import make_protocol
-from repro.runtime.engine import RunConfig, RuntimeCosts, Simulation
+from repro.runtime.config import RunConfig, RuntimeCosts
+from repro.runtime.engine import Simulation
 from repro.runtime.failures import FaultPlan
 from repro.runtime.transport import TransportConfig
 
@@ -36,7 +37,7 @@ class ScenarioSpec(RunConfig):
 
     The run knobs (``seed``, ``storage_replicas``, ``retain_k``,
     ``backend``, ``checkpoint_mode``, …) are the inherited fields of
-    :class:`~repro.runtime.engine.RunConfig`, documented and validated
+    :class:`~repro.runtime.config.RunConfig`, documented and validated
     there; all of them are part of the JSON form and of
     :meth:`content_hash` (so cached results record, e.g., which backend
     produced them). The scenario itself adds:
@@ -140,7 +141,7 @@ class ScenarioSpec(RunConfig):
 
         The program is parsed from its source text, the protocol made by
         name, and the run knobs handed over whole
-        (:meth:`~repro.runtime.engine.RunConfig.run_knobs`). Everything
+        (:meth:`~repro.runtime.config.RunConfig.run_knobs`). Everything
         here is picklable, so a spec, unlike a constructed
         ``Simulation``, can be shipped to another process: that is how
         the campaign executor fans cells out to workers.

@@ -46,14 +46,18 @@ from repro.lang.parser import parse
 from repro.lang.printer import to_source
 from repro.lang.programs import program_names, program_source
 from repro.protocols import PROTOCOL_CLASSES, protocol_names
-from repro.runtime.engine import CHECKPOINT_MODES, RunConfig, run_verdict
+from repro.runtime.config import (
+    BACKENDS,
+    CHECKPOINT_MODES,
+    RunConfig,
+    run_verdict,
+)
 from repro.runtime.failures import (
     EVENT_LISTS,
     FaultPlan,
     event_syntax,
     parse_event,
 )
-from repro.runtime.interpreter import BACKENDS
 
 
 def _source(spec: str) -> str:
@@ -373,7 +377,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if stats is None:
         print(f"error: {outcome.error}", file=sys.stderr)
         return 2
-    verdict = run_verdict(stats["unrecoverable"], stats["completed"])
+    verdict = run_verdict(stats["unrecoverable"])
     print(f"completed         : {stats['completed']}")
     print(f"verdict           : {verdict}")
     print(f"completion time   : {outcome.completion_time:.3f}")

@@ -47,21 +47,7 @@ from repro.lang.parser import parse
 from repro.lang.printer import to_source
 from repro.lang.tokens import Token, TokenKind, tokenize
 
-# Imported last: repro.lang.compile pulls in repro.runtime modules that
-# themselves import repro.lang submodules, which is safe only once the
-# names above are bound on this (still-initialising) package.
-from repro.lang.compile import (  # noqa: E402
-    COMPILER_VERSION,
-    CompiledProcess,
-    CompiledProgram,
-    compile_program,
-)
-
 __all__ = [
-    "COMPILER_VERSION",
-    "CompiledProcess",
-    "CompiledProgram",
-    "compile_program",
     "Assign",
     "BinOp",
     "Block",

@@ -133,7 +133,7 @@ def fold_stats(
 def cell_metrics(outcome) -> dict[str, dict]:
     """Deterministic metrics of one campaign cell outcome.
 
-    The cell's :class:`~repro.runtime.engine.SimulationStats` as
+    The cell's :class:`~repro.runtime.config.SimulationStats` as
     ``stats.*`` counters plus, for an observed cell, the derived set of
     a :class:`~repro.obs.metrics.MetricsCollector` (checkpoint latency,
     retransmit rate, rollback depth, ...). An outcome fresh from its

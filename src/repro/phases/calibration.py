@@ -21,7 +21,8 @@ from repro.analysis.delay import RttEstimator, estimate_message_delay
 from repro.errors import InsertionError
 from repro.lang import ast_nodes as ast
 from repro.phases.insertion import CostModel
-from repro.runtime.engine import RuntimeCosts, Simulation
+from repro.runtime.config import RuntimeCosts
+from repro.runtime.engine import Simulation
 
 
 @dataclass(frozen=True)

@@ -75,7 +75,7 @@ class CheckpointingProtocol(ProtocolHooks):
         reached (0 = initial state), restore each process's latest
         intact number-``i`` checkpoint, falling back to ``R_{i-1}``
         when a member is missing or corrupt. The fallback depth is
-        recorded in :class:`~repro.runtime.engine.SimulationStats`.
+        recorded in :class:`~repro.runtime.config.SimulationStats`.
         *found* is the :meth:`deepest_intact_cut` result when the caller
         already searched (the search is run here otherwise). Returns
         the restored number.

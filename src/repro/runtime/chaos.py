@@ -4,7 +4,7 @@ Property-based robustness testing for the network layer. A *schedule*
 is a :class:`~repro.runtime.failures.FaultPlan` of crashes plus network
 faults drawn **seed-deterministically** (the same ``(seed, config)``
 always yields the same plan, and replaying a plan reproduces a
-byte-identical :class:`~repro.runtime.engine.SimulationResult`). The
+byte-identical :class:`~repro.runtime.config.SimulationResult`). The
 harness runs a schedule against a checkpointing protocol and checks the
 paper's end-to-end contract:
 
@@ -33,7 +33,7 @@ from dataclasses import dataclass, replace
 
 from repro.causality.cuts import first_causal_pair
 from repro.errors import SimulationError, StorageError
-from repro.runtime.engine import RunConfig, SimulationResult, SupervisorConfig
+from repro.runtime.config import RunConfig, SimulationResult, SupervisorConfig
 from repro.runtime.failures import (
     EVENT_LISTS,
     ONE_SHOT_NETWORK_KINDS,
@@ -60,7 +60,7 @@ class ChaosConfig(RunConfig):
     The engine knobs every replay runs under (``retain_k`` retention
     pressure, ``backend``, ``checkpoint_mode``, … — verdicts are
     byte-identical across the last two) are the
-    inherited :class:`~repro.runtime.engine.RunConfig` fields. ``seed``
+    inherited :class:`~repro.runtime.config.RunConfig` fields. ``seed``
     there is the *simulator* seed (inputs, latencies), not the schedule
     seed, so one workload meets many schedules.
 
@@ -260,12 +260,11 @@ DIVERGED = "final state diverged from the fault-free baseline"
 def judge(spec, sim, result) -> str | None:
     """The storage half of a chaos cell's verdict (``None``: it held).
 
-    Runs in the campaign worker after a clean run: every surviving
-    straight cut is a recovery line, then retention kept recoverability
-    and its bound, then the run completed — unless the supervisor gave
-    up cleanly (an ``unrecoverable`` verdict: recovery terminated in
-    bounded retries, so completion is vacuous but the storage
-    invariants still apply).
+    Runs in the campaign worker after a clean run — one that
+    completed, or whose supervisor gave up cleanly (an
+    ``unrecoverable`` verdict: the storage invariants still apply):
+    every surviving straight cut is a recovery line, then retention
+    kept recoverability and its bound.
     """
     if (
         sim.protocol.induces_recovery_lines
@@ -276,8 +275,6 @@ def judge(spec, sim, result) -> str | None:
         result, spec.n_processes, spec.retain_k, spec.checkpoint_mode
     ):
         return "retention GC broke recoverability (or its bound)"
-    if not result.stats.completed and result.verdict != "unrecoverable":
-        return "run did not complete"
     return None
 
 

@@ -37,6 +37,7 @@ Two record shapes exist on the wire:
 from __future__ import annotations
 
 import struct
+import zlib
 from collections import Counter
 from itertools import chain, compress, islice, repeat
 from operator import attrgetter, eq, is_, is_not, ne
@@ -342,13 +343,16 @@ class SizeLedger:
         self._key_sizes = {} if key_sizes is None else key_sizes
         self._bodies = [0, 0, 0]
 
-    def price(self, checkpoint, parent=None) -> tuple[int, int | None]:
+    def price(
+        self, checkpoint, parent=None, delta: bool = True
+    ) -> tuple[int, int | None]:
         """``(full_size, delta_size)`` of *checkpoint*, without bytes.
 
         Exactly ``len(encode_record(checkpoint_record(checkpoint)))``
         and ``len(encode_record(delta_record(checkpoint, parent)))``;
         the latter is ``None`` when there is no such record (no
-        *parent*, or a pair :func:`delta_encodable` refuses).
+        *parent*, or a pair :func:`delta_encodable` refuses) or when
+        *delta* is false: then the pass stops after the sums.
         Afterwards the ledger mirrors *checkpoint*.
         """
         if self.entry is not parent:
@@ -401,7 +405,8 @@ class SizeLedger:
             + (3 * n if small else sum(map(encoded_size, clock.components)))
         )
         if (
-            parent is None
+            not delta
+            or parent is None
             or env_changed is None
             or inputs_changed is None
             or cursors_changed is None
@@ -667,3 +672,29 @@ def apply_delta(parent_record: tuple, delta: tuple) -> tuple:
         stmt_label,
         tag,
     )
+
+
+def checkpoint_payload(checkpoint) -> bytes:
+    """Canonical byte serialisation of a checkpoint's full content.
+
+    The canonical-encoding bytes of :func:`checkpoint_record` — the
+    single serialisation shared by checksums, replication, torn-write
+    staging and the delta encoder (byte accounting uses its structural
+    size, not the bytes). For a delta entry this is the
+    *reconstructed* content: byte-identical to chaining
+    :func:`apply_delta` up from the nearest full ancestor, which is why
+    one checksum definition covers both payload kinds.
+    """
+    return encode_record(checkpoint_record(checkpoint))
+
+
+def stored_payload(checkpoint) -> bytes:
+    """The durable wire form: delta bytes for delta entries, else full."""
+    if checkpoint.payload_kind != "delta":
+        return checkpoint_payload(checkpoint)
+    return encode_record(delta_record(checkpoint, checkpoint.parent))
+
+
+def checkpoint_checksum(checkpoint) -> int:
+    """CRC-32 over the (reconstructed) full content of *checkpoint*."""
+    return zlib.crc32(checkpoint_payload(checkpoint))

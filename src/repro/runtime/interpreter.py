@@ -386,9 +386,6 @@ class ProcessInterpreter:
 
 # -- backend seam -------------------------------------------------------------
 
-#: The recognised execution backends, in default-first order.
-BACKENDS = ("compiled", "reference")
-
 #: A per-rank process factory: (rank, params, inputs) -> process.
 ProcessFactory = Callable[
     [int, "dict[str, int] | None", "InputProvider | None"],
@@ -412,8 +409,8 @@ def make_backend(
     maps each ``checkpoint`` statement's node id to its document-order
     ordinal, the label a stored checkpoint carries
     (:attr:`~repro.runtime.storage.StoredCheckpoint.stmt_label`).
-    *backend* is one of :data:`BACKENDS` (validated by
-    :class:`~repro.runtime.engine.RunConfig`).
+    *backend* is one of :data:`~repro.runtime.config.BACKENDS`
+    (validated by :class:`~repro.runtime.config.RunConfig`).
     """
     labels = {
         node.node_id: ordinal

@@ -25,12 +25,10 @@ from dataclasses import dataclass
 from repro.causality.vector_clock import VectorClock
 from repro.errors import StorageError, TransientStorageError
 from repro.runtime.encoding import (
-    apply_delta,
-    checkpoint_record,
+    checkpoint_checksum,
     checkpoint_sizes,
-    delta_record,
-    encode_record,
     full_bytes_total,
+    stored_payload,
 )
 from repro.runtime.failures import FaultKind, StorageFaultEvent
 from repro.runtime.interpreter import ProcessSnapshot
@@ -97,14 +95,15 @@ class StoredCheckpoint:
         """Structural size of the complete canonical encoding.
 
         Pinned equal to the encoder's output (``len`` of
-        :func:`checkpoint_payload`) by test, but computed by
-        :func:`~repro.runtime.encoding.checkpoint_sizes` without
-        building bytes. Lazily cached (direct ``__dict__`` write — the
-        dataclass is frozen but the cache is not part of its identity,
-        and ``dataclasses.replace`` copies start cold); the engine
-        seeds it where it priced the entry at commit. An entry nothing
-        read at commit stays cold, and :meth:`CheckpointStore.total_bytes`
-        prices it in bulk without caching.
+        :func:`~repro.runtime.encoding.checkpoint_payload`) by test,
+        but computed by :func:`~repro.runtime.encoding.checkpoint_sizes`
+        without building bytes. Lazily cached (direct ``__dict__``
+        write — the dataclass is frozen but the cache is not part of
+        its identity, and ``dataclasses.replace`` copies start cold);
+        the engine seeds it where it priced the entry at commit. An
+        entry nothing read at commit stays cold, and
+        :meth:`CheckpointStore.total_bytes` prices it in bulk without
+        caching.
         """
         cached = self.__dict__.get("_full_bytes")
         if cached is None:
@@ -118,7 +117,8 @@ class StoredCheckpoint:
 
         Equals :attr:`full_bytes` for full entries; for delta entries,
         the size of the delta record against :attr:`parent` (pinned
-        equal to ``len`` of :func:`stored_payload`).
+        equal to ``len`` of
+        :func:`~repro.runtime.encoding.stored_payload`).
         """
         if self.payload_kind != "delta":
             return self.full_bytes
@@ -139,49 +139,6 @@ class StoredCheckpoint:
         return tuple(ancestors)
 
 
-def checkpoint_payload(checkpoint: StoredCheckpoint) -> bytes:
-    """Canonical byte serialisation of a checkpoint's full content.
-
-    The canonical-encoding bytes of :func:`checkpoint_record` — the
-    single serialisation shared by checksums, replication, torn-write
-    staging and the delta encoder (see :mod:`repro.runtime.encoding`;
-    byte accounting uses its structural size, not the bytes). For a
-    delta entry this is the *reconstructed* content: byte-identical to
-    chaining :func:`apply_delta` up from the nearest full ancestor,
-    which is why one checksum definition covers both payload kinds.
-    """
-    return encode_record(checkpoint_record(checkpoint))
-
-
-def stored_payload(checkpoint: StoredCheckpoint) -> bytes:
-    """The durable wire form: delta bytes for delta entries, else full."""
-    if checkpoint.payload_kind != "delta":
-        return checkpoint_payload(checkpoint)
-    return encode_record(delta_record(checkpoint, checkpoint.parent))
-
-
-def reconstructed_record(checkpoint: StoredCheckpoint) -> tuple:
-    """Full content rebuilt through the stored delta chain.
-
-    Follows ``parent`` links to the nearest full entry and applies each
-    delta wire record in turn — the restore-time path. The result is
-    byte-identical (under :func:`~repro.runtime.encoding.encode_record`)
-    to :func:`~repro.runtime.encoding.checkpoint_record` of the entry
-    itself; tests pin that equivalence.
-    """
-    if checkpoint.payload_kind != "delta":
-        return checkpoint_record(checkpoint)
-    return apply_delta(
-        reconstructed_record(checkpoint.parent),
-        delta_record(checkpoint, checkpoint.parent),
-    )
-
-
-def checkpoint_checksum(checkpoint: StoredCheckpoint) -> int:
-    """CRC-32 over the (reconstructed) full content of *checkpoint*."""
-    return zlib.crc32(checkpoint_payload(checkpoint))
-
-
 @dataclass(frozen=True)
 class StoreReceipt:
     """Outcome of one two-phase checkpoint write.
@@ -192,13 +149,11 @@ class StoreReceipt:
             the engine to charge simulated backoff time).
         torn: Whether a torn write was detected (and discarded) during
             validation.
-        fault: The fault that was applied to this write, if any.
     """
 
     published: bool
     retries: int = 0
     torn: bool = False
-    fault: StorageFaultEvent | None = None
 
 
 #: Shared receipt for the fault-free store path: immutable, so every
@@ -325,22 +280,13 @@ class CheckpointStore:
             self._emit_commit(checkpoint, retries=0)
             return _OK_RECEIPT
         kind = fault.kind
-        if kind is FaultKind.WRITE_FAIL:
+        if kind is FaultKind.WRITE_FAIL or (
+            kind is FaultKind.TRANSIENT and fault.attempts > self.max_retries
+        ):
             # Every attempt errors; exhaust the retry budget and give up.
             self._emit("write-fail", checkpoint, retries=self.max_retries)
-            return StoreReceipt(
-                published=False, retries=self.max_retries, fault=fault
-            )
-        retries = 0
-        if kind is FaultKind.TRANSIENT:
-            if fault.attempts > self.max_retries:
-                self._emit(
-                    "write-fail", checkpoint, retries=self.max_retries
-                )
-                return StoreReceipt(
-                    published=False, retries=self.max_retries, fault=fault
-                )
-            retries = fault.attempts
+            return StoreReceipt(published=False, retries=self.max_retries)
+        retries = fault.attempts if kind is FaultKind.TRANSIENT else 0
         if kind is FaultKind.TORN_WRITE:
             # Stage: a torn write truncates the staged *wire* bytes
             # (the delta payload for delta entries). Validate: the
@@ -352,11 +298,11 @@ class CheckpointStore:
             if zlib.crc32(staged) != expected:
                 self._emit("torn-write", checkpoint, retries=retries)
                 return StoreReceipt(
-                    published=False, retries=retries, torn=True, fault=fault
+                    published=False, retries=retries, torn=True
                 )
             self._publish(checkpoint, expected)
             self._emit_commit(checkpoint, retries=retries)
-            return StoreReceipt(published=True, retries=retries, fault=fault)
+            return StoreReceipt(published=True, retries=retries)
         # Publish: append atomically. Checkpoint content is immutable
         # once stored (bit rot is modelled by flipping the *stored*
         # checksum, never the content), so an untorn write's checksum
@@ -365,7 +311,7 @@ class CheckpointStore:
         # runs never pay for it.
         self._publish(checkpoint)
         self._emit_commit(checkpoint, retries=retries)
-        return StoreReceipt(published=True, retries=retries, fault=fault)
+        return StoreReceipt(published=True, retries=retries)
 
     def _emit_commit(self, checkpoint: StoredCheckpoint, retries: int) -> None:
         """Commit event carrying the *stored* (wire) payload size.

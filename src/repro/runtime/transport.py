@@ -28,7 +28,7 @@ Everything above the transport keeps seeing reliable FIFO channels:
 ``Network``'s append-only logs, cut-rollback semantics, and the
 protocols are untouched. Transport activity is metered in
 :class:`TransportStats` and surfaced through
-:class:`~repro.runtime.engine.SimulationStats`.
+:class:`~repro.runtime.config.SimulationStats`.
 """
 
 from __future__ import annotations

@@ -14,7 +14,8 @@ from repro.campaign.spec import (
 from repro.errors import SimulationError
 from repro.lang.programs import load_program, program_source
 from repro.protocols import make_protocol
-from repro.runtime.engine import RunConfig, RuntimeCosts, Simulation
+from repro.runtime.config import RunConfig, RuntimeCosts
+from repro.runtime.engine import Simulation
 from repro.runtime.failures import (
     CrashEvent,
     FaultKind,

@@ -30,7 +30,7 @@ from repro.obs.export import events_to_jsonl, read_event_log
 from repro.obs.metrics import _HANDLERS
 from repro.obs.rollup import campaign_rollup, cell_metrics
 from repro.runtime.chaos import ChaosConfig, draw_schedule
-from repro.runtime.engine import RecoverySupervisor
+from repro.runtime.recovery import RecoverySupervisor
 from repro.runtime.failures import (
     FaultKind,
     FaultPlan,

@@ -259,7 +259,7 @@ class TestStats:
     """SimulationStats surfaces the degraded-recovery summary."""
 
     def test_max_fallback_depth(self):
-        from repro.runtime.engine import SimulationStats
+        from repro.runtime.config import SimulationStats
 
         stats = SimulationStats()
         assert stats.max_fallback_depth == 0

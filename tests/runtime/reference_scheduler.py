@@ -4,17 +4,20 @@ Before the indexed priority queue, ``Simulation`` chose every step by
 scanning each pending bit-rot event, crash, control message, timer and
 process and keeping the earliest ``(time, priority)``, first considered
 winning ties. That scan is kept here verbatim, as a ``Simulation``
-subclass that also switches off everything the heap enables: the index
-itself (pushes, re-keying, resyncs) and the run loop's hot-process
-batching, which relies on the heap's head being a lower bound on every
-other actionable item. Runs must be byte-identical to the engine's;
+subclass that overrides the index methods of
+``repro.runtime.scheduler.Scheduler`` and so switches off everything the
+heap enables: the index itself (pushes, re-keying, resyncs) and the run
+loop's hot-process batching, which relies on the heap's head being a
+lower bound on every other actionable item. Runs must be
+byte-identical to the engine's;
 ``tests/runtime/test_scheduler_differential.py`` and
 ``tests/runtime/test_run_ahead.py`` hold it to that.
 """
 
 from __future__ import annotations
 
-from repro.runtime.engine import Simulation, _Status
+from repro.runtime.engine import Simulation
+from repro.runtime.scheduler import _Status
 
 
 class ReferenceSchedulerSimulation(Simulation):
@@ -23,7 +26,6 @@ class ReferenceSchedulerSimulation(Simulation):
     _batch_dispatch = False
 
     def _next_item(self) -> tuple[float, int, object] | None:
-        self._pending_entry = None
         best: tuple[float, int, object] | None = None
 
         def consider(time: float, priority: int, payload: object) -> None:

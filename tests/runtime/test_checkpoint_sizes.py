@@ -24,18 +24,16 @@ from repro.lang.programs import jacobi, stencil_1d, stencil_halo, token_ring
 from repro.obs import Observability
 from repro.protocols import ApplicationDrivenProtocol
 from repro.runtime import FaultPlan, Simulation
-from repro.runtime.engine import CHECKPOINT_MODES
+from repro.runtime.config import CHECKPOINT_MODES
 from repro.runtime.encoding import (
+    checkpoint_payload,
     checkpoint_record,
     delta_encodable,
     delta_record,
     encode_record,
-)
-from repro.runtime.storage import (
-    DELTA_CHAIN_CAP,
-    checkpoint_payload,
     stored_payload,
 )
+from repro.runtime.storage import DELTA_CHAIN_CAP
 
 
 def run(program, n, mode, steps=6, fault_plan=None, observer=None,
@@ -179,12 +177,9 @@ class TestNoBytesOnTheFaultFreePath:
         def no_bytes(record):
             raise AssertionError("fault-free run asked for canonical bytes")
 
-        # storage.py binds the name at import; patch both bindings.
+        # Every payload builder looks the name up in encoding.py.
         monkeypatch.setattr(
             repro.runtime.encoding, "encode_record", no_bytes
-        )
-        monkeypatch.setattr(
-            repro.runtime.storage, "encode_record", no_bytes
         )
         obs = Observability()
         result = run(

@@ -15,7 +15,7 @@ from repro.lang import ast_nodes as ast
 from repro.lang.programs import jacobi, ring_pipeline, stencil_halo
 from repro.protocols import ApplicationDrivenProtocol
 from repro.runtime import Simulation
-from repro.runtime.engine import CHECKPOINT_MODES
+from repro.runtime.config import CHECKPOINT_MODES
 from repro.runtime.failures import (
     CrashEvent,
     FaultPlan,

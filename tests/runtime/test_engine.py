@@ -155,13 +155,6 @@ class TestDeadlockAndGuards:
                 max_steps=100,
             ).run()
 
-    def test_max_time_stops_early(self):
-        result = Simulation(
-            program("i = 0\nwhile i < 1000:\n    compute(1)\n    i = i + 1"),
-            1,
-        ).run(max_time=5.0)
-        assert not result.stats.completed
-
     def test_crash_without_recovery_raises(self):
         source = program("compute(100)")
         with pytest.raises(RecoveryError, match="no recovery"):

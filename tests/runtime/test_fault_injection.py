@@ -11,12 +11,9 @@ from repro.runtime.failures import (
     StorageFaultEvent,
     exponential_fault_plan,
 )
+from repro.runtime.encoding import checkpoint_checksum
 from repro.runtime.interpreter import ProcessSnapshot
-from repro.runtime.storage import (
-    CheckpointStore,
-    StoredCheckpoint,
-    checkpoint_checksum,
-)
+from repro.runtime.storage import CheckpointStore, StoredCheckpoint
 
 
 def checkpoint(rank, number, time=0.0, tag="", env=None):

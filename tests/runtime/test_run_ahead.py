@@ -7,9 +7,8 @@ statements, and only its next send / receive / checkpoint / compute
 goes through the heap. The reference scheduler and the reference
 backend never do this, so they are the oracle: traces, stats
 (``steps`` included), final environments, storage contents and errors
-must be identical across scheduler x backend — under faults, with
-compute events recorded, with ``run(max_time=...)`` called in slices —
-and an active protocol's timer or control message that lands between
+must be identical across scheduler x backend — under faults and with
+compute events recorded — and an active protocol's timer or control message that lands between
 two local statements of its target must still see the state the
 strict-minimum order gives it.
 """
@@ -58,7 +57,7 @@ def fingerprint(sim, result):
     return run_fingerprint(result)[:4] + (result.verdict, stored)
 
 
-def outcome(base, n, variant, slices=(), protocol=lambda: None, **kwargs):
+def outcome(base, n, variant, protocol=lambda: None, **kwargs):
     """The fingerprint of one run of a shared AST, or its error.
 
     *protocol* is a factory: protocol objects carry state across runs.
@@ -69,15 +68,7 @@ def outcome(base, n, variant, slices=(), protocol=lambda: None, **kwargs):
             ast.clone(base), n, backend=backend, protocol=protocol(),
             **kwargs
         )
-        paused = []
-        for limit in slices:
-            partial = sim.run(max_time=limit)
-            # Where a cutoff leaves every rank is observable too.
-            paused.append((
-                partial.final_env, partial.stats.steps, partial.verdict,
-                tuple(proc.clock for proc in sim.procs),
-            ))
-        return fingerprint(sim, sim.run()) + (paused,)
+        return fingerprint(sim, sim.run())
     except ReproError as error:
         return type(error).__name__, str(error)
 
@@ -107,7 +98,7 @@ MATRIX = [(name, n) for n in (3, 16, 64) for name in program_names()]
 class TestSchedulerTimesBackend:
     @pytest.mark.parametrize("name,n", MATRIX)
     @pytest.mark.parametrize("protocol", ("none", "appl-driven"))
-    def test_faulted_sliced_runs_identical(self, name, n, protocol):
+    def test_faulted_runs_identical(self, name, n, protocol):
         result = assert_all_variants_agree(
             load_program(name), n,
             params=default_params(name, steps=3),
@@ -116,7 +107,6 @@ class TestSchedulerTimesBackend:
             fault_plan=faults(crash=protocol == "appl-driven"),
             record_compute_events=True,
             checkpoint_mode="pruned+delta",
-            slices=(0.0, 1.505, 3.3, 4.0, 7.77),
             seed=11,
         )
         if name == "stencil_halo" and n > 3 and protocol == "appl-driven":
@@ -126,7 +116,7 @@ class TestSchedulerTimesBackend:
             assert stats["bit_rot_injected"] == 1
             assert stats["completed"]
 
-    def test_unsliced_run_matches_too(self):
+    def test_default_knobs_match_too(self):
         result = assert_all_variants_agree(
             load_program("stencil_halo"), 16,
             params=default_params("stencil_halo", steps=4),
@@ -238,16 +228,13 @@ program p():
 """
 
 
-class TestCrashOrCutoffInsideALocalRun:
+class TestCrashInsideALocalRun:
     @pytest.mark.parametrize("when", (1.3, 1.5049, 3.6, 4.4))
-    @pytest.mark.parametrize("sliced", (False, True))
-    def test_crash_between_two_local_statements(self, when, sliced):
-        cutoffs = (when - 0.3, when - 0.004, when, when + 0.013)
+    def test_crash_between_two_local_statements(self, when):
         result = assert_all_variants_agree(
             parse(LOCAL_RUNS_SOURCE), 4,
             protocol=lambda: make_protocol("appl-driven"),
             fault_plan=FaultPlan(crashes=[CrashEvent(time=when, rank=3)]),
-            slices=cutoffs if sliced else (),
         )
         stats = result[1]
         assert stats["completed"] and stats["rollbacks"] == 1
@@ -267,14 +254,11 @@ class TestCrashOrCutoffInsideALocalRun:
                 recovery_overhead=1.0,
             ),
             fault_plan=FaultPlan(crashes=[CrashEvent(time=2.0, rank=0)]),
-            slices=(1.0, 2.0),
         )
         assert result[1]["rollbacks"] == 1
         # Every rank stood at 2.0, its checkpoint (taken at 1.0) one
-        # second behind; a cutoff at 1.0 still runs the 1.0 statement.
+        # second behind.
         assert result[1]["lost_work"] == 4 * 1.0
-        assert result[6][0][3] == (1.25,) * 4
-        assert result[6][1][3] == (3.0,) * 4
 
 
 class TestProtocolsThatAct:

@@ -87,42 +87,6 @@ class TestWorkloadMatrix:
         )
         assert run_fingerprint(indexed) == run_fingerprint(reference)
 
-    def test_max_time_resume_identical(self):
-        """Pausing at max_time and resuming must not reorder anything.
-
-        The ``steps`` counter inherently gains one loop iteration per
-        extra ``run()`` call (both schedulers do), so the split runs
-        are compared against each other in full and against the
-        uninterrupted run on everything but stats.
-        """
-        workload = standard_workloads(steps=8)[0]
-        base = parse(workload.program)
-        full = run_once(
-            base, workload.n_processes, workload.params, "appl-driven",
-            FaultPlan(), "indexed",
-        )
-
-        def split(scheduler):
-            sim = ENGINES[scheduler](
-                ast.clone(base),
-                workload.n_processes,
-                params=dict(workload.params),
-                costs=RuntimeCosts(),
-                protocol=make_protocol("appl-driven", period=6.0),
-                fault_plan=FaultPlan(),
-                seed=3,
-            )
-            sim.run(max_time=5.0)
-            return sim.run()
-
-        indexed = split("indexed")
-        reference = split("reference")
-        assert run_fingerprint(indexed) == run_fingerprint(reference)
-        for resumed in (indexed, reference):
-            assert run_fingerprint(resumed)[0] == run_fingerprint(full)[0]
-            assert resumed.final_env == full.final_env
-            assert resumed.completion_time == full.completion_time
-
 
 class TestCombinedStackAtScale:
     """Both retained reference implementations against production at n=192.

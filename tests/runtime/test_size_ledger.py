@@ -21,6 +21,7 @@ import repro.runtime.encoding
 from repro.causality.vector_clock import VectorClock
 from repro.errors import StorageError
 from repro.lang.programs import stencil_halo
+from repro.obs import Observability
 from repro.protocols import ApplicationDrivenProtocol
 from repro.runtime import Simulation
 from repro.runtime.encoding import (
@@ -35,7 +36,7 @@ from repro.runtime.encoding import (
     encode_record,
     full_bytes_total,
 )
-from repro.runtime.engine import CHECKPOINT_MODES
+from repro.runtime.config import CHECKPOINT_MODES
 from repro.runtime.interpreter import FrameState, ProcessSnapshot
 from repro.runtime.storage import StoredCheckpoint
 
@@ -406,7 +407,7 @@ class TestSmallClockFact:
 
 
 class TestCommitPricesOnlyWhatChanged:
-    def run_counting(self, monkeypatch, mode):
+    def run_counting(self, monkeypatch, mode, observer=None):
         """The run, its :func:`encoded_size` calls and its size-table
         lookups (one per int the table prices)."""
         calls, lookups = [], []
@@ -429,6 +430,7 @@ class TestCommitPricesOnlyWhatChanged:
         result = Simulation(
             stencil_halo(), 8, params={"steps": 6},
             protocol=ApplicationDrivenProtocol(), checkpoint_mode=mode,
+            observer=observer,
         ).run()
         monkeypatch.undo()
         assert result.verdict == "completed"
@@ -521,6 +523,30 @@ class TestCommitPricesOnlyWhatChanged:
         assert result.stats.stored_bytes == exact
         assert result.storage.total_bytes() == exact
         assert not any("_full_bytes" in entry.__dict__ for entry in entries)
+
+
+    def test_observed_full_commit_stops_after_the_sums(self, monkeypatch):
+        """A ``commit`` event reads the entry's size, so an observed
+        ``full`` run prices every commit through its ledger — but no
+        delta record, which nothing in that mode reads."""
+        result, calls, _ = self.run_counting(
+            monkeypatch, "full", observer=Observability().bus
+        )
+        entries = [
+            entry for rank in range(8)
+            for entry in result.storage.history(rank)
+        ]
+        keys = set()
+        for entry in entries:
+            snap = entry.snapshot
+            keys.update(snap.env, snap.input_counters, entry.channel_cursors)
+        # Per commit one call prices the shared fields; per distinct
+        # key, once per simulation, one prices the key. Pricing the
+        # delta too would add one more per non-initial commit (148).
+        assert (len(entries), len(keys)) == (56, 44)
+        assert calls == len(entries) + len(keys) == 100
+        exact = sum(checkpoint_sizes(entry)[0] for entry in entries)
+        assert result.stats.stored_bytes == exact == 26433
 
 
 # The bulk pricer's cases: every class the encoder takes, in every field

@@ -281,7 +281,54 @@ class TestAbPairs:
         # The table still prints; the verdict names the pair and metric.
         assert "cells_per_s" in out
         assert err == (
-            "error: pair 2: stored_bytes_per_checkpoint differ: the two "
+            "error: w: pair 2: stored_bytes_per_checkpoint differ: the two "
+            "sides run different programs\n"
+        )
+
+    def test_a_workload_list_shares_one_alternating_schedule(
+        self, tmp_path, capsys
+    ):
+        tool = load_by_path("ab_pairs", self.TOOL)
+        base, change = str(REPO_ROOT), str(tmp_path)
+        speed = {base: 10, change: 20}
+        stored = {"x": 700.5, "y": 300.25}
+        calls = []
+
+        def run(checkout, workload, rounds):
+            calls.append((checkout, workload))
+            # The change is faster on x only, and y's second change
+            # run stores other bytes.
+            fast = workload == "x" or checkout == base
+            bytes_ = stored[workload] + (
+                checkout == change and workload == "y"
+                and calls.count((change, "y")) == 2
+            )
+            return self.contract(
+                speed[checkout] if fast else 5, 5, stored=bytes_
+            )
+
+        assert tool.main(
+            [base, change, "--workload", "x,y", "--pairs", "2"], run=run,
+        ) == 1
+        # Each pair runs every workload before the next pair starts,
+        # and each workload's two sides alternate which goes first.
+        assert calls == [
+            (base, "x"), (change, "x"), (base, "y"), (change, "y"),
+            (change, "x"), (base, "x"), (change, "y"), (base, "y"),
+        ]
+        out, err = capsys.readouterr()
+        tables = {}
+        for line in out.splitlines():
+            if line.endswith("rounds a run"):
+                table = tables[line.split(":")[0]] = {}
+            elif not line.startswith("metric"):
+                table[line.split()[0]] = line.split()[1:]
+        assert list(tables) == ["x", "y"]
+        assert tables["x"]["cells_per_s"] == ["10", "20", "2.000", "0", "2/2"]
+        assert tables["y"]["cells_per_s"] == ["10", "5", "0.500", "0", "0/2"]
+        # Only y's second pair ran two programs; x's table stands.
+        assert err == (
+            "error: y: pair 2: stored_bytes_per_checkpoint differ: the two "
             "sides run different programs\n"
         )
 

@@ -1,15 +1,18 @@
 #!/usr/bin/env python
-"""Compare two checkouts on one benchmark workload in alternating pairs.
+"""Compare two checkouts on benchmark workloads in alternating pairs.
 
 Runs ``bench/run.py --workload W --trace 0 --rounds R`` in checkout A
 and in checkout B, ``--pairs`` times each. Every pair flips which side
 goes first, so a drift in the host's load falls on both sides alike.
-For each end-to-end metric of A's ``BENCHMARK.json`` it prints each
+``--workload`` takes one workload or a comma-separated list; each pair
+runs every listed workload on both sides before the next pair starts,
+so one invocation checks them all on one schedule. For each workload
+and each end-to-end metric of A's ``BENCHMARK.json`` it prints each
 side's median, the ratio B/A of the medians, the spread of A's runs
 (the distance between their quartiles, which a claimed gain must
 exceed) and in how many pairs B was the better one::
 
-    python tools/ab_pairs.py ../parent . --workload steady_full --pairs 4 --rounds 12
+    python tools/ab_pairs.py ../parent . --workload steady_full,steady_minimal --pairs 6 --rounds 10
 
 One parent/change pair can misjudge a workload by more than the
 benchmark's 25 % bound: ``transform_sweep`` runs in two modes on one
@@ -89,38 +92,48 @@ def main(argv=None, run=run_bench) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("a", help="checkout A (the base)")
     parser.add_argument("b", help="checkout B (the change)")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument(
+        "--workload", required=True,
+        help="a workload, or several separated by commas",
+    )
     parser.add_argument("--pairs", type=int, default=4)
     parser.add_argument("--rounds", type=int, default=12)
     args = parser.parse_args(argv)
     metrics = json.loads(
         (Path(args.a) / "BENCHMARK.json").read_text()
     )["end_to_end"]
-    runs: tuple[list, list] = ([], [])
+    workloads = args.workload.split(",")
+    runs = {workload: ([], []) for workload in workloads}
     for pair in range(args.pairs):
         order = (0, 1) if pair % 2 == 0 else (1, 0)
-        for side in order:
-            checkout = (args.a, args.b)[side]
-            try:
-                runs[side].append(parse_contract(
-                    run(checkout, args.workload, args.rounds)
-                ))
-            except ValueError as error:
-                print(f"error: {checkout}: {error}", file=sys.stderr)
-                return 1
-    print(f"{args.workload}: {args.pairs} alternating pairs, "
-          f"{args.rounds} rounds a run")
-    print("\n".join(summarize(metrics, *runs)))
-    for pair, (run_a, run_b) in enumerate(zip(*runs), 1):
-        differ = [
-            name for name in DETERMINISTIC
-            if run_a.get(name) != run_b.get(name)
-        ]
-        if differ:
-            print(f"error: pair {pair}: {', '.join(differ)} differ: the "
-                  "two sides run different programs", file=sys.stderr)
-            return 1
-    return 0
+        for workload in workloads:
+            for side in order:
+                checkout = (args.a, args.b)[side]
+                try:
+                    runs[workload][side].append(parse_contract(
+                        run(checkout, workload, args.rounds)
+                    ))
+                except ValueError as error:
+                    print(f"error: {checkout}: {workload}: {error}",
+                          file=sys.stderr)
+                    return 1
+    status = 0
+    for workload, (runs_a, runs_b) in runs.items():
+        print(f"{workload}: {args.pairs} alternating pairs, "
+              f"{args.rounds} rounds a run")
+        print("\n".join(summarize(metrics, runs_a, runs_b)))
+        for pair, (run_a, run_b) in enumerate(zip(runs_a, runs_b), 1):
+            differ = [
+                name for name in DETERMINISTIC
+                if run_a.get(name) != run_b.get(name)
+            ]
+            if differ:
+                print(f"error: {workload}: pair {pair}: "
+                      f"{', '.join(differ)} differ: the two sides run "
+                      "different programs", file=sys.stderr)
+                status = 1
+                break
+    return status
 
 
 if __name__ == "__main__":
