@@ -5,6 +5,11 @@ sets), but removing or renaming any of these is a breaking change that
 this test makes deliberate.
 """
 
+import importlib
+from pathlib import Path
+
+import pytest
+
 import repro
 import repro.analysis
 import repro.protocols
@@ -83,7 +88,18 @@ def test_analysis_surface_complete():
         assert hasattr(repro.analysis, name), name
 
 
-def test_all_exports_resolve():
-    for module in (repro, repro.protocols, repro.analysis):
-        for name in module.__all__:
-            assert getattr(module, name) is not None, (module.__name__, name)
+#: Every package under ``src/repro`` that declares ``__all__``.
+EXPORTING = sorted(
+    "repro" + "".join(f".{part}" for part in path.parent.relative_to(
+        Path(repro.__file__).parent
+    ).parts)
+    for path in Path(repro.__file__).parent.rglob("__init__.py")
+    if "__all__" in path.read_text()
+)
+
+
+@pytest.mark.parametrize("package", EXPORTING)
+def test_all_exports_resolve(package):
+    module = importlib.import_module(package)
+    missing = [name for name in module.__all__ if not hasattr(module, name)]
+    assert missing == []
