@@ -46,12 +46,7 @@ from repro.lang.parser import parse
 from repro.lang.printer import to_source
 from repro.lang.programs import program_names, program_source
 from repro.protocols import PROTOCOL_CLASSES, protocol_names
-from repro.runtime.config import (
-    BACKENDS,
-    CHECKPOINT_MODES,
-    RunConfig,
-    run_verdict,
-)
+from repro.runtime.config import BACKENDS, CHECKPOINT_MODES, RunConfig
 from repro.runtime.failures import (
     EVENT_LISTS,
     FaultPlan,
@@ -377,7 +372,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if stats is None:
         print(f"error: {outcome.error}", file=sys.stderr)
         return 2
-    verdict = run_verdict(stats["unrecoverable"])
+    verdict = "unrecoverable" if stats["unrecoverable"] else "completed"
     print(f"completed         : {stats['completed']}")
     print(f"verdict           : {verdict}")
     print(f"completion time   : {outcome.completion_time:.3f}")

@@ -161,8 +161,8 @@ class RecoveryControlError(RecoveryError):
 class UnrecoverableError(RecoveryError):
     """Terminal recovery verdict: no intact line remains (or the retry
     budget is exhausted). Carried as a clean verdict — the engine turns
-    it into ``SimulationResult.verdict == "unrecoverable"`` with full
-    stats and observability artifacts instead of an unhandled crash.
+    it into a result with ``stats.unrecoverable`` set, with full stats
+    and observability artifacts instead of an unhandled crash.
     """
 
 

@@ -25,7 +25,6 @@ from repro.errors import SimulationError
 from repro.protocols.application_driven import ApplicationDrivenProtocol
 from repro.protocols.base import CheckpointingProtocol
 from repro.protocols.chandy_lamport import ChandyLamportProtocol
-from repro.protocols.clock_tracking import ClockTrackingProtocol
 from repro.protocols.induced import InducedProtocol
 from repro.protocols.logging_based import MessageLoggingProtocol
 from repro.protocols.sync_and_stop import SyncAndStopProtocol
@@ -79,7 +78,6 @@ __all__ = [
     "ApplicationDrivenProtocol",
     "ChandyLamportProtocol",
     "CheckpointingProtocol",
-    "ClockTrackingProtocol",
     "InducedProtocol",
     "MessageLoggingProtocol",
     "PROTOCOL_CLASSES",

@@ -12,6 +12,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.storage import StoredCheckpoint
 
 
+#: The rank whose timer starts every coordinated round.
+COORDINATOR = 0
+
+
 def checked_period(period: float) -> float:
     """*period* itself, if a timer-driven protocol can checkpoint on it."""
     if not period > 0:
@@ -83,9 +87,8 @@ class CheckpointingProtocol(ProtocolHooks):
         if found is None:
             found = self.deepest_intact_cut(sim)
         number, cut, depth = found
-        sim.stats.fallback_depths.append(depth)
+        sim.record_fallback(depth)
         if depth:
-            sim.stats.recovery_fallbacks += 1
             sim.emit(
                 "degraded-fallback", None, at_time,
                 protocol=self.name, nominal=number + depth, restored=number,
@@ -98,22 +101,95 @@ class CheckpointingProtocol(ProtocolHooks):
         sim.restore_cut(cut, at_time)
         return number
 
-    def restore_tagged_round(
-        self, sim: "Simulation", tag: str, at_time: float
-    ) -> None:
-        """Roll back to the per-process checkpoints carrying *tag*.
 
-        Used by coordinated protocols: *tag* identifies a completed
-        round, so every process has exactly one matching checkpoint.
-        A corrupt member is a hard error here — round tags carry no
-        straight-cut structure to degrade along.
-        """
-        cut: dict[int, "StoredCheckpoint"] = {}
+class PeriodicProtocol(CheckpointingProtocol):
+    """Every rank checkpoints on its own timer, staggered by rank so
+    the timers never align; subclasses choose the checkpoint rule and
+    the recovery."""
+
+    #: The timer tag, and the tag of every checkpoint the timer takes.
+    timer = "abstract"
+
+    def __init__(self, period: float = 50.0, stagger: float = 0.5) -> None:
+        self.period = checked_period(period)
+        self.stagger = stagger
+
+    def on_start(self, sim: "Simulation") -> None:
         for rank in range(sim.n):
-            checkpoint = sim.storage.latest_with_tag(rank, tag)
-            if checkpoint is None:
-                raise RecoveryError(
-                    f"rank {rank} has no checkpoint for round {tag!r}"
-                )
-            cut[rank] = checkpoint
-        sim.restore_cut(cut, at_time)
+            first = self.period * (1.0 + self.stagger * rank / max(1, sim.n))
+            sim.schedule_timer(rank, first, self.timer)
+
+    def on_timer(
+        self, sim: "Simulation", rank: int, tag: str, time: float
+    ) -> None:
+        if tag != self.timer:
+            return
+        if sim.procs[rank].status not in ("crashed", "done"):
+            self._checkpoint(sim, rank, time)
+        sim.schedule_timer(rank, time + self.period, self.timer)
+
+    def _checkpoint(self, sim: "Simulation", rank: int, time: float) -> None:
+        sim.take_checkpoint(rank, time, tag=self.timer)
+
+
+class RoundProtocol(CheckpointingProtocol):
+    """Rank 0 starts a coordinated checkpoint round every period.
+
+    Subclasses run the round (:meth:`_start_round` and their control
+    messages), tag its checkpoints ``f"{prefix}-{round}"`` and append
+    each round that completes to ``completed_rounds``; recovery is
+    shared.
+    """
+
+    #: Tag prefix of the round timer and of every round checkpoint.
+    prefix = "abstract"
+
+    def __init__(self, period: float = 50.0) -> None:
+        self.period = checked_period(period)
+        self.timer = f"{self.prefix}-round"
+        self.round = 0
+        self.completed_rounds: list[int] = []
+
+    def on_start(self, sim: "Simulation") -> None:
+        sim.schedule_timer(COORDINATOR, self.period, self.timer)
+
+    def on_timer(
+        self, sim: "Simulation", rank: int, tag: str, time: float
+    ) -> None:
+        if tag != self.timer:
+            return
+        self._start_round(sim, time)
+        sim.schedule_timer(COORDINATOR, time + self.period, self.timer)
+
+    def _start_round(self, sim: "Simulation", time: float) -> None:
+        raise NotImplementedError
+
+    def _abort_round(self) -> None:
+        raise NotImplementedError
+
+    def _round_checkpoint(
+        self, sim: "Simulation", rank: int, now: float
+    ) -> None:
+        if sim.procs[rank].status not in ("crashed", "done"):
+            sim.take_checkpoint(rank, now, tag=f"{self.prefix}-{self.round}")
+
+    def on_failure(self, sim: "Simulation", rank: int, time: float) -> None:
+        """Restore the newest completed round every rank still stores,
+        or else the deepest intact common checkpoint number.
+
+        A completed round's tag marks exactly one checkpoint per rank,
+        which together form a recovery line; a round that retention or
+        a restore has since removed from some rank is dropped for good.
+        """
+        self._abort_round()
+        self.round += 1  # invalidate the aborted round's control messages
+        while self.completed_rounds:
+            tag = f"{self.prefix}-{self.completed_rounds[-1]}"
+            cut = {
+                r: sim.storage.latest_with_tag(r, tag) for r in range(sim.n)
+            }
+            if None not in cut.values():
+                sim.restore_cut(cut, time)
+                return
+            self.completed_rounds.pop()
+        self.restore_common_number(sim, time)

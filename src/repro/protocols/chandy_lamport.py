@@ -25,44 +25,34 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.protocols.base import CheckpointingProtocol, checked_period
+from repro.protocols.base import COORDINATOR, RoundProtocol
 from repro.runtime.hooks import ControlMessage
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.engine import Simulation
 
-INITIATOR = 0
 
-
-class ChandyLamportProtocol(CheckpointingProtocol):
+class ChandyLamportProtocol(RoundProtocol):
     """Marker-based coordinated snapshots."""
 
     name = "C-L"
+    prefix = "cl"
 
     def __init__(self, period: float = 50.0) -> None:
-        self.period = checked_period(period)
-        self.round = 0
-        self.completed_rounds: list[int] = []
+        super().__init__(period)
         self._snapshotted: set[int] = set()
         self._acks = 0
 
-    def on_start(self, sim: "Simulation") -> None:
-        sim.schedule_timer(INITIATOR, self.period, "cl-round")
+    def _start_round(self, sim: "Simulation", now: float) -> None:
+        if self._snapshotted and len(self._snapshotted) < sim.n:
+            return  # the last round's markers are still spreading
+        self.round += 1
+        self._snapshotted = set()
+        self._acks = 0
+        self._snapshot_and_relay(sim, COORDINATOR, now)
 
-    def on_timer(
-        self, sim: "Simulation", rank: int, tag: str, time: float
-    ) -> None:
-        if tag != "cl-round":
-            return
-        round_done = (
-            not self._snapshotted or len(self._snapshotted) == sim.n
-        )
-        if round_done:
-            self.round += 1
-            self._snapshotted = set()
-            self._acks = 0
-            self._snapshot_and_relay(sim, INITIATOR, time)
-        sim.schedule_timer(INITIATOR, time + self.period, "cl-round")
+    def _abort_round(self) -> None:
+        self._snapshotted = set()
 
     def on_control(self, sim: "Simulation", message: ControlMessage) -> None:
         if message.data.get("round") != self.round:
@@ -72,7 +62,7 @@ class ChandyLamportProtocol(CheckpointingProtocol):
             if message.dst not in self._snapshotted:
                 self._snapshot_and_relay(sim, message.dst, now)
                 sim.send_control(
-                    message.dst, INITIATOR, "ack", {"round": self.round}, now
+                    message.dst, COORDINATOR, "ack", {"round": self.round}, now
                 )
         elif message.tag == "ack":
             self._acks += 1
@@ -83,26 +73,9 @@ class ChandyLamportProtocol(CheckpointingProtocol):
         self, sim: "Simulation", rank: int, now: float
     ) -> None:
         self._snapshotted.add(rank)
-        proc = sim.procs[rank]
-        if proc.status not in ("crashed", "done"):
-            sim.take_checkpoint(rank, now, tag=f"cl-{self.round}")
+        self._round_checkpoint(sim, rank, now)
         for other in range(sim.n):
             if other != rank:
                 sim.send_control(
                     rank, other, "marker", {"round": self.round}, now
                 )
-
-    def on_failure(self, sim: "Simulation", rank: int, time: float) -> None:
-        """Restore the last completed snapshot round."""
-        self.round += 1  # invalidate in-flight markers
-        self._snapshotted = set()
-        while self.completed_rounds:
-            tag = f"cl-{self.completed_rounds[-1]}"
-            if all(
-                sim.storage.latest_with_tag(r, tag) is not None
-                for r in range(sim.n)
-            ):
-                self.restore_tagged_round(sim, tag, time)
-                return
-            self.completed_rounds.pop()
-        self.restore_common_number(sim, time)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.protocols.base import CheckpointingProtocol, checked_period
+from repro.protocols.base import PeriodicProtocol
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.engine import Simulation
@@ -24,14 +24,14 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 _PIGGYBACK_KEY = "bcs_index"
 
 
-class InducedProtocol(CheckpointingProtocol):
+class InducedProtocol(PeriodicProtocol):
     """BCS-style index-based communication-induced checkpointing."""
 
     name = "CIC-BCS"
+    timer = "bcs"
 
     def __init__(self, period: float = 50.0, stagger: float = 0.5) -> None:
-        self.period = checked_period(period)
-        self.stagger = stagger
+        super().__init__(period, stagger)
         self._index: dict[int, int] = {}
         # (index -> checkpoint) per rank; index 0 is the initial state.
         self._by_index: dict[int, dict[int, "StoredCheckpoint"]] = {}
@@ -40,21 +40,10 @@ class InducedProtocol(CheckpointingProtocol):
         for rank in range(sim.n):
             self._index[rank] = 0
             self._by_index[rank] = {0: sim.storage.history(rank)[0]}
-            first = self.period * (1.0 + self.stagger * rank / max(1, sim.n))
-            sim.schedule_timer(rank, first, "bcs")
+        super().on_start(sim)
 
     def piggyback(self, sim: "Simulation", rank: int) -> dict[str, int]:
         return {_PIGGYBACK_KEY: self._index.get(rank, 0)}
-
-    def on_timer(
-        self, sim: "Simulation", rank: int, tag: str, time: float
-    ) -> None:
-        if tag != "bcs":
-            return
-        proc = sim.procs[rank]
-        if proc.status not in ("crashed", "done"):
-            self._checkpoint(sim, rank, time, self._index[rank] + 1, forced=False)
-        sim.schedule_timer(rank, time + self.period, "bcs")
 
     def on_app_message(
         self, sim: "Simulation", rank: int, message: "Message"
@@ -63,11 +52,16 @@ class InducedProtocol(CheckpointingProtocol):
         if incoming > self._index.get(rank, 0):
             # Forced checkpoint BEFORE consuming the message, adopting
             # the sender's index — the BCS induction rule.
-            self._checkpoint(sim, rank, message.arrival_time, incoming, forced=True)
+            self._checkpoint(sim, rank, message.arrival_time, incoming)
 
     def _checkpoint(
-        self, sim: "Simulation", rank: int, time: float, index: int, forced: bool
+        self, sim: "Simulation", rank: int, time: float,
+        forced_index: int | None = None,
     ) -> None:
+        """A basic checkpoint at the next index or, given *forced_index*,
+        a forced one adopting it."""
+        forced = forced_index is not None
+        index = forced_index if forced else self._index[rank] + 1
         stored = sim.take_checkpoint(
             rank, time, tag=f"bcs-{index}", forced=forced
         )

@@ -21,40 +21,25 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.protocols.base import CheckpointingProtocol, checked_period
+from repro.protocols.base import PeriodicProtocol
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.engine import Simulation
 
 
-class MessageLoggingProtocol(CheckpointingProtocol):
+class MessageLoggingProtocol(PeriodicProtocol):
     """Independent checkpoints + single-process log-based recovery."""
 
     name = "msg-logging"
+    timer = "mlog"
     #: Recovery restarts one rank from its own checkpoint + logs; it
     #: never assembles straight cuts, and a restarted rank's re-phased
     #: checkpoint timer means it is free not to preserve them.
     induces_recovery_lines = False
 
     def __init__(self, period: float = 50.0, stagger: float = 0.5) -> None:
-        self.period = checked_period(period)
-        self.stagger = stagger
+        super().__init__(period, stagger)
         self.single_restarts: list[int] = []
-
-    def on_start(self, sim: "Simulation") -> None:
-        for rank in range(sim.n):
-            first = self.period * (1.0 + self.stagger * rank / max(1, sim.n))
-            sim.schedule_timer(rank, first, "mlog")
-
-    def on_timer(
-        self, sim: "Simulation", rank: int, tag: str, time: float
-    ) -> None:
-        if tag != "mlog":
-            return
-        proc = sim.procs[rank]
-        if proc.status not in ("crashed", "done"):
-            sim.take_checkpoint(rank, time, tag="mlog")
-        sim.schedule_timer(rank, time + self.period, "mlog")
 
     def on_failure(self, sim: "Simulation", rank: int, time: float) -> None:
         """Restart only the failed process; survivors are untouched.
@@ -69,9 +54,7 @@ class MessageLoggingProtocol(CheckpointingProtocol):
         checkpoint, depth = sim.storage.latest_intact(
             rank, skip=sim.recovery_escalation
         )
-        sim.stats.fallback_depths.append(depth)
-        if depth:
-            sim.stats.recovery_fallbacks += 1
+        sim.record_fallback(depth)
         sim.emit(
             "replay-restart", rank, time,
             protocol=self.name, number=checkpoint.number, depth=depth,

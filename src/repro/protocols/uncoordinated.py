@@ -12,16 +12,17 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.causality.rollback_graph import max_consistent_positions
-from repro.protocols.base import CheckpointingProtocol, checked_period
+from repro.protocols.base import PeriodicProtocol
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.engine import Simulation
 
 
-class UncoordinatedProtocol(CheckpointingProtocol):
+class UncoordinatedProtocol(PeriodicProtocol):
     """Independent periodic checkpoints; clock-based rollback search."""
 
     name = "uncoordinated"
+    timer = "indep"
     #: A dominoed rollback restores a consistent but possibly
     #: non-straight cut, desynchronising per-rank checkpoint numbers —
     #: straight cuts taken afterwards mix causal epochs and are not
@@ -29,25 +30,9 @@ class UncoordinatedProtocol(CheckpointingProtocol):
     induces_recovery_lines = False
 
     def __init__(self, period: float = 50.0, stagger: float = 0.5) -> None:
-        self.period = checked_period(period)
-        self.stagger = stagger
+        super().__init__(period, stagger)
         self.domino_steps: list[int] = []
         self.rollback_depths: list[dict[int, int]] = []
-
-    def on_start(self, sim: "Simulation") -> None:
-        for rank in range(sim.n):
-            first = self.period * (1.0 + self.stagger * rank / max(1, sim.n))
-            sim.schedule_timer(rank, first, "indep")
-
-    def on_timer(
-        self, sim: "Simulation", rank: int, tag: str, time: float
-    ) -> None:
-        if tag != "indep":
-            return
-        proc = sim.procs[rank]
-        if proc.status not in ("crashed", "done"):
-            sim.take_checkpoint(rank, time, tag="indep")
-        sim.schedule_timer(rank, time + self.period, "indep")
 
     def on_failure(self, sim: "Simulation", rank: int, time: float) -> None:
         """Search for the maximal consistent cut; domino if needed.
@@ -72,9 +57,7 @@ class UncoordinatedProtocol(CheckpointingProtocol):
         skipped = sum(
             sim.storage.count(r) - len(h) for r, h in histories.items()
         )
-        sim.stats.fallback_depths.append(skipped)
-        if skipped:
-            sim.stats.recovery_fallbacks += 1
+        sim.record_fallback(skipped)
         positions, domino = max_consistent_positions(
             {r: [c.clock for c in h] for r, h in histories.items()}
         )

@@ -30,7 +30,6 @@ from repro.runtime.config import (
     RunConfig,
     RuntimeCosts,
     SimulationResult,
-    SupervisorConfig,
 )
 from repro.runtime.engine import Simulation
 from repro.runtime.failures import (
@@ -93,7 +92,6 @@ __all__ = [
     "SimulationResult",
     "StorageFaultEvent",
     "StoredCheckpoint",
-    "SupervisorConfig",
     "TransportConfig",
     "TransportStats",
     "chaos_sweep",

@@ -33,7 +33,7 @@ from dataclasses import dataclass, replace
 
 from repro.causality.cuts import first_causal_pair
 from repro.errors import SimulationError, StorageError
-from repro.runtime.config import RunConfig, SimulationResult, SupervisorConfig
+from repro.runtime.config import RunConfig, SimulationResult
 from repro.runtime.failures import (
     EVENT_LISTS,
     ONE_SHOT_NETWORK_KINDS,
@@ -235,6 +235,7 @@ def retention_invariant_holds(
     DELTA_CHAIN_CAP` deep). Integrity is read via ``verify`` directly
     so the check cannot consume armed restore-read faults.
     """
+    from repro.runtime.recovery import MAX_RECOVERY_ATTEMPTS
     from repro.runtime.storage import DELTA_CHAIN_CAP
 
     storage = result.storage
@@ -242,7 +243,7 @@ def retention_invariant_holds(
         if not any(storage.verify(c) for c in storage.history(rank)):
             return False
     if retain_k is not None:
-        slack = SupervisorConfig().max_attempts + 2
+        slack = MAX_RECOVERY_ATTEMPTS + 2
         if checkpoint_mode != "full":
             # Chain-protection can pin the ancestors of the oldest kept
             # entry and of each protected fallback candidate.

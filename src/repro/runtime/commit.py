@@ -7,6 +7,7 @@ from repro.causality.records import EventKind
 from repro.errors import SimulationError
 from repro.runtime.encoding import SizeLedger
 from repro.runtime.failures import StorageFaultEvent
+from repro.runtime.recovery import MAX_RECOVERY_ATTEMPTS
 from repro.runtime.scheduler import _Proc, _Status
 from repro.runtime.storage import (
     DELTA_CHAIN_CAP,
@@ -65,7 +66,7 @@ class Commit:
         # supervisor could escalate to (one number deeper per retry).
         self._retention = None if config.retain_k is None else RetentionPolicy(
             config.retain_k,
-            protect_depth=max(1, self.supervisor.config.max_attempts - 1),
+            protect_depth=MAX_RECOVERY_ATTEMPTS - 1,
         )
 
     def take_checkpoint(

@@ -121,45 +121,15 @@ class RunConfig:
         return {f.name: getattr(self, f.name) for f in fields(RunConfig)}
 
 
-@dataclass(frozen=True)
-class SupervisorConfig:
-    """Retry/backoff policy of the
-    :class:`~repro.runtime.recovery.RecoverySupervisor`.
-
-    Attributes:
-        max_attempts: Recovery attempts per crash before the supervisor
-            declares the rank unrecoverable.
-        backoff_base: Simulated seconds charged before the second
-            attempt; attempt ``k`` waits ``base * factor**(k-1)``.
-        backoff_factor: Exponential growth of the backoff.
-
-    Each retry also asks the protocol for a one-number-deeper degraded
-    cut (R_i -> R_{i-k}), on top of whatever degradation corruption
-    already forces.
-    """
-
-    max_attempts: int = 4
-    backoff_base: float = 0.5
-    backoff_factor: float = 2.0
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise SimulationError(
-                f"max_attempts must be >= 1, got {self.max_attempts}"
-            )
-        if self.backoff_base < 0:
-            raise SimulationError(
-                f"backoff_base must be >= 0, got {self.backoff_base}"
-            )
-        if self.backoff_factor < 1:
-            raise SimulationError(
-                f"backoff_factor must be >= 1, got {self.backoff_factor}"
-            )
-
-
 @dataclass
 class SimulationStats:
-    """Aggregate counters of one run."""
+    """Aggregate counters of one run.
+
+    A run ends in one of two ways, because the loop has no other way
+    out (a deadlock and an exhausted step budget raise): every rank
+    finished (``completed``), or the recovery supervisor gave up
+    (:attr:`unrecoverable`, its negation, read once the run is over).
+    """
 
     app_messages: int = 0
     control_messages: int = 0
@@ -186,7 +156,6 @@ class SimulationStats:
     nested_crashes: int = 0
     recovery_control_lost: int = 0
     recovery_read_faults: int = 0
-    unrecoverable: bool = False
     # Storage occupancy and retention GC (measured at run end).
     stored_checkpoints: int = 0
     stored_bytes: int = 0
@@ -205,6 +174,11 @@ class SimulationStats:
     acks_lost: int = 0
 
     @property
+    def unrecoverable(self) -> bool:
+        """Whether the recovery supervisor gave up on the run."""
+        return not self.completed
+
+    @property
     def max_fallback_depth(self) -> int:
         """Deepest degraded-recovery fallback seen (0 = never degraded)."""
         return max(self.fallback_depths, default=0)
@@ -213,10 +187,12 @@ class SimulationStats:
         """JSON-ready form of every counter, derived properties included.
 
         The machine-readable shape behind the CLI's ``--stats-json``:
-        all dataclass fields plus ``max_fallback_depth``, so benchmarks
-        and CI never have to parse the human-oriented table output.
+        all dataclass fields plus ``unrecoverable`` and
+        ``max_fallback_depth``, so benchmarks and CI never have to parse
+        the human-oriented table output.
         """
         payload = asdict(self)
+        payload["unrecoverable"] = self.unrecoverable
         payload["max_fallback_depth"] = self.max_fallback_depth
         return payload
 
@@ -225,10 +201,10 @@ class SimulationStats:
 class SimulationResult:
     """Everything a finished run exposes.
 
-    ``verdict`` is ``"completed"`` for a clean finish and
-    ``"unrecoverable"`` when the recovery supervisor gave up — the run
-    still returns normally with full stats and storage, instead of
-    raising out of :meth:`~repro.runtime.engine.Simulation.run`.
+    A run the recovery supervisor gave up on still returns normally,
+    with ``stats.unrecoverable`` set and full stats and storage,
+    instead of raising out of
+    :meth:`~repro.runtime.engine.Simulation.run`.
     """
 
     trace: ExecutionTrace
@@ -236,9 +212,3 @@ class SimulationResult:
     storage: CheckpointStore
     final_env: dict[int, dict[str, int]]
     completion_time: float
-    verdict: str = "completed"
-
-
-def run_verdict(unrecoverable: bool) -> str:
-    """A run's :attr:`SimulationResult.verdict`, from its stats flag."""
-    return "unrecoverable" if unrecoverable else "completed"

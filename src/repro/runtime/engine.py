@@ -24,8 +24,6 @@ from repro.runtime.config import (
     RuntimeCosts,
     SimulationResult,
     SimulationStats,
-    SupervisorConfig,
-    run_verdict,
 )
 from repro.runtime.dispatch import Dispatch
 from repro.runtime.failures import FaultPlan
@@ -51,7 +49,6 @@ class Simulation(Scheduler, Dispatch, Commit, Recovery):
         protocol: ProtocolHooks | None = None,
         fault_plan: FaultPlan | None = None,
         observer=None,
-        recovery: SupervisorConfig | None = None,
         **knobs,
     ) -> None:
         """Configure a run; ``**knobs`` are :class:`RunConfig` fields.
@@ -102,7 +99,7 @@ class Simulation(Scheduler, Dispatch, Commit, Recovery):
                 fast_local=getattr(interp, "step_local", None),
             ))
         self._init_dispatch(config)
-        self._init_recovery(recovery, plan)
+        self._init_recovery(plan)
         self._init_commit(config, plan, program, compiled)
         self._init_scheduler(config, plan)
         # Checkpoint 0: the initial state of every process, so recovery
@@ -127,14 +124,14 @@ class Simulation(Scheduler, Dispatch, Commit, Recovery):
 
         A terminal recovery failure does **not** raise: the supervisor's
         :class:`UnrecoverableError` is absorbed here into a normally
-        returned result with ``verdict == "unrecoverable"``, so callers
+        returned result with ``stats.unrecoverable`` set, so callers
         (and the chaos harness) get full stats and artifacts.
         """
         self.protocol.on_start(self)
         try:
             self._loop()
         except UnrecoverableError:
-            pass  # the supervisor set ``stats.unrecoverable`` as it gave up
+            pass  # the supervisor gave up: some rank never finished
         stats = self.stats
         stats.completed = self._n_done == self.n
         stats.corrupt_checkpoints = self.storage.corruption_detected
@@ -164,5 +161,4 @@ class Simulation(Scheduler, Dispatch, Commit, Recovery):
             storage=self.storage,
             final_env={p.rank: dict(p.interp.env) for p in self.procs},
             completion_time=completion_time,
-            verdict=run_verdict(stats.unrecoverable),
         )

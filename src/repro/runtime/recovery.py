@@ -5,6 +5,7 @@ replaying its logged messages."""
 from __future__ import annotations
 
 import weakref
+from typing import TYPE_CHECKING
 
 from repro.causality.records import EventKind
 from repro.errors import (
@@ -15,10 +16,21 @@ from repro.errors import (
     TransientStorageError,
     UnrecoverableError,
 )
-from repro.runtime.config import SupervisorConfig
 from repro.runtime.failures import RecoveryFaultEvent, RecoveryFaultKind
 from repro.runtime.scheduler import _Status
-from repro.runtime.storage import StoredCheckpoint
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.runtime.storage import StoredCheckpoint
+
+#: Recovery attempts per crash before the supervisor declares the rank
+#: unrecoverable. Attempt ``k`` asks for a cut ``k - 1`` numbers below
+#: the nominal recovery line, so retention protects that many fallback
+#: candidates below it.
+MAX_RECOVERY_ATTEMPTS = 4
+#: Simulated seconds charged before attempt ``k + 1``:
+#: ``RECOVERY_BACKOFF_BASE * RECOVERY_BACKOFF_FACTOR ** (k - 1)``.
+RECOVERY_BACKOFF_BASE = 0.5
+RECOVERY_BACKOFF_FACTOR = 2.0
 
 
 class RecoverySupervisor:
@@ -32,13 +44,13 @@ class RecoverySupervisor:
     crash-triggered recoveries) so plans stay replayable even though
     backoff shifts absolute times; (2) retries retryable failures
     (:class:`NestedFailureError`, :class:`RecoveryControlError`,
-    :class:`TransientStorageError`) up to ``max_attempts`` times with
-    exponential backoff charged to the simulated clock; (3) escalates
-    the degraded fallback one recovery line deeper per retry; and
-    (4) converts exhaustion — or a terminal storage state — into a
-    clean :class:`UnrecoverableError` verdict that
-    :meth:`~repro.runtime.engine.Simulation.run` turns into
-    ``SimulationResult.verdict == "unrecoverable"``.
+    :class:`TransientStorageError`) up to :data:`MAX_RECOVERY_ATTEMPTS`
+    times with exponential backoff charged to the simulated clock;
+    (3) escalates the degraded fallback one recovery line deeper per
+    retry; and (4) converts exhaustion — or a terminal storage state —
+    into a clean :class:`UnrecoverableError` verdict that
+    :meth:`~repro.runtime.engine.Simulation.run` absorbs into a result
+    whose ``stats.unrecoverable`` is set.
 
     Protocol-bug errors (a plain :class:`RecoveryError` such as "not a
     recovery line") are **not** retried and propagate unchanged.
@@ -47,13 +59,11 @@ class RecoverySupervisor:
     def __init__(
         self,
         sim: "Recovery",
-        config: SupervisorConfig,
         recovery_faults: list[RecoveryFaultEvent],
     ) -> None:
         # Weak: the simulation owns its supervisor, and a strong link
         # back would leave every finished run to the cyclic collector.
         self._sim = weakref.ref(sim)
-        self.config = config
         self._by_recovery: dict[int, list[RecoveryFaultEvent]] = {}
         for fault in recovery_faults:
             self._by_recovery.setdefault(fault.recovery, []).append(fault)
@@ -107,7 +117,7 @@ class RecoverySupervisor:
         now = time
         attempt = 0
         cause: Exception | None = None
-        while attempt < self.config.max_attempts:
+        while attempt < MAX_RECOVERY_ATTEMPTS:
             attempt += 1
             sim.stats.recovery_attempts += 1
             self.escalation = attempt - 1
@@ -129,8 +139,8 @@ class RecoverySupervisor:
             ) as error:
                 cause = error
                 sim.stats.recovery_retries += 1
-                backoff = self.config.backoff_base * (
-                    self.config.backoff_factor ** (attempt - 1)
+                backoff = RECOVERY_BACKOFF_BASE * (
+                    RECOVERY_BACKOFF_FACTOR ** (attempt - 1)
                 )
                 sim.stats.recovery_backoff_time += backoff
                 if sim.obs is not None:
@@ -195,7 +205,6 @@ class RecoverySupervisor:
         self, rank: int, attempt: int, cause: Exception | None, now: float
     ) -> None:
         sim = self.sim
-        sim.stats.unrecoverable = True
         if sim.obs is not None:
             sim.obs.emit(
                 "engine", "unrecoverable", rank, now,
@@ -210,15 +219,20 @@ class RecoverySupervisor:
 class Recovery:
     """The restores protocols call, and the supervisor around them."""
 
-    def _init_recovery(self, config: SupervisorConfig | None, plan) -> None:
-        self.supervisor = RecoverySupervisor(
-            self, config or SupervisorConfig(), list(plan.recovery_faults)
-        )
+    def _init_recovery(self, plan) -> None:
+        self.supervisor = RecoverySupervisor(self, list(plan.recovery_faults))
 
     @property
     def recovery_escalation(self) -> int:
         """Extra fallback depth the current recovery attempt asks for."""
         return self.supervisor.escalation
+
+    def record_fallback(self, depth: int) -> None:
+        """Account one restore that fell *depth* checkpoints below the
+        nominal recovery line (0: it restored the line itself)."""
+        self.stats.fallback_depths.append(depth)
+        if depth:
+            self.stats.recovery_fallbacks += 1
 
     def restore_cut(
         self, cut: dict[int, StoredCheckpoint], at_time: float

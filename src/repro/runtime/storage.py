@@ -32,6 +32,7 @@ from repro.runtime.encoding import (
 )
 from repro.runtime.failures import FaultKind, StorageFaultEvent
 from repro.runtime.interpreter import ProcessSnapshot
+from repro.runtime.recovery import MAX_RECOVERY_ATTEMPTS
 
 #: Longest run of consecutive delta-encoded checkpoints per rank before
 #: a full checkpoint is forced. Caps reconstruction work at restore and
@@ -412,13 +413,6 @@ class CheckpointStore:
         """All stored checkpoints of *rank*, oldest first."""
         return list(self._checkpoints.get(rank, []))
 
-    def latest(self, rank: int) -> StoredCheckpoint:
-        """The most recent checkpoint of *rank*."""
-        history = self._checkpoints.get(rank)
-        if not history:
-            raise StorageError("no checkpoint stored", rank=rank)
-        return history[-1]
-
     def latest_with_number(self, rank: int, number: int) -> StoredCheckpoint:
         """The most recent checkpoint of *rank* with the given *number*.
 
@@ -656,7 +650,7 @@ class RetentionPolicy:
     """
 
     retain_k: int
-    protect_depth: int = 3
+    protect_depth: int = MAX_RECOVERY_ATTEMPTS - 1
 
     def __post_init__(self) -> None:
         # The store the settled stamps describe, and per settled rank

@@ -146,7 +146,7 @@ class TestOneSearchPerAttempt:
 
         sim.storage.intact_with_number = counting
         result = sim.run()
-        assert result.verdict == "completed"
+        assert result.stats.completed
         assert result.stats.recovery_attempts == attempts
         assert result.stats.fallback_depths == depths
         assert reads and set(reads.values()) == {1}

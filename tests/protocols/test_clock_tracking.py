@@ -10,8 +10,9 @@ from repro.lang.programs import (
     token_ring,
     tree_reduce,
 )
-from repro.protocols.clock_tracking import ClockTrackingProtocol
 from repro.runtime import Simulation
+
+from .clock_tracking import ClockTrackingProtocol
 
 
 def run_tracked(make, n, steps=4):

@@ -92,7 +92,7 @@ class TestDegradedRecovery:
         )
         result = sim.run()
         assert result.stats.completed
-        victim = sim.storage.latest(1)
+        victim = sim.storage.history(1)[-1]
         assert sim.storage.corrupt(1, number=victim.number)
         cut = {r: sim.storage.latest_with_number(r, victim.number)
                for r in range(3)}
@@ -107,7 +107,7 @@ class TestDegradedRecovery:
         result = sim.run()
         sim.storage.corrupt(2)
         with pytest.raises(RecoveryError, match="corrupt checkpoint"):
-            sim.restore_single(sim.storage.latest(2), result.completion_time)
+            sim.restore_single(sim.storage.history(2)[-1], result.completion_time)
 
     def test_no_intact_cut_at_all_raises(self):
         # Rot out every checkpoint of rank 0, including the initial

@@ -185,7 +185,7 @@ class TestNoBytesOnTheFaultFreePath:
         result = run(
             stencil_halo(), 4, mode, steps=8, observer=obs.bus, retain_k=4
         )
-        assert result.verdict == "completed"
+        assert result.stats.completed
         assert result.stats.stored_bytes == self.STORED_BYTES[mode]
         # The commit/gc events and the reclaimed-bytes counter were
         # exercised, still without bytes.
@@ -222,7 +222,6 @@ class TestPayloadFloor:
             del stats[key]
         return (
             events, stats, result.final_env, result.completion_time,
-            result.verdict,
         )
 
     # ``stencil_halo`` is scratch-heavy, so pruning and deltas must at

@@ -69,7 +69,6 @@ def fingerprint(result):
         stats.pop(key, None)
     return (
         events, stats, result.final_env, result.completion_time,
-        result.verdict,
     )
 
 
@@ -87,7 +86,7 @@ class TestAncestorBitRot:
 
     def run_and_rot(self):
         sim, result = run(ast.clone(JACOBI), 4, "pruned+delta", steps=10)
-        assert result.verdict == "completed"
+        assert result.stats.completed
         storage = sim.storage
         victim = first_delta_entry(storage, 0)
         ancestor = victim.delta_ancestors[-1]  # the chain's full root
@@ -139,7 +138,7 @@ class TestRetentionProtectsAncestors:
         sim, result = run(
             ast.clone(JACOBI), 4, "pruned+delta", steps=16, retain_k=retain_k
         )
-        assert result.verdict == "completed"
+        assert result.stats.completed
         for rank in range(4):
             history = sim.storage.history(rank)
             kept = {id(c) for c in history}
@@ -160,7 +159,7 @@ class TestRetentionProtectsAncestors:
             plan=FaultPlan.single(9.0, 1),
             retain_k=retain_k,
         )
-        assert result.verdict == "completed"
+        assert result.stats.completed
         assert result.stats.rollbacks > 0
         for rank in range(4):
             history = sim.storage.history(rank)
@@ -193,7 +192,7 @@ class TestRecoveryReadFaults:
         sim, result = run(
             ast.clone(JACOBI), 4, "pruned+delta", steps=8, plan=self.plan()
         )
-        assert result.verdict == "completed"
+        assert result.stats.completed
         assert result.stats.rollbacks > 0
         assert result.stats.recovery_read_faults >= 2
 

@@ -162,7 +162,7 @@ class TestRoundTrip:
                 protocol=ApplicationDrivenProtocol(),
                 checkpoint_mode=mode,
             ).run()
-            assert result.verdict == "completed"
+            assert result.stats.completed
             assert result.stats.stored_bytes > 0
 
 

@@ -128,7 +128,7 @@ class TestProtocolCheckpoints:
         assert result.stats.checkpoints == 1
         assert result.stats.forced_checkpoints == 1
         assert recorder.checkpoints == [(0, 1)]
-        stored = result.storage.latest(0)
+        stored = result.storage.history(0)[-1]
         assert stored.tag == "proto"
 
     def test_checkpoint_on_done_process_rejected(self):

@@ -131,8 +131,8 @@ class TestCheckpointStore:
         store = CheckpointStore()
         receipt = store.store(checkpoint(0, 0))
         assert receipt.published and receipt.retries == 0
-        assert store.latest(0).number == 0
-        assert store.verify(store.latest(0))
+        assert store.history(0)[-1].number == 0
+        assert store.verify(store.history(0)[-1])
 
     def test_write_fail_publishes_nothing(self):
         store = CheckpointStore(max_retries=2)
@@ -172,7 +172,7 @@ class TestCheckpointStore:
         store.store(checkpoint(0, 0))
         store.store(checkpoint(0, 1))
         assert store.corrupt(0)  # latest
-        assert not store.verify(store.latest(0))
+        assert not store.verify(store.history(0)[-1])
         assert store.verify(store.history(0)[0])
 
     def test_corrupt_targets_specific_number(self):
@@ -180,7 +180,7 @@ class TestCheckpointStore:
         store.store(checkpoint(0, 0))
         store.store(checkpoint(0, 1))
         assert store.corrupt(0, number=0)
-        assert store.verify(store.latest(0))
+        assert store.verify(store.history(0)[-1])
         assert not store.verify(store.history(0)[0])
 
     def test_corrupt_missing_target_is_noop(self):
@@ -233,14 +233,14 @@ class TestReplicatedStore:
         store = CheckpointStore(replicas=3)
         store.store(checkpoint(0, 0))
         assert store.corrupt(0, replica=1)
-        assert store.verify(store.latest(0))  # 2/3 intact
+        assert store.verify(store.history(0)[-1])  # 2/3 intact
 
     def test_majority_rot_fails_quorum(self):
         store = CheckpointStore(replicas=3)
         store.store(checkpoint(0, 0))
         store.corrupt(0, replica=0)
         store.corrupt(0, replica=2)
-        assert not store.verify(store.latest(0))
+        assert not store.verify(store.history(0)[-1])
 
     def test_primary_rot_twice_does_not_heal_its_copy(self):
         # Rot picks its target by the replica's own record, not by the
@@ -250,7 +250,7 @@ class TestReplicatedStore:
         store.store(checkpoint(0, 0))
         assert store.corrupt(0, replica=0)
         assert not store.corrupt(0, replica=0)
-        entry = store.latest(0)
+        entry = store.history(0)[-1]
         assert store._checksums[0][id(entry)] != checkpoint_checksum(entry)
         assert store.verify(entry)  # 2/3 intact
         assert store.corrupt(0, replica=1)
@@ -276,15 +276,15 @@ class TestEvenReplicaQuorum:
         store = CheckpointStore(replicas=2)
         store.store(checkpoint(0, 0))
         assert store.quorum == 2
-        assert store.verify(store.latest(0))  # 2/2 intact
+        assert store.verify(store.history(0)[-1])  # 2/2 intact
         store.corrupt(0, replica=1)
-        assert not store.verify(store.latest(0))  # 1/2 is a tie, not quorum
+        assert not store.verify(store.history(0)[-1])  # 1/2 is a tie, not quorum
 
     def test_two_replicas_primary_rot_also_fails(self):
         store = CheckpointStore(replicas=2)
         store.store(checkpoint(0, 0))
         store.corrupt(0, replica=0)
-        assert not store.verify(store.latest(0))
+        assert not store.verify(store.history(0)[-1])
 
     def test_four_replicas_split_verdict_fails(self):
         store = CheckpointStore(replicas=4)
@@ -292,20 +292,20 @@ class TestEvenReplicaQuorum:
         assert store.quorum == 3
         store.corrupt(0, replica=1)
         store.corrupt(0, replica=3)
-        assert not store.verify(store.latest(0))  # 2/4 split verdict
+        assert not store.verify(store.history(0)[-1])  # 2/4 split verdict
 
     def test_four_replicas_single_rot_masked(self):
         store = CheckpointStore(replicas=4)
         store.store(checkpoint(0, 0))
         store.corrupt(0, replica=2)
-        assert store.verify(store.latest(0))  # 3/4 >= quorum
+        assert store.verify(store.history(0)[-1])  # 3/4 >= quorum
 
     def test_four_replicas_majority_rot_fails(self):
         store = CheckpointStore(replicas=4)
         store.store(checkpoint(0, 0))
         for replica in (0, 1, 2):
             store.corrupt(0, replica=replica)
-        assert not store.verify(store.latest(0))
+        assert not store.verify(store.history(0)[-1])
 
 
 class TestStructuredErrors:
@@ -329,7 +329,7 @@ class TestStructuredErrors:
     def test_raise_sites_populate_context(self):
         store = CheckpointStore()
         with pytest.raises(StorageError) as info:
-            store.latest(7)
+            store.latest_intact(7)
         assert info.value.rank == 7
         with pytest.raises(StorageError) as info:
             store.latest_with_number(1, 4)
@@ -371,7 +371,7 @@ class TestInitialCheckpointIsNeverFaulted:
                 time=0.0, rank=1, kind=FaultKind.WRITE_FAIL,
             )],
         ))
-        assert result.stats.completed and result.verdict == "completed"
+        assert result.stats.completed
         assert result.final_env == twin.final_env
         assert result.stats.storage_write_failures == 1
         assert result.storage.history(1)[0].number == 0

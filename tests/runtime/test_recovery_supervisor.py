@@ -25,14 +25,14 @@ from repro.runtime import (
     RecoveryFaultEvent,
     RecoveryFaultKind,
     Simulation,
-    SupervisorConfig,
 )
+from repro.runtime.recovery import MAX_RECOVERY_ATTEMPTS
 
 
-def run_ring(protocol, fault_plan=None, recovery=None, **kwargs):
+def run_ring(protocol, fault_plan=None, **kwargs):
     return Simulation(
         ring_pipeline(), 3, params={"steps": 10}, protocol=protocol,
-        fault_plan=fault_plan, recovery=recovery, **kwargs,
+        fault_plan=fault_plan, **kwargs,
     ).run()
 
 
@@ -44,16 +44,7 @@ def crash_plan(**fault_kwargs):
     return FaultPlan(crashes=[(19.5, 1)], recovery_faults=faults)
 
 
-class TestSupervisorConfig:
-    @pytest.mark.parametrize("kwargs", [
-        {"max_attempts": 0},
-        {"backoff_base": -1.0},
-        {"backoff_factor": 0.5},
-    ])
-    def test_rejects_bad_config(self, kwargs):
-        with pytest.raises(SimulationError):
-            SupervisorConfig(**kwargs)
-
+class TestRecoveryFaultTargets:
     def test_fault_rank_must_exist(self):
         plan = crash_plan(kind=RecoveryFaultKind.CRASH)
         bad = FaultPlan(
@@ -80,7 +71,6 @@ class TestNestedCrashRetry:
             make_protocol(),
             crash_plan(kind=RecoveryFaultKind.CRASH, attempts=2),
         )
-        assert result.verdict == "completed"
         assert result.stats.completed
         assert result.stats.nested_crashes == 2
         assert result.stats.recovery_retries == 2
@@ -107,7 +97,7 @@ class TestNestedCrashRetry:
             MessageLoggingProtocol(period=6.0),
             crash_plan(kind=RecoveryFaultKind.READ_FAULT),
         )
-        assert result.verdict == "completed"
+        assert result.stats.completed
         assert result.stats.recovery_read_faults == 1
         assert result.stats.recovery_retries >= 1
 
@@ -116,7 +106,7 @@ class TestNestedCrashRetry:
             ApplicationDrivenProtocol(),
             crash_plan(kind=RecoveryFaultKind.CONTROL_LOST),
         )
-        assert result.verdict == "completed"
+        assert result.stats.completed
         assert result.stats.recovery_control_lost == 1
         assert result.stats.recovery_retries == 1
 
@@ -129,22 +119,30 @@ class TestUnrecoverableVerdict:
             ApplicationDrivenProtocol(),
             crash_plan(kind=RecoveryFaultKind.CRASH, attempts=4),
         )
-        assert result.verdict == "unrecoverable"
         assert result.stats.unrecoverable
         assert not result.stats.completed
 
-    def test_custom_budget_changes_outcome(self):
-        plan = crash_plan(kind=RecoveryFaultKind.CRASH, attempts=4)
-        tight = run_ring(
-            ApplicationDrivenProtocol(), plan,
-            recovery=SupervisorConfig(max_attempts=2),
+    def test_outcome_flips_at_the_attempt_budget(self):
+        # One nested crash fewer than the budget leaves the last
+        # attempt to succeed; as many as the budget exhaust it.
+        assert MAX_RECOVERY_ATTEMPTS == 4
+        survived = run_ring(
+            ApplicationDrivenProtocol(),
+            crash_plan(
+                kind=RecoveryFaultKind.CRASH,
+                attempts=MAX_RECOVERY_ATTEMPTS - 1,
+            ),
         )
-        roomy = run_ring(
-            ApplicationDrivenProtocol(), plan,
-            recovery=SupervisorConfig(max_attempts=6),
+        exhausted = run_ring(
+            ApplicationDrivenProtocol(),
+            crash_plan(
+                kind=RecoveryFaultKind.CRASH, attempts=MAX_RECOVERY_ATTEMPTS
+            ),
         )
-        assert tight.verdict == "unrecoverable"
-        assert roomy.verdict == "completed"
+        assert survived.stats.completed
+        assert survived.stats.recovery_attempts == MAX_RECOVERY_ATTEMPTS
+        assert exhausted.stats.unrecoverable
+        assert exhausted.stats.recovery_attempts == MAX_RECOVERY_ATTEMPTS
 
 
 class TestDeterminism:

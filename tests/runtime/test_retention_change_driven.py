@@ -375,7 +375,7 @@ class TestOperationCounts:
         collect: every over-budget rank is settled, nothing is asked."""
         sim = faulted_replicated_cell()
         result = sim.run()
-        assert result.verdict == "completed"
+        assert result.stats.completed
         storage, ranks = sim.storage, range(sim.n)
         # Not vacuous: a rank is pinned above its budget by its
         # protected set, the case a batch collect re-examines forever.
@@ -528,7 +528,7 @@ def _assert_freed_by_refcount(retries=0, engine=Simulation, **knobs):
             protocol=make_protocol("appl-driven", 6.0), **knobs,
         )
         result = sim.run()
-        assert result.verdict == "completed"
+        assert result.stats.completed
         assert result.stats.recovery_retries == retries
         del sim, result
         assert gc.collect() == 0

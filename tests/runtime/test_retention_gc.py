@@ -246,7 +246,7 @@ class TestRetentionInEngine:
             protocol=ApplicationDrivenProtocol(), fault_plan=plan,
             retain_k=3,
         ).run()
-        assert result.verdict == "completed"
+        assert result.stats.completed
         assert result.final_env == baseline.final_env
 
     def test_occupancy_stats_surface(self):

@@ -54,7 +54,7 @@ def fingerprint(sim, result):
         for checkpoint in sim.storage.history(rank)
     )
     # Events (clocks included), stats, final env, completion time.
-    return run_fingerprint(result)[:4] + (result.verdict, stored)
+    return run_fingerprint(result)[:4] + (stored,)
 
 
 def outcome(base, n, variant, protocol=lambda: None, **kwargs):
@@ -276,7 +276,7 @@ class TestProtocolsThatAct:
             protocol=lambda: make_protocol(protocol, period=1.3),
             fault_plan=FaultPlan(crashes=[CrashEvent(time=3.21, rank=2)]),
         )
-        stats, stored = result[1], result[5]
+        stats, stored = result[1], result[4]
         assert stats["completed"] and stats["checkpoints"] > 0
         mid_run = [
             env["j"]
@@ -309,7 +309,7 @@ class TestProtocolsThatAct:
         result = assert_all_variants_agree(
             parse(LOCAL_RUNS_SOURCE), 4, protocol=Echo
         )
-        echoes = [record for record, *_ in result[5] if record[12] == "echo"]
+        echoes = [record for record, *_ in result[4] if record[12] == "echo"]
         assert any(0 < dict(echo[3])["j"] < 30 for echo in echoes)
 
     def test_outstanding_timer_keeps_the_strict_order(self):
@@ -334,5 +334,5 @@ class TestProtocolsThatAct:
         result = assert_all_variants_agree(
             parse(LOCAL_RUNS_SOURCE), 4, protocol=Ticking
         )
-        ticks = [record for record, *_ in result[5] if record[12] == "tick"]
+        ticks = [record for record, *_ in result[4] if record[12] == "tick"]
         assert len(ticks) == 1 and 0 < dict(ticks[0][3])["j"] < 30

@@ -433,7 +433,7 @@ class TestCommitPricesOnlyWhatChanged:
             observer=observer,
         ).run()
         monkeypatch.undo()
-        assert result.verdict == "completed"
+        assert result.stats.completed
         return result, len(calls), len(lookups)
 
     def test_pricing_calls_are_bounded_by_the_changes(self, monkeypatch):

@@ -35,11 +35,7 @@ class TestStorage:
         storage = CheckpointStore()
         storage.store(checkpoint(0, 0))
         storage.store(checkpoint(0, 1))
-        assert storage.latest(0).number == 1
-
-    def test_latest_missing_rank(self):
-        with pytest.raises(StorageError, match="no checkpoint"):
-            CheckpointStore().latest(3)
+        assert storage.history(0)[-1].number == 1
 
     def test_latest_with_number_picks_most_recent_instance(self):
         storage = CheckpointStore()
@@ -82,7 +78,7 @@ class TestStorage:
         storage.store(checkpoint(0, 2))
         dropped = storage.truncate_to(keep)
         assert dropped == 1
-        assert storage.latest(0) is keep
+        assert storage.history(0)[-1] is keep
 
     def test_truncate_unknown_checkpoint(self):
         storage = CheckpointStore()

@@ -18,6 +18,8 @@ documentation.
 Structure: no ``runtime`` module passes 800 lines, each name the engine
 split moved is defined in its one home module, and the run capabilities
 it deleted (``run(max_time=...)``, the backend-event opt-in) stay gone.
+Protocols leave the run's statistics to the engine and their timers to
+the two timer bases in ``protocols/base.py``.
 """
 
 import ast
@@ -148,8 +150,7 @@ def test_every_definition_is_named_besides_its_definition():
 ENGINE_HOMES = {
     **dict.fromkeys((
         "BACKENDS", "CHECKPOINT_MODES", "RuntimeCosts", "RunConfig",
-        "SupervisorConfig", "SimulationStats", "SimulationResult",
-        "run_verdict",
+        "SimulationStats", "SimulationResult",
     ), "repro.runtime.config"),
     **dict.fromkeys((
         "_Status", "_Proc", "Scheduler", "send_control", "schedule_timer",
@@ -167,7 +168,9 @@ ENGINE_HOMES = {
     ), "repro.runtime.commit"),
     **dict.fromkeys((
         "RecoverySupervisor", "Recovery", "recovery_escalation",
-        "restore_cut", "restore_single", "_restart", "_refuse_corrupt",
+        "record_fallback", "restore_cut", "restore_single", "_restart",
+        "_refuse_corrupt", "MAX_RECOVERY_ATTEMPTS", "RECOVERY_BACKOFF_BASE",
+        "RECOVERY_BACKOFF_FACTOR",
     ), "repro.runtime.recovery"),
     "Simulation": "repro.runtime.engine",
 }
@@ -229,3 +232,42 @@ def test_removed_run_capabilities_stay_removed():
         if re.search(r"max_time|wants_backend_events", path.read_text())
     )
     assert mentions == []
+
+
+# -- structure pins: protocols decide, the engine accounts -------------------
+
+PROTOCOLS = SRC / "repro" / "protocols"
+
+
+def test_no_protocol_writes_the_run_statistics():
+    """Fallback accounting is ``Recovery.record_fallback``'s alone."""
+    writes = []
+    for path in PROTOCOLS.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                targets = [node.target]
+            elif isinstance(node, ast.Call) and isinstance(
+                node.func, ast.Attribute
+            ):
+                targets = [node.func.value]  # a mutating method call
+            else:
+                continue
+            writes.extend(
+                f"{path.name}:{node.lineno}" for target in targets
+                if re.match(r"sim\.stats\b", ast.unparse(target))
+            )
+    assert writes == []
+
+
+def test_only_the_timer_bases_schedule_timers():
+    callers = {
+        path.name
+        for path in PROTOCOLS.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "schedule_timer"
+    }
+    assert callers == {"base.py"}

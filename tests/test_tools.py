@@ -94,10 +94,12 @@ class TestCiWorkflow:
 #: Names of the retired ratio-microbenchmark stack, the ungated
 #: benchmark suite, the wall-clock result generators and the
 #: hand-rolled comparison and fault-sweep loops (now campaign cells),
-#: and the crash-only plan type, its drawers and its keyword and parser
+#: the crash-only plan type, its drawers and its keyword and parser
 #: (now ``FaultPlan``, ``exponential_fault_plan``, ``fault_plan`` and
-#: ``--fault``), spelled in pieces so this file does not match its own
-#: search.
+#: ``--fault``), and the recovery knobs and helpers nothing set (now
+#: the constants in ``runtime/recovery.py``, ``stats.unrecoverable``
+#: and the round base's restore), spelled in pieces so this file does
+#: not match its own search.
 RETIRED_NAMES = [
     "Workload" + "Spec",
     "ProtocolRun" + "Summary",
@@ -123,6 +125,9 @@ RETIRED_NAMES = [
     "exponential" + "_network_plan",
     "failure" + "_plan",
     "_parse_recovery" + "_fault",
+    "Supervisor" + "Config",
+    "run" + "_verdict",
+    "restore_tagged" + "_round",
 ]
 
 #: Top-level files that describe the current tree. The change log and
