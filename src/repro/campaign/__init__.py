@@ -11,20 +11,19 @@ for large experiment campaigns:
 - :class:`~repro.campaign.cache.TransformCache` — a content-addressed
   on-disk cache for :func:`~repro.phases.pipeline.transform`, keyed by
   program hash × cost model × universe × flags, valued by
-  printer/parser round-tripped results, with hit/miss counters
-  surfaced through :class:`~repro.obs.metrics.MetricsRegistry`.
-- :func:`~repro.campaign.executor.run_campaign` /
-  :func:`~repro.campaign.executor.run_cells` — a
-  ``ProcessPoolExecutor``-backed fan-out whose merged results are
-  **byte-identical for any worker count** (timings excepted, and kept
-  out of the deterministic artifact by construction).
+  printer/parser round-tripped results, with hit/miss/store counters.
+- :func:`~repro.campaign.executor.run_campaign` — a
+  ``ProcessPoolExecutor``-backed fan-out of spec cells whose merged
+  results are **byte-identical for any worker count** (timings
+  excepted, and kept out of the deterministic artifact by
+  construction).
 
-Two further pieces make the substrate resilient to *its own* faults —
+Two further pieces make the executor resilient to *its own* faults —
 the paper's checkpoint/restart discipline applied to the harness:
 
 - :class:`~repro.campaign.journal.CampaignJournal` — an append-only,
   fsync'd, torn-tail-tolerant JSONL journal of finalised cell
-  outcomes, keyed by cell key × content hash, powering
+  outcomes, keyed by label × content hash, powering
   ``repro campaign --resume`` / ``repro chaos --resume``;
 - :class:`~repro.campaign.executor.ExecutorPolicy` /
   :class:`~repro.campaign.executor.ExecutorStats` — per-cell timeouts,
@@ -32,8 +31,8 @@ the paper's checkpoint/restart discipline applied to the harness:
   poison-cell quarantine.
 
 The chaos harness (``repro chaos --jobs``), the ``repro campaign`` CLI
-subcommand and ``repro simulate`` (a one-cell campaign) all run on this
-substrate.
+subcommand and ``repro simulate`` (a one-cell campaign) all run on
+:func:`~repro.campaign.executor.run_campaign`.
 """
 
 from repro.campaign.cache import (
@@ -48,7 +47,6 @@ from repro.campaign.executor import (
     ExecutorStats,
     resolve_jobs,
     run_campaign,
-    run_cells,
 )
 from repro.campaign.journal import JOURNAL_VERSION, CampaignJournal
 from repro.campaign.spec import (
@@ -75,6 +73,5 @@ __all__ = [
     "quick_campaign",
     "resolve_jobs",
     "run_campaign",
-    "run_cells",
     "transform_cache_key",
 ]

@@ -10,9 +10,8 @@ through the language's own printer/parser round-trip (programs are
 stored as canonical source, never pickled ASTs), so cache entries are
 portable, diffable JSON.
 
-Hit/miss/store counts are kept on the cache and, when a
-:class:`~repro.obs.metrics.MetricsRegistry` is attached, surfaced as
-``transform_cache.hits`` / ``.misses`` / ``.stores`` counters.
+Hit/miss/store counts are kept on the cache (``hits``, ``misses``,
+``stores``).
 """
 
 from __future__ import annotations
@@ -96,18 +95,12 @@ class TransformCache:
     identically.
     """
 
-    def __init__(self, root: Path | str, registry=None) -> None:
+    def __init__(self, root: Path | str) -> None:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        self.registry = registry
         self.hits = 0
         self.misses = 0
         self.stores = 0
-
-    def _count(self, name: str) -> None:
-        setattr(self, name, getattr(self, name) + 1)
-        if self.registry is not None:
-            self.registry.counter(f"transform_cache.{name}").inc()
 
     @property
     def hit_rate(self) -> float:
@@ -145,9 +138,9 @@ class TransformCache:
                 raise ValueError("cache entry version mismatch")
             result = _entry_to_result(entry)
         except (OSError, ValueError, KeyError, TypeError, ReproError):
-            self._count("misses")
+            self.misses += 1
             return None
-        self._count("hits")
+        self.hits += 1
         return result
 
     def put(self, key: str, result) -> None:
@@ -157,7 +150,7 @@ class TransformCache:
         staged = path.with_suffix(".tmp")
         staged.write_text(json.dumps(entry, sort_keys=True) + "\n")
         staged.replace(path)
-        self._count("stores")
+        self.stores += 1
 
 
 # ----------------------------------------------------------------------

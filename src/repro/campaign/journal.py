@@ -3,8 +3,8 @@
 The paper checkpoints distributed *applications*; this module applies
 the same idea to the campaign executor. Every finalised cell outcome is
 appended to a JSONL journal — one fsync'd line per cell, keyed by the
-cell's key string **and** its content hash (for scenario cells,
-:meth:`~repro.campaign.spec.ScenarioSpec.content_hash`). A campaign
+cell's label **and** its spec's content hash
+(:meth:`~repro.campaign.spec.ScenarioSpec.content_hash`). A campaign
 that is SIGKILL'd mid-flight restarts with ``--resume``: completed
 cells are served from the journal (the executor skips them entirely)
 and only unfinished cells re-execute, after which the merged artifact

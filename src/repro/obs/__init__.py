@@ -18,8 +18,9 @@ On top of the bus sit:
   tail, which the chaos harness dumps next to ddmin counterexamples;
 - exporters to JSONL and Chrome ``chrome://tracing`` trace-event format
   (:mod:`repro.obs.export`), with a schema-versioned log header;
-- hierarchical :mod:`spans <repro.obs.spans>` (wall + simulated clock)
-  over the transform phases, recovery attempts, and campaign cells;
+- hierarchical wall-clock :mod:`spans <repro.obs.spans>` over the
+  transform phases and campaign cells (recovery attempts are
+  sim-clock ``span`` events on the bus);
 - campaign-scale :mod:`rollups <repro.obs.rollup>` (mergeable metrics,
   deterministic aggregate), a :mod:`diff engine <repro.obs.diff>` for
   regression gating, :mod:`event queries <repro.obs.query>`, and

@@ -26,13 +26,6 @@ from JSONL — and derives the standard checkpoint metrics from it alone:
   ``gc_reclaimed_bytes_total`` — write-retry and retention-GC counters;
 - ``recovery_retries_total`` / ``recovery_backoff`` /
   ``unrecoverable_total`` — recovery-supervisor retry accounting.
-
-The resilient campaign executor publishes its own counters here too
-(via :meth:`~repro.campaign.executor.ExecutorStats.publish`):
-``executor.worker_restarts`` / ``.retries`` / ``.timeouts`` /
-``.quarantines`` / ``.resume_hits`` / ``.journal_torn_entries`` — the
-harness's checkpoint/restart machinery accounted for with the same
-registry the simulated system uses.
 """
 
 from __future__ import annotations

@@ -1,21 +1,13 @@
-"""Hierarchical spans: durations with both a wall clock and a sim clock.
+"""Hierarchical wall-clock spans of the offline pipeline and the executor.
 
 A :class:`Span` is one named interval of work with a parent (spans
-nest), an optional rank, a **wall-clock** duration (what the hardware
-paid) and, where the work happens inside the simulator, a
-**simulated-clock** duration (what the model paid). The two clocks
-serve different masters and are kept strictly apart:
+nest) and a **wall-clock** duration — what the hardware paid. Wall
+time is diagnostic, so spans live only on the :class:`SpanTracker` and
+reach files solely through the explicitly non-deterministic export
+(:meth:`SpanTracker.chrome_trace`, the ``--spans-out`` CLI flags),
+never through an event log or any other byte-identity artifact.
 
-- simulated durations are deterministic, so span events published on an
-  :class:`~repro.obs.bus.EventBus` carry *only* sim times and are safe
-  inside byte-identity artifacts (campaign event logs, flight-recorder
-  dumps);
-- wall durations are diagnostic, live only on the
-  :class:`SpanTracker`, and reach files solely through the explicitly
-  non-deterministic exports (``SpanTracker.chrome_trace``, the
-  ``--spans-out`` CLI flags).
-
-Instrumented sites (see ``docs/metrics.md`` for the full catalogue):
+Instrumented sites (see ``docs/metrics.md`` for parents and fields):
 
 ========================== ==========================================
 ``phase1.insertion``        Phase I checkpoint insertion
@@ -23,11 +15,14 @@ Instrumented sites (see ``docs/metrics.md`` for the full catalogue):
 ``phase3.placement``        Phase III checkpoint motion to Condition 1
 ``phase4.verification``     Phase IV final Condition 1 check
 ``cache.lookup``            transform-cache probe (``outcome`` field)
-``recovery.attempt``        one RecoverySupervisor attempt (sim clock)
 ``cell.attempt``            one executor attempt of one campaign cell
 ``cell``                    a campaign cell submit → final outcome
 ``campaign.merge``          deterministic merge of all cell results
 ========================== ==========================================
+
+The simulated-clock counterpart, one ``recovery.attempt`` per recovery
+attempt, is not a tracker span: the engine publishes it on its own
+event bus as a ``span``-category event carrying simulated times only.
 
 The tracker is zero-cost when absent: every instrumented site holds
 ``tracker: SpanTracker | None`` and guards with a single ``is None``
@@ -55,21 +50,15 @@ class Span:
         span_id: Tracker-local id, dense from 0 in open order.
         parent_id: Enclosing span's id, or ``None`` for a root.
         name: Span name (dotted, e.g. ``phase3.placement``).
-        rank: Publishing process where one exists, else ``None``.
         wall_start / wall_end: ``perf_counter`` readings (seconds).
-        sim_start / sim_end: Simulated times, or ``None`` for offline
-            work that has no simulated clock.
         fields: Flat JSON-safe payload (``outcome``, ``attempt``, ...).
     """
 
     span_id: int
     parent_id: int | None
     name: str
-    rank: int | None = None
     wall_start: float = 0.0
     wall_end: float | None = None
-    sim_start: float | None = None
-    sim_end: float | None = None
     fields: dict[str, Any] = field(default_factory=dict)
 
     @property
@@ -79,193 +68,82 @@ class Span:
             return 0.0
         return self.wall_end - self.wall_start
 
-    @property
-    def sim_duration(self) -> float | None:
-        """Simulated seconds covered, or ``None`` for offline spans."""
-        if self.sim_start is None or self.sim_end is None:
-            return None
-        return self.sim_end - self.sim_start
-
 
 class SpanTracker:
-    """Collects nested spans; optionally publishes them as events.
+    """Collects nested wall-clock spans.
 
     ``with tracker.span("phase1.insertion"): ...`` opens a span whose
     parent is the innermost still-open span on this tracker, times it
-    on the wall clock, and records it on close. Simulated times are
-    supplied explicitly by the caller (``sim_start=``/``sim_end=``)
-    because only the engine knows them.
-
-    With *bus* attached, every closed span is also published as an
-    :class:`~repro.obs.events.ObsEvent` of category ``"span"`` carrying
-    **simulated times only** (``t`` = sim start or 0.0, ``dur`` = sim
-    duration or 0.0) plus the span/parent ids — never wall clock, so
-    logs stay deterministic. Wall durations are read back from
-    :attr:`spans`, :meth:`wall_totals`, or :meth:`chrome_trace`.
+    on the wall clock, and records it on exit. :meth:`record` adds a
+    span whose interval the caller measured itself. *wall_clock*
+    replaces ``perf_counter`` (tests pass a fake).
     """
 
     def __init__(
-        self,
-        bus=None,
-        wall_clock: Callable[[], float] = _time.perf_counter,
+        self, wall_clock: Callable[[], float] = _time.perf_counter
     ) -> None:
-        self.bus = bus
         self._wall = wall_clock
         self.spans: list[Span] = []
         self._stack: list[Span] = []
 
-    @contextmanager
-    def span(
-        self,
-        name: str,
-        rank: int | None = None,
-        sim_start: float | None = None,
-        sim_end: float | None = None,
-        **fields: Any,
-    ) -> Iterator[Span]:
-        """Open a nested span; close and record it on exit.
-
-        The yielded :class:`Span` is live — handlers may set
-        ``fields`` entries or ``sim_start``/``sim_end`` before exit
-        (e.g. record an outcome decided mid-span).
-        """
-        span = self.open(
-            name, rank=rank, sim_start=sim_start, sim_end=sim_end, **fields
-        )
-        try:
-            yield span
-        finally:
-            self.close(span)
-
-    def open(
-        self,
-        name: str,
-        rank: int | None = None,
-        sim_start: float | None = None,
-        sim_end: float | None = None,
-        **fields: Any,
-    ) -> Span:
-        """Explicitly open a span (for non-lexical lifetimes)."""
+    def _add(self, name: str, wall_start: float, fields: dict) -> Span:
         span = Span(
             span_id=len(self.spans),
             parent_id=self._stack[-1].span_id if self._stack else None,
             name=name,
-            rank=rank,
-            wall_start=self._wall(),
-            sim_start=sim_start,
-            sim_end=sim_end,
-            fields=dict(fields),
+            wall_start=wall_start,
+            fields=fields,
         )
         self.spans.append(span)
-        self._stack.append(span)
         return span
 
-    def close(self, span: Span) -> Span:
-        """Close *span* (and any unclosed children), publish if bound.
+    @contextmanager
+    def span(self, name: str, **fields: Any) -> Iterator[Span]:
+        """Open a nested span; close it on exit, however the block ends.
 
-        A span that is not open — closed already, or recorded — is
-        left as it is, and so is every other span.
+        The yielded :class:`Span` is live — the block may set
+        ``fields`` entries before exit (e.g. record an outcome decided
+        mid-span).
         """
-        if not any(open_span is span for open_span in self._stack):
-            return span
-        while True:
-            top = self._stack.pop()
-            if top.wall_end is None:
-                top.wall_end = self._wall()
-            if top is span:
-                break
-        self._publish(span)
-        return span
-
-    def _publish(self, span: Span) -> None:
-        """Emit a closed span on the bus (sim times only), if bound."""
-        if self.bus is None:
-            return
-        self.bus.emit(
-            "span",
-            span.name,
-            span.rank,
-            span.sim_start if span.sim_start is not None else 0.0,
-            span_id=span.span_id,
-            parent=span.parent_id,
-            dur=(
-                span.sim_duration if span.sim_duration is not None else 0.0
-            ),
-            **span.fields,
-        )
+        span = self._add(name, self._wall(), fields)
+        self._stack.append(span)
+        try:
+            yield span
+        finally:
+            self._stack.pop()
+            span.wall_end = self._wall()
 
     def record(
-        self,
-        name: str,
-        wall_start: float,
-        wall_end: float,
-        rank: int | None = None,
-        sim_start: float | None = None,
-        sim_end: float | None = None,
-        **fields: Any,
+        self, name: str, wall_start: float, wall_end: float, **fields: Any
     ) -> Span:
-        """Record an already-finished span without touching the stack.
+        """Record an already-finished span.
 
         For work whose lifetime the caller measured itself (e.g. a
         campaign cell that ran on a pool worker — its wall interval is
         known only at completion, and concurrent cells cannot nest).
-        The span parents under the innermost open span, is published on
-        the bus like any closed span, and never interferes with
-        lexically-scoped ``span()`` nesting.
+        The span parents under the innermost open span.
         """
-        span = Span(
-            span_id=len(self.spans),
-            parent_id=self._stack[-1].span_id if self._stack else None,
-            name=name,
-            rank=rank,
-            wall_start=wall_start,
-            wall_end=wall_end,
-            sim_start=sim_start,
-            sim_end=sim_end,
-            fields=dict(fields),
-        )
-        self.spans.append(span)
-        self._publish(span)
+        span = self._add(name, wall_start, fields)
+        span.wall_end = wall_end
         return span
-
-    def wall_totals(self) -> dict[str, float]:
-        """Total wall seconds per span name, sorted by name."""
-        totals: dict[str, float] = {}
-        for span in self.spans:
-            totals[span.name] = totals.get(span.name, 0.0) + (
-                span.wall_duration
-            )
-        return dict(sorted(totals.items()))
-
-    def by_name(self, name: str) -> list[Span]:
-        """Every recorded span called *name*, in open order."""
-        return [span for span in self.spans if span.name == name]
 
     def chrome_trace(self) -> dict[str, Any]:
         """Chrome trace-event document of the recorded spans.
 
-        Spans become complete events (``ph: "X"``). Timestamps come
-        from the *wall* clock, zeroed at the first span's start, so
-        this export is diagnostic (never byte-identical across runs) —
-        the deterministic route for spans is the event log plus
-        ``repro trace chrome``. Each rank gets its own thread; rankless
-        spans land on a "driver" thread.
+        Spans become complete events (``ph: "X"``) on one "driver"
+        thread. Timestamps come from the wall clock, zeroed at the
+        first span's start, so this export is diagnostic (never
+        byte-identical across runs).
         """
-        events: list[dict[str, Any]] = []
         origin = min(
             (span.wall_start for span in self.spans), default=0.0
         )
-        ranks: set[int] = set()
+        events: list[dict[str, Any]] = []
         for span in self.spans:
-            tid = span.rank if span.rank is not None else -1
-            if span.rank is not None:
-                ranks.add(span.rank)
             args: dict[str, Any] = dict(span.fields)
             args["span_id"] = span.span_id
             if span.parent_id is not None:
                 args["parent"] = span.parent_id
-            if span.sim_duration is not None:
-                args["sim_dur"] = span.sim_duration
             events.append({
                 "name": span.name,
                 "cat": "span",
@@ -273,10 +151,10 @@ class SpanTracker:
                 "ts": (span.wall_start - origin) * _CHROME_US,
                 "dur": span.wall_duration * _CHROME_US,
                 "pid": 0,
-                "tid": tid,
+                "tid": -1,
                 "args": args,
             })
-        return chrome_document(events, ranks, "driver")
+        return chrome_document(events, set(), "driver")
 
     def chrome_trace_json(self, indent: int | None = None) -> str:
         """:meth:`chrome_trace` serialised as JSON text."""
@@ -313,18 +191,8 @@ class _NullTracker:
     __slots__ = ()
 
     @contextmanager
-    def span(self, name, rank=None, sim_start=None, sim_end=None, **fields):
+    def span(self, name, **fields):
         yield Span(span_id=-1, parent_id=None, name=name)
-
-    def open(self, name, rank=None, sim_start=None, sim_end=None, **fields):
-        return Span(span_id=-1, parent_id=None, name=name)
-
-    def close(self, span):
-        return span
-
-    def record(self, name, wall_start, wall_end, rank=None,
-               sim_start=None, sim_end=None, **fields):
-        return Span(span_id=-1, parent_id=None, name=name)
 
 
 #: Shared no-op tracker for uninstrumented runs.

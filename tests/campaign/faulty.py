@@ -1,8 +1,7 @@
 """A faulty worker: the executor's own faults, injected through the one
 seam the executor already has — the worker callable it runs.
 
-``run_cells`` tests pass :func:`double` with ``(value, fault)``
-payloads. ``run_campaign`` and CLI tests monkeypatch
+``run_campaign`` and CLI tests monkeypatch
 ``repro.campaign.executor._campaign_cell`` with :func:`campaign_cell`
 bound to a ``{label: Fault}`` map. Everything here is module-level, so
 it pickles into pool workers.
@@ -56,14 +55,6 @@ class Fault:
 def transient(kind: str, tmp_path, name: str = "fired") -> Fault:
     """A fault that fires on the first attempt only."""
     return Fault(kind, str(tmp_path / name))
-
-
-def double(payload):
-    """``run_cells`` worker: ``(value, fault)`` → ``2 * value``."""
-    value, fault = payload
-    if fault is not None:
-        fault.fire()
-    return 2 * value
 
 
 def _faulty_campaign_cell(faults, spec, judge=None):

@@ -5,7 +5,6 @@ import json
 from repro.campaign.cache import CACHE_VERSION, TransformCache, transform_cache_key
 from repro.lang.printer import to_source
 from repro.lang.programs import load_program
-from repro.obs import MetricsRegistry
 from repro.phases.insertion import CostModel
 from repro.phases.pipeline import transform
 from repro.phases.report import transform_report
@@ -119,15 +118,12 @@ class TestHitMiss:
 
 
 class TestMetrics:
-    def test_counters_surface_in_registry(self, tmp_path):
-        registry = MetricsRegistry()
-        cache = TransformCache(tmp_path, registry=registry)
+    def test_counters_and_hit_rate(self, tmp_path):
+        cache = TransformCache(tmp_path)
         program = load_program("ring_pipeline")
         transform(program, cache=cache)
         transform(program, cache=cache)
-        assert registry.counter("transform_cache.hits").value == 1
-        assert registry.counter("transform_cache.misses").value == 1
-        assert registry.counter("transform_cache.stores").value == 1
+        assert (cache.hits, cache.misses, cache.stores) == (1, 1, 1)
         assert cache.hit_rate == 0.5
 
     def test_hit_rate_zero_before_lookups(self, tmp_path):

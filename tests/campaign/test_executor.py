@@ -3,9 +3,11 @@ and the collector pause every cell runs under."""
 
 import gc
 import sys
+from dataclasses import replace
 
 import pytest
 
+from repro.campaign import executor
 from repro.campaign.executor import (
     CampaignResult,
     CellOutcome,
@@ -16,17 +18,11 @@ from repro.campaign.executor import (
     _charge,
     resolve_jobs,
     run_campaign,
-    run_cells,
 )
 from repro.campaign.spec import ScenarioSpec, quick_campaign
 from repro.errors import SimulationError
 from repro.lang.programs import program_source
 from repro.runtime.chaos import ChaosConfig, chaos_sweep
-
-
-def _square(payload):
-    """Module-level so the process pool can pickle it."""
-    return payload * payload
 
 
 def _explode(payload):
@@ -54,56 +50,39 @@ def _interrupt(payload):
     raise KeyboardInterrupt
 
 
-def _message(_key, _payload, message, _error):
-    """Quarantine factory: the quarantine text itself is the result."""
-    return message
+def _collector_cell(spec, judge=None):
+    """Module-level campaign worker reporting whether the cyclic
+    collector runs."""
+    return CellOutcome(
+        label=spec.label, spec_hash="",
+        stats={"completed": True, "collecting": gc.isenabled()},
+    )
 
 
-def _cells(items, worker, jobs=1, **kwargs):
-    """``run_cells`` with the message quarantine."""
-    return run_cells(items, worker, jobs, quarantine=_message, **kwargs)
+def _relabelled(*labels):
+    """One tiny spec per label."""
+    spec = quick_campaign(steps=3)[0]
+    return [replace(spec, label=label) for label in labels]
 
 
-class TestRunCells:
-    def test_duplicate_keys_rejected(self):
-        with pytest.raises(SimulationError, match="unique"):
-            _cells([("a", 1), ("a", 2)], _square)
+class TestCellKeys:
+    def test_duplicate_labels_rejected(self):
+        with pytest.raises(SimulationError, match="unique labels"):
+            run_campaign(_relabelled("a", "a"))
 
-    def test_duplicate_keys_named_in_message(self):
-        items = [("a", 1), ("b", 2), ("a", 3), ("c", 4), ("c", 5)]
+    def test_duplicate_labels_named_in_message(self):
         with pytest.raises(SimulationError) as excinfo:
-            _cells(items, _square)
+            run_campaign(_relabelled("a", "b", "a", "c", "c"))
         message = str(excinfo.value)
         assert "'a'" in message and "'c'" in message
         assert "'b'" not in message
 
     @pytest.mark.parametrize("jobs", [1, 2])
-    def test_policy_less_worker_exception_is_quarantined_at_once(self, jobs):
-        results, _ = _cells([("a", 1), ("b", 2)], _explode, jobs)
-        assert results == {
-            key: "executor: quarantined after 1 attempt(s); "
-                 f"last failure: ValueError: boom on {value}"
-            for key, value in (("a", 1), ("b", 2))
-        }
-
-    def test_results_in_submission_order(self):
-        items = [("c", 3), ("a", 1), ("b", 2)]
-        results, timings = _cells(items, _square)
-        assert list(results) == ["c", "a", "b"]
-        assert list(timings) == ["c", "a", "b"]
-        assert results == {"c": 9, "a": 1, "b": 4}
-
-    def test_parallel_matches_serial(self):
-        items = [(n, n) for n in range(8)]
-        serial, _ = _cells(items, _square, jobs=1)
-        parallel, _ = _cells(items, _square, jobs=2)
-        assert parallel == serial
-        assert list(parallel) == list(serial)
-
-    def test_timings_cover_every_cell(self):
-        results, timings = _cells([("x", 2), ("y", 3)], _square)
-        assert set(timings) == {"x", "y"}
-        assert all(t >= 0.0 for t in timings.values())
+    def test_results_in_submission_order(self, jobs):
+        result = run_campaign(_relabelled("c", "a", "b"), jobs)
+        assert list(result.cells) == ["c", "a", "b"]
+        assert list(result.timings) == ["c", "a", "b"]
+        assert all(t >= 0.0 for t in result.timings.values())
 
     def test_resolve_jobs(self):
         assert resolve_jobs(3) == 3
@@ -224,40 +203,34 @@ class TestCharge:
     """The one retry/quarantine step both runners charge failures to."""
 
     POLICY = ExecutorPolicy(max_retries=3)
+    SPEC = _relabelled("k")[0]
 
     def _charge(self, attempt, policy=POLICY):
         stats = ExecutorStats()
-        emitted, notes, failed = [], [], []
-        error = ValueError("boom")
-
-        def record_fail(key, payload, message, err):
-            failed.append((key, payload, message, err))
-            return "quarantined-outcome"
+        emitted, notes = [], []
 
         def notify(kind, **fields):
             notes.append((kind, fields))
 
         done = _charge(
-            "k", 7, attempt, "worker crashed", error, policy, stats,
-            lambda *args: emitted.append(args), record_fail, notify,
+            self.SPEC, attempt, "worker crashed", policy, stats,
+            lambda *args: emitted.append(args), notify,
         )
-        return done, stats, emitted, notes, failed, error
+        return done, stats, emitted, notes
 
     @pytest.mark.parametrize("attempt", [1, 2, 3])
     def test_within_budget_counts_a_retry(self, attempt):
-        done, stats, emitted, notes, failed, _ = self._charge(attempt)
+        done, stats, emitted, notes = self._charge(attempt)
         assert not done
         assert (stats.retries, stats.quarantines) == (1, 0)
         assert notes == [("retry", {"cell": "k", "attempt": attempt + 1})]
-        assert emitted == [] and failed == []
+        assert emitted == []
 
     @pytest.mark.parametrize("max_retries", [0, 3])
     def test_at_budget_quarantines_with_fixed_text(self, max_retries):
         policy = ExecutorPolicy(max_retries=max_retries)
         attempt = policy.max_attempts
-        done, stats, emitted, notes, failed, error = self._charge(
-            attempt, policy
-        )
+        done, stats, emitted, notes = self._charge(attempt, policy)
         assert done
         assert (stats.retries, stats.quarantines) == (0, 1)
         assert notes == [("quarantine", {"cell": "k"})]
@@ -265,10 +238,10 @@ class TestCharge:
             f"executor: quarantined after {attempt} attempt(s); "
             "last failure: worker crashed"
         )
-        assert failed == [("k", 7, message, error)]
-        assert emitted == [
-            ("k", "quarantined-outcome", 0.0, None, attempt)
-        ]
+        assert emitted == [(
+            self.SPEC, CellOutcome.failure(self.SPEC, message), 0.0, None,
+            attempt,
+        )]
 
 
 @pytest.fixture
@@ -284,9 +257,13 @@ class TestCollectorPause:
     comes back on every way out of the worker shim."""
 
     @pytest.mark.parametrize("jobs", [1, 2])
-    def test_worker_sees_the_collector_paused(self, jobs):
-        results, _ = _cells([("a", 0), ("b", 1)], _collector_enabled, jobs)
-        assert results == {"a": False, "b": False}
+    def test_worker_sees_the_collector_paused(self, jobs, monkeypatch):
+        monkeypatch.setattr(executor, "_campaign_cell", _collector_cell)
+        result = run_campaign(_relabelled("a", "b"), jobs)
+        assert {
+            label: cell.stats["collecting"]
+            for label, cell in result.cells.items()
+        } == {"a": False, "b": False}
         assert gc.isenabled()
 
     def test_no_collector_pass_while_a_campaign_cell_runs(self):

@@ -1,12 +1,14 @@
 """Resilient executor: retries, quarantine, timeouts, resume.
 
-Faults are injected through the worker itself (``tests/campaign/
-faulty.py``). The byte-identity invariant under test throughout: the
-deterministic artifact is identical across ``jobs`` values AND across
-clean, retried, and resumed runs — quarantine messages carry no PIDs,
-times, or host state.
+Faults are injected through the campaign worker itself
+(``tests/campaign/faulty.py``). The byte-identity invariant under test
+throughout: the deterministic artifact is identical across ``jobs``
+values AND across clean, retried, and resumed runs — quarantine
+messages carry no PIDs, times, or host state.
 """
 
+import json
+import dataclasses
 from dataclasses import replace
 
 import pytest
@@ -15,65 +17,45 @@ from repro.campaign import executor
 from repro.campaign.executor import (
     CellOutcome,
     ExecutorPolicy,
-    ExecutorStats,
-    JournalCodec,
-    run_cells,
+    backoff,
     run_campaign,
 )
-from repro.campaign.journal import CampaignJournal
 from repro.campaign.spec import quick_campaign
 from repro.errors import SimulationError
-from repro.obs import MetricsRegistry
+from repro.obs.rollup import campaign_rollup
 from repro.runtime.chaos import DIVERGED, ChaosConfig, chaos_sweep
 from repro.runtime.transport import TransportConfig
 
-from .faulty import Fault, campaign_cell, double, transient
+from .faulty import Fault, campaign_cell, transient
 
-#: A fast policy for tests: tiny backoffs, tight polling.
-FAST = ExecutorPolicy(
-    max_retries=2, backoff_base=0.001, backoff_max=0.01, poll_interval=0.01
-)
+FAST = ExecutorPolicy(max_retries=2)
 
 CRASHED = (
     "executor: quarantined after 3 attempt(s); last failure: worker crashed"
 )
 
 
-def _double(payload):
-    """Module-level so the process pool can pickle it."""
-    return payload * 2
+@pytest.fixture
+def fast_backoff(monkeypatch):
+    """Tiny retry backoffs and tight deadline polling, for speed."""
+    monkeypatch.setattr(executor, "BACKOFF_BASE", 0.001)
+    monkeypatch.setattr(executor, "BACKOFF_MAX", 0.01)
+    monkeypatch.setattr(executor, "POLL_INTERVAL", 0.01)
 
 
-def _quarantine_dict(key, _payload, message, _error):
-    """Test quarantine factory: a structured error result."""
-    return {"key": key, "error": message}
+def _specs(n):
+    return quick_campaign(steps=3)[:n]
 
 
-#: Journal codec for plain-int test cells: the payload is its own hash.
-INT_CODEC = JournalCodec(
-    key=lambda key, _payload: str(key),
-    cell_hash=lambda _key, payload: f"payload={payload}",
-    encode=lambda result: {"v": result},
-    decode=lambda data: data["v"],
-)
-
-
-def _run(items, jobs, worker=_double, **kwargs):
-    """run_cells with the fast policy, the dict quarantine, and stats."""
-    stats = ExecutorStats()
-    kwargs.setdefault("policy", FAST)
-    kwargs.setdefault("quarantine", _quarantine_dict)
-    kwargs.setdefault("codec", INT_CODEC)
-    results, timings = run_cells(
-        items, worker, jobs=jobs, stats=stats, **kwargs
-    )
-    return results, timings, stats
-
-
-def _faulted(n, jobs, faults, **kwargs):
-    """Cells ``0..n-1`` through the faulty worker, ``faults`` by key."""
-    items = [(key, (key, faults.get(key))) for key in range(n)]
-    return _run(items, jobs, worker=double, **kwargs)
+def _faulted(monkeypatch, n, jobs, faults, policy=FAST, **kwargs):
+    """The first *n* quick cells, ``faults`` by cell index; returns the
+    specs, the faulted result and a clean run of the same specs."""
+    specs = _specs(n)
+    clean = run_campaign(specs)
+    _inject(monkeypatch, {
+        specs[index].label: fault for index, fault in faults.items()
+    })
+    return specs, run_campaign(specs, jobs, policy=policy, **kwargs), clean
 
 
 class TestPolicy:
@@ -81,14 +63,19 @@ class TestPolicy:
         assert ExecutorPolicy(max_retries=2).max_attempts == 3
         assert ExecutorPolicy(max_retries=0).max_attempts == 1
 
+    def test_policy_sets_only_timeout_and_retries(self):
+        assert [
+            field.name for field in dataclasses.fields(ExecutorPolicy)
+        ] == [
+            "timeout", "max_retries",
+        ]
+
     def test_backoff_is_exponential_and_capped(self):
-        policy = ExecutorPolicy(
-            backoff_base=0.1, backoff_factor=2.0, backoff_max=0.3
-        )
-        assert policy.backoff(1) == pytest.approx(0.1)
-        assert policy.backoff(2) == pytest.approx(0.2)
-        assert policy.backoff(3) == pytest.approx(0.3)  # capped
-        assert policy.backoff(10) == pytest.approx(0.3)
+        assert backoff(1) == pytest.approx(0.05)
+        assert backoff(2) == pytest.approx(0.1)
+        assert backoff(6) == pytest.approx(1.6)
+        assert backoff(7) == pytest.approx(2.0)  # capped
+        assert backoff(10) == pytest.approx(2.0)
 
     @pytest.mark.parametrize("fields, message", [
         ({"max_retries": -1}, "retries must be >= 0, got -1"),
@@ -110,143 +97,168 @@ class TestPolicy:
             assert getattr(policy, name) == value
 
 
+@pytest.mark.usefixtures("fast_backoff")
 class TestWorkerFaults:
     @pytest.mark.parametrize("jobs", [1, 2])
-    def test_transient_raise_is_retried(self, jobs, tmp_path):
-        results, _, stats = _faulted(
-            4, jobs, {1: transient("raise", tmp_path)}
+    def test_transient_raise_is_retried(self, jobs, monkeypatch, tmp_path):
+        specs, result, clean = _faulted(
+            monkeypatch, 4, jobs, {1: transient("raise", tmp_path)}
         )
-        assert results == {n: 2 * n for n in range(4)}
-        assert list(results) == list(range(4))
-        assert (stats.retries, stats.quarantines) == (1, 0)
+        assert result.to_json() == clean.to_json()
+        assert list(result.cells) == [spec.label for spec in specs]
+        assert (result.executor.retries, result.executor.quarantines) == (
+            1, 0
+        )
 
     @pytest.mark.parametrize("jobs", [1, 2])
-    def test_poison_raise_is_retried_then_quarantined(self, jobs):
-        results, timings, stats = _faulted(2, jobs, {1: Fault("raise")})
-        assert results == {
-            0: 0,
-            1: {
-                "key": 1,
-                "error": (
-                    "executor: quarantined after 3 attempt(s); last "
-                    "failure: InjectedError: injected raise"
-                ),
-            },
+    def test_poison_raise_is_retried_then_quarantined(
+        self, jobs, monkeypatch
+    ):
+        specs, result, clean = _faulted(
+            monkeypatch, 2, jobs, {1: Fault("raise")}
+        )
+        poisoned = specs[1].label
+        assert result.cells == {
+            specs[0].label: clean.cells[specs[0].label],
+            poisoned: CellOutcome.failure(
+                specs[1],
+                "executor: quarantined after 3 attempt(s); last "
+                "failure: InjectedError: injected raise",
+            ),
         }
-        assert (stats.retries, stats.quarantines) == (2, 1)
-        assert timings[1] == 0.0
-
-    def test_real_worker_exception_counts_and_quarantines(self):
-        results, _, stats = _run(
-            [("a", "x")], 1,
-            policy=ExecutorPolicy(max_retries=1, backoff_base=0.001),
+        assert (result.executor.retries, result.executor.quarantines) == (
+            2, 1
         )
-        # "x" * 2 works, so force a genuine failure instead:
-        assert results == {"a": "xx"}
-        results, _, stats = _run(
-            [("a", None)], 1,
-            policy=ExecutorPolicy(max_retries=1, backoff_base=0.001),
-        )
-        assert "TypeError" in results["a"]["error"]
-        assert stats.quarantines == 1
-        assert stats.retries == 1
+        assert result.timings[poisoned] == 0.0
 
-    def test_crash_quarantines_the_culprit_only(self):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_policy_less_raise_is_quarantined_at_once(
+        self, jobs, monkeypatch
+    ):
+        specs, result, _ = _faulted(
+            monkeypatch, 2, jobs, {0: Fault("raise"), 1: Fault("raise")},
+            policy=None,
+        )
+        assert [cell.error for cell in result.cells.values()] == [
+            "executor: quarantined after 1 attempt(s); "
+            "last failure: InjectedError: injected raise"
+        ] * 2
+        assert result.executor.retries == 0
+
+    def test_retry_budget_sets_the_attempt_count(self, monkeypatch):
+        specs, result, _ = _faulted(
+            monkeypatch, 1, 1, {0: Fault("raise")},
+            policy=ExecutorPolicy(max_retries=1),
+        )
+        assert result.cells[specs[0].label].error.startswith(
+            "executor: quarantined after 2 attempt(s)"
+        )
+        assert (result.executor.retries, result.executor.quarantines) == (
+            1, 1
+        )
+
+    def test_crash_quarantines_the_culprit_only(self, monkeypatch):
         retried = []
-        results, _, stats = _faulted(
-            4, 2, {2: Fault("crash")},
+        specs, result, clean = _faulted(
+            monkeypatch, 4, 2, {2: Fault("crash")},
             progress=lambda event: (
                 retried.append(event.cell) if event.kind == "retry" else None
             ),
         )
-        assert results[2] == {"key": 2, "error": CRASHED}
+        culprit = specs[2].label
+        assert result.cells[culprit] == CellOutcome.failure(
+            specs[2], CRASHED
+        )
         # The bystanders the pool deaths interrupted re-ran in isolation,
         # uncharged: every retry is the culprit's.
-        assert retried == ["2", "2"]
-        assert all(results[n] == 2 * n for n in (0, 1, 3))
-        assert stats.quarantines == 1
-        assert stats.worker_restarts >= 3
+        assert retried == [culprit, culprit]
+        assert all(
+            result.cells[spec.label] == clean.cells[spec.label]
+            for spec in specs if spec.label != culprit
+        )
+        assert result.executor.quarantines == 1
+        assert result.executor.worker_restarts >= 3
 
-    def test_transient_crash_recovers(self, tmp_path):
-        results, _, stats = _faulted(
-            4, 2, {1: transient("crash", tmp_path)}
+    def test_transient_crash_recovers(self, monkeypatch, tmp_path):
+        _, result, clean = _faulted(
+            monkeypatch, 4, 2, {1: transient("crash", tmp_path)}
         )
-        assert results == {n: 2 * n for n in range(4)}
-        assert stats.worker_restarts >= 1
-        assert stats.quarantines == 0
+        assert result.to_json() == clean.to_json()
+        assert result.executor.worker_restarts >= 1
+        assert result.executor.quarantines == 0
 
-    def test_hang_detected_by_parent_deadline(self):
-        policy = ExecutorPolicy(
-            timeout=0.4, max_retries=0,
-            backoff_base=0.001, poll_interval=0.01,
+    def test_hang_detected_by_parent_deadline(self, monkeypatch):
+        specs, result, clean = _faulted(
+            monkeypatch, 3, 2, {1: Fault("hang")},
+            policy=ExecutorPolicy(timeout=0.4, max_retries=0),
         )
-        results, _, stats = _faulted(
-            3, 2, {1: Fault("hang")}, policy=policy
-        )
-        assert results[1]["error"] == (
+        assert result.cells[specs[1].label].error == (
             "executor: quarantined after 1 attempt(s); "
             "last failure: timed out after 0.4s"
         )
-        assert results[0] == 0 and results[2] == 4
-        assert stats.timeouts == 1
-        assert stats.worker_restarts >= 1
+        for spec in (specs[0], specs[2]):
+            assert result.cells[spec.label] == clean.cells[spec.label]
+        assert result.executor.timeouts == 1
+        assert result.executor.worker_restarts >= 1
 
 
 class TestJournalResume:
     def test_resume_serves_finished_cells(self, tmp_path):
         path = tmp_path / "journal.jsonl"
-        items = [(n, n) for n in range(5)]
-        with CampaignJournal(path) as journal:
-            first, _, stats1 = _run(items, 1, journal=journal)
-        assert stats1.resume_hits == 0
-        with CampaignJournal(path) as journal:
-            second, timings, stats2 = _run(items, 1, journal=journal)
-        assert second == first
-        assert stats2.resume_hits == 5
-        assert all(t == 0.0 for t in timings.values())
+        specs = _specs(5)
+        first = run_campaign(specs, journal_path=path)
+        assert first.executor.resume_hits == 0
+        second = run_campaign(specs, journal_path=path)
+        assert second.to_json() == first.to_json()
+        assert second.executor.resume_hits == 5
+        assert all(t == 0.0 for t in second.timings.values())
 
     def test_partial_journal_runs_only_the_rest(self, tmp_path):
         path = tmp_path / "journal.jsonl"
-        with CampaignJournal(path) as journal:
-            _run([(0, 0), (1, 1)], 1, journal=journal)
-        with CampaignJournal(path) as journal:
-            results, _, stats = _run(
-                [(0, 0), (1, 1), (2, 2)], 1, journal=journal
-            )
-        assert results == {0: 0, 1: 2, 2: 4}
-        assert stats.resume_hits == 2
+        specs = _specs(3)
+        run_campaign(specs[:2], journal_path=path)
+        result = run_campaign(specs, journal_path=path)
+        assert result.to_json() == run_campaign(specs).to_json()
+        assert result.executor.resume_hits == 2
 
     def test_hash_mismatch_forces_reexecution(self, tmp_path):
         path = tmp_path / "journal.jsonl"
-        with CampaignJournal(path) as journal:
-            _run([(0, 1)], 1, journal=journal)
-        # Same key, different payload → different content hash.
-        with CampaignJournal(path) as journal:
-            results, _, stats = _run([(0, 7)], 1, journal=journal)
-        assert results == {0: 14}
-        assert stats.resume_hits == 0
+        spec = _specs(1)[0]
+        run_campaign([spec], journal_path=path)
+        # Same label, different content → different content hash.
+        edited = replace(spec, seed=spec.seed + 1)
+        result = run_campaign([edited], journal_path=path)
+        assert result.executor.resume_hits == 0
+        assert result.cells[spec.label].spec_hash == edited.content_hash()
 
     def test_torn_tail_counted_and_resume_still_correct(self, tmp_path):
         path = tmp_path / "journal.jsonl"
-        with CampaignJournal(path) as journal:
-            _run([(0, 0), (1, 1)], 1, journal=journal)
+        specs = _specs(3)
+        run_campaign(specs[:2], journal_path=path)
         with open(path, "ab") as fh:
-            fh.write(b'{"kind": "cell", "key": "2"')  # SIGKILL mid-append
-        with CampaignJournal(path) as journal:
-            results, _, stats = _run(
-                [(0, 0), (1, 1), (2, 2)], 1, journal=journal
-            )
-        assert results == {0: 0, 1: 2, 2: 4}
-        assert stats.resume_hits == 2
-        assert stats.journal_torn_entries == 1
+            fh.write(b'{"kind": "cell", "key": "x"')  # SIGKILL mid-append
+        result = run_campaign(specs, journal_path=path)
+        assert result.to_json() == run_campaign(specs).to_json()
+        assert result.executor.resume_hits == 2
+        assert result.executor.journal_torn_entries == 1
 
-    def test_journal_requires_full_codec(self):
-        journal = CampaignJournal("unused.jsonl")
-        with pytest.raises(SimulationError, match="journal needs"):
-            run_cells(
-                [("a", 1)], _double, jobs=1, journal=journal,
-                quarantine=_quarantine_dict,
-            )
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_cell_is_journalled_before_its_cell_done_event(
+        self, jobs, tmp_path
+    ):
+        # The benchmark times a cell from one cell-done event to the
+        # next, so the journal write must fall inside that interval.
+        path = tmp_path / "journal.jsonl"
+        seen = []
+
+        def progress(event):
+            if event.kind == "cell-done":
+                lines = path.read_text().splitlines()
+                seen.append((event.cell, json.loads(lines[-1])["key"]))
+
+        run_campaign(_specs(3), jobs, journal_path=path, progress=progress)
+        assert len(seen) == 3
+        assert all(cell == key for cell, key in seen)
 
 
 def _inject(monkeypatch, faults: dict) -> None:
@@ -254,6 +266,7 @@ def _inject(monkeypatch, faults: dict) -> None:
     monkeypatch.setattr(executor, "_campaign_cell", campaign_cell(faults))
 
 
+@pytest.mark.usefixtures("fast_backoff")
 class TestCampaignResilience:
     def test_faulted_artifact_identical_across_jobs(
         self, monkeypatch, tmp_path
@@ -296,32 +309,20 @@ class TestCampaignResilience:
         assert resumed.executor.resume_hits == len(specs)
         assert all(t == 0.0 for t in resumed.timings.values())
 
-    def test_registry_receives_executor_counters(self, tmp_path):
+    def test_rollup_diagnostics_carry_the_counters(self, tmp_path):
         specs = quick_campaign(steps=3)[:2]
-        registry = MetricsRegistry()
-        run_campaign(
-            specs, jobs=1, journal_path=tmp_path / "j.jsonl",
-            registry=registry,
-        )
-        counters = registry.as_dict()
-        assert counters["executor.resume_hits"]["value"] == 0
-        assert counters["executor.quarantines"]["value"] == 0
-        registry2 = MetricsRegistry()
-        run_campaign(
-            specs, jobs=1, journal_path=tmp_path / "j.jsonl",
-            registry=registry2,
-        )
-        assert registry2.as_dict()["executor.resume_hits"]["value"] == 2
-
-    def test_diagnostics_dict_carries_counters(self):
-        specs = quick_campaign(steps=3)[:1]
-        result = run_campaign(specs, jobs=1, policy=FAST)
-        diag = result.diagnostics_dict()
-        assert diag["jobs"] == 1
-        assert diag["executor"]["quarantines"] == 0
-        assert "executor" not in result.to_json()
+        path = tmp_path / "j.jsonl"
+        first = campaign_rollup(run_campaign(specs, journal_path=path))
+        resumed = run_campaign(specs, journal_path=path)
+        diagnostics = campaign_rollup(resumed)["diagnostics"]
+        assert first["diagnostics"]["executor"]["resume_hits"] == 0
+        assert diagnostics["executor"] == resumed.executor.as_dict()
+        assert diagnostics["executor"]["resume_hits"] == 2
+        assert diagnostics["jobs"] == 1
+        assert "executor" not in resumed.to_json()
 
 
+@pytest.mark.usefixtures("fast_backoff")
 class TestChaosSweepResilience:
     CONFIG = ChaosConfig(n_processes=3, steps=5, horizon=30.0)
 

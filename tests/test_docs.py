@@ -263,3 +263,42 @@ def test_current_flags_read_accepted():
         ("repro campaign --retries", True),
         ("repro campaign --metrics-out", True),
     ]
+
+
+def _architecture_block() -> dict[str, list[str]]:
+    """README's *Architecture* block as ``{package: module names}``.
+
+    An entry starts at ``src/repro/`` (the top-level modules, under
+    ``""``) or at an indented ``package/``; outside its parentheses, an
+    entry's text is the comma-separated list of its module names.
+    """
+    readme = (REPO_ROOT / "README.md").read_text()
+    block = readme.split("\n## Architecture\n", 1)[1].split("```\n", 2)[1]
+    entries: dict[str, str] = {}
+    package = None
+    for line in block.splitlines():
+        head = re.match(r"(?:src/repro/|  (\w+)/)\s*(.*)", line)
+        if head:
+            package = head.group(1) or ""
+            entries[package] = head.group(2)
+        else:
+            entries[package] += " " + line.strip()
+    listed = {}
+    for package, text in entries.items():
+        while re.search(r"\([^()]*\)", text):
+            text = re.sub(r"\([^()]*\)", "", text)
+        listed[package] = sorted(name.strip() for name in text.split(","))
+    return listed
+
+
+def test_readme_architecture_names_every_module_and_only_those():
+    source = REPO_ROOT / "src" / "repro"
+    modules: dict[str, list[str]] = {}
+    for path in source.rglob("*.py"):
+        *packages, name = path.relative_to(source).with_suffix("").parts
+        names = modules.setdefault(".".join(packages), [])
+        if name != "__init__":
+            names.append(name)
+    assert _architecture_block() == {
+        package: sorted(names) for package, names in modules.items()
+    }

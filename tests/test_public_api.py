@@ -12,6 +12,7 @@ import pytest
 
 import repro
 import repro.analysis
+import repro.campaign
 import repro.protocols
 
 TOP_LEVEL = {
@@ -66,6 +67,26 @@ ANALYSIS = {
     "young_interval",
 }
 
+#: The campaign layer's whole surface: one runner, no generic substrate.
+CAMPAIGN = {
+    "CACHE_VERSION",
+    "CampaignJournal",
+    "CampaignResult",
+    "CellOutcome",
+    "ExecutorPolicy",
+    "ExecutorStats",
+    "JOURNAL_VERSION",
+    "SPEC_VERSION",
+    "ScenarioSpec",
+    "TransformCache",
+    "dump_campaign",
+    "load_campaign",
+    "quick_campaign",
+    "resolve_jobs",
+    "run_campaign",
+    "transform_cache_key",
+}
+
 
 def test_top_level_surface_complete():
     missing = TOP_LEVEL - set(repro.__all__)
@@ -86,6 +107,10 @@ def test_analysis_surface_complete():
     assert not missing, sorted(missing)
     for name in ANALYSIS:
         assert hasattr(repro.analysis, name), name
+
+
+def test_campaign_surface_is_exactly_the_runner_and_its_types():
+    assert set(repro.campaign.__all__) == CAMPAIGN
 
 
 #: Every package under ``src/repro`` that declares ``__all__``.

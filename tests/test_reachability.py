@@ -19,7 +19,10 @@ Structure: no ``runtime`` module passes 800 lines, each name the engine
 split moved is defined in its one home module, and the run capabilities
 it deleted (``run(max_time=...)``, the backend-event opt-in) stay gone.
 Protocols leave the run's statistics to the engine and their timers to
-the two timer bases in ``protocols/base.py``.
+the two timer bases in ``protocols/base.py``. ``run_campaign`` is the
+one campaign runner, and the span tracker is wall-clock only: the
+generic cell substrate, and the options and methods only tests used,
+stay gone.
 """
 
 import ast
@@ -271,3 +274,64 @@ def test_only_the_timer_bases_schedule_timers():
         and node.func.attr == "schedule_timer"
     }
     assert callers == {"base.py"}
+
+
+# -- structure pins: one campaign runner, a wall-clock span tracker ----------
+
+
+def _top_level(relative: str, name: str):
+    """The module-level definition *name* in ``src/repro/<relative>``."""
+    tree = ast.parse((SRC / "repro" / relative).read_text())
+    (node,) = [
+        node for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name == name
+    ]
+    return node
+
+
+def _methods(relative: str, cls: str) -> dict[str, ast.FunctionDef]:
+    return {
+        item.name: item for item in _top_level(relative, cls).body
+        if isinstance(item, ast.FunctionDef)
+    }
+
+
+def _parameters(function: ast.FunctionDef) -> set[str]:
+    arguments = function.args
+    return {
+        arg.arg for arg in [
+            *arguments.posonlyargs, *arguments.args, *arguments.kwonlyargs,
+        ]
+    }
+
+
+def test_the_generic_cell_runner_stays_removed():
+    mentions = sorted(
+        str(path.relative_to(SRC))
+        for path in (SRC / "repro").rglob("*.py")
+        if re.search(
+            r"\brun_cells\b|\bJournalCodec\b|\bdiagnostics_dict\b",
+            path.read_text(),
+        )
+    )
+    assert mentions == []
+
+
+def test_test_only_campaign_options_stay_removed():
+    assert "registry" not in _parameters(
+        _top_level("campaign/executor.py", "run_campaign")
+    )
+    assert "publish" not in _methods("campaign/executor.py", "ExecutorStats")
+    init = _methods("campaign/cache.py", "TransformCache")["__init__"]
+    assert _parameters(init) == {"self", "root"}
+
+
+def test_the_span_tracker_stays_wall_clock_only():
+    methods = _methods("obs/spans.py", "SpanTracker")
+    assert methods.keys() & {
+        "open", "close", "wall_totals", "by_name", "_publish",
+    } == set()
+    assert _parameters(methods["__init__"]) == {"self", "wall_clock"}
+    spans = (SRC / "repro" / "obs" / "spans.py").read_text()
+    assert re.search(r"sim_(start|end|duration)", spans) is None
