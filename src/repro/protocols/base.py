@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from repro.causality.cuts import first_causal_pair
 from repro.errors import RecoveryError, SimulationError, UnrecoverableError
 from repro.runtime.hooks import ProtocolHooks
 
@@ -29,7 +30,7 @@ class CheckpointingProtocol(ProtocolHooks):
     name = "abstract"
 
     def deepest_intact_cut(
-        self, sim: "Simulation"
+        self, sim: "Simulation", consistent: bool = False
     ) -> tuple[int, dict[int, "StoredCheckpoint"], int]:
         """The deepest fully-intact straight cut, with fallback depth.
 
@@ -47,6 +48,11 @@ class CheckpointingProtocol(ProtocolHooks):
         many numbers below the nominal line, on top of whatever
         degradation corruption forces. Exhausting R_0 raises the
         terminal :class:`UnrecoverableError` verdict.
+
+        With *consistent*, a cut whose members are causally ordered by
+        their vector clocks (:func:`~repro.causality.cuts.first_causal_pair`)
+        is skipped too: a protocol whose straight cuts are not recovery
+        lines by construction must not restore one that is not.
         """
         ranks = list(range(sim.n))
         common = sim.storage.max_common_number(ranks)
@@ -62,7 +68,10 @@ class CheckpointingProtocol(ProtocolHooks):
                     break
                 cut[rank] = checkpoint
             else:
-                return target, cut, common - target
+                if not consistent or first_causal_pair(
+                    {rank: member.clock for rank, member in cut.items()}
+                ) is None:
+                    return target, cut, common - target
             target -= 1
         raise UnrecoverableError(
             "no fully-intact straight cut survives on stable storage "
@@ -175,11 +184,16 @@ class RoundProtocol(CheckpointingProtocol):
 
     def on_failure(self, sim: "Simulation", rank: int, time: float) -> None:
         """Restore the newest completed round every rank still stores,
-        or else the deepest intact common checkpoint number.
+        or else the deepest intact common checkpoint number whose cut
+        is consistent.
 
         A completed round's tag marks exactly one checkpoint per rank,
         which together form a recovery line; a round that retention or
         a restore has since removed from some rank is dropped for good.
+        Checkpoint numbers count the program's own ``checkpoint``
+        statements too, so a number cut need not be a recovery line:
+        the fallback descends past every inconsistent one (R_0, the
+        initial states, always passes).
         """
         self._abort_round()
         self.round += 1  # invalidate the aborted round's control messages
@@ -192,4 +206,6 @@ class RoundProtocol(CheckpointingProtocol):
                 sim.restore_cut(cut, time)
                 return
             self.completed_rounds.pop()
-        self.restore_common_number(sim, time)
+        self.restore_common_number(
+            sim, time, self.deepest_intact_cut(sim, consistent=True)
+        )

@@ -2,12 +2,13 @@
 
 The hard edge for SaS/C-L: a failure while a round is in flight must
 abort the round (stale control messages ignored), fall back to the last
-*completed* round, and still finish with correct results.
+*completed* round, and still finish with correct results. With no
+completed round left, the fallback straight cut must be consistent.
 """
 
 import pytest
 
-from repro.lang.programs import jacobi_plain
+from repro.lang.programs import jacobi_odd_even, jacobi_plain
 from repro.protocols import ChandyLamportProtocol, SyncAndStopProtocol
 from repro.runtime import FaultPlan, Simulation
 from repro.runtime.failures import CrashEvent
@@ -69,3 +70,21 @@ class TestCLMidRound:
         assert result.stats.completed
         assert result.stats.rollbacks == 2
         assert result.final_env == baseline.final_env
+
+
+@pytest.mark.parametrize("make", [SyncAndStopProtocol, ChandyLamportProtocol])
+def test_fallback_skips_inconsistent_straight_cut(make):
+    # The crash precedes the first round, and jacobi_odd_even's R_1 is
+    # not a recovery line (Figure 2's unsafe placement), so recovery
+    # must descend to R_0.
+    def run(plan=None):
+        return Simulation(
+            jacobi_odd_even(), 4, params={"steps": 8},
+            protocol=make(period=10.0), fault_plan=plan,
+        ).run()
+
+    result = run(FaultPlan.single(1.972, 0))
+    assert result.stats.completed
+    assert result.stats.rollbacks == 1
+    assert result.stats.recovery_fallbacks == 1
+    assert result.final_env == run().final_env
