@@ -21,7 +21,7 @@ from repro.lang import ast_nodes as ast
 from repro.lang.parser import parse
 from repro.lang.printer import to_source
 from repro.lang.programs import program_source
-from repro.protocols import PROTOCOL_CLASSES
+from repro.protocols import PROTOCOL_CLASSES, RECOVERING_PROTOCOLS
 
 #: Standard workload -> process count (all Phase-III-safe placements).
 _SIZES = {
@@ -34,12 +34,6 @@ _SIZES = {
     "pingpong": 6,
     "tree_reduce": 8,
 }
-
-#: Every registered protocol, in registry (and table) order.
-COMPARED_PROTOCOLS = tuple(
-    name for name, cls in PROTOCOL_CLASSES.items() if cls is not None
-)
-
 
 def standard_workloads(steps: int = 20) -> list[ScenarioSpec]:
     """The benchmark workload suite: one cell per workload, labelled by name."""
@@ -56,7 +50,7 @@ def standard_workloads(steps: int = 20) -> list[ScenarioSpec]:
 
 def protocol_cells(
     workload: ScenarioSpec,
-    protocols: tuple[str, ...] = COMPARED_PROTOCOLS,
+    protocols: tuple[str, ...] = RECOVERING_PROTOCOLS,
     **fields,
 ) -> list[ScenarioSpec]:
     """One cell of *workload* per protocol, labelled ``workload/protocol``.

@@ -413,13 +413,14 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         print(f"transport         : frames={stats['frames_sent']} "
               f"retransmits={stats['retransmits']} "
               f"acks={stats['ack_frames']} acks-lost={stats['acks_lost']}")
-    # The judge holds only a protocol that claims recovery lines to them.
-    protocol = PROTOCOL_CLASSES[args.protocol] or NullProtocol
-    if protocol.induces_recovery_lines:
-        cuts = outcome.error != chaos.CUT_BROKEN
-    else:
+    # The judge checks the family of cuts the protocol claims, if any.
+    family = (PROTOCOL_CLASSES[args.protocol] or NullProtocol).recovery_lines
+    if family is None:
         cuts = f"not claimed by {args.protocol}"
-    print(f"straight cuts are recovery lines: {cuts}")
+    else:
+        cuts = outcome.error != chaos.CUT_BROKEN
+    kind = "tagged" if family == "tag" else "straight"
+    print(f"{kind} cuts are recovery lines: {cuts}")
     if outcome.error not in (None, chaos.CUT_BROKEN):
         print(f"judge             : {outcome.error}")
     if args.spacetime:
@@ -611,8 +612,8 @@ def _cmd_metrics_diff(args: argparse.Namespace) -> int:
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
     from repro.campaign import ExecutorPolicy
+    from repro.protocols import RECOVERING_PROTOCOLS
     from repro.runtime.chaos import (
-        CHAOS_PROTOCOLS,
         ChaosConfig,
         cell_label,
         chaos_sweep,
@@ -625,7 +626,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         recovery_fault_probability=args.recovery_faults,
         **_run_knobs(args, *_CHAOS_KNOBS),
     )
-    protocols = tuple(args.protocol) if args.protocol else CHAOS_PROTOCOLS
+    protocols = tuple(args.protocol or RECOVERING_PROTOCOLS)
     result = chaos_sweep(
         range(args.seeds),
         protocols=protocols,
@@ -957,7 +958,7 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--seeds", type=int, default=10,
                        help="number of schedule seeds per protocol")
     chaos.add_argument("--protocol", action="append", metavar="NAME",
-                       help="protocol(s) to sweep (default: the chaos set)")
+                       help="protocol(s) to sweep (default: all that recover)")
     _add_run_flags(chaos, *_CHAOS_KNOBS, flags={"seed": "--sim-seed"})
     chaos.add_argument("--recovery-faults", type=float, default=0.0,
                        metavar="P",

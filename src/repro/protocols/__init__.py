@@ -43,6 +43,12 @@ PROTOCOL_CLASSES: dict[str, type[CheckpointingProtocol] | None] = {
     "msg-logging": MessageLoggingProtocol,
 }
 
+#: Every registered protocol that recovers from a crash (all but
+#: ``none``), in registry order.
+RECOVERING_PROTOCOLS = tuple(
+    name for name, cls in PROTOCOL_CLASSES.items() if cls is not None
+)
+
 
 def protocol_names() -> tuple[str, ...]:
     """Every registered protocol name, sorted."""
@@ -81,6 +87,7 @@ __all__ = [
     "InducedProtocol",
     "MessageLoggingProtocol",
     "PROTOCOL_CLASSES",
+    "RECOVERING_PROTOCOLS",
     "SyncAndStopProtocol",
     "UncoordinatedProtocol",
     "make_protocol",

@@ -30,11 +30,9 @@ class ApplicationDrivenProtocol(CheckpointingProtocol):
     """Coordination-free checkpointing for Phase-III-transformed programs."""
 
     name = "appl-driven"
-    #: The paper's central claim: checkpoints placed at the transformed
-    #: program's synchronisation-free points make every straight cut a
-    #: recovery line by construction — even across degraded restores,
-    #: since ``restore_cut`` only ever rolls back to straight cuts.
-    induces_recovery_lines = True
+    #: The paper's central claim: Phase III's placement makes every
+    #: straight cut a recovery line (Theorem 3.2).
+    recovery_lines = "number"
 
     def __init__(self) -> None:
         self.recovered_to: list[int] = []

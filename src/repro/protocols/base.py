@@ -152,6 +152,8 @@ class RoundProtocol(CheckpointingProtocol):
 
     #: Tag prefix of the round timer and of every round checkpoint.
     prefix = "abstract"
+    #: A round's checkpoints, one per rank, form a recovery line.
+    recovery_lines = "tag"
 
     def __init__(self, period: float = 50.0) -> None:
         self.period = checked_period(period)

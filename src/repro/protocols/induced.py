@@ -29,6 +29,8 @@ class InducedProtocol(PeriodicProtocol):
 
     name = "CIC-BCS"
     timer = "bcs"
+    #: The BCS invariant: checkpoints with equal index are concurrent.
+    recovery_lines = "tag"
 
     def __init__(self, period: float = 50.0, stagger: float = 0.5) -> None:
         super().__init__(period, stagger)

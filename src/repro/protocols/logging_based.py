@@ -32,10 +32,6 @@ class MessageLoggingProtocol(PeriodicProtocol):
 
     name = "msg-logging"
     timer = "mlog"
-    #: Recovery restarts one rank from its own checkpoint + logs; it
-    #: never assembles straight cuts, and a restarted rank's re-phased
-    #: checkpoint timer means it is free not to preserve them.
-    induces_recovery_lines = False
 
     def __init__(self, period: float = 50.0, stagger: float = 0.5) -> None:
         super().__init__(period, stagger)

@@ -23,11 +23,6 @@ class UncoordinatedProtocol(PeriodicProtocol):
 
     name = "uncoordinated"
     timer = "indep"
-    #: A dominoed rollback restores a consistent but possibly
-    #: non-straight cut, desynchronising per-rank checkpoint numbers —
-    #: straight cuts taken afterwards mix causal epochs and are not
-    #: recovery lines (the domino effect is the point of this baseline).
-    induces_recovery_lines = False
 
     def __init__(self, period: float = 50.0, stagger: float = 0.5) -> None:
         super().__init__(period, stagger)

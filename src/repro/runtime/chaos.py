@@ -9,10 +9,10 @@ harness runs a schedule against a checkpointing protocol and checks the
 paper's end-to-end contract:
 
 1. the run **completes** (the reliable transport absorbs every fault);
-2. every surviving straight cut ``R_i`` on stable storage is a
-   **recovery line** (Definition 2.1 over the stored vector clocks —
-   storage is truncated on rollback, so it holds exactly the surviving
-   timeline);
+2. every surviving cut the protocol claims (its ``recovery_lines``)
+   is a **recovery line** (Definition 2.1 over the stored vector
+   clocks — storage is truncated on rollback, so it holds exactly the
+   surviving timeline);
 3. the **final state** equals the fault-free baseline (the transport
    must hide the unreliable medium from the application entirely).
 
@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from repro.causality.cuts import first_causal_pair
-from repro.errors import SimulationError, StorageError
+from repro.errors import SimulationError
 from repro.runtime.config import RunConfig, SimulationResult
 from repro.runtime.failures import (
     EVENT_LISTS,
@@ -45,12 +45,16 @@ from repro.runtime.failures import (
     RecoveryFaultKind,
 )
 
-#: The protocols the chaos harness exercises by default.
-CHAOS_PROTOCOLS = ("appl-driven", "uncoordinated", "msg-logging")
+#: :func:`judge`'s reason when a claimed cut is not a recovery line.
+CUT_BROKEN = "a surviving claimed cut is not a recovery line"
 
-#: :func:`judge`'s reason when a surviving straight cut is not a
-#: recovery line under a protocol that claims they all are.
-CUT_BROKEN = "a surviving straight cut is not a recovery line"
+#: Per family of claimed cuts, the key that groups a rank's stored
+#: checkpoints into cuts (``None``: in none; the program's own ``app``
+#: checkpoints are in no protocol's tag cut).
+LINE_KEYS = {
+    "number": lambda c: c.number,
+    "tag": lambda c: None if c.tag == "app" else c.tag,
+}
 
 
 @dataclass(frozen=True)
@@ -180,41 +184,31 @@ def draw_schedule(seed: int, config: ChaosConfig = ChaosConfig()) -> FaultPlan:
 
 
 def storage_recovery_lines_consistent(
-    result: SimulationResult, n_processes: int
+    result: SimulationResult, n_processes: int, family: str = "number"
 ) -> bool:
-    """Whether every surviving straight cut on storage is a recovery line.
+    """Whether every surviving cut of *family* on storage is a recovery line.
 
     Storage is truncated to the surviving timeline on every rollback,
     so — unlike the raw trace, which keeps discarded-timeline events —
-    its per-number cuts are exactly the recovery lines a failure at
-    run end could use. Checks Definition 2.1 (no member happened
-    before another, :func:`~repro.causality.cuts.first_causal_pair`)
-    over the stored vector clocks for every common checkpoint number.
-
-    Only protocols claiming ``induces_recovery_lines`` are held to
-    this (the application-driven protocol — it is the paper's central
-    claim). Uncoordinated checkpointing may restore a dominoed
-    non-straight cut and log-based recovery re-phases the restarted
-    rank's timer; both legitimately leave inconsistent straight cuts
-    behind while staying recoverable — their recoverability rests on
-    per-rank intact checkpoints, which the retention invariant guards.
+    its cuts are exactly the recovery lines a failure at run end could
+    use. Groups each rank's history by :data:`LINE_KEYS` (a re-taken
+    checkpoint's latest instance wins) and checks Definition 2.1 (no
+    member happened before another,
+    :func:`~repro.causality.cuts.first_causal_pair`) over the stored
+    vector clocks of every cut all ranks still store.
     """
-    ranks = list(range(n_processes))
-    storage = result.storage
-    common = storage.max_common_number(ranks)
-    for number in range(1, common + 1):
-        try:
-            clocks = {
-                rank: storage.latest_with_number(rank, number).clock
-                for rank in ranks
-            }
-        except StorageError:
-            # A rank's surviving history skips this number (GC or
-            # truncation) — there is no straight cut R_number to check.
-            continue
-        if first_causal_pair(clocks) is not None:
-            return False
-    return True
+    key = LINE_KEYS[family]
+    cuts = [
+        {key(member): member for member in result.storage.history(rank)}
+        for rank in range(n_processes)
+    ]
+    common = set(cuts[0]).intersection(*cuts[1:]) - {None}
+    return all(
+        first_causal_pair(
+            {rank: cut[line].clock for rank, cut in enumerate(cuts)}
+        ) is None
+        for line in common
+    )
 
 
 def retention_invariant_holds(
@@ -264,12 +258,12 @@ def judge(spec, sim, result) -> str | None:
     Runs in the campaign worker after a clean run — one that
     completed, or whose supervisor gave up cleanly (an
     ``unrecoverable`` verdict: the storage invariants still apply):
-    every surviving straight cut is a recovery line, then retention
-    kept recoverability and its bound.
+    every surviving cut of the family the protocol claims is a recovery
+    line, then retention kept recoverability and its bound.
     """
-    if (
-        sim.protocol.induces_recovery_lines
-        and not storage_recovery_lines_consistent(result, spec.n_processes)
+    family = sim.protocol.recovery_lines
+    if family is not None and not storage_recovery_lines_consistent(
+        result, spec.n_processes, family
     ):
         return CUT_BROKEN
     if not retention_invariant_holds(
@@ -363,7 +357,7 @@ def run_schedule(
 
 def chaos_sweep(
     seeds: range,
-    protocols: tuple[str, ...] = CHAOS_PROTOCOLS,
+    protocols: tuple[str, ...] | None = None,
     config: ChaosConfig = ChaosConfig(),
     artifacts_dir=None,
     jobs: int | None = 1,
@@ -372,6 +366,7 @@ def chaos_sweep(
 ):
     """Run every (protocol, seed) cell as a judged campaign.
 
+    *protocols* defaults to :data:`~repro.protocols.RECOVERING_PROTOCOLS`.
     Returns the :class:`~repro.campaign.executor.CampaignResult`, one
     cell per :func:`cell_label`, protocol-major; its deterministic
     artifact is byte-identical for any *jobs* count and across retried
@@ -387,7 +382,10 @@ def chaos_sweep(
     runs produce the same files as serial ones.
     """
     from repro.campaign.executor import run_campaign
+    from repro.protocols import RECOVERING_PROTOCOLS
 
+    if protocols is None:
+        protocols = RECOVERING_PROTOCOLS
     cells = {
         (protocol, seed): _chaos_spec(
             cell_label(seed, protocol), draw_schedule(seed, config),

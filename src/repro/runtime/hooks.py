@@ -44,14 +44,11 @@ class ProtocolHooks:
     """
 
     name = "null"
-    #: Whether the protocol guarantees that every straight cut ``R_i``
-    #: surviving on storage is a recovery line (Definition 2.1). Only
-    #: application-driven placement makes that claim by construction;
-    #: uncoordinated checkpointing may restore a dominoed non-straight
-    #: cut (desynchronising per-rank numbers), and log-based recovery
-    #: re-phases the restarted rank's timer — both legitimately leave
-    #: inconsistent straight cuts behind while staying recoverable.
-    induces_recovery_lines = True
+    #: The cuts the protocol claims are recovery lines (Definition 2.1):
+    #: ``"number"``, straight cuts ``R_i``; ``"tag"``, the checkpoints
+    #: sharing a protocol tag (a round, a CIC index; ``initial`` is R_0);
+    #: ``None``, none — recovery rests on each rank's own checkpoints.
+    recovery_lines: str | None = None
 
     def on_start(self, sim: "Simulation") -> None:
         """Called once before the first effect executes."""
@@ -89,3 +86,5 @@ class NullProtocol(ProtocolHooks):
     """Explicit alias for "no protocol behaviour at all"."""
 
     name = "none"
+    #: The paper's setting (only the program checkpoints), so its claim.
+    recovery_lines = "number"

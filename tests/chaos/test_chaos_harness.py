@@ -4,12 +4,12 @@ The acceptance bar from the paper's robustness story: the reliable
 transport must make an adversarial network invisible to every
 checkpointing protocol. We draw hundreds of seed-deterministic
 schedules (drops, duplicates, delays, corruption, partitions, crashes),
-replay each against the three main protocols, and require completion,
-recovery-line consistency on storage, and a final state identical to
-the fault-free baseline. Each replay is a campaign cell whose verdict
-is its outcome's ``error``. A deliberately-broken transport (receiver
-dedup disabled) must be *caught* by the same harness and shrunk to a
-minimal counterexample.
+replay each against every protocol that recovers, and require
+completion, consistency of the recovery lines each protocol claims on
+storage, and a final state identical to the fault-free baseline. Each
+replay is a campaign cell whose verdict is its outcome's ``error``. A
+deliberately-broken transport (receiver dedup disabled) must be
+*caught* by the same harness and shrunk to a minimal counterexample.
 """
 
 import inspect
@@ -19,13 +19,23 @@ import pytest
 
 from repro.campaign import CellOutcome
 from repro.errors import SimulationError
-from repro.lang.programs import ring_pipeline
-from repro.protocols import ApplicationDrivenProtocol
+from repro.lang.programs import program_source, ring_pipeline
+from repro.protocols import (
+    PROTOCOL_CLASSES,
+    RECOVERING_PROTOCOLS,
+    ApplicationDrivenProtocol,
+    InducedProtocol,
+    protocol_names,
+)
+from repro.runtime import chaos
 from repro.runtime.chaos import (
-    CHAOS_PROTOCOLS,
+    CUT_BROKEN,
     DIVERGED,
     ChaosConfig,
     _chaos_spec,
+    _replay,
+    _twin_env,
+    cell_label,
     chaos_sweep,
     describe,
     draw_schedule,
@@ -42,6 +52,7 @@ from repro.runtime.failures import (
     RecoveryFaultKind,
     exponential_fault_plan,
 )
+from repro.runtime.hooks import NullProtocol
 from repro.runtime.transport import TransportConfig
 
 CONFIG = ChaosConfig()
@@ -87,19 +98,19 @@ class TestScheduleDrawing:
 
 
 class TestChaosSweep:
-    """The headline property: ~200 random schedules, zero violations."""
+    """The headline property: 420 random schedules, zero violations."""
 
-    @pytest.mark.parametrize("protocol", CHAOS_PROTOCOLS)
+    @pytest.mark.parametrize("protocol", RECOVERING_PROTOCOLS)
     def test_seventy_schedules_per_protocol_all_hold(self, protocol):
-        # 70 seeds x 3 protocols = 210 randomized schedules in total.
+        # 70 seeds x 6 protocols = 420 randomized schedules in total.
         result = chaos_sweep(range(70), protocols=(protocol,))
         assert len(result.cells) == 70
         failures = failed_verdicts(result)
         assert not failures, failures
 
-    @pytest.mark.parametrize("protocol", CHAOS_PROTOCOLS)
+    @pytest.mark.parametrize("protocol", RECOVERING_PROTOCOLS)
     def test_minimized_content_sweep_holds(self, protocol):
-        # The same 210-schedule budget with liveness-pruned, delta-
+        # The same 420-schedule budget with liveness-pruned, delta-
         # encoded checkpoint content: content minimization must not
         # flip a single chaos verdict (the retention invariant already
         # accounts for pinned delta ancestors).
@@ -316,7 +327,7 @@ class TestRecoveryFaultSweep:
             if plan.recovery_faults:
                 assert plan.crashes
 
-    @pytest.mark.parametrize("protocol", CHAOS_PROTOCOLS)
+    @pytest.mark.parametrize("protocol", RECOVERING_PROTOCOLS)
     @pytest.mark.parametrize("retain_k", [2, 4, None])
     def test_recovery_sweep_holds(self, protocol, retain_k):
         config = ChaosConfig(
@@ -393,3 +404,93 @@ class TestRecoveryFaultSweep:
         assert len(minimal.crashes) == 1
         assert len(minimal.recovery_faults) == 1
         assert not minimal.network_faults
+
+
+#: The family of recovery lines each registered protocol claims.
+CLAIMS = {
+    "none": "number",
+    "appl-driven": "number",
+    "sas": "tag",
+    "cl": "tag",
+    "cic": "tag",
+    "uncoordinated": None,
+    "msg-logging": None,
+}
+
+
+class UnforcedInduced(InducedProtocol):
+    """CIC without the BCS induction rule: no checkpoint is forced."""
+
+    def on_app_message(self, sim, rank, message):
+        pass
+
+
+class TestClaimedRecoveryLines:
+    """The judge checks exactly the cuts each protocol claims."""
+
+    @pytest.mark.parametrize("name", protocol_names())
+    def test_each_protocol_declares_its_family(self, name):
+        # A new protocol fails here until its claim is written down.
+        protocol = PROTOCOL_CLASSES[name] or NullProtocol
+        assert protocol.recovery_lines == CLAIMS[name]
+
+    def test_the_sweep_runs_every_protocol_that_recovers(self):
+        result = chaos_sweep(range(1))
+        assert sorted(result.cells) == [
+            cell_label(0, name) for name in sorted(CLAIMS) if name != "none"
+        ]
+
+    @pytest.mark.parametrize("protocol, verdict", [
+        (InducedProtocol, None), (UnforcedInduced, CUT_BROKEN),
+    ], ids=["forced", "unforced"])
+    def test_the_tag_judge_needs_the_forced_checkpoints(
+        self, protocol, verdict
+    ):
+        config = ChaosConfig(n_processes=4)
+        spec = _chaos_spec("cic", FaultPlan(), "cic", config)
+        sim = Simulation(
+            ring_pipeline(), 4, params={"steps": config.steps},
+            protocol=protocol(period=2.0, stagger=4.0),
+        )
+        result = sim.run()
+        shared = set.intersection(*(
+            {checkpoint.tag for checkpoint in result.storage.history(rank)}
+            for rank in range(4)
+        ))
+        assert len(shared - {"initial"}) > 1  # index lines were judged
+        assert chaos.judge(spec, sim, result) == verdict
+
+
+class TestUnsafePlacements:
+    """Every protocol but ``appl-driven`` recovers without relying on the
+    program's own ``checkpoint`` statements, so an unsafe placement must
+    not break its contract. ``appl-driven`` stays out: its claim is the
+    placement's (``@jacobi_odd_even`` breaks its straight cuts on
+    purpose, ``tests/integration/test_cli_contracts.py``)."""
+
+    PROGRAMS = ("jacobi_odd_even", "ring_unsafe")
+    PROTOCOLS = ("sas", "cl", "cic", "uncoordinated", "msg-logging")
+    CONFIGS = {
+        "default": ChaosConfig(n_processes=4),
+        "recovery-faults": ChaosConfig(
+            n_processes=4, recovery_fault_probability=0.5, retain_k=3
+        ),
+    }
+
+    @pytest.mark.parametrize("config", CONFIGS.values(), ids=CONFIGS)
+    def test_every_cell_is_judged_and_matches_its_twin(self, config):
+        failures = {}
+        for program in self.PROGRAMS:
+            for protocol in self.PROTOCOLS:
+                twin = None
+                for seed in range(10):
+                    spec = replace(_chaos_spec(
+                        cell_label(seed, protocol),
+                        draw_schedule(seed, config), protocol, config,
+                    ), program=program_source(program))
+                    if twin is None:
+                        twin = _twin_env(spec)
+                    outcome = _replay(spec, twin)
+                    if outcome.error is not None:
+                        failures[f"{program}/{spec.label}"] = outcome.error
+        assert not failures, failures

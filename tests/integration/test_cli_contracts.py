@@ -160,7 +160,8 @@ class TestRunFlags:
             engine_knobs.clear()
             outputs.append(out)
         assert outputs[0] == outputs[1]
-        assert "6 cell(s), 0 failure(s)" in outputs[0]
+        # Two seeds for each of the six protocols that recover.
+        assert "12 cell(s), 0 failure(s)" in outputs[0]
 
     @pytest.mark.parametrize("knob", KNOBS)
     def test_campaign(self, knob, tmp_path, capsys):
@@ -554,14 +555,31 @@ class TestSimulateIsOneCell:
 
 
 class TestSimulateVerdictLines:
-    def test_unsafe_placement_breaks_a_cut_but_completes(self, capsys):
+    @pytest.mark.parametrize("protocol", ("appl-driven", "none"))
+    def test_unsafe_placement_breaks_a_cut_but_completes(
+        self, protocol, capsys
+    ):
         code, out, _ = cli(
-            capsys, "simulate", "@jacobi_odd_even", "-n", 4, "--steps", 3
+            capsys, "simulate", "@jacobi_odd_even", "-n", 4, "--steps", 3,
+            "--protocol", protocol,
         )
         # Completed, but judged: the run fails like its chaos cell would.
         assert code == 1
         assert "straight cuts are recovery lines: False\n" in out
         assert "judge" not in out
+
+    @pytest.mark.parametrize("protocol", ("sas", "cl", "cic"))
+    def test_tagged_protocols_are_judged_on_their_own_lines(
+        self, protocol, capsys
+    ):
+        # Their rounds and indices do not depend on the program's own
+        # (here unsafe) checkpoint statements.
+        code, out, _ = cli(
+            capsys, "simulate", "@jacobi_odd_even", "-n", 4,
+            "--protocol", protocol,
+        )
+        assert code == 0
+        assert "tagged cuts are recovery lines: True\n" in out
 
     @pytest.mark.parametrize("protocol", ("uncoordinated", "msg-logging"))
     def test_protocols_that_make_no_claim_say_so(self, protocol, capsys):

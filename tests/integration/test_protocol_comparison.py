@@ -7,7 +7,6 @@ same workload, same seed, different protocols — one campaign cell each.
 import pytest
 
 from repro.bench.workloads import (
-    COMPARED_PROTOCOLS,
     comparison_table,
     protocol_cells,
     standard_workloads,
@@ -17,7 +16,7 @@ from repro.campaign import run_campaign
 from repro.lang import ast_nodes as ast
 from repro.lang.parser import parse
 from repro.lang.programs import jacobi
-from repro.protocols import PROTOCOL_CLASSES
+from repro.protocols import PROTOCOL_CLASSES, RECOVERING_PROTOCOLS
 from repro.runtime import FaultPlan
 
 
@@ -78,10 +77,10 @@ class TestCoordinationCosts:
 class TestHarness:
     def test_one_cell_per_registered_protocol(self):
         cells = protocol_cells(workload("jacobi", 4))
-        assert COMPARED_PROTOCOLS == tuple(
+        assert RECOVERING_PROTOCOLS == tuple(
             key for key in PROTOCOL_CLASSES if key != "none"
         )
-        assert [cell.protocol for cell in cells] == list(COMPARED_PROTOCOLS)
+        assert [cell.protocol for cell in cells] == list(RECOVERING_PROTOCOLS)
         assert len({cell.label for cell in cells}) == len(cells)
 
     def test_subset_of_protocols(self):

@@ -6,7 +6,7 @@ final state, completion time, normalised JSONL event logs, campaign
 cell artifacts, chaos verdicts) must be byte-identical to the
 tree-walking interpreter it replaced. These tests drive both backends
 through a workload x protocol x failure-plan grid, the @quick campaign
-matrix, and the full 210-schedule chaos sweep, and compare everything;
+matrix, and the full 420-schedule chaos sweep, and compare everything;
 a table of failing programs, driven rank by rank without an engine,
 pins that errors keep their text and their execution point.
 
@@ -30,7 +30,7 @@ from repro.lang.compile import compile_program
 from repro.lang.parser import parse
 from repro.protocols import make_protocol
 from repro.runtime import FaultPlan, RuntimeCosts, Simulation
-from repro.runtime.chaos import CHAOS_PROTOCOLS, ChaosConfig, chaos_sweep
+from repro.runtime.chaos import ChaosConfig, chaos_sweep
 from repro.runtime.failures import CrashEvent, exponential_fault_plan
 from repro.runtime.inputs import InputProvider
 from repro.runtime.interpreter import ProcessInterpreter
@@ -145,22 +145,14 @@ class TestCampaignMatrix:
 
 
 class TestChaosSweep:
-    """The full 210-schedule chaos sweep under both backends."""
+    """The full 420-schedule chaos sweep under both backends."""
 
     def test_sweep_verdicts_identical(self):
-        seeds = range(70)  # 70 seeds x 3 protocols = 210 schedules
-        compiled = chaos_sweep(
-            seeds,
-            protocols=CHAOS_PROTOCOLS,
-            config=ChaosConfig(backend="compiled"),
-        )
-        reference = chaos_sweep(
-            seeds,
-            protocols=CHAOS_PROTOCOLS,
-            config=ChaosConfig(backend="reference"),
-        )
+        seeds = range(70)  # 70 seeds x 6 protocols = 420 schedules
+        compiled = chaos_sweep(seeds, config=ChaosConfig(backend="compiled"))
+        reference = chaos_sweep(seeds, config=ChaosConfig(backend="reference"))
         assert list(compiled.cells) == list(reference.cells)
-        assert len(compiled.cells) == 210
+        assert len(compiled.cells) == 420
         for cell_compiled, cell_reference in zip(
             compiled.cells.values(), reference.cells.values()
         ):

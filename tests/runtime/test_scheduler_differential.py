@@ -6,7 +6,7 @@ time, normalised JSONL event logs, chaos verdicts) must be
 byte-identical to the original per-step scan it replaced, which lives
 on as the oracle ``ReferenceSchedulerSimulation``. These tests drive
 both through the campaign matrix, a workload × protocol × failure
-grid, and the full 210-schedule chaos sweep, and compare everything.
+grid, and the full 420-schedule chaos sweep, and compare everything.
 """
 
 import dataclasses
@@ -21,7 +21,7 @@ from repro.lang.parser import parse
 from repro.lang.programs import stencil_1d, token_ring
 from repro.protocols import make_protocol
 from repro.runtime import FaultPlan, RuntimeCosts
-from repro.runtime.chaos import CHAOS_PROTOCOLS, chaos_sweep
+from repro.runtime.chaos import chaos_sweep
 from repro.runtime.failures import CrashEvent
 
 from .reference_scheduler import (
@@ -137,14 +137,14 @@ class TestCampaignMatrix:
 
 
 class TestChaosSweep:
-    """The full 210-schedule chaos sweep under both schedulers."""
+    """The full 420-schedule chaos sweep under both schedulers."""
 
     def test_sweep_verdicts_identical(self, monkeypatch):
-        seeds = range(70)  # 70 seeds x 3 protocols = 210 schedules
-        indexed = chaos_sweep(seeds, protocols=CHAOS_PROTOCOLS)
+        seeds = range(70)  # 70 seeds x 6 protocols = 420 schedules
+        indexed = chaos_sweep(seeds)
         scan_every_spec(monkeypatch)
-        reference = chaos_sweep(seeds, protocols=CHAOS_PROTOCOLS)
-        assert len(indexed.cells) == 210
+        reference = chaos_sweep(seeds)
+        assert len(indexed.cells) == 420
         assert indexed.to_json() == reference.to_json()
         assert all(cell.error is None for cell in indexed.cells.values())
 

@@ -15,14 +15,13 @@ method under ``src/repro`` must be named somewhere besides its own
 definition — in the package, its tests, tools, benchmark, examples or
 documentation.
 
-Structure: no ``runtime`` module passes 800 lines, each name the engine
-split moved is defined in its one home module, and the run capabilities
-it deleted (``run(max_time=...)``, the backend-event opt-in) stay gone.
-Protocols leave the run's statistics to the engine and their timers to
-the two timer bases in ``protocols/base.py``. ``run_campaign`` is the
-one campaign runner, and the span tracker is wall-clock only: the
-generic cell substrate, and the options and methods only tests used,
-stay gone.
+Structure: no ``runtime`` module passes 800 lines, and each name the
+engine split moved is defined in its one home module. Protocols leave
+the run's statistics to the engine and their timers to the two timer
+bases in ``protocols/base.py``. The campaign runner and the span
+tracker keep none of the options and methods only tests used, and the
+span tracker is wall-clock only. Names deleted outright are pinned in
+``tests/test_tools.py::RETIRED_NAMES``.
 """
 
 import ast
@@ -228,15 +227,6 @@ def test_each_engine_name_has_one_home():
     } == {}
 
 
-def test_removed_run_capabilities_stay_removed():
-    mentions = sorted(
-        str(path.relative_to(SRC))
-        for path in (SRC / "repro").rglob("*.py")
-        if re.search(r"max_time|wants_backend_events", path.read_text())
-    )
-    assert mentions == []
-
-
 # -- structure pins: protocols decide, the engine accounts -------------------
 
 PROTOCOLS = SRC / "repro" / "protocols"
@@ -304,18 +294,6 @@ def _parameters(function: ast.FunctionDef) -> set[str]:
             *arguments.posonlyargs, *arguments.args, *arguments.kwonlyargs,
         ]
     }
-
-
-def test_the_generic_cell_runner_stays_removed():
-    mentions = sorted(
-        str(path.relative_to(SRC))
-        for path in (SRC / "repro").rglob("*.py")
-        if re.search(
-            r"\brun_cells\b|\bJournalCodec\b|\bdiagnostics_dict\b",
-            path.read_text(),
-        )
-    )
-    assert mentions == []
 
 
 def test_test_only_campaign_options_stay_removed():

@@ -98,8 +98,13 @@ class TestCiWorkflow:
 #: (now ``FaultPlan``, ``exponential_fault_plan``, ``fault_plan`` and
 #: ``--fault``), and the recovery knobs and helpers nothing set (now
 #: the constants in ``runtime/recovery.py``, ``stats.unrecoverable``
-#: and the round base's restore), spelled in pieces so this file does
-#: not match its own search.
+#: and the round base's restore), the run capabilities the engine split
+#: deleted (a simulated-time cap on ``run`` and the backend-event
+#: opt-in), the generic cell runner ``run_campaign`` replaced, and the
+#: recovery-line boolean and hand-written chaos protocol list (now each
+#: protocol's ``recovery_lines`` and ``protocols.RECOVERING_PROTOCOLS``,
+#: which also replaced the comparison's own list), spelled in pieces so
+#: this file does not match its own search.
 RETIRED_NAMES = [
     "Workload" + "Spec",
     "ProtocolRun" + "Summary",
@@ -128,6 +133,14 @@ RETIRED_NAMES = [
     "Supervisor" + "Config",
     "run" + "_verdict",
     "restore_tagged" + "_round",
+    "max" + "_time",
+    "wants_backend" + "_events",
+    "run" + "_cells",
+    "Journal" + "Codec",
+    "diagnostics" + "_dict",
+    "induces_recovery" + "_lines",
+    "CHAOS" + "_PROTOCOLS",
+    "COMPARED" + "_PROTOCOLS",
 ]
 
 #: Top-level files that describe the current tree. The change log and
