@@ -21,7 +21,8 @@ import json
 from pathlib import Path
 
 from repro.attributes.contradiction import Universe
-from repro.cfg.paths import CheckpointEnumeration
+from repro.cfg.builder import build_cfg
+from repro.cfg.paths import index_checkpoints
 from repro.errors import ReproError
 from repro.lang import ast_nodes as ast
 from repro.lang.compile import COMPILER_VERSION
@@ -88,11 +89,9 @@ class TransformCache:
     the content hash. A deserialised hit reconstructs the result's
     programs by parsing their stored source (printer → parser
     round-trip) and its report-level summaries (moves, insertion
-    counts, verification depth) exactly; the heavyweight analysis
-    internals (path enumerations, violation witnesses) are represented
-    by an empty-but-correct-depth enumeration, which every consumer of
-    a *successful* transform — reports, simulation, benchmarks — treats
-    identically.
+    counts) exactly, and re-indexes the stored program's checkpoints
+    for the verification result; a successful transform has no
+    violation witnesses to store.
     """
 
     def __init__(self, root: Path | str) -> None:
@@ -160,12 +159,6 @@ class TransformCache:
 
 def _result_to_entry(result) -> dict:
     insertion = result.insertion
-    verification = result.verification
-    depth = (
-        verification.enumeration.depth
-        if verification.enumeration is not None
-        else 0
-    )
     return {
         "version": CACHE_VERSION,
         "program": to_source(result.program),
@@ -184,7 +177,6 @@ def _result_to_entry(result) -> dict:
             [c.earlier, c.later, c.index]
             for c in result.placement.ordering_constraints
         ],
-        "depth": depth,
     }
 
 
@@ -205,16 +197,8 @@ def _entry_to_result(entry: dict):
             balance_added=int(insertion_data["balance_added"]),
             estimated_cost=float(insertion_data["estimated_cost"]),
         )
-    depth = int(entry["depth"])
     verification = VerificationResult(
-        ok=True,
-        balanced=True,
-        enumeration=CheckpointEnumeration(
-            paths=(),
-            per_path=(),
-            columns=tuple(frozenset() for _ in range(depth)),
-            balanced=True,
-        ),
+        ok=True, indexing=index_checkpoints(build_cfg(program))
     )
     placement = PlacementResult(
         program=program,

@@ -13,34 +13,19 @@ from repro.cfg.dominators import compute_dominators, find_back_edges, natural_lo
 from repro.cfg.dot import to_dot
 from repro.cfg.graph import CFG, Edge, ExtendedCFG
 from repro.cfg.nodes import CFGNode, NodeKind
-from repro.cfg.paths import (
-    CheckpointEnumeration,
-    CheckpointIndexing,
-    acyclic_paths,
-    checkpoint_columns,
-    enumerate_checkpoints,
-    find_path,
-    index_checkpoints,
-    reachable_from,
-)
+from repro.cfg.paths import CheckpointIndexing, index_checkpoints
 
 __all__ = [
     "CFG",
     "CFGNode",
-    "CheckpointEnumeration",
     "CheckpointIndexing",
     "Edge",
     "ExtendedCFG",
     "NodeKind",
-    "acyclic_paths",
     "build_cfg",
-    "checkpoint_columns",
     "compute_dominators",
-    "enumerate_checkpoints",
     "find_back_edges",
-    "find_path",
     "index_checkpoints",
     "natural_loops",
-    "reachable_from",
     "to_dot",
 ]

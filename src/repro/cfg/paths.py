@@ -1,6 +1,6 @@
 """Path queries over CFGs.
 
-Phase III enumerates the checkpoint nodes "along every path from the
+Phase III works on the checkpoint nodes "along every path from the
 entry node to the exit node" (paper §2): the *i*-th checkpoint node on
 path γ is ``C_i^γ`` and ``S_i`` collects the ``C_i`` of every path. A
 "path" here traverses each loop body at most once — i.e. the acyclic
@@ -15,40 +15,7 @@ from dataclasses import dataclass
 
 from repro.cfg.dominators import natural_loops
 from repro.cfg.graph import CFG, Edge
-from repro.cfg.nodes import NodeKind
 from repro.errors import CFGError
-
-#: Safety cap on explicit path enumeration. Neither decision procedure
-#: enumerates paths any more — Condition 1 uses :func:`index_checkpoints`
-#: and Phase II a rank-reachability dataflow over :func:`once_through`
-#: — so the cap bounds nothing ``transform`` accepts: it guards only
-#: witness/report paths and Phase III's ``_rebalance``, which reads
-#: :func:`enumerate_checkpoints` to pick a surplus checkpoint.
-DEFAULT_PATH_LIMIT = 100_000
-
-
-def reachable_from(cfg: CFG, start: int) -> frozenset[int]:
-    """All node ids reachable from *start* (inclusive) via control edges."""
-    return frozenset(_closure(start, cfg.successors))
-
-
-def find_path(cfg: CFG, src: int, dst: int) -> list[int] | None:
-    """A control-edge path from *src* to *dst*, or None."""
-    parent = {src: src}
-    stack = [src]
-    while stack:
-        current = stack.pop()
-        if current == dst:
-            path = [dst]
-            while path[-1] != src:
-                path.append(parent[path[-1]])
-            path.reverse()
-            return path
-        for nxt in cfg.successors(current):
-            if nxt not in parent:
-                parent[nxt] = current
-                stack.append(nxt)
-    return None
 
 
 @dataclass(frozen=True)
@@ -160,110 +127,14 @@ def _closure(start: int, neighbours) -> set[int]:
     return seen
 
 
-def once_through_successors(cfg: CFG) -> dict[int, list[int]]:
-    """Successor map of the once-through DAG (see :func:`once_through`)."""
-    return {
-        node_id: [edge.dst for edge in out]
-        for node_id, out in once_through(cfg).edges.items()
-    }
-
-
-def acyclic_paths(
-    cfg: CFG, limit: int = DEFAULT_PATH_LIMIT
-) -> list[tuple[int, ...]]:
-    """All entry→exit paths of the once-through DAG (see
-    :func:`once_through_successors`).
-
-    Raises :class:`~repro.errors.CFGError` if the number of paths
-    exceeds *limit* (a guard against combinatorial explosion on deeply
-    branching programs).
-    """
-    succ = once_through_successors(cfg)
-    paths: list[tuple[int, ...]] = []
-    stack: list[tuple[int, tuple[int, ...]]] = [(cfg.entry_id, (cfg.entry_id,))]
-    while stack:
-        current, path = stack.pop()
-        if current == cfg.exit_id:
-            paths.append(path)
-            if len(paths) > limit:
-                raise CFGError(f"more than {limit} entry-exit paths")
-            continue
-        for nxt in succ[current]:
-            stack.append((nxt, path + (nxt,)))
-    return paths
-
-
-@dataclass(frozen=True)
-class CheckpointEnumeration:
-    """Result of enumerating checkpoint nodes along every path.
-
-    Attributes:
-        paths: Every acyclic entry→exit path.
-        per_path: For each path, the tuple of checkpoint node ids in
-            path order (so ``per_path[k][i-1]`` is ``C_i`` on path k).
-        columns: ``columns[i]`` is the paper's ``S_{i+1}``: the set of
-            node ids appearing as the (i+1)-th checkpoint on some path.
-        balanced: True iff every path has the same number of checkpoint
-            nodes (the precondition Phase I establishes).
-    """
-
-    paths: tuple[tuple[int, ...], ...]
-    per_path: tuple[tuple[int, ...], ...]
-    columns: tuple[frozenset[int], ...]
-    balanced: bool
-
-    @property
-    def depth(self) -> int:
-        """The common number of checkpoints per path (0 if unbalanced)."""
-        return len(self.columns)
-
-
-def enumerate_checkpoints(cfg: CFG) -> CheckpointEnumeration:
-    """Enumerate ``C_i^γ`` along every acyclic path (paper §2).
-
-    This is the explicit (exponential) enumeration; the decision
-    procedure uses :func:`index_checkpoints` instead and only falls back
-    here for human-readable reports.
-    """
-    paths = acyclic_paths(cfg)
-    per_path: list[tuple[int, ...]] = []
-    for path in paths:
-        checkpoints = tuple(
-            node_id
-            for node_id in path
-            if cfg.node(node_id).kind is NodeKind.CHECKPOINT
-        )
-        per_path.append(checkpoints)
-    counts = {len(seq) for seq in per_path}
-    balanced = len(counts) <= 1
-    depth = min(counts) if counts else 0
-    columns = tuple(
-        frozenset(seq[i] for seq in per_path if len(seq) > i) for i in range(depth)
-    )
-    return CheckpointEnumeration(
-        paths=tuple(paths),
-        per_path=tuple(per_path),
-        columns=columns,
-        balanced=balanced,
-    )
-
-
-def checkpoint_columns(cfg: CFG) -> tuple[frozenset[int], ...]:
-    """Shorthand: the ``S_i`` collections of *cfg* (1-indexed as i-1)."""
-    return index_checkpoints(cfg).columns
-
-
 @dataclass(frozen=True)
 class CheckpointIndexing:
     """The ``S_i`` collections computed *without* path enumeration.
 
     Produced by :func:`index_checkpoints` via a bitset dynamic program
-    over the once-through DAG; agrees exactly with
-    :func:`enumerate_checkpoints` on ``columns``/``balanced``/``depth``
-    but runs in O(V·E/64) instead of exponential time. ``path_counts``
-    is the sorted set of distinct per-path checkpoint counts (a single
-    element iff ``balanced``) — exactly
-    ``sorted({len(seq) for seq in enumeration.per_path})``.
+    over the once-through DAG in O(V·E/64) time. ``path_counts`` is the
+    sorted set of distinct per-path checkpoint counts (a single element
+    iff ``balanced``).
     """
 
     columns: tuple[frozenset[int], ...]
@@ -317,6 +188,54 @@ def index_checkpoints(cfg: CFG) -> CheckpointIndexing:
         path_counts=path_counts,
         balanced=balanced,
     )
+
+
+def surplus_checkpoint(cfg: CFG, minimum: int) -> int:
+    """The checkpoint Phase III hoists to rebalance *cfg*.
+
+    Among the entry→exit paths of the once-through DAG that carry more
+    than *minimum* checkpoints (the fewest any path carries), take the
+    first in depth-first order, last successor first; return its
+    ``(minimum + 1)``-th checkpoint node.
+
+    No path is listed. One backward pass gives ``most[v]``, the most
+    checkpoints any ``v``→exit path passes, ``v`` included; then a walk
+    from the entry, having passed ``seen`` checkpoints, steps to the
+    last successor ``s`` with ``seen + most[s] > minimum``. That is the
+    depth-first search's first surplus path: the search lists paths in
+    lexicographic order of their successor choices (last successor
+    first), so the first path with a surplus takes, at every node, the
+    last successor through which some completion still has a surplus —
+    and a completion through ``s`` has one exactly when ``seen +
+    most[s] > minimum``. Every step keeps ``seen + most[v] > minimum``
+    at the current node ``v`` (``most[exit]`` is 0), so the walk meets
+    that path's ``(minimum + 1)``-th checkpoint before the exit and
+    stops there.
+
+    Raises :class:`~repro.errors.CFGError` if no path carries more
+    than *minimum* checkpoints.
+    """
+    dag = once_through(cfg)
+    checkpoints = {node.node_id for node in cfg.checkpoint_nodes()}
+    most: dict[int, int] = {}
+    for node_id in reversed(dag.order):
+        if node_id in dag.live:
+            most[node_id] = (node_id in checkpoints) + max(
+                (most[e.dst] for e in dag.edges[node_id] if e.dst in most),
+                default=0,
+            )
+    if most.get(cfg.entry_id, 0) <= minimum:
+        raise CFGError(f"no path carries more than {minimum} checkpoints")
+    node_id, seen = cfg.entry_id, 0
+    while True:
+        if node_id in checkpoints:
+            seen += 1
+            if seen > minimum:
+                return node_id
+        node_id = next(
+            e.dst for e in reversed(dag.edges[node_id])
+            if seen + most.get(e.dst, -1) > minimum
+        )
 
 
 def _bit_positions(value: int) -> list[int]:

@@ -195,17 +195,16 @@ def _check_balance(
     program: ast.Program, diagnostics: list[Diagnostic]
 ) -> None:
     from repro.cfg.builder import build_cfg
-    from repro.cfg.paths import enumerate_checkpoints
+    from repro.cfg.paths import index_checkpoints
 
-    enumeration = enumerate_checkpoints(build_cfg(program))
-    if not enumeration.balanced:
-        counts = sorted({len(seq) for seq in enumeration.per_path})
+    indexing = index_checkpoints(build_cfg(program))
+    if not indexing.balanced:
         diagnostics.append(
             Diagnostic(
                 "warning",
                 program.line,
                 "checkpoint counts differ across paths "
-                f"{counts}; straight cuts are undefined until Phase I/III "
-                "balance them",
+                f"{list(indexing.path_counts)}; straight cuts are undefined "
+                "until Phase I/III balance them",
             )
         )

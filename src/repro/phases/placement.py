@@ -38,7 +38,7 @@ from repro.cfg.builder import build_cfg
 from repro.cfg.dominators import compute_dominators
 from repro.cfg.graph import ExtendedCFG
 from repro.cfg.nodes import NodeKind
-from repro.cfg.paths import enumerate_checkpoints
+from repro.cfg.paths import surplus_checkpoint
 from repro.errors import PlacementError
 from repro.lang import ast_nodes as ast
 from repro.obs.spans import NULL_TRACKER
@@ -182,7 +182,9 @@ def ensure_recovery_lines(
                 ordering_constraints=constraints,
             )
         if not result.balanced:
-            moves.append(_rebalance(working, ext))
+            moves.append(
+                _rebalance(working, ext, result.indexing.path_counts[0])
+            )
             continue
         violation = result.violations[0]
         moves.append(_move_back(working, ext, violation))
@@ -251,18 +253,15 @@ def _hoist_one_level(
     )
 
 
-def _rebalance(program: ast.Program, ext: ExtendedCFG) -> Move:
-    """Hoist one surplus checkpoint toward its branch's common dominator."""
-    enum = enumerate_checkpoints(ext.cfg)
-    min_count = min(len(seq) for seq in enum.per_path)
-    for seq in enum.per_path:
-        if len(seq) > min_count:
-            surplus_node = seq[min_count]
-            stmt = _checkpoint_stmt(ext, surplus_node)
-            return _hoist_one_level(
-                program, stmt, reason="rebalance", index_i=min_count + 1
-            )
-    raise PlacementError("unbalanced enumeration without a surplus path")
+def _rebalance(program: ast.Program, ext: ExtendedCFG, minimum: int) -> Move:
+    """Hoist one surplus checkpoint toward its branch's common dominator.
+
+    *minimum* is the fewest checkpoints any path carries.
+    """
+    stmt = _checkpoint_stmt(ext, surplus_checkpoint(ext.cfg, minimum))
+    return _hoist_one_level(
+        program, stmt, reason="rebalance", index_i=minimum + 1
+    )
 
 
 def _move_back(

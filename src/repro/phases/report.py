@@ -45,12 +45,7 @@ def transform_report(result: TransformResult) -> str:
             "(discharged by message order)"
         )
 
-    verification = result.verification
-    depth = (
-        verification.enumeration.depth
-        if verification.enumeration is not None
-        else 0
-    )
+    depth = result.verification.indexing.depth
     lines.append(
         f"verified : Condition 1 holds; {checkpoints} checkpoint "
         f"statement(s), {depth} straight cut(s) per execution path"

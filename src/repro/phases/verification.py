@@ -23,11 +23,7 @@ from dataclasses import dataclass
 
 from repro.cfg.dominators import find_back_edges
 from repro.cfg.graph import ExtendedCFG
-from repro.cfg.paths import (
-    CheckpointEnumeration,
-    CheckpointIndexing,
-    index_checkpoints,
-)
+from repro.cfg.paths import CheckpointIndexing, index_checkpoints
 from repro.errors import VerificationError
 from repro.lang import ast_nodes as ast
 
@@ -58,10 +54,14 @@ class VerificationResult:
     """Outcome of a Condition 1 check."""
 
     ok: bool
+    indexing: CheckpointIndexing
     violations: tuple[Violation, ...] = ()
-    enumeration: CheckpointEnumeration | CheckpointIndexing | None = None
-    balanced: bool = True
     reason: str = ""
+
+    @property
+    def balanced(self) -> bool:
+        """Whether every path carries the same number of checkpoints."""
+        return self.indexing.balanced
 
     def raise_if_failed(self) -> None:
         """Raise :class:`~repro.errors.VerificationError` unless ok."""
@@ -95,8 +95,7 @@ def check_condition1(
     if not indexing.balanced:
         return VerificationResult(
             ok=False,
-            enumeration=indexing,
-            balanced=False,
+            indexing=indexing,
             reason=(
                 "paths carry different checkpoint counts "
                 f"{list(indexing.path_counts)}; straight cuts are undefined"
@@ -253,15 +252,15 @@ def _checkpoint_reachability(
 
 def _result(
     violations: list[Violation],
-    enumeration: CheckpointEnumeration | CheckpointIndexing,
+    indexing: CheckpointIndexing,
     ext: ExtendedCFG,
 ) -> VerificationResult:
     if not violations:
-        return VerificationResult(ok=True, enumeration=enumeration)
+        return VerificationResult(ok=True, indexing=indexing)
     return VerificationResult(
         ok=False,
+        indexing=indexing,
         violations=tuple(violations),
-        enumeration=enumeration,
         reason="; ".join(v.describe(ext) for v in violations[:3]),
     )
 

@@ -413,19 +413,6 @@ class CheckpointStore:
         """All stored checkpoints of *rank*, oldest first."""
         return list(self._checkpoints.get(rank, []))
 
-    def latest_with_number(self, rank: int, number: int) -> StoredCheckpoint:
-        """The most recent checkpoint of *rank* with the given *number*.
-
-        Rollback can make a process re-take checkpoint ``i``; the most
-        recent instance reflects the surviving timeline.
-        """
-        for checkpoint in reversed(self._checkpoints.get(rank, [])):
-            if checkpoint.number == number:
-                return checkpoint
-        raise StorageError(
-            "rank has no checkpoint with this number", rank=rank, number=number
-        )
-
     def latest_with_tag(self, rank: int, tag: str) -> StoredCheckpoint | None:
         """The most recent checkpoint of *rank* carrying *tag*, if any."""
         for checkpoint in reversed(self._checkpoints.get(rank, [])):

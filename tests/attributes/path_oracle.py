@@ -85,8 +85,9 @@ class NodeContext:
 def edge_paths(cfg: CFG) -> list[tuple[Edge, ...]]:
     """Every entry→exit path of the once-through DAG, as edges.
 
-    Same depth-first order as ``repro.cfg.paths.acyclic_paths`` (last
-    successor first), with ``false`` arms last.
+    Same depth-first order as the enumeration oracle's
+    ``tests/cfg/path_enumeration.py::acyclic_paths`` (last successor
+    first), with ``false`` arms last.
     """
     edges = once_through(cfg).edges
     paths: list[tuple[Edge, ...]] = []

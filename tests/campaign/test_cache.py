@@ -153,10 +153,7 @@ class TestHitFidelity:
             cached.placement.ordering_constraints
             == fresh.placement.ordering_constraints
         )
-        assert (
-            cached.verification.enumeration.depth
-            == fresh.verification.enumeration.depth
-        )
+        assert cached.verification.indexing == fresh.verification.indexing
 
     def test_cached_program_still_simulates(self, tmp_path):
         from repro.runtime.engine import Simulation

@@ -19,6 +19,20 @@ from repro.protocols import application_driven, uncoordinated
 from repro.runtime import chaos
 
 
+def latest_with_number(storage, rank, number):
+    """The most recent checkpoint of *rank* with the given *number*.
+
+    Rollback can make a process re-take checkpoint ``i``; the most
+    recent instance reflects the surviving timeline.
+    """
+    for checkpoint in reversed(storage.history(rank)):
+        if checkpoint.number == number:
+            return checkpoint
+    raise StorageError(
+        "rank has no checkpoint with this number", rank=rank, number=number
+    )
+
+
 def first_causal_pair(clocks):
     """The first ordered pair ``(p, q)``, in rank order, with
     ``clocks[p] -> clocks[q]``, or ``None``."""
@@ -45,7 +59,7 @@ def storage_recovery_lines_consistent(result, n_processes: int) -> bool:
     for number in range(1, common + 1):
         try:
             members = [
-                storage.latest_with_number(rank, number) for rank in ranks
+                latest_with_number(storage, rank, number) for rank in ranks
             ]
         except StorageError:
             continue

@@ -61,7 +61,7 @@ def judge_both_ways(sim, n):
     for number in range(1, storage.max_common_number(ranks) + 1):
         try:
             clocks = {
-                rank: storage.latest_with_number(rank, number).clock
+                rank: oracle.latest_with_number(storage, rank, number).clock
                 for rank in ranks
             }
         except StorageError:

@@ -1,36 +1,37 @@
 """Tests for the bitmask checkpoint indexing.
 
-:func:`~repro.cfg.paths.index_checkpoints` must agree with
-:func:`~repro.cfg.paths.enumerate_checkpoints` on depth, balance, and
-the ``S_i`` columns for every program — it is the decision procedure;
-enumeration survives for witness paths and differential testing.
+:func:`~repro.cfg.paths.index_checkpoints` must agree with the
+path-enumeration oracle (:mod:`.path_enumeration`) on depth, balance,
+and the ``S_i`` columns for every program, and on an unbalanced one
+:func:`~repro.cfg.paths.surplus_checkpoint` must pick the oracle's
+first surplus checkpoint.
 """
 
 import pytest
 
-from repro.cfg import (
-    CheckpointIndexing,
-    build_cfg,
-    checkpoint_columns,
-    enumerate_checkpoints,
-    index_checkpoints,
-)
+from repro.cfg import CheckpointIndexing, build_cfg, index_checkpoints
+from repro.cfg.paths import surplus_checkpoint
 from repro.lang.parser import parse
 from repro.lang.programs import load_program, program_names
 
 from .branchy import branchy_program
+from .path_enumeration import checkpoint_columns, enumerate_checkpoints
 
 
 def assert_matches_enumeration(cfg):
     indexing = index_checkpoints(cfg)
     enumeration = enumerate_checkpoints(cfg)
     assert indexing.balanced == enumeration.balanced
-    assert indexing.path_counts == tuple(
-        sorted({len(seq) for seq in enumeration.per_path})
-    )
+    assert indexing.path_counts == enumeration.path_counts
     if enumeration.balanced:
         assert indexing.depth == enumeration.depth
         assert indexing.columns == enumeration.columns
+    else:
+        minimum = enumeration.depth
+        first_surplus = next(
+            seq[minimum] for seq in enumeration.per_path if len(seq) > minimum
+        )
+        assert surplus_checkpoint(cfg, minimum) == first_surplus
 
 
 class TestAgainstEnumeration:

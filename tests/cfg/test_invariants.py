@@ -10,9 +10,12 @@ from hypothesis import strategies as st
 
 from repro.cfg import NodeKind, build_cfg
 from repro.cfg.dominators import compute_dominators, find_back_edges
-from repro.cfg.paths import acyclic_paths, reachable_from
-
 from ..phases.generator import generate_exchange_program
+from .path_enumeration import (
+    acyclic_paths,
+    once_through_successors,
+    reachable_from,
+)
 
 programs = st.builds(
     generate_exchange_program,
@@ -84,8 +87,6 @@ def test_dominator_tree_rooted_at_entry(program):
 @given(program=programs)
 def test_paths_traverse_real_edges(program):
     cfg = build_cfg(program)
-    from repro.cfg.paths import once_through_successors
-
     succ = once_through_successors(cfg)
     for path in acyclic_paths(cfg):
         for src, dst in zip(path, path[1:]):

@@ -10,11 +10,13 @@ Condition 1 held vacuously for any checkpoint placed in such a nest.
 
 import pytest
 
-from repro.cfg import acyclic_paths, build_cfg, enumerate_checkpoints
+from repro.cfg import build_cfg
 from repro.cfg.paths import index_checkpoints, once_through
 from repro.lang import ast_nodes as ast
 from repro.lang.parser import parse
 from repro.phases.verification import verify_program
+
+from .path_enumeration import acyclic_paths, enumerate_checkpoints
 
 NESTS = {
     "double": (

@@ -1,16 +1,8 @@
-"""Path enumeration and checkpoint-column (S_i) tests."""
+"""The path-enumeration oracle and its checkpoint columns (S_i)."""
 
 import pytest
 
 from repro.cfg import build_cfg
-from repro.cfg.paths import (
-    acyclic_paths,
-    checkpoint_columns,
-    enumerate_checkpoints,
-    find_path,
-    once_through_successors,
-    reachable_from,
-)
 from repro.errors import CFGError
 from repro.lang.parser import parse
 from repro.lang.programs import (
@@ -18,6 +10,15 @@ from repro.lang.programs import (
     jacobi_odd_even,
     jacobi_plain,
     stencil_1d,
+)
+
+from .path_enumeration import (
+    acyclic_paths,
+    checkpoint_columns,
+    enumerate_checkpoints,
+    find_path,
+    once_through_successors,
+    reachable_from,
 )
 
 

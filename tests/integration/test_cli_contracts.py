@@ -17,6 +17,7 @@ import pytest
 
 from repro.campaign import dump_campaign, executor, quick_campaign
 from repro.cli import main
+from repro.lang.printer import to_source
 from repro.lang.programs import load_program
 from repro.obs import Observability
 from repro.obs.export import (
@@ -39,6 +40,7 @@ from repro.runtime.failures import (
 )
 from repro.viz import render_spacetime
 from tests.campaign.faulty import Fault, campaign_cell, transient
+from tests.cfg.branchy import widened
 
 #: Statistics that count stored wire bytes: the one thing the
 #: checkpoint mode is allowed to change.
@@ -377,6 +379,13 @@ def test_second_transform_is_served_from_the_cache(tmp_path, capsys):
         assert code == 0
         assert "checkpoint" in out
         assert f"transform cache: {verdict}" in err
+
+
+def test_lint_of_a_wide_balanced_program_is_clean(tmp_path, capsys):
+    # 2^17 once-through paths: more than any path enumeration lists.
+    source = tmp_path / "wide.mp"
+    source.write_text(to_source(widened(load_program("jacobi"), 17)))
+    assert cli(capsys, "lint", source) == (0, "clean: no diagnostics\n", "")
 
 
 @pytest.mark.parametrize("command", ("transform", "lint"))

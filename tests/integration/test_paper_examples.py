@@ -4,7 +4,7 @@ Each test states which figure it reproduces; together they constitute
 the executable form of Section 2/3's narrative.
 """
 
-from repro.cfg import build_cfg, enumerate_checkpoints, find_back_edges
+from repro.cfg import build_cfg, find_back_edges, index_checkpoints
 from repro.lang import to_source
 from repro.lang.parser import parse
 from repro.lang.printer import ast_equal
@@ -28,8 +28,8 @@ class TestFigure1:
         assert len(find_back_edges(cfg)) == 1
 
     def test_single_shared_checkpoint_node(self):
-        enum = enumerate_checkpoints(build_cfg(jacobi()))
-        assert [len(c) for c in enum.columns] == [1]
+        indexing = index_checkpoints(build_cfg(jacobi()))
+        assert [len(c) for c in indexing.columns] == [1]
 
     def test_every_straight_cut_is_recovery_line_statically(self):
         assert verify_program(jacobi()).ok

@@ -6,6 +6,8 @@ from repro.lang.parser import parse
 from repro.lang.programs import load_program, program_names, default_params
 from repro.lang.validate import validate_program
 
+from ..cfg.branchy import widened
+
 
 def program(statements: str):
     indented = "\n".join("    " + line for line in statements.splitlines())
@@ -99,6 +101,20 @@ class TestBalanceWarning:
 
     def test_balanced_program_no_warning(self):
         assert validate_program(load_program("jacobi")) == []
+
+    def test_wide_unbalanced_program_warns_with_its_counts(self):
+        source = widened(
+            program(
+                "x = init(myrank)\n"
+                "if x % 3 == 0:\n    checkpoint\n    checkpoint\n"
+                "else:\n    x = x + 2\ncheckpoint"
+            ),
+            17,
+        )
+        assert messages(validate_program(source)) == [
+            "checkpoint counts differ across paths [1, 3]; straight cuts "
+            "are undefined until Phase I/III balance them"
+        ]
 
 
 class TestShippedPrograms:

@@ -7,8 +7,10 @@ only so ``test_verification_differential`` can diff the two.
 
 from repro.cfg.dominators import find_back_edges
 from repro.cfg.graph import ExtendedCFG
-from repro.cfg.paths import enumerate_checkpoints
+from repro.cfg.paths import CheckpointIndexing
 from repro.phases.verification import VerificationResult, Violation
+
+from ..cfg.path_enumeration import enumerate_checkpoints
 
 
 def check_condition1_enumerated(
@@ -18,15 +20,18 @@ def check_condition1_enumerated(
 ) -> VerificationResult:
     """Condition 1 by enumerating every acyclic path's ``C_i``."""
     enumeration = enumerate_checkpoints(ext.cfg)
+    indexing = CheckpointIndexing(
+        columns=enumeration.columns,
+        path_counts=enumeration.path_counts,
+        balanced=enumeration.balanced,
+    )
     if not enumeration.balanced:
-        counts = sorted({len(seq) for seq in enumeration.per_path})
         return VerificationResult(
             ok=False,
-            enumeration=enumeration,
-            balanced=False,
+            indexing=indexing,
             reason=(
                 "paths carry different checkpoint counts "
-                f"{counts}; straight cuts are undefined"
+                f"{list(indexing.path_counts)}; straight cuts are undefined"
             ),
         )
     back_edges = {(e.src, e.dst) for e in find_back_edges(ext.cfg)}
@@ -55,16 +60,16 @@ def check_condition1_enumerated(
                     )
                 )
                 if first_only:
-                    return _result(violations, enumeration, ext)
-    return _result(violations, enumeration, ext)
+                    return _result(violations, indexing, ext)
+    return _result(violations, indexing, ext)
 
 
-def _result(violations, enumeration, ext) -> VerificationResult:
+def _result(violations, indexing, ext) -> VerificationResult:
     if not violations:
-        return VerificationResult(ok=True, enumeration=enumeration)
+        return VerificationResult(ok=True, indexing=indexing)
     return VerificationResult(
         ok=False,
+        indexing=indexing,
         violations=tuple(violations),
-        enumeration=enumeration,
         reason="; ".join(v.describe(ext) for v in violations[:3]),
     )

@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.cfg import build_cfg
-from repro.cfg.paths import enumerate_checkpoints
+from repro.cfg import build_cfg, index_checkpoints
 from repro.lang import ast_nodes as ast
 from repro.lang.parser import parse
 from repro.lang.printer import ast_equal
@@ -117,8 +116,7 @@ class TestInsertion:
             ),
             model,
         )
-        enum = enumerate_checkpoints(build_cfg(plan.program))
-        assert enum.balanced
+        assert index_checkpoints(build_cfg(plan.program)).balanced
 
     def test_balance_adds_to_lighter_branch(self):
         model = CostModel(checkpoint_overhead=2.0, failure_rate=0.1)
@@ -127,8 +125,7 @@ class TestInsertion:
             model,
         )
         assert plan.balance_added >= 1
-        enum = enumerate_checkpoints(build_cfg(plan.program))
-        assert enum.balanced
+        assert index_checkpoints(build_cfg(plan.program)).balanced
 
     def test_existing_checkpoints_reset_interval(self):
         model = CostModel(checkpoint_overhead=2.0, failure_rate=0.1)  # T* ~ 6.3

@@ -9,9 +9,11 @@ from repro.lang import ast_nodes as ast
 from repro.lang.parser import parse
 from repro.lang.printer import ast_equal
 from repro.lang.programs import jacobi, jacobi_odd_even, ring_unsafe
+from repro.phases.pipeline import transform
 from repro.phases.placement import ensure_recovery_lines
 from repro.phases.verification import verify_program
 
+from ..cfg.branchy import widened
 from .generator import generate_exchange_program
 
 
@@ -97,6 +99,29 @@ class TestOtherRepairs:
     def test_move_budget_enforced(self):
         with pytest.raises(PlacementError, match="moves"):
             ensure_recovery_lines(jacobi_odd_even(), max_moves=0)
+
+
+class TestWidePrograms:
+    """Programs with more once-through paths than any enumeration lists."""
+
+    def test_widened_figure2_repairs_to_widened_figure1(self):
+        result = transform(widened(jacobi_odd_even(), 16))
+        assert ast_equal(result.program.body, widened(jacobi(), 16).body)
+
+    def test_wide_unbalanced_program_rebalances(self):
+        source = widened(
+            program(
+                "x = init(myrank)\n"
+                "if x % 3 == 0:\n    checkpoint\n    x = x + 1\n"
+                "else:\n    x = x + 2"
+            ),
+            17,
+        )
+        result = ensure_recovery_lines(source)
+        assert [(m.description, m.index) for m in result.moves] == [
+            ("hoist checkpoint before line-71 construct (rebalance)", 1)
+        ]
+        assert verify_program(result.program).ok
 
 
 class TestSemanticPreservation:

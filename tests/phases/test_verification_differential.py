@@ -39,8 +39,7 @@ def assert_agree(program):
             fast = check_condition1(ext, include_back, first_only)
             slow = check_condition1_enumerated(ext, include_back, first_only)
             assert verdict(fast) == verdict(slow)
-            assert fast.enumeration.depth == slow.enumeration.depth
-            assert fast.enumeration.balanced == slow.enumeration.balanced
+            assert fast.indexing == slow.indexing
 
 
 class TestShippedPrograms:

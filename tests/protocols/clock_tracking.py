@@ -24,6 +24,8 @@ from typing import TYPE_CHECKING
 from repro.causality.vector_clock import VectorClock
 from repro.protocols.base import CheckpointingProtocol
 
+from ..causality.pairwise_cuts import latest_with_number
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.engine import Simulation
     from repro.runtime.network import Message
@@ -77,7 +79,7 @@ class ClockTrackingProtocol(CheckpointingProtocol):
         """Straight-cut recovery, restoring the tracked clocks too."""
         common = self.restore_common_number(sim, time)
         for other in range(sim.n):
-            stored = sim.storage.latest_with_number(other, common)
+            stored = latest_with_number(sim.storage, other, common)
             tracked = self.checkpoint_clocks.get((other, stored.number))
             if tracked is not None:
                 # +1 for the RESTART event the engine also ticks.

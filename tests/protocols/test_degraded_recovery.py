@@ -24,6 +24,8 @@ from repro.runtime import (
     StorageFaultEvent,
 )
 
+from ..causality.pairwise_cuts import latest_with_number
+
 
 def assert_same_trace(a, b):
     # TraceEvent is a tuple and VectorClock defines __eq__, so this
@@ -94,7 +96,7 @@ class TestDegradedRecovery:
         assert result.stats.completed
         victim = sim.storage.history(1)[-1]
         assert sim.storage.corrupt(1, number=victim.number)
-        cut = {r: sim.storage.latest_with_number(r, victim.number)
+        cut = {r: latest_with_number(sim.storage, r, victim.number)
                for r in range(3)}
         with pytest.raises(RecoveryError, match="corrupt checkpoint"):
             sim.restore_cut(cut, result.completion_time)

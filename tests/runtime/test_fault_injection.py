@@ -331,9 +331,6 @@ class TestStructuredErrors:
         with pytest.raises(StorageError) as info:
             store.latest_intact(7)
         assert info.value.rank == 7
-        with pytest.raises(StorageError) as info:
-            store.latest_with_number(1, 4)
-        assert info.value.rank == 1 and info.value.number == 4
 
     def test_network_consume_empty_carries_channel(self):
         from repro.runtime.network import Network

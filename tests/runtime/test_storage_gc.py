@@ -7,6 +7,8 @@ from repro.protocols import ApplicationDrivenProtocol, MessageLoggingProtocol
 from repro.runtime import FaultPlan, Simulation
 from repro.runtime.failures import CrashEvent
 
+from ..causality.pairwise_cuts import latest_with_number
+
 
 class TestRetentionGc:
     """``retain_k`` (``RetentionPolicy``) is the one storage GC."""
@@ -24,7 +26,7 @@ class TestRetentionGc:
         # the common floor remains restorable
         common = kept.storage.max_common_number(list(range(4)))
         for rank in range(4):
-            assert kept.storage.latest_with_number(rank, common)
+            assert latest_with_number(kept.storage, rank, common)
 
     def test_noop_when_only_initial(self):
         result = Simulation(

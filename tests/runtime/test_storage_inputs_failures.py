@@ -37,18 +37,6 @@ class TestStorage:
         storage.store(checkpoint(0, 1))
         assert storage.history(0)[-1].number == 1
 
-    def test_latest_with_number_picks_most_recent_instance(self):
-        storage = CheckpointStore()
-        storage.store(checkpoint(0, 1, time=1.0))
-        storage.store(checkpoint(0, 1, time=9.0))
-        assert storage.latest_with_number(0, 1).time == 9.0
-
-    def test_latest_with_number_missing(self):
-        storage = CheckpointStore()
-        storage.store(checkpoint(0, 0))
-        with pytest.raises(StorageError):
-            storage.latest_with_number(0, 5)
-
     def test_latest_with_tag(self):
         storage = CheckpointStore()
         storage.store(checkpoint(0, 1, tag="sas-1"))

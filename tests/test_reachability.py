@@ -20,7 +20,9 @@ engine split moved is defined in its one home module. Protocols leave
 the run's statistics to the engine and their timers to the two timer
 bases in ``protocols/base.py``. The campaign runner and the span
 tracker keep none of the options and methods only tests used, and the
-span tracker is wall-clock only. Names deleted outright are pinned in
+span tracker is wall-clock only. No path enumerator is defined under
+``src/repro``: it is the test oracle ``tests/cfg/path_enumeration.py``.
+Names deleted outright are pinned in
 ``tests/test_tools.py::RETIRED_NAMES``.
 """
 
@@ -186,8 +188,9 @@ GENERIC_NAMES = frozenset({
 })
 
 
-def _defined_names(path: Path) -> set[str]:
-    """Module-level functions, classes and assignments, and methods."""
+def _defined_names(path: Path, methods: bool = True) -> set[str]:
+    """Module-level functions, classes and assignments, and methods
+    unless *methods* is false."""
     names = set()
     for node in ast.parse(path.read_text()).body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -197,7 +200,7 @@ def _defined_names(path: Path) -> set[str]:
                 node.target
             ]
             names.update(t.id for t in targets if isinstance(t, ast.Name))
-        if isinstance(node, ast.ClassDef):
+        if methods and isinstance(node, ast.ClassDef):
             names.update(
                 item.name for item in node.body
                 if isinstance(item, ast.FunctionDef)
@@ -313,3 +316,30 @@ def test_the_span_tracker_stays_wall_clock_only():
     assert _parameters(methods["__init__"]) == {"self", "wall_clock"}
     spans = (SRC / "repro" / "obs" / "spans.py").read_text()
     assert re.search(r"sim_(start|end|duration)", spans) is None
+
+
+# -- structure pins: path enumeration lives with its tests -------------------
+
+#: The once-through path enumerator and the queries only tests used; they
+#: live in the test oracle ``tests/cfg/path_enumeration.py``.
+PATH_ORACLE_NAMES = frozenset({
+    "acyclic_paths", "once_through_successors", "enumerate_checkpoints",
+    "CheckpointEnumeration", "DEFAULT_PATH_LIMIT", "find_path",
+    "reachable_from", "checkpoint_columns",
+})
+
+
+def test_no_path_enumerator_in_the_source_tree():
+    # Module level only: ``ExtendedCFG.find_path`` searches witnesses.
+    defined = {
+        f"{module}.{name}"
+        for module, path in _modules().items()
+        for name in _defined_names(path, methods=False) & PATH_ORACLE_NAMES
+    }
+    assert defined == set()
+
+
+def test_storage_keeps_no_test_only_reads():
+    assert "latest_with_number" not in _methods(
+        "runtime/storage.py", "CheckpointStore"
+    )
