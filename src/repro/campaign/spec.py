@@ -2,7 +2,7 @@
 
 A :class:`ScenarioSpec` captures *everything* that determines one
 simulation run — program source, system size, parameters, protocol,
-fault plan, transport tunables, seeds, and observability flags — as
+fault plan, run knobs, seeds, and observability flags — as
 plain data. Specs are picklable (so the campaign executor can ship
 them to worker processes), JSON-round-trippable (so campaigns can live
 in files and be replayed byte-identically), and content-hashed (so
@@ -23,7 +23,6 @@ from repro.protocols import make_protocol
 from repro.runtime.config import RunConfig, RuntimeCosts
 from repro.runtime.engine import Simulation
 from repro.runtime.failures import FaultPlan
-from repro.runtime.transport import TransportConfig
 
 #: Bumped whenever the spec schema changes incompatibly, so stale
 #: content hashes (and anything keyed by them) can never collide with
@@ -97,9 +96,21 @@ class ScenarioSpec(RunConfig):
         """Rebuild a spec from :meth:`to_json_dict`'s schema.
 
         Absent keys take the dataclass defaults, so campaign files
-        written before a field existed still load.
+        written before a field existed still load; so do files written
+        while a :data:`_RETIRED_KEYS` field existed, as long as they
+        hold its one accepted value.
         """
-        unknown = sorted(set(data) - _JSON_FIELDS.keys() - {"version"})
+        for name, accepted in _RETIRED_KEYS.items():
+            if name in data and data[name] is not accepted:
+                raise SimulationError(
+                    f"bad scenario spec: retired key {name!r} must be "
+                    f"{json.dumps(accepted)} or absent, got "
+                    f"{json.dumps(data[name], default=repr)}"
+                )
+        unknown = sorted(
+            set(data) - _JSON_FIELDS.keys() - _RETIRED_KEYS.keys()
+            - {"version"}
+        )
         if unknown:
             raise SimulationError(
                 f"bad scenario spec: unknown key(s) {unknown}"
@@ -176,16 +187,20 @@ _JSON_FIELDS = {
     "base_latency": float,
     "storage_replicas": int,
     "max_storage_retries": int,
-    "record_compute_events": bool,
     "max_steps": int,
     "observe": bool,
     "retain_k": _optional(int),
     "backend": str,
     "checkpoint_mode": str,
     "fault_plan": _optional(FaultPlan.from_json_dict),
-    "transport": _optional(lambda data: TransportConfig(**data)),
     "costs": _optional(lambda data: RuntimeCosts(**data)),
 }
+
+
+#: Keys of removed fields -> the value every file written while they
+#: existed holds (``dump_campaign`` wrote every key), which
+#: :meth:`ScenarioSpec.from_json_dict` drops; any other value is refused.
+_RETIRED_KEYS = {"record_compute_events": False, "transport": None}
 
 
 def _jsonable(value):

@@ -19,7 +19,6 @@ from repro.causality.vector_clock import VectorClock
 class EventKind(enum.Enum):
     """The event alphabet of the system model (§2) plus fault events."""
 
-    COMPUTE = "compute"
     SEND = "send"
     RECV = "recv"
     CHECKPOINT = "checkpoint"

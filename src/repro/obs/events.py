@@ -11,7 +11,7 @@ Event taxonomy (category → names):
 
 ========== =========================================================
 engine     ``send``, ``recv``, ``checkpoint``, ``failure``,
-           ``restart``, ``compute``, ``rollback``, ``single-restart``
+           ``restart``, ``rollback``, ``single-restart``
 transport  ``frame``, ``ack``, ``ack-lost``, ``drop``, ``corrupt``,
            ``delay``, ``duplicate``
 storage    ``commit``, ``write-fail``, ``torn-write``, ``bit-rot``,

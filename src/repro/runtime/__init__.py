@@ -49,7 +49,6 @@ from repro.runtime.recovery import RecoverySupervisor
 from repro.runtime.transport import (
     NetworkFaultInjector,
     ReliableTransport,
-    TransportConfig,
     TransportStats,
 )
 from repro.runtime.storage import (
@@ -92,7 +91,6 @@ __all__ = [
     "SimulationResult",
     "StorageFaultEvent",
     "StoredCheckpoint",
-    "TransportConfig",
     "TransportStats",
     "chaos_sweep",
     "draw_schedule",

@@ -283,10 +283,15 @@ def describe(outcome, plan: FaultPlan) -> str:
     status = "ok" if outcome.error is None else f"FAIL ({outcome.error})"
     if unrecoverable(outcome):
         status += " [unrecoverable]"
-    return (
-        f"{status}: {len(plan.network_faults)} network fault(s), "
-        f"{len(plan.effective())} crash(es)"
-    )
+    counts = [
+        f"{len(plan.network_faults)} network fault(s)",
+        f"{len(plan.effective())} crash(es)",
+    ]
+    if plan.recovery_faults:
+        counts.append(f"{len(plan.recovery_faults)} recovery fault(s)")
+    if plan.storage_faults:
+        counts.append(f"{len(plan.storage_faults)} storage fault(s)")
+    return f"{status}: {', '.join(counts)}"
 
 
 def cell_label(seed: int, protocol: str) -> str:
@@ -345,9 +350,7 @@ def run_schedule(
     """Replay one schedule against one protocol and judge the outcome.
 
     Returns the cell's :class:`~repro.campaign.executor.CellOutcome`;
-    its ``error`` is the verdict. A *config* whose ``transport`` has
-    ``dedup=False`` runs the deliberately-broken transport the harness
-    must be able to catch and shrink. ``observer`` is an optional
+    its ``error`` is the verdict. ``observer`` is an optional
     :class:`~repro.obs.bus.EventBus` threaded into the replay so a
     failing schedule can be re-run under full causal tracing.
     """
@@ -429,7 +432,6 @@ def dump_failure_artifacts(
     out_dir,
     prefix: str = "failure",
     shrink: bool = True,
-    recorder_capacity: int = 4096,
     max_shrink_runs: int = 200,
 ) -> dict[str, object]:
     """Archive everything needed to diagnose a failing schedule.
@@ -463,7 +465,7 @@ def dump_failure_artifacts(
     def replay(candidate: FaultPlan, observer=None):
         return _replay(replace(spec, fault_plan=candidate), twin, observer)
 
-    obs = Observability(capacity=recorder_capacity)
+    obs = Observability()
     outcome = replay(plan, obs.bus)
     flight = out / f"{prefix}.flight.jsonl"
     obs.recorder.dump(flight)

@@ -6,7 +6,6 @@ from dataclasses import asdict, dataclass, field, fields
 from typing import TYPE_CHECKING
 
 from repro.errors import SimulationError
-from repro.runtime.transport import TransportConfig
 
 if TYPE_CHECKING:
     from repro.runtime.storage import CheckpointStore
@@ -56,9 +55,7 @@ class RunConfig:
         base_latency: Mean one-way message latency.
         storage_replicas: Stable-storage replication factor.
         max_storage_retries: Per-write retry budget of the store.
-        record_compute_events: Whether compute effects enter the trace.
         max_steps: Engine step budget.
-        transport: Reliable-transport tunables, or ``None`` for stock.
         costs: Per-effect time charges, or ``None`` for the defaults.
         retain_k: Bounded-storage retention (max checkpoints per rank),
             or ``None`` for unbounded storage.
@@ -76,9 +73,7 @@ class RunConfig:
     base_latency: float = 0.5
     storage_replicas: int = 1
     max_storage_retries: int = 3
-    record_compute_events: bool = False
     max_steps: int = 2_000_000
-    transport: TransportConfig | None = None
     costs: RuntimeCosts | None = None
     retain_k: int | None = None
     backend: str = "compiled"

@@ -25,8 +25,7 @@ from repro.runtime.scheduler import _Proc, _Status
 class Dispatch:
     """Process effects, message delivery, crashes and bit rot."""
 
-    def _init_dispatch(self, config) -> None:
-        self.record_compute_events = config.record_compute_events
+    def _init_dispatch(self) -> None:
         # The base piggyback hook returns {} and has no side effects, so
         # sends can skip the call (and the empty-dict copy in the
         # network layer) unless the protocol overrides it.
@@ -79,10 +78,6 @@ class Dispatch:
             return
         if cls is ComputeEffect:
             proc.clock += effect.cost * costs.compute_unit
-            if self.record_compute_events:
-                self.trace.append(
-                    EventKind.COMPUTE, proc.rank, proc.clock, self._tick(proc.rank)
-                )
             return
         if cls is CheckpointEffect:
             proc.clock += costs.checkpoint_overhead

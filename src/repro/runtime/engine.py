@@ -78,7 +78,6 @@ class Simulation(Scheduler, Dispatch, Commit, Recovery):
             base_latency=config.base_latency,
             seed=config.seed,
             fault_injector=NetworkFaultInjector(plan.network_faults),
-            transport_config=config.transport,
             observer=observer,
         )
         self.storage = CheckpointStore(
@@ -98,7 +97,7 @@ class Simulation(Scheduler, Dispatch, Commit, Recovery):
                 rank=rank, interp=interp,
                 fast_local=getattr(interp, "step_local", None),
             ))
-        self._init_dispatch(config)
+        self._init_dispatch()
         self._init_recovery(plan)
         self._init_commit(config, plan, program, compiled)
         self._init_scheduler(config, plan)

@@ -33,11 +33,7 @@ from typing import NamedTuple
 
 from repro.errors import ChannelError
 from repro.lang.builtins import MIX_MASK, mixer
-from repro.runtime.transport import (
-    NetworkFaultInjector,
-    ReliableTransport,
-    TransportConfig,
-)
+from repro.runtime.transport import NetworkFaultInjector, ReliableTransport
 
 _mix = mixer(0x6A09E667, 0x85EBCA6B, 13)
 
@@ -95,7 +91,6 @@ class Network:
         jitter: float = 0.05,
         seed: int = 0,
         fault_injector: NetworkFaultInjector | None = None,
-        transport_config: TransportConfig | None = None,
         observer=None,
     ) -> None:
         if n_processes < 1:
@@ -107,8 +102,7 @@ class Network:
         self.jitter = jitter
         self.seed = seed
         self.transport = ReliableTransport(
-            injector=fault_injector, config=transport_config,
-            observer=observer,
+            injector=fault_injector, observer=observer
         )
         self._channels: dict[tuple[int, int, str], _Channel] = {}
         # latency() is a pure function of (seed, src, dst); memoise it so
@@ -197,25 +191,6 @@ class Network:
         channel.log.append(message)
         if self.on_enqueue is not None:
             self.on_enqueue(message)
-        for extra_arrival in delivery.extra_copies:
-            # Only reachable with receiver-side dedup disabled (a test
-            # hook): the duplicate escapes the transport and becomes a
-            # second, app-visible copy on the channel.
-            arrival = max(extra_arrival, channel.last_arrival)
-            channel.last_arrival = arrival
-            copy = Message(
-                message_id=next(self._ids),
-                src=src,
-                dst=dst,
-                lane=lane,
-                value=value,
-                send_time=send_time,
-                arrival_time=arrival,
-                piggyback=dict(piggyback or {}),
-            )
-            channel.log.append(copy)
-            if self.on_enqueue is not None:
-                self.on_enqueue(copy)
         return message
 
     def peek(self, src: int, dst: int, lane: str = "p2p") -> Message | None:

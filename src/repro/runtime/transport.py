@@ -14,8 +14,8 @@ deterministic function of the fault schedule):
 - every application message becomes one **data frame** carrying a
   per-channel sequence number and a CRC-32 over ``(seq, payload)``;
 - the sender fires the frame, arms a retransmission timer at
-  ``rto_factor x latency``, and **doubles** the timeout on every
-  retry (mirroring the storage retry backoff in ``engine.py``), all
+  :data:`RTO_FACTOR` x latency, and **doubles** the timeout on every
+  retry (mirroring the storage retry backoff in ``commit.py``), all
   charged to the simulated clock via later arrival times;
 - the receiver CRC-checks each copy, discards corrupt ones, suppresses
   duplicates by sequence number, holds out-of-order frames in a
@@ -47,44 +47,16 @@ def frame_checksum(seq: int, value: int) -> int:
     return zlib.crc32(repr((seq, value)).encode())
 
 
-@dataclass(frozen=True)
-class TransportConfig:
-    """Tunables of the reliable transport.
-
-    Attributes:
-        rto_factor: Initial retransmission timeout as a multiple of the
-            channel's one-way latency. Must exceed 2 (a round trip), so
-            a fault-free exchange always beats the first timer and
-            fault-free runs stay retransmission-free.
-        max_attempts: Transmission attempts per frame before the
-            transport gives up with a :class:`~repro.errors.ChannelError`
-            (the guard against unhealed partitions).
-        dedup: Receiver-side duplicate suppression. Disable **only in
-            tests** — the chaos harness flips this off to prove the
-            reliability claims genuinely depend on it.
-        duplicate_gap: Arrival spacing of a duplicated frame's second
-            copy behind its first.
-    """
-
-    rto_factor: float = 3.0
-    max_attempts: int = 64
-    dedup: bool = True
-    duplicate_gap: float = 0.01
-
-    def __post_init__(self) -> None:
-        if self.rto_factor <= 2.0:
-            raise SimulationError(
-                f"rto_factor must exceed 2 (a round trip), got "
-                f"{self.rto_factor}"
-            )
-        if self.max_attempts < 1:
-            raise SimulationError(
-                f"max_attempts must be >= 1, got {self.max_attempts}"
-            )
-        if self.duplicate_gap < 0:
-            raise SimulationError(
-                f"duplicate_gap must be >= 0, got {self.duplicate_gap}"
-            )
+#: Initial retransmission timeout as a multiple of the channel's one-way
+#: latency. It exceeds 2 (a round trip), so a fault-free exchange always
+#: beats the first timer and fault-free runs stay retransmission-free.
+RTO_FACTOR = 3.0
+#: Transmission attempts per frame before the transport gives up with a
+#: :class:`~repro.errors.ChannelError` (the guard against unhealed
+#: partitions).
+MAX_ATTEMPTS = 64
+#: Arrival spacing of a duplicated frame's second copy behind its first.
+DUPLICATE_GAP = 0.01
 
 
 @dataclass
@@ -176,15 +148,12 @@ class Delivery(NamedTuple):
 
     ``delivery_time`` is when the receiver releases the payload to the
     application — after CRC checks, dedup, reordering, and however many
-    retransmissions the fault schedule forced. ``extra_copies`` is
-    empty unless dedup is disabled, in which case it lists the arrival
-    times of duplicate copies the receiver failed to suppress.
+    retransmissions the fault schedule forced.
     """
 
     delivery_time: float
     seq: int
     attempts: int
-    extra_copies: tuple[float, ...] = ()
 
 
 class ReliableTransport:
@@ -193,12 +162,10 @@ class ReliableTransport:
     def __init__(
         self,
         injector: NetworkFaultInjector | None = None,
-        config: TransportConfig | None = None,
         observer=None,
     ) -> None:
         self.injector = injector if injector is not None \
             else NetworkFaultInjector()
-        self.config = config if config is not None else TransportConfig()
         self.stats = TransportStats()
         self.obs = observer
         self._channels: dict[tuple[int, int, str], _ChannelTransport] = {}
@@ -218,7 +185,7 @@ class ReliableTransport:
         retransmission timers with exponential backoff, receiver-side
         CRC/dedup/reordering, cumulative ACKs — and returns the
         resulting :class:`Delivery`. Raises
-        :class:`~repro.errors.ChannelError` when ``max_attempts``
+        :class:`~repro.errors.ChannelError` when :data:`MAX_ATTEMPTS`
         transmissions all fail (an unhealed partition, in practice).
         """
         # get-then-insert: setdefault would build a throwaway state on
@@ -229,14 +196,10 @@ class ReliableTransport:
             state = self._channels[key] = _ChannelTransport()
         seq = state.next_seq
         state.next_seq += 1
-        if (
-            self.obs is None
-            and not self.injector.has_faults
-            and self.config.rto_factor >= 2.0
-        ):
+        if self.obs is None and not self.injector.has_faults:
             # Fault-free, untraced wire: exactly one attempt fires (the
-            # first ACK lands at send+2·latency, before any retransmit
-            # timer with rto_factor >= 2 expires), the copy arrives
+            # first ACK lands at send+2·latency, before the retransmit
+            # timer at RTO_FACTOR > 2 expires), the copy arrives
             # intact, and its ACK gets through — so the whole exchange
             # collapses to one arrival plus the reorder-buffer floor,
             # with the same stats the general loop would record.
@@ -249,15 +212,15 @@ class ReliableTransport:
             )
             state.delivered_seq = seq
             state.last_delivery = delivery
-            return tuple.__new__(Delivery, (delivery, seq, 1, ()))
+            return tuple.__new__(Delivery, (delivery, seq, 1))
         crc = frame_checksum(seq, value)
-        rto = self.config.rto_factor * latency
+        rto = RTO_FACTOR * latency
         attempt_time = send_time
         first_ack = math.inf
         arrivals: list[float] = []
         attempts = 0
         while attempt_time < first_ack:
-            if attempts >= self.config.max_attempts:
+            if attempts >= MAX_ATTEMPTS:
                 raise ChannelError(
                     f"reliable transport gave up on seq {seq} after "
                     f"{attempts} attempts (unhealed partition?)",
@@ -296,23 +259,16 @@ class ReliableTransport:
                         )
             attempt_time += rto
             rto *= 2.0
-        arrivals.sort()
-        first, extras = arrivals[0], arrivals[1:]
-        if self.config.dedup:
-            self.stats.dups_suppressed += len(extras)
-            extras = []
+        # Every copy past the first is a duplicate the receiver drops
+        # by its sequence number.
+        self.stats.dups_suppressed += len(arrivals) - 1
         # Reorder buffer: the payload is released to the application
         # only once every earlier seq on the channel has been, so a
         # delayed predecessor holds this frame back.
-        delivery = max(first, state.last_delivery)
+        delivery = max(min(arrivals), state.last_delivery)
         state.delivered_seq = seq
         state.last_delivery = delivery
-        return Delivery(
-            delivery_time=delivery,
-            seq=seq,
-            attempts=attempts,
-            extra_copies=tuple(max(e, delivery) for e in extras),
-        )
+        return Delivery(delivery_time=delivery, seq=seq, attempts=attempts)
 
     def _attempt(
         self,
@@ -352,7 +308,7 @@ class ReliableTransport:
         if kind is NetworkFaultKind.DUPLICATE:
             self.stats.duplicate_frames += 1
             self._emit_fault("duplicate", src, dst, seq, when)
-            copies.append(arrival + self.config.duplicate_gap)
+            copies.append(arrival + DUPLICATE_GAP)
         return copies
 
     def _emit_fault(

@@ -31,7 +31,6 @@ _MARKERS = {
     EventKind.RECV: "r",
     EventKind.FAILURE: "X",
     EventKind.RESTART: "^",
-    EventKind.COMPUTE: "c",
 }
 
 # When two events land on the same column, the higher-priority marker wins.
@@ -42,7 +41,6 @@ _PRIORITY = {
     "C": 4,
     "r": 3,
     "s": 2,
-    "c": 1,
 }
 
 

@@ -24,8 +24,8 @@ from repro.campaign.spec import quick_campaign
 from repro.errors import SimulationError
 from repro.obs.rollup import campaign_rollup
 from repro.runtime.chaos import DIVERGED, ChaosConfig, chaos_sweep
-from repro.runtime.transport import TransportConfig
 
+from ..chaos.broken_transport import broken_transport
 from .faulty import Fault, campaign_cell, transient
 
 FAST = ExecutorPolicy(max_retries=2)
@@ -365,10 +365,10 @@ class TestChaosSweepResilience:
     def test_resume_reapplies_the_final_state_verdict(self, tmp_path):
         # The journal keeps the worker's outcome; the twin comparison
         # runs again on resume, so diverged cells stay diverged.
-        broken = replace(self.CONFIG, transport=TransportConfig(dedup=False))
         path = tmp_path / "broken.jsonl"
-        first = self._sweep(config=broken, journal_path=path)
-        resumed = self._sweep(config=broken, journal_path=path)
+        with broken_transport():
+            first = self._sweep(journal_path=path)
+            resumed = self._sweep(journal_path=path)
         assert resumed.executor.resume_hits == 3
         assert resumed.to_json() == first.to_json()
         assert DIVERGED in {cell.error for cell in first.cells.values()}

@@ -26,7 +26,6 @@ from repro.runtime.failures import (
     RecoveryFaultKind,
     StorageFaultEvent,
 )
-from repro.runtime.transport import TransportConfig
 
 
 def spec_with_everything() -> ScenarioSpec:
@@ -50,7 +49,6 @@ def spec_with_everything() -> ScenarioSpec:
                 ),
             ],
         ),
-        transport=TransportConfig(rto_factor=4.0),
         observe=True,
         checkpoint_mode="pruned+delta",
     )
@@ -134,25 +132,27 @@ class TestContentHash:
 
 
 class TestGoldenIdentity:
-    """Literals recorded at the commit before ``RunConfig`` existed.
+    """Literals recorded when the JSON form last lost keys.
 
     ``content_hash`` keys journals and caches and ``to_json_dict``'s key
-    order is the text of every campaign file, so neither may move.
+    order is the text of every campaign file, so neither may move
+    unless a field leaves the schema (``record_compute_events`` and
+    ``transport`` did; see :class:`TestRetiredKeys`).
     """
 
     QUICK_HASHES = {
         "ring_pipeline/appl-driven":
-            "aa64cb968ef39b9e61411b1844353d09f70c8398be12a5bbaa0d04d9ff6b6439",
+            "f996b381f2c097294b8633022e7e35e7a21709ea99032c9b5878dcea8face4c2",
         "ring_pipeline/uncoordinated":
-            "841dc1e015e51bd1d43faecfa8ab70dab138bb04aedd530bb15f1e62a1881e33",
+            "680032af8ecac93121fbbcf9085438d526ac6a767ead6e22f2ce9cf60ab715b0",
         "pingpong/appl-driven":
-            "12214d38bbf1134e5575947030addc24b197b1d7ebc21c86b0332a87929546b1",
+            "73de3fafd4dfc99d7529ee51108e160912a89b4be2e478bc13e2a51e22465ebc",
         "pingpong/uncoordinated":
-            "69b2c4be39a42aa0c1636296f9e3efb2b8270435af830b8999dda425ce910930",
+            "ffc60db66975e6fc4e1c2a3230d74c43ecbbad4ba111dc9c2b01968373e67962",
         "token_ring/appl-driven":
-            "3cdb41412cc25aa905b88567e92a91c00c192394baae60fba38e94967455e228",
+            "0904f00901a6a033ae49b2d4bdbf10f9084de503fbf68050d14e83aefd6f636c",
         "token_ring/uncoordinated":
-            "ded1c720bb4324d39726a0aabc89ec33ff32803af54eec07a5ca278e45163c43",
+            "3d6d825ba0fe7df07f572209274511dd7facfd02e3435118559144510e803662",
     }
 
     @staticmethod
@@ -168,7 +168,6 @@ class TestGoldenIdentity:
             base_latency=0.4,
             storage_replicas=3,
             max_storage_retries=2,
-            record_compute_events=True,
             max_steps=100_000,
             fault_plan=FaultPlan(
                 crashes=[CrashEvent(time=9.0, rank=1)],
@@ -186,7 +185,6 @@ class TestGoldenIdentity:
                     kind=RecoveryFaultKind.READ_FAULT, attempts=2,
                 )],
             ),
-            transport=TransportConfig(rto_factor=4.0, dedup=False),
             costs=RuntimeCosts(checkpoint_overhead=1.5, recovery_overhead=2.5),
             observe=True,
             retain_k=4,
@@ -202,20 +200,87 @@ class TestGoldenIdentity:
     def test_fully_populated_spec(self):
         spec = self.populated()
         assert spec.content_hash() == (
-            "05519cd8ef94a2cb8802b3ac15e95400f62588393123cdd15b5d5786269e0270"
+            "d5cef76fb0f5358d46117a9d0136701506f3a9cb5efbcb61d8c50ab17223481a"
         )
         assert list(spec.to_json_dict()) == [
             "version", "label", "program", "n_processes", "params",
             "protocol", "period", "seed", "base_latency",
             "storage_replicas", "max_storage_retries",
-            "record_compute_events", "max_steps", "observe", "retain_k",
-            "backend", "checkpoint_mode", "fault_plan", "transport", "costs",
+            "max_steps", "observe", "retain_k",
+            "backend", "checkpoint_mode", "fault_plan", "costs",
         ]
         assert ScenarioSpec.from_json_dict(spec.to_json_dict()) == spec
 
     def test_every_field_is_in_the_json_form(self):
         names = {f.name for f in dataclasses.fields(ScenarioSpec)}
         assert names == set(self.populated().to_json_dict()) - {"version"}
+
+
+#: A campaign file written before ``record_compute_events`` and
+#: ``transport`` left the spec (``dump_campaign`` output, verbatim).
+LEGACY_CAMPAIGN = """{
+  "cells": [
+    {
+      "version": 1,
+      "label": "legacy",
+      "program": "x = 1\\ncheckpoint\\n",
+      "n_processes": 2,
+      "params": {},
+      "protocol": "appl-driven",
+      "period": 10.0,
+      "seed": 0,
+      "base_latency": 0.5,
+      "storage_replicas": 1,
+      "max_storage_retries": 3,
+      "record_compute_events": false,
+      "max_steps": 2000000,
+      "observe": false,
+      "retain_k": null,
+      "backend": "compiled",
+      "checkpoint_mode": "full",
+      "fault_plan": {
+        "crashes": [
+          {
+            "time": 1.0,
+            "rank": 1
+          }
+        ],
+        "storage_faults": [],
+        "network_faults": [],
+        "recovery_faults": []
+      },
+      "transport": null,
+      "costs": null
+    }
+  ]
+}
+"""
+
+
+class TestRetiredKeys:
+    """Files written while a removed field existed still load."""
+
+    def test_legacy_campaign_file_loads(self):
+        [spec] = load_campaign(LEGACY_CAMPAIGN)
+        assert spec == ScenarioSpec(
+            label="legacy", program="x = 1\ncheckpoint\n", n_processes=2,
+            fault_plan=FaultPlan.single(1.0, 1),
+        )
+        # The re-dumped file is the old one minus the two retired keys.
+        legacy = json.loads(LEGACY_CAMPAIGN)["cells"][0]
+        del legacy["record_compute_events"], legacy["transport"]
+        assert spec.to_json_dict() == legacy
+
+    @pytest.mark.parametrize("key, value", [
+        ("record_compute_events", True),
+        ("record_compute_events", 0),
+        ("transport", {"rto_factor": 4.0}),
+        ("transport", {}),
+    ], ids=str)
+    def test_any_other_value_is_refused(self, key, value):
+        cell = json.loads(LEGACY_CAMPAIGN)["cells"][0] | {key: value}
+        with pytest.raises(SimulationError, match=f"retired key '{key}'"):
+            ScenarioSpec.from_json_dict(cell)
 
 
 BAD_KNOBS = [

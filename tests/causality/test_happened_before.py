@@ -33,8 +33,8 @@ def event(kind, process, seq, clock, message_id=None):
 
 class TestManualTraces:
     def test_process_order(self):
-        a = event(EventKind.COMPUTE, 0, 0, (1, 0))
-        b = event(EventKind.COMPUTE, 0, 1, (2, 0))
+        a = event(EventKind.CHECKPOINT, 0, 0, (1, 0))
+        b = event(EventKind.CHECKPOINT, 0, 1, (2, 0))
         assert happened_before(a, b)
         assert not happened_before(b, a)
 
@@ -44,15 +44,15 @@ class TestManualTraces:
         assert happened_before(send, recv)
 
     def test_concurrent_events(self):
-        a = event(EventKind.COMPUTE, 0, 0, (1, 0))
-        b = event(EventKind.COMPUTE, 1, 0, (0, 1))
+        a = event(EventKind.CHECKPOINT, 0, 0, (1, 0))
+        b = event(EventKind.CHECKPOINT, 1, 0, (0, 1))
         assert not happened_before(a, b)
         assert not happened_before(b, a)
 
     def test_graph_agrees_on_manual_trace(self):
         send = event(EventKind.SEND, 0, 0, (1, 0), message_id=7)
         recv = event(EventKind.RECV, 1, 0, (1, 1), message_id=7)
-        later = event(EventKind.COMPUTE, 1, 1, (1, 2))
+        later = event(EventKind.CHECKPOINT, 1, 1, (1, 2))
         graph = HappenedBeforeGraph([send, recv, later])
         assert graph.reaches(send, recv)
         assert graph.reaches(send, later)

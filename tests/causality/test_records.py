@@ -54,7 +54,7 @@ def test_equality_and_hash_go_by_fields():
     twin = TraceEvent(EventKind.SEND, 0, 1, 2.5, clock, message_id=3, peer=1)
     assert event == twin and hash(event) == hash(twin)
     assert event != event._replace(peer=2)
-    assert Delivery(1.0, 0, 1) == Delivery(1.0, 0, 1, ())
+    assert Delivery(1.0, 0, 1) == Delivery(1.0, 0, 1)
     assert hash(Delivery(1.0, 0, 2)) != hash(Delivery(1.0, 0, 1))
     message = Message(1, 0, 1, "p2p", 5, 0.0, 0.5, {})
     assert message == Message(1, 0, 1, "p2p", 5, 0.0, 0.5, {})
@@ -70,7 +70,7 @@ def test_repr_is_unchanged():
         TraceEvent(EventKind.CHECKPOINT, 0, 2, 1.0, clock, checkpoint_number=1)
     ) == "<P0.2 checkpoint #1 t=1.000>"
     assert repr(Delivery(1.5, 0, 1)) == (
-        "Delivery(delivery_time=1.5, seq=0, attempts=1, extra_copies=())"
+        "Delivery(delivery_time=1.5, seq=0, attempts=1)"
     )
     assert repr(Message(1, 0, 1, "p2p", 5, 0.0, 0.5, {})) == (
         "Message(message_id=1, src=0, dst=1, lane='p2p', value=5, "

@@ -8,11 +8,11 @@ replay each against every protocol that recovers, and require
 completion, consistency of the recovery lines each protocol claims on
 storage, and a final state identical to the fault-free baseline. Each
 replay is a campaign cell whose verdict is its outcome's ``error``. A
-deliberately-broken transport (receiver dedup disabled) must be
-*caught* by the same harness and shrunk to a minimal counterexample.
+deliberately-broken transport (``broken_transport``: duplicates reach
+the application) must be *caught* by the same harness and shrunk to a
+minimal counterexample.
 """
 
-import inspect
 from dataclasses import replace
 
 import pytest
@@ -46,14 +46,17 @@ from repro.runtime.chaos import (
 )
 from repro.runtime.engine import Simulation
 from repro.runtime.failures import (
+    FaultKind,
     FaultPlan,
     NetworkFaultKind,
     RecoveryFaultEvent,
     RecoveryFaultKind,
+    StorageFaultEvent,
     exponential_fault_plan,
 )
 from repro.runtime.hooks import NullProtocol
-from repro.runtime.transport import TransportConfig
+
+from .broken_transport import broken_transport
 
 CONFIG = ChaosConfig()
 
@@ -131,6 +134,23 @@ class TestChaosSweep:
             f"{len(plan.effective())} crash(es)"
         )
 
+    def test_outcome_reports_recovery_and_storage_faults(self):
+        # The line names every drawn fault, not only network faults and
+        # crashes; a plan without the other two kinds reads as before.
+        config = ChaosConfig(recovery_fault_probability=0.9)
+        plan = draw_schedule(0, config)
+        outcome = run_schedule(plan, config=config)
+        assert describe(outcome, plan) == (
+            "ok: 11 network fault(s), 1 crash(es), 2 recovery fault(s)"
+        )
+        rotted = replace(plan, storage_faults=[
+            StorageFaultEvent(time=5.0, rank=0, kind=FaultKind.BIT_ROT),
+        ])
+        assert describe(outcome, rotted) == (
+            "ok: 11 network fault(s), 1 crash(es), 2 recovery fault(s), "
+            "1 storage fault(s)"
+        )
+
     def test_availability_one_at_low_drop_rates(self):
         # Paper-style availability claim: message-drop rates up to 10%
         # of traffic never prevent a run from completing.
@@ -174,12 +194,12 @@ class TestFaultFreeTwin:
     def test_shrink_candidates_reuse_the_dump_twin(
         self, monkeypatch, tmp_path
     ):
-        broken = replace(CONFIG, transport=TransportConfig(dedup=False))
         calls = self._count_twins(monkeypatch)
-        paths = dump_failure_artifacts(
-            draw_schedule(0, broken), protocol="appl-driven",
-            config=broken, out_dir=tmp_path, max_shrink_runs=10,
-        )
+        with broken_transport():
+            paths = dump_failure_artifacts(
+                draw_schedule(0, CONFIG), protocol="appl-driven",
+                config=CONFIG, out_dir=tmp_path, max_shrink_runs=10,
+            )
         assert "shrunk" in paths
         assert calls == ["appl-driven"]
 
@@ -226,15 +246,16 @@ class TestBrokenTransportShrinking:
     """The harness must catch a sabotaged transport and minimize it."""
 
     QUIET = ChaosConfig(partition_probability=0.0, crash_probability=0.0)
-    BROKEN = replace(QUIET, transport=TransportConfig(dedup=False))
 
     def _fails(self, plan: FaultPlan) -> bool:
-        return run_schedule(plan, config=self.BROKEN).error is not None
+        with broken_transport():
+            return run_schedule(plan, config=self.QUIET).error is not None
 
-    def test_dedup_disabled_is_caught(self):
+    def test_leaked_duplicates_are_caught(self):
         plan = draw_schedule(0, self.QUIET)
         assert run_schedule(plan, config=self.QUIET).error is None
-        outcome = run_schedule(plan, config=self.BROKEN)
+        with broken_transport():
+            outcome = run_schedule(plan, config=self.QUIET)
         # It finishes, but with divergent state.
         assert outcome.stats["completed"]
         assert outcome.error == DIVERGED
@@ -272,30 +293,6 @@ class TestBrokenTransportShrinking:
         assert self._fails(plan)
         minimal = shrink_schedule(plan, self._fails)
         assert len(minimal.network_faults) >= 1
-
-
-class TestOneTransportKnob:
-    """``ChaosConfig.transport`` is the only way to pick the transport."""
-
-    @pytest.mark.parametrize("function", [
-        run_schedule, chaos_sweep, dump_failure_artifacts,
-        shrink_schedule, _chaos_spec,
-    ], ids=lambda function: function.__name__)
-    def test_no_side_channel_parameter(self, function):
-        assert "transport_config" not in inspect.signature(function).parameters
-
-    def test_cell_spec_runs_the_config_transport(self):
-        broken = TransportConfig(dedup=False)
-        plan = draw_schedule(0, CONFIG)
-        default = _chaos_spec("x", plan, "appl-driven", CONFIG)
-        sabotaged = _chaos_spec(
-            "x", plan, "appl-driven", replace(CONFIG, transport=broken)
-        )
-        assert default.transport == CONFIG.transport
-        assert sabotaged.transport == broken
-        # The transport is part of the cell's identity, so a journal
-        # never serves a healthy verdict for a broken-transport cell.
-        assert sabotaged.content_hash() != default.content_hash()
 
 
 class TestRecoveryFaultSweep:

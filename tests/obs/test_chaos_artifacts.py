@@ -7,7 +7,6 @@ Chrome trace), the schedule verbatim (replayable via the CLI's
 """
 
 import json
-from dataclasses import replace
 
 import pytest
 
@@ -20,28 +19,37 @@ from repro.runtime.chaos import (
     dump_failure_artifacts,
     run_schedule,
 )
-from repro.runtime.transport import TransportConfig
 
-#: The default chaos workload over a transport with receiver dedup off.
-BROKEN = replace(ChaosConfig(), transport=TransportConfig(dedup=False))
+from ..chaos.broken_transport import broken_transport
+
+#: The default chaos workload; the ``broken`` fixture runs it over the
+#: broken transport.
+CONFIG = ChaosConfig()
+
+
+@pytest.fixture
+def broken():
+    with broken_transport():
+        yield
 
 
 def _failing_seed() -> int:
     for seed in range(30):
-        plan = draw_schedule(seed, BROKEN)
-        if run_schedule(plan, config=BROKEN).error is not None:
+        plan = draw_schedule(seed, CONFIG)
+        if run_schedule(plan, config=CONFIG).error is not None:
             return seed
     pytest.skip("no failing seed found with the broken transport")
 
 
+@pytest.mark.usefixtures("broken")
 class TestDumpFailureArtifacts:
     """The bundle a single failing schedule produces."""
 
     def test_bundle_contents(self, tmp_path):
         seed = _failing_seed()
-        plan = draw_schedule(seed, BROKEN)
+        plan = draw_schedule(seed, CONFIG)
         paths = dump_failure_artifacts(
-            plan, protocol="appl-driven", config=BROKEN,
+            plan, protocol="appl-driven", config=CONFIG,
             out_dir=tmp_path, prefix="case",
             max_shrink_runs=40,
         )
@@ -54,9 +62,9 @@ class TestDumpFailureArtifacts:
 
     def test_flight_dump_is_stamped_and_chrome_convertible(self, tmp_path):
         seed = _failing_seed()
-        plan = draw_schedule(seed, BROKEN)
+        plan = draw_schedule(seed, CONFIG)
         paths = dump_failure_artifacts(
-            plan, protocol="appl-driven", config=BROKEN,
+            plan, protocol="appl-driven", config=CONFIG,
             out_dir=tmp_path,
             shrink=False,
         )
@@ -72,9 +80,9 @@ class TestDumpFailureArtifacts:
         from repro.cli import _load_fault_plan
 
         seed = _failing_seed()
-        plan = draw_schedule(seed, BROKEN)
+        plan = draw_schedule(seed, CONFIG)
         paths = dump_failure_artifacts(
-            plan, protocol="appl-driven", config=BROKEN,
+            plan, protocol="appl-driven", config=CONFIG,
             out_dir=tmp_path, shrink=False,
         )
         data = json.loads(paths["schedule"].read_text())
@@ -82,13 +90,13 @@ class TestDumpFailureArtifacts:
         # The dumped schedule replays through the CLI's --fault-plan
         # loader to the same failing verdict.
         rebuilt = _load_fault_plan(str(paths["schedule"]), [])
-        assert run_schedule(rebuilt, config=BROKEN).error is not None
+        assert run_schedule(rebuilt, config=CONFIG).error is not None
 
     def test_shrunk_plan_still_fails_and_is_no_bigger(self, tmp_path):
         seed = _failing_seed()
-        plan = draw_schedule(seed, BROKEN)
+        plan = draw_schedule(seed, CONFIG)
         paths = dump_failure_artifacts(
-            plan, protocol="appl-driven", config=BROKEN,
+            plan, protocol="appl-driven", config=CONFIG,
             out_dir=tmp_path,
             max_shrink_runs=40,
         )
@@ -105,12 +113,13 @@ class TestDumpFailureArtifacts:
 class TestChaosSweepAutoDump:
     """chaos_sweep dumps artifacts for failing cells automatically."""
 
+    @pytest.mark.usefixtures("broken")
     def test_failing_sweep_writes_artifacts(self, tmp_path):
         seed = _failing_seed()
         result = chaos_sweep(
             range(seed, seed + 1),
             protocols=("appl-driven",),
-            config=BROKEN,
+            config=CONFIG,
             artifacts_dir=tmp_path,
         )
         assert result.cells[cell_label(seed, "appl-driven")].error is not None

@@ -8,12 +8,11 @@ dumping, and the campaign telemetry flags
 """
 
 import json
-from functools import partial
 
 from repro.cli import main
 from repro.obs import read_event_log
-from repro.runtime import chaos
-from repro.runtime.transport import TransportConfig
+
+from ..chaos.broken_transport import broken_transport
 
 
 def _capture(tmp_path, extra=()):
@@ -291,23 +290,18 @@ class TestChaosSubcommand:
         assert "cells_errored" not in rollup["aggregate"]
         assert rollup["aggregate"]["stats.completed"]["value"] == 3
 
-    def test_broken_transport_fails_and_dumps(
-        self, tmp_path, capsys, monkeypatch
-    ):
-        # Duplicate suppression off: the fault the harness must catch.
-        monkeypatch.setattr(chaos, "ChaosConfig", partial(
-            chaos.ChaosConfig, transport=TransportConfig(dedup=False)
-        ))
+    def test_broken_transport_fails_and_dumps(self, tmp_path, capsys):
+        # Duplicates reach the application: the fault the harness must
+        # catch. The sweep runs in this process (--jobs 1).
         art = tmp_path / "artifacts"
-        code = main([
-            "chaos", "--seeds", "1", "--protocol", "appl-driven",
-            "--artifacts", str(art),
-        ])
+        with broken_transport():
+            code = main([
+                "chaos", "--seeds", "1", "--protocol", "appl-driven",
+                "--jobs", "1", "--artifacts", str(art),
+            ])
         out = capsys.readouterr().out
-        if code == 0:  # this seed happened to survive dedup=False
-            assert "0 failure(s)" in out
-            return
         assert code == 1
+        assert "1 failure(s)" in out
         dumped = sorted(p.name for p in art.iterdir())
         assert any(name.endswith(".flight.jsonl") for name in dumped)
         assert any(name.endswith(".schedule.json") for name in dumped)

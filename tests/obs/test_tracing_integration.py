@@ -180,7 +180,7 @@ class TestReconstruction:
         _, rebuilt = _round_trip()
         before = len(rebuilt.events_for(0))
         event = rebuilt.append(
-            EventKind.COMPUTE, 0, 99.0, VectorClock.zero(4)
+            EventKind.CHECKPOINT, 0, 99.0, VectorClock.zero(4)
         )
         assert event.seq == before
 
@@ -200,7 +200,7 @@ class TestReconstruction:
 
 def _engine_event(**fields):
     return ObsEvent(
-        seq=0, time=1.0, category="engine", name="compute",
+        seq=0, time=1.0, category="engine", name="checkpoint",
         rank=0, clock=(1,), fields=fields,
     )
 
@@ -232,7 +232,7 @@ class TestReconstructionErrors:
         trace = trace_from_events([_engine_event(lseq=0)])
         assert trace.n_processes == 1
         assert trace.events == [
-            TraceEvent(EventKind.COMPUTE, 0, 0, 1.0, VectorClock((1,)))
+            TraceEvent(EventKind.CHECKPOINT, 0, 0, 1.0, VectorClock((1,)))
         ]
 
 

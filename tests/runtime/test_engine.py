@@ -121,15 +121,12 @@ class TestTraceContents:
         for events in result.trace.checkpoint_events().values():
             assert all(e.stmt_id is not None for e in events)
 
-    def test_compute_events_off_by_default(self):
-        result = Simulation(program("compute(1)"), 1).run()
-        assert result.trace.of_kind(EventKind.COMPUTE) == []
-
-    def test_compute_events_recordable(self):
-        result = Simulation(
-            program("compute(1)"), 1, record_compute_events=True
-        ).run()
-        assert len(result.trace.of_kind(EventKind.COMPUTE)) == 1
+    def test_compute_charges_time_and_records_no_event(self):
+        result = Simulation(program("compute(3)"), 1).run()
+        assert result.trace.events == []
+        assert result.completion_time == pytest.approx(
+            3 * RuntimeCosts().compute_unit
+        )
 
 
 class TestDeadlockAndGuards:

@@ -105,7 +105,6 @@ class TestSchedulerTimesBackend:
             protocol=lambda: make_protocol(protocol),
             # Without a protocol nothing recovers a crash.
             fault_plan=faults(crash=protocol == "appl-driven"),
-            record_compute_events=True,
             checkpoint_mode="pruned+delta",
             seed=11,
         )

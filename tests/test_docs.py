@@ -302,3 +302,16 @@ def test_readme_architecture_names_every_module_and_only_those():
     assert _architecture_block() == {
         package: sorted(names) for package, names in modules.items()
     }
+
+
+def test_run_configuration_table_is_the_run_config():
+    # docs/architecture.md *Run configuration*: one row per field, in
+    # declaration order, with the dataclass default.
+    from dataclasses import fields
+
+    from repro.runtime.config import RunConfig
+
+    text = (REPO_ROOT / "docs" / "architecture.md").read_text()
+    section = text.split("\n## Run configuration\n", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `(\w+)` \| `([^`]*)`", section, re.M)
+    assert rows == [(f.name, str(f.default)) for f in fields(RunConfig)]

@@ -3,8 +3,10 @@ and tests, the third-party imports match ``pyproject.toml``, and a
 process imports only what its command runs.
 
 The first two are a lightweight AST-based substitute for an external
-linter (the environment is offline). ``__init__.py`` files are exempt —
-their imports are re-exports.
+linter (``ruff`` is not installed everywhere tier-1 runs).
+``__init__.py`` files are exempt — their imports are re-exports. An
+import counts as used only where code names it: a docstring or a
+message that mentions it does not.
 """
 
 import ast
@@ -49,8 +51,22 @@ def _imported_names(tree):
     return names
 
 
+def _words(text: str) -> list[str]:
+    """The dotted-name parts of a string annotation."""
+    for mark in "[].,\"":
+        text = text.replace(mark, " ")
+    return text.split()
+
+
 def _used_names(tree):
+    """Names *tree* uses as code.
+
+    Strings count only as string annotations (``x: "Foo"``) and
+    ``__all__`` entries: a name that a docstring or a message merely
+    mentions is not a use, so prose cannot keep a dead import alive.
+    """
     used = set()
+    texts = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             used.add(node.id)
@@ -61,29 +77,32 @@ def _used_names(tree):
                 base = base.value
             if isinstance(base, ast.Name):
                 used.add(base.id)
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            # string annotations under `from __future__ import annotations`
-            used.update(
-                part
-                for part in node.value.replace("[", " ").replace("]", " ")
-                .replace(".", " ").replace(",", " ").replace('"', " ")
-                .split()
-            )
+        elif isinstance(node, (ast.arg, ast.AnnAssign)):
+            texts.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            texts.append(node.returns)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__"
+            for target in node.targets
+        ):
+            texts.append(node.value)
+    for text in filter(None, texts):
+        for node in ast.walk(text):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                used.update(_words(node.value))
     return used
 
 
 @pytest.mark.parametrize("path", _module_files(), ids=_module_id)
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text())
-    imported = _imported_names(tree)
     used = _used_names(tree)
     unused = [
         f"{name} (line {line})"
-        for name, line in imported.items()
+        for name, line in _imported_names(tree).items()
         if name not in used and name != "annotations"
     ]
     assert not unused, f"{path.name}: unused imports: {unused}"
-
 
 
 def _declared(key: str) -> set[str]:

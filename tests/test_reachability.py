@@ -22,6 +22,8 @@ bases in ``protocols/base.py``. The campaign runner and the span
 tracker keep none of the options and methods only tests used, and the
 span tracker is wall-clock only. No path enumerator is defined under
 ``src/repro``: it is the test oracle ``tests/cfg/path_enumeration.py``.
+``RunConfig`` declares exactly the run knobs something outside the
+tests sets.
 Names deleted outright are pinned in
 ``tests/test_tools.py::RETIRED_NAMES``.
 """
@@ -29,7 +31,10 @@ Names deleted outright are pinned in
 import ast
 import re
 from collections import Counter
+from dataclasses import fields
 from pathlib import Path
+
+from repro.runtime.config import RunConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -343,3 +348,16 @@ def test_storage_keeps_no_test_only_reads():
     assert "latest_with_number" not in _methods(
         "runtime/storage.py", "CheckpointStore"
     )
+
+
+# -- structure pins: the run knobs ------------------------------------------
+
+
+def test_run_config_declares_only_knobs_used_outside_the_tests():
+    # The transport tunables and the compute-event trace switch were
+    # only ever set by tests; their oracle is a test-side patch
+    # (``tests/chaos/broken_transport.py``).
+    assert [f.name for f in fields(RunConfig)] == [
+        "seed", "base_latency", "storage_replicas", "max_storage_retries",
+        "max_steps", "costs", "retain_k", "backend", "checkpoint_mode",
+    ]

@@ -141,6 +141,9 @@ RETIRED_NAMES = [
     "induces_recovery" + "_lines",
     "CHAOS" + "_PROTOCOLS",
     "COMPARED" + "_PROTOCOLS",
+    "Transport" + "Config",
+    "extra" + "_copies",
+    "transport" + "_config",
 ]
 
 #: Top-level files that describe the current tree. The change log and
