@@ -34,10 +34,6 @@ class ProtocolCurve:
     x_values: tuple[float, ...]
     ratios: tuple[float, ...]
 
-    def as_rows(self) -> list[tuple[float, float]]:
-        """(x, ratio) pairs, convenient for tabulation."""
-        return list(zip(self.x_values, self.ratios))
-
 
 def overhead_ratio_for_protocol(
     params: ModelParameters, kind: ProtocolKind, n_processes: int

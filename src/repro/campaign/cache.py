@@ -101,12 +101,6 @@ class TransformCache:
         self.misses = 0
         self.stores = 0
 
-    @property
-    def hit_rate(self) -> float:
-        """Hits per lookup (0.0 before any lookup)."""
-        lookups = self.hits + self.misses
-        return self.hits / lookups if lookups else 0.0
-
     def key_for(
         self,
         program: ast.Program,

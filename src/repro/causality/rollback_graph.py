@@ -47,11 +47,6 @@ class RollbackAnalysis:
     domino_steps: int = 0
     rolled_to_start: frozenset[int] = frozenset()
 
-    @property
-    def total_rollback(self) -> int:
-        """Total checkpoints discarded across all processes."""
-        return sum(self.rollbacks.values())
-
 
 def build_rollback_graph(
     events: list[TraceEvent],

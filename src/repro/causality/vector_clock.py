@@ -7,8 +7,8 @@ Immutable; all operations return new clocks.
 
 A clock whose components are all ``int`` s in 0..127 is held *packed*:
 one Python integer, a byte a component, component 0 the most
-significant. ``tick`` is then one shifted add and ``merge`` /
-``receive`` a byte-lane maximum over the whole integer, whatever the
+significant. ``tick`` is then one shifted add and ``receive`` a
+byte-lane maximum over the whole integer, whatever the
 number of processes; :attr:`VectorClock.components` is materialised
 from it on first read. Any other clock is its tuple.
 """
@@ -54,7 +54,7 @@ class VectorClock:
         """The clock as one big-endian integer, a byte a component.
 
         ``None`` unless every component is an ``int`` in 0..127. A clock
-        built by ``zero`` / ``tick`` / ``merge`` / ``receive`` from
+        built by ``zero`` / ``tick`` / ``receive`` from
         packed clocks has it already; any other is scanned when asked.
         """
         packed = self._packed
@@ -110,34 +110,12 @@ class VectorClock:
         parts[process] += 1
         return VectorClock(tuple(parts))
 
-    def merge(self, other: "VectorClock") -> "VectorClock":
-        """Component-wise maximum (applied on message receipt)."""
-        # Returning an existing clock when one side already dominates
-        # skips the allocation.
-        a, b, high = self._packed, other._packed, self._high
-        if a is not None and b is not None and high == other._high:
-            merged = _lane_max(a, b, high)
-            if merged == a:
-                return self
-            return other if merged == b else _make_packed(merged, high)
-        mine, theirs = self.components, other.components
-        if len(theirs) != len(mine):
-            raise ValueError(
-                f"clock size mismatch: {len(mine)} vs {len(theirs)}"
-            )
-        merged = tuple([a if a >= b else b for a, b in zip(mine, theirs)])
-        if merged == mine:
-            return self
-        return other if merged == theirs else VectorClock(merged)
-
     def receive(self, other: "VectorClock", rank: int) -> "VectorClock":
-        """``tick(rank)`` followed by ``merge(other)``, fused in one pass.
-
-        The receipt rule for vector clocks: bump the receiver's own
-        component, then take the component-wise maximum with the
-        sender's attached clock. Fusing the two saves the intermediate
-        ticked clock's allocation on the engine's delivery path; the
-        result is exactly ``self.tick(rank).merge(other)``.
+        """``tick(rank)`` followed by the component-wise maximum with
+        *other*, in one pass: the receipt rule for vector clocks. The
+        receiver bumps its own component, then takes the maximum with
+        the sender's attached clock; no intermediate ticked clock is
+        allocated on the engine's delivery path.
         """
         a, b, high = self._packed, other._packed, self._high
         if a is not None and b is not None and high == other._high:
@@ -169,10 +147,6 @@ class VectorClock:
             )
         at_most = all(a <= b for a, b in zip(self.components, other.components))
         return at_most and self.components != other.components
-
-    def concurrent_with(self, other: "VectorClock") -> bool:
-        """True iff neither clock happened before the other."""
-        return not self.happened_before(other) and not other.happened_before(self)
 
 
 def _lane_max(a: int, b: int, high: int) -> int:

@@ -99,7 +99,6 @@ class ZigzagAnalysis:
         self._by_sender: dict[int, list[_MessageHop]] = defaultdict(list)
         for hop in self._hops:
             self._by_sender[hop.sender].append(hop)
-        self._reachable_cache: dict[int, frozenset[int]] = {}
         # Lazy one-time closure machinery: one bit per hop, built on the
         # first reachability query, so every query after that is a mask
         # intersection instead of a graph walk.
@@ -116,8 +115,7 @@ class ZigzagAnalysis:
         Hops get bit positions in trace order; the adjacency is condensed
         with an iterative Tarjan SCC pass and closed in one sweep over
         the components (Tarjan emits them descendants-first). The mask of
-        hop ``i`` is *inclusive* of bit ``i``, matching the historical
-        :meth:`_closure_from` contract. Total bit work is O(H·E/64)
+        hop ``i`` is *inclusive* of bit ``i``. Total bit work is O(H·E/64)
         where the old per-query DFS walk was O(H·E) per start hop.
         """
         if self._closure_masks is not None:
@@ -207,22 +205,6 @@ class ZigzagAnalysis:
         ]
         return self._closure_masks
 
-    def _closure_from(self, start: _MessageHop) -> frozenset[int]:
-        """ids of hops zigzag-reachable from *start* (inclusive)."""
-        key = id(start)
-        cached = self._reachable_cache.get(key)
-        if cached is not None:
-            return cached
-        masks = self._ensure_closures()
-        mask = masks[self._hop_pos[key]]
-        result = frozenset(
-            id(hop)
-            for position, hop in enumerate(self._hops)
-            if mask >> position & 1
-        )
-        self._reachable_cache[key] = result
-        return result
-
     def _start_mask(self, checkpoint: tuple[int, int]) -> int:
         """Union closure mask over hops the source can start a path with."""
         cached = self._start_mask_cache.get(checkpoint)
@@ -278,14 +260,3 @@ class ZigzagAnalysis:
                 if self.on_zigzag_cycle(key):
                     useless.append(key)
         return sorted(useless)
-
-    def zz_consistent(
-        self, a: tuple[int, int], b: tuple[int, int]
-    ) -> bool:
-        """No zigzag path in either direction (the theorem's condition
-        for the pair to belong to some consistent snapshot)."""
-        if a == b:
-            return not self.on_zigzag_cycle(a)
-        return not (
-            self.zigzag_path_exists(a, b) or self.zigzag_path_exists(b, a)
-        )

@@ -15,7 +15,7 @@ statement).
 from __future__ import annotations
 
 from repro.cfg.graph import CFG
-from repro.cfg.nodes import CFGNode, NodeKind
+from repro.cfg.nodes import NodeKind
 from repro.lang import ast_nodes as ast
 from repro.lang.printer import expr_to_source
 
@@ -151,8 +151,3 @@ def _build_bcast(
     join = cfg.add_node(NodeKind.JOIN, label="join")
     _connect(cfg, [(send.node_id, ""), (recv.node_id, "")], join.node_id)
     return [(join.node_id, "")]
-
-
-def nodes_for_statement(cfg: CFG, stmt: ast.Stmt) -> list[CFGNode]:
-    """All CFG nodes generated from AST statement *stmt*."""
-    return [n for n in cfg.nodes() if n.stmt is not None and n.stmt.node_id == stmt.node_id]

@@ -80,11 +80,6 @@ def _reverse_postorder(cfg: CFG, start: int) -> list[int]:
     return postorder
 
 
-def dominates(dom: dict[int, frozenset[int]], a: int, b: int) -> bool:
-    """True iff node *a* dominates node *b*."""
-    return a in dom.get(b, frozenset())
-
-
 def find_back_edges(cfg: CFG) -> list[Edge]:
     """All backward edges ``<a, b>`` (i.e. *b* dominates *a*)."""
     dom = compute_dominators(cfg)
@@ -112,8 +107,3 @@ def natural_loops(cfg: CFG) -> dict[Edge, frozenset[int]]:
                     stack.append(pred)
         loops[edge] = frozenset(body)
     return loops
-
-
-def loop_headers(cfg: CFG) -> frozenset[int]:
-    """Node ids that are targets of at least one backward edge."""
-    return frozenset(e.dst for e in find_back_edges(cfg))

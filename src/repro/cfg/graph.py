@@ -208,10 +208,6 @@ class ExtendedCFG:
         """Send node ids matched with the receive node *recv_id*."""
         return [m.send_id for m in self.message_edges if m.recv_id == recv_id]
 
-    def matches_for_send(self, send_id: int) -> list[int]:
-        """Receive node ids matched with the send node *send_id*."""
-        return [m.recv_id for m in self.message_edges if m.send_id == send_id]
-
     def successors(
         self, node_id: int, excluded_edges: frozenset[tuple[int, int]] = frozenset()
     ) -> list[int]:

@@ -47,7 +47,7 @@ else:
   control-stack shape the reference interpreter would have at that
   point (including its lazily-unpopped exhausted frames), so
   :meth:`CompiledProcess.snapshot` rebuilds a bit-identical
-  :class:`~repro.runtime.interpreter.ProcessSnapshot` in O(depth), and
+  :class:`~repro.runtime.effects.ProcessSnapshot` in O(depth), and
   :meth:`CompiledProcess.restore` maps any snapshot back to a program
   counter through a precomputed static-key table.
 
@@ -80,12 +80,13 @@ from repro.runtime.effects import (
     BcastSendEffect,
     CheckpointEffect,
     ComputeEffect,
+    FrameState,
     LocalEffect,
+    ProcessSnapshot,
     RecvEffect,
     SendEffect,
 )
 from repro.runtime.inputs import InputProvider
-from repro.runtime.interpreter import FrameState, ProcessSnapshot
 
 #: Version of the lowering scheme. Bump on any change that could alter
 #: compiled-program behaviour; cache keys (``campaign/cache.py``)
@@ -920,8 +921,8 @@ class CompiledProcess:
     Drop-in replacement for
     :class:`~repro.runtime.interpreter.ProcessInterpreter`: same driving
     protocol (``step``/``deliver``), same snapshot/restore contract,
-    same attribute surface (``env``, ``checkpoint_count``, ``finished``,
-    ``awaiting_delivery``), bit-identical behaviour. It owns a register
+    same attribute surface (``env``, ``checkpoint_count``, ``finished``),
+    bit-identical behaviour. It owns a register
     file, the first-binding order and a loop stack; the code it runs
     belongs to the program and takes this object as its argument.
     """
@@ -976,11 +977,6 @@ class CompiledProcess:
     def finished(self) -> bool:
         """True once the program has run to completion."""
         return self._pc < 0 and not self._tmpl
-
-    @property
-    def awaiting_delivery(self) -> bool:
-        """True while blocked at a receive awaiting deliver()."""
-        return self._pending is not None
 
     @property
     def pending_recv(self) -> str | None:

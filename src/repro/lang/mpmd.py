@@ -174,17 +174,3 @@ def combine_mpmd(roles: list[Role], name: str = "mpmd") -> ast.Program:
     return ast.number_nodes(
         ast.Program(name=name, body=ast.Block(statements=build(list(roles))))
     )
-
-
-def role_of_rank(roles: list[Role], rank: int, nprocs: int) -> int | None:
-    """Index of the role *rank* executes, or None if unassigned."""
-    claimed: set[int] = set()
-    for position, role in enumerate(roles):
-        if role.ranks.kind == "rest":
-            members = frozenset(range(nprocs)) - claimed
-        else:
-            members = role.ranks.members(nprocs)
-        if rank in members:
-            return position
-        claimed |= members
-    return None

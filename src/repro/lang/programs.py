@@ -355,25 +355,9 @@ _SOURCES: dict[str, str] = {
 
 
 # Extra parameters (besides `steps`) some programs require to run.
-_EXTRA_PARAMS: dict[str, dict[str, int]] = {
-    "grid_stencil_2d": {"px": 2},
-}
-
-
 def program_names() -> tuple[str, ...]:
     """Names of all shipped programs, in declaration order."""
     return tuple(_SOURCES)
-
-
-def default_params(name: str, steps: int = 3) -> dict[str, int]:
-    """Parameters making the shipped program *name* runnable.
-
-    Always includes ``steps``; programs with additional free parameters
-    (e.g. the 2-D stencil's grid width ``px``) get safe defaults.
-    """
-    params = {"steps": steps}
-    params.update(_EXTRA_PARAMS.get(name, {}))
-    return params
 
 
 def program_source(name: str) -> str:

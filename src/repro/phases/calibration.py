@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from repro.analysis.delay import RttEstimator, estimate_message_delay
-from repro.errors import InsertionError
 from repro.lang import ast_nodes as ast
 from repro.phases.insertion import CostModel
 from repro.runtime.config import RuntimeCosts
@@ -80,21 +79,3 @@ def _uses_steps(program: ast.Program) -> bool:
         isinstance(node, ast.Name) and node.ident == "steps"
         for node in ast.walk(program)
     )
-
-
-def calibrated_transform(
-    program: ast.Program,
-    n_processes: int,
-    params: dict[str, int] | None = None,
-    base_model: CostModel = CostModel(),
-    **transform_kwargs,
-):
-    """Convenience: calibrate, then run the full offline pipeline."""
-    from repro.phases.pipeline import transform
-
-    report = calibrate_cost_model(
-        program, n_processes, params=params, base_model=base_model
-    )
-    if report.cost_model.interval() <= 0:
-        raise InsertionError("calibrated model yields a non-positive interval")
-    return transform(program, cost_model=report.cost_model, **transform_kwargs)

@@ -94,14 +94,6 @@ def insert_checkpoints(
     return plan
 
 
-def estimate_cost(program: ast.Program, model: CostModel = CostModel()) -> float:
-    """Estimate the execution time of one run of *program*."""
-    walker = _InsertionWalker(model, interval=float("inf"))
-    # Walk a copy so estimation never mutates the caller's AST.
-    walker.walk_block(ast.clone(program.body))
-    return walker.total_cost
-
-
 class _InsertionWalker:
     """Accumulates cost through blocks, inserting checkpoints on overflow."""
 

@@ -256,12 +256,50 @@ def _hoist_one_level(
 def _rebalance(program: ast.Program, ext: ExtendedCFG, minimum: int) -> Move:
     """Hoist one surplus checkpoint toward its branch's common dominator.
 
-    *minimum* is the fewest checkpoints any path carries.
+    *minimum* is the fewest checkpoints any path carries. A pick in the
+    program body cannot rise; a checkpoint of the branch arm that
+    carries the surplus rises instead.
     """
     stmt = _checkpoint_stmt(ext, surplus_checkpoint(ext.cfg, minimum))
+    if any(top is stmt for top in program.body.statements):
+        stmt = _surplus_arm_checkpoint(program.body) or stmt
     return _hoist_one_level(
         program, stmt, reason="rebalance", index_i=minimum + 1
     )
+
+
+def _most_checkpoints(block: ast.Block) -> int:
+    """The most checkpoints a once-through path through *block* passes
+    (each loop body is traversed exactly once)."""
+    most = 0
+    for stmt in block.statements:
+        if isinstance(stmt, ast.Checkpoint):
+            most += 1
+        elif isinstance(stmt, ast.If):
+            most += max(
+                _most_checkpoints(stmt.then_block),
+                _most_checkpoints(stmt.else_block),
+            )
+        elif isinstance(stmt, (ast.While, ast.For)):
+            most += _most_checkpoints(stmt.body)
+    return most
+
+
+def _surplus_arm_checkpoint(block: ast.Block) -> ast.Checkpoint | None:
+    """The first checkpoint of the arm that carries more checkpoints, of
+    the first branch in *block* (document order) whose arms differ."""
+    for node in ast.walk(block):
+        if not isinstance(node, ast.If):
+            continue
+        then_most = _most_checkpoints(node.then_block)
+        else_most = _most_checkpoints(node.else_block)
+        if then_most != else_most:
+            arm = node.then_block if then_most > else_most else node.else_block
+            return next(
+                stmt for stmt in ast.walk(arm)
+                if isinstance(stmt, ast.Checkpoint)
+            )
+    return None
 
 
 def _move_back(

@@ -191,7 +191,9 @@ class RoundProtocol(CheckpointingProtocol):
 
         A completed round's tag marks exactly one checkpoint per rank,
         which together form a recovery line; a round that retention or
-        a restore has since removed from some rank is dropped for good.
+        a restore has since removed from some rank, or one with a member
+        that lost its storage quorum, is dropped for good. A restore
+        below rounds that lost their quorum records how many it skipped.
         Checkpoint numbers count the program's own ``checkpoint``
         statements too, so a number cut need not be a recovery line:
         the fallback descends past every inconsistent one (R_0, the
@@ -199,14 +201,18 @@ class RoundProtocol(CheckpointingProtocol):
         """
         self._abort_round()
         self.round += 1  # invalidate the aborted round's control messages
+        storage = sim.storage
+        corrupt = 0
         while self.completed_rounds:
             tag = f"{self.prefix}-{self.completed_rounds[-1]}"
-            cut = {
-                r: sim.storage.latest_with_tag(r, tag) for r in range(sim.n)
-            }
+            cut = {r: storage.latest_with_tag(r, tag) for r in range(sim.n)}
             if None not in cut.values():
-                sim.restore_cut(cut, time)
-                return
+                if all(map(storage.verify, cut.values())):
+                    if corrupt:
+                        sim.record_fallback(corrupt)
+                    sim.restore_cut(cut, time)
+                    return
+                corrupt += 1
             self.completed_rounds.pop()
         self.restore_common_number(
             sim, time, self.deepest_intact_cut(sim, consistent=True)

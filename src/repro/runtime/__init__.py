@@ -3,10 +3,14 @@
 This package is the substrate replacing the paper's cluster testbed: it
 executes MiniMP programs on ``n`` simulated processes connected by
 reliable FIFO channels, with per-statement time accounting, stable
-storage for checkpoints, failure injection, and rollback recovery. The
-interpreter keeps an explicit control stack (no native coroutines), so
-a checkpoint is a genuine restorable snapshot of process state.
+storage for checkpoints, failure injection, and rollback recovery. A
+process's state is explicit (no native coroutines), so a checkpoint is
+a genuine restorable snapshot of it. The reference interpreter, the
+compiled backend's differential oracle, is re-exported lazily: a run
+on the compiled backend never imports it.
 """
+
+from repro.lazy import lazy_exports
 
 from repro.runtime.chaos import (
     ChaosConfig,
@@ -23,6 +27,7 @@ from repro.runtime.effects import (
     ComputeEffect,
     Effect,
     LocalEffect,
+    ProcessSnapshot,
     RecvEffect,
     SendEffect,
 )
@@ -43,7 +48,6 @@ from repro.runtime.failures import (
     StorageFaultEvent,
     exponential_fault_plan,
 )
-from repro.runtime.interpreter import ProcessInterpreter, ProcessSnapshot
 from repro.runtime.network import Message, Network
 from repro.runtime.recovery import RecoverySupervisor
 from repro.runtime.transport import (
@@ -57,6 +61,8 @@ from repro.runtime.storage import (
     StoredCheckpoint,
 )
 from repro.runtime.trace import ExecutionTrace
+
+_EXPORTS = {"repro.runtime.interpreter": ("ProcessInterpreter",)}
 
 __all__ = [
     "BcastRecvEffect",
@@ -99,3 +105,5 @@ __all__ = [
     "run_schedule",
     "shrink_schedule",
 ]
+
+__getattr__ = lazy_exports(globals(), _EXPORTS)

@@ -28,10 +28,12 @@ Two record shapes exist on the wire:
   checkpoint (the rank's previously published entry): changed/added
   environment slots, changed vector-clock components, changed channel
   cursors and input counters. Scalars and control frames are tiny and
-  always stored whole. :func:`apply_delta` reconstructs the full record
-  from a parent's (recursively reconstructed) full record; the result
-  is byte-identical to encoding the checkpoint directly, which is what
-  lets checksums be defined over *reconstructed* content.
+  always stored whole. Applying a delta to its parent's (recursively
+  reconstructed) full record gives bytes identical to encoding the
+  checkpoint directly, which is what lets checksums be defined over
+  *reconstructed* content. A run never decodes a delta: it keeps the
+  checkpoint object, so the reconstruction is the test oracle
+  ``tests/runtime/delta_oracle.py``.
 """
 
 from __future__ import annotations
@@ -266,7 +268,8 @@ def _changed_indices(clock: tuple, parent_clock: tuple) -> list[int]:
 def delta_record(checkpoint, parent) -> tuple:
     """*checkpoint* as a ``delta`` record against *parent*.
 
-    Only call after :func:`delta_encodable` returned True.
+    Only call when :func:`checkpoint_sizes` prices a delta for the
+    pair.
     """
     snap = checkpoint.snapshot
     psnap = parent.snapshot
@@ -351,7 +354,7 @@ class SizeLedger:
         Exactly ``len(encode_record(checkpoint_record(checkpoint)))``
         and ``len(encode_record(delta_record(checkpoint, parent)))``;
         the latter is ``None`` when there is no such record (no
-        *parent*, or a pair :func:`delta_encodable` refuses) or when
+        *parent*, or a pair the delta scheme refuses) or when
         *delta* is false: then the pass stops after the sums.
         Afterwards the ledger mirrors *checkpoint*.
         """
@@ -612,68 +615,6 @@ def full_bytes_total(checkpoints) -> int:
     return total
 
 
-def delta_encodable(checkpoint, parent) -> bool:
-    """Whether *checkpoint* can be stored as a delta against *parent*.
-
-    The delta scheme requires the parent's environment slots to be a
-    *prefix* of the child's (forward execution only appends or updates
-    slots; the engine re-bases its parent pointer on every rollback, so
-    this holds by construction — checked anyway, because storing an
-    undecodable delta would be a silent-corruption bug), matching clock
-    widths, and no disappearing cursor/input keys.
-    """
-    return checkpoint_sizes(checkpoint, parent)[1] is not None
-
-
-def apply_delta(parent_record: tuple, delta: tuple) -> tuple:
-    """Reconstruct a ``full`` record from its parent's full record.
-
-    The output is byte-identical (under :func:`encode_record`) to
-    :func:`checkpoint_record` of the original checkpoint: environment
-    updates keep the parent's slot order and appends extend it, exactly
-    as forward execution would have.
-    """
-    if parent_record[0] != "full" or delta[0] != "delta":
-        raise StorageError("apply_delta needs a full parent and a delta child")
-    (
-        _kind, rank, number, parent_number, env_changes, frames,
-        checkpoint_count, input_changes, pending_recv, clock_changes,
-        time, cursor_changes, stmt_label, tag,
-    ) = delta
-    if parent_record[2] != parent_number or parent_record[1] != rank:
-        raise StorageError(
-            "delta does not chain to this parent",
-            rank=rank, number=number,
-        )
-    env = dict(parent_record[3])
-    for name, value in env_changes:
-        env[name] = value
-    inputs = dict(parent_record[6])
-    for key, value in input_changes:
-        inputs[key] = value
-    clock = list(parent_record[8])
-    for index, value in clock_changes:
-        clock[index] = value
-    cursors = dict(parent_record[10])
-    for key, value in cursor_changes:
-        cursors[key] = value
-    return (
-        "full",
-        rank,
-        number,
-        tuple(env.items()),
-        frames,
-        checkpoint_count,
-        tuple(sorted(inputs.items())),
-        pending_recv,
-        tuple(clock),
-        time,
-        tuple(sorted(cursors.items())),
-        stmt_label,
-        tag,
-    )
-
-
 def checkpoint_payload(checkpoint) -> bytes:
     """Canonical byte serialisation of a checkpoint's full content.
 
@@ -681,9 +622,9 @@ def checkpoint_payload(checkpoint) -> bytes:
     single serialisation shared by checksums, replication, torn-write
     staging and the delta encoder (byte accounting uses its structural
     size, not the bytes). For a delta entry this is the
-    *reconstructed* content: byte-identical to chaining
-    :func:`apply_delta` up from the nearest full ancestor, which is why
-    one checksum definition covers both payload kinds.
+    *reconstructed* content: byte-identical to applying the delta
+    chain from the nearest full ancestor, which is why one checksum
+    definition covers both payload kinds.
     """
     return encode_record(checkpoint_record(checkpoint))
 

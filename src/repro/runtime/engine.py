@@ -1,6 +1,6 @@
 """The discrete-event simulation engine.
 
-Each process executes its MiniMP interpreter one effect at a time; the
+Each process executes its backend process one effect at a time; the
 engine charges simulated time per effect, routes messages over the FIFO
 network, maintains vector clocks, records the trace, takes snapshots to
 stable storage, injects crashes from the failure plan, and dispatches
@@ -29,13 +29,53 @@ from repro.runtime.dispatch import Dispatch
 from repro.runtime.failures import FaultPlan
 from repro.runtime.hooks import NullProtocol, ProtocolHooks
 from repro.runtime.inputs import InputProvider
-from repro.runtime.interpreter import make_backend
 from repro.runtime.network import Network
 from repro.runtime.recovery import Recovery
 from repro.runtime.scheduler import Scheduler, _Proc
 from repro.runtime.storage import CheckpointStore
 from repro.runtime.trace import ExecutionTrace
 from repro.runtime.transport import NetworkFaultInjector
+
+
+def make_backend(program: ast.Program, n_processes: int, backend: str):
+    """The per-rank process factory of *backend*, with its lowering.
+
+    Returns ``(factory, lowered, labels)``; ``factory(rank, params,
+    inputs)`` builds one rank's process, which follows the driving
+    protocol of :mod:`repro.runtime.effects`. ``"compiled"`` lowers
+    *program* once into the instruction table all ranks share —
+    *lowered*, the :class:`~repro.lang.compile.CompiledProgram`, which
+    the commit path reads for pruning masks — and its factory only
+    allocates a rank's registers over it. ``"reference"`` builds the
+    tree-walking oracle of :mod:`repro.runtime.interpreter` and has no
+    lowered form (``None``). *labels* maps each ``checkpoint``
+    statement's node id to its document-order ordinal, the label a
+    stored checkpoint carries
+    (:attr:`~repro.runtime.storage.StoredCheckpoint.stmt_label`).
+    """
+    labels = {
+        node.node_id: ordinal
+        for ordinal, node in enumerate(
+            node for node in ast.walk(program)
+            if type(node) is ast.Checkpoint
+        )
+    }
+    if backend == "compiled":
+        # Imported on first run, so a process that only transforms
+        # never loads the compiler.
+        from repro.lang.compile import compile_program
+
+        compiled = compile_program(program, n_processes)
+        return compiled.bind, compiled, labels
+    # The differential oracle; production runs never import it.
+    from repro.runtime.interpreter import ProcessInterpreter
+
+    def make_reference(rank, params=None, inputs=None):
+        return ProcessInterpreter(
+            program, rank, n_processes, params=params, inputs=inputs
+        )
+
+    return make_reference, None, labels
 
 
 class Simulation(Scheduler, Dispatch, Commit, Recovery):

@@ -1,36 +1,23 @@
-"""The MiniMP interpreter with an explicit, snapshot-able control stack.
+"""The reference MiniMP interpreter: a tree walk over the AST.
 
-Python generators cannot be copied, so a coroutine-style interpreter
-could not support genuine checkpoint/restore. Instead, the interpreter
-keeps its control state as an explicit stack of small frames (block
-position, loop bookkeeping); :meth:`ProcessInterpreter.snapshot`
-captures it (plus the variable environment) in O(stack) without copying
-the shared AST, and :meth:`ProcessInterpreter.restore` rewinds to it.
+The engine runs the compiled backend (:mod:`repro.lang.compile`); this
+interpreter is its differential oracle, selected by
+``RunConfig.backend="reference"`` (``--backend reference``).
+``tests/runtime/test_backend_differential.py`` checks that both produce
+the same effect streams and bit-identical
+:class:`~repro.runtime.effects.ProcessSnapshot`\\ s. It follows the
+driving protocol of :mod:`repro.runtime.effects`.
 
-Driving protocol::
-
-    effect = interp.step()          # None when the program finished
-    ...engine performs the effect...
-    interp.deliver(value)           # only after a Recv/BcastRecv effect
-
-This module is also the **backend seam**: :func:`make_backend` returns a
-per-rank process factory for either execution backend —
-
-- ``"compiled"`` (default): the closure/register machine from
-  :mod:`repro.lang.compile`, which lowers the program once per
-  ``(program, n)`` into one instruction table every rank executes;
-- ``"reference"``: this tree-walking interpreter, retained as a
-  differential oracle (the same pattern PR 5 used for the scheduler).
-
-Both backends produce bit-identical :class:`ProcessSnapshot`\\ s and
-identical effect streams; ``tests/runtime/test_backend_differential.py``
-enforces it.
+Python generators cannot be copied, so the interpreter keeps its
+control state as an explicit stack of small frames (block position,
+loop bookkeeping); :meth:`ProcessInterpreter.snapshot` captures it
+(plus the variable environment) in O(stack) without copying the shared
+AST, and :meth:`ProcessInterpreter.restore` rewinds to it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from repro.errors import SimulationError
 from repro.lang import ast_nodes as ast
@@ -41,14 +28,13 @@ from repro.runtime.effects import (
     CheckpointEffect,
     ComputeEffect,
     Effect,
+    FrameState,
     LocalEffect,
+    ProcessSnapshot,
     RecvEffect,
     SendEffect,
 )
 from repro.runtime.inputs import InputProvider
-
-if TYPE_CHECKING:
-    from repro.lang.compile import CompiledProgram
 
 
 @dataclass
@@ -66,44 +52,6 @@ class _Frame:
     stmt: ast.Stmt | None = None
     remaining: int = 0
     trip: int = 0
-
-
-class FrameState(NamedTuple):
-    """One frozen control-stack entry inside a :class:`ProcessSnapshot`.
-
-    The compact (tuple) frame representation shared by both execution
-    backends: an immutable record of a :class:`_Frame`, so snapshots
-    tuple-freeze the stack instead of allocating mutable frame copies.
-    Field names match ``_Frame`` — checkpoint payloads read
-    ``kind``/``index``/``remaining``/``trip`` unchanged.
-    """
-
-    kind: str
-    block: ast.Block | None = None
-    index: int = 0
-    stmt: ast.Stmt | None = None
-    remaining: int = 0
-    trip: int = 0
-
-
-@dataclass(frozen=True)
-class ProcessSnapshot:
-    """A restorable snapshot of one process's state.
-
-    Frames are tuple-frozen :class:`FrameState` records, the environment
-    is copied, the AST is shared. ``checkpoint_count`` preserves dynamic
-    checkpoint numbering across rollbacks; ``input_counters`` preserves
-    the input stream position. ``pending_recv`` is the awaited variable
-    when the snapshot was taken while blocked at a receive (protocols
-    may checkpoint a blocked process); restoring such a snapshot
-    re-enters the blocked state and the engine re-issues the receive.
-    """
-
-    env: dict[str, int]
-    frames: tuple[FrameState, ...]
-    checkpoint_count: int
-    input_counters: dict[str, int]
-    pending_recv: str | None = None
 
 
 class ProcessInterpreter:
@@ -137,11 +85,6 @@ class ProcessInterpreter:
     def finished(self) -> bool:
         """True once the program has run to completion."""
         return not self._stack
-
-    @property
-    def awaiting_delivery(self) -> bool:
-        """True while blocked at a receive awaiting deliver()."""
-        return self._pending_recv is not None
 
     # -- snapshot / restore -----------------------------------------------------
 
@@ -382,54 +325,3 @@ class ProcessInterpreter:
         if op == ">=":
             return int(left >= right)
         raise SimulationError(f"unknown operator {op!r}")
-
-
-# -- backend seam -------------------------------------------------------------
-
-#: A per-rank process factory: (rank, params, inputs) -> process.
-ProcessFactory = Callable[
-    [int, "dict[str, int] | None", "InputProvider | None"],
-    "ProcessInterpreter",
-]
-
-
-def make_backend(
-    program: ast.Program, n_processes: int, backend: str
-) -> tuple[ProcessFactory, CompiledProgram | None, dict[int, int]]:
-    """Build the per-rank process factory of the chosen *backend*.
-
-    Returns ``(factory, lowered, labels)``. ``"compiled"`` lowers
-    *program* once into the instruction table all ranks share —
-    *lowered*, the :class:`~repro.lang.compile.CompiledProgram`, which
-    callers reach for pruning masks and lowering diagnostics — and its
-    factory only allocates a rank's registers over it; ``"reference"`` constructs the
-    tree-walking :class:`ProcessInterpreter` and has no lowered form
-    (``None``). Both factories expose the identical
-    ``step``/``deliver``/``snapshot``/``restore`` surface. *labels*
-    maps each ``checkpoint`` statement's node id to its document-order
-    ordinal, the label a stored checkpoint carries
-    (:attr:`~repro.runtime.storage.StoredCheckpoint.stmt_label`).
-    *backend* is one of :data:`~repro.runtime.config.BACKENDS`
-    (validated by :class:`~repro.runtime.config.RunConfig`).
-    """
-    labels = {
-        node.node_id: ordinal
-        for ordinal, node in enumerate(
-            node for node in ast.walk(program)
-            if type(node) is ast.Checkpoint
-        )
-    }
-    if backend == "compiled":
-        # Imported here: lang.compile imports this module for the
-        # snapshot types, so a top-level import would be circular.
-        from repro.lang.compile import compile_program
-
-        compiled = compile_program(program, n_processes)
-        return compiled.bind, compiled, labels
-
-    def make_reference(rank, params=None, inputs=None):
-        return ProcessInterpreter(
-            program, rank, n_processes, params=params, inputs=inputs
-        )
-
-    return make_reference, None, labels

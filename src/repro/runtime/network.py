@@ -346,16 +346,3 @@ class Network:
                 if channel.replayed >= channel.sent:
                     channel.replayed = None
         return replayed
-
-    # -- introspection -----------------------------------------------------------------
-
-    def queued_messages(self) -> list[Message]:
-        """Every currently undelivered message, across all channels."""
-        queued: list[Message] = []
-        for channel in self._channels.values():
-            queued.extend(channel.log[channel.delivered :])
-        return queued
-
-    def total_sent(self) -> int:
-        """Total messages ever sent (across rollback truncations)."""
-        return sum(c.sent for c in self._channels.values())

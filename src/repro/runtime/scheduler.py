@@ -28,12 +28,15 @@ from __future__ import annotations
 import heapq
 import weakref
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.errors import DeadlockError, SimulationError
 from repro.runtime.effects import BcastRecvEffect, Effect, RecvEffect
 from repro.runtime.hooks import ControlMessage, ProtocolHooks
-from repro.runtime.interpreter import ProcessInterpreter
 from repro.runtime.network import Message
+
+if TYPE_CHECKING:
+    from repro.lang.compile import CompiledProcess
 
 _INF = float("inf")
 
@@ -48,7 +51,9 @@ class _Status:
 @dataclass
 class _Proc:
     rank: int
-    interp: ProcessInterpreter
+    # The rank's backend process: a CompiledProcess, or the reference
+    # interpreter, which has the same surface (repro.runtime.effects).
+    interp: CompiledProcess
     clock: float = 0.0
     status: str = _Status.READY
     blocked_effect: Effect | None = None

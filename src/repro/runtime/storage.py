@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 from repro.causality.vector_clock import VectorClock
 from repro.errors import StorageError, TransientStorageError
+from repro.runtime.effects import ProcessSnapshot
 from repro.runtime.encoding import (
     checkpoint_checksum,
     checkpoint_sizes,
@@ -31,7 +32,6 @@ from repro.runtime.encoding import (
     stored_payload,
 )
 from repro.runtime.failures import FaultKind, StorageFaultEvent
-from repro.runtime.interpreter import ProcessSnapshot
 from repro.runtime.recovery import MAX_RECOVERY_ATTEMPTS
 
 #: Longest run of consecutive delta-encoded checkpoints per rank before
@@ -47,7 +47,7 @@ class StoredCheckpoint:
     Attributes:
         rank: Owning process.
         number: Per-process dynamic sequence number (0 = initial state).
-        snapshot: Restorable interpreter state.
+        snapshot: Restorable process state.
         clock: Vector clock at checkpoint completion.
         time: Simulation time at which the checkpoint completed.
         channel_cursors: ``(sent, delivered)`` cursors of the process's

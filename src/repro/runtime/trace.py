@@ -64,14 +64,6 @@ class ExecutionTrace:
 
     # -- queries ---------------------------------------------------------------
 
-    def events_for(self, process: int) -> list[TraceEvent]:
-        """The local history of *process*, in order."""
-        return [e for e in self.events if e.process == process]
-
-    def of_kind(self, kind: EventKind) -> list[TraceEvent]:
-        """All events of the given *kind*."""
-        return [e for e in self.events if e.kind is kind]
-
     def checkpoint_events(self) -> dict[int, list[TraceEvent]]:
         """Checkpoint events grouped by process."""
         return checkpoints_by_process(self.events)

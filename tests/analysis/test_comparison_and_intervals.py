@@ -37,12 +37,6 @@ class TestFigure8:
         curves = figure8_series(process_counts=(8, 16))
         assert curves[ProtocolKind.SYNC_AND_STOP].x_values == (8.0, 16.0)
 
-    def test_rows_accessor(self):
-        curve = figure8_series()[ProtocolKind.APPLICATION_DRIVEN]
-        rows = curve.as_rows()
-        assert len(rows) == len(curve.x_values)
-        assert rows[0][1] == curve.ratios[0]
-
 
 class TestFigure9:
     def test_shape_claims_hold(self):

@@ -118,16 +118,12 @@ class TestHitMiss:
 
 
 class TestMetrics:
-    def test_counters_and_hit_rate(self, tmp_path):
+    def test_counters(self, tmp_path):
         cache = TransformCache(tmp_path)
         program = load_program("ring_pipeline")
         transform(program, cache=cache)
         transform(program, cache=cache)
         assert (cache.hits, cache.misses, cache.stores) == (1, 1, 1)
-        assert cache.hit_rate == 0.5
-
-    def test_hit_rate_zero_before_lookups(self, tmp_path):
-        assert TransformCache(tmp_path).hit_rate == 0.0
 
 
 class TestHitFidelity:

@@ -27,13 +27,14 @@ from repro.causality.records import EventKind, TraceEvent
 from repro.causality.rollback_graph import max_consistent_positions
 from repro.causality.vector_clock import VectorClock
 from repro.errors import ReproError, StorageError
-from repro.lang.programs import default_params, load_program, program_names
+from repro.lang.programs import load_program, program_names
 from repro.protocols import make_protocol, protocol_names
 from repro.runtime import FaultPlan, Simulation
 from repro.runtime.chaos import chaos_sweep, storage_recovery_lines_consistent
 from repro.runtime.failures import CrashEvent
 
 from . import pairwise_cuts as oracle
+from ..shipped_params import default_params
 
 
 def same_pair(clocks):

@@ -14,10 +14,12 @@ import pytest
 
 from repro.causality.cuts import first_causal_pair
 from repro.causality.vector_clock import VectorClock
-from repro.lang.programs import default_params, load_program
+from repro.lang.programs import load_program
 from repro.protocols import ApplicationDrivenProtocol
 from repro.runtime import Simulation
 from repro.runtime.chaos import storage_recovery_lines_consistent
+
+from ..shipped_params import default_params
 
 CAUSALITY = str(Path(sys.modules[VectorClock.__module__].__file__).parent)
 

@@ -83,6 +83,6 @@ class TestSimulatedTraces:
     def test_local_history_totally_ordered(self, make, n):
         trace = Simulation(make(), n, params={"steps": 3}).run().trace
         for rank in range(n):
-            history = trace.events_for(rank)
+            history = [e for e in trace.events if e.process == rank]
             for a, b in zip(history, history[1:]):
                 assert happened_before(a, b)

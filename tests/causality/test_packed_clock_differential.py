@@ -2,9 +2,9 @@
 
 ``VectorClock`` holds a clock whose components are all ``int`` s in
 0..127 as one integer and falls back to tuples for anything else. Every
-value, error and returned identity must be what the tuple-only
+value and error must be what the tuple-only
 implementation (``tuple_clock.TupleClock``) produces: along random
-``zero`` / ``tick`` / ``merge`` / ``receive`` chains from arbitrary
+``zero`` / ``tick`` / ``receive`` chains from arbitrary
 seeds, across the 127 -> 128 boundary where a clock leaves the packed
 form, and with packed and unpacked operands mixed.
 """
@@ -83,7 +83,7 @@ class TestChains:
         steps = data.draw(
             st.lists(
                 st.tuples(
-                    st.sampled_from(["tick", "merge", "receive"]),
+                    st.sampled_from(["tick", "receive"]),
                     # Mostly a valid rank; sometimes one past either end
                     # (negative ranks index from the back, as tuples do).
                     st.one_of(
@@ -101,9 +101,6 @@ class TestChains:
             if op == "tick":
                 got = outcome(lambda: a_new.tick(rank))
                 want = outcome(lambda: a_old.tick(rank))
-            elif op == "merge":
-                got = outcome(lambda: a_new.merge(b_new))
-                want = outcome(lambda: a_old.merge(b_old))
             else:
                 got = outcome(lambda: a_new.receive(b_new, rank))
                 want = outcome(lambda: a_old.receive(b_old, rank))
@@ -113,17 +110,16 @@ class TestChains:
                 continue
             new, old = got[1], want[1]
             same_clock(new, old)
-            # merge hands back an operand when it dominates.
-            assert (new is a_new) == (old is a_old)
-            assert (new is b_new) == (old is b_old)
             pool.append((new, old))
         for new, old in pool:
             same_clock(new, old)
         for (a_new, a_old), (b_new, b_old) in zip(pool, pool[1:]):
             assert (a_new == b_new) == (a_old == b_old)
-            for relation in ("happened_before", "concurrent_with"):
-                got = outcome(lambda: getattr(a_new, relation)(b_new))
-                want = outcome(lambda: getattr(a_old, relation)(b_old))
+            for x_new, x_old, y_new, y_old in (
+                (a_new, a_old, b_new, b_old), (b_new, b_old, a_new, a_old),
+            ):
+                got = outcome(lambda: x_new.happened_before(y_new))
+                want = outcome(lambda: x_old.happened_before(y_old))
                 assert got == want
 
 
@@ -156,22 +152,17 @@ class TestLeavingThePackedForm:
             high = high.tick(width - 1)
         assert low.small and not high.small
         for a, b in ((low, high), (high, low)):
-            merged = a.merge(b)
-            same_clock(
-                merged,
-                TupleClock(a.components).merge(TupleClock(b.components)),
-            )
-            assert merged[0] == 1 and merged[width - 1] == 128
             received = a.receive(b, 0)
             same_clock(
                 received,
                 TupleClock(a.components).receive(TupleClock(b.components), 0),
             )
+            assert received[width - 1] == 128
 
     def test_a_scanned_clock_joins_the_packed_path(self):
         built = VectorClock((3, 127, 0))
         assert built.packed == 0x037F00
-        ticked = built.tick(2).merge(VectorClock.zero(3).tick(0))
+        ticked = built.tick(2)
         assert ticked.components == (3, 127, 1) and ticked.small
         assert not built.tick(1).small
 

@@ -109,5 +109,5 @@ class TestMaxConsistentCut:
         ]
         analysis = max_consistent_cut(events, [0, 1])
         assert analysis.rollbacks[1] == 1
-        assert analysis.total_rollback == 1
+        assert sum(analysis.rollbacks.values()) == 1
         assert analysis.domino_steps == 1

@@ -128,9 +128,15 @@ class TestNetzerXuTheorem:
         for a, b in itertools.combinations(checkpoints, 2):
             if a.process == b.process:
                 continue
-            zz = analysis.zz_consistent(
+            # No zigzag path in either direction: the theorem's
+            # condition for the pair to belong to some consistent cut.
+            ends = [
                 (a.process, a.checkpoint_number),
                 (b.process, b.checkpoint_number),
+            ]
+            zz = not (
+                analysis.zigzag_path_exists(*ends)
+                or analysis.zigzag_path_exists(*ends[::-1])
             )
             brute = brute_force_pair_consistent(trace.events, n, a, b)
             assert zz == brute, (

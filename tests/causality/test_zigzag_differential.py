@@ -76,9 +76,10 @@ class TestAgainstNaiveWalk:
                     naive_path_exists(analysis, a, b)
                 ), (a, b)
 
-    def test_closure_from_matches_naive_reach(self, make_program, n):
+    def test_closure_masks_match_naive_reach(self, make_program, n):
         events = simulated_trace(make_program, n)
         analysis = ZigzagAnalysis(events)
+        masks = analysis._ensure_closures()
         for start in analysis._hops:
             expected = {id(start)}
             stack = [start]
@@ -92,4 +93,8 @@ class TestAgainstNaiveWalk:
                     ):
                         expected.add(id(nxt))
                         stack.append(nxt)
-            assert analysis._closure_from(start) == frozenset(expected)
+            mask = masks[analysis._hop_pos[id(start)]]
+            assert {
+                id(hop) for position, hop in enumerate(analysis._hops)
+                if mask >> position & 1
+            } == expected

@@ -33,8 +33,8 @@ class TupleClock:
         """Whether every component is an ``int`` in 0..127.
 
         The checkpoint sizer's question before it treats the clock as a
-        byte string. ``zero`` knows the answer and ``tick`` / ``merge``
-        / ``receive`` pass a yes on while their new components stay
+        byte string. ``zero`` knows the answer and ``tick`` /
+        ``receive`` pass a yes on while their new components stay
         below 128; any other clock is scanned, once.
         """
         small = self._small
@@ -61,35 +61,9 @@ class TupleClock:
         parts[process] += 1
         return _make(tuple(parts), self._small and parts[process] < 128)
 
-    def merge(self, other: "TupleClock") -> "TupleClock":
-        """Component-wise maximum (applied on message receipt)."""
-        mine, theirs = self.components, other.components
-        if len(theirs) != len(mine):
-            raise ValueError(
-                f"clock size mismatch: {len(mine)} vs {len(theirs)}"
-            )
-        # Receipt merges run once per delivered message on the engine's
-        # hot path. The conditional expression avoids a max() call per
-        # component, and returning an existing clock when one side
-        # already dominates skips the allocation.
-        if mine == theirs:
-            return self
-        merged = tuple([a if a >= b else b for a, b in zip(mine, theirs)])
-        if merged == mine:
-            return self
-        if merged == theirs:
-            return other
-        return _make(merged, self._small and other._small)
-
     def receive(self, other: "TupleClock", rank: int) -> "TupleClock":
-        """``tick(rank)`` followed by ``merge(other)``, fused in one pass.
-
-        The receipt rule for vector clocks: bump the receiver's own
-        component, then take the component-wise maximum with the
-        sender's attached clock. Fusing the two saves the intermediate
-        ticked clock's allocation on the engine's delivery path; the
-        result is exactly ``self.tick(rank).merge(other)``.
-        """
+        """``tick(rank)`` followed by the component-wise maximum with
+        *other*: the receipt rule for vector clocks."""
         mine, theirs = self.components, other.components
         if len(theirs) != len(mine):
             raise ValueError(
@@ -112,10 +86,6 @@ class TupleClock:
             )
         at_most = all(a <= b for a, b in zip(self.components, other.components))
         return at_most and self.components != other.components
-
-    def concurrent_with(self, other: "TupleClock") -> bool:
-        """True iff neither clock happened before the other."""
-        return not self.happened_before(other) and not other.happened_before(self)
 
 
 def _make(components: tuple, small=None) -> TupleClock:

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.cfg import CFG, NodeKind, build_cfg
-from repro.cfg.builder import nodes_for_statement
 from repro.cfg.graph import ExtendedCFG
 from repro.errors import CFGError
 from repro.lang import ast_nodes as ast
@@ -87,13 +86,17 @@ class TestStatementNodes:
         headers = [n for n in cfg.nodes() if n.is_loop_header]
         assert len(headers) == 1
 
-    def test_nodes_for_statement(self):
+    def test_a_checkpoint_statement_has_one_node(self):
         program = jacobi()
         cfg = build_cfg(program)
         checkpoint_stmt = next(
             n for n in ast.walk(program) if isinstance(n, ast.Checkpoint)
         )
-        nodes = nodes_for_statement(cfg, checkpoint_stmt)
+        nodes = [
+            node for node in cfg.nodes()
+            if node.stmt is not None
+            and node.stmt.node_id == checkpoint_stmt.node_id
+        ]
         assert len(nodes) == 1
         assert nodes[0].kind is NodeKind.CHECKPOINT
 
@@ -125,7 +128,9 @@ class TestExtendedCFG:
         recv = cfg.recv_nodes()[0]
         ext.add_message_edge(send.node_id, recv.node_id)
         assert ext.matches_for_recv(recv.node_id) == [send.node_id]
-        assert ext.matches_for_send(send.node_id) == [recv.node_id]
+        assert [
+            m.recv_id for m in ext.message_edges if m.send_id == send.node_id
+        ] == [recv.node_id]
 
     def test_message_edge_rejects_wrong_kinds(self):
         cfg = build_cfg(jacobi())

@@ -67,7 +67,7 @@ def test_branch_edges_labelled(program):
 
 @settings(max_examples=40, deadline=None)
 @given(program=programs)
-def test_back_edges_target_loop_headers(program):
+def test_every_back_edge_targets_a_loop_header(program):
     cfg = build_cfg(program)
     for edge in find_back_edges(cfg):
         assert cfg.node(edge.dst).is_loop_header

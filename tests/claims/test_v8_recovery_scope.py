@@ -17,7 +17,7 @@ def _restarts(program, protocol):
         fault_plan=FaultPlan.single(23.7, 1),
     ).run()
     assert result.stats.completed
-    return len(result.trace.of_kind(EventKind.RESTART))
+    return len([e for e in result.trace.events if e.kind is EventKind.RESTART])
 
 
 def test_straight_cut_restarts_4_ranks_and_logging_1():

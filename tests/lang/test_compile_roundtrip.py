@@ -81,7 +81,7 @@ def drive(proc):
         history.append((effect_signature(effect), dict(proc.env)))
         if effect is None:
             break
-        if proc.awaiting_delivery:
+        if proc.snapshot().pending_recv is not None:
             synthetic += 1
             proc.deliver(synthetic)
     return (

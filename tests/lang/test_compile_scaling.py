@@ -18,9 +18,11 @@ from repro.lang import ast_nodes as ast
 from repro.lang.builtins import BUILTINS
 from repro.lang.compile import CompiledProgram, compile_program
 from repro.lang.parser import parse
-from repro.lang.programs import default_params, load_program
+from repro.lang.programs import load_program
 from repro.runtime import Simulation
 from repro.runtime.inputs import InputProvider
+
+from ..shipped_params import default_params
 
 
 def tracked_objects_allocated_by(action) -> int:

@@ -4,10 +4,26 @@ import pytest
 
 from repro.errors import LanguageError
 from repro.lang import ast_nodes as ast
-from repro.lang.mpmd import RankSet, Role, combine_mpmd, role_of_rank
+from repro.lang.mpmd import RankSet, Role, combine_mpmd
 from repro.lang.parser import parse
 from repro.phases import ensure_recovery_lines, verify_program
 from repro.runtime import Simulation
+
+
+
+def role_of_rank(roles: list[Role], rank: int, nprocs: int) -> int | None:
+    """Index of the role *rank* executes, or None if unassigned."""
+    claimed: set[int] = set()
+    for position, role in enumerate(roles):
+        if role.ranks.kind == "rest":
+            members = frozenset(range(nprocs)) - claimed
+        else:
+            members = role.ranks.members(nprocs)
+        if rank in members:
+            return position
+        claimed |= members
+    return None
+
 
 COORDINATOR_SOURCE = """\
 program coordinator():

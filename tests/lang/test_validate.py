@@ -3,10 +3,11 @@
 import pytest
 
 from repro.lang.parser import parse
-from repro.lang.programs import load_program, program_names, default_params
+from repro.lang.programs import load_program, program_names
 from repro.lang.validate import validate_program
 
 from ..cfg.branchy import widened
+from ..shipped_params import default_params
 
 
 def program(statements: str):

@@ -178,7 +178,7 @@ class TestReconstruction:
 
     def test_appending_after_rebuild_continues_sequences(self):
         _, rebuilt = _round_trip()
-        before = len(rebuilt.events_for(0))
+        before = len([e for e in rebuilt.events if e.process == 0])
         event = rebuilt.append(
             EventKind.CHECKPOINT, 0, 99.0, VectorClock.zero(4)
         )

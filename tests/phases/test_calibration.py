@@ -5,8 +5,9 @@ import pytest
 from repro.lang import ast_nodes as ast
 from repro.lang.parser import parse
 from repro.lang.programs import jacobi_plain
-from repro.phases.calibration import calibrate_cost_model, calibrated_transform
+from repro.phases.calibration import calibrate_cost_model
 from repro.phases.insertion import CostModel
+from repro.phases.pipeline import transform
 from repro.runtime import Simulation
 
 
@@ -65,13 +66,15 @@ class TestCalibration:
 
 class TestCalibratedTransform:
     def test_end_to_end(self):
-        result = calibrated_transform(
+        report = calibrate_cost_model(
             jacobi_plain(),
             4,
             params={"steps": 10},
             base_model=CostModel(checkpoint_overhead=2.0, failure_rate=0.05,
                                  params={"steps": 10}),
         )
+        assert report.cost_model.interval() > 0
+        result = transform(jacobi_plain(), cost_model=report.cost_model)
         assert result.insertion is not None
         assert ast.count_statements(result.program, ast.Checkpoint) >= 1
         run = Simulation(result.program, 4, params={"steps": 6}).run()

@@ -8,9 +8,16 @@ from repro.lang.parser import parse
 from repro.lang.printer import ast_equal
 from repro.phases.insertion import (
     CostModel,
-    estimate_cost,
+    _InsertionWalker,
     insert_checkpoints,
 )
+
+
+def walk_cost(program: ast.Program, model: CostModel = CostModel()):
+    """The cost walk's estimate of one run, inserting nothing."""
+    walker = _InsertionWalker(model, interval=float("inf"))
+    walker.walk_block(ast.clone(program.body))
+    return walker.total_cost
 
 
 def program(statements: str):
@@ -24,23 +31,23 @@ class TestCostModel:
         assert model.interval() == pytest.approx((2 * 8.0 / 0.01) ** 0.5)
 
     def test_compute_cost_uses_literal(self):
-        cost = estimate_cost(program("compute(7)"))
+        cost = walk_cost(program("compute(7)"))
         assert cost == pytest.approx(7.0)
 
     def test_message_statements_cost_delay(self):
         model = CostModel(message_delay=9.0, local_statement=1.0)
-        cost = estimate_cost(program("send(0, 1)"), model)
+        cost = walk_cost(program("send(0, 1)"), model)
         assert cost == pytest.approx(10.0)
 
     def test_loop_cost_multiplied_by_trips(self):
-        cost = estimate_cost(
+        cost = walk_cost(
             program("for k in range(5):\n    compute(2)")
         )
         assert cost == pytest.approx(10.0)
 
     def test_while_idiom_bound_recognised(self):
         model = CostModel(params={"steps": 4}, local_statement=0.0)
-        cost = estimate_cost(
+        cost = walk_cost(
             program("i = 0\nwhile i < steps:\n    compute(3)\n    i = i + 1"),
             model,
         )
@@ -48,14 +55,14 @@ class TestCostModel:
         assert cost >= 12.0
 
     def test_if_costs_max_of_branches(self):
-        cost = estimate_cost(
+        cost = walk_cost(
             program("if myrank == 0:\n    compute(10)\nelse:\n    compute(2)")
         )
         assert cost == pytest.approx(10.0)
 
     def test_unknown_loop_uses_default_trips(self):
         model = CostModel(default_loop_trips=3, local_statement=0.0)
-        cost = estimate_cost(
+        cost = walk_cost(
             program("while input(x) > 0:\n    compute(2)"), model
         )
         assert cost == pytest.approx(6.0)

@@ -13,11 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.causality.records import EventKind
-from repro.lang.programs import default_params, load_program, program_names
+from repro.lang.programs import load_program, program_names
 from repro.phases.matching import build_extended_cfg
 from repro.runtime import Simulation
 
 from .generator import generate_exchange_program, generate_ring_program
+from ..shipped_params import default_params
 
 
 def observed_statement_pairs(trace):

@@ -4,10 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cfg import build_cfg, index_checkpoints
 from repro.errors import PlacementError
 from repro.lang import ast_nodes as ast
 from repro.lang.parser import parse
-from repro.lang.printer import ast_equal
+from repro.lang.printer import ast_equal, to_source
 from repro.lang.programs import jacobi, jacobi_odd_even, ring_unsafe
 from repro.phases.pipeline import transform
 from repro.phases.placement import ensure_recovery_lines
@@ -122,6 +123,35 @@ class TestWidePrograms:
             ("hoist checkpoint before line-71 construct (rebalance)", 1)
         ]
         assert verify_program(result.program).ok
+
+
+class TestRebalanceFromTheProgramBody:
+    """A surplus pick in the program body cannot be hoisted; a
+    checkpoint of the arm that carries the surplus rises instead."""
+
+    SOURCE = to_source(jacobi_odd_even()) + (
+        "    if x % 2 == 0:\n"
+        "        checkpoint\n"
+        "        x = x + 1\n"
+        "    else:\n"
+        "        x = x - 1\n"
+    )
+
+    def test_a_trailing_unbalanced_branch_transforms(self):
+        source = parse(self.SOURCE)
+        assert index_checkpoints(build_cfg(source)).path_counts == (1, 2)
+        result = transform(source)
+        assert verify_program(result.program).ok
+        assert index_checkpoints(build_cfg(result.program)).balanced
+
+    def test_the_result_computes_what_the_program_does(self):
+        from repro.runtime import Simulation
+
+        original = parse(self.SOURCE)
+        fixed = transform(original).program
+        env_a = Simulation(original, 4, params={"steps": 4}).run().final_env
+        env_b = Simulation(fixed, 4, params={"steps": 4}).run().final_env
+        assert env_a == env_b
 
 
 class TestSemanticPreservation:

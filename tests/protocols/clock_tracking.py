@@ -66,8 +66,8 @@ class ClockTrackingProtocol(CheckpointingProtocol):
             message.piggyback.get(f"{_PREFIX}{index}", 0)
             for index in range(sim.n)
         )
-        self._clocks[rank] = self._clocks[rank].tick(rank).merge(
-            VectorClock(carried)
+        self._clocks[rank] = self._clocks[rank].receive(
+            VectorClock(carried), rank
         )
 
     def on_checkpoint(self, sim: "Simulation", rank: int, number: int) -> None:

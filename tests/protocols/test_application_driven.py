@@ -6,7 +6,7 @@ import pytest
 
 from repro.causality.records import EventKind
 from repro.errors import RecoveryError
-from repro.lang.programs import default_params, jacobi, jacobi_odd_even, ring_pipeline
+from repro.lang.programs import jacobi, jacobi_odd_even, ring_pipeline
 from repro.protocols import ApplicationDrivenProtocol
 from repro.runtime import (
     CrashEvent,
@@ -18,6 +18,8 @@ from repro.runtime import (
     StorageFaultEvent,
 )
 from repro.runtime.trace import ExecutionTrace
+
+from ..shipped_params import default_params
 
 
 class TestCoordinationFreedom:
@@ -190,7 +192,6 @@ class TestCutValidationReadsStoredClocks:
         def scan(*args):
             raise AssertionError("cut validation read the trace")
 
-        monkeypatch.setattr(ExecutionTrace, "events_for", scan)
         monkeypatch.setattr(ExecutionTrace, "checkpoint_events", scan)
         protocol = ApplicationDrivenProtocol()
         result = Simulation(

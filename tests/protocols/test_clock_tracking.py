@@ -4,7 +4,6 @@ import pytest
 
 from repro.causality.records import EventKind
 from repro.lang.programs import (
-    default_params,
     jacobi,
     master_worker,
     token_ring,
@@ -13,6 +12,7 @@ from repro.lang.programs import (
 from repro.runtime import Simulation
 
 from .clock_tracking import ClockTrackingProtocol
+from ..shipped_params import default_params
 
 
 def run_tracked(make, n, steps=4):
@@ -26,7 +26,9 @@ def run_tracked(make, n, steps=4):
 
 def engine_checkpoint_clocks(result):
     clocks = {}
-    for event in result.trace.of_kind(EventKind.CHECKPOINT):
+    for event in result.trace.events:
+        if event.kind is not EventKind.CHECKPOINT:
+            continue
         clocks[(event.process, event.checkpoint_number)] = event.clock
     return clocks
 

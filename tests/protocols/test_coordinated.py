@@ -24,7 +24,7 @@ def round_cut_consistent(result, tag_prefix, round_id, n):
         checkpoint = result.storage.latest_with_tag(rank, f"{tag_prefix}-{round_id}")
         if checkpoint is None:
             return None
-        for event in result.trace.events_for(rank):
+        for event in [e for e in result.trace.events if e.process == rank]:
             if (
                 event.kind is EventKind.CHECKPOINT
                 and event.checkpoint_number == checkpoint.number

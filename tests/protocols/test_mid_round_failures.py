@@ -2,16 +2,23 @@
 
 The hard edge for SaS/C-L: a failure while a round is in flight must
 abort the round (stale control messages ignored), fall back to the last
-*completed* round, and still finish with correct results. With no
-completed round left, the fallback straight cut must be consistent.
+*completed* round, and still finish with correct results. A round
+with a member that lost its storage quorum is skipped like one with a
+member gone. With no completed round left, the fallback straight cut
+must be consistent.
 """
 
 import pytest
 
-from repro.lang.programs import jacobi_odd_even, jacobi_plain
+from repro.campaign.spec import ScenarioSpec
+from repro.lang.programs import (
+    RING_PIPELINE_SOURCE,
+    jacobi_odd_even,
+    jacobi_plain,
+)
 from repro.protocols import ChandyLamportProtocol, SyncAndStopProtocol
-from repro.runtime import FaultPlan, Simulation
-from repro.runtime.failures import CrashEvent
+from repro.runtime import FaultPlan, Simulation, chaos
+from repro.runtime.failures import CrashEvent, FaultKind, StorageFaultEvent
 
 
 @pytest.fixture(scope="module")
@@ -88,3 +95,33 @@ def test_fallback_skips_inconsistent_straight_cut(make):
     assert result.stats.rollbacks == 1
     assert result.stats.recovery_fallbacks == 1
     assert result.final_env == run().final_env
+
+
+@pytest.mark.parametrize("protocol, rot, crash", [
+    ("cl", 19.5, 20.0), ("sas", 19.6, 20.1),
+])
+@pytest.mark.parametrize("rotten", [1, 2])
+def test_a_round_that_lost_its_quorum_is_skipped(protocol, rot, crash, rotten):
+    # Rank 0's checkpoint 9 is round 3's member. Rot on two replicas of
+    # three loses its quorum, so recovery must restore round 2 instead
+    # of refusing the corrupt member; rot on one keeps the quorum.
+    def spec(plan=None):
+        return ScenarioSpec(
+            label=protocol, program=RING_PIPELINE_SOURCE, n_processes=3,
+            params={"steps": 8}, protocol=protocol, period=6.0,
+            storage_replicas=3, fault_plan=plan,
+        )
+
+    faulted = spec(FaultPlan(
+        crashes=[CrashEvent(crash, 1)],
+        storage_faults=[
+            StorageFaultEvent(rot, 0, FaultKind.BIT_ROT, 9, replica)
+            for replica in range(rotten)
+        ],
+    ))
+    sim = faulted.build()
+    result = sim.run()
+    assert result.stats.completed
+    assert result.stats.fallback_depths == ([1] if rotten == 2 else [])
+    assert chaos.judge(faulted, sim, result) is None
+    assert result.final_env == spec().build().run().final_env

@@ -184,7 +184,7 @@ def drive_process(proc):
         history.append((effect, getattr(effect, "stmt", None), dict(proc.env)))
         if effect is None:
             break
-        if proc.awaiting_delivery:
+        if proc.snapshot().pending_recv is not None:
             proc.deliver(1_000 + step)
     return history, dict(proc.env), failure
 

@@ -28,7 +28,7 @@ from repro.runtime.config import CHECKPOINT_MODES
 from repro.runtime.encoding import (
     checkpoint_payload,
     checkpoint_record,
-    delta_encodable,
+    checkpoint_sizes,
     delta_record,
     encode_record,
     stored_payload,
@@ -133,7 +133,7 @@ def decisions_from_encoded_lengths(history):
         if (
             previous is not None
             and depth_of[id(previous)] < DELTA_CHAIN_CAP
-            and delta_encodable(checkpoint, previous)
+            and checkpoint_sizes(checkpoint, previous)[1] is not None
         ):
             delta = len(encode_record(delta_record(checkpoint, previous)))
             full = len(encode_record(checkpoint_record(checkpoint)))

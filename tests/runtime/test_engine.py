@@ -1,14 +1,18 @@
 """Simulation-engine tests: scheduling, time accounting, determinism,
 deadlock detection, checkpointing, crash/rollback."""
 
+from collections import Counter
+
 import pytest
 
 from repro.causality.records import EventKind
 from repro.errors import DeadlockError, RecoveryError, SimulationError
 from repro.lang.parser import parse
-from repro.lang.programs import default_params, jacobi, master_worker
+from repro.lang.programs import jacobi, master_worker
 from repro.protocols import ApplicationDrivenProtocol
 from repro.runtime import FaultPlan, RuntimeCosts, Simulation
+
+from ..shipped_params import default_params
 
 
 def program(statements: str):
@@ -93,21 +97,26 @@ class TestTimeAccounting:
             "    y = recv(0)\n"
         )
         result = Simulation(source, 2, costs=costs, base_latency=2.0).run()
-        recv_event = result.trace.of_kind(EventKind.RECV)[0]
+        recv_event = next(
+            e for e in result.trace.events if e.kind is EventKind.RECV
+        )
         assert recv_event.time >= 12.0
 
     def test_event_times_non_decreasing_per_process(self, any_program):
         result = Simulation(any_program, 4, params=default_params(any_program.name)).run()
         for rank in range(4):
-            times = [e.time for e in result.trace.events_for(rank)]
+            times = [
+                e.time for e in result.trace.events if e.process == rank
+            ]
             assert times == sorted(times)
 
 
 class TestTraceContents:
     def test_send_recv_pair_per_message(self):
         result = Simulation(jacobi(), 4, params={"steps": 2}).run()
-        sends = {e.message_id for e in result.trace.of_kind(EventKind.SEND)}
-        recvs = {e.message_id for e in result.trace.of_kind(EventKind.RECV)}
+        events = result.trace.events
+        sends = {e.message_id for e in events if e.kind is EventKind.SEND}
+        recvs = {e.message_id for e in events if e.kind is EventKind.RECV}
         assert sends == recvs
 
     def test_checkpoint_events_numbered_sequentially(self):
@@ -182,8 +191,9 @@ class TestCrashRecovery:
             protocol=ApplicationDrivenProtocol(),
             fault_plan=FaultPlan.single(11.0, 2),
         ).run()
-        assert len(result.trace.of_kind(EventKind.FAILURE)) == 1
-        assert len(result.trace.of_kind(EventKind.RESTART)) == 4
+        kinds = Counter(e.kind for e in result.trace.events)
+        assert kinds[EventKind.FAILURE] == 1
+        assert kinds[EventKind.RESTART] == 4
 
     def test_storage_truncated_on_rollback(self):
         result = Simulation(

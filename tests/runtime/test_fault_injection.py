@@ -12,7 +12,7 @@ from repro.runtime.failures import (
     exponential_fault_plan,
 )
 from repro.runtime.encoding import checkpoint_checksum
-from repro.runtime.interpreter import ProcessSnapshot
+from repro.runtime.effects import ProcessSnapshot
 from repro.runtime.storage import CheckpointStore, StoredCheckpoint
 
 

@@ -104,7 +104,7 @@ class TestEffects:
         interp = ProcessInterpreter(program("y = recv(1)\nz = y + 1"), 0, 2)
         effect = interp.step()
         assert isinstance(effect, RecvEffect)
-        assert interp.awaiting_delivery
+        assert interp.snapshot().pending_recv == "y"
         with pytest.raises(SimulationError, match="awaiting"):
             interp.step()
         interp.deliver(41)
@@ -208,7 +208,7 @@ class TestSnapshotRestore:
         run_to_completion(interp)
         assert interp.env["z"] == 10
         interp.restore(snap)
-        assert interp.awaiting_delivery
+        assert interp.snapshot().pending_recv == "y"
         interp.deliver(8)
         run_to_completion(interp)
         assert interp.env["z"] == 16

@@ -93,7 +93,7 @@ class TestRollback:
         net.send(0, 1, 2, send_time=0.1)
         net.rollback({}, restart_time=10.0)
         assert net.peek(0, 1) is None
-        assert net.total_sent() == 0
+        assert all(c.sent == 0 for c in net._channels.values())
 
     def test_in_flight_preserved(self):
         net = Network(2, base_latency=1.0, jitter=0.0)

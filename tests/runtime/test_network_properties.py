@@ -19,6 +19,14 @@ N = 3
 CHANNELS = [(s, d) for s in range(N) for d in range(N) if s != d]
 
 
+def undelivered_messages(network: Network) -> list:
+    """Every undelivered message, across all channels."""
+    return [
+        message for channel in network._channels.values()
+        for message in channel.log[channel.delivered:]
+    ]
+
+
 class _ReferenceModel:
     """The obviously-correct model: per-channel log + cursors."""
 
@@ -98,7 +106,7 @@ def test_network_matches_reference_model(ops):
     # Final state: every channel's queue must match the model.
     for key in CHANNELS:
         queue = [
-            m.value for m in network.queued_messages()
+            m.value for m in undelivered_messages(network)
             if (m.src, m.dst) == key
         ]
         assert queue == model.queue(key)
@@ -209,7 +217,7 @@ def test_faulty_network_matches_reference_model(ops, faults):
 
     for key in CHANNELS:
         queue = [
-            m.value for m in network.queued_messages()
+            m.value for m in undelivered_messages(network)
             if (m.src, m.dst) == key
         ]
         assert queue == model.queue(key)

@@ -40,7 +40,7 @@ from repro.runtime.failures import (
     RecoveryFaultKind,
     StorageFaultEvent,
 )
-from repro.runtime.interpreter import ProcessSnapshot
+from repro.runtime.effects import ProcessSnapshot
 from repro.runtime.storage import (
     DELTA_CHAIN_CAP,
     CheckpointStore,

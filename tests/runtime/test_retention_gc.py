@@ -22,7 +22,7 @@ from repro.runtime import (
     RecoveryFaultKind,
     Simulation,
 )
-from repro.runtime.interpreter import ProcessSnapshot
+from repro.runtime.effects import ProcessSnapshot
 from repro.runtime.storage import (
     CheckpointStore,
     RetentionPolicy,

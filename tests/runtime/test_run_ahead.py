@@ -20,7 +20,7 @@ import pytest
 from repro.errors import ReproError
 from repro.lang import ast_nodes as ast
 from repro.lang.parser import parse
-from repro.lang.programs import default_params, load_program, program_names
+from repro.lang.programs import load_program, program_names
 from repro.protocols import make_protocol
 from repro.runtime import (
     CrashEvent,
@@ -35,6 +35,7 @@ from repro.runtime.hooks import ProtocolHooks
 
 from .reference_scheduler import ENGINES
 from .test_backend_differential import run_fingerprint
+from ..shipped_params import default_params
 
 VARIANTS = tuple(
     itertools.product(("indexed", "reference"), ("compiled", "reference"))

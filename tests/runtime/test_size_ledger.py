@@ -6,7 +6,7 @@ the full record and of the delta record against the parent it is handed
 commits, a restore to an older entry, a write that never landed, a
 failed pass. The oracle is the encoder itself plus the list-and-set
 statement of the delta-encodability rule the ledger replaced. A clock's
-``small`` fact must be sound along every ``zero/tick/merge/receive``
+``small`` fact must be sound along every ``zero/tick/receive``
 chain, and a fault-free delta-mode run must price only what changed. A
 full-mode run prices nothing at commit: ``full_bytes_total`` prices its
 entries once, in bulk, and must equal the encoder over any list of
@@ -28,17 +28,17 @@ from repro.runtime.encoding import (
     BULK_CHUNK,
     SizeLedger,
     _changed,
-    apply_delta,
     checkpoint_record,
     checkpoint_sizes,
-    delta_encodable,
     delta_record,
     encode_record,
     full_bytes_total,
 )
 from repro.runtime.config import CHECKPOINT_MODES
-from repro.runtime.interpreter import FrameState, ProcessSnapshot
+from repro.runtime.effects import FrameState, ProcessSnapshot
 from repro.runtime.storage import StoredCheckpoint
+
+from .delta_oracle import apply_delta
 
 DELTA_MODES = [mode for mode in CHECKPOINT_MODES if mode != "full"]
 
@@ -185,12 +185,8 @@ class TestLedgerMatchesTheEncoder:
             child = data.draw(successor(published[-1], number))
             expected = encoded_sizes(child, parent)
             assert ledger.price(child, parent) == expected
-            # The public exact function and the predicate agree.
+            # The public exact function agrees.
             assert checkpoint_sizes(child, parent) == expected
-            if parent is not None:
-                assert delta_encodable(child, parent) == (
-                    expected[1] is not None
-                )
             # A write that never landed leaves the old parent in place.
             if data.draw(st.integers(0, 4)):
                 published.append(child)
@@ -360,7 +356,7 @@ class TestSmallClockFact:
         seeds=st.lists(st.lists(components, min_size=5, max_size=5), max_size=2),
         steps=st.lists(
             st.tuples(
-                st.sampled_from(["tick", "merge", "receive"]),
+                st.sampled_from(["tick", "receive"]),
                 st.integers(0, 4), st.integers(0, 7), st.integers(0, 7),
             ),
             max_size=160,
@@ -377,8 +373,6 @@ class TestSmallClockFact:
             a, b = pool[left % len(pool)], pool[right % len(pool)]
             if op == "tick":
                 result = a.tick(rank % width)
-            elif op == "merge":
-                result = a.merge(b)
             else:
                 result = a.receive(b, rank % width)
             pool.append(result)
@@ -396,7 +390,7 @@ class TestSmallClockFact:
         clock = VectorClock.zero(3)
         for _ in range(127):
             assert clock.small
-            clock = clock.tick(1).receive(clock, 0).merge(clock.tick(2))
+            clock = clock.tick(1).receive(clock, 0).receive(clock.tick(2), 2)
         assert clock.small and max(clock.components) == 127
         assert not clock.tick(1).small and not clock.receive(clock, 0).small
 

@@ -12,7 +12,7 @@ from repro.causality.vector_clock import VectorClock
 from repro.errors import SimulationError, StorageError
 from repro.runtime.failures import CrashEvent, FaultPlan, exponential_fault_plan
 from repro.runtime.inputs import _MASK, InputProvider, _label_hash, _mix
-from repro.runtime.interpreter import ProcessSnapshot
+from repro.runtime.effects import ProcessSnapshot
 from repro.runtime.storage import CheckpointStore, StoredCheckpoint
 
 

@@ -156,8 +156,9 @@ def _run_fresh(script: str) -> list[str]:
 
 def test_a_transform_and_a_cell_load_no_analysis_stack_or_pool():
     # Phases I-III, a serial campaign cell and ``repro simulate`` (a
-    # one-cell campaign) use none of the §4 model, numpy or the process
-    # pool; those load on first use only.
+    # one-cell campaign) use none of the §4 model, numpy, the process
+    # pool or the reference interpreter (the compiled backend's oracle);
+    # those load on first use only.
     loaded = _run_fresh("""
 import contextlib
 import io
@@ -175,7 +176,10 @@ with contextlib.redirect_stdout(io.StringIO()):
     assert main(["simulate", "@ring_pipeline", "-n", "3", "--steps", "4"]) == 0
 print(*sys.modules)
 """)
-    heavy = {"numpy", "multiprocessing", "concurrent.futures.process"}
+    heavy = {
+        "numpy", "multiprocessing", "concurrent.futures.process",
+        "repro.runtime.interpreter",
+    }
     assert heavy.isdisjoint(loaded)
     analysis = {name for name in loaded if name.startswith("repro.analysis.")}
     assert analysis <= {"repro.analysis.optimal_interval"}

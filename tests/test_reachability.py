@@ -11,17 +11,21 @@ and an allowlisted module that becomes reachable fails too, so the list
 can only shrink.
 
 Definitions: every module-level function or class and every non-dunder
-method under ``src/repro`` must be named somewhere besides its own
-definition — in the package, its tests, tools, benchmark, examples or
-documentation.
+method under ``src/repro`` must be named by production code: elsewhere
+in ``src`` (docstrings, comments and the export tables ``__all__`` and
+``_EXPORTS`` do not count) or in the benchmark, tools or examples. A
+definition only tests call belongs with those tests. The one allowlist
+holds the §4 models the tests check but no command runs, and it can
+only shrink.
 
 Structure: no ``runtime`` module passes 800 lines, and each name the
 engine split moved is defined in its one home module. Protocols leave
 the run's statistics to the engine and their timers to the two timer
-bases in ``protocols/base.py``. The campaign runner and the span
-tracker keep none of the options and methods only tests used, and the
-span tracker is wall-clock only. No path enumerator is defined under
-``src/repro``: it is the test oracle ``tests/cfg/path_enumeration.py``.
+bases in ``protocols/base.py``. One table lists what was deleted from
+``src/repro`` or moved to the tests and must stay out: the options and
+methods only tests used, the span tracker's sim-time surface, the path
+enumerator (the test oracle ``tests/cfg/path_enumeration.py``) and the
+other test oracles. The span tracker is wall-clock only, and
 ``RunConfig`` declares exactly the run knobs something outside the
 tests sets.
 Names deleted outright are pinned in
@@ -39,9 +43,22 @@ from repro.runtime.config import RunConfig
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 
-#: Where a definition may be named: code trees, then single documents.
-CORPUS = ("src", "tests", "tools", "bench", "examples", "docs")
-DOCUMENTS = ("README.md", "DESIGN.md", "EXPERIMENTS.md")
+#: Production code besides ``src``: any mention in these trees is a use.
+PRODUCTION_TREES = ("bench", "tools", "examples")
+
+#: The export tables: naming a definition there does not use it.
+EXPORT_TABLES = frozenset({"__all__", "_EXPORTS"})
+
+#: §4 models that ``tests/analysis`` checks against the paper's closed
+#: forms and that no command, benchmark or tool runs. Only shrinks.
+MODEL_ONLY = frozenset({
+    "repro.analysis.availability.simulate_unprotected_completion",
+    "repro.analysis.comparison.failure_probability_series",
+    "repro.analysis.markov.expected_interval_time",
+    "repro.analysis.optimal_interval.daly_interval",
+    "repro.analysis.overhead.failure_free_ratio",
+    "repro.analysis.sensitivity.sensitivity_sweep",
+})
 
 ROOTS = ("repro.cli", "repro.__main__")
 
@@ -114,43 +131,100 @@ def test_the_allowlist_only_shrinks():
     )
 
 
-def _definitions():
-    """``(qualified name, name)`` of every pinned definition."""
-    for module, path in _modules().items():
-        for node in ast.parse(path.read_text()).body:
-            if not isinstance(
-                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+def _definitions(tree: ast.Module):
+    """``(node, name, qualified suffix)`` of every pinned definition."""
+    for node in tree.body:
+        if not isinstance(
+            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+        ):
+            continue
+        yield node, node.name, node.name
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(
+                    item, (ast.FunctionDef, ast.AsyncFunctionDef)
+                ) and not re.fullmatch(r"__\w+__", item.name):
+                    yield item, item.name, f"{node.name}.{item.name}"
+
+
+def _docstrings(tree: ast.Module) -> set[int]:
+    """ids of the docstring constants in *tree*."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (
+            ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef,
+        )) and ast.get_docstring(node, clean=False) is not None:
+            found.add(id(node.body[0].value))
+    return found
+
+
+def _code_mentions(tree: ast.Module):
+    """``(word, line)`` of each name *tree*'s code mentions: identifiers,
+    attributes, imports and the words of string literals, outside
+    docstrings and export tables."""
+    skipped = _docstrings(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Assign, ast.AugAssign)):
+            targets = getattr(node, "targets", None) or [node.target]
+            if any(
+                isinstance(t, ast.Name) and t.id in EXPORT_TABLES
+                for t in targets
+            ):
+                skipped.update(map(id, ast.walk(node.value)))
+    for node in ast.walk(tree):
+        if id(node) in skipped:
+            continue
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.alias):
+            yield node.name.rpartition(".")[2], node.lineno
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            for word in re.findall(r"[A-Za-z_]\w*", node.value):
+                yield word, node.lineno
+
+
+def _unnamed_definitions() -> list[str]:
+    """Definitions no production code names besides the definition."""
+    elsewhere: Counter = Counter()
+    for tree in PRODUCTION_TREES:
+        for path in (ROOT / tree).rglob("*.py"):
+            elsewhere.update(re.findall(r"[A-Za-z_]\w*", path.read_text()))
+    trees = {
+        module: ast.parse(path.read_text())
+        for module, path in _modules().items()
+    }
+    # word -> [(module, line)] of every mention in src.
+    mentions: dict[str, list[tuple[str, int]]] = {}
+    for module, tree in trees.items():
+        for word, line in _code_mentions(tree):
+            mentions.setdefault(word, []).append((module, line))
+    unnamed = []
+    for module, tree in trees.items():
+        for node, name, suffix in _definitions(tree):
+            if elsewhere[name] or any(
+                where != module or not node.lineno <= line <= node.end_lineno
+                for where, line in mentions.get(name, ())
             ):
                 continue
-            yield f"{module}.{node.name}", node.name
-            if isinstance(node, ast.ClassDef):
-                for item in node.body:
-                    if isinstance(
-                        item, (ast.FunctionDef, ast.AsyncFunctionDef)
-                    ) and not re.fullmatch(r"__\w+__", item.name):
-                        yield f"{module}.{node.name}.{item.name}", item.name
+            unnamed.append(f"{module}.{suffix}")
+    return sorted(unnamed)
 
 
-def _corpus_words() -> Counter:
-    words: Counter = Counter()
-    paths = [ROOT / name for name in DOCUMENTS]
-    for tree in CORPUS:
-        paths.extend((ROOT / tree).rglob("*.py"))
-        paths.extend((ROOT / tree).rglob("*.md"))
-    for path in paths:
-        words.update(re.findall(r"[A-Za-z_]\w*", path.read_text()))
-    return words
+def test_every_definition_is_named_by_production_code():
+    unnamed = set(_unnamed_definitions()) - MODEL_ONLY
+    assert unnamed == set(), "only tests name these: move them there"
 
 
-def test_every_definition_is_named_besides_its_definition():
-    words = _corpus_words()
-    definitions = list(_definitions())
-    defined = Counter(name for _, name in definitions)
-    unnamed = sorted(
-        qualified for qualified, name in definitions
-        if words[name] <= defined[name]
+def test_the_model_allowlist_only_shrinks():
+    assert {name.rpartition(".")[0] for name in MODEL_ONLY} <= set(
+        _modules()
+    ), "allowlisted model's module is gone: drop it"
+    assert all(name.startswith("repro.analysis.") for name in MODEL_ONLY)
+    assert MODEL_ONLY <= set(_unnamed_definitions()), (
+        "allowlisted model is gone or used in production: drop it"
     )
-    assert unnamed == [], "defined but never named: delete or use them"
 
 
 # -- structure pins: one module per engine decision -------------------------
@@ -181,7 +255,10 @@ ENGINE_HOMES = {
         "_refuse_corrupt", "MAX_RECOVERY_ATTEMPTS", "RECOVERY_BACKOFF_BASE",
         "RECOVERY_BACKOFF_FACTOR",
     ), "repro.runtime.recovery"),
-    "Simulation": "repro.runtime.engine",
+    **dict.fromkeys(("Simulation", "make_backend"), "repro.runtime.engine"),
+    **dict.fromkeys(
+        ("Effect", "FrameState", "ProcessSnapshot"), "repro.runtime.effects"
+    ),
 }
 
 #: Moved names another subsystem may well define for itself: their one
@@ -193,9 +270,8 @@ GENERIC_NAMES = frozenset({
 })
 
 
-def _defined_names(path: Path, methods: bool = True) -> set[str]:
-    """Module-level functions, classes and assignments, and methods
-    unless *methods* is false."""
+def _defined_names(path: Path) -> set[str]:
+    """Module-level functions, classes and assignments, and methods."""
     names = set()
     for node in ast.parse(path.read_text()).body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -205,7 +281,7 @@ def _defined_names(path: Path, methods: bool = True) -> set[str]:
                 node.target
             ]
             names.update(t.id for t in targets if isinstance(t, ast.Name))
-        if methods and isinstance(node, ast.ClassDef):
+        if isinstance(node, ast.ClassDef):
             names.update(
                 item.name for item in node.body
                 if isinstance(item, ast.FunctionDef)
@@ -304,50 +380,89 @@ def _parameters(function: ast.FunctionDef) -> set[str]:
     }
 
 
-def test_test_only_campaign_options_stay_removed():
-    assert "registry" not in _parameters(
-        _top_level("campaign/executor.py", "run_campaign")
-    )
-    assert "publish" not in _methods("campaign/executor.py", "ExecutorStats")
-    init = _methods("campaign/cache.py", "TransformCache")["__init__"]
-    assert _parameters(init) == {"self", "root"}
-
-
 def test_the_span_tracker_stays_wall_clock_only():
-    methods = _methods("obs/spans.py", "SpanTracker")
-    assert methods.keys() & {
-        "open", "close", "wall_totals", "by_name", "_publish",
-    } == set()
-    assert _parameters(methods["__init__"]) == {"self", "wall_clock"}
+    init = _methods("obs/spans.py", "SpanTracker")["__init__"]
+    assert _parameters(init) == {"self", "wall_clock"}
     spans = (SRC / "repro" / "obs" / "spans.py").read_text()
     assert re.search(r"sim_(start|end|duration)", spans) is None
 
 
-# -- structure pins: path enumeration lives with its tests -------------------
+# -- structure pins: what left src/repro stays out ---------------------------
 
 #: The once-through path enumerator and the queries only tests used; they
-#: live in the test oracle ``tests/cfg/path_enumeration.py``.
-PATH_ORACLE_NAMES = frozenset({
+#: live in the test oracle ``tests/cfg/path_enumeration.py``. Module
+#: level only: ``ExtendedCFG.find_path`` searches witnesses.
+PATH_ORACLE_NAMES = (
     "acyclic_paths", "once_through_successors", "enumerate_checkpoints",
     "CheckpointEnumeration", "DEFAULT_PATH_LIMIT", "find_path",
     "reachable_from", "checkpoint_columns",
-})
+)
+
+#: ``(module, name)`` rows that must not be defined: *module* is a path
+#: under ``src/repro``, or ``"*"`` for every module there; *name* is a
+#: module-level definition, ``Class.method`` or ``function(parameter)``.
+ABSENT = [
+    # Options and reads only tests used.
+    ("campaign/executor.py", "run_campaign(registry)"),
+    ("campaign/executor.py", "ExecutorStats.publish"),
+    ("campaign/cache.py", "TransformCache.__init__(registry)"),
+    ("runtime/storage.py", "CheckpointStore.latest_with_number"),
+    # The span tracker's explicit and sim-time surface.
+    *(
+        ("obs/spans.py", f"SpanTracker.{name}")
+        for name in ("open", "close", "wall_totals", "by_name", "_publish")
+    ),
+    *(("*", name) for name in PATH_ORACLE_NAMES),
+    # Oracles that live with their tests: the delta reconstruction
+    # (tests/runtime/delta_oracle.py), the shipped programs' parameters
+    # (tests/shipped_params.py) and the MPMD role lookup.
+    ("runtime/encoding.py", "apply_delta"),
+    ("lang/programs.py", "default_params"),
+    ("lang/mpmd.py", "role_of_rank"),
+]
 
 
-def test_no_path_enumerator_in_the_source_tree():
-    # Module level only: ``ExtendedCFG.find_path`` searches witnesses.
-    defined = {
-        f"{module}.{name}"
-        for module, path in _modules().items()
-        for name in _defined_names(path, methods=False) & PATH_ORACLE_NAMES
+def _defines(path: Path, name: str) -> bool:
+    """Whether *path* defines *name*, as an :data:`ABSENT` row spells it."""
+    name, _, parameter = name.rstrip(")").partition("(")
+    scope, _, member = name.rpartition(".")
+    body = ast.parse(path.read_text()).body
+    if scope:
+        body = [
+            item for node in body
+            if isinstance(node, ast.ClassDef) and node.name == scope
+            for item in node.body
+        ]
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found = node.name == member
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)) and not scope:
+            targets = getattr(node, "targets", None) or [node.target]
+            found = any(
+                isinstance(t, ast.Name) and t.id == member for t in targets
+            )
+        else:
+            continue
+        if found and (
+            not parameter
+            or isinstance(node, ast.FunctionDef)
+            and parameter in _parameters(node)
+        ):
+            return True
+    return False
+
+
+def test_what_left_the_source_tree_stays_out():
+    modules = {
+        str(path.relative_to(SRC / "repro")): path
+        for path in _modules().values()
     }
-    assert defined == set()
-
-
-def test_storage_keeps_no_test_only_reads():
-    assert "latest_with_number" not in _methods(
-        "runtime/storage.py", "CheckpointStore"
-    )
+    present = [
+        (module, name) for module, name in ABSENT
+        for path in (modules.values() if module == "*" else [modules[module]])
+        if _defines(path, name)
+    ]
+    assert present == []
 
 
 # -- structure pins: the run knobs ------------------------------------------

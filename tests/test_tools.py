@@ -103,8 +103,11 @@ class TestCiWorkflow:
 #: opt-in), the generic cell runner ``run_campaign`` replaced, and the
 #: recovery-line boolean and hand-written chaos protocol list (now each
 #: protocol's ``recovery_lines`` and ``protocols.RECOVERING_PROTOCOLS``,
-#: which also replaced the comparison's own list), spelled in pieces so
-#: this file does not match its own search.
+#: which also replaced the comparison's own list), and the definitions
+#: only tests called (the delta predicate, clock, zigzag, rollback,
+#: curve, cache, CFG, cost, network, trace, backend and calibration
+#: helpers), spelled in pieces so this file does not match its own
+#: search.
 RETIRED_NAMES = [
     "Workload" + "Spec",
     "ProtocolRun" + "Summary",
@@ -144,6 +147,23 @@ RETIRED_NAMES = [
     "Transport" + "Config",
     "extra" + "_copies",
     "transport" + "_config",
+    "delta" + "_encodable",
+    "concurrent" + "_with",
+    "_closure" + "_from",
+    "_reachable" + "_cache",
+    "zz" + "_consistent",
+    "total" + "_rollback",
+    "as" + "_rows",
+    "hit" + "_rate",
+    "nodes_for" + "_statement",
+    "loop" + "_headers",
+    "matches_for" + "_send",
+    "estimate" + "_cost",
+    "queued" + "_messages",
+    "total" + "_sent",
+    "events" + "_for",
+    "awaiting" + "_delivery",
+    "calibrated" + "_transform",
 ]
 
 #: Top-level files that describe the current tree. The change log and
@@ -256,7 +276,7 @@ class TestAbPairs:
         }
         calls = []
 
-        def run(checkout, workload, rounds):
+        def run(checkout, workload, rounds, seed):
             calls.append((checkout, workload, rounds))
             return canned[checkout].pop(0)
 
@@ -292,7 +312,7 @@ class TestAbPairs:
         base, change = str(REPO_ROOT), str(tmp_path)
         stored = {base: [700.5, 700.5], change: [700.5, 701.0]}
 
-        def run(checkout, workload, rounds):
+        def run(checkout, workload, rounds, seed):
             return self.contract(10, 5, stored=stored[checkout].pop(0))
 
         assert tool.main(
@@ -315,7 +335,7 @@ class TestAbPairs:
         stored = {"x": 700.5, "y": 300.25}
         calls = []
 
-        def run(checkout, workload, rounds):
+        def run(checkout, workload, rounds, seed):
             calls.append((checkout, workload))
             # The change is faster on x only, and y's second change
             # run stores other bytes.
@@ -352,6 +372,35 @@ class TestAbPairs:
             "error: y: pair 2: stored_bytes_per_checkpoint differ: the two "
             "sides run different programs\n"
         )
+
+    @pytest.mark.parametrize("seed, tail", [
+        (None, ["--rounds", "3"]), (7, ["--rounds", "3", "--seed", "7"]),
+    ])
+    def test_the_seed_reaches_every_bench_command_line(
+        self, tmp_path, monkeypatch, seed, tail
+    ):
+        tool = load_by_path("ab_pairs", self.TOOL)
+        commands = []
+
+        def fake_run(command, **_):
+            commands.append(command)
+            return subprocess.CompletedProcess(
+                command, 0, stdout=self.contract(1, 1)
+            )
+
+        monkeypatch.setattr(tool.subprocess, "run", fake_run)
+        argv = [str(REPO_ROOT), str(tmp_path), "--workload", "w,v",
+                "--pairs", "2", "--rounds", "3"]
+        if seed is not None:
+            argv += ["--seed", str(seed)]
+        assert tool.main(argv) == 0
+        assert len(commands) == 8
+        for command in commands:
+            workload = command[3]
+            assert command[2:] == [
+                "--workload", workload, "--trace", "0", *tail,
+            ]
+        assert {command[3] for command in commands} == {"w", "v"}
 
     def test_incorrect_run_fails(self, tmp_path, capsys):
         tool = load_by_path("ab_pairs", self.TOOL)

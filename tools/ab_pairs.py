@@ -2,7 +2,8 @@
 """Compare two checkouts on benchmark workloads in alternating pairs.
 
 Runs ``bench/run.py --workload W --trace 0 --rounds R`` in checkout A
-and in checkout B, ``--pairs`` times each. Every pair flips which side
+and in checkout B, ``--pairs`` times each; ``--seed N`` is passed on to
+every run (the default is the benchmark's own seed). Every pair flips which side
 goes first, so a drift in the host's load falls on both sides alike.
 ``--workload`` takes one workload or a comma-separated list; each pair
 runs every listed workload on both sides before the next pair starts,
@@ -48,12 +49,18 @@ def parse_contract(stdout: str) -> dict:
     return {name: entry["value"] for name, entry in result["metrics"].items()}
 
 
-def run_bench(checkout: str, workload: str, rounds: int) -> str:
+def run_bench(
+    checkout: str, workload: str, rounds: int, seed: int | None = None
+) -> str:
     """The standard output of one untraced run in *checkout*."""
+    command = [
+        sys.executable, str(Path(checkout) / "bench" / "run.py"),
+        "--workload", workload, "--trace", "0", "--rounds", str(rounds),
+    ]
+    if seed is not None:
+        command += ["--seed", str(seed)]
     return subprocess.run(
-        [sys.executable, str(Path(checkout) / "bench" / "run.py"),
-         "--workload", workload, "--trace", "0", "--rounds", str(rounds)],
-        capture_output=True, text=True, check=True,
+        command, capture_output=True, text=True, check=True,
     ).stdout
 
 
@@ -98,6 +105,10 @@ def main(argv=None, run=run_bench) -> int:
     )
     parser.add_argument("--pairs", type=int, default=4)
     parser.add_argument("--rounds", type=int, default=12)
+    parser.add_argument(
+        "--seed", type=int, default=None,
+        help="workload seed of every run (default: the benchmark's)",
+    )
     args = parser.parse_args(argv)
     metrics = json.loads(
         (Path(args.a) / "BENCHMARK.json").read_text()
@@ -111,7 +122,7 @@ def main(argv=None, run=run_bench) -> int:
                 checkout = (args.a, args.b)[side]
                 try:
                     runs[workload][side].append(parse_contract(
-                        run(checkout, workload, args.rounds)
+                        run(checkout, workload, args.rounds, args.seed)
                     ))
                 except ValueError as error:
                     print(f"error: {checkout}: {workload}: {error}",
@@ -119,8 +130,9 @@ def main(argv=None, run=run_bench) -> int:
                     return 1
     status = 0
     for workload, (runs_a, runs_b) in runs.items():
+        seed = "" if args.seed is None else f", seed {args.seed}"
         print(f"{workload}: {args.pairs} alternating pairs, "
-              f"{args.rounds} rounds a run")
+              f"{args.rounds} rounds a run{seed}")
         print("\n".join(summarize(metrics, runs_a, runs_b)))
         for pair, (run_a, run_b) in enumerate(zip(runs_a, runs_b), 1):
             differ = [
